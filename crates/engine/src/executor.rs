@@ -14,6 +14,13 @@
 //! interesting-orders pass leaves in place — is a deterministic function of
 //! the per-node inputs, which do not depend on the thread count.
 //!
+//! Scans use the store's three replicas as the indexes they are: files come
+//! back in index order without a sort, a residual constant is an equal-range
+//! seek in the replica placed by its position, and the scan inputs of a
+//! MapJoin are evaluated smallest first, each reading only the placement
+//! keys its smallest sibling still holds when those are few against its
+//! files (see `ExecState::eval_scan`).
+//!
 //! Operators do **not** canonicalize their outputs. Leaf scans are tagged
 //! with the index order the partitioned store already delivers, joins emit
 //! their output in the order the plan's [`crate::physical::OpOrdering`]
@@ -39,6 +46,7 @@ use cliquesquare_mapreduce::{
 use cliquesquare_obs::{SpanNode, TaskSpan};
 use cliquesquare_rdf::{TermId, Triple, TriplePosition};
 use cliquesquare_sparql::{PatternTerm, Variable};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread::ThreadId;
@@ -247,27 +255,7 @@ impl Executor {
             estimates,
         };
 
-        // Operators are stored bottom-up (inputs have smaller ids than their
-        // consumers), so one in-order pass over the arena evaluates every
-        // operator after its inputs — no recursion, no re-evaluation.
-        let needed = evaluated_ops(plan);
-        for (index, _) in needed.iter().enumerate().filter(|(_, needed)| **needed) {
-            // With profiling on, bracket the operator with a driver-side
-            // clock and relation-stats snapshot; the wave wrapper in
-            // `run_timed_wave` adds what ran on worker threads.
-            let observing = state
-                .prof
-                .as_ref()
-                .map(|p| (p.epoch.elapsed().as_secs_f64(), Instant::now()))
-                .map(|(start, clock)| (start, clock, relation::stats::snapshot()));
-            let result = state.eval_op(PhysId(index));
-            if let Some((start, clock, before)) = observing {
-                let wall = clock.elapsed().as_secs_f64();
-                let driver_delta = relation::stats::snapshot().since(&before);
-                state.record_node(PhysId(index), &result, start, wall, driver_delta);
-            }
-            state.memo[index] = Some(result);
-        }
+        state.run();
         let root = state.memo[plan.root().index()]
             .take()
             .expect("root evaluated");
@@ -376,6 +364,11 @@ struct ProfCtx {
     /// Override for the current operator's input tuple count (scans read
     /// raw triples, which no memoized input reports).
     rows_in: Option<u64>,
+    /// Placement keys a sibling input handed the current scan, when it read
+    /// only those: the estimator priced the whole file, so a deliberately
+    /// narrowed read carries `keys_in` instead of an `est_rows` to be
+    /// compared against.
+    keys_in: Option<u64>,
 }
 
 impl ProfCtx {
@@ -388,6 +381,7 @@ impl ProfCtx {
             worker_stats: RelationStats::default(),
             attrs: Vec::new(),
             rows_in: None,
+            keys_in: None,
         }
     }
 
@@ -427,9 +421,30 @@ impl ProfCtx {
     }
 }
 
+/// The scan an operator evaluates against the raw triples — a MapScan, or
+/// the Filter directly above one, whose residual constants apply to the
+/// triple rather than to binding rows — as `(spec, output, constants)`.
+fn as_scan(
+    plan: &PhysicalPlan,
+    id: PhysId,
+) -> Option<(&ScanSpec, &BTreeSet<Variable>, &[FilterCondition])> {
+    match plan.op(id) {
+        PhysicalOp::MapScan { spec, output } => Some((spec, output, &[])),
+        PhysicalOp::Filter {
+            conditions,
+            input,
+            output,
+        } => match plan.op(*input) {
+            PhysicalOp::MapScan { spec, .. } => Some((spec, output, conditions)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Marks the operators the executor evaluates: everything reachable from the
 /// root, except MapScans that are consumed through the Filter directly above
-/// them (those are evaluated fused into the filter, against the raw triples).
+/// them (those are evaluated fused into the filter, see [`as_scan`]).
 fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
     let mut needed = vec![false; plan.len()];
     let mut stack = vec![plan.root()];
@@ -439,16 +454,57 @@ fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
         }
         needed[id.index()] = true;
         let op = plan.op(id);
-        if let PhysicalOp::Filter { input, .. } = op {
-            if matches!(plan.op(*input), PhysicalOp::MapScan { .. }) {
-                continue;
-            }
+        if matches!(op, PhysicalOp::Filter { .. }) && as_scan(plan, id).is_some() {
+            continue;
         }
         for input in op.inputs() {
             stack.push(input);
         }
     }
     needed
+}
+
+/// Marks the scans whose only consumer is a MapJoin: the join evaluates
+/// those itself ([`ExecState::drive_scans`]). A scan shared between
+/// consumers is evaluated on its own, in full, like any other operator.
+fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
+    let mut consumers = vec![0usize; plan.len()];
+    let mut driven = vec![false; plan.len()];
+    for index in (0..plan.len()).filter(|&index| needed[index]) {
+        let op = plan.op(PhysId(index));
+        for input in op.inputs() {
+            consumers[input.index()] += 1;
+            driven[input.index()] =
+                matches!(op, PhysicalOp::MapJoin { .. }) && as_scan(plan, input).is_some();
+        }
+    }
+    for (driven, consumers) in driven.iter_mut().zip(consumers) {
+        *driven &= consumers == 1;
+    }
+    driven
+}
+
+/// A scan input restricts its read to a sibling's placement keys when its
+/// files hold at least this many rows per key. Looking one key up costs
+/// about `2·log2(rows per key) + 2` probes, so from 64 rows per key a
+/// restricted read touches under a quarter of what a full read binds even
+/// when every row turns out to match; below it the keys are dense enough
+/// that reading the file and letting the merge join skip is as cheap.
+const RESTRICT_ROWS_PER_KEY: usize = 64;
+
+/// The distinct values of `column`, which `relation` is sorted by — or
+/// `None` as soon as there are more than `limit` of them.
+fn distinct_keys(relation: &Relation, column: usize, limit: usize) -> Option<Vec<TermId>> {
+    let mut keys: Vec<TermId> = Vec::new();
+    for row in relation.rows() {
+        if keys.last() != Some(&row[column]) {
+            if keys.len() == limit {
+                return None;
+            }
+            keys.push(row[column]);
+        }
+    }
+    Some(keys)
 }
 
 /// Field-wise sum of two relation-stats deltas (peaks combine as maxima).
@@ -702,11 +758,81 @@ impl<'a> ExecState<'a> {
         for (name, value) in std::mem::take(&mut prof.attrs) {
             node.add_attr(name, value);
         }
-        if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
+        if let Some(keys) = prof.keys_in.take() {
+            node.add_attr("keys_in", keys);
+        } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
             node.add_attr("est_rows", estimated);
             observe_q_error(estimated, node.rows_out);
         }
         prof.nodes.push((job, node));
+    }
+
+    /// Evaluates the plan into the memo. Operators are stored bottom-up
+    /// (inputs have smaller ids than their consumers), so one in-order pass
+    /// over the arena evaluates every operator after its inputs — no
+    /// recursion, no re-evaluation. The scans a MapJoin drives wait for it:
+    /// the join runs them itself, smallest first, so each can read only the
+    /// keys the others left.
+    fn run(&mut self) {
+        let plan = self.plan;
+        let needed = evaluated_ops(plan);
+        let driven = join_driven_scans(plan, &needed);
+        for index in (0..plan.len()).filter(|&index| needed[index] && !driven[index]) {
+            if let PhysicalOp::MapJoin { inputs, .. } = plan.op(PhysId(index)) {
+                self.drive_scans(inputs);
+            }
+            self.run_op(PhysId(index), None);
+        }
+    }
+
+    /// Evaluates one operator into the memo. With profiling on, the
+    /// operator is bracketed with a driver-side clock and relation-stats
+    /// snapshot; the wave wrapper in `run_timed_wave` adds what ran on
+    /// worker threads.
+    fn run_op(&mut self, id: PhysId, keys_from: Option<PhysId>) {
+        let observing = self
+            .prof
+            .as_ref()
+            .map(|p| (p.epoch.elapsed().as_secs_f64(), Instant::now()))
+            .map(|(start, clock)| (start, clock, relation::stats::snapshot()));
+        let result = self.eval_op(id, keys_from);
+        if let Some((start, clock, before)) = observing {
+            let wall = clock.elapsed().as_secs_f64();
+            let driver_delta = relation::stats::snapshot().since(&before);
+            self.record_node(id, &result, start, wall, driver_delta);
+        }
+        self.memo[id.index()] = Some(result);
+    }
+
+    /// Evaluates the scans a MapJoin drives, each as its own operator (own
+    /// wave, own span): constant seeks first, then by stored rows ascending
+    /// — both known before anything is read. Each scan is handed the
+    /// smallest input evaluated so far, whose placement keys it may restrict
+    /// its read to; a restricted read returns only rows that can still find
+    /// a partner, so it tends to be the next scan's key source in turn.
+    fn drive_scans(&mut self, inputs: &[PhysId]) {
+        let plan = self.plan;
+        let rows_of = |state: &Self, id: PhysId| {
+            let value = state.memo[id.index()].as_ref()?;
+            Some((value.cardinality(), id))
+        };
+        let mut smallest = inputs.iter().filter_map(|&id| rows_of(self, id)).min();
+        let store = self.cluster.store();
+        let mut pending: Vec<(bool, usize, PhysId)> = inputs
+            .iter()
+            .filter(|id| self.memo[id.index()].is_none())
+            .filter_map(|&id| {
+                let (spec, _, constants) = as_scan(plan, id)?;
+                let stored =
+                    store.scan_cardinality(spec.placement, spec.property, spec.type_object);
+                Some((constants.is_empty(), stored, id))
+            })
+            .collect();
+        pending.sort_unstable();
+        for (_, _, id) in pending {
+            self.run_op(id, smallest.map(|(_, source)| source));
+            smallest = smallest.into_iter().chain(rows_of(self, id)).min();
+        }
     }
 
     /// An already-evaluated input (arena order guarantees inputs come first).
@@ -716,24 +842,16 @@ impl<'a> ExecState<'a> {
             .expect("inputs evaluated before consumers")
     }
 
-    fn eval_op(&mut self, id: PhysId) -> Arc<Intermediate> {
+    fn eval_op(&mut self, id: PhysId, keys_from: Option<PhysId>) -> Arc<Intermediate> {
         let plan = self.plan;
+        if let Some((spec, output, constants)) = as_scan(plan, id) {
+            return self.eval_scan(id, spec, output, constants, keys_from);
+        }
         match plan.op(id) {
-            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, &[]),
+            PhysicalOp::MapScan { .. } => unreachable!("scans are handled above"),
             PhysicalOp::Filter {
-                conditions,
-                input,
-                output,
-            } => {
-                // A Filter directly above a MapScan is evaluated together
-                // with the scan, because the constant checks apply to the raw
-                // triple rather than to the binding rows.
-                if let PhysicalOp::MapScan { spec, .. } = plan.op(*input) {
-                    self.eval_scan(id, spec, output, conditions)
-                } else {
-                    self.eval_filter(id, conditions, *input)
-                }
-            }
+                conditions, input, ..
+            } => self.eval_filter(id, conditions, *input),
             PhysicalOp::MapJoin {
                 attributes, inputs, ..
             } => self.eval_map_join(id, attributes, inputs),
@@ -745,20 +863,31 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// Scans the partition files selected by `spec` and converts the raw
-    /// triples to binding rows, applying `extra_conditions` (residual
-    /// constants pushed down from an enclosing Filter) and the pattern's own
-    /// repeated-variable equalities. One map task per node. The store scans
-    /// placement-major, so each node's relation starts pre-ordered: it is
-    /// tagged with the index order the interesting-orders pass derived for
-    /// this operator (verified in debug builds), and a scan feeding a join
-    /// on the placement variable needs no re-sort at all.
+    /// Reads the triples `spec` selects and converts them to binding rows,
+    /// applying `constants` (residual constants pushed down from an
+    /// enclosing Filter) and the pattern's own repeated-variable equalities.
+    /// One map task per node, and three ways to read:
+    ///
+    /// * a residual constant is **sought**: the replica placed by the
+    ///   constant's position holds every matching triple as one equal range
+    ///   per file, so the scan's own files are never read;
+    /// * otherwise, when `keys_from` names a sibling join input whose
+    ///   distinct placement keys are few against this node's stored rows
+    ///   ([`RESTRICT_ROWS_PER_KEY`]), the task reads only those keys;
+    /// * otherwise the files are read in full, as they are stored.
+    ///
+    /// All three deliver the store's placement-major order, so each node's
+    /// relation starts pre-ordered: it is tagged with the index order the
+    /// interesting-orders pass derived for this operator (verified in debug
+    /// builds), and a scan feeding a join on the placement variable needs
+    /// no re-sort at all.
     fn eval_scan(
         &mut self,
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        extra_conditions: &[FilterCondition],
+        constants: &[FilterCondition],
+        keys_from: Option<PhysId>,
     ) -> Arc<Intermediate> {
         let plan = self.plan;
         let nodes = self.cluster.nodes();
@@ -773,55 +902,75 @@ impl<'a> ExecState<'a> {
             .iter()
             .map_while(|v| schema.iter().position(|s| s == v))
             .collect();
+        let store = self.cluster.store_arc();
+        let (sought, residual) = match constants.split_first() {
+            Some((seek, residual)) => (
+                Some(store.seek(
+                    spec.placement,
+                    spec.property,
+                    spec.type_object,
+                    seek.position,
+                    seek.constant,
+                )),
+                residual,
+            ),
+            None => (None, constants),
+        };
+        let keys = match sought {
+            Some(_) => None,
+            None => keys_from.and_then(|source| self.key_source(spec, source)),
+        };
         // One `'static` snapshot shared by the wave's tasks: the store stays
         // behind its `Arc`, everything else is this scan's own small state.
         let ctx = Arc::new(ScanWave {
-            store: self.cluster.store_arc(),
+            store,
             spec: spec.clone(),
             binder: TripleBinder::new(spec, &schema),
             schema,
             order_cols,
-            extra_conditions: extra_conditions.to_vec(),
+            residual: residual.to_vec(),
+            sought,
+            keys,
         });
         let tasks: Vec<_> = (0..nodes)
             .map(|node| {
                 let ctx = Arc::clone(&ctx);
-                move || -> (Relation, u64) {
-                    let spec = &ctx.spec;
-                    let triples =
-                        ctx.store
-                            .scan_node(node, spec.placement, spec.property, spec.type_object);
-                    let scanned = triples.len() as u64;
+                move || -> (Relation, u64, Option<u64>) {
+                    let (triples, keys_in) = ctx.read(node);
                     let mut relation = Relation::empty(ctx.schema.clone());
                     let mut scratch = vec![TermId(0); ctx.binder.arity()];
-                    'triples: for triple in triples {
-                        for condition in &ctx.extra_conditions {
+                    'triples: for triple in triples.iter() {
+                        for condition in &ctx.residual {
                             if triple.get(condition.position) != condition.constant {
                                 continue 'triples;
                             }
                         }
-                        if ctx.binder.bind(&triple, &mut scratch) {
+                        if ctx.binder.bind(triple, &mut scratch) {
                             relation.push_row_unordered(&scratch);
                         }
                     }
                     relation.assume_order(SortOrder::by(ctx.order_cols.iter().copied()));
-                    (relation, scanned)
+                    (relation, triples.len() as u64, keys_in)
                 }
             })
             .collect();
         let (results, wall) = self.run_timed_wave(tasks);
 
-        let checks = (extra_conditions.len() as u64).max(1);
+        let checks = (constants.len() as u64).max(1);
         let mut scanned_total: u64 = 0;
         let mut produced: u64 = 0;
+        let mut keys_total: Option<u64> = None;
         let job = self.job_mut(id);
         job.map_wall += wall;
         let mut parts = Vec::with_capacity(results.len());
-        for (node, (relation, scanned)) in results.into_iter().enumerate() {
+        for (node, (relation, scanned, keys_in)) in results.into_iter().enumerate() {
             job.map_in[node] += scanned;
             job.map_out[node] += relation.len() as u64;
             scanned_total += scanned;
             produced += relation.len() as u64;
+            if let Some(keys_in) = keys_in {
+                *keys_total.get_or_insert(0) += keys_in;
+            }
             parts.push(relation);
         }
         job.metrics.tuples_read += scanned_total;
@@ -831,8 +980,33 @@ impl<'a> ExecState<'a> {
             // The scan's true input is the raw triples it read, which no
             // memoized intermediate reports.
             prof.rows_in = Some(scanned_total);
+            prof.keys_in = keys_total;
         }
         Arc::new(Intermediate::Local(parts))
+    }
+
+    /// The evaluated sibling `source` as a key source for a scan of `spec`:
+    /// its per-node parts plus the column holding the scan's placement
+    /// variable — provided every part is sorted by that column first, so a
+    /// part's distinct keys come out ascending, the order the files hold
+    /// them in. (Inputs of one join share every variable they both bind, so
+    /// restricting by a shared variable can only drop rows with no partner.)
+    fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<(Arc<Intermediate>, usize)> {
+        let term = match spec.placement {
+            TriplePosition::Subject => &spec.pattern.subject,
+            TriplePosition::Property => &spec.pattern.property,
+            TriplePosition::Object => &spec.pattern.object,
+        };
+        let value = self.input(source);
+        let Intermediate::Local(parts) = &*value else {
+            return None;
+        };
+        let column = parts.first()?.column(term.as_variable()?)?;
+        let sorted = parts.len() == self.cluster.nodes()
+            && parts
+                .iter()
+                .all(|part| part.order().columns().first() == Some(&column));
+        sorted.then_some((value, column))
     }
 
     fn eval_filter(
@@ -1171,7 +1345,37 @@ struct ScanWave {
     binder: TripleBinder,
     schema: Vec<Variable>,
     order_cols: Vec<usize>,
-    extra_conditions: Vec<FilterCondition>,
+    /// Constants still checked triple by triple (all but the sought one).
+    residual: Vec<FilterCondition>,
+    /// Per-node triples a constant seek found; `None` reads the files.
+    sought: Option<Vec<Vec<Triple>>>,
+    /// A sibling join input and its placement-variable column
+    /// (see [`ExecState::key_source`]).
+    keys: Option<(Arc<Intermediate>, usize)>,
+}
+
+impl ScanWave {
+    /// One node's triples in scan order, and the number of sibling keys the
+    /// read was restricted to (`None`: sought, or read in full).
+    fn read(&self, node: usize) -> (Cow<'_, [Triple]>, Option<u64>) {
+        if let Some(sought) = &self.sought {
+            return (Cow::Borrowed(&sought[node]), None);
+        }
+        let spec = &self.spec;
+        let files = self
+            .store
+            .scan_files(node, spec.placement, spec.property, spec.type_object);
+        let keys = self.keys.as_ref().and_then(|(source, column)| {
+            let Intermediate::Local(parts) = &**source else {
+                return None;
+            };
+            distinct_keys(&parts[node], *column, files.rows() / RESTRICT_ROWS_PER_KEY)
+        });
+        match keys {
+            Some(keys) => (Cow::Owned(files.read_keys(&keys)), Some(keys.len() as u64)),
+            None => (files.read(), None),
+        }
+    }
 }
 
 /// The shared `'static` context of one map-join wave: the evaluated inputs'
@@ -1502,6 +1706,108 @@ mod tests {
         let mut sorted = output.results.clone();
         sorted.canonicalize();
         assert_eq!(sorted, output.results);
+    }
+
+    /// Selective templates over LUBM: a constant in subject position, in
+    /// object position, in both (around a variable property, so the scans
+    /// read the property-placed replica), a constant that leaves one join
+    /// input empty (absent from the dictionary; present but never under
+    /// that property), repeated variables, and two-attribute MapJoins.
+    const SELECTIVE_TEMPLATES: &[&str] = &[
+        "SELECT ?X WHERE { ?X rdf:type ub:AssistantProfessor . \
+         ?X ub:doctoralDegreeFrom <http://www.University0.edu> }",
+        "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+         ?D ub:subOrganizationOf <http://www.University0.edu> }",
+        "SELECT ?X ?Y WHERE { ?X rdf:type ub:Lecturer . ?Y rdf:type ub:Department . \
+         ?X ub:worksFor ?Y . ?Y ub:subOrganizationOf <http://www.University1.edu> }",
+        "SELECT ?D ?S WHERE { <http://www.Department0.University0.edu/FullProfessor0> \
+         ub:worksFor ?D . ?S ub:memberOf ?D }",
+        "SELECT ?P ?S WHERE { <http://www.Department0.University0.edu/FullProfessor0> ?P \
+         <http://www.Department0.University0.edu> . ?S ?P <http://www.Department1.University0.edu> }",
+        "SELECT ?Z ?U WHERE { ?Z ub:subOrganizationOf ?U . ?U ub:name \"University3\" }",
+        "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+         ?D ub:subOrganizationOf <http://www.University999.edu> }",
+        "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+         ?D ub:subOrganizationOf <http://www.Department0.University0.edu> }",
+        "SELECT ?X ?D WHERE { ?X ub:advisor ?X . ?X ub:memberOf ?D }",
+        "SELECT ?X ?P WHERE { ?X ?P ?X . ?X ub:memberOf ?D }",
+        "SELECT ?S ?P ?D WHERE { ?S ub:worksFor ?D . ?S ?P ?D }",
+        "SELECT ?S ?C WHERE { ?S rdf:type ?C . ?S ?P ?C . ?S ub:doctoralDegreeFrom \
+         <http://www.University2.edu> }",
+    ];
+
+    /// Evaluates `plan` and returns every MapJoin's per-node parts, plus how
+    /// many scans read only a sibling's keys. With `restrict` off, the
+    /// scans the joins would drive are evaluated first, in full; the joins
+    /// then find every input memoized and drive nothing.
+    fn map_join_parts(
+        cluster: &Cluster,
+        plan: &PhysicalPlan,
+        runtime: &Runtime,
+        restrict: bool,
+    ) -> (Vec<Vec<Relation>>, usize) {
+        let sched = schedule(plan);
+        let mut state = ExecState {
+            plan,
+            cluster,
+            schedule: &sched,
+            runtime,
+            job_id: runtime.begin_job(),
+            jobs: (0..sched.job_count)
+                .map(|_| JobState::new(cluster.nodes()))
+                .collect(),
+            memo: vec![None; plan.len()],
+            prof: Some(ProfCtx::new(Instant::now())),
+            estimates: None,
+        };
+        if !restrict {
+            let driven = join_driven_scans(plan, &evaluated_ops(plan));
+            for index in (0..plan.len()).filter(|&index| driven[index]) {
+                state.run_op(PhysId(index), None);
+            }
+        }
+        state.run();
+        let restricted = state.prof.iter().flat_map(|prof| &prof.nodes);
+        let restricted = restricted
+            .filter(|(_, node)| node.attrs.iter().any(|(name, _)| name == "keys_in"))
+            .count();
+        let parts = plan
+            .ops_where(|op| matches!(op, PhysicalOp::MapJoin { .. }))
+            .into_iter()
+            .map(|id| match &*state.input(id) {
+                Intermediate::Local(parts) => parts.clone(),
+                Intermediate::LocalRuns(parts) => parts.iter().map(RunsRelation::expand).collect(),
+                Intermediate::Global(_) => panic!("map joins stay per node"),
+            })
+            .collect();
+        (parts, restricted)
+    }
+
+    /// Passing keys sideways only drops rows that have no partner: on every
+    /// node, every MapJoin of every selective template outputs the rows, in
+    /// the order, it outputs over scans read in full — at threads {1, 2, 8}
+    /// — and the templates do restrict.
+    #[test]
+    fn restricted_map_joins_equal_unrestricted_ones_node_for_node() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let mut restricted_scans = 0;
+        for query in SELECTIVE_TEMPLATES
+            .iter()
+            .map(|text| parse_query(text).unwrap())
+        {
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            let physical = translate(result.flattest_plans()[0], cluster.graph());
+            let (full, none) = map_join_parts(&cluster, &physical, &Runtime::sequential(), false);
+            assert_eq!(none, 0, "scans evaluated on their own never restrict");
+            for threads in [1, 2, 8] {
+                let runtime = Runtime::with_threads(threads);
+                let (parts, restricted) = map_join_parts(&cluster, &physical, &runtime, true);
+                assert_eq!(parts, full, "threads={threads}: {query}");
+                restricted_scans += restricted;
+            }
+        }
+        assert!(restricted_scans > 0, "the templates exercise key passing");
     }
 
     /// Leaf scans start pre-ordered: a first-level join consumes every scan

@@ -48,6 +48,6 @@ pub use cluster::{compute_statistics, Cluster, ClusterConfig};
 pub use job::{JobExecution, JobKind, JobLog, TaskExecution};
 pub use load::{BulkLoader, LoadOptions, LoadOutput, LoadReport};
 pub use metrics::{CostParameters, ExecutionMetrics};
-pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats};
+pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles};
 pub use runtime::{Runtime, THREADS_ENV};
 pub use scheduler::{JobId, Scheduler, SchedulerStats};

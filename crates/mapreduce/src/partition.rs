@@ -14,11 +14,20 @@
 //! can be evaluated locally on each node (PWOC / co-located joins), and a
 //! Match operator for a triple pattern with a constant property only reads
 //! the files named after that property.
+//!
+//! Every file is stored sorted in the [`scan_order`] of its replica, so the
+//! three replicas double as three indexes: a scan hands a file out as it is
+//! stored, a constant at any position is an equal range found by binary
+//! search in the replica placed by that position ([`PartitionedStore::seek`]),
+//! and a sorted set of placement values is looked up by galloping
+//! ([`ScanFiles::read_keys`]) instead of reading the file.
 
 use crate::runtime::Runtime;
 use cliquesquare_rdf::{Graph, Term, TermId, Triple, TriplePosition};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Identifies one HDFS-style file within a compute node's local storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -88,14 +97,18 @@ pub struct PartitionedStore {
     nodes: usize,
     rdf_type: Option<TermId>,
     source_triples: usize,
-    /// `files[node]` maps a file key to the triples stored in that file.
-    files: Vec<HashMap<FileKey, Vec<Triple>>>,
+    /// `files[node]` maps a file key to the triples stored in that file,
+    /// sorted in the [`scan_order`] of the key's placement.
+    files: Vec<NodeFiles>,
 }
 
-/// Deterministic placement hash (Fibonacci hashing on the term id), so that
-/// simulation results are reproducible across runs and platforms.
-fn placement_hash(id: TermId) -> u64 {
-    (u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+type NodeFiles = HashMap<FileKey, Vec<Triple>>;
+
+/// The node a value places its triple on: a deterministic hash (Fibonacci
+/// hashing on the term id), so that simulation results are reproducible
+/// across runs and platforms.
+fn node_of(id: TermId, nodes: usize) -> usize {
+    ((u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % nodes as u64) as usize
 }
 
 /// The index order [`PartitionedStore::scan_node`] delivers triples in for a
@@ -116,18 +129,121 @@ pub fn scan_order(placement: TriplePosition) -> [TriplePosition; 4] {
     ]
 }
 
+/// The sort key of [`scan_order`]: the placement value, then the triple.
+/// A total order on triples, so sorting or merging by it has one result
+/// whatever order the inputs arrive in.
+fn scan_key(triple: &Triple, placement: TriplePosition) -> (TermId, Triple) {
+    (triple.get(placement), *triple)
+}
+
+/// Sorts every file of one node's map into the scan order of its replica.
+/// All triples of a file carry the file's property, so the order is decided
+/// by the two other positions — the placement position first (the subject
+/// leads a property-placed file) — which pack into one integer sort key.
+fn sort_files(mut files: NodeFiles) -> NodeFiles {
+    for (key, triples) in &mut files {
+        let packed = |triple: &Triple| {
+            let (major, minor) = match key.placement {
+                TriplePosition::Object => (triple.object, triple.subject),
+                _ => (triple.subject, triple.object),
+            };
+            u64::from(major.0) << 32 | u64::from(minor.0)
+        };
+        if !triples.is_sorted_by_key(packed) {
+            triples.sort_unstable_by_key(packed);
+        }
+    }
+    files
+}
+
+/// K-way merge of files that are each in `scan_order(placement)`.
+fn merge_files(files: &[&[Triple]], placement: TriplePosition) -> Vec<Triple> {
+    let entry = |file: usize, at: usize| {
+        let triple = files[file].get(at)?;
+        Some(Reverse((scan_key(triple, placement), file, at)))
+    };
+    let mut heap: BinaryHeap<_> = (0..files.len()).filter_map(|file| entry(file, 0)).collect();
+    let mut out = Vec::with_capacity(files.iter().map(|file| file.len()).sum());
+    while let Some(Reverse(((_, triple), file, at))) = heap.pop() {
+        out.push(triple);
+        heap.extend(entry(file, at + 1));
+    }
+    out
+}
+
+/// Index of the first element of `sorted` for which `before` no longer
+/// holds, by exponential search from the front: `O(log answer)` probes, so
+/// looking up an ascending key sequence from the previous hit costs the
+/// logarithm of each gap and a dense sequence degrades to a linear pass.
+fn gallop(sorted: &[Triple], before: impl Fn(&Triple) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= sorted.len() && before(&sorted[bound - 1]) {
+        bound *= 2;
+    }
+    let from = bound / 2;
+    from + sorted[from..bound.min(sorted.len())].partition_point(before)
+}
+
+/// The files one scan reads on one node, each in `scan_order(placement)`.
+#[derive(Debug)]
+pub struct ScanFiles<'a> {
+    placement: TriplePosition,
+    files: Vec<&'a [Triple]>,
+}
+
+impl<'a> ScanFiles<'a> {
+    /// Stored triples in the files: what [`read`](Self::read) returns.
+    pub fn rows(&self) -> usize {
+        self.files.iter().map(|file| file.len()).sum()
+    }
+
+    /// Every triple, in [`scan_order`]. One file is handed out as stored;
+    /// several (a variable property, `rdf:type` without a class) are merged.
+    pub fn read(&self) -> Cow<'a, [Triple]> {
+        match self.files.as_slice() {
+            [] => Cow::Borrowed(&[]),
+            [file] => Cow::Borrowed(file),
+            files => Cow::Owned(merge_files(files, self.placement)),
+        }
+    }
+
+    /// The triples whose placement value is one of `keys` (ascending), in
+    /// [`scan_order`] — [`read`](Self::read) filtered by the key set, found
+    /// by galloping over each file from the previous key's hit.
+    pub fn read_keys(&self, keys: &[TermId]) -> Vec<Triple> {
+        let placement = self.placement;
+        let found_in = |file: &&[Triple]| {
+            let mut found = Vec::new();
+            let mut rest = *file;
+            for &key in keys {
+                rest = &rest[gallop(rest, |triple| triple.get(placement) < key)..];
+                let equal = gallop(rest, |triple| triple.get(placement) == key);
+                found.extend_from_slice(&rest[..equal]);
+                rest = &rest[equal..];
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            found
+        };
+        let mut runs: Vec<Vec<Triple>> = self.files.iter().map(found_in).collect();
+        if runs.len() == 1 {
+            return runs.swap_remove(0);
+        }
+        let runs: Vec<&[Triple]> = runs.iter().map(Vec::as_slice).collect();
+        merge_files(&runs, placement)
+    }
+}
+
 /// Routes one slice of triples into per-node file maps (the map-side task of
 /// the parallel partition build). Appending the resulting maps in chunk
-/// order reproduces the sequential build's per-file triple order exactly.
-fn partition_chunk(
-    triples: &[Triple],
-    nodes: usize,
-    rdf_type: Option<TermId>,
-) -> Vec<HashMap<FileKey, Vec<Triple>>> {
-    let mut files: Vec<HashMap<FileKey, Vec<Triple>>> = vec![HashMap::new(); nodes];
+/// order gives every file the same triples at any chunking; the per-node
+/// sort that follows makes their order independent of it too.
+fn partition_chunk(triples: &[Triple], nodes: usize, rdf_type: Option<TermId>) -> Vec<NodeFiles> {
+    let mut files: Vec<NodeFiles> = vec![HashMap::new(); nodes];
     for &triple in triples {
         for placement in TriplePosition::ALL {
-            let placed_on = (placement_hash(triple.get(placement)) % nodes as u64) as usize;
+            let placed_on = node_of(triple.get(placement), nodes);
             let key = if Some(triple.property) == rdf_type {
                 FileKey::typed(placement, triple.property, triple.object)
             } else {
@@ -151,16 +267,19 @@ impl PartitionedStore {
     /// On a parallel runtime the build runs as a miniature MapReduce job:
     /// a *map wave* routes triple chunks into per-node file maps, and a
     /// *reduce wave* (one task per node) concatenates each node's chunk
-    /// maps in chunk order. Because chunk order equals graph order, every
-    /// file receives its triples in exactly the sequential order and the
-    /// result is bit-identical to [`build`](Self::build) at any thread
-    /// count.
+    /// maps and sorts every file into the [`scan_order`] of its replica.
+    /// A file's triples do not depend on the chunking and the sort key is
+    /// a total order, so the result is bit-identical to
+    /// [`build`](Self::build) at any thread count.
     pub fn build_with(graph: &Graph, nodes: usize, runtime: &Runtime) -> Self {
         let nodes = nodes.max(1);
         let rdf_type = graph.lookup(&Term::iri(cliquesquare_rdf::term::vocab::RDF_TYPE));
         let triples = graph.triples();
         let files = if !runtime.is_parallel() || triples.len() < 2 {
             partition_chunk(triples, nodes, rdf_type)
+                .into_iter()
+                .map(sort_files)
+                .collect()
         } else {
             // Map wave: one routing task per chunk.
             let chunk_size = triples.len().div_ceil(runtime.threads());
@@ -171,7 +290,7 @@ impl PartitionedStore {
                     .collect(),
             );
             // Transpose chunk-major → node-major (cheap map moves).
-            let mut per_node: Vec<Vec<HashMap<FileKey, Vec<Triple>>>> = (0..nodes)
+            let mut per_node: Vec<Vec<NodeFiles>> = (0..nodes)
                 .map(|_| Vec::with_capacity(chunk_maps.len()))
                 .collect();
             for chunk in chunk_maps {
@@ -179,19 +298,19 @@ impl PartitionedStore {
                     per_node[node].push(map);
                 }
             }
-            // Reduce wave: one merge task per node, chunk order preserved.
+            // Reduce wave: one merge-and-sort task per node.
             runtime.run_wave(
                 per_node
                     .into_iter()
                     .map(|maps| {
                         move || {
-                            let mut merged: HashMap<FileKey, Vec<Triple>> = HashMap::new();
+                            let mut merged: NodeFiles = HashMap::new();
                             for map in maps {
                                 for (key, mut triples) in map {
                                     merged.entry(key).or_default().append(&mut triples);
                                 }
                             }
-                            merged
+                            sort_files(merged)
                         }
                     })
                     .collect(),
@@ -244,52 +363,86 @@ impl PartitionedStore {
         type_object: Option<TermId>,
     ) -> Vec<Vec<Triple>> {
         (0..self.nodes)
-            .map(|node| self.scan_node(node, placement, property, type_object))
+            .map(|node| {
+                self.scan_node(node, placement, property, type_object)
+                    .into_owned()
+            })
             .collect()
     }
 
-    /// Scans the matching files of a single compute node (the per-node unit
-    /// of work of a map task wave). See [`scan`](Self::scan).
+    /// The files of a single compute node that a scan reads (the per-node
+    /// unit of work of a map task wave). See [`scan`](Self::scan) for the
+    /// selectors.
+    pub fn scan_files(
+        &self,
+        node: usize,
+        placement: TriplePosition,
+        property: Option<TermId>,
+        type_object: Option<TermId>,
+    ) -> ScanFiles<'_> {
+        let files = self.files.get(node).into_iter().flatten();
+        ScanFiles {
+            placement,
+            files: files
+                .filter(|(key, _)| {
+                    key.placement == placement
+                        && property.is_none_or(|p| key.property == p)
+                        && type_object.is_none_or(|class| key.type_object == Some(class))
+                })
+                .map(|(_, triples)| triples.as_slice())
+                .collect(),
+        }
+    }
+
+    /// Scans the matching files of a single compute node.
     ///
     /// Triples are returned sorted placement-major — by the value of the
     /// `placement` position first, then by `(subject, property, object)` —
-    /// i.e. in [`scan_order`]. This is the natural order of the replica (its
-    /// files group triples by the placement attribute), and it is what lets
-    /// a scan feeding a join on the placement variable start pre-ordered.
+    /// i.e. in [`scan_order`]. This is the order the replica's files are
+    /// stored in, and it is what lets a scan feeding a join on the placement
+    /// variable start pre-ordered.
     pub fn scan_node(
         &self,
         node: usize,
         placement: TriplePosition,
         property: Option<TermId>,
         type_object: Option<TermId>,
-    ) -> Vec<Triple> {
-        let Some(node_files) = self.files.get(node) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (key, triples) in node_files {
-            if key.placement != placement {
-                continue;
+    ) -> Cow<'_, [Triple]> {
+        self.scan_files(node, placement, property, type_object)
+            .read()
+    }
+
+    /// The triples of a scan that carry `constant` at `position`, per
+    /// compute node: node for node the rows, in the order, that filtering
+    /// [`scan_node`](Self::scan_node) by the constant gives — without
+    /// reading the scan's files. Every such triple sits in the replica
+    /// placed by `position`, on the node owning `constant`, as one equal
+    /// range per matching file; the few matches are routed to the nodes the
+    /// `placement` replica keeps them on and sorted into its scan order.
+    pub fn seek(
+        &self,
+        placement: TriplePosition,
+        property: Option<TermId>,
+        type_object: Option<TermId>,
+        position: TriplePosition,
+        constant: TermId,
+    ) -> Vec<Vec<Triple>> {
+        let owner = node_of(constant, self.nodes);
+        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.nodes];
+        for file in self
+            .scan_files(owner, position, property, type_object)
+            .files
+        {
+            let from = file.partition_point(|triple| triple.get(position) < constant);
+            let equal = file[from..].partition_point(|triple| triple.get(position) == constant);
+            for triple in &file[from..from + equal] {
+                routed[node_of(triple.get(placement), self.nodes)].push(*triple);
             }
-            if let Some(p) = property {
-                if key.property != p {
-                    continue;
-                }
-            }
-            if let Some(class) = type_object {
-                if key.type_object != Some(class) {
-                    continue;
-                }
-            }
-            out.extend_from_slice(triples);
         }
-        if placement == TriplePosition::Subject {
-            // Subject-major equals plain triple order.
-            out.sort_unstable();
-        } else {
-            out.sort_unstable_by_key(|triple| (triple.get(placement), *triple));
+        for triples in &mut routed {
+            triples.sort_unstable_by_key(|triple| scan_key(triple, placement));
         }
-        out
+        routed
     }
 
     /// Total number of tuples that [`scan`](Self::scan) would read.
@@ -299,9 +452,11 @@ impl PartitionedStore {
         property: Option<TermId>,
         type_object: Option<TermId>,
     ) -> usize {
-        self.scan(placement, property, type_object)
-            .iter()
-            .map(Vec::len)
+        (0..self.nodes)
+            .map(|node| {
+                self.scan_files(node, placement, property, type_object)
+                    .rows()
+            })
             .sum()
     }
 
@@ -443,22 +598,45 @@ mod tests {
         assert_eq!(store.stats().stored_triples, graph.len() * 3);
     }
 
-    /// `scan_node` delivers triples placement-major: sorted by the value at
-    /// the replica's placement position first, then by the full triple.
+    /// Every stored file is in the scan order of its replica whatever the
+    /// build's thread count, and `scan_node` delivers triples
+    /// placement-major — sorted by the value at the replica's placement
+    /// position first, then by the full triple — also where it merges
+    /// several files (no property, or `rdf:type` without a class).
     #[test]
-    fn scan_node_delivers_placement_major_order() {
-        let (_, store) = store(3);
-        for placement in TriplePosition::ALL {
-            assert_eq!(scan_order(placement)[0], placement);
-            for node in 0..store.nodes() {
-                let triples = store.scan_node(node, placement, None, None);
-                assert!(
-                    triples
-                        .windows(2)
-                        .all(|w| (w[0].get(placement), w[0]) <= (w[1].get(placement), w[1])),
-                    "node {node} scan of {placement} replica not placement-major sorted"
-                );
+    fn files_and_scans_are_in_placement_major_order() {
+        let graph = LubmGenerator::new(LubmScale::tiny()).generate();
+        let placement_major = |triples: &[Triple], placement| {
+            triples.is_sorted_by_key(|triple| scan_key(triple, placement))
+        };
+        for threads in [1, 2, 8] {
+            let store = PartitionedStore::build_with(&graph, 3, &Runtime::with_threads(threads));
+            let rdf_type = store.rdf_type();
+            for (node, files) in store.files.iter().enumerate() {
+                for (key, triples) in files {
+                    assert!(
+                        placement_major(triples, key.placement),
+                        "threads={threads} node {node} file {key:?} not in scan order"
+                    );
+                }
             }
+            let mut merged = 0;
+            for placement in TriplePosition::ALL {
+                assert_eq!(scan_order(placement)[0], placement);
+                for node in 0..store.nodes() {
+                    for property in [None, rdf_type] {
+                        let files = store.scan_files(node, placement, property, None);
+                        merged += usize::from(files.files.len() > 1);
+                        let triples = files.read();
+                        assert_eq!(triples.len(), files.rows());
+                        assert!(
+                            placement_major(&triples, placement),
+                            "node {node} scan of {placement} replica not placement-major sorted"
+                        );
+                    }
+                }
+            }
+            assert!(merged >= 6, "scans of several files: {merged}");
         }
     }
 

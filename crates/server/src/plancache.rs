@@ -130,15 +130,38 @@ struct Inner {
     tick: u64,
 }
 
+/// One event counted twice: for this cache alone (what
+/// [`PlanCache::counters`] reports) and in the process-wide `csq_plancache_*`
+/// series that every cache in the process shares.
+#[derive(Debug)]
+struct Tally {
+    own: Counter,
+    series: Arc<Counter>,
+}
+
+impl Tally {
+    fn new(series: Arc<Counter>) -> Self {
+        Self {
+            own: Counter::default(),
+            series,
+        }
+    }
+
+    fn inc(&self) {
+        self.own.inc();
+        self.series.inc();
+    }
+}
+
 /// A bounded, thread-safe template → plan cache with LRU eviction and
 /// statistics-epoch invalidation.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
+    hits: Tally,
+    misses: Tally,
+    evictions: Tally,
 }
 
 impl PlanCache {
@@ -148,21 +171,21 @@ impl PlanCache {
         Self {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
-            hits: registry.counter(
+            hits: Tally::new(registry.counter(
                 "csq_plancache_hits_total",
                 "Plan cache lookups answered from a cached template plan",
                 &[],
-            ),
-            misses: registry.counter(
+            )),
+            misses: Tally::new(registry.counter(
                 "csq_plancache_misses_total",
                 "Plan cache lookups that fell through to full planning",
                 &[],
-            ),
-            evictions: registry.counter(
+            )),
+            evictions: Tally::new(registry.counter(
                 "csq_plancache_evictions_total",
                 "Plan cache entries dropped (LRU pressure or stale epoch)",
                 &[],
-            ),
+            )),
         }
     }
 
@@ -245,11 +268,14 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lifetime `(hits, misses, evictions)` counter values. These read the
-    /// process-wide `csq_plancache_*` series, which every cache in the
-    /// process shares.
+    /// Lifetime `(hits, misses, evictions)` of this cache alone — other
+    /// caches in the process move only the shared `csq_plancache_*` series.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits.get(), self.misses.get(), self.evictions.get())
+        (
+            self.hits.own.get(),
+            self.misses.own.get(),
+            self.evictions.own.get(),
+        )
     }
 }
 

@@ -7,9 +7,10 @@
 //! * whole-suite elision accounting on the 14 LUBM queries — re-sorted join
 //!   inputs are the rare exception, not the rule, and multi-job plans elide
 //!   their intermediate re-sorts;
-//! * a differential proptest: order-elided execution of random queries is
-//!   **bit-identical** to the reference evaluator's answer relation, at
-//!   threads {1, 2, 8}.
+//! * a differential matrix: order-elided execution of random queries — and
+//!   of selective templates over LUBM and SP²B, whose scans seek constants
+//!   and read only their siblings' keys — is **bit-identical** to the
+//!   reference evaluator's answer relation, at threads {1, 2, 8}.
 
 use cliquesquare_core::{paper_examples, Optimizer, Variant};
 use cliquesquare_engine::reference::reference_eval_with;
@@ -18,8 +19,9 @@ use cliquesquare_engine::{translate, Executor, PhysicalOp};
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
 use cliquesquare_querygen::lubm_queries::lubm_queries;
 use cliquesquare_querygen::{SyntheticShape, SyntheticWorkload};
-use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Term};
-use cliquesquare_sparql::{BgpQuery, Variable};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term};
+use cliquesquare_sparql::parser::parse_query;
+use cliquesquare_sparql::{BgpQuery, PatternTerm, TriplePattern, Variable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,36 +205,199 @@ fn query_strategy() -> impl Strategy<Value = BgpQuery> {
     })
 }
 
-/// A small random graph over the synthetic property vocabulary used by the
-/// generated queries, so that executions can produce non-empty answers.
+/// Nodes of [`synthetic_graph`].
+const SYNTHETIC_NODES: usize = 400;
+
+fn synthetic_node(index: usize) -> Term {
+    Term::iri(format!("http://synthetic.example/node{index}"))
+}
+
+/// A random graph over the synthetic property vocabulary used by the
+/// generated queries, so that executions can produce non-empty answers —
+/// with files long enough (about 200 rows per node) that a scan next to a
+/// constant-bound sibling reads by key.
 fn synthetic_graph(seed: u64) -> Graph {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = Graph::new();
-    for _ in 0..600 {
-        let s = rng.gen_range(0..40);
+    for _ in 0..6000 {
+        let s = rng.gen_range(0..SYNTHETIC_NODES);
         let p = rng.gen_range(1..11);
-        let o = rng.gen_range(0..40);
+        let o = rng.gen_range(0..SYNTHETIC_NODES);
         graph.insert_terms(
-            Term::iri(format!("http://synthetic.example/node{s}")),
+            synthetic_node(s),
             Term::iri(format!("http://synthetic.example/p{p}")),
-            Term::iri(format!("http://synthetic.example/node{o}")),
+            synthetic_node(o),
         );
     }
     graph
+}
+
+/// `query` with the `pick`-th of its variables that occur exactly once (the
+/// free end of a chain, a leaf of a star) bound to `constant`: the query
+/// stays connected and becomes selective. Unchanged when every variable
+/// joins.
+fn bind_a_leaf(query: &BgpQuery, pick: usize, constant: &Term) -> BgpQuery {
+    let occurrences = |v: &Variable| {
+        let terms = query.patterns().iter().flat_map(|p| p.terms());
+        terms.filter(|t| t.as_variable() == Some(v)).count()
+    };
+    let variables = query.variables();
+    let leaves: Vec<&Variable> = variables.iter().filter(|v| occurrences(v) == 1).collect();
+    if leaves.is_empty() {
+        return query.clone();
+    }
+    let leaf = leaves[pick % leaves.len()];
+    let bind = |term: &PatternTerm| match term.as_variable() {
+        Some(v) if v == leaf => PatternTerm::Constant(constant.clone()),
+        _ => term.clone(),
+    };
+    BgpQuery::named(
+        query.name().to_string(),
+        variables.iter().filter(|v| *v != leaf).cloned().collect(),
+        query
+            .patterns()
+            .iter()
+            .map(|p| TriplePattern::new(bind(&p.subject), bind(&p.property), bind(&p.object)))
+            .collect(),
+    )
+}
+
+/// Executes the flattest MSC plan of `query` at threads {1, 2, 8} and holds
+/// every result relation to the reference evaluator's, bit for bit.
+/// Returns how many scans read only a sibling's keys.
+fn assert_bit_identical_to_the_reference(cluster: &Cluster, query: &BgpQuery) -> usize {
+    let result = Optimizer::with_variant(Variant::Msc).optimize(query);
+    assert!(!result.plans.is_empty(), "{query}: connected queries plan");
+    let physical = translate(result.flattest_plans()[0], cluster.graph());
+    let reference = reference_eval_with(cluster.graph(), query, &Runtime::sequential());
+
+    let sequential = Executor::sequential(cluster).execute_profiled(&physical);
+    assert!(sequential.results.is_canonical());
+    // A query distinguishing every variable may execute without a root
+    // projection, so the executor's schema is the join-union order while
+    // the reference's follows pattern-traversal order; align the columns
+    // before the bit-for-bit comparison.
+    let align = |results: &cliquesquare_engine::Relation| {
+        let distinct = results.clone().distinct();
+        distinct.project(reference.schema()).distinct()
+    };
+    if reference.is_empty() {
+        assert!(sequential.results.is_empty(), "{query}: reference is empty");
+    } else {
+        assert_eq!(
+            align(&sequential.results),
+            reference,
+            "{query}: sequential order-elided execution differs from the reference"
+        );
+    }
+    for threads in [2usize, 8] {
+        let parallel =
+            Executor::with_runtime(cluster, Runtime::with_threads(threads)).execute(&physical);
+        assert_eq!(
+            sequential.results, parallel.results,
+            "{query}: threads={threads} changed the result relation"
+        );
+    }
+    let profile = sequential.profile.expect("profiled run has a span tree");
+    let operators = profile.children.iter().flat_map(|job| &job.children);
+    operators
+        .filter(|op| op.attrs.iter().any(|(name, _)| name == "keys_in"))
+        .count()
+}
+
+/// Selective templates — a constant in subject position, in object
+/// position, in both around a variable property, a constant that leaves one
+/// join input empty, repeated variables, two-attribute MapJoins — over LUBM
+/// and SP²B match the reference at every thread count, and on both datasets
+/// some scans do read by key (the differential covers the restricted path,
+/// not only the full reads of the constant-free suites).
+#[test]
+fn selective_templates_are_bit_identical_to_the_reference() {
+    let lubm = Cluster::load(
+        LubmGenerator::new(LubmScale::with_universities(4)).generate(),
+        ClusterConfig::with_nodes(4),
+    );
+    let sp2b = Cluster::load(
+        Sp2bGenerator::new(Sp2bScale::with_articles(1500)).generate(),
+        ClusterConfig::with_nodes(3),
+    );
+    const SP2B_PREFIXES: &str = "PREFIX bench: <http://localhost/vocabulary/bench/> \
+         PREFIX dc: <http://purl.org/dc/elements/1.1/> \
+         PREFIX dcterms: <http://purl.org/dc/terms/> \
+         PREFIX swrc: <http://swrc.ontoware.org/ontology#> \
+         PREFIX foaf: <http://xmlns.com/foaf/0.1/> ";
+    let matrix: [(&Cluster, &str, &[&str]); 2] = [
+        (
+            &lubm,
+            "",
+            &[
+                "SELECT ?X WHERE { ?X rdf:type ub:AssistantProfessor . \
+                 ?X ub:doctoralDegreeFrom <http://www.University0.edu> }",
+                "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+                 ?D ub:subOrganizationOf <http://www.University0.edu> }",
+                "SELECT ?X ?Y WHERE { ?X rdf:type ub:Lecturer . ?Y rdf:type ub:Department . \
+                 ?X ub:worksFor ?Y . ?Y ub:subOrganizationOf <http://www.University1.edu> }",
+                "SELECT ?D ?S WHERE { <http://www.Department0.University0.edu/FullProfessor0> \
+                 ub:worksFor ?D . ?S ub:memberOf ?D }",
+                "SELECT ?P ?S WHERE { <http://www.Department0.University0.edu/FullProfessor0> \
+                 ?P <http://www.Department0.University0.edu> . \
+                 ?S ?P <http://www.Department1.University0.edu> }",
+                "SELECT ?X ?Y ?E WHERE { ?X ub:advisor ?W . ?W ub:emailAddress ?E . \
+                 ?X ub:memberOf ?Y . ?Y ub:subOrganizationOf ?U . ?U ub:name \"University3\" }",
+                "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+                 ?D ub:subOrganizationOf <http://www.University999.edu> }",
+                "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D . \
+                 ?D ub:subOrganizationOf <http://www.Department0.University0.edu> }",
+                "SELECT ?X ?D WHERE { ?X ub:advisor ?X . ?X ub:memberOf ?D }",
+                "SELECT ?S ?P ?D WHERE { ?S ub:worksFor ?D . ?S ?P ?D }",
+                "SELECT ?S ?C WHERE { ?S rdf:type ?C . ?S ?P ?C . \
+                 ?S ub:doctoralDegreeFrom <http://www.University2.edu> }",
+            ],
+        ),
+        (
+            &sp2b,
+            SP2B_PREFIXES,
+            &[
+                "SELECT ?A ?Y WHERE { ?A dc:creator <http://dblp.example.org/person/3> . \
+                 ?A dcterms:issued ?Y . ?A swrc:journal ?J }",
+                "SELECT ?B ?Y WHERE { <http://dblp.example.org/article/900> dcterms:references ?B . \
+                 ?B dcterms:issued ?Y . ?B dc:creator ?W }",
+                "SELECT ?A ?B WHERE { ?A swrc:journal <http://dblp.example.org/journal/2> . \
+                 ?A dcterms:references ?B . ?B swrc:journal <http://dblp.example.org/journal/2> }",
+                "SELECT ?A ?N WHERE { ?A dc:creator ?W . ?W foaf:name \"Author 7\" . \
+                 ?W foaf:name ?N }",
+                "SELECT ?A ?B WHERE { ?A dcterms:references ?B . ?B dcterms:references ?A }",
+                "SELECT ?A ?Y WHERE { ?A dc:creator <http://dblp.example.org/journal/2> . \
+                 ?A dcterms:issued ?Y }",
+            ],
+        ),
+    ];
+    for (cluster, prefixes, templates) in matrix {
+        let mut restricted = 0;
+        for template in templates {
+            let query = parse_query(&format!("{prefixes}{template}")).expect("template parses");
+            restricted += assert_bit_identical_to_the_reference(cluster, &query);
+        }
+        assert!(restricted > 0, "no template read by key under {prefixes:?}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The ISSUE-mandated differential oracle: order-elided execution of a
-    /// random query produces an answer relation **bit-identical** to the
-    /// reference evaluator's (same rows, same bytes, after `distinct`), and
-    /// bit-identical across thread counts {1, 2, 8}.
+    /// random query — as generated, and made selective by binding one of
+    /// its leaf variables to a node of the graph — produces an answer
+    /// relation **bit-identical** to the reference evaluator's (same rows,
+    /// same bytes, after `distinct`), and bit-identical across thread
+    /// counts {1, 2, 8}.
     #[test]
     fn order_elided_execution_is_bit_identical_to_the_reference(
         query in query_strategy(),
         seed in any::<u64>(),
+        leaf in 0usize..8,
+        node in 0usize..SYNTHETIC_NODES,
     ) {
         let graph = synthetic_graph(seed);
         let cluster = Cluster::load(graph, ClusterConfig::with_nodes(3));
@@ -242,46 +407,8 @@ proptest! {
             query.variables(),
             query.patterns().to_vec(),
         );
-        let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
-        prop_assert!(!result.plans.is_empty(), "synthetic queries are connected");
-        let logical = result.flattest_plans()[0].clone();
-        let reference = reference_eval_with(cluster.graph(), &query, &Runtime::sequential());
-
-        let sequential = Executor::sequential(&cluster).execute_logical(&logical);
-        prop_assert!(sequential.results.is_canonical());
-        // A query distinguishing every variable may execute without a root
-        // projection, so the executor's schema is the join-union order while
-        // the reference's follows pattern-traversal order; align the columns
-        // before the bit-for-bit comparison.
-        let align = |results: &cliquesquare_engine::Relation| {
-            results.clone().distinct().project(reference.schema()).distinct()
-        };
-        if reference.is_empty() {
-            prop_assert!(sequential.results.is_empty());
-        } else {
-            prop_assert_eq!(
-                &align(&sequential.results),
-                &reference,
-                "sequential order-elided execution differs from the reference"
-            );
-        }
-        for threads in [2usize, 8] {
-            let parallel = Executor::with_runtime(&cluster, Runtime::with_threads(threads))
-                .execute_logical(&logical);
-            prop_assert_eq!(
-                &sequential.results,
-                &parallel.results,
-                "threads={} changed the result relation",
-                threads
-            );
-            if !reference.is_empty() {
-                prop_assert_eq!(
-                    &align(&parallel.results),
-                    &reference,
-                    "threads={} differs from the reference",
-                    threads
-                );
-            }
-        }
+        assert_bit_identical_to_the_reference(&cluster, &query);
+        let selective = bind_a_leaf(&query, leaf, &synthetic_node(node));
+        assert_bit_identical_to_the_reference(&cluster, &selective);
     }
 }
