@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the relation-level execution kernels: the
 //! column-major sort and merge-compare paths of `Relation`, the run-length
-//! factorized join (run emission and projection-boundary expansion), and the
-//! fill-proportional shuffle partitioner. These isolate the kernels the
+//! factorized join (run emission and projection-boundary expansion), the
+//! fill-proportional shuffle partitioner, and the galloping k-way ordered
+//! merge of the reduce tasks and the root gather. These isolate the kernels the
 //! `report_execution` wall-clock columns are built from.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -97,11 +98,35 @@ fn bench_shuffle(c: &mut Criterion) {
     group.finish();
 }
 
+/// `merge_ordered` over `k` key-ordered parts of `ROWS` rows each, their
+/// keys interleaved in runs of `run` rows: runs of one row are the kernel's
+/// worst case (a head scan and a gallop per row), runs of 500 the shape of a
+/// gathered star join.
+fn bench_merge_ordered(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels_merge_ordered");
+    for (k, run) in [(2, 1), (2, 500), (7, 1), (7, 500)] {
+        let parts: Vec<Relation> = (0..k)
+            .map(|part| {
+                let mut relation = Relation::empty(vec![v("x"), v("a")]);
+                for i in 0..ROWS {
+                    relation.push_row(&[TermId(((i / run) * k + part) as u32), TermId(i as u32)]);
+                }
+                relation
+            })
+            .collect();
+        group.bench_function(format!("k{k}_runs_of_{run}_20k_each"), |b| {
+            b.iter(|| black_box(Relation::merge_ordered(parts.clone()).len()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
     bench_merge_join,
     bench_factorized,
-    bench_shuffle
+    bench_shuffle,
+    bench_merge_ordered
 );
 criterion_main!(benches);

@@ -2,17 +2,31 @@
 //!
 //! Execution is faithful at the data level (it produces the exact query
 //! answers) and at the accounting level (every tuple scanned, shuffled,
-//! joined or written is charged to the job that processes it). Jobs run as
-//! *task waves* on a [`Runtime`]: every map-side operator does its per-node
-//! work as one task per compute node, and every reduce join hash-partitions
-//! its inputs across the nodes (the shuffle) and joins each partition as one
-//! reduce task per node. With `Runtime::sequential()` (the deterministic
-//! default) the tasks run inline on the driver thread; with more threads the
-//! waves execute concurrently on scoped OS threads, producing
-//! **bit-identical results**: every step — scan order, hash routing, k-way
-//! merges with ties resolved by node order, and the sorts the
-//! interesting-orders pass leaves in place — is a deterministic function of
-//! the per-node inputs, which do not depend on the thread count.
+//! joined or written is charged to the job that processes it).
+//!
+//! **The driver only dispatches waves and moves ownership; every pass over
+//! rows is a task.** The thread that calls [`Executor::execute`] walks the
+//! plan and submits *task waves* to a [`Runtime`]; nothing it does itself
+//! grows with a relation. A map-side operator is one wave of one task per
+//! compute node. A reduce join is two waves: one *route* task per (input,
+//! source part) hash-partitions that part on the join attributes, the
+//! routed buckets change hands by move, and one *reduce* task per node
+//! merges the buckets it received — in source order — and joins them, as a
+//! reducer sort-merges its own partition. Every operator's result stays
+//! per node (hash-disjoint keys, each part in the order the operator
+//! delivered), so the next shuffle, the projection and the root consume
+//! parts in waves too; the cluster-wide relation exists once, when the root
+//! is gathered by a single k-way merge — itself a one-task wave.
+//!
+//! `Runtime::sequential()` (the deterministic default) runs every task
+//! inline on the calling thread; `Runtime::with_threads` drains each wave
+//! on scoped OS threads; `Runtime::serving` hands waves to the persistent
+//! scheduler, where they interleave with other queries' waves (the
+//! submitter helps drain its own). Results are **bit-identical** on all
+//! three at every thread count: scan order, hash routing, stable merges
+//! with ties resolved by source order, and the sorts the interesting-orders
+//! pass leaves in place are all deterministic functions of the per-node
+//! inputs, which do not depend on who runs the task.
 //!
 //! Scans use the store's three replicas as the indexes they are: files come
 //! back in index order without a sort, a residual constant is an equal-range
@@ -25,10 +39,10 @@
 //! with the index order the partitioned store already delivers, joins emit
 //! their output in the order the plan's [`crate::physical::OpOrdering`]
 //! demands (eliding the sort when their natural key order satisfies it),
-//! shuffle buckets and per-node parts are combined with k-way ordered merges
-//! that preserve the tracked order, and a single canonicalization at the
-//! final projection makes the result relation bit-identical at every thread
-//! count.
+//! shuffle buckets and per-node parts are combined with ordered merges
+//! ([`Relation::merge_ordered`]) that preserve the tracked order, and a
+//! single canonicalization of the gathered root makes the result relation
+//! bit-identical at every thread count.
 //!
 //! Two clocks are reported: `simulated_seconds` (the Section 5.4 cost model
 //! applied to the work counters — unchanged by the thread count) and
@@ -86,17 +100,18 @@ impl ExecutionOutput {
     }
 }
 
-/// Intermediate operator results: one relation per compute node (map-side,
-/// co-located data), a single cluster-wide relation (the output of a reduce
-/// phase), or one **run-length factorized** join output per node — cross
-/// products held as `(key, payload ranges)` runs, expanded only at the final
-/// projection boundary (see [`crate::factorized`]). Shared between consumers
-/// via `Arc` — a memo hit costs a reference-count bump, not a relation
-/// clone.
-#[derive(Debug)]
+/// Intermediate operator results: one relation per compute node, or one
+/// **run-length factorized** join output per node — cross products held as
+/// `(key, payload ranges)` runs, expanded only at the final projection
+/// boundary (see [`crate::factorized`]). The parts of a map-side operator
+/// are co-located by its scans' placement variable, those of a reduce join
+/// hash-partitioned on its join attributes; either way each part is in the
+/// order its operator delivered, and consumers work part by part. Shared
+/// between consumers via `Arc` — a memo hit costs a reference-count bump,
+/// not a relation clone.
+#[derive(Debug, Clone)]
 enum Intermediate {
     Local(Vec<Relation>),
-    Global(Relation),
     LocalRuns(Vec<RunsRelation>),
 }
 
@@ -105,57 +120,68 @@ impl Intermediate {
     /// materializes, so every job counter (and the cost model on top) sees
     /// the same tuple volume as the eager path.
     fn cardinality(&self) -> u64 {
+        (0..self.parts()).map(|part| self.part_rows(part)).sum()
+    }
+
+    /// Logical row count of one part.
+    fn part_rows(&self, part: usize) -> u64 {
         match self {
-            Intermediate::Local(parts) => parts.iter().map(|r| r.len() as u64).sum(),
-            Intermediate::Global(rel) => rel.len() as u64,
-            Intermediate::LocalRuns(parts) => parts.iter().map(|r| r.expanded_len() as u64).sum(),
+            Intermediate::Local(parts) => parts[part].len() as u64,
+            Intermediate::LocalRuns(parts) => parts[part].expanded_len() as u64,
         }
     }
 
-    fn schema(&self) -> &[Variable] {
+    /// Number of per-node parts.
+    fn parts(&self) -> usize {
         match self {
-            Intermediate::Local(parts) => parts.first().map(Relation::schema).unwrap_or(&[]),
-            Intermediate::Global(rel) => rel.schema(),
+            Intermediate::Local(parts) => parts.len(),
+            Intermediate::LocalRuns(parts) => parts.len(),
+        }
+    }
+
+    /// One route task of the shuffle: hash-partitions part `part` on the
+    /// join attributes into one bucket per destination node. Each bucket's
+    /// flat buffer is built directly by [`relation::hash_partition`] — no
+    /// per-row heap allocation — and inherits the part's tracked order, so
+    /// a shuffle of key-ordered inputs hands the reduce side key-ordered
+    /// buckets and nothing is re-sorted.
+    ///
+    /// When the part does **not** arrive in key order — a producer shared
+    /// by consumers with incompatible requirements serves one group, and
+    /// this consumer carries the residual (see `translate::resolve_claims`)
+    /// — the key order is established here, on each routed bucket: a
+    /// planned local sort on the smallest pieces, not a join-input re-sort
+    /// on the assembled bucket.
+    fn route(&self, part: usize, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
+        let mut buckets = match self {
+            Intermediate::Local(parts) => relation::hash_partition(&parts[part], attributes, nodes),
+            // Defensive: runs never feed a shuffle in well-formed plans
+            // (their sole consumer is the root projection).
             Intermediate::LocalRuns(parts) => {
-                parts.first().map(RunsRelation::schema).unwrap_or(&[])
+                relation::hash_partition(&parts[part].expand(), attributes, nodes)
             }
+        };
+        for bucket in &mut buckets {
+            establish_key_order(bucket, attributes);
         }
+        buckets
     }
 
-    /// Materializes the cluster-wide relation, cloning per-node parts.
-    fn to_global(&self) -> Relation {
-        match self {
-            Intermediate::Global(rel) => rel.clone(),
-            Intermediate::Local(parts) => merge_parts(parts.iter().cloned()),
-            Intermediate::LocalRuns(parts) => merge_parts(parts.iter().map(RunsRelation::expand)),
+    /// The cluster-wide relation: one k-way merge interleaves the per-node
+    /// parts (same schema by construction) by their shared tracked order.
+    /// Ties go to the lower node, so the result is deterministic in node
+    /// order and independent of the thread count. The parts are moved into
+    /// the merge unless another consumer still shares them.
+    fn gather(self: Arc<Self>) -> Relation {
+        let parts = match Arc::unwrap_or_clone(self) {
+            Intermediate::Local(parts) => parts,
+            Intermediate::LocalRuns(parts) => parts.iter().map(RunsRelation::expand).collect(),
+        };
+        if parts.is_empty() {
+            return Relation::empty(Vec::new());
         }
+        Relation::merge_ordered(parts)
     }
-
-    /// Materializes the cluster-wide relation, consuming the intermediate.
-    fn into_global(self) -> Relation {
-        match self {
-            Intermediate::Global(rel) => rel,
-            Intermediate::Local(parts) => merge_parts(parts.into_iter()),
-            Intermediate::LocalRuns(parts) => merge_parts(parts.iter().map(RunsRelation::expand)),
-        }
-    }
-}
-
-/// Combines per-node parts (same schema by construction) with one k-way
-/// merge that interleaves rows by the parts' shared tracked order (ties go
-/// to the lower node, so the result is deterministic in node order and
-/// independent of the thread count). Parts are drained into an incremental
-/// [`relation::MergeStack`] — bit-identical to collecting them all and
-/// calling [`Relation::merge_ordered`], but holding only `O(log k)` partial
-/// merges.
-fn merge_parts(parts: impl Iterator<Item = Relation>) -> Relation {
-    let mut stack = relation::MergeStack::new();
-    for part in parts {
-        stack.push(part);
-    }
-    stack
-        .finish()
-        .unwrap_or_else(|| Relation::empty(Vec::new()))
 }
 
 /// Executes physical plans against a [`Cluster`] on a [`Runtime`].
@@ -256,17 +282,7 @@ impl Executor {
         };
 
         state.run();
-        let root = state.memo[plan.root().index()]
-            .take()
-            .expect("root evaluated");
-        let mut results = match Arc::try_unwrap(root) {
-            Ok(value) => value.into_global(),
-            Err(shared) => shared.to_global(),
-        };
-        // The single canonicalization of the whole execution: elided for
-        // free when the interesting-orders pass already ordered the final
-        // projection canonically.
-        results.canonicalize();
+        let results = state.gather();
 
         // Per-job fixed counters: one map wave per job, one reduce wave for
         // map+reduce jobs (the *wave* count drives the cost model's task
@@ -369,7 +385,13 @@ struct ProfCtx {
     /// narrowed read carries `keys_in` instead of an `est_rows` to be
     /// compared against.
     keys_in: Option<u64>,
+    /// The root gather's span, once it ran.
+    gather: Option<SpanNode>,
 }
+
+/// The driver-side bracket of a span being recorded: its start offset, its
+/// clock, and the driver thread's relation stats when it opened.
+type OpenSpan = (f64, Instant, RelationStats);
 
 impl ProfCtx {
     fn new(epoch: Instant) -> Self {
@@ -382,11 +404,13 @@ impl ProfCtx {
             attrs: Vec::new(),
             rows_in: None,
             keys_in: None,
+            gather: None,
         }
     }
 
-    /// Assembles the finished operator nodes into the `execute` span:
-    /// one child per job, whose children are that job's operators.
+    /// Assembles the finished operator nodes into the `execute` span: one
+    /// child per job, whose children are that job's operators, then the
+    /// root gather.
     fn into_execute_node(self, started: Instant) -> SpanNode {
         let mut execute = SpanNode::new("execute");
         let job_count = self.nodes.iter().map(|(job, _)| *job).max().unwrap_or(0);
@@ -415,8 +439,9 @@ impl ProfCtx {
             job_node.rows_out = job_node.children.last().map(|c| c.rows_out).unwrap_or(0);
             execute.children.push(job_node);
         }
+        execute.children.extend(self.gather);
         execute.wall_seconds = started.elapsed().as_secs_f64();
-        execute.rows_out = execute.children.last().map(|job| job.rows_out).unwrap_or(0);
+        execute.rows_out = execute.children.last().map(|c| c.rows_out).unwrap_or(0);
         execute
     }
 }
@@ -550,84 +575,6 @@ impl JobState {
     }
 }
 
-/// Distributes a cluster-wide tuple count over per-node task counters
-/// (intermediate results live in the distributed file system, so re-reading
-/// them is spread across the nodes).
-fn spread(counters: &mut [u64], total: u64) {
-    if counters.is_empty() {
-        return;
-    }
-    let nodes = counters.len() as u64;
-    for (index, counter) in counters.iter_mut().enumerate() {
-        *counter += total / nodes + u64::from((index as u64) < total % nodes);
-    }
-}
-
-/// Hash-partitions an intermediate's rows on the join attributes into one
-/// bucket per compute node: the simulated shuffle. Each bucket's flat
-/// buffer is built directly by [`relation::hash_partition`] — no per-row
-/// heap allocation — and inherits its source's tracked order; the per-part
-/// buckets of a node are then combined with a k-way ordered merge, so a
-/// shuffle of key-ordered inputs hands the reduce join key-ordered buckets
-/// and the join's merge consumes them without re-sorting.
-///
-/// When the source does **not** arrive in key order — a producer shared by
-/// consumers with incompatible requirements serves one group, and this
-/// consumer carries the residual (see `translate::resolve_claims`) — the
-/// shuffle establishes the key order here, sorting each routed bucket
-/// *before* the per-node merge: a planned local sort on the smallest pieces,
-/// not a join-input re-sort on the assembled bucket.
-fn partition_rows(value: &Intermediate, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
-    match value {
-        Intermediate::Global(rel) => {
-            let mut buckets = relation::hash_partition(rel, attributes, nodes);
-            for bucket in &mut buckets {
-                establish_key_order(bucket, attributes);
-            }
-            relation::stats::note_shuffle(buckets.iter().map(Relation::buffer_bytes).sum());
-            buckets
-        }
-        Intermediate::Local(parts) => {
-            if parts.is_empty() {
-                return (0..nodes)
-                    .map(|_| Relation::empty(value.schema().to_vec()))
-                    .collect();
-            }
-            // Stream: route one part at a time and drain its buckets into
-            // one incremental merge per node, so the shuffle holds
-            // O(log parts) partial merges per node instead of every routed
-            // bucket at once. The [`relation::MergeStack`] fold is
-            // bit-identical to collecting all buckets and merge-ordering
-            // them (ties resolved in part order, deterministic at every
-            // thread count); `stats::shuffle_peak_bytes` records the
-            // high-water footprint the streaming actually held.
-            let mut stacks: Vec<relation::MergeStack> =
-                (0..nodes).map(|_| relation::MergeStack::new()).collect();
-            for part in parts {
-                let routed = relation::hash_partition(part, attributes, nodes);
-                for (node, mut bucket) in routed.into_iter().enumerate() {
-                    establish_key_order(&mut bucket, attributes);
-                    stacks[node].push(bucket);
-                }
-                relation::stats::note_shuffle(
-                    stacks.iter().map(relation::MergeStack::held_bytes).sum(),
-                );
-            }
-            stacks
-                .into_iter()
-                .map(|stack| stack.finish().expect("every node saw one bucket per part"))
-                .collect()
-        }
-        Intermediate::LocalRuns(parts) => {
-            // Defensive: runs never feed a shuffle in well-formed plans
-            // (their sole consumer is the root projection). Expand and
-            // route like any local parts.
-            let expanded = Intermediate::Local(parts.iter().map(RunsRelation::expand).collect());
-            partition_rows(&expanded, attributes, nodes)
-        }
-    }
-}
-
 /// Sorts a shuffle bucket into join-key order when its tracked order does
 /// not already deliver it. No-op (and no counter traffic) on the planned
 /// path where the interesting-orders pass ordered the producer by this key.
@@ -716,32 +663,26 @@ impl<'a> ExecState<'a> {
         (results, wave_wall)
     }
 
-    /// Finishes the span node of one evaluated operator: the driver-side
-    /// bracket plus whatever its waves observed on worker threads.
-    fn record_node(
-        &mut self,
-        id: PhysId,
-        result: &Intermediate,
-        start_seconds: f64,
-        wall_seconds: f64,
-        driver_delta: RelationStats,
-    ) {
-        let job = self.schedule.job_of(id);
-        let rows_in_from_inputs: u64 = self
-            .plan
-            .op(id)
-            .inputs()
-            .iter()
-            .filter_map(|input| self.memo[input.index()].as_ref())
-            .map(|value| value.cardinality())
-            .sum();
-        let prof = self.prof.as_mut().expect("record_node requires profiling");
-        let mut node = SpanNode::new(format!("{}#{}", self.plan.op(id).name(), id.index()));
-        node.start_seconds = start_seconds;
-        node.wall_seconds = wall_seconds;
-        node.rows_in = prof.rows_in.take().unwrap_or(rows_in_from_inputs);
-        node.rows_out = result.cardinality();
+    /// Opens the driver-side bracket of a span; `None` unless profiling.
+    fn open_span(&self) -> Option<OpenSpan> {
+        let prof = self.prof.as_ref()?;
+        Some((
+            prof.epoch.elapsed().as_secs_f64(),
+            Instant::now(),
+            relation::stats::snapshot(),
+        ))
+    }
+
+    /// Closes a span: the driver-side bracket plus whatever the waves run
+    /// inside it observed on worker threads — their task spans, their sort
+    /// and run counters, the attributes they pushed.
+    fn close_span(&mut self, name: String, (start, clock, before): OpenSpan) -> SpanNode {
+        let prof = self.prof.as_mut().expect("a span was opened");
+        let mut node = SpanNode::new(name);
+        node.start_seconds = start;
+        node.wall_seconds = clock.elapsed().as_secs_f64();
         node.tasks = std::mem::take(&mut prof.tasks);
+        let driver_delta = relation::stats::snapshot().since(&before);
         let stats = add_stats(&driver_delta, &std::mem::take(&mut prof.worker_stats));
         for (name, value) in [
             ("sorts_performed", stats.sorts_performed),
@@ -758,6 +699,24 @@ impl<'a> ExecState<'a> {
         for (name, value) in std::mem::take(&mut prof.attrs) {
             node.add_attr(name, value);
         }
+        node
+    }
+
+    /// Files the closed span of one evaluated operator under its job, with
+    /// its rows in and out and its estimate.
+    fn record_node(&mut self, id: PhysId, result: &Intermediate, mut node: SpanNode) {
+        let job = self.schedule.job_of(id);
+        let rows_in_from_inputs: u64 = self
+            .plan
+            .op(id)
+            .inputs()
+            .iter()
+            .filter_map(|input| self.memo[input.index()].as_ref())
+            .map(|value| value.cardinality())
+            .sum();
+        let prof = self.prof.as_mut().expect("record_node requires profiling");
+        node.rows_in = prof.rows_in.take().unwrap_or(rows_in_from_inputs);
+        node.rows_out = result.cardinality();
         if let Some(keys) = prof.keys_in.take() {
             node.add_attr("keys_in", keys);
         } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
@@ -765,6 +724,31 @@ impl<'a> ExecState<'a> {
             observe_q_error(estimated, node.rows_out);
         }
         prof.nodes.push((job, node));
+    }
+
+    /// Gathers the evaluated root into the result relation, as a one-task
+    /// wave: the single k-way merge of its per-node parts, then the single
+    /// canonicalization of the whole execution — elided for free when the
+    /// interesting-orders pass already ordered the final projection
+    /// canonically. With profiling on this is the `Gather` span.
+    fn gather(&mut self) -> Relation {
+        let root = self.memo[self.plan.root().index()]
+            .take()
+            .expect("root evaluated");
+        let span = self.open_span();
+        let (results, _wall) = self.run_timed_wave(vec![move || {
+            let mut results = root.gather();
+            results.canonicalize();
+            results
+        }]);
+        let results = results.into_iter().next().expect("one gather task");
+        if let Some(span) = span {
+            let mut node = self.close_span("Gather".to_string(), span);
+            node.rows_in = results.len() as u64;
+            node.rows_out = results.len() as u64;
+            self.prof.as_mut().expect("a span was opened").gather = Some(node);
+        }
+        results
     }
 
     /// Evaluates the plan into the memo. Operators are stored bottom-up
@@ -790,16 +774,12 @@ impl<'a> ExecState<'a> {
     /// snapshot; the wave wrapper in `run_timed_wave` adds what ran on
     /// worker threads.
     fn run_op(&mut self, id: PhysId, keys_from: Option<PhysId>) {
-        let observing = self
-            .prof
-            .as_ref()
-            .map(|p| (p.epoch.elapsed().as_secs_f64(), Instant::now()))
-            .map(|(start, clock)| (start, clock, relation::stats::snapshot()));
+        let span = self.open_span();
         let result = self.eval_op(id, keys_from);
-        if let Some((start, clock, before)) = observing {
-            let wall = clock.elapsed().as_secs_f64();
-            let driver_delta = relation::stats::snapshot().since(&before);
-            self.record_node(id, &result, start, wall, driver_delta);
+        if let Some(span) = span {
+            let name = format!("{}#{}", self.plan.op(id).name(), id.index());
+            let node = self.close_span(name, span);
+            self.record_node(id, &result, node);
         }
         self.memo[id.index()] = Some(result);
     }
@@ -987,11 +967,15 @@ impl<'a> ExecState<'a> {
 
     /// The evaluated sibling `source` as a key source for a scan of `spec`:
     /// its per-node parts plus the column holding the scan's placement
-    /// variable — provided every part is sorted by that column first, so a
+    /// variable — provided the sibling is a scan too (the scans of one join
+    /// are placed by the same variable, so a node's part holds every key
+    /// that node's files can match; a reduce output is partitioned by its
+    /// own join key) and every part is sorted by that column first, so a
     /// part's distinct keys come out ascending, the order the files hold
     /// them in. (Inputs of one join share every variable they both bind, so
     /// restricting by a shared variable can only drop rows with no partner.)
     fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<(Arc<Intermediate>, usize)> {
+        as_scan(self.plan, source)?;
         let term = match spec.placement {
             TriplePosition::Subject => &spec.pattern.subject,
             TriplePosition::Property => &spec.pattern.property,
@@ -1031,70 +1015,45 @@ impl<'a> ExecState<'a> {
         inputs: &[PhysId],
     ) -> Arc<Intermediate> {
         let plan = self.plan;
-        let attrs: Vec<Variable> = attributes.iter().cloned().collect();
-        // The interesting-orders pass picked this operator's output order to
-        // satisfy its consumer; the join sorts only when its natural key
-        // order does not already deliver it.
-        let delivered: &[Variable] = &plan.ordering(id).delivered;
-        let evaluated: Vec<Arc<Intermediate>> = inputs.iter().map(|&i| self.input(i)).collect();
-        let nodes = self.cluster.nodes();
-        let all_local = evaluated
-            .iter()
-            .all(|value| matches!(&**value, Intermediate::Local(parts) if parts.len() == nodes));
-        if !all_local {
-            // Defensive path: a map join over non-co-located inputs degrades
-            // to a cluster-wide join (well-formed translations never hit it).
-            let relations: Vec<Relation> = evaluated.iter().map(|v| v.to_global()).collect();
-            let refs: Vec<&Relation> = relations.iter().collect();
-            let joined = Relation::join_ordered(&refs, &attrs, JoinOrder::Columns(delivered));
-            let produced = joined.len() as u64;
-            let job = self.job_mut(id);
-            job.metrics.join_output_tuples += produced;
-            job.metrics.tuples_written += produced;
-            spread(&mut job.map_out, produced);
-            return Arc::new(Intermediate::Global(joined));
+        if inputs.iter().any(|&input| as_scan(plan, input).is_none()) {
+            // Defensive path: only the scans of one join are placed by its
+            // key. Anything else (well-formed translations never build it)
+            // is not co-located, so it is shuffled like a reduce join's
+            // inputs.
+            return self.eval_reduce_join(id, attributes, inputs);
         }
         // `'static` wave context: the inputs' `Arc`s plus this join's key
-        // and output order.
+        // and output order. The interesting-orders pass picked that order
+        // to satisfy the consumer; the join sorts only when its natural key
+        // order does not already deliver it.
         let ctx = Arc::new(JoinWave {
-            attrs,
-            delivered: delivered.to_vec(),
-            evaluated,
+            attrs: attributes.iter().cloned().collect(),
+            delivered: plan.ordering(id).delivered.clone(),
+            evaluated: inputs.iter().map(|&i| self.input(i)).collect(),
         });
-        if plan.factorized(id) {
+        Arc::new(if plan.factorized(id) {
             // Factorized path: emit `(key, payload ranges)` runs per node
             // instead of materializing the cross product. Counters report the
             // rows an expansion yields, so the job totals (and the cost model
             // on top) match the eager path exactly.
-            let tasks: Vec<_> = (0..nodes)
-                .map(|node| {
-                    let ctx = Arc::clone(&ctx);
-                    move || {
-                        let node_inputs: Vec<&Relation> = ctx
-                            .evaluated
-                            .iter()
-                            .map(|value| match &**value {
-                                Intermediate::Local(parts) => &parts[node],
-                                _ => unreachable!("checked above"),
-                            })
-                            .collect();
-                        factorized::join_runs(&node_inputs, &ctx.attrs, &ctx.delivered)
-                    }
-                })
-                .collect();
-            let (parts, wall) = self.run_timed_wave(tasks);
-            let mut produced: u64 = 0;
-            let job = self.job_mut(id);
-            job.map_wall += wall;
-            for (node, part) in parts.iter().enumerate() {
-                job.map_out[node] += part.expanded_len() as u64;
-                produced += part.expanded_len() as u64;
-            }
-            job.metrics.join_output_tuples += produced;
-            job.metrics.tuples_written += produced;
-            return Arc::new(Intermediate::LocalRuns(parts));
-        }
-        let tasks: Vec<_> = (0..nodes)
+            let rows = RunsRelation::expanded_len;
+            Intermediate::LocalRuns(self.map_join_wave(id, ctx, factorized::join_runs, rows))
+        } else {
+            Intermediate::Local(self.map_join_wave(id, ctx, join_rows, Relation::len))
+        })
+    }
+
+    /// The wave of one co-located join: one task per node joins that node's
+    /// part of every input with `join`. Returns the per-node outputs, whose
+    /// logical row counts `rows` reports.
+    fn map_join_wave<T: Send + 'static>(
+        &mut self,
+        id: PhysId,
+        ctx: Arc<JoinWave>,
+        join: JoinKernel<T>,
+        rows: fn(&T) -> usize,
+    ) -> Vec<T> {
+        let tasks: Vec<_> = (0..self.cluster.nodes())
             .map(|node| {
                 let ctx = Arc::clone(&ctx);
                 move || {
@@ -1103,14 +1062,10 @@ impl<'a> ExecState<'a> {
                         .iter()
                         .map(|value| match &**value {
                             Intermediate::Local(parts) => &parts[node],
-                            _ => unreachable!("checked above"),
+                            Intermediate::LocalRuns(_) => unreachable!("scans stay row-wise"),
                         })
                         .collect();
-                    Relation::join_ordered(
-                        &node_inputs,
-                        &ctx.attrs,
-                        JoinOrder::Columns(&ctx.delivered),
-                    )
+                    join(&node_inputs, &ctx.attrs, &ctx.delivered)
                 }
             })
             .collect();
@@ -1119,12 +1074,12 @@ impl<'a> ExecState<'a> {
         let job = self.job_mut(id);
         job.map_wall += wall;
         for (node, part) in parts.iter().enumerate() {
-            job.map_out[node] += part.len() as u64;
-            produced += part.len() as u64;
+            job.map_out[node] += rows(part) as u64;
+            produced += rows(part) as u64;
         }
         job.metrics.join_output_tuples += produced;
         job.metrics.tuples_written += produced;
-        Arc::new(Intermediate::Local(parts))
+        parts
     }
 
     fn eval_shuffler(&mut self, id: PhysId, input: PhysId) -> Arc<Intermediate> {
@@ -1133,28 +1088,12 @@ impl<'a> ExecState<'a> {
         let job = self.job_mut(id);
         job.metrics.tuples_read += rows;
         job.metrics.tuples_written += rows;
-        match &*value {
-            Intermediate::Local(parts) => {
-                for (node, part) in parts.iter().enumerate() {
-                    job.map_in[node] += part.len() as u64;
-                    job.map_out[node] += part.len() as u64;
-                }
-            }
-            Intermediate::Global(_) => {
-                // A previous job's stored output: re-read from the
-                // distributed file system by this job's map tasks.
-                spread(&mut job.map_in, rows);
-                spread(&mut job.map_out, rows);
-            }
-            Intermediate::LocalRuns(parts) => {
-                // Defensive: the planner only factorizes joins whose sole
-                // consumer is the root projection, so runs never reach a
-                // shuffler in well-formed plans. Account expanded volumes.
-                for (node, part) in parts.iter().enumerate() {
-                    job.map_in[node] += part.expanded_len() as u64;
-                    job.map_out[node] += part.expanded_len() as u64;
-                }
-            }
+        // A previous job's stored output, re-read part by part by this
+        // job's map tasks. (Runs never reach a shuffler in well-formed
+        // plans; their expanded volumes are what a re-read would see.)
+        for node in 0..value.parts() {
+            job.map_in[node] += value.part_rows(node);
+            job.map_out[node] += value.part_rows(node);
         }
         value
     }
@@ -1166,118 +1105,125 @@ impl<'a> ExecState<'a> {
         inputs: &[PhysId],
     ) -> Arc<Intermediate> {
         let plan = self.plan;
-        let attrs: Vec<Variable> = attributes.iter().cloned().collect();
-        let delivered: &[Variable] = &plan.ordering(id).delivered;
+        let attrs: Arc<[Variable]> = attributes.iter().cloned().collect();
+        let delivered: Arc<[Variable]> = plan.ordering(id).delivered.as_slice().into();
         let evaluated: Vec<Arc<Intermediate>> = inputs.iter().map(|&i| self.input(i)).collect();
-        let nodes = self.cluster.nodes();
         let shuffled: u64 = evaluated.iter().map(|v| v.cardinality()).sum();
-
-        let phase_started = Instant::now();
-        // Shuffle: hash-partition every input's rows on the join attributes,
-        // so all rows agreeing on the key meet on the same node. Buckets
-        // keep their input's key order (ordered merges, no re-sorting), so
-        // inputs the pass ordered by this join's attributes arrive on the
-        // reduce side pre-sorted.
-        let buckets: Vec<Vec<Relation>> = evaluated
-            .iter()
-            .map(|value| partition_rows(value, &attrs, nodes))
-            .collect();
         if let Some(prof) = &mut self.prof {
-            let shuffle_bytes: u64 = buckets.iter().flatten().map(Relation::buffer_bytes).sum();
-            prof.attrs.push(("shuffle_bytes", shuffle_bytes));
             prof.attrs.push(("tuples_shuffled", shuffled));
         }
-        // One reduce task per node joins the co-partitioned buckets; the
-        // `'static` wave shares the shuffled buckets behind one `Arc`.
-        let ctx = Arc::new(ReduceWave {
-            attrs,
-            delivered: delivered.to_vec(),
-            buckets,
-        });
-        if plan.factorized(id) {
-            // Factorized path: each reduce task emits runs over its
-            // co-partitioned buckets; no cluster-wide merge — the runs stay
-            // per-node and expand at the projection boundary. The hash
-            // partition gives nodes disjoint key sets, so expanding and
-            // merging later yields exactly the eager join's rows.
-            let tasks: Vec<_> = (0..nodes)
-                .map(|node| {
-                    let ctx = Arc::clone(&ctx);
-                    move || {
-                        let node_inputs: Vec<&Relation> = ctx
-                            .buckets
-                            .iter()
-                            .map(|per_input| &per_input[node])
-                            .collect();
-                        factorized::join_runs(&node_inputs, &ctx.attrs, &ctx.delivered)
-                    }
-                })
-                .collect();
-            let (parts, _wave_wall) = self.run_timed_wave(tasks);
-            let buckets = &ctx.buckets;
-            let mut produced: u64 = 0;
-            let job = self.job_mut(id);
-            for (node, part) in parts.iter().enumerate() {
-                let received: u64 = buckets
-                    .iter()
-                    .map(|per_input| per_input[node].len() as u64)
-                    .sum();
-                job.reduce_in[node] += received;
-                job.reduce_out[node] += part.expanded_len() as u64;
-                produced += part.expanded_len() as u64;
+
+        // The reduce phase spans both waves: route, then merge + join.
+        let phase_started = Instant::now();
+        let buckets = self.shuffle(&evaluated, &attrs);
+        // The hash partition gives the nodes disjoint key sets and never
+        // separates joinable rows, so the per-node outputs together are the
+        // cluster-wide join; they stay per node, each in the delivered
+        // order (factorized: as runs, expanded at the projection boundary).
+        let joined = if plan.factorized(id) {
+            let (join, rows) = (factorized::join_runs, RunsRelation::expanded_len);
+            Intermediate::LocalRuns(self.reduce(id, buckets, &attrs, &delivered, join, rows))
+        } else {
+            let rows = Relation::len;
+            Intermediate::Local(self.reduce(id, buckets, &attrs, &delivered, join_rows, rows))
+        };
+        let job = self.job_mut(id);
+        job.reduce_wall += phase_started.elapsed().as_secs_f64();
+        job.metrics.tuples_shuffled += shuffled;
+        Arc::new(joined)
+    }
+
+    /// The shuffle of one join: a wave of one route task per (input, source
+    /// part) hash-partitions every part on the join attributes
+    /// ([`Intermediate::route`]), so all rows agreeing on the key meet on
+    /// one node; the routed buckets are then handed to their destinations
+    /// by move. Returns, per destination node and per input, the buckets
+    /// that node received, in source-part order.
+    fn shuffle(
+        &mut self,
+        evaluated: &[Arc<Intermediate>],
+        attrs: &Arc<[Variable]>,
+    ) -> Vec<Vec<Vec<Relation>>> {
+        let nodes = self.cluster.nodes();
+        let tasks: Vec<_> = evaluated
+            .iter()
+            .flat_map(|value| (0..value.parts()).map(move |part| (value, part)))
+            .map(|(value, part)| {
+                let (value, attrs) = (Arc::clone(value), Arc::clone(attrs));
+                move || value.route(part, &attrs, nodes)
+            })
+            .collect();
+        let route_tasks = tasks.len() as u64;
+        let (routed, _wave_wall) = self.run_timed_wave(tasks);
+
+        let mut received: Vec<Vec<Vec<Relation>>> = (0..nodes)
+            .map(|_| {
+                let per_input = evaluated.iter().map(|v| Vec::with_capacity(v.parts()));
+                per_input.collect()
+            })
+            .collect();
+        let mut shuffle_bytes: u64 = 0;
+        let mut routed = routed.into_iter();
+        for (input, value) in evaluated.iter().enumerate() {
+            for buckets in routed.by_ref().take(value.parts()) {
+                for (node, bucket) in buckets.into_iter().enumerate() {
+                    shuffle_bytes += bucket.buffer_bytes();
+                    received[node][input].push(bucket);
+                }
             }
-            job.reduce_wall += phase_started.elapsed().as_secs_f64();
-            job.metrics.tuples_shuffled += shuffled;
-            job.metrics.join_output_tuples += produced;
-            job.metrics.tuples_written += produced;
-            return Arc::new(Intermediate::LocalRuns(parts));
         }
-        let tasks: Vec<_> = (0..nodes)
-            .map(|node| {
-                let ctx = Arc::clone(&ctx);
+        relation::stats::note_shuffle(shuffle_bytes);
+        if let Some(prof) = &mut self.prof {
+            prof.attrs.push(("route_tasks", route_tasks));
+            prof.attrs.push(("shuffle_bytes", shuffle_bytes));
+        }
+        received
+    }
+
+    /// The reduce wave of one join: one task per node takes ownership of
+    /// the buckets that node received, merges each input's buckets in
+    /// source order — a stable merge by their shared key order, so inputs
+    /// the pass ordered by this join's attributes are joined without a
+    /// re-sort — and joins them with `join`. Deterministic in part order,
+    /// so identical at every thread count. Returns the per-node outputs,
+    /// whose logical row counts `rows` reports.
+    fn reduce<T: Send + 'static>(
+        &mut self,
+        id: PhysId,
+        buckets: Vec<Vec<Vec<Relation>>>,
+        attrs: &Arc<[Variable]>,
+        delivered: &Arc<[Variable]>,
+        join: JoinKernel<T>,
+        rows: fn(&T) -> usize,
+    ) -> Vec<T> {
+        let tasks: Vec<_> = buckets
+            .into_iter()
+            .map(|buckets| {
+                let (attrs, delivered) = (Arc::clone(attrs), Arc::clone(delivered));
                 move || {
-                    let node_inputs: Vec<&Relation> = ctx
-                        .buckets
-                        .iter()
-                        .map(|per_input| &per_input[node])
-                        .collect();
-                    Relation::join_ordered(
-                        &node_inputs,
-                        &ctx.attrs,
-                        JoinOrder::Columns(&ctx.delivered),
-                    )
+                    let received: usize = buckets.iter().flatten().map(Relation::len).sum();
+                    let inputs: Vec<Relation> =
+                        buckets.into_iter().map(Relation::merge_ordered).collect();
+                    let inputs: Vec<&Relation> = inputs.iter().collect();
+                    (join(&inputs, &attrs, &delivered), received as u64)
                 }
             })
             .collect();
-        // `phase_started` spans shuffle + join wave + merge; the per-wave
-        // wall the helper returns is only kept by the profiler.
-        let (parts, _wave_wall) = self.run_timed_wave(tasks);
-        let buckets = &ctx.buckets;
+        let (outputs, _wave_wall) = self.run_timed_wave(tasks);
 
         let mut produced: u64 = 0;
         let job = self.job_mut(id);
-        for (node, part) in parts.iter().enumerate() {
-            let received: u64 = buckets
-                .iter()
-                .map(|per_input| per_input[node].len() as u64)
-                .sum();
+        let mut parts = Vec::with_capacity(outputs.len());
+        for (node, (part, received)) in outputs.into_iter().enumerate() {
+            let rows = rows(&part) as u64;
             job.reduce_in[node] += received;
-            job.reduce_out[node] += part.len() as u64;
-            produced += part.len() as u64;
+            job.reduce_out[node] += rows;
+            produced += rows;
+            parts.push(part);
         }
-        // K-way merge of the per-node join outputs by their shared delivered
-        // order (the hash partition gives the nodes disjoint key sets, so
-        // the merge interleaves whole key groups). Deterministic in node
-        // order, so identical at every thread count — and identical to a
-        // cluster-wide join of the inputs (a hash partition on the key never
-        // separates joinable rows). No canonicalization here: the root
-        // performs the single final sort.
-        let joined = merge_parts(parts.into_iter());
-        job.reduce_wall += phase_started.elapsed().as_secs_f64();
-        job.metrics.tuples_shuffled += shuffled;
         job.metrics.join_output_tuples += produced;
         job.metrics.tuples_written += produced;
-        Arc::new(Intermediate::Global(joined))
+        parts
     }
 
     fn eval_project(
@@ -1288,53 +1234,35 @@ impl<'a> ExecState<'a> {
     ) -> Arc<Intermediate> {
         let value = self.input(input);
         let rows = value.cardinality();
-        match &*value {
-            Intermediate::Local(parts) => {
-                let vars = Arc::new(variables.to_vec());
-                let tasks: Vec<_> = (0..parts.len())
-                    .map(|index| {
-                        let value = Arc::clone(&value);
-                        let vars = Arc::clone(&vars);
-                        move || match &*value {
-                            Intermediate::Local(parts) => parts[index].project(&vars),
-                            _ => unreachable!("matched Local above"),
-                        }
-                    })
-                    .collect();
-                let (projected, wall) = self.run_timed_wave(tasks);
-                let job = self.job_mut(id);
-                job.map_wall += wall;
-                job.metrics.comparisons += rows;
-                Arc::new(Intermediate::Local(projected))
-            }
-            Intermediate::Global(rel) => {
-                let projected = rel.project(variables);
-                self.job_mut(id).metrics.comparisons += rows;
-                Arc::new(Intermediate::Global(projected))
-            }
-            Intermediate::LocalRuns(parts) => {
-                // Expansion boundary: runs materialize here, directly at the
-                // projected arity — the full-width cross product never
-                // exists.
-                let vars = Arc::new(variables.to_vec());
-                let tasks: Vec<_> = (0..parts.len())
-                    .map(|index| {
-                        let value = Arc::clone(&value);
-                        let vars = Arc::clone(&vars);
-                        move || match &*value {
-                            Intermediate::LocalRuns(parts) => parts[index].project_expand(&vars),
-                            _ => unreachable!("matched LocalRuns above"),
-                        }
-                    })
-                    .collect();
-                let (projected, wall) = self.run_timed_wave(tasks);
-                let job = self.job_mut(id);
-                job.map_wall += wall;
-                job.metrics.comparisons += rows;
-                Arc::new(Intermediate::Local(projected))
-            }
-        }
+        let vars: Arc<[Variable]> = variables.into();
+        let tasks: Vec<_> = (0..value.parts())
+            .map(|index| {
+                let (value, vars) = (Arc::clone(&value), Arc::clone(&vars));
+                move || match &*value {
+                    Intermediate::Local(parts) => parts[index].project(&vars),
+                    // Expansion boundary: runs materialize here, directly
+                    // at the projected arity — the full-width cross product
+                    // never exists.
+                    Intermediate::LocalRuns(parts) => parts[index].project_expand(&vars),
+                }
+            })
+            .collect();
+        let (projected, wall) = self.run_timed_wave(tasks);
+        let job = self.job_mut(id);
+        job.map_wall += wall;
+        job.metrics.comparisons += rows;
+        Arc::new(Intermediate::Local(projected))
     }
+}
+
+/// What a join task runs on its node's inputs, given the join attributes
+/// and the order the plan demands of the output: [`join_rows`] or
+/// [`factorized::join_runs`].
+type JoinKernel<T> = fn(&[&Relation], &[Variable], &[Variable]) -> T;
+
+/// The eager join kernel: the n-ary sort-merge join.
+fn join_rows(inputs: &[&Relation], attributes: &[Variable], delivered: &[Variable]) -> Relation {
+    Relation::join_ordered(inputs, attributes, JoinOrder::Columns(delivered))
 }
 
 /// The shared `'static` context of one scan wave: the store snapshot plus
@@ -1384,14 +1312,6 @@ struct JoinWave {
     attrs: Vec<Variable>,
     delivered: Vec<Variable>,
     evaluated: Vec<Arc<Intermediate>>,
-}
-
-/// The shared `'static` context of one reduce-join wave: the shuffled
-/// per-input, per-node buckets plus the join key and output order.
-struct ReduceWave {
-    attrs: Vec<Variable>,
-    delivered: Vec<Variable>,
-    buckets: Vec<Vec<Relation>>,
 }
 
 /// Converts raw triples matched by a scan spec into binding rows over a
@@ -1736,6 +1656,28 @@ mod tests {
          <http://www.University2.edu> }",
     ];
 
+    /// A profiling execution state over `plan`, nothing evaluated yet.
+    fn exec_state<'a>(
+        cluster: &'a Cluster,
+        plan: &'a PhysicalPlan,
+        sched: &'a JobSchedule,
+        runtime: &'a Runtime,
+    ) -> ExecState<'a> {
+        ExecState {
+            plan,
+            cluster,
+            schedule: sched,
+            runtime,
+            job_id: runtime.begin_job(),
+            jobs: (0..sched.job_count)
+                .map(|_| JobState::new(cluster.nodes()))
+                .collect(),
+            memo: vec![None; plan.len()],
+            prof: Some(ProfCtx::new(Instant::now())),
+            estimates: None,
+        }
+    }
+
     /// Evaluates `plan` and returns every MapJoin's per-node parts, plus how
     /// many scans read only a sibling's keys. With `restrict` off, the
     /// scans the joins would drive are evaluated first, in full; the joins
@@ -1747,19 +1689,7 @@ mod tests {
         restrict: bool,
     ) -> (Vec<Vec<Relation>>, usize) {
         let sched = schedule(plan);
-        let mut state = ExecState {
-            plan,
-            cluster,
-            schedule: &sched,
-            runtime,
-            job_id: runtime.begin_job(),
-            jobs: (0..sched.job_count)
-                .map(|_| JobState::new(cluster.nodes()))
-                .collect(),
-            memo: vec![None; plan.len()],
-            prof: Some(ProfCtx::new(Instant::now())),
-            estimates: None,
-        };
+        let mut state = exec_state(cluster, plan, &sched, runtime);
         if !restrict {
             let driven = join_driven_scans(plan, &evaluated_ops(plan));
             for index in (0..plan.len()).filter(|&index| driven[index]) {
@@ -1777,7 +1707,6 @@ mod tests {
             .map(|id| match &*state.input(id) {
                 Intermediate::Local(parts) => parts.clone(),
                 Intermediate::LocalRuns(parts) => parts.iter().map(RunsRelation::expand).collect(),
-                Intermediate::Global(_) => panic!("map joins stay per node"),
             })
             .collect();
         (parts, restricted)
@@ -1808,6 +1737,172 @@ mod tests {
             }
         }
         assert!(restricted_scans > 0, "the templates exercise key passing");
+    }
+
+    /// The rows of `relation` whose `key_cols` hash to `node`, canonically
+    /// ordered: what a shuffle on those columns must deliver to that node.
+    fn rows_routed_to(
+        relation: &Relation,
+        key_cols: &[usize],
+        node: usize,
+        nodes: usize,
+    ) -> Relation {
+        let mut routed = Relation::empty(relation.schema().to_vec());
+        for row in relation.rows() {
+            if relation::shuffle_hash(row, key_cols) % nodes as u64 == node as u64 {
+                routed.push_row(row);
+            }
+        }
+        routed.sorted()
+    }
+
+    /// The shuffle moves rows, it neither drops, copies nor misroutes them:
+    /// on every destination node the reduce task merges, per input, exactly
+    /// the input's rows whose key hashes to that node, in join-key order —
+    /// and the part it outputs is the cluster-wide join restricted to that
+    /// node's keys. At threads {1, 2, 8}.
+    #[test]
+    fn reduce_tasks_join_exactly_the_rows_routed_to_their_node() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(2)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let nodes = cluster.nodes();
+        let queries = [
+            "SELECT ?x ?z WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . ?z ub:subOrganizationOf ?u }",
+            "SELECT ?x ?y ?z WHERE { ?x rdf:type ub:UndergraduateStudent . ?y rdf:type ub:FullProfessor . \
+             ?z rdf:type ub:Course . ?x ub:advisor ?y . ?x ub:takesCourse ?z . ?y ub:teacherOf ?z }",
+            "SELECT ?a ?e WHERE { ?a ub:advisor ?b . ?b ub:worksFor ?c . ?c ub:subOrganizationOf ?d . \
+             ?e ub:undergraduateDegreeFrom ?d }",
+        ];
+        let mut reduce_joins = 0;
+        for text in queries {
+            let query = parse_query(text).unwrap();
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            let plan = translate(result.flattest_plans()[0], cluster.graph());
+            let sched = schedule(&plan);
+            for threads in [1, 2, 8] {
+                let runtime = Runtime::with_threads(threads);
+                let mut state = exec_state(&cluster, &plan, &sched, &runtime);
+                state.run();
+                for id in plan.ops_where(|op| matches!(op, PhysicalOp::ReduceJoin { .. })) {
+                    let PhysicalOp::ReduceJoin {
+                        attributes, inputs, ..
+                    } = plan.op(id)
+                    else {
+                        unreachable!("filtered above");
+                    };
+                    reduce_joins += 1;
+                    let attrs: Arc<[Variable]> = attributes.iter().cloned().collect();
+                    let evaluated: Vec<_> = inputs.iter().map(|&i| state.input(i)).collect();
+                    let whole: Vec<Relation> =
+                        evaluated.iter().map(|v| Arc::clone(v).gather()).collect();
+                    let received = state.shuffle(&evaluated, &attrs);
+                    assert_eq!(received.len(), nodes);
+                    for (node, per_input) in received.into_iter().enumerate() {
+                        for (buckets, whole) in per_input.into_iter().zip(&whole) {
+                            let merged = Relation::merge_ordered(buckets);
+                            let key_cols: Vec<usize> =
+                                attrs.iter().map(|a| merged.column(a).unwrap()).collect();
+                            assert!(
+                                merged.len() <= 1 || merged.order().satisfies(&key_cols),
+                                "threads={threads} node={node}: a merged input lost the key order"
+                            );
+                            let mut by_key = merged.clone();
+                            by_key.sort_by_columns(&key_cols);
+                            assert_eq!(by_key.data(), merged.data(), "the claimed order holds");
+                            assert_eq!(
+                                merged.sorted(),
+                                rows_routed_to(whole, &key_cols, node, nodes),
+                                "threads={threads} node={node}: {text}"
+                            );
+                        }
+                    }
+                    let parts = match &*state.input(id) {
+                        Intermediate::Local(parts) => parts.clone(),
+                        Intermediate::LocalRuns(parts) => {
+                            parts.iter().map(RunsRelation::expand).collect()
+                        }
+                    };
+                    let whole: Vec<&Relation> = whole.iter().collect();
+                    let joined = Relation::join(&whole, &attrs);
+                    let key_cols: Vec<usize> =
+                        attrs.iter().map(|a| joined.column(a).unwrap()).collect();
+                    assert_eq!(parts.len(), nodes);
+                    for (node, part) in parts.into_iter().enumerate() {
+                        assert_eq!(
+                            part.sorted(),
+                            rows_routed_to(&joined, &key_cols, node, nodes),
+                            "threads={threads} node={node}: {text}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(reduce_joins > 0, "the queries exercise reduce joins");
+    }
+
+    /// A MapJoin is co-located only when the plan says so (all its inputs
+    /// are scans): a hand-built one over a ReduceJoin's output — per-node
+    /// parts too, but partitioned by another key — is shuffled instead, and
+    /// its driven scan does not take that output's parts for the keys its
+    /// own files can match. The answers equal the reference's.
+    #[test]
+    fn a_map_join_over_a_reduce_output_is_not_taken_for_co_located() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let physical = |text: &str| {
+            let query = parse_query(text).unwrap();
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            translate(result.flattest_plans()[0], cluster.graph())
+        };
+        // The translated chain ends ReduceJoin → Project, with the few
+        // departments of one university bound to ?z; the scan of
+        // ub:memberOf placed by ?z comes from a star on ?z.
+        let chain = physical(
+            "SELECT ?x ?z WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . \
+             ?z ub:subOrganizationOf <http://www.University0.edu> }",
+        );
+        let star = physical("SELECT ?s ?p WHERE { ?s ub:memberOf ?z . ?p ub:worksFor ?z }");
+        let mut ops = chain.ops().to_vec();
+        let Some(PhysicalOp::Project { input: reduced, .. }) = ops.pop() else {
+            panic!("the chain's root is a projection");
+        };
+        assert!(matches!(
+            ops[reduced.index()],
+            PhysicalOp::ReduceJoin { .. }
+        ));
+        let binds_s = |op: &&PhysicalOp| matches!(op, PhysicalOp::MapScan { output, .. } if output.contains(&Variable::new("s")));
+        ops.push(star.ops().iter().find(binds_s).unwrap().clone());
+        let member_of = PhysId(ops.len() - 1);
+        let mut output = ops[reduced.index()].output();
+        output.insert(Variable::new("s"));
+        ops.push(PhysicalOp::MapJoin {
+            attributes: [Variable::new("z")].into(),
+            inputs: vec![reduced, member_of],
+            output,
+        });
+        ops.push(PhysicalOp::Project {
+            variables: ["x", "z", "s"].map(Variable::new).to_vec(),
+            input: PhysId(ops.len() - 1),
+        });
+        let root = PhysId(ops.len() - 1);
+        let plan = PhysicalPlan::new(ops, root);
+
+        let query = parse_query(
+            "SELECT ?x ?z ?s WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . \
+             ?z ub:subOrganizationOf <http://www.University0.edu> . ?s ub:memberOf ?z }",
+        )
+        .unwrap();
+        let reference = reference_eval(cluster.graph(), &query).sorted();
+        assert!(!reference.is_empty());
+        for threads in [1, 2, 8] {
+            let executor = Executor::with_runtime(&cluster, Runtime::with_threads(threads));
+            let output = executor.execute(&plan);
+            assert_eq!(
+                output.results.distinct().sorted(),
+                reference,
+                "threads={threads}"
+            );
+        }
     }
 
     /// Leaf scans start pre-ordered: a first-level join consumes every scan

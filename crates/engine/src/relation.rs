@@ -79,9 +79,8 @@ pub mod stats {
         pub peak_rows: u64,
         /// Largest single intermediate buffer produced so far, in bytes.
         pub peak_bytes: u64,
-        /// High-water mark of bytes held simultaneously by the streaming
-        /// shuffle (routed buckets plus the incremental per-node partial
-        /// merges of [`super::MergeStack`]), over the execution.
+        /// Largest shuffle of the execution: bytes of routed buckets alive
+        /// between the route and reduce waves of one join.
         pub shuffle_peak_bytes: u64,
     }
 
@@ -212,7 +211,7 @@ pub mod stats {
                 ),
                 shuffle_peak_bytes: registry.gauge(
                     "csq_relation_shuffle_peak_bytes",
-                    "High-water bytes held by the streaming shuffle",
+                    "Bytes of routed buckets alive between one join's route and reduce waves",
                     &[],
                 ),
             }
@@ -410,7 +409,7 @@ pub struct Relation {
     /// (a relation over no variables still distinguishes 0 rows from 1).
     rows: usize,
     /// The ordering the rows are known to satisfy. Kept up to date cheaply
-    /// on `push_row`/`union_in_place`; [`SortOrder::none`] is always a safe
+    /// on `push_row`/`concat`; [`SortOrder::none`] is always a safe
     /// value (it only costs a re-sort later).
     order: SortOrder,
 }
@@ -826,112 +825,72 @@ impl Relation {
         stats::count_sort(true);
     }
 
-    /// Combines another relation with the *same schema* into this one.
-    ///
-    /// When the two orders share a prefix, the flat buffers are merged by
-    /// that prefix (linear time, ties go to `self`'s rows) and the result
-    /// stays ordered by it; otherwise the buffers are concatenated and the
-    /// result's order is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schemas differ.
-    pub fn union_in_place(&mut self, other: Relation) {
-        assert_eq!(self.schema, other.schema, "schema mismatch in union");
-        if self.rows == 0 {
-            self.data = other.data;
-            self.rows = other.rows;
-            self.order = other.order;
-            return;
-        }
-        if other.rows == 0 {
-            return;
-        }
-        let arity = self.schema.len();
-        if arity == 0 {
-            self.rows += other.rows;
-            return;
-        }
-        let shared = self.order.shared_prefix(&other.order);
-        if shared.is_empty() {
-            self.data.extend_from_slice(&other.data);
-            self.rows += other.rows;
-            self.order = SortOrder::none();
-            return;
-        }
-        let shared = shared.to_vec();
-        let left = std::mem::take(&mut self.data);
-        let right = other.data;
-        stats::count_buffer_alloc();
-        let mut merged: Vec<TermId> = Vec::with_capacity(left.len() + right.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        if let [key] = shared[..] {
-            // Single shared column (the common case: parts ordered by one
-            // join key): compare the key ids directly instead of going
-            // through the per-column comparator.
-            while i < left.len() && j < right.len() {
-                if left[i + key] <= right[j + key] {
-                    merged.extend_from_slice(&left[i..i + arity]);
-                    i += arity;
-                } else {
-                    merged.extend_from_slice(&right[j..j + arity]);
-                    j += arity;
-                }
-            }
-        }
-        while i < left.len() && j < right.len() {
-            if cmp_by_columns(&left[i..i + arity], &right[j..j + arity], &shared)
-                != Ordering::Greater
-            {
-                merged.extend_from_slice(&left[i..i + arity]);
-                i += arity;
-            } else {
-                merged.extend_from_slice(&right[j..j + arity]);
-                j += arity;
-            }
-        }
-        merged.extend_from_slice(&left[i..]);
-        merged.extend_from_slice(&right[j..]);
-        debug_assert!(
-            sorted_by(&merged, arity, &shared),
-            "merge of ordered inputs lost the shared order"
-        );
-        self.data = merged;
-        self.rows += other.rows;
-        self.order = SortOrder::by(shared);
-    }
-
     /// Merges relations with identical schemas into one, interleaving rows
-    /// by the ordering prefixes the inputs share: a k-way ordered merge,
-    /// implemented as a balanced tree of two-way [`Relation::union_in_place`]
-    /// merges (`⌈log₂ k⌉` linear passes — one comparison per row per level,
-    /// instead of `k` comparisons per row for a naive k-way scan). Ties are
-    /// resolved toward the earliest input and rows of one input keep their
-    /// relative order, so the result is deterministic in the input order;
-    /// inputs sharing no order are concatenated. This is how the executor
-    /// combines per-node parts and shuffle buckets without re-sorting.
+    /// by the ordering prefix every non-empty input shares: a single-pass,
+    /// **stable** k-way merge. Ties go to the earliest input and rows of
+    /// one input keep their relative order, so the result is deterministic
+    /// in the input order — and, a stable merge being associative, equal to
+    /// any tree of pairwise merges over inputs that share one descriptor.
+    /// Inputs sharing no order are concatenated. This is how a reduce task
+    /// combines the shuffle buckets it received and how the root gathers
+    /// the per-node parts, without re-sorting.
+    ///
+    /// The merge *gallops*: it takes the input holding the smallest head,
+    /// finds how far that input runs before the runner-up's head with one
+    /// exponential + binary search, and copies the whole run with one
+    /// `extend_from_slice` — a run of one row costs one probe beyond
+    /// placing the input's next head among the others, a run of hundreds a
+    /// handful. The output buffer is reserved once at the summed size; when
+    /// at most one input has rows it is returned as is, without a copy.
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty or the schemas differ.
     pub fn merge_ordered(mut parts: Vec<Relation>) -> Relation {
         assert!(!parts.is_empty(), "merge_ordered needs at least one input");
-        while parts.len() > 1 {
-            let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-            let mut iter = parts.into_iter();
-            while let Some(mut first) = iter.next() {
-                if let Some(second) = iter.next() {
-                    first.union_in_place(second);
-                }
-                next.push(first);
-            }
-            parts = next;
+        for part in &parts[1..] {
+            assert_eq!(part.schema, parts[0].schema, "schema mismatch in merge");
         }
-        parts.pop().expect("at least one part")
+        if parts.iter().filter(|part| part.rows > 0).count() <= 1 {
+            let keep = parts.iter().position(|part| part.rows > 0).unwrap_or(0);
+            return parts.swap_remove(keep);
+        }
+        parts.retain(|part| part.rows > 0);
+        let rows: usize = parts.iter().map(|part| part.rows).sum();
+        let (first, others) = parts.split_first().expect("two inputs have rows");
+        let arity = first.schema.len();
+        let shared = others
+            .iter()
+            .map(|part| first.order.shared_prefix(&part.order).len())
+            .min()
+            .expect("two inputs have rows");
+        let shared = &first.order.columns()[..shared];
+        let mut data: Vec<TermId> = Vec::new();
+        if arity > 0 {
+            stats::count_buffer_alloc();
+            data.reserve_exact(rows * arity);
+            match shared.split_first() {
+                None => parts
+                    .iter()
+                    .for_each(|part| data.extend_from_slice(&part.data)),
+                Some((&first, more)) => merge_runs(&parts, arity, first, more, &mut data),
+            }
+        }
+        debug_assert!(
+            sorted_by(&data, arity, shared),
+            "merge of ordered inputs lost the shared order"
+        );
+        let order = SortOrder::by(shared.iter().copied());
+        Relation {
+            schema: parts.swap_remove(0).schema,
+            data,
+            rows,
+            order,
+        }
     }
 
     /// Appends another relation's rows (same schema) in concatenation
-    /// order, without the ordered merge of [`Relation::union_in_place`].
+    /// order, without the ordered merge of [`Relation::merge_ordered`].
     /// The ordering descriptor stays exact: the result keeps the orders'
     /// shared prefix only when the boundary rows are ordered by it.
     ///
@@ -1197,71 +1156,96 @@ impl Relation {
     }
 }
 
-/// An incremental k-way ordered merge: push same-schema relations one at a
-/// time, finish once, and the result is **bit-identical** to
-/// [`Relation::merge_ordered`] over the full pushed sequence — while only
-/// `O(log k)` partial merges are ever held, so a shuffle can drain routed
-/// buckets into the reduce side in bounded batches instead of collecting
-/// all `k` buckets first.
+/// The merge loop of [`Relation::merge_ordered`]: appends the rows of
+/// `parts` (non-empty, each sorted by column `first`, then by the columns
+/// `more`) to `out` in merged order.
 ///
-/// The stack mirrors binary-counter addition: each entry at level `L` is
-/// the merged, **aligned** block of `2^L` consecutive inputs (input indexes
-/// `[i·2^L, (i+1)·2^L)`), and two same-level entries merge immediately
-/// (earlier block as `self`, so ties keep resolving toward earlier inputs).
-/// `merge_ordered`'s balanced pairing tree consists of exactly the aligned
-/// complete blocks plus a right-nested spine over the incomplete suffix
-/// (each pass pairs `2^p`-aligned neighbours, carrying the odd tail), which
-/// is what [`finish`](Self::finish) reproduces by folding the stack from
-/// the smallest block upward — see `merge_stack_matches_merge_ordered`.
-#[derive(Debug, Default)]
-pub struct MergeStack {
-    /// `(level, partial merge)` entries; levels strictly decrease from the
-    /// bottom of the stack to the top.
-    stack: Vec<(u32, Relation)>,
+/// `order` lists the inputs that still have rows, sorted by (head row,
+/// input index) — so `order[0]` holds the smallest head, ties going to the
+/// earliest input, and `order[1]` the runner-up. Each round copies from the
+/// first the run that precedes the runner-up's head; what follows that run
+/// sorts after the runner-up, which therefore leads the next round without
+/// a comparison, and the first input is re-inserted behind it. The leading
+/// column decides most comparisons (all of them when parts are ordered by
+/// one join key), so every input's head value of it is kept at hand.
+fn merge_runs(
+    parts: &[Relation],
+    arity: usize,
+    first: usize,
+    more: &[usize],
+    out: &mut Vec<TermId>,
+) {
+    // What is left of every input: its rows, their number, the head's key.
+    let mut rest: Vec<(&[TermId], usize, TermId)> = parts
+        .iter()
+        .map(|part| (part.data.as_slice(), part.rows, part.data[first]))
+        .collect();
+    let cmp_heads = |rest: &[(&[TermId], usize, TermId)], a: usize, b: usize| {
+        let ((a_rows, _, a_key), (b_rows, _, b_key)) = (rest[a], rest[b]);
+        a_key
+            .cmp(&b_key)
+            .then_with(|| cmp_by_columns(a_rows, b_rows, more))
+            .then(a.cmp(&b))
+    };
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    order.sort_by(|&a, &b| cmp_heads(&rest, a, b));
+    while let [best, second, ..] = order[..] {
+        let (bound, _, bound_key) = rest[second];
+        let (rows, count, _) = rest[best];
+        // `best` runs until the runner-up's head: through the rows equal to
+        // it when `best` is the earlier input, up to them otherwise.
+        let last = if best < second {
+            Ordering::Equal
+        } else {
+            Ordering::Less
+        };
+        let run = gallop(rows, count, arity, |row| {
+            let cmp = row[first]
+                .cmp(&bound_key)
+                .then_with(|| cmp_by_columns(row, bound, more));
+            cmp <= last
+        });
+        let (run_rows, rows) = rows.split_at(run * arity);
+        out.extend_from_slice(run_rows);
+        if run == count {
+            order.remove(0);
+            continue;
+        }
+        rest[best] = (rows, count - run, rows[first]);
+        let mut slot = 0;
+        while slot + 1 < order.len()
+            && (slot == 0 || cmp_heads(&rest, order[slot + 1], best) == Ordering::Less)
+        {
+            order[slot] = order[slot + 1];
+            slot += 1;
+        }
+        order[slot] = best;
+    }
+    out.extend_from_slice(rest[order[0]].0);
 }
 
-impl MergeStack {
-    /// An empty stack.
-    pub fn new() -> Self {
-        Self::default()
+/// Number of leading rows among the `count` rows of `rows` that satisfy
+/// `keep`, which holds on a prefix of the rows and on the first row: an
+/// exponential probe brackets the end of the prefix, a binary search pins
+/// it.
+fn gallop(rows: &[TermId], count: usize, arity: usize, keep: impl Fn(&[TermId]) -> bool) -> usize {
+    let row = |index: usize| &rows[index * arity..(index + 1) * arity];
+    // `keep` holds at `low` and fails at `high` (or `high` is the end).
+    let (mut low, mut step) = (0usize, 1usize);
+    while low + step < count && keep(row(low + step)) {
+        low += step;
+        step *= 2;
     }
-
-    /// Pushes the next input, merging aligned same-size blocks eagerly.
-    pub fn push(&mut self, relation: Relation) {
-        let mut level = 0u32;
-        let mut current = relation;
-        while matches!(self.stack.last(), Some((l, _)) if *l == level) {
-            let (_, mut below) = self.stack.pop().expect("matched a top entry");
-            below.union_in_place(current);
-            current = below;
-            level += 1;
+    let mut high = (low + step).min(count);
+    while high - low > 1 {
+        let middle = low + (high - low) / 2;
+        if keep(row(middle)) {
+            low = middle;
+        } else {
+            high = middle;
         }
-        self.stack.push((level, current));
     }
-
-    /// Folds the remaining partial merges (smallest block into the next
-    /// larger, upward) into the final relation; `None` if nothing was
-    /// pushed.
-    pub fn finish(mut self) -> Option<Relation> {
-        while self.stack.len() > 1 {
-            let (_, top) = self.stack.pop().expect("len checked > 1");
-            self.stack
-                .last_mut()
-                .expect("len checked >= 1")
-                .1
-                .union_in_place(top);
-        }
-        self.stack.pop().map(|(_, relation)| relation)
-    }
-
-    /// Total heap bytes of the held partial merges (the streaming shuffle's
-    /// live footprint, recorded by `stats::shuffle_peak_bytes`).
-    pub fn held_bytes(&self) -> u64 {
-        self.stack
-            .iter()
-            .map(|(_, relation)| relation.buffer_bytes())
-            .sum()
-    }
+    high
 }
 
 /// Bytes per stored [`TermId`], for the `peak_bytes` accounting.
@@ -2041,68 +2025,6 @@ mod tests {
         assert_eq!(xs, vec![3, 1, 2, 4]);
     }
 
-    /// Builds `k` parts with deliberately *heterogeneous* tracked orders —
-    /// the case where a naive left-fold of `union_in_place` diverges from
-    /// the balanced pairing tree, because each pairing's shared prefix
-    /// depends on which inputs meet.
-    fn mixed_order_parts(k: usize) -> Vec<Relation> {
-        (0..k)
-            .map(|i| {
-                let mut r = Relation::empty(vec![v("x"), v("a")]);
-                for row in 0..4u32 {
-                    r.push_row_unordered(&[t((row * 3 + i as u32) % 11), t(i as u32 * 10 + row)]);
-                }
-                match i % 3 {
-                    0 => r.sort_by_columns(&[0, 1]),
-                    1 => r.sort_by_columns(&[0]),
-                    _ => {} // left unordered
-                }
-                r
-            })
-            .collect()
-    }
-
-    /// The incremental `MergeStack` must reproduce `merge_ordered` bit for
-    /// bit — same rows, same row order, same tracked order — at every input
-    /// count, including the incomplete-suffix shapes (k not a power of two).
-    #[test]
-    fn merge_stack_matches_merge_ordered() {
-        for k in 1..=13 {
-            let parts = mixed_order_parts(k);
-            let expected = Relation::merge_ordered(parts.clone());
-            let mut stack = MergeStack::new();
-            for part in parts {
-                stack.push(part);
-            }
-            let merged = stack.finish().expect("pushed at least one part");
-            assert_eq!(merged.order(), expected.order(), "k={k}");
-            assert_eq!(
-                merged.rows().collect::<Vec<_>>(),
-                expected.rows().collect::<Vec<_>>(),
-                "k={k}"
-            );
-        }
-    }
-
-    /// The stack holds one partial merge per set bit of the pushed count —
-    /// logarithmic, which is the whole point of streaming the shuffle.
-    #[test]
-    fn merge_stack_holds_logarithmically_many_partials() {
-        let mut stack = MergeStack::new();
-        for (i, part) in mixed_order_parts(100).into_iter().enumerate() {
-            stack.push(part);
-            let pushed = i + 1;
-            assert_eq!(stack.stack.len(), pushed.count_ones() as usize);
-            assert!(stack.held_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn merge_stack_empty_finish_is_none() {
-        assert!(MergeStack::new().finish().is_none());
-        assert_eq!(MergeStack::new().held_bytes(), 0);
-    }
-
     #[test]
     fn project_and_distinct() {
         let r = rel(&["a", "b", "c"], &[&[1, 2, 3], &[1, 2, 4], &[5, 6, 7]]);
@@ -2143,26 +2065,18 @@ mod tests {
     }
 
     #[test]
-    fn union_in_place_appends_rows() {
-        let mut a = rel(&["x"], &[&[1]]);
-        let b = rel(&["x"], &[&[2], &[3]]);
-        a.union_in_place(b);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn union_of_canonical_inputs_merges_in_order() {
-        let mut a = rel(&["x"], &[&[1], &[4], &[9]]);
+    fn merge_ordered_of_canonical_inputs_stays_canonical() {
+        let a = rel(&["x"], &[&[1], &[4], &[9]]);
         let b = rel(&["x"], &[&[2], &[4], &[7]]);
         assert!(a.is_canonical() && b.is_canonical());
-        a.union_in_place(b);
+        let a = Relation::merge_ordered(vec![a, b]);
         assert!(a.is_canonical());
         let values: Vec<u32> = a.rows().map(|r| r[0].0).collect();
         assert_eq!(values, vec![1, 2, 4, 4, 7, 9]);
     }
 
     #[test]
-    fn union_merges_by_the_shared_order_prefix() {
+    fn merge_ordered_merges_by_the_shared_order_prefix() {
         // Both sides sorted by the trailing column only.
         let mut a = Relation::empty(vec![v("a"), v("x")]);
         a.push_row_unordered(&[t(9), t(1)]);
@@ -2172,21 +2086,21 @@ mod tests {
         b.push_row_unordered(&[t(7), t(2)]);
         b.push_row_unordered(&[t(2), t(5)]);
         b.assume_order(SortOrder::by([1]));
-        a.union_in_place(b);
+        let a = Relation::merge_ordered(vec![a, b]);
         assert_eq!(a.order().columns(), &[1]);
         let xs: Vec<u32> = a.rows().map(|row| row[1].0).collect();
         assert_eq!(xs, vec![1, 2, 5, 5]);
-        // The tie on x = 5 keeps `self`'s row first.
+        // The tie on x = 5 keeps the earlier input's row first.
         assert_eq!(a.row(2), &[t(1), t(5)]);
         assert_eq!(a.row(3), &[t(2), t(5)]);
     }
 
     #[test]
-    fn union_with_non_canonical_input_concatenates() {
-        let mut a = rel(&["x"], &[&[1], &[2]]);
+    fn merge_ordered_with_an_unordered_input_concatenates() {
+        let a = rel(&["x"], &[&[1], &[2]]);
         let b = rel(&["x"], &[&[5], &[3]]);
         assert!(!b.is_canonical());
-        a.union_in_place(b);
+        let a = Relation::merge_ordered(vec![a, b]);
         assert!(!a.is_canonical());
         assert_eq!(a.len(), 4);
         assert_eq!(a.distinct_len(), 4);
@@ -2229,10 +2143,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "schema mismatch")]
-    fn union_with_different_schema_panics() {
-        let mut a = rel(&["x"], &[&[1]]);
+    fn merge_ordered_with_different_schemas_panics() {
+        let a = rel(&["x"], &[&[1]]);
         let b = rel(&["y"], &[&[2]]);
-        a.union_in_place(b);
+        Relation::merge_ordered(vec![a, b]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the execution layer: the n-ary hash join of
-//! [`Relation`] against a brute-force nested-loop oracle, and partition/scan
-//! invariants of the simulated store.
+//! [`Relation`] against a brute-force nested-loop oracle, the k-way ordered
+//! merge against a stable sort, and partition/scan invariants of the
+//! simulated store.
 
-use cliquesquare_engine::Relation;
+use cliquesquare_engine::{Relation, SortOrder};
 use cliquesquare_mapreduce::PartitionedStore;
 use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
 use cliquesquare_sparql::Variable;
@@ -51,8 +52,105 @@ fn oracle_join(left: &Relation, right: &Relation, attrs: &[Variable]) -> usize {
     count
 }
 
+/// One merge input: its order descriptor (picked among those its arity
+/// allows), its key runs as `(key, length class)`, and whether its payload
+/// repeats (so equal rows occur across inputs) or tags every row.
+type PartSpec = (usize, Vec<(u32, usize)>, bool);
+
+/// Builds merge input `index` of the given arity, sorted by the descriptor
+/// it claims (the empty one claims nothing) — its own pick, or the case's
+/// `common` one. Column 0 is the run key — runs of 1 to 1 000 rows — column
+/// 1 a small domain, the rest tag the row with its input and position
+/// unless `repeats`.
+fn merge_input(
+    index: usize,
+    arity: usize,
+    spec: &PartSpec,
+    common: Option<usize>,
+) -> (Relation, Vec<usize>) {
+    let (descriptor, runs, repeats) = spec;
+    let descriptor = common.unwrap_or(*descriptor);
+    let descriptors: Vec<Vec<usize>> = [vec![], vec![0], vec![0, 1], vec![1, 0], vec![0, 1, 2]]
+        .into_iter()
+        .filter(|columns| columns.iter().all(|&c| c < arity))
+        .collect();
+    let descriptor = descriptors[descriptor % descriptors.len()].clone();
+    let mut rows: Vec<Vec<u32>> = Vec::new();
+    for &(key, class) in runs {
+        let length = [1, 1, 2, 3, 5, 8, 40, 500, 1_000][class];
+        for _ in 0..length {
+            let position = rows.len() as u32;
+            let tag = if *repeats {
+                position % 2
+            } else {
+                index as u32 * 100_000 + position
+            };
+            rows.push(
+                [key, position % 3, tag, tag]
+                    .into_iter()
+                    .take(arity)
+                    .collect(),
+            );
+        }
+    }
+    rows.sort_by_key(|row| descriptor.iter().map(|&c| row[c]).collect::<Vec<_>>());
+    let schema = ["k", "a", "b", "c"]
+        .iter()
+        .take(arity)
+        .map(|s| v(s))
+        .collect();
+    let mut relation = Relation::empty(schema);
+    for row in &rows {
+        relation.push_row_unordered(&row.iter().copied().map(TermId).collect::<Vec<_>>());
+    }
+    relation.assume_order(SortOrder::by(descriptor.iter().copied()));
+    (relation, descriptor)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `merge_ordered` equals the naive stable merge — concatenate the
+    /// inputs in order, stable-sort by the descriptor prefix every non-empty
+    /// input shares — row for row: ties across inputs go to the earlier
+    /// input, rows of one input keep their order, clustered runs are copied
+    /// whole, empty inputs and mixed descriptors change nothing else. Half
+    /// the cases give every input one descriptor, as the executor does.
+    #[test]
+    fn merge_ordered_equals_a_stable_sort_of_the_concatenation(
+        arity in 0usize..5,
+        common in (any::<bool>(), 0usize..5),
+        specs in proptest::collection::vec(
+            (0usize..5, proptest::collection::vec((0u32..8, 0usize..9), 0..4), any::<bool>()),
+            1..10,
+        ),
+    ) {
+        let inputs: Vec<(Relation, Vec<usize>)> = specs
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| merge_input(index, arity, spec, common.0.then_some(common.1)))
+            .collect();
+        let mut shared: Option<Vec<usize>> = None;
+        for (_, descriptor) in inputs.iter().filter(|(relation, _)| !relation.is_empty()) {
+            shared = Some(match shared {
+                None => descriptor.clone(),
+                Some(prefix) => prefix
+                    .iter()
+                    .zip(descriptor)
+                    .take_while(|(a, b)| a == b)
+                    .map(|(a, _)| *a)
+                    .collect(),
+            });
+        }
+        let shared = shared.unwrap_or_default();
+        let mut expected: Vec<&[TermId]> = inputs.iter().flat_map(|(r, _)| r.rows()).collect();
+        expected.sort_by_key(|row| shared.iter().map(|&c| row[c]).collect::<Vec<_>>());
+
+        let merged = Relation::merge_ordered(inputs.iter().map(|(r, _)| r.clone()).collect());
+        prop_assert_eq!(merged.len(), expected.len());
+        prop_assert_eq!(merged.rows().collect::<Vec<_>>(), expected);
+        prop_assert!(merged.order().satisfies(&shared));
+    }
 
     /// The hash join returns exactly the rows the nested-loop oracle returns,
     /// regardless of input order.

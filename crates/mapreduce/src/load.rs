@@ -767,31 +767,46 @@ mod tests {
         );
     }
 
-    /// Scratch buffers are pooled: a cold load allocates at most one buffer
-    /// per worker, and a warm reload allocates none.
+    /// Scratch buffers are pooled. What the pool guarantees on two workers
+    /// is a bound, not a schedule: a buffer is allocated only when a chunk
+    /// task finds the pool empty, so whichever load's threads first overlap
+    /// inside a chunk task allocates the second buffer — but all loads
+    /// together allocate at most one per worker, and every buffer returns
+    /// to the pool. On one thread there is no overlap to wait for: the cold
+    /// load allocates one buffer and the warm reload exactly none.
     #[test]
     fn scratch_pool_recycles_across_loads() {
         let text = ntriples::serialize(&LubmGenerator::new(LubmScale::tiny()).generate());
-        let loader = BulkLoader::new(Runtime::with_threads(2));
         let options = LoadOptions {
             nodes: 3,
             chunks: Some(8),
         };
+        let workers = 2;
+        let loader = BulkLoader::new(Runtime::with_threads(workers));
         let cold = loader.load_ntriples(&text, &options).expect("cold load");
-        assert!(cold.report.scratch_allocations >= 1);
+        let mut allocated = cold.report.scratch_allocations;
+        assert!(allocated >= 1);
+        for _ in 0..2 {
+            let warm = loader.load_ntriples(&text, &options).expect("warm load");
+            allocated += warm.report.scratch_allocations;
+            assert_eq!(warm.graph, cold.graph);
+        }
         assert!(
-            cold.report.scratch_allocations <= 2,
-            "more scratch buffers than workers: {}",
-            cold.report.scratch_allocations
+            allocated <= workers as u64,
+            "more scratch buffers than workers: {allocated}"
         );
         assert_eq!(
             loader.pooled_scratch_buffers() as u64,
-            cold.report.scratch_allocations,
+            allocated,
             "every buffer returns to the pool"
         );
+
+        let loader = BulkLoader::new(Runtime::sequential());
+        let cold = loader.load_ntriples(&text, &options).expect("cold load");
+        assert_eq!(cold.report.scratch_allocations, 1);
         let warm = loader.load_ntriples(&text, &options).expect("warm load");
         assert_eq!(warm.report.scratch_allocations, 0);
-        assert_eq!(warm.graph, cold.graph);
+        assert_eq!(loader.pooled_scratch_buffers(), 1);
     }
 
     #[test]

@@ -408,21 +408,23 @@ fn error_response(error: &ServeError) -> Response {
 }
 
 fn render_answer(answer: &QueryAnswer) -> String {
-    let mut json = String::new();
+    // One body buffer, reserved for the cells (quotes and separators
+    // included) plus the envelope; cells are escaped straight into it.
+    let cells: usize = answer
+        .rows
+        .iter()
+        .flatten()
+        .map(|cell| cell.len() + 4)
+        .sum();
+    let mut json = String::with_capacity(512 + cells + 8 * answer.rows.len());
     json.push_str("{\n");
     json.push_str(&format!(
         "  \"query\": \"{}\",\n",
         json_escape(&answer.query)
     ));
-    json.push_str(&format!(
-        "  \"variables\": [{}],\n",
-        answer
-            .variables
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
+    json.push_str("  \"variables\": [");
+    push_json_strings(&mut json, &answer.variables);
+    json.push_str("],\n");
     json.push_str(&format!("  \"total_rows\": {},\n", answer.total_rows));
     json.push_str(&format!("  \"truncated\": {},\n", answer.truncated));
     json.push_str(&format!(
@@ -439,18 +441,13 @@ fn render_answer(answer: &QueryAnswer) -> String {
     ));
     json.push_str("  \"rows\": [\n");
     for (index, row) in answer.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    [{}]{}\n",
-            row.iter()
-                .map(|cell| format!("\"{}\"", json_escape(cell)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if index + 1 == answer.rows.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
+        json.push_str("    [");
+        push_json_strings(&mut json, row);
+        json.push_str(if index + 1 == answer.rows.len() {
+            "]\n"
+        } else {
+            "],\n"
+        });
     }
     match &answer.profile {
         Some(profile) => {
@@ -462,8 +459,27 @@ fn render_answer(answer: &QueryAnswer) -> String {
     json
 }
 
+/// Appends `items` to `out` as quoted, escaped, comma-separated JSON
+/// strings (the inside of an array).
+fn push_json_strings(out: &mut String, items: &[String]) {
+    for (index, item) in items.iter().enumerate() {
+        if index > 0 {
+            out.push_str(", ");
+        }
+        out.push('"');
+        push_json_escaped(out, item);
+        out.push('"');
+    }
+}
+
 fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    push_json_escaped(&mut out, text);
+    out
+}
+
+/// Appends `text` to `out`, escaped for the inside of a JSON string.
+fn push_json_escaped(out: &mut String, text: &str) {
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -475,7 +491,6 @@ fn json_escape(text: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
@@ -526,5 +541,41 @@ mod tests {
     fn json_escaping_covers_quotes_and_control_characters() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn answer_body_layout_is_fixed_byte_for_byte() {
+        let cell = |text: &str| text.to_string();
+        let answer = QueryAnswer {
+            query: cell("Q\"1"),
+            variables: vec![cell("?x"), cell("?y")],
+            rows: vec![
+                vec![cell("<a>"), cell("\"l\\1\"\n")],
+                vec![cell("<b>"), cell("")],
+            ],
+            total_rows: 2,
+            truncated: false,
+            job_descriptor: cell("M"),
+            simulated_seconds: 1.5,
+            wall_seconds: 0.25,
+            plan_seconds: 0.0,
+            cache_hit: false,
+            profile: None,
+        };
+        assert_eq!(
+            render_answer(&answer),
+            "{\n  \"query\": \"Q\\\"1\",\n  \"variables\": [\"?x\", \"?y\"],\n  \"total_rows\": 2,\n  \
+             \"truncated\": false,\n  \"jobs\": \"M\",\n  \"simulated_seconds\": 1.500000,\n  \
+             \"wall_seconds\": 0.250000,\n  \"rows\": [\n    [\"<a>\", \"\\\"l\\\\1\\\"\\n\"],\n    \
+             [\"<b>\", \"\"]\n  ]\n}\n"
+        );
+        let empty = QueryAnswer {
+            rows: Vec::new(),
+            variables: Vec::new(),
+            ..answer
+        };
+        let body = render_answer(&empty);
+        assert!(body.contains("  \"variables\": [],\n"), "{body}");
+        assert!(body.ends_with("  \"rows\": [\n  ]\n}\n"), "{body}");
     }
 }

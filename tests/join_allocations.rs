@@ -1,10 +1,11 @@
 //! Allocation regression tests for the flat columnar relation layer.
 //!
 //! A counting global allocator measures the *actual* number of heap
-//! allocations performed by [`Relation::join`] and the shuffle's
-//! [`hash_partition`]: both must allocate a bounded number of whole buffers
-//! — never one allocation per row or per key. The engine's own
-//! `relation::stats` counters are cross-checked in the same run.
+//! allocations performed by [`Relation::join`], the shuffle's
+//! [`hash_partition`] and [`Relation::merge_ordered`]: each must allocate a
+//! bounded number of whole buffers — never one allocation per row or per
+//! key. The engine's own `relation::stats` counters are cross-checked in the
+//! same run.
 
 use cliquesquare::engine::relation::stats;
 use cliquesquare::engine::{hash_partition, join_runs, Relation};
@@ -119,6 +120,42 @@ fn shuffle_partitioning_allocates_no_per_row_memory() {
         "shuffle of {ROWS} rows across {NODES} nodes performed {during_shuffle} \
          allocations (expected O(nodes), got per-row behaviour)"
     );
+}
+
+/// The k-way ordered merge writes into one output buffer reserved once at
+/// the summed size: no growth, no per-row or per-run allocation, whether
+/// keys arrive in long runs or every run is a single row.
+#[test]
+fn ordered_merge_allocates_one_output_buffer() {
+    const ROWS: usize = 4_000;
+    const PARTS: usize = 7;
+    for run in [1, 500] {
+        let parts: Vec<Relation> = (0..PARTS)
+            .map(|part| build(&["x", "a"], ROWS, |i| ((i / run) * PARTS + part) as u32))
+            .collect();
+        assert!(parts.iter().all(|part| part.order().satisfies(&[0])));
+
+        stats::reset();
+        let before = allocations();
+        let merged = Relation::merge_ordered(parts);
+        let during_merge = allocations() - before;
+        let relation_stats = stats::snapshot();
+
+        assert_eq!(merged.len(), PARTS * ROWS);
+        assert!(merged.order().satisfies(&[0]));
+        assert_eq!(relation_stats.row_allocs, 0, "per-row heap allocation");
+        assert_eq!(relation_stats.buffer_allocs, 1, "one output buffer");
+        assert_eq!(
+            merged.reserved_bytes(),
+            std::mem::size_of_val(merged.data()),
+            "the output buffer is reserved once, at the summed size"
+        );
+        assert!(
+            during_merge <= 4,
+            "merging {PARTS} x {ROWS} rows in runs of {run} performed {during_merge} \
+             allocations (expected the output buffer and the merge's own few)"
+        );
+    }
 }
 
 /// The factorized join kernels (run emission and the projection-boundary

@@ -2,7 +2,8 @@
 //!
 //! * profiling a query must never change its answer, at any thread count;
 //! * the per-query span tree must tile the measured wall clock — parse,
-//!   plan and execute spans cover the query, job spans cover the execution;
+//!   plan and execute spans cover the query, job spans and the root gather
+//!   cover the execution;
 //! * the global metric registry must mirror the thread-local relation
 //!   counters the reports are built from.
 
@@ -11,7 +12,7 @@ use cliquesquare::engine::relation::stats as relation_stats;
 use cliquesquare::engine::{translate, Executor};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, Runtime};
 use cliquesquare::obs;
-use cliquesquare::querygen::lubm_queries::lubm_queries;
+use cliquesquare::querygen::lubm_queries::{lubm_queries, lubm_query};
 use cliquesquare::rdf::{LubmGenerator, LubmScale};
 use cliquesquare_server::QueryService;
 
@@ -80,20 +81,19 @@ fn profile_spans_tile_the_measured_wall_clock() {
         "phase walls {phase_sum}s do not tile the query total {total}s"
     );
 
-    // Jobs run one after another inside the execution, so the per-job
-    // (wave-level) walls are disjoint and must fit inside the execute span.
+    // Jobs run one after another inside the execution and the root gather
+    // follows the last, so their walls are disjoint and must fit inside the
+    // execute span.
     let execute = &profile.root.children[2];
+    let span_sum = execute.children_wall_seconds();
     assert!(
-        !execute.children.is_empty(),
-        "execute span has job children"
-    );
-    let job_sum = execute.children_wall_seconds();
-    assert!(
-        job_sum <= execute.wall_seconds + 1e-3,
-        "job walls {job_sum}s exceed the execute span {}s",
+        span_sum <= execute.wall_seconds + 1e-3,
+        "job and gather walls {span_sum}s exceed the execute span {}s",
         execute.wall_seconds
     );
-    for job in &execute.children {
+    let (gather, jobs) = execute.children.split_last().expect("execute has children");
+    assert!(!jobs.is_empty(), "execute span has job children");
+    for job in jobs {
         assert!(job.name.starts_with("job "));
         assert!(
             !job.children.is_empty(),
@@ -101,9 +101,75 @@ fn profile_spans_tile_the_measured_wall_clock() {
             job.name
         );
     }
-    // The execution produced the answer the client saw.
-    let last_job = execute.children.last().unwrap();
-    assert!(last_job.rows_out as usize >= answer.total_rows);
+    // The gather produced the answer the client saw (before `distinct`).
+    assert_eq!(gather.name, "Gather");
+    assert!(gather.children.is_empty());
+    assert_eq!(gather.rows_in, gather.rows_out);
+    assert!(gather.rows_out as usize >= answer.total_rows);
+}
+
+/// Nothing relation-sized happens outside a span. On Q1, whose root holds
+/// over ten thousand rows, the job spans and the `Gather` span together
+/// cover the `execute` wall at every thread count — no silent merge after
+/// the last operator. On Q11, with two reduce joins, each ReduceJoin span
+/// carries the tasks of both its waves. The profiled answers are the
+/// unprofiled ones.
+#[test]
+fn job_and_gather_spans_cover_the_execution() {
+    let graph = LubmGenerator::new(LubmScale::with_universities(8)).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    let csq = Csq::new(cluster.clone(), CsqConfig::default());
+    for (name, large_root) in [("Q1", true), ("Q11", false)] {
+        let query = lubm_query(name).expect("a LUBM query");
+        let (_, chosen, _) = csq.plan(&query);
+        let physical = translate(&chosen, cluster.graph());
+        for threads in [1, 2, 8] {
+            let executor = Executor::with_runtime(&cluster, Runtime::with_threads(threads));
+            let plain = executor.execute(&physical);
+            assert_eq!(plain.results.len() >= 10_000, large_root, "{name}");
+            // A wall-clock share: the best of a few runs, so one preemption
+            // between two spans cannot fail the test.
+            let mut best_cover: f64 = 0.0;
+            let mut reduce_spans = 0;
+            for _ in 0..5 {
+                let profiled = executor.execute_profiled(&physical);
+                assert_eq!(plain.results, profiled.results, "{name} threads={threads}");
+                let execute = profiled.profile.expect("profiled run returns a span tree");
+                let gather = execute.children.last().expect("execute has children");
+                assert_eq!(gather.name, "Gather");
+                assert_eq!(gather.rows_out, plain.results.len() as u64);
+                assert_eq!(gather.tasks.len(), 1, "the gather is one task");
+                for operator in execute.children.iter().flat_map(|job| &job.children) {
+                    let routed = operator.attrs.iter().find(|(n, _)| n == "route_tasks");
+                    assert_eq!(routed.is_some(), operator.name.starts_with("ReduceJoin#"));
+                    if let Some((_, routed)) = routed {
+                        reduce_spans += 1;
+                        assert_eq!(
+                            operator.tasks.len(),
+                            *routed as usize + cluster.nodes(),
+                            "route tasks, then one reduce task per node"
+                        );
+                    }
+                }
+                // Spans follow one another, so the union is the sum of the
+                // stretches each adds past the furthest end seen so far.
+                let (mut covered, mut frontier) = (0.0, 0.0);
+                for span in &execute.children {
+                    let end = span.start_seconds + span.wall_seconds;
+                    covered += (end - span.start_seconds.max(frontier)).max(0.0);
+                    frontier = end.max(frontier);
+                }
+                best_cover = best_cover.max(covered / execute.wall_seconds);
+            }
+            assert_eq!(reduce_spans, 5 * physical.reduce_join_count());
+            assert!(
+                !large_root || best_cover >= 0.95,
+                "{name} threads={threads}: job and gather spans cover only {:.1}% of the \
+                 execute wall",
+                best_cover * 100.0
+            );
+        }
+    }
 }
 
 #[test]
