@@ -21,24 +21,22 @@
 //! interesting-orders pass satisfied without sorting, and join inputs that
 //! paid a column-permuted re-sort.
 //!
-//! Usage: `cargo run --release -p cliquesquare-bench --bin report_execution [-- --threads N] [--scale U] [--cardinality] [--snapshot [PATH]] [--baseline [PATH]]`
+//! Usage: `cargo run --release -p cliquesquare-bench --bin report_execution [-- --threads N] [--scale U] [--cardinality] [--snapshot [PATH]]`
 //! (`--threads auto` uses all cores; default: `CSQ_THREADS` or sequential.
 //! `--scale U` generates U LUBM universities — larger datasets amortize the
 //! per-wave thread spawn cost, which is what the speedup column measures.
-//! `--snapshot [PATH]` additionally writes the per-query wall times and
-//! totals to `PATH` — `BENCH_execution.json` by default — as the recorded
-//! perf-trajectory artifact.
+//! `--snapshot [PATH]` additionally writes each query's deterministic
+//! fields — job descriptor, simulated seconds, result count, sort / run /
+//! peak counters and, with `--cardinality`, q-errors — to `PATH`,
+//! `BENCH_execution.json` by default. The file holds no wall-clock and no
+//! thread count, so the committed copy is a golden file: CI re-records it
+//! at `--scale 12 --cardinality` and gates on `git diff --exit-code`.
 //! `--cardinality` additionally runs each query with the cost model's
 //! per-operator estimates attached as `est_rows` span attributes, prints
 //! estimated-vs-actual rows as per-query median/max q-error for the
 //! statistics-driven estimator *and* the uniform baseline (plus the same
 //! differential on the SP²Bench mix), and records the per-query medians
 //! into the snapshot.
-//! `--baseline [PATH]` reads a previously recorded snapshot, prints a
-//! counter regression table diffing `sorts_performed` /
-//! `join_inputs_resorted` / `peak_rows` / median q-error against it, and
-//! **exits nonzero** when any query regressed — CI gates on this. Run it at
-//! the scale the baseline was recorded at — the repo-root default.
 //! `--profile [PATH]` additionally runs each query once with per-query
 //! profiling, asserts the profiled answers are bit-identical to the
 //! unprofiled ones, and writes the span trees as a Chrome-trace JSON —
@@ -47,9 +45,8 @@
 
 use cliquesquare_baselines::BinaryPlanner;
 use cliquesquare_bench::{
-    baseline_path_from_args, fmt_f64, lubm_cluster, measure_seconds, read_execution_snapshot,
-    read_snapshot_meta, report_scale, runtime_from_args, scale_from_args, snapshot_path_from_args,
-    table, write_execution_snapshot, SnapshotQuery,
+    fmt_f64, lubm_cluster, measure_seconds, report_scale, runtime_from_args, scale_from_args,
+    snapshot_path_from_args, table, write_execution_snapshot, SnapshotQuery,
 };
 use cliquesquare_core::LogicalPlan;
 use cliquesquare_engine::csq::{Csq, CsqConfig};
@@ -201,8 +198,6 @@ fn main() {
             patterns: query.len(),
             jobs: report.job_descriptor.clone(),
             simulated_seconds: report.simulated_seconds,
-            wall_sequential_ms: wall_seq * 1e3,
-            wall_parallel_ms: wall_par * 1e3,
             results: report.result_count,
             sorts_performed: rel_stats.sorts_performed,
             sorts_elided: rel_stats.sorts_elided,
@@ -311,27 +306,15 @@ fn main() {
         sp2b_cardinality_differential(runtime.threads());
     }
 
-    if let Some(path) = baseline_path_from_args(&args) {
-        if print_baseline_diff(&path, cluster.graph().len(), &snapshot_queries) {
-            eprintln!(
-                "error: counter regression vs {path} (see table above); \
-                 re-record the snapshot with --snapshot if the change is intended"
-            );
-            std::process::exit(1);
-        }
-    }
-
     if let Some(path) = snapshot_path_from_args(&args) {
-        let total: f64 = snapshot_queries.iter().map(|q| q.wall_sequential_ms).sum();
         write_execution_snapshot(
             &path,
             cluster.graph().len(),
             cluster.nodes(),
-            runtime.threads(),
             &snapshot_queries,
         )
         .expect("write bench snapshot");
-        println!("\nWrote bench snapshot to {path} (total sequential wall: {total:.3} ms).");
+        println!("\nWrote counter snapshot to {path}.");
     }
 
     if let Some(path) = profile_path_from_args(&args) {
@@ -497,147 +480,4 @@ fn write_profile_trace(path: &str, csq: &Csq, executor: &Executor) {
          (open in chrome://tracing or Perfetto).",
         profiles.len()
     );
-}
-
-/// Prints the counter regression table — the current run's
-/// `sorts_performed` / `join_inputs_resorted` / `peak_rows` counters next to
-/// the committed snapshot's — and returns `true` when any query regressed
-/// (sorted more, re-sorted a join input, or held a larger peak intermediate
-/// than the baseline recorded). CI gates on the exit status this feeds:
-/// deterministic counters, so any growth is a real plan/execution change,
-/// not machine noise.
-///
-/// A baseline that was recorded by a different benchmark (`report_load`'s
-/// multi-scale snapshots also carry `"name"`-bearing object lines), at a
-/// different dataset scale, or without any parseable query entry is
-/// **skipped with a note** rather than mis-diffed or panicked on.
-fn print_baseline_diff(path: &str, dataset_triples: usize, current: &[SnapshotQuery]) -> bool {
-    match read_snapshot_meta(path) {
-        Ok(meta) => {
-            if meta.benchmark.as_deref().is_some_and(|b| b != "execution") {
-                println!(
-                    "\n(no baseline diff: {path} records the {:?} benchmark, not execution)",
-                    meta.benchmark.unwrap_or_default()
-                );
-                return false;
-            }
-            if meta
-                .dataset_triples
-                .is_some_and(|recorded| recorded != dataset_triples)
-            {
-                println!(
-                    "\n(no baseline diff: {path} was recorded at {} triples, this run has {}; \
-                     rerun at the recorded scale or re-record with --snapshot)",
-                    meta.dataset_triples.unwrap_or_default(),
-                    dataset_triples
-                );
-                return false;
-            }
-        }
-        Err(error) => {
-            println!("\n(no baseline diff: could not read {path}: {error})");
-            return false;
-        }
-    }
-    let baseline = match read_execution_snapshot(path) {
-        Ok(queries) => queries,
-        Err(error) => {
-            println!("\n(no baseline diff: could not read {path}: {error})");
-            return false;
-        }
-    };
-    if baseline.is_empty() {
-        println!("\n(no baseline diff: {path} contains no query entries)");
-        return false;
-    }
-    let lookup = |name: &str| baseline.iter().find(|b| b.name == name);
-    let fmt_count = |value: Option<u64>| value.map_or("-".to_string(), |v| v.to_string());
-    let fmt_delta = |now: u64, then: Option<u64>| match then {
-        Some(then) => format!("{:+}", now as i64 - then as i64),
-        None => "-".to_string(),
-    };
-    let mut rows = Vec::new();
-    let (mut sorts_now, mut sorts_then) = (0u64, 0u64);
-    let (mut resorts_now, mut resorts_then) = (0u64, 0u64);
-    let mut complete = true;
-    let mut regressed = false;
-    for q in current {
-        let base = lookup(&q.name);
-        let base_sorts = base.and_then(|b| b.sorts_performed);
-        let base_resorts = base.and_then(|b| b.join_inputs_resorted);
-        let base_peak = base.and_then(|b| b.peak_rows);
-        let base_qerr = base.and_then(|b| b.median_q_error);
-        sorts_now += q.sorts_performed;
-        resorts_now += q.join_inputs_resorted;
-        match (base_sorts, base_resorts) {
-            (Some(s), Some(r)) => {
-                sorts_then += s;
-                resorts_then += r;
-            }
-            _ => complete = false,
-        }
-        // Gate per query: more sorts, a re-sorted join input, a larger peak
-        // intermediate, or a meaningfully worse median estimator q-error
-        // (>10% over the recorded baseline; the q-error gate only applies
-        // when both this run and the baseline measured cardinalities).
-        regressed |= base_sorts.is_some_and(|s| q.sorts_performed > s)
-            || base_resorts.is_some_and(|r| q.join_inputs_resorted > r)
-            || base_peak.is_some_and(|p| q.peak_rows > p)
-            || matches!(
-                (q.median_q_error, base_qerr),
-                (Some(now), Some(then)) if now > then * 1.10
-            );
-        let fmt_qerr = |value: Option<f64>| value.map_or("-".to_string(), fmt_f64);
-        rows.push(vec![
-            q.name.clone(),
-            fmt_count(base_sorts),
-            q.sorts_performed.to_string(),
-            fmt_delta(q.sorts_performed, base_sorts),
-            fmt_count(base_resorts),
-            q.join_inputs_resorted.to_string(),
-            fmt_delta(q.join_inputs_resorted, base_resorts),
-            fmt_count(base_peak),
-            q.peak_rows.to_string(),
-            fmt_delta(q.peak_rows, base_peak),
-            fmt_qerr(base_qerr),
-            fmt_qerr(q.median_q_error),
-            base.and_then(|b| b.wall_sequential_ms)
-                .map_or("-".to_string(), fmt_f64),
-            fmt_f64(q.wall_sequential_ms),
-        ]);
-    }
-    println!("\n== Counter regression vs {path} ==");
-    println!(
-        "{}",
-        table(
-            &[
-                "Query",
-                "sorts(base)",
-                "sorts(now)",
-                "Δ",
-                "resorts(base)",
-                "resorts(now)",
-                "Δ",
-                "peak(base)",
-                "peak(now)",
-                "Δ",
-                "qerr(base)",
-                "qerr(now)",
-                "wall base (ms)",
-                "wall now (ms)",
-            ],
-            &rows
-        )
-    );
-    if complete {
-        println!(
-            "Totals: sorts {sorts_then} -> {sorts_now} ({:+}), join inputs resorted \
-             {resorts_then} -> {resorts_now} ({:+}).",
-            sorts_now as i64 - sorts_then as i64,
-            resorts_now as i64 - resorts_then as i64
-        );
-    } else {
-        println!("(baseline predates some counters: '-' entries do not gate)");
-    }
-    regressed
 }

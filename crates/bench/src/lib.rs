@@ -1,12 +1,15 @@
-//! Shared harness utilities for the benchmark report binaries and Criterion
-//! benches that regenerate every table and figure of the paper's evaluation
-//! (Section 6). Each `report_*` binary prints one figure; see EXPERIMENTS.md
-//! at the repository root for the mapping and recorded outputs.
+//! Shared harness utilities for the paper-figure reports, the counter
+//! snapshot and the criterion benches — timings are `benchmark/`'s. Each
+//! `report_*` binary prints one figure of the paper's evaluation (Section 6);
+//! `report_execution --snapshot` also records the deterministic counters of
+//! the 14-query LUBM suite as `BENCH_execution.json`. See EXPERIMENTS.md at
+//! the repository root for the mapping and recorded outputs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
+use cliquesquare_obs::json::push_escaped;
 use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale};
 use std::time::Instant;
 
@@ -136,18 +139,12 @@ pub fn fmt_percent(value: f64) -> String {
 /// Parses the `--snapshot [PATH]` flag: `Some(path)` when a snapshot was
 /// requested (`BENCH_execution.json` when no path follows the flag).
 pub fn snapshot_path_from_args(args: &[String]) -> Option<String> {
-    snapshot_path_with_default(args, "BENCH_execution.json")
-}
-
-/// [`snapshot_path_from_args`] with a caller-chosen default file name
-/// (`report_load` records `BENCH_load.json`).
-pub fn snapshot_path_with_default(args: &[String], default: &str) -> Option<String> {
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         if arg == "--snapshot" {
             return Some(match iter.peek() {
                 Some(value) if !value.starts_with("--") => (*value).clone(),
-                _ => default.to_string(),
+                _ => "BENCH_execution.json".to_string(),
             });
         }
         if let Some(value) = arg.strip_prefix("--snapshot=") {
@@ -168,10 +165,6 @@ pub struct SnapshotQuery {
     pub jobs: String,
     /// Simulated response time (Section 5.4 cost model, thread-independent).
     pub simulated_seconds: f64,
-    /// Measured wall-clock of the plan on the sequential runtime (ms).
-    pub wall_sequential_ms: f64,
-    /// Measured wall-clock on the configured parallel runtime (ms).
-    pub wall_parallel_ms: f64,
     /// Number of distinct answers.
     pub results: usize,
     /// Index sorts the sequential execution actually performed.
@@ -195,74 +188,34 @@ pub struct SnapshotQuery {
     pub max_q_error: Option<f64>,
 }
 
-/// Minimal JSON string escaping (the snapshot only contains query names and
-/// job descriptors, but stay correct for arbitrary text).
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Writes the 14-query LUBM execution snapshot as `BENCH_execution.json`:
-/// per-query wall milliseconds plus workload totals, so the performance
-/// trajectory of the execution stack is recorded next to the code. The
-/// writer is hand-rolled because the vendored `serde` is a no-op stub.
+/// Writes the 14-query LUBM counter snapshot as `BENCH_execution.json`.
+/// Every field is a pure function of the code (plans, counters, simulated
+/// seconds, q-errors) — no wall-clock and no thread count — so the committed
+/// file is a golden file: CI re-records it and fails on any `git diff`.
 pub fn write_execution_snapshot(
     path: &str,
     dataset_triples: usize,
     nodes: usize,
-    threads: usize,
     queries: &[SnapshotQuery],
 ) -> std::io::Result<()> {
-    let total_sequential: f64 = queries.iter().map(|q| q.wall_sequential_ms).sum();
-    let total_parallel: f64 = queries.iter().map(|q| q.wall_parallel_ms).sum();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"execution\",\n");
     json.push_str("  \"workload\": \"LUBM Q1-Q14\",\n");
     json.push_str(&format!("  \"dataset_triples\": {dataset_triples},\n"));
     json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"total_wall_sequential_ms\": {total_sequential:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"total_wall_parallel_ms\": {total_parallel:.3},\n"
-    ));
     json.push_str("  \"queries\": [\n");
     for (index, q) in queries.iter().enumerate() {
-        // q-error fields only appear when the run measured them
-        // (`--cardinality`), so older readers and diff tools see an
-        // unchanged layout otherwise.
-        let q_errors = match (q.median_q_error, q.max_q_error) {
-            (Some(median), Some(max)) => {
-                format!(", \"median_q_error\": {median:.4}, \"max_q_error\": {max:.4}")
-            }
-            _ => String::new(),
-        };
+        json.push_str("    {\"name\": \"");
+        push_escaped(&mut json, &q.name);
+        json.push_str(&format!("\", \"patterns\": {}, \"jobs\": \"", q.patterns));
+        push_escaped(&mut json, &q.jobs);
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"patterns\": {}, \"jobs\": \"{}\", \
-             \"simulated_seconds\": {:.6}, \"wall_sequential_ms\": {:.3}, \
-             \"wall_parallel_ms\": {:.3}, \"results\": {}, \
+            "\", \"simulated_seconds\": {:.6}, \"results\": {}, \
              \"sorts_performed\": {}, \"sorts_elided\": {}, \
              \"join_inputs_resorted\": {}, \"runs_emitted\": {}, \
-             \"rows_expanded\": {}, \"peak_rows\": {}, \"peak_bytes\": {}{}}}{}\n",
-            json_escape(&q.name),
-            q.patterns,
-            json_escape(&q.jobs),
+             \"rows_expanded\": {}, \"peak_rows\": {}, \"peak_bytes\": {}",
             q.simulated_seconds,
-            q.wall_sequential_ms,
-            q.wall_parallel_ms,
             q.results,
             q.sorts_performed,
             q.sorts_elided,
@@ -271,582 +224,22 @@ pub fn write_execution_snapshot(
             q.rows_expanded,
             q.peak_rows,
             q.peak_bytes,
-            q_errors,
-            if index + 1 == queries.len() { "" } else { "," }
         ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, json)
-}
-
-/// One query of a previously recorded execution snapshot, as read back by
-/// [`read_execution_snapshot`] for the sort-elision regression table. The
-/// counter fields are `None` for snapshots recorded before the
-/// interesting-orders pass existed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineQuery {
-    /// Query name (`Q1` … `Q14`).
-    pub name: String,
-    /// Recorded sequential wall milliseconds.
-    pub wall_sequential_ms: Option<f64>,
-    /// Recorded `sorts_performed` counter, if the snapshot has one.
-    pub sorts_performed: Option<u64>,
-    /// Recorded `sorts_elided` counter, if the snapshot has one.
-    pub sorts_elided: Option<u64>,
-    /// Recorded `join_inputs_resorted` counter, if the snapshot has one.
-    pub join_inputs_resorted: Option<u64>,
-    /// Recorded `runs_emitted` counter, if the snapshot has one.
-    pub runs_emitted: Option<u64>,
-    /// Recorded `rows_expanded` counter, if the snapshot has one.
-    pub rows_expanded: Option<u64>,
-    /// Recorded `peak_rows` counter, if the snapshot has one.
-    pub peak_rows: Option<u64>,
-    /// Recorded `peak_bytes` counter, if the snapshot has one.
-    pub peak_bytes: Option<u64>,
-    /// Recorded median estimator q-error, if the snapshot was made by a
-    /// `--cardinality` run.
-    pub median_q_error: Option<f64>,
-    /// Recorded maximum estimator q-error, if the snapshot has one.
-    pub max_q_error: Option<f64>,
-}
-
-/// Extracts the raw value of `"key": value` from one JSON object line
-/// (sufficient for the snapshot layout [`write_execution_snapshot`] emits:
-/// one query object per line, no nesting inside objects).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| {
-            if rest.starts_with('"') {
-                i > 0 && c == '"'
-            } else {
-                c == ',' || c == '}'
-            }
-        })
-        .map(|(i, _)| if rest.starts_with('"') { i + 1 } else { i })?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-/// Reads the per-query entries of a snapshot previously written by
-/// [`write_execution_snapshot`]. Counter fields missing from older
-/// recordings come back as `None`.
-pub fn read_execution_snapshot(path: &str) -> std::io::Result<Vec<BaselineQuery>> {
-    let contents = std::fs::read_to_string(path)?;
-    let mut queries = Vec::new();
-    for line in contents.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"name\"") {
-            continue;
+        // q-error fields only appear when the run measured them
+        // (`--cardinality`).
+        if let (Some(median), Some(max)) = (q.median_q_error, q.max_q_error) {
+            json.push_str(&format!(
+                ", \"median_q_error\": {median:.4}, \"max_q_error\": {max:.4}"
+            ));
         }
-        let Some(name) = json_field(line, "name") else {
-            continue;
-        };
-        queries.push(BaselineQuery {
-            name: name.to_string(),
-            wall_sequential_ms: json_field(line, "wall_sequential_ms").and_then(|v| v.parse().ok()),
-            sorts_performed: json_field(line, "sorts_performed").and_then(|v| v.parse().ok()),
-            sorts_elided: json_field(line, "sorts_elided").and_then(|v| v.parse().ok()),
-            join_inputs_resorted: json_field(line, "join_inputs_resorted")
-                .and_then(|v| v.parse().ok()),
-            runs_emitted: json_field(line, "runs_emitted").and_then(|v| v.parse().ok()),
-            rows_expanded: json_field(line, "rows_expanded").and_then(|v| v.parse().ok()),
-            peak_rows: json_field(line, "peak_rows").and_then(|v| v.parse().ok()),
-            peak_bytes: json_field(line, "peak_bytes").and_then(|v| v.parse().ok()),
-            median_q_error: json_field(line, "median_q_error").and_then(|v| v.parse().ok()),
-            max_q_error: json_field(line, "max_q_error").and_then(|v| v.parse().ok()),
-        });
-    }
-    Ok(queries)
-}
-
-/// Parses the `--baseline [PATH]` flag of the regression-table mode:
-/// `Some(path)` when a baseline diff was requested (`BENCH_execution.json`
-/// when no path follows the flag).
-pub fn baseline_path_from_args(args: &[String]) -> Option<String> {
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg == "--baseline" {
-            return Some(match iter.peek() {
-                Some(value) if !value.starts_with("--") => (*value).clone(),
-                _ => "BENCH_execution.json".to_string(),
-            });
-        }
-        if let Some(value) = arg.strip_prefix("--baseline=") {
-            return Some(value.to_string());
-        }
-    }
-    None
-}
-
-/// One pipeline stage's entry in the load bench snapshot.
-#[derive(Debug, Clone)]
-pub struct LoadStage {
-    /// Stage name (`input`, `encode`, `merge`, `index`, `partition`).
-    pub name: String,
-    /// Stage seconds on the sequential (1-thread) loader.
-    pub sequential_seconds: f64,
-    /// Stage seconds on the configured parallel loader.
-    pub parallel_seconds: f64,
-}
-
-/// Writes the bulk-load snapshot as `BENCH_load.json`: per-stage seconds on
-/// the sequential and parallel loaders, end-to-end totals and throughputs.
-/// Hand-rolled JSON for the same reason as [`write_execution_snapshot`].
-#[allow(clippy::too_many_arguments)]
-pub fn write_load_snapshot(
-    path: &str,
-    workload: &str,
-    dataset_triples: usize,
-    distinct_terms: usize,
-    nodes: usize,
-    threads: usize,
-    chunks: usize,
-    stages: &[LoadStage],
-) -> std::io::Result<()> {
-    let total_sequential: f64 = stages.iter().map(|s| s.sequential_seconds).sum();
-    let total_parallel: f64 = stages.iter().map(|s| s.parallel_seconds).sum();
-    let throughput = |seconds: f64| {
-        if seconds > 0.0 {
-            dataset_triples as f64 / seconds
-        } else {
-            0.0
-        }
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"load\",\n");
-    json.push_str(&format!("  \"workload\": \"{}\",\n", json_escape(workload)));
-    json.push_str(&format!("  \"dataset_triples\": {dataset_triples},\n"));
-    json.push_str(&format!("  \"distinct_terms\": {distinct_terms},\n"));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"chunks\": {chunks},\n"));
-    json.push_str(&format!(
-        "  \"total_sequential_ms\": {:.3},\n",
-        total_sequential * 1e3
-    ));
-    json.push_str(&format!(
-        "  \"total_parallel_ms\": {:.3},\n",
-        total_parallel * 1e3
-    ));
-    json.push_str(&format!(
-        "  \"sequential_triples_per_s\": {:.0},\n",
-        throughput(total_sequential)
-    ));
-    json.push_str(&format!(
-        "  \"parallel_triples_per_s\": {:.0},\n",
-        throughput(total_parallel)
-    ));
-    json.push_str("  \"stages\": [\n");
-    for (index, stage) in stages.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sequential_ms\": {:.3}, \"parallel_ms\": {:.3}}}{}\n",
-            json_escape(&stage.name),
-            stage.sequential_seconds * 1e3,
-            stage.parallel_seconds * 1e3,
-            if index + 1 == stages.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, json)
-}
-
-/// One scale's measurements in the multi-scale load snapshot (the
-/// `report_load --scale a,b,c` sweep mode writes one entry per scale).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadScaleEntry {
-    /// Triples loaded at this scale.
-    pub dataset_triples: usize,
-    /// Distinct terms in the dictionary at this scale.
-    pub distinct_terms: usize,
-    /// Chunks the input was split into.
-    pub chunks: usize,
-    /// Partitions of the parallel dictionary merge (1 = serial merge).
-    pub merge_partitions: usize,
-    /// Input (parse or generate) stage seconds.
-    pub input_seconds: f64,
-    /// Dictionary-encode stage seconds.
-    pub encode_seconds: f64,
-    /// Dictionary-merge stage seconds.
-    pub merge_seconds: f64,
-    /// Index-build stage seconds.
-    pub index_seconds: f64,
-    /// Partition-build stage seconds.
-    pub partition_seconds: f64,
-    /// End-to-end seconds.
-    pub total_seconds: f64,
-    /// End-to-end triples per second.
-    pub triples_per_second: f64,
-    /// Peak decoded-triple bytes simultaneously in flight (streaming gauge).
-    pub peak_inflight_bytes: u64,
-    /// Total decoded-triple bytes that passed through the pipeline.
-    pub parsed_bytes: u64,
-}
-
-/// Writes the multi-scale load snapshot (`report_load --scale a,b,c`): an
-/// array of per-scale entries instead of the single-run object of
-/// [`write_load_snapshot`]. [`read_load_snapshot`] reads both formats.
-pub fn write_load_scale_snapshot(
-    path: &str,
-    workload: &str,
-    nodes: usize,
-    threads: usize,
-    entries: &[LoadScaleEntry],
-) -> std::io::Result<()> {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"load\",\n");
-    json.push_str(&format!("  \"workload\": \"{}\",\n", json_escape(workload)));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str("  \"scales\": [\n");
-    for (index, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"dataset_triples\": {}, \"distinct_terms\": {}, \"chunks\": {}, \
-             \"merge_partitions\": {}, \"input_ms\": {:.3}, \"encode_ms\": {:.3}, \
-             \"merge_ms\": {:.3}, \"index_ms\": {:.3}, \"partition_ms\": {:.3}, \
-             \"total_ms\": {:.3}, \"triples_per_s\": {:.0}, \
-             \"peak_inflight_bytes\": {}, \"parsed_bytes\": {}}}{}\n",
-            e.dataset_triples,
-            e.distinct_terms,
-            e.chunks,
-            e.merge_partitions,
-            e.input_seconds * 1e3,
-            e.encode_seconds * 1e3,
-            e.merge_seconds * 1e3,
-            e.index_seconds * 1e3,
-            e.partition_seconds * 1e3,
-            e.total_seconds * 1e3,
-            e.triples_per_second,
-            e.peak_inflight_bytes,
-            e.parsed_bytes,
-            if index + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, json)
-}
-
-/// Reads a load snapshot back as per-scale entries. Accepts both formats:
-/// the multi-scale array of [`write_load_scale_snapshot`] (one line per
-/// scale entry) and the legacy single-object layout of
-/// [`write_load_snapshot`], which comes back as one entry assembled from
-/// the top-level fields and the per-stage `parallel_ms` lines (fields the
-/// legacy format never recorded are zero).
-pub fn read_load_snapshot(path: &str) -> std::io::Result<Vec<LoadScaleEntry>> {
-    let contents = std::fs::read_to_string(path)?;
-    let ms_field = |line: &str, key: &str| -> f64 {
-        json_field(line, key)
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0)
-            / 1e3
-    };
-    let count_field = |line: &str, key: &str| -> u64 {
-        json_field(line, key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let mut entries: Vec<LoadScaleEntry> = Vec::new();
-    for line in contents.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"dataset_triples\"") {
-            continue;
-        }
-        entries.push(LoadScaleEntry {
-            dataset_triples: count_field(line, "dataset_triples") as usize,
-            distinct_terms: count_field(line, "distinct_terms") as usize,
-            chunks: count_field(line, "chunks") as usize,
-            merge_partitions: count_field(line, "merge_partitions") as usize,
-            input_seconds: ms_field(line, "input_ms"),
-            encode_seconds: ms_field(line, "encode_ms"),
-            merge_seconds: ms_field(line, "merge_ms"),
-            index_seconds: ms_field(line, "index_ms"),
-            partition_seconds: ms_field(line, "partition_ms"),
-            total_seconds: ms_field(line, "total_ms"),
-            triples_per_second: json_field(line, "triples_per_s")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-            peak_inflight_bytes: count_field(line, "peak_inflight_bytes"),
-            parsed_bytes: count_field(line, "parsed_bytes"),
-        });
-    }
-    if !entries.is_empty() {
-        return Ok(entries);
-    }
-    // Legacy single-object format: top-level scalars (one `"key": value`
-    // per line) plus `{"name": ..., "sequential_ms": ..., "parallel_ms": ...}`
-    // stage lines.
-    let mut entry = LoadScaleEntry {
-        dataset_triples: 0,
-        distinct_terms: 0,
-        chunks: 0,
-        merge_partitions: 0,
-        input_seconds: 0.0,
-        encode_seconds: 0.0,
-        merge_seconds: 0.0,
-        index_seconds: 0.0,
-        partition_seconds: 0.0,
-        total_seconds: 0.0,
-        triples_per_second: 0.0,
-        peak_inflight_bytes: 0,
-        parsed_bytes: 0,
-    };
-    let mut saw_any = false;
-    for line in contents.lines() {
-        let line = line.trim();
-        if line.starts_with('{') {
-            if let Some(name) = json_field(line, "name") {
-                let seconds = ms_field(line, "parallel_ms");
-                match name {
-                    "input" => entry.input_seconds = seconds,
-                    "encode" => entry.encode_seconds = seconds,
-                    "merge" => entry.merge_seconds = seconds,
-                    "index" => entry.index_seconds = seconds,
-                    "partition" => entry.partition_seconds = seconds,
-                    _ => {}
-                }
-                saw_any = true;
-            }
-            continue;
-        }
-        if let Some(value) = json_field(line, "dataset_triples") {
-            entry.dataset_triples = value.parse().unwrap_or(0);
-            saw_any = true;
-        } else if let Some(value) = json_field(line, "distinct_terms") {
-            entry.distinct_terms = value.parse().unwrap_or(0);
-        } else if let Some(value) = json_field(line, "chunks") {
-            entry.chunks = value.parse().unwrap_or(0);
-        } else if let Some(value) = json_field(line, "total_parallel_ms") {
-            entry.total_seconds = value.parse::<f64>().unwrap_or(0.0) / 1e3;
-        } else if let Some(value) = json_field(line, "parallel_triples_per_s") {
-            entry.triples_per_second = value.parse().unwrap_or(0.0);
-        }
-    }
-    Ok(if saw_any { vec![entry] } else { Vec::new() })
-}
-
-/// Top-level identification of a recorded snapshot, read without assuming
-/// its benchmark kind: which `report_*` binary wrote it and at what dataset
-/// size. Lets `report_execution --baseline` skip gracefully over a
-/// snapshot recorded by a different benchmark (or at a different scale)
-/// instead of mis-parsing it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotMeta {
-    /// The `"benchmark"` field (`execution`, `load`, `serving`), if present.
-    pub benchmark: Option<String>,
-    /// The top-level `"dataset_triples"` field, if present.
-    pub dataset_triples: Option<usize>,
-}
-
-/// Reads the top-level [`SnapshotMeta`] fields of any snapshot file. Only
-/// top-level scalar lines are considered — nested per-query / per-scale
-/// object lines (which start with `{`) never contribute.
-pub fn read_snapshot_meta(path: &str) -> std::io::Result<SnapshotMeta> {
-    let contents = std::fs::read_to_string(path)?;
-    let mut meta = SnapshotMeta::default();
-    for line in contents.lines() {
-        let line = line.trim();
-        if line.starts_with('{') || line.starts_with('[') {
-            continue;
-        }
-        if meta.benchmark.is_none() {
-            if let Some(value) = json_field(line, "benchmark") {
-                meta.benchmark = Some(value.to_string());
-            }
-        }
-        if meta.dataset_triples.is_none() {
-            if let Some(value) = json_field(line, "dataset_triples") {
-                meta.dataset_triples = value.parse().ok();
-            }
-        }
-    }
-    Ok(meta)
-}
-
-/// One concurrency level's measurements in the serving bench snapshot.
-#[derive(Debug, Clone)]
-pub struct ServingLevel {
-    /// Number of closed-loop client threads.
-    pub clients: usize,
-    /// Total queries completed at this level.
-    pub queries: usize,
-    /// Median per-query latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-query latency in milliseconds.
-    pub p99_ms: f64,
-    /// Completed queries per wall-clock second.
-    pub queries_per_s: f64,
-    /// Median scheduler queue wait during this level, from the
-    /// `csq_scheduler_task_wait_seconds` histogram delta (`None` in
-    /// snapshots recorded before the metric existed).
-    pub queue_wait_p50_ms: Option<f64>,
-    /// 99th-percentile scheduler queue wait during this level.
-    pub queue_wait_p99_ms: Option<f64>,
-    /// Scheduler queue-depth high-water mark sampled after this level ran
-    /// (monotonic over the process, so levels only grow it).
-    pub queue_depth_peak: Option<i64>,
-    /// Median per-query *planning* wall in milliseconds — the slice of each
-    /// request spent in the optimizer (or the plan-cache hit path) before
-    /// execution starts. `None` in snapshots recorded before planning and
-    /// execution walls were reported separately.
-    pub plan_p50_ms: Option<f64>,
-    /// Median per-query *execution* wall in milliseconds, disjoint from
-    /// `plan_p50_ms` (the two no longer get conflated into one number).
-    pub exec_p50_ms: Option<f64>,
-    /// Fraction of this level's queries served from the template plan
-    /// cache, from the `csq_plancache_{hits,misses}_total` counter deltas.
-    pub cache_hit_rate: Option<f64>,
-}
-
-/// Cold-vs-warm planning walls measured solo before the concurrency levels:
-/// `cold` is the first planning of each template (full optimization), `warm`
-/// is a repeat pass served by template-cache rebinding.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanningSummary {
-    /// Median first-time planning wall across the mix, in milliseconds.
-    pub cold_plan_ms: f64,
-    /// Median repeat planning wall across the mix, in milliseconds.
-    pub warm_plan_ms: f64,
-}
-
-/// The `q`-quantile (0.0–1.0) of a latency sample by nearest-rank on the
-/// sorted data; `0.0` for an empty sample.
-pub fn percentile_ms(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
-    sorted_ms[rank.min(sorted_ms.len() - 1)]
-}
-
-/// Writes the closed-loop serving snapshot as `BENCH_serving.json`: p50/p99
-/// latency and queries/s at each client-thread count. Hand-rolled JSON for
-/// the same reason as [`write_execution_snapshot`].
-pub fn write_serving_snapshot(
-    path: &str,
-    workload: &str,
-    dataset_triples: usize,
-    nodes: usize,
-    worker_threads: usize,
-    planning: Option<PlanningSummary>,
-    levels: &[ServingLevel],
-) -> std::io::Result<()> {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"serving\",\n");
-    json.push_str(&format!("  \"workload\": \"{}\",\n", json_escape(workload)));
-    json.push_str(&format!("  \"dataset_triples\": {dataset_triples},\n"));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"worker_threads\": {worker_threads},\n"));
-    if let Some(planning) = planning {
-        json.push_str(&format!(
-            "  \"cold_plan_ms\": {:.4},\n  \"warm_plan_ms\": {:.4},\n",
-            planning.cold_plan_ms, planning.warm_plan_ms
-        ));
-    }
-    json.push_str("  \"levels\": [\n");
-    for (index, level) in levels.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"clients\": {}, \"queries\": {}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"queries_per_s\": {:.1}",
-            level.clients, level.queries, level.p50_ms, level.p99_ms, level.queries_per_s,
-        );
-        if let Some(wait) = level.queue_wait_p50_ms {
-            line.push_str(&format!(", \"queue_wait_p50_ms\": {wait:.3}"));
-        }
-        if let Some(wait) = level.queue_wait_p99_ms {
-            line.push_str(&format!(", \"queue_wait_p99_ms\": {wait:.3}"));
-        }
-        if let Some(peak) = level.queue_depth_peak {
-            line.push_str(&format!(", \"queue_depth_peak\": {peak}"));
-        }
-        if let Some(plan) = level.plan_p50_ms {
-            line.push_str(&format!(", \"plan_p50_ms\": {plan:.4}"));
-        }
-        if let Some(exec) = level.exec_p50_ms {
-            line.push_str(&format!(", \"exec_p50_ms\": {exec:.4}"));
-        }
-        if let Some(rate) = level.cache_hit_rate {
-            line.push_str(&format!(", \"cache_hit_rate\": {rate:.4}"));
-        }
-        line.push_str(if index + 1 == levels.len() {
+        json.push_str(if index + 1 == queries.len() {
             "}\n"
         } else {
             "},\n"
         });
-        json.push_str(&line);
     }
     json.push_str("  ]\n}\n");
     std::fs::write(path, json)
-}
-
-/// Reads the per-level entries of a snapshot previously written by
-/// [`write_serving_snapshot`]. Queue-wait fields missing from older
-/// recordings (which predate the scheduler metrics) come back as `None`, so
-/// readers work across both formats.
-pub fn read_serving_snapshot(path: &str) -> std::io::Result<Vec<ServingLevel>> {
-    let contents = std::fs::read_to_string(path)?;
-    let mut levels = Vec::new();
-    for line in contents.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"clients\"") {
-            continue;
-        }
-        let Some(clients) = json_field(line, "clients").and_then(|v| v.parse().ok()) else {
-            continue;
-        };
-        levels.push(ServingLevel {
-            clients,
-            queries: json_field(line, "queries")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            p50_ms: json_field(line, "p50_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-            p99_ms: json_field(line, "p99_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-            queries_per_s: json_field(line, "queries_per_s")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-            queue_wait_p50_ms: json_field(line, "queue_wait_p50_ms").and_then(|v| v.parse().ok()),
-            queue_wait_p99_ms: json_field(line, "queue_wait_p99_ms").and_then(|v| v.parse().ok()),
-            queue_depth_peak: json_field(line, "queue_depth_peak").and_then(|v| v.parse().ok()),
-            plan_p50_ms: json_field(line, "plan_p50_ms").and_then(|v| v.parse().ok()),
-            exec_p50_ms: json_field(line, "exec_p50_ms").and_then(|v| v.parse().ok()),
-            cache_hit_rate: json_field(line, "cache_hit_rate").and_then(|v| v.parse().ok()),
-        });
-    }
-    Ok(levels)
-}
-
-/// Reads the top-level cold-vs-warm planning walls from a serving snapshot;
-/// `None` for recordings that predate separate planning/execution reporting.
-pub fn read_serving_planning(path: &str) -> std::io::Result<Option<PlanningSummary>> {
-    let contents = std::fs::read_to_string(path)?;
-    let mut cold = None;
-    let mut warm = None;
-    for line in contents.lines() {
-        if line.trim_start().starts_with('{') && line.contains("\"clients\"") {
-            break; // planning walls sit above the levels array
-        }
-        if let Some(value) = json_field(line, "cold_plan_ms") {
-            cold = value.parse().ok();
-        }
-        if let Some(value) = json_field(line, "warm_plan_ms") {
-            warm = value.parse().ok();
-        }
-    }
-    Ok(match (cold, warm) {
-        (Some(cold_plan_ms), Some(warm_plan_ms)) => Some(PlanningSummary {
-            cold_plan_ms,
-            warm_plan_ms,
-        }),
-        _ => None,
-    })
 }
 
 #[cfg(test)]
@@ -909,15 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn execution_snapshot_round_trips_through_the_reader() {
+    fn execution_snapshot_layout_is_fixed_byte_for_byte() {
         let queries = vec![
             SnapshotQuery {
-                name: "Q1".to_string(),
+                name: "Q\"1".to_string(),
                 patterns: 2,
                 jobs: "M".to_string(),
                 simulated_seconds: 8.5,
-                wall_sequential_ms: 0.95,
-                wall_parallel_ms: 1.2,
                 results: 42,
                 sorts_performed: 3,
                 sorts_elided: 17,
@@ -934,8 +325,6 @@ mod tests {
                 patterns: 3,
                 jobs: "1".to_string(),
                 simulated_seconds: 9.0,
-                wall_sequential_ms: 0.5,
-                wall_parallel_ms: 0.4,
                 results: 7,
                 sorts_performed: 0,
                 sorts_elided: 20,
@@ -948,246 +337,27 @@ mod tests {
                 max_q_error: None,
             },
         ];
-        let path = std::env::temp_dir().join("csq_snapshot_roundtrip.json");
+        let path = std::env::temp_dir().join("csq_snapshot_layout.json");
         let path = path.to_str().unwrap();
-        write_execution_snapshot(path, 1000, 7, 1, &queries).unwrap();
-        let read = read_execution_snapshot(path).unwrap();
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].name, "Q1");
-        assert_eq!(read[0].sorts_performed, Some(3));
-        assert_eq!(read[0].sorts_elided, Some(17));
-        assert_eq!(read[0].join_inputs_resorted, Some(1));
-        assert_eq!(read[0].wall_sequential_ms, Some(0.95));
-        assert_eq!(read[0].runs_emitted, Some(5));
-        assert_eq!(read[0].rows_expanded, Some(40));
-        assert_eq!(read[0].peak_rows, Some(60));
-        assert_eq!(read[0].peak_bytes, Some(480));
-        assert_eq!(read[0].median_q_error, Some(1.25));
-        assert_eq!(read[0].max_q_error, Some(8.0));
-        assert_eq!(read[1].name, "Q2");
-        assert_eq!(read[1].sorts_performed, Some(0));
-        // A query recorded without q-error fields reads back as None — the
-        // reader is back-compatible with pre-cardinality snapshots.
-        assert_eq!(read[1].median_q_error, None);
-        assert_eq!(read[1].max_q_error, None);
+        write_execution_snapshot(path, 1000, 7, &queries).unwrap();
+        let written = std::fs::read_to_string(path).unwrap();
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn baseline_flag_parsing() {
-        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
         assert_eq!(
-            baseline_path_from_args(&args(&["--baseline", "old.json"])),
-            Some("old.json".to_string())
+            written,
+            "{\n  \"benchmark\": \"execution\",\n  \"workload\": \"LUBM Q1-Q14\",\n  \
+             \"dataset_triples\": 1000,\n  \"nodes\": 7,\n  \"queries\": [\n    \
+             {\"name\": \"Q\\\"1\", \"patterns\": 2, \"jobs\": \"M\", \
+             \"simulated_seconds\": 8.500000, \"results\": 42, \"sorts_performed\": 3, \
+             \"sorts_elided\": 17, \"join_inputs_resorted\": 1, \"runs_emitted\": 5, \
+             \"rows_expanded\": 40, \"peak_rows\": 60, \"peak_bytes\": 480, \
+             \"median_q_error\": 1.2500, \"max_q_error\": 8.0000},\n    \
+             {\"name\": \"Q2\", \"patterns\": 3, \"jobs\": \"1\", \
+             \"simulated_seconds\": 9.000000, \"results\": 7, \"sorts_performed\": 0, \
+             \"sorts_elided\": 20, \"join_inputs_resorted\": 0, \"runs_emitted\": 0, \
+             \"rows_expanded\": 0, \"peak_rows\": 7, \"peak_bytes\": 56}\n  ]\n}\n"
         );
-        assert_eq!(
-            baseline_path_from_args(&args(&["--baseline"])),
-            Some("BENCH_execution.json".to_string())
-        );
-        assert_eq!(
-            baseline_path_from_args(&args(&["--baseline=x.json"])),
-            Some("x.json".to_string())
-        );
-        assert_eq!(baseline_path_from_args(&args(&["--threads", "4"])), None);
-    }
-
-    fn scale_entry(triples: usize) -> LoadScaleEntry {
-        LoadScaleEntry {
-            dataset_triples: triples,
-            distinct_terms: triples / 3,
-            chunks: 8,
-            merge_partitions: 4,
-            input_seconds: 0.010,
-            encode_seconds: 0.020,
-            merge_seconds: 0.005,
-            index_seconds: 0.004,
-            partition_seconds: 0.003,
-            total_seconds: 0.042,
-            triples_per_second: triples as f64 / 0.042,
-            peak_inflight_bytes: 4096,
-            parsed_bytes: 65536,
-        }
-    }
-
-    #[test]
-    fn load_scale_snapshot_round_trips_through_the_reader() {
-        let entries = vec![scale_entry(20_000), scale_entry(200_000)];
-        let path = std::env::temp_dir().join("csq_load_scales_roundtrip.json");
-        let path = path.to_str().unwrap();
-        write_load_scale_snapshot(path, "LUBM sweep", 7, 2, &entries).unwrap();
-        let read = read_load_snapshot(path).unwrap();
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].dataset_triples, 20_000);
-        assert_eq!(read[1].dataset_triples, 200_000);
-        assert_eq!(read[0].merge_partitions, 4);
-        assert_eq!(read[0].peak_inflight_bytes, 4096);
-        assert!((read[0].merge_seconds - 0.005).abs() < 1e-9);
-        assert!((read[1].total_seconds - 0.042).abs() < 1e-9);
-        let meta = read_snapshot_meta(path).unwrap();
-        assert_eq!(meta.benchmark.as_deref(), Some("load"));
-        assert_eq!(meta.dataset_triples, None);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn load_reader_accepts_the_legacy_single_object_format() {
-        let stages = vec![
-            LoadStage {
-                name: "input".to_string(),
-                sequential_seconds: 0.030,
-                parallel_seconds: 0.015,
-            },
-            LoadStage {
-                name: "merge".to_string(),
-                sequential_seconds: 0.008,
-                parallel_seconds: 0.008,
-            },
-        ];
-        let path = std::env::temp_dir().join("csq_load_legacy_roundtrip.json");
-        let path = path.to_str().unwrap();
-        write_load_snapshot(path, "LUBM N-Triples load", 12_345, 678, 7, 2, 8, &stages).unwrap();
-        let read = read_load_snapshot(path).unwrap();
-        assert_eq!(read.len(), 1);
-        assert_eq!(read[0].dataset_triples, 12_345);
-        assert_eq!(read[0].distinct_terms, 678);
-        assert_eq!(read[0].chunks, 8);
-        assert!((read[0].input_seconds - 0.015).abs() < 1e-9);
-        assert!((read[0].merge_seconds - 0.008).abs() < 1e-9);
-        assert!((read[0].total_seconds - 0.023).abs() < 1e-9);
-        // Fields the legacy format never recorded come back zeroed.
-        assert_eq!(read[0].merge_partitions, 0);
-        assert_eq!(read[0].peak_inflight_bytes, 0);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn snapshot_meta_identifies_the_benchmark_kind() {
-        let path = std::env::temp_dir().join("csq_meta_probe.json");
-        let path = path.to_str().unwrap();
-        write_execution_snapshot(
-            path,
-            999,
-            7,
-            1,
-            &[SnapshotQuery {
-                name: "Q1".to_string(),
-                patterns: 2,
-                jobs: "M".to_string(),
-                simulated_seconds: 1.0,
-                wall_sequential_ms: 1.0,
-                wall_parallel_ms: 1.0,
-                results: 1,
-                sorts_performed: 0,
-                sorts_elided: 0,
-                join_inputs_resorted: 0,
-                runs_emitted: 0,
-                rows_expanded: 0,
-                peak_rows: 0,
-                peak_bytes: 0,
-                median_q_error: None,
-                max_q_error: None,
-            }],
-        )
-        .unwrap();
-        let meta = read_snapshot_meta(path).unwrap();
-        assert_eq!(meta.benchmark.as_deref(), Some("execution"));
-        assert_eq!(meta.dataset_triples, Some(999));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn serving_snapshot_round_trips_queue_wait_fields() {
-        let levels = vec![
-            ServingLevel {
-                clients: 1,
-                queries: 14,
-                p50_ms: 2.5,
-                p99_ms: 9.0,
-                queries_per_s: 120.0,
-                queue_wait_p50_ms: Some(0.125),
-                queue_wait_p99_ms: Some(1.75),
-                queue_depth_peak: Some(6),
-                plan_p50_ms: Some(0.4),
-                exec_p50_ms: Some(2.1),
-                cache_hit_rate: Some(0.9286),
-            },
-            ServingLevel {
-                clients: 4,
-                queries: 56,
-                p50_ms: 3.5,
-                p99_ms: 12.0,
-                queries_per_s: 300.0,
-                queue_wait_p50_ms: None,
-                queue_wait_p99_ms: None,
-                queue_depth_peak: None,
-                plan_p50_ms: None,
-                exec_p50_ms: None,
-                cache_hit_rate: None,
-            },
-        ];
-        let planning = PlanningSummary {
-            cold_plan_ms: 0.85,
-            warm_plan_ms: 0.05,
-        };
-        let path = std::env::temp_dir().join("csq_serving_roundtrip.json");
-        let path = path.to_str().unwrap();
-        write_serving_snapshot(path, "LUBM mix", 1000, 7, 2, Some(planning), &levels).unwrap();
-        let read = read_serving_snapshot(path).unwrap();
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].clients, 1);
-        assert_eq!(read[0].queries, 14);
-        assert!((read[0].p99_ms - 9.0).abs() < 1e-9);
-        assert_eq!(read[0].queue_wait_p50_ms, Some(0.125));
-        assert_eq!(read[0].queue_wait_p99_ms, Some(1.75));
-        assert_eq!(read[0].queue_depth_peak, Some(6));
-        assert_eq!(read[0].plan_p50_ms, Some(0.4));
-        assert_eq!(read[0].exec_p50_ms, Some(2.1));
-        assert_eq!(read[0].cache_hit_rate, Some(0.9286));
-        assert_eq!(read[1].clients, 4);
-        assert_eq!(read[1].queue_wait_p50_ms, None);
-        assert_eq!(read[1].queue_depth_peak, None);
-        assert_eq!(read[1].plan_p50_ms, None);
-        assert_eq!(read[1].cache_hit_rate, None);
-        let walls = read_serving_planning(path)
-            .unwrap()
-            .expect("planning walls");
-        assert!((walls.cold_plan_ms - 0.85).abs() < 1e-9);
-        assert!((walls.warm_plan_ms - 0.05).abs() < 1e-9);
-        let meta = read_snapshot_meta(path).unwrap();
-        assert_eq!(meta.benchmark.as_deref(), Some("serving"));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn serving_reader_accepts_the_pre_queue_metrics_format() {
-        // A snapshot exactly as written before the scheduler queue metrics
-        // existed: no queue_wait / queue_depth fields on the level lines.
-        let old = "{\n  \"benchmark\": \"serving\",\n  \"workload\": \"LUBM Q1-Q14 closed-loop mix\",\n  \"dataset_triples\": 4880,\n  \"nodes\": 7,\n  \"worker_threads\": 4,\n  \"levels\": [\n    {\"clients\": 1, \"queries\": 14, \"p50_ms\": 1.234, \"p99_ms\": 5.678, \"queries_per_s\": 88.1},\n    {\"clients\": 2, \"queries\": 28, \"p50_ms\": 1.500, \"p99_ms\": 6.000, \"queries_per_s\": 140.0}\n  ]\n}\n";
-        let path = std::env::temp_dir().join("csq_serving_legacy.json");
-        let path = path.to_str().unwrap();
-        std::fs::write(path, old).unwrap();
-        let read = read_serving_snapshot(path).unwrap();
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].clients, 1);
-        assert!((read[0].p50_ms - 1.234).abs() < 1e-9);
-        assert!((read[1].queries_per_s - 140.0).abs() < 1e-9);
-        assert_eq!(read[0].queue_wait_p50_ms, None);
-        assert_eq!(read[0].queue_wait_p99_ms, None);
-        assert_eq!(read[0].queue_depth_peak, None);
-        assert_eq!(read[0].plan_p50_ms, None);
-        assert_eq!(read[0].exec_p50_ms, None);
-        assert_eq!(read[0].cache_hit_rate, None);
-        assert!(read_serving_planning(path).unwrap().is_none());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank_on_sorted_data() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 100.0];
-        assert_eq!(percentile_ms(&sorted, 0.5), 3.0);
-        assert_eq!(percentile_ms(&sorted, 0.99), 100.0);
-        assert_eq!(percentile_ms(&sorted, 0.0), 1.0);
-        assert_eq!(percentile_ms(&[], 0.5), 0.0);
+        // A golden file holds nothing that varies run to run.
+        assert!(!written.contains("wall") && !written.contains("threads"));
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!   sequence of graphs into a [`LogicalPlan`] of n-ary joins.
 //! * [`planspace`] — plan-space measurements (plan counts, height-optimality
 //!   ratio, uniqueness ratio) used in the Section 6.2 evaluation.
-//! * [`cost`] — a logical cost model used to pick one plan among the
-//!   candidates when no execution engine is attached.
 //! * [`complexity`] — the worst-case decomposition-count bounds of Figure 8.
 //!
 //! # Example
@@ -42,7 +40,6 @@
 
 pub mod clique;
 pub mod complexity;
-pub mod cost;
 pub mod decomposition;
 pub mod optimizer;
 pub mod paper_examples;
@@ -51,7 +48,6 @@ pub mod planspace;
 pub mod variable_graph;
 
 pub use clique::{Clique, Decomposition};
-pub use cost::{CostModel, SimpleCostModel};
 pub use decomposition::{DecompositionLimits, Variant};
 pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig};
 pub use plan::{LogicalOp, LogicalPlan, OpId};

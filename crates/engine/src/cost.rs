@@ -35,6 +35,12 @@
 //! executor, so the model charges `n·log₂ n` comparisons for it. Plans that
 //! chain their join keys (Selinger-style interesting orders) sort less and
 //! therefore win ties that pure cardinality pricing would leave unresolved.
+//!
+//! The workspace prices work in two places. This module prices *estimated*
+//! work: it is what `Csq::plan` and the server's `QueryService` choose plans
+//! and attach `est_rows` with. `cliquesquare_mapreduce::CostParameters`
+//! prices *counted* work into `simulated_seconds`, which the paper-figure
+//! reports and `BENCH_execution.json` print.
 
 use crate::jobs::schedule;
 use crate::physical::{PhysId, PhysicalOp, PhysicalPlan, ScanSpec};

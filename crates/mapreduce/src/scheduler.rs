@@ -60,7 +60,7 @@ type Queued = (Instant, Task);
 
 /// Registry handles for the scheduler's live metrics. All schedulers in a
 /// process share the global series (registration is idempotent), so
-/// `/metrics` and `report_serving` read one coherent queue picture.
+/// `/metrics` reads one coherent queue picture.
 struct SchedMetrics {
     /// Tasks currently queued (across all jobs).
     queue_depth: Arc<Gauge>,

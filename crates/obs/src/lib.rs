@@ -17,7 +17,10 @@
 //!   (`chrome://tracing` / Perfetto) for offline flame-graph inspection.
 //! - [`promtext`] — a small parser for the Prometheus text format, used
 //!   by tests to assert `/metrics` stays well-formed.
+//! - [`json`] — the one JSON string escaper every hand-formatted writer
+//!   in the workspace calls.
 
+pub mod json;
 mod metrics;
 pub mod profile;
 pub mod promtext;

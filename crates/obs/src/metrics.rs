@@ -131,7 +131,7 @@ impl Histogram {
 }
 
 /// A copyable histogram state, supporting interval deltas and quantile
-/// estimates (used by `report_serving` for queue-wait percentiles).
+/// estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds (the `+Inf` bucket is implicit).

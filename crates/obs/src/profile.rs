@@ -13,6 +13,8 @@
 //! `profile=1` surface, and [`chrome_trace`] emitting the Chrome trace
 //! event format for `chrome://tracing` / Perfetto flame graphs.
 
+use crate::json::push_escaped;
+
 /// Wall time of one task of a wave, offset from the profile's start.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpan {
@@ -82,7 +84,7 @@ impl SpanNode {
 
     fn render_json(&self, out: &mut String) {
         out.push_str("{\"name\":\"");
-        out.push_str(&json_escape(&self.name));
+        push_escaped(out, &self.name);
         out.push_str(&format!(
             "\",\"start_s\":{},\"wall_s\":{},\"rows_in\":{},\"rows_out\":{}",
             self.start_seconds, self.wall_seconds, self.rows_in, self.rows_out
@@ -92,7 +94,9 @@ impl SpanNode {
             if index > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{value}", json_escape(name)));
+            out.push('"');
+            push_escaped(out, name);
+            out.push_str(&format!("\":{value}"));
         }
         out.push_str("},\"tasks\":[");
         for (index, task) in self.tasks.iter().enumerate() {
@@ -133,7 +137,7 @@ impl QueryProfile {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"query\":\"");
-        out.push_str(&json_escape(&self.query));
+        push_escaped(&mut out, &self.query);
         out.push_str(&format!(
             "\",\"threads\":{},\"total_wall_s\":{},\"root\":",
             self.threads, self.total_wall_seconds
@@ -153,15 +157,13 @@ pub fn chrome_trace(profiles: &[QueryProfile]) -> String {
     let mut first = true;
     for (index, profile) in profiles.iter().enumerate() {
         let pid = index + 1;
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(&profile.query)
-            ),
-        );
+        begin_event(&mut out, &mut first);
+        out.push_str(&format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
+             \"args\":{{\"name\":\""
+        ));
+        push_escaped(&mut out, &profile.query);
+        out.push_str("\"}}");
         chrome_node(&mut out, &mut first, &profile.root, pid);
     }
     out.push_str("]}");
@@ -169,65 +171,45 @@ pub fn chrome_trace(profiles: &[QueryProfile]) -> String {
 }
 
 fn chrome_node(out: &mut String, first: &mut bool, node: &SpanNode, pid: usize) {
-    push_event(
-        out,
-        first,
-        &format!(
-            "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{pid},\"tid\":0,\"args\":{{\"rows_in\":{},\"rows_out\":{}}}}}",
-            json_escape(&node.name),
-            micros(node.start_seconds),
-            micros(node.wall_seconds),
-            node.rows_in,
-            node.rows_out
-        ),
-    );
+    begin_event(out, first);
+    out.push_str("{\"name\":\"");
+    push_escaped(out, &node.name);
+    out.push_str(&format!(
+        "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+         \"pid\":{pid},\"tid\":0,\"args\":{{\"rows_in\":{},\"rows_out\":{}}}}}",
+        micros(node.start_seconds),
+        micros(node.wall_seconds),
+        node.rows_in,
+        node.rows_out
+    ));
     for task in &node.tasks {
-        push_event(
-            out,
-            first,
-            &format!(
-                "{{\"name\":\"{}[{}]\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{}}}",
-                json_escape(&node.name),
-                task.index,
-                micros(task.start_seconds),
-                micros(task.wall_seconds),
-                task.index + 1
-            ),
-        );
+        begin_event(out, first);
+        out.push_str("{\"name\":\"");
+        push_escaped(out, &node.name);
+        out.push_str(&format!(
+            "[{}]\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+             \"pid\":{pid},\"tid\":{}}}",
+            task.index,
+            micros(task.start_seconds),
+            micros(task.wall_seconds),
+            task.index + 1
+        ));
     }
     for child in &node.children {
         chrome_node(out, first, child, pid);
     }
 }
 
-fn push_event(out: &mut String, first: &mut bool, event: &str) {
+/// Separates the next trace event from the previous one.
+fn begin_event(out: &mut String, first: &mut bool) {
     if !*first {
         out.push(',');
     }
     *first = false;
-    out.push_str(event);
 }
 
 fn micros(seconds: f64) -> u64 {
     (seconds * 1e6).round().max(0.0) as u64
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 //! runtime.
 
 use crate::service::{QueryAnswer, QueryService, ServeError};
+use cliquesquare_obs::json::{push_escaped, push_strings};
 use cliquesquare_obs::LATENCY_SECONDS_BUCKETS;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -218,9 +219,22 @@ impl From<io::Error> for RequestError {
 }
 
 fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, RequestError> {
+    let too_large = |actual: usize| {
+        RequestError::Serve(ServeError::TooLarge {
+            limit: max_bytes,
+            actual,
+        })
+    };
     let mut reader = BufReader::new(stream);
+    // The head is read through a cap of one byte more than the limit, so a
+    // line that never ends is answered 413 once the cap is reached instead
+    // of being buffered for as long as the client keeps sending.
+    let mut head = reader.by_ref().take((max_bytes as u64).saturating_add(1));
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
+    if request_line.len() > max_bytes {
+        return Err(too_large(request_line.len()));
+    }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default().to_string();
@@ -234,13 +248,10 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
     let mut header_bytes = request_line.len();
     loop {
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        head.read_line(&mut line)?;
         header_bytes += line.len();
         if header_bytes > max_bytes {
-            return Err(RequestError::Serve(ServeError::TooLarge {
-                limit: max_bytes,
-                actual: header_bytes,
-            }));
+            return Err(too_large(header_bytes));
         }
         let line = line.trim_end();
         if line.is_empty() {
@@ -255,7 +266,10 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
         }
     }
 
-    if header_bytes + content_length > max_bytes {
+    // Saturating: a declared length near `usize::MAX` must not wrap past
+    // the limit (and then be allocated).
+    let request_bytes = header_bytes.saturating_add(content_length);
+    if request_bytes > max_bytes {
         // Drain the (bounded) oversized body before responding, so closing
         // the socket doesn't RST the client mid-read. Truly unbounded
         // declarations are abandoned and the connection dropped.
@@ -266,10 +280,7 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
                 &mut io::sink(),
             )?;
         }
-        return Err(RequestError::Serve(ServeError::TooLarge {
-            limit: max_bytes,
-            actual: header_bytes + content_length,
-        }));
+        return Err(too_large(request_bytes));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -395,15 +406,14 @@ fn ok_body(body: String) -> Response {
 }
 
 fn error_response(error: &ServeError) -> Response {
+    let mut body = String::from("{\"error\": \"");
+    push_escaped(&mut body, &error.to_string());
+    body.push_str(&format!("\", \"status\": {}}}\n", error.status()));
     Response {
         status: error.status(),
         reason: error.reason(),
         content_type: "application/json",
-        body: format!(
-            "{{\"error\": \"{}\", \"status\": {}}}\n",
-            json_escape(&error.to_string()),
-            error.status()
-        ),
+        body,
     }
 }
 
@@ -417,20 +427,16 @@ fn render_answer(answer: &QueryAnswer) -> String {
         .map(|cell| cell.len() + 4)
         .sum();
     let mut json = String::with_capacity(512 + cells + 8 * answer.rows.len());
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"query\": \"{}\",\n",
-        json_escape(&answer.query)
-    ));
-    json.push_str("  \"variables\": [");
-    push_json_strings(&mut json, &answer.variables);
+    json.push_str("{\n  \"query\": \"");
+    push_escaped(&mut json, &answer.query);
+    json.push_str("\",\n  \"variables\": [");
+    push_strings(&mut json, &answer.variables);
     json.push_str("],\n");
     json.push_str(&format!("  \"total_rows\": {},\n", answer.total_rows));
     json.push_str(&format!("  \"truncated\": {},\n", answer.truncated));
-    json.push_str(&format!(
-        "  \"jobs\": \"{}\",\n",
-        json_escape(&answer.job_descriptor)
-    ));
+    json.push_str("  \"jobs\": \"");
+    push_escaped(&mut json, &answer.job_descriptor);
+    json.push_str("\",\n");
     json.push_str(&format!(
         "  \"simulated_seconds\": {:.6},\n",
         answer.simulated_seconds
@@ -442,7 +448,7 @@ fn render_answer(answer: &QueryAnswer) -> String {
     json.push_str("  \"rows\": [\n");
     for (index, row) in answer.rows.iter().enumerate() {
         json.push_str("    [");
-        push_json_strings(&mut json, row);
+        push_strings(&mut json, row);
         json.push_str(if index + 1 == answer.rows.len() {
             "]\n"
         } else {
@@ -457,40 +463,6 @@ fn render_answer(answer: &QueryAnswer) -> String {
         None => json.push_str("  ]\n}\n"),
     }
     json
-}
-
-/// Appends `items` to `out` as quoted, escaped, comma-separated JSON
-/// strings (the inside of an array).
-fn push_json_strings(out: &mut String, items: &[String]) {
-    for (index, item) in items.iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        push_json_escaped(out, item);
-        out.push('"');
-    }
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    push_json_escaped(&mut out, text);
-    out
-}
-
-/// Appends `text` to `out`, escaped for the inside of a JSON string.
-fn push_json_escaped(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
@@ -535,12 +507,6 @@ mod tests {
             Some("42")
         );
         assert_eq!(header_value("Host: x", "content-length"), None);
-    }
-
-    #[test]
-    fn json_escaping_covers_quotes_and_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -131,6 +131,23 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert_eq!(status, 413);
     assert!(body.contains("exceeds"));
 
+    // 413: a declared length that would wrap `head + body` past the limit
+    // is rejected, not allocated; the server keeps answering.
+    let (status, body) = request(
+        addr,
+        "POST /sparql HTTP/1.1\r\nHost: test\r\nContent-Length: 18446744073709551615\r\n\r\n",
+    );
+    assert_eq!(status, 413, "body: {body}");
+    assert_eq!(get(addr, "/health").0, 200);
+
+    // 413: a request line that never ends is cut off one byte past the
+    // limit instead of being buffered until the client stops sending
+    // (exactly limit + 1 bytes, so the server closes with nothing unread).
+    let endless = format!("GET /{}", "a".repeat(4096 + 1 - "GET /".len()));
+    let (status, body) = request(addr, &endless);
+    assert_eq!(status, 413, "body: {body}");
+    assert_eq!(get(addr, "/health").0, 200);
+
     // 500: a disconnected query parses but panics in the planner; the panic
     // must not cross the boundary …
     let (status, body) = post_sparql(addr, "SELECT ?a WHERE { ?a ub:p ?b . ?x ub:q ?y }");

@@ -2,7 +2,6 @@
 //! translated and executed, and the core invariants of the system are
 //! checked on every one of them.
 
-use cliquesquare_core::cost::{CostModel, SimpleCostModel};
 use cliquesquare_core::planspace::optimal_height;
 use cliquesquare_core::{Optimizer, Variant};
 use cliquesquare_engine::reference::reference_eval;
@@ -86,15 +85,6 @@ proptest! {
             "optimal height {} exceeds log bound {} for {} patterns",
             optimal, log2_bound, n
         );
-    }
-
-    /// The structural cost model ranks some height-optimal plan first.
-    #[test]
-    fn cost_model_prefers_flat_plans(query in query_strategy()) {
-        let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
-        let model = SimpleCostModel::default();
-        let best = model.choose_best(&result.plans).unwrap();
-        prop_assert_eq!(best.height(), result.min_height().unwrap());
     }
 
     /// Executing the flattest MSC plan on a random graph returns exactly the
