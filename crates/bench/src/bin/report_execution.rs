@@ -87,7 +87,7 @@ fn main() {
         let run_binary = |plan: Option<LogicalPlan>| {
             plan.map(|p| executor.execute_logical(&p)).map(|out| {
                 (
-                    out.job_log.descriptor(),
+                    out.schedule.descriptor(),
                     out.simulated_seconds,
                     out.distinct_count(),
                 )
@@ -120,8 +120,8 @@ fn main() {
             query.name()
         );
         assert_eq!(
-            sequential_output.job_log.descriptor(),
-            parallel_output.job_log.descriptor(),
+            sequential_output.schedule.descriptor(),
+            parallel_output.schedule.descriptor(),
             "{}: parallel runtime changed the job descriptor",
             query.name()
         );

@@ -78,7 +78,7 @@ pub struct CsqReport {
     pub wall_seconds: f64,
     /// Number of OS threads the execution ran task waves on.
     pub threads: usize,
-    /// The full execution output (job log, metrics, results).
+    /// The full execution output (job schedule, per-job metrics, results).
     pub execution: ExecutionOutput,
 }
 
@@ -140,8 +140,8 @@ impl Csq {
             candidate_plans: candidates.len(),
             optimization_ms,
             plan_height: chosen.height(),
-            job_descriptor: execution.job_log.descriptor(),
-            jobs: execution.job_log.job_count(),
+            job_descriptor: execution.schedule.descriptor(),
+            jobs: execution.schedule.job_count,
             result_count: execution.distinct_count(),
             simulated_seconds: execution.simulated_seconds,
             wall_seconds: execution.wall_seconds,

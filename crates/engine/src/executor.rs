@@ -44,9 +44,12 @@
 //! single canonicalization of the gathered root makes the result relation
 //! bit-identical at every thread count.
 //!
-//! Two clocks are reported: `simulated_seconds` (the Section 5.4 cost model
-//! applied to the work counters — unchanged by the thread count) and
-//! `wall_seconds` (real time measured around the task waves).
+//! Work is accounted once, per job: every tuple an operator reads, shuffles,
+//! joins or writes is charged to the [`ExecutionMetrics`] of the job the
+//! [`JobSchedule`] puts that operator in (`job_metrics`); their sum is
+//! `metrics`, which the Section 5.4 cost model prices into
+//! `simulated_seconds` — unchanged by the thread count. `wall_seconds` is
+//! the real time of the whole execution.
 
 use crate::factorized::{self, RunsRelation};
 use crate::jobs::{schedule, JobSchedule};
@@ -54,16 +57,13 @@ use crate::physical::{FilterCondition, PhysId, PhysicalOp, PhysicalPlan, ScanSpe
 use crate::relation::{self, stats::RelationStats, JoinOrder, Relation, SortOrder};
 use crate::translate::translate;
 use cliquesquare_core::LogicalPlan;
-use cliquesquare_mapreduce::{
-    Cluster, ExecutionMetrics, JobExecution, JobKind, JobLog, Runtime, TaskExecution,
-};
+use cliquesquare_mapreduce::{Cluster, ExecutionMetrics, JobKind, Runtime};
 use cliquesquare_obs::{SpanNode, TaskSpan};
 use cliquesquare_rdf::{TermId, Triple, TriplePosition};
 use cliquesquare_sparql::{PatternTerm, Variable};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// The result of executing one plan.
@@ -72,9 +72,10 @@ pub struct ExecutionOutput {
     /// The final (projected) result relation in canonical (sorted) order,
     /// with duplicates preserved.
     pub results: Relation,
-    /// Per-job execution records.
-    pub job_log: JobLog,
-    /// Aggregated work counters.
+    /// Work counters of each scheduled job, indexed like
+    /// [`JobSchedule::kinds`].
+    pub job_metrics: Vec<ExecutionMetrics>,
+    /// Aggregated work counters: the sum of `job_metrics`.
     pub metrics: ExecutionMetrics,
     /// Simulated response time on the cluster (cost model; independent of
     /// the runtime's thread count).
@@ -83,7 +84,8 @@ pub struct ExecutionOutput {
     pub wall_seconds: f64,
     /// Number of OS threads the runtime executed task waves on.
     pub threads: usize,
-    /// The job schedule the plan was executed under.
+    /// The job schedule the plan was executed under: the number and kinds
+    /// of its jobs, and the paper's job descriptor.
     pub schedule: JobSchedule,
     /// The `execute` span subtree — one node per evaluated operator,
     /// grouped by job, each carrying wall time, rows in/out, sort/run
@@ -120,15 +122,11 @@ impl Intermediate {
     /// materializes, so every job counter (and the cost model on top) sees
     /// the same tuple volume as the eager path.
     fn cardinality(&self) -> u64 {
-        (0..self.parts()).map(|part| self.part_rows(part)).sum()
-    }
-
-    /// Logical row count of one part.
-    fn part_rows(&self, part: usize) -> u64 {
-        match self {
-            Intermediate::Local(parts) => parts[part].len() as u64,
-            Intermediate::LocalRuns(parts) => parts[part].expanded_len() as u64,
-        }
+        let rows: usize = match self {
+            Intermediate::Local(parts) => parts.iter().map(Relation::len).sum(),
+            Intermediate::LocalRuns(parts) => parts.iter().map(RunsRelation::expanded_len).sum(),
+        };
+        rows as u64
     }
 
     /// Number of per-node parts.
@@ -268,14 +266,13 @@ impl Executor {
     ) -> ExecutionOutput {
         let started = Instant::now();
         let sched = schedule(plan);
-        let nodes = self.cluster.nodes();
         let mut state = ExecState {
             plan,
             cluster: &self.cluster,
             schedule: &sched,
             runtime: &self.runtime,
             job_id: self.runtime.begin_job(),
-            jobs: (0..sched.job_count).map(|_| JobState::new(nodes)).collect(),
+            jobs: vec![ExecutionMetrics::default(); sched.job_count],
             memo: vec![None; plan.len()],
             prof: profiled.then(|| ProfCtx::new(started)),
             estimates,
@@ -286,50 +283,21 @@ impl Executor {
 
         // Per-job fixed counters: one map wave per job, one reduce wave for
         // map+reduce jobs (the *wave* count drives the cost model's task
-        // start-up charge; the job log lists the per-node tasks of a wave).
-        let mut job_log = JobLog::new();
-        for (index, job) in state.jobs.iter().enumerate() {
-            let kind = sched.kinds[index];
-            let mut metrics = job.metrics;
-            metrics.jobs = 1;
-            metrics.map_tasks = 1;
-            metrics.reduce_tasks = u64::from(kind == JobKind::MapReduce);
-            job_log.push(JobExecution {
-                label: format!("job {}", index + 1),
-                kind,
-                map_tasks: (0..nodes)
-                    .map(|node| TaskExecution {
-                        node,
-                        input_tuples: job.map_in[node],
-                        output_tuples: job.map_out[node],
-                    })
-                    .collect(),
-                reduce_tasks: if kind == JobKind::MapReduce {
-                    (0..nodes)
-                        .map(|node| TaskExecution {
-                            node,
-                            input_tuples: job.reduce_in[node],
-                            output_tuples: job.reduce_out[node],
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                shuffled_tuples: job.metrics.tuples_shuffled,
-                map_wall_seconds: job.map_wall,
-                reduce_wall_seconds: job.reduce_wall,
-                metrics,
-            });
+        // start-up charge).
+        let mut job_metrics = state.jobs;
+        let mut metrics = ExecutionMetrics::default();
+        for (job, kind) in job_metrics.iter_mut().zip(&sched.kinds) {
+            job.jobs = 1;
+            job.map_tasks = 1;
+            job.reduce_tasks = u64::from(*kind == JobKind::MapReduce);
+            metrics.merge(job);
         }
-        let metrics = job_log.total_metrics();
-        let simulated_seconds = metrics.simulated_seconds(&self.cluster.config().cost, nodes);
-        let profile = state
-            .prof
-            .take()
-            .map(|prof| prof.into_execute_node(started));
+        let cluster = &self.cluster;
+        let simulated_seconds = metrics.simulated_seconds(&cluster.config().cost, cluster.nodes());
+        let profile = state.prof.map(|prof| prof.into_execute_node(started));
         ExecutionOutput {
             results,
-            job_log,
+            job_metrics,
             metrics,
             simulated_seconds,
             wall_seconds: started.elapsed().as_secs_f64(),
@@ -364,17 +332,12 @@ fn observe_q_error(estimated: u64, actual: u64) {
 struct ProfCtx {
     /// The execution's start — span offsets are seconds since this.
     epoch: Instant,
-    /// The driver thread: wave tasks the submitter ran inline are already
-    /// inside the driver-side stats delta, so the wrapper skips re-adding
-    /// their deltas (see [`ExecState::run_timed_wave`]).
-    driver: ThreadId,
     /// `(job, node)` per evaluated operator, in arena order.
     nodes: Vec<(usize, SpanNode)>,
     /// Per-task spans of the current operator's waves.
     tasks: Vec<TaskSpan>,
-    /// Relation-stats increments observed on worker threads by the
-    /// current operator's waves.
-    worker_stats: RelationStats,
+    /// Sum of the relation-stats deltas of the current operator's tasks.
+    stats: RelationStats,
     /// Extra attributes pushed by the current operator (shuffle volume).
     attrs: Vec<(&'static str, u64)>,
     /// Override for the current operator's input tuple count (scans read
@@ -389,18 +352,17 @@ struct ProfCtx {
     gather: Option<SpanNode>,
 }
 
-/// The driver-side bracket of a span being recorded: its start offset, its
-/// clock, and the driver thread's relation stats when it opened.
-type OpenSpan = (f64, Instant, RelationStats);
+/// The driver-side bracket of a span being recorded: its start offset and
+/// its clock.
+type OpenSpan = (f64, Instant);
 
 impl ProfCtx {
     fn new(epoch: Instant) -> Self {
         Self {
             epoch,
-            driver: std::thread::current().id(),
             nodes: Vec::new(),
             tasks: Vec::new(),
-            worker_stats: RelationStats::default(),
+            stats: RelationStats::default(),
             attrs: Vec::new(),
             rows_in: None,
             keys_in: None,
@@ -532,49 +494,6 @@ fn distinct_keys(relation: &Relation, column: usize, limit: usize) -> Option<Vec
     Some(keys)
 }
 
-/// Field-wise sum of two relation-stats deltas (peaks combine as maxima).
-fn add_stats(a: &RelationStats, b: &RelationStats) -> RelationStats {
-    RelationStats {
-        row_allocs: a.row_allocs + b.row_allocs,
-        buffer_allocs: a.buffer_allocs + b.buffer_allocs,
-        join_rows_out: a.join_rows_out + b.join_rows_out,
-        join_inputs_presorted: a.join_inputs_presorted + b.join_inputs_presorted,
-        join_inputs_resorted: a.join_inputs_resorted + b.join_inputs_resorted,
-        sorts_performed: a.sorts_performed + b.sorts_performed,
-        sorts_elided: a.sorts_elided + b.sorts_elided,
-        runs_emitted: a.runs_emitted + b.runs_emitted,
-        rows_expanded: a.rows_expanded + b.rows_expanded,
-        peak_rows: a.peak_rows.max(b.peak_rows),
-        peak_bytes: a.peak_bytes.max(b.peak_bytes),
-        shuffle_peak_bytes: a.shuffle_peak_bytes.max(b.shuffle_peak_bytes),
-    }
-}
-
-/// Per-job accounting: per-node task tuple counts plus measured wave times.
-struct JobState {
-    map_in: Vec<u64>,
-    map_out: Vec<u64>,
-    reduce_in: Vec<u64>,
-    reduce_out: Vec<u64>,
-    map_wall: f64,
-    reduce_wall: f64,
-    metrics: ExecutionMetrics,
-}
-
-impl JobState {
-    fn new(nodes: usize) -> Self {
-        Self {
-            map_in: vec![0; nodes],
-            map_out: vec![0; nodes],
-            reduce_in: vec![0; nodes],
-            reduce_out: vec![0; nodes],
-            map_wall: 0.0,
-            reduce_wall: 0.0,
-            metrics: ExecutionMetrics::default(),
-        }
-    }
-}
-
 /// Sorts a shuffle bucket into join-key order when its tracked order does
 /// not already deliver it. No-op (and no counter traffic) on the planned
 /// path where the interesting-orders pass ordered the producer by this key.
@@ -601,7 +520,8 @@ struct ExecState<'a> {
     runtime: &'a Runtime,
     /// This execution's job identity on the (shared, multi-job) scheduler.
     job_id: cliquesquare_mapreduce::JobId,
-    jobs: Vec<JobState>,
+    /// Work charged to each scheduled job, indexed by `job - 1`.
+    jobs: Vec<ExecutionMetrics>,
     memo: Vec<Option<Arc<Intermediate>>>,
     /// Span recording; `None` on the default (unprofiled) path.
     prof: Option<ProfCtx>,
@@ -611,25 +531,23 @@ struct ExecState<'a> {
 }
 
 impl<'a> ExecState<'a> {
-    fn job_mut(&mut self, id: PhysId) -> &mut JobState {
+    fn job_mut(&mut self, id: PhysId) -> &mut ExecutionMetrics {
         let job = self.schedule.job_of(id);
         &mut self.jobs[job - 1]
     }
 
-    /// Runs one wave of this job's tasks, timing the whole wave. With
-    /// profiling on, every task is additionally bracketed with its start
-    /// offset, wall clock, and relation-stats delta — pure observations
-    /// that cannot change task results. A task the submitter ran inline
-    /// (sequential runtime, or the scheduler's submitter-helping) already
-    /// has its stats inside the driver-side bracket of the evaluation
-    /// loop, so only deltas observed on *other* threads accumulate here.
-    fn run_timed_wave<T, F>(&mut self, tasks: Vec<F>) -> (Vec<T>, f64)
+    /// Runs one wave of this job's tasks. With profiling on, every task is
+    /// additionally bracketed — on the thread that runs it — with its start
+    /// offset, its wall clock and its relation-stats delta: pure
+    /// observations that cannot change task results. The deltas sum into
+    /// the span of the operator being evaluated.
+    fn run_wave<T, F>(&mut self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let Some(prof) = &self.prof else {
-            return self.runtime.run_job_timed_wave(self.job_id, tasks);
+        let Some(prof) = &mut self.prof else {
+            return self.runtime.run_job_wave(self.job_id, tasks);
         };
         let epoch = prof.epoch;
         let wrapped: Vec<_> = tasks
@@ -642,48 +560,40 @@ impl<'a> ExecState<'a> {
                     let result = task();
                     let wall = clock.elapsed().as_secs_f64();
                     let delta = relation::stats::snapshot().since(&before);
-                    (result, start, wall, delta, std::thread::current().id())
+                    (result, start, wall, delta)
                 }
             })
             .collect();
-        let (outcomes, wave_wall) = self.runtime.run_job_timed_wave(self.job_id, wrapped);
-        let prof = self.prof.as_mut().expect("profiling stays on");
+        let outcomes = self.runtime.run_job_wave(self.job_id, wrapped);
         let mut results = Vec::with_capacity(outcomes.len());
-        for (index, (result, start, wall, delta, thread)) in outcomes.into_iter().enumerate() {
+        for (index, (result, start, wall, delta)) in outcomes.into_iter().enumerate() {
             prof.tasks.push(TaskSpan {
                 index,
                 start_seconds: start,
                 wall_seconds: wall,
             });
-            if thread != prof.driver {
-                prof.worker_stats = add_stats(&prof.worker_stats, &delta);
-            }
+            prof.stats = prof.stats.plus(&delta);
             results.push(result);
         }
-        (results, wave_wall)
+        results
     }
 
     /// Opens the driver-side bracket of a span; `None` unless profiling.
     fn open_span(&self) -> Option<OpenSpan> {
         let prof = self.prof.as_ref()?;
-        Some((
-            prof.epoch.elapsed().as_secs_f64(),
-            Instant::now(),
-            relation::stats::snapshot(),
-        ))
+        Some((prof.epoch.elapsed().as_secs_f64(), Instant::now()))
     }
 
-    /// Closes a span: the driver-side bracket plus whatever the waves run
-    /// inside it observed on worker threads — their task spans, their sort
-    /// and run counters, the attributes they pushed.
-    fn close_span(&mut self, name: String, (start, clock, before): OpenSpan) -> SpanNode {
+    /// Closes a span: the driver-side clock plus whatever the waves run
+    /// inside it observed — their task spans, the sum of their sort and run
+    /// counters, the attributes they pushed.
+    fn close_span(&mut self, name: String, (start, clock): OpenSpan) -> SpanNode {
         let prof = self.prof.as_mut().expect("a span was opened");
         let mut node = SpanNode::new(name);
         node.start_seconds = start;
         node.wall_seconds = clock.elapsed().as_secs_f64();
         node.tasks = std::mem::take(&mut prof.tasks);
-        let driver_delta = relation::stats::snapshot().since(&before);
-        let stats = add_stats(&driver_delta, &std::mem::take(&mut prof.worker_stats));
+        let stats = std::mem::take(&mut prof.stats);
         for (name, value) in [
             ("sorts_performed", stats.sorts_performed),
             ("sorts_elided", stats.sorts_elided),
@@ -736,7 +646,7 @@ impl<'a> ExecState<'a> {
             .take()
             .expect("root evaluated");
         let span = self.open_span();
-        let (results, _wall) = self.run_timed_wave(vec![move || {
+        let results = self.run_wave(vec![move || {
             let mut results = root.gather();
             results.canonicalize();
             results
@@ -770,9 +680,8 @@ impl<'a> ExecState<'a> {
     }
 
     /// Evaluates one operator into the memo. With profiling on, the
-    /// operator is bracketed with a driver-side clock and relation-stats
-    /// snapshot; the wave wrapper in `run_timed_wave` adds what ran on
-    /// worker threads.
+    /// operator is bracketed with a driver-side clock; the wave wrapper in
+    /// `run_wave` adds what its tasks observed.
     fn run_op(&mut self, id: PhysId, keys_from: Option<PhysId>) {
         let span = self.open_span();
         let result = self.eval_op(id, keys_from);
@@ -934,18 +843,14 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let (results, wall) = self.run_timed_wave(tasks);
+        let results = self.run_wave(tasks);
 
         let checks = (constants.len() as u64).max(1);
         let mut scanned_total: u64 = 0;
         let mut produced: u64 = 0;
         let mut keys_total: Option<u64> = None;
-        let job = self.job_mut(id);
-        job.map_wall += wall;
         let mut parts = Vec::with_capacity(results.len());
-        for (node, (relation, scanned, keys_in)) in results.into_iter().enumerate() {
-            job.map_in[node] += scanned;
-            job.map_out[node] += relation.len() as u64;
+        for (relation, scanned, keys_in) in results {
             scanned_total += scanned;
             produced += relation.len() as u64;
             if let Some(keys_in) = keys_in {
@@ -953,9 +858,10 @@ impl<'a> ExecState<'a> {
             }
             parts.push(relation);
         }
-        job.metrics.tuples_read += scanned_total;
-        job.metrics.comparisons += scanned_total * checks;
-        job.metrics.tuples_written += produced;
+        let job = self.job_mut(id);
+        job.tuples_read += scanned_total;
+        job.comparisons += scanned_total * checks;
+        job.tuples_written += produced;
         if let Some(prof) = &mut self.prof {
             // The scan's true input is the raw triples it read, which no
             // memoized intermediate reports.
@@ -1001,7 +907,7 @@ impl<'a> ExecState<'a> {
     ) -> Arc<Intermediate> {
         let value = self.input(input);
         let rows = value.cardinality();
-        self.job_mut(id).metrics.comparisons += rows * (conditions.len() as u64).max(1);
+        self.job_mut(id).comparisons += rows * (conditions.len() as u64).max(1);
         // Filters over non-scan inputs carry no residual conditions in the
         // BGP fragment (joins enforce every equality), so they pass through
         // sharing the input's Arc.
@@ -1069,32 +975,27 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let (parts, wall) = self.run_timed_wave(tasks);
-        let mut produced: u64 = 0;
-        let job = self.job_mut(id);
-        job.map_wall += wall;
-        for (node, part) in parts.iter().enumerate() {
-            job.map_out[node] += rows(part) as u64;
-            produced += rows(part) as u64;
-        }
-        job.metrics.join_output_tuples += produced;
-        job.metrics.tuples_written += produced;
+        let parts = self.run_wave(tasks);
+        self.charge_join_output(id, parts.iter().map(rows).sum());
         parts
+    }
+
+    /// Charges the rows a join wave produced to the join's job.
+    fn charge_join_output(&mut self, id: PhysId, produced: usize) {
+        let job = self.job_mut(id);
+        job.join_output_tuples += produced as u64;
+        job.tuples_written += produced as u64;
     }
 
     fn eval_shuffler(&mut self, id: PhysId, input: PhysId) -> Arc<Intermediate> {
         let value = self.input(input);
         let rows = value.cardinality();
+        // A previous job's stored output, re-read by this job's map tasks.
+        // (Runs never reach a shuffler in well-formed plans; their expanded
+        // volumes are what a re-read would see.)
         let job = self.job_mut(id);
-        job.metrics.tuples_read += rows;
-        job.metrics.tuples_written += rows;
-        // A previous job's stored output, re-read part by part by this
-        // job's map tasks. (Runs never reach a shuffler in well-formed
-        // plans; their expanded volumes are what a re-read would see.)
-        for node in 0..value.parts() {
-            job.map_in[node] += value.part_rows(node);
-            job.map_out[node] += value.part_rows(node);
-        }
+        job.tuples_read += rows;
+        job.tuples_written += rows;
         value
     }
 
@@ -1114,7 +1015,6 @@ impl<'a> ExecState<'a> {
         }
 
         // The reduce phase spans both waves: route, then merge + join.
-        let phase_started = Instant::now();
         let buckets = self.shuffle(&evaluated, &attrs);
         // The hash partition gives the nodes disjoint key sets and never
         // separates joinable rows, so the per-node outputs together are the
@@ -1127,9 +1027,7 @@ impl<'a> ExecState<'a> {
             let rows = Relation::len;
             Intermediate::Local(self.reduce(id, buckets, &attrs, &delivered, join_rows, rows))
         };
-        let job = self.job_mut(id);
-        job.reduce_wall += phase_started.elapsed().as_secs_f64();
-        job.metrics.tuples_shuffled += shuffled;
+        self.job_mut(id).tuples_shuffled += shuffled;
         Arc::new(joined)
     }
 
@@ -1154,7 +1052,7 @@ impl<'a> ExecState<'a> {
             })
             .collect();
         let route_tasks = tasks.len() as u64;
-        let (routed, _wave_wall) = self.run_timed_wave(tasks);
+        let routed = self.run_wave(tasks);
 
         let mut received: Vec<Vec<Vec<Relation>>> = (0..nodes)
             .map(|_| {
@@ -1201,28 +1099,15 @@ impl<'a> ExecState<'a> {
             .map(|buckets| {
                 let (attrs, delivered) = (Arc::clone(attrs), Arc::clone(delivered));
                 move || {
-                    let received: usize = buckets.iter().flatten().map(Relation::len).sum();
                     let inputs: Vec<Relation> =
                         buckets.into_iter().map(Relation::merge_ordered).collect();
                     let inputs: Vec<&Relation> = inputs.iter().collect();
-                    (join(&inputs, &attrs, &delivered), received as u64)
+                    join(&inputs, &attrs, &delivered)
                 }
             })
             .collect();
-        let (outputs, _wave_wall) = self.run_timed_wave(tasks);
-
-        let mut produced: u64 = 0;
-        let job = self.job_mut(id);
-        let mut parts = Vec::with_capacity(outputs.len());
-        for (node, (part, received)) in outputs.into_iter().enumerate() {
-            let rows = rows(&part) as u64;
-            job.reduce_in[node] += received;
-            job.reduce_out[node] += rows;
-            produced += rows;
-            parts.push(part);
-        }
-        job.metrics.join_output_tuples += produced;
-        job.metrics.tuples_written += produced;
+        let parts = self.run_wave(tasks);
+        self.charge_join_output(id, parts.iter().map(rows).sum());
         parts
     }
 
@@ -1247,10 +1132,8 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let (projected, wall) = self.run_timed_wave(tasks);
-        let job = self.job_mut(id);
-        job.map_wall += wall;
-        job.metrics.comparisons += rows;
+        let projected = self.run_wave(tasks);
+        self.job_mut(id).comparisons += rows;
         Arc::new(Intermediate::Local(projected))
     }
 }
@@ -1425,8 +1308,8 @@ mod tests {
             "SELECT ?x ?d ?e WHERE { ?x ub:worksFor ?d . ?x ub:emailAddress ?e . ?x rdf:type ub:FullProfessor }",
             Variant::Msc,
         );
-        assert_eq!(output.job_log.job_count(), 1);
-        assert_eq!(output.job_log.descriptor(), "M");
+        assert_eq!(output.schedule.job_count, 1);
+        assert_eq!(output.schedule.descriptor(), "M");
         assert_eq!(output.metrics.tuples_shuffled, 0);
         assert!(output.distinct_count() > 0);
     }
@@ -1527,8 +1410,8 @@ mod tests {
         let query = "SELECT ?a WHERE { ?a ub:p1 ?b . ?b ub:p2 ?c . ?c ub:p3 ?d . ?d ub:p4 ?e . ?e ub:p5 ?f . ?f ub:p6 ?g }";
         let flat = run(&cluster, query, Variant::Msc);
         let deep = run(&cluster, query, Variant::Mxc);
-        assert!(flat.job_log.job_count() <= deep.job_log.job_count());
-        if flat.job_log.job_count() < deep.job_log.job_count() {
+        assert!(flat.schedule.job_count <= deep.schedule.job_count);
+        if flat.schedule.job_count < deep.schedule.job_count {
             assert!(flat.simulated_seconds < deep.simulated_seconds);
         }
     }
@@ -1543,7 +1426,7 @@ mod tests {
         );
         assert!(output.metrics.tuples_read > 0);
         assert!(output.metrics.join_output_tuples > 0);
-        assert_eq!(output.metrics.jobs, output.job_log.job_count() as u64);
+        assert_eq!(output.metrics.jobs, output.schedule.job_count as u64);
     }
 
     #[test]
@@ -1578,10 +1461,8 @@ mod tests {
                     .execute_logical(&logical);
                 assert_eq!(sequential.results, parallel.results, "threads={threads}");
                 assert_eq!(parallel.threads, threads);
-                assert_eq!(
-                    sequential.job_log.descriptor(),
-                    parallel.job_log.descriptor()
-                );
+                assert_eq!(sequential.schedule, parallel.schedule);
+                assert_eq!(sequential.job_metrics, parallel.job_metrics);
                 assert_eq!(sequential.metrics, parallel.metrics);
                 assert_eq!(
                     sequential.simulated_seconds, parallel.simulated_seconds,
@@ -1592,26 +1473,30 @@ mod tests {
     }
 
     #[test]
-    fn job_log_records_per_node_tasks_and_wall_time() {
+    fn job_metrics_sum_to_the_total() {
         let cluster = cluster();
-        let output = run(
-            &cluster,
-            "SELECT ?x ?z WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . ?z ub:subOrganizationOf ?u }",
-            Variant::Msc,
-        );
+        let query = "SELECT ?x ?z WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . ?z ub:subOrganizationOf ?u }";
+        let result = Optimizer::with_variant(Variant::Msc).optimize(&parse_query(query).unwrap());
+        let physical = translate(result.flattest_plans()[0], cluster.graph());
+        let output = Executor::sequential(&cluster).execute_profiled(&physical);
         assert!(output.wall_seconds > 0.0);
-        assert!(output.job_log.wall_seconds() >= 0.0);
-        for job in &output.job_log.jobs {
-            assert_eq!(job.map_tasks.len(), cluster.nodes());
-            if job.kind == JobKind::MapReduce {
-                assert_eq!(job.reduce_tasks.len(), cluster.nodes());
-            }
-            // Per-node map task inputs add up to the job's read counter.
-            assert_eq!(
-                job.map_tasks.iter().map(|t| t.input_tuples).sum::<u64>(),
-                job.metrics.tuples_read
-            );
+        assert_eq!(output.job_metrics.len(), output.schedule.job_count);
+        let mut total = ExecutionMetrics::default();
+        for (job, kind) in output.job_metrics.iter().zip(&output.schedule.kinds) {
+            assert_eq!(job.reduce_tasks, u64::from(*kind == JobKind::MapReduce));
+            total.merge(job);
         }
+        assert_eq!(total, output.metrics);
+        // The jobs read what their scans read (plus, from the second job
+        // on, the stored output a MapShuffler re-reads).
+        let profile = output.profile.expect("profiled run has a span tree");
+        let operators = profile.children.iter().flat_map(|job| &job.children);
+        let read: u64 = operators
+            .filter(|op| op.name.starts_with("MapScan#") || op.name.starts_with("MapShuffler#"))
+            .map(|op| op.rows_in)
+            .sum();
+        assert!(read > 0);
+        assert_eq!(output.metrics.tuples_read, read);
     }
 
     #[test]
@@ -1669,9 +1554,7 @@ mod tests {
             schedule: sched,
             runtime,
             job_id: runtime.begin_job(),
-            jobs: (0..sched.job_count)
-                .map(|_| JobState::new(cluster.nodes()))
-                .collect(),
+            jobs: vec![ExecutionMetrics::default(); sched.job_count],
             memo: vec![None; plan.len()],
             prof: Some(ProfCtx::new(Instant::now())),
             estimates: None,

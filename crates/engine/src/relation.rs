@@ -37,10 +37,14 @@ use std::cmp::Ordering;
 /// the operator count, not the row count), the join counters record output
 /// volume and which of the two sort-merge paths each input took, and the
 /// `sorts_*` counters record how every ordering requirement was met.
+///
+/// The thread-local cells are the counters' only home: a sequential
+/// `reset` → execute → `snapshot` reads an execution's totals (the golden
+/// `BENCH_execution.json`, `benchmark/` and the counter tests do), and a
+/// profiled execution brackets every task with `snapshot` / `since` on the
+/// thread that runs it and sums the deltas per operator.
 pub mod stats {
-    use cliquesquare_obs::{Counter, Gauge};
     use std::cell::Cell;
-    use std::sync::{Arc, OnceLock};
 
     /// A snapshot of the thread-local relation counters.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -90,23 +94,40 @@ pub mod stats {
         /// this). The `peak_*` fields are high-water marks, not monotone
         /// counters, so the delta carries `self`'s value unchanged.
         pub fn since(&self, earlier: &RelationStats) -> RelationStats {
+            self.zip(earlier, u64::saturating_sub, |now, _| now)
+        }
+
+        /// The counterpart of [`since`](Self::since): the field-wise sum of
+        /// two deltas (peaks combine as maxima). A profiled operator's
+        /// counters are the sum of its tasks' deltas.
+        pub fn plus(&self, other: &RelationStats) -> RelationStats {
+            self.zip(other, |a, b| a + b, u64::max)
+        }
+
+        /// The one field-by-field walk: counters combine through `count`,
+        /// high-water marks through `peak`.
+        fn zip(
+            &self,
+            other: &RelationStats,
+            count: fn(u64, u64) -> u64,
+            peak: fn(u64, u64) -> u64,
+        ) -> RelationStats {
             RelationStats {
-                row_allocs: self.row_allocs.saturating_sub(earlier.row_allocs),
-                buffer_allocs: self.buffer_allocs.saturating_sub(earlier.buffer_allocs),
-                join_rows_out: self.join_rows_out.saturating_sub(earlier.join_rows_out),
-                join_inputs_presorted: self
-                    .join_inputs_presorted
-                    .saturating_sub(earlier.join_inputs_presorted),
-                join_inputs_resorted: self
-                    .join_inputs_resorted
-                    .saturating_sub(earlier.join_inputs_resorted),
-                sorts_performed: self.sorts_performed.saturating_sub(earlier.sorts_performed),
-                sorts_elided: self.sorts_elided.saturating_sub(earlier.sorts_elided),
-                runs_emitted: self.runs_emitted.saturating_sub(earlier.runs_emitted),
-                rows_expanded: self.rows_expanded.saturating_sub(earlier.rows_expanded),
-                peak_rows: self.peak_rows,
-                peak_bytes: self.peak_bytes,
-                shuffle_peak_bytes: self.shuffle_peak_bytes,
+                row_allocs: count(self.row_allocs, other.row_allocs),
+                buffer_allocs: count(self.buffer_allocs, other.buffer_allocs),
+                join_rows_out: count(self.join_rows_out, other.join_rows_out),
+                join_inputs_presorted: count(
+                    self.join_inputs_presorted,
+                    other.join_inputs_presorted,
+                ),
+                join_inputs_resorted: count(self.join_inputs_resorted, other.join_inputs_resorted),
+                sorts_performed: count(self.sorts_performed, other.sorts_performed),
+                sorts_elided: count(self.sorts_elided, other.sorts_elided),
+                runs_emitted: count(self.runs_emitted, other.runs_emitted),
+                rows_expanded: count(self.rows_expanded, other.rows_expanded),
+                peak_rows: peak(self.peak_rows, other.peak_rows),
+                peak_bytes: peak(self.peak_bytes, other.peak_bytes),
+                shuffle_peak_bytes: peak(self.shuffle_peak_bytes, other.shuffle_peak_bytes),
             }
         }
     }
@@ -126,96 +147,6 @@ pub mod stats {
             peak_bytes: 0,
             shuffle_peak_bytes: 0,
         }) };
-    }
-
-    /// Process-global mirrors of the thread-local counters, registered in
-    /// [`cliquesquare_obs::global`] so a live `/metrics` scrape sees the
-    /// relation layer. The thread-local [`Cell`]s stay authoritative —
-    /// `reset`/`snapshot` semantics (and therefore every `report_*`
-    /// column and baseline diff) are untouched; the mirror only *adds*
-    /// one relaxed atomic op to each per-operator counting call.
-    struct Mirror {
-        row_allocs: Arc<Counter>,
-        buffer_allocs: Arc<Counter>,
-        join_rows: Arc<Counter>,
-        join_inputs_presorted: Arc<Counter>,
-        join_inputs_resorted: Arc<Counter>,
-        sorts_performed: Arc<Counter>,
-        sorts_elided: Arc<Counter>,
-        runs_emitted: Arc<Counter>,
-        rows_expanded: Arc<Counter>,
-        peak_rows: Arc<Gauge>,
-        peak_bytes: Arc<Gauge>,
-        shuffle_peak_bytes: Arc<Gauge>,
-    }
-
-    fn mirror() -> &'static Mirror {
-        static MIRROR: OnceLock<Mirror> = OnceLock::new();
-        MIRROR.get_or_init(|| {
-            let registry = cliquesquare_obs::global();
-            Mirror {
-                row_allocs: registry.counter(
-                    "csq_relation_row_allocs_total",
-                    "Heap allocations sized to a single row",
-                    &[],
-                ),
-                buffer_allocs: registry.counter(
-                    "csq_relation_buffer_allocs_total",
-                    "Whole-buffer relation allocations",
-                    &[],
-                ),
-                join_rows: registry.counter(
-                    "csq_relation_join_rows_total",
-                    "Rows produced by the n-ary sort-merge join",
-                    &[],
-                ),
-                join_inputs_presorted: registry.counter(
-                    "csq_relation_join_inputs_total",
-                    "Join inputs by sort-merge path",
-                    &[("path", "presorted")],
-                ),
-                join_inputs_resorted: registry.counter(
-                    "csq_relation_join_inputs_total",
-                    "Join inputs by sort-merge path",
-                    &[("path", "resorted")],
-                ),
-                sorts_performed: registry.counter(
-                    "csq_relation_sorts_total",
-                    "Ordering requirements by outcome",
-                    &[("outcome", "performed")],
-                ),
-                sorts_elided: registry.counter(
-                    "csq_relation_sorts_total",
-                    "Ordering requirements by outcome",
-                    &[("outcome", "elided")],
-                ),
-                runs_emitted: registry.counter(
-                    "csq_relation_runs_emitted_total",
-                    "Key groups emitted as factorized runs",
-                    &[],
-                ),
-                rows_expanded: registry.counter(
-                    "csq_relation_rows_expanded_total",
-                    "Rows materialized from factorized runs",
-                    &[],
-                ),
-                peak_rows: registry.gauge(
-                    "csq_relation_peak_rows",
-                    "Largest single intermediate relation, in rows",
-                    &[],
-                ),
-                peak_bytes: registry.gauge(
-                    "csq_relation_peak_bytes",
-                    "Largest single intermediate buffer, in bytes",
-                    &[],
-                ),
-                shuffle_peak_bytes: registry.gauge(
-                    "csq_relation_shuffle_peak_bytes",
-                    "Bytes of routed buckets alive between one join's route and reduce waves",
-                    &[],
-                ),
-            }
-        })
     }
 
     /// Resets this thread's counters to zero.
@@ -238,17 +169,14 @@ pub mod stats {
 
     pub(crate) fn count_row_allocs(n: u64) {
         update(|s| s.row_allocs += n);
-        mirror().row_allocs.add(n);
     }
 
     pub(crate) fn count_buffer_alloc() {
         update(|s| s.buffer_allocs += 1);
-        mirror().buffer_allocs.inc();
     }
 
     pub(crate) fn count_join_rows(n: u64) {
         update(|s| s.join_rows_out += n);
-        mirror().join_rows.add(n);
     }
 
     pub(crate) fn count_join_input(presorted: bool) {
@@ -259,12 +187,6 @@ pub mod stats {
                 s.join_inputs_resorted += 1;
             }
         });
-        let mirror = mirror();
-        if presorted {
-            mirror.join_inputs_presorted.inc();
-        } else {
-            mirror.join_inputs_resorted.inc();
-        }
     }
 
     pub(crate) fn count_sort(performed: bool) {
@@ -275,22 +197,14 @@ pub mod stats {
                 s.sorts_elided += 1;
             }
         });
-        let mirror = mirror();
-        if performed {
-            mirror.sorts_performed.inc();
-        } else {
-            mirror.sorts_elided.inc();
-        }
     }
 
     pub(crate) fn count_runs(n: u64) {
         update(|s| s.runs_emitted += n);
-        mirror().runs_emitted.add(n);
     }
 
     pub(crate) fn count_expanded(n: u64) {
         update(|s| s.rows_expanded += n);
-        mirror().rows_expanded.add(n);
     }
 
     /// Records one materialized intermediate; the peak counters keep the
@@ -300,16 +214,12 @@ pub mod stats {
             s.peak_rows = s.peak_rows.max(rows);
             s.peak_bytes = s.peak_bytes.max(bytes);
         });
-        let mirror = mirror();
-        mirror.peak_rows.record_max(rows as i64);
-        mirror.peak_bytes.record_max(bytes as i64);
     }
 
     /// Records the bytes a shuffle holds at one instant; the peak counter
     /// keeps the high-water mark over the execution.
     pub(crate) fn note_shuffle(bytes: u64) {
         update(|s| s.shuffle_peak_bytes = s.shuffle_peak_bytes.max(bytes));
-        mirror().shuffle_peak_bytes.record_max(bytes as i64);
     }
 }
 

@@ -1,13 +1,12 @@
-//! MapReduce jobs, tasks and execution logs.
+//! MapReduce job kinds.
 //!
 //! A physical CliqueSquare plan is grouped bottom-up into MapReduce jobs
 //! (Section 5.3): map-only jobs evaluate co-located first-level joins, while
 //! jobs with a reduce phase shuffle their inputs on the join attributes.
-//! The engine crate performs that grouping; this module records what was
-//! executed so that simulated response times and the per-plan job strings of
-//! Figures 20–21 can be derived.
+//! The engine crate performs that grouping (`engine::jobs::JobSchedule`) and
+//! charges every job's work to one [`crate::ExecutionMetrics`]; this module
+//! names the two kinds of job.
 
-use crate::metrics::{CostParameters, ExecutionMetrics};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,227 +28,13 @@ impl fmt::Display for JobKind {
     }
 }
 
-/// Work performed by one task wave on one compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TaskExecution {
-    /// The compute node the task ran on.
-    pub node: usize,
-    /// Tuples read by the task.
-    pub input_tuples: u64,
-    /// Tuples produced by the task.
-    pub output_tuples: u64,
-}
-
-/// The record of one executed MapReduce job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobExecution {
-    /// Human-readable label (e.g. the join attributes it evaluates).
-    pub label: String,
-    /// Map-only or map+reduce.
-    pub kind: JobKind,
-    /// Per-node map tasks.
-    pub map_tasks: Vec<TaskExecution>,
-    /// Per-node reduce tasks (empty for map-only jobs).
-    pub reduce_tasks: Vec<TaskExecution>,
-    /// Tuples shuffled between the map and reduce phases.
-    pub shuffled_tuples: u64,
-    /// Measured wall-clock seconds spent in this job's map task waves
-    /// (real time on the runtime's OS threads, not simulated time).
-    pub map_wall_seconds: f64,
-    /// Measured wall-clock seconds spent in this job's shuffle + reduce
-    /// task waves.
-    pub reduce_wall_seconds: f64,
-    /// Work counters charged to this job.
-    pub metrics: ExecutionMetrics,
-}
-
-impl JobExecution {
-    /// Total tuples read by the job's map tasks.
-    pub fn input_tuples(&self) -> u64 {
-        self.map_tasks.iter().map(|t| t.input_tuples).sum()
-    }
-
-    /// Total tuples produced by the job (reduce output, or map output for
-    /// map-only jobs).
-    pub fn output_tuples(&self) -> u64 {
-        if self.reduce_tasks.is_empty() {
-            self.map_tasks.iter().map(|t| t.output_tuples).sum()
-        } else {
-            self.reduce_tasks.iter().map(|t| t.output_tuples).sum()
-        }
-    }
-}
-
-/// The ordered list of jobs executed for one query plan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct JobLog {
-    /// Executed jobs, in execution order.
-    pub jobs: Vec<JobExecution>,
-}
-
-impl JobLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a job to the log.
-    pub fn push(&mut self, job: JobExecution) {
-        self.jobs.push(job);
-    }
-
-    /// Number of jobs executed.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Number of map-only jobs.
-    pub fn map_only_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.kind == JobKind::MapOnly)
-            .count()
-    }
-
-    /// The job descriptor used in the paper's figures: `"M"` when the whole
-    /// plan runs as a single map-only job, otherwise the number of jobs.
-    pub fn descriptor(&self) -> String {
-        if self.jobs.len() == 1 && self.jobs[0].kind == JobKind::MapOnly {
-            "M".to_string()
-        } else {
-            self.jobs.len().to_string()
-        }
-    }
-
-    /// Measured wall-clock seconds across all jobs' task waves.
-    pub fn wall_seconds(&self) -> f64 {
-        self.jobs
-            .iter()
-            .map(|j| j.map_wall_seconds + j.reduce_wall_seconds)
-            .sum()
-    }
-
-    /// Aggregated work counters over all jobs.
-    pub fn total_metrics(&self) -> ExecutionMetrics {
-        let mut total = ExecutionMetrics::default();
-        for job in &self.jobs {
-            total.merge(&job.metrics);
-        }
-        total
-    }
-
-    /// Simulated response time of the whole job sequence.
-    pub fn simulated_seconds(&self, params: &CostParameters, nodes: usize) -> f64 {
-        self.total_metrics().simulated_seconds(params, nodes)
-    }
-}
-
-impl fmt::Display for JobLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, job) in self.jobs.iter().enumerate() {
-            writeln!(
-                f,
-                "job {}: {} [{}] in={} shuffled={} out={}",
-                i + 1,
-                job.label,
-                job.kind,
-                job.input_tuples(),
-                job.shuffled_tuples,
-                job.output_tuples()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn job(kind: JobKind, input: u64, output: u64, shuffled: u64) -> JobExecution {
-        JobExecution {
-            label: "test".to_string(),
-            kind,
-            map_tasks: vec![
-                TaskExecution {
-                    node: 0,
-                    input_tuples: input / 2,
-                    output_tuples: output / 2,
-                },
-                TaskExecution {
-                    node: 1,
-                    input_tuples: input - input / 2,
-                    output_tuples: output - output / 2,
-                },
-            ],
-            reduce_tasks: if kind == JobKind::MapReduce {
-                vec![TaskExecution {
-                    node: 0,
-                    input_tuples: shuffled,
-                    output_tuples: output,
-                }]
-            } else {
-                Vec::new()
-            },
-            shuffled_tuples: shuffled,
-            map_wall_seconds: 0.0,
-            reduce_wall_seconds: 0.0,
-            metrics: ExecutionMetrics {
-                tuples_read: input,
-                tuples_written: output,
-                tuples_shuffled: shuffled,
-                jobs: 1,
-                map_tasks: 2,
-                reduce_tasks: u64::from(kind == JobKind::MapReduce),
-                ..Default::default()
-            },
-        }
-    }
-
     #[test]
-    fn descriptor_matches_paper_notation() {
-        let mut map_only = JobLog::new();
-        map_only.push(job(JobKind::MapOnly, 100, 10, 0));
-        assert_eq!(map_only.descriptor(), "M");
-
-        let mut two_jobs = JobLog::new();
-        two_jobs.push(job(JobKind::MapReduce, 100, 50, 80));
-        two_jobs.push(job(JobKind::MapReduce, 50, 5, 40));
-        assert_eq!(two_jobs.descriptor(), "2");
-        assert_eq!(two_jobs.job_count(), 2);
-        assert_eq!(two_jobs.map_only_count(), 0);
-    }
-
-    #[test]
-    fn totals_accumulate_across_jobs() {
-        let mut log = JobLog::new();
-        log.push(job(JobKind::MapOnly, 100, 20, 0));
-        log.push(job(JobKind::MapReduce, 20, 5, 20));
-        let total = log.total_metrics();
-        assert_eq!(total.jobs, 2);
-        assert_eq!(total.tuples_read, 120);
-        assert_eq!(total.tuples_shuffled, 20);
-        assert!(log.simulated_seconds(&CostParameters::default(), 7) > 0.0);
-    }
-
-    #[test]
-    fn job_tuple_accessors() {
-        let mr = job(JobKind::MapReduce, 100, 40, 60);
-        assert_eq!(mr.input_tuples(), 100);
-        assert_eq!(mr.output_tuples(), 40);
-        let mo = job(JobKind::MapOnly, 10, 4, 0);
-        assert_eq!(mo.output_tuples(), 4);
-    }
-
-    #[test]
-    fn display_lists_jobs_in_order() {
-        let mut log = JobLog::new();
-        log.push(job(JobKind::MapOnly, 10, 2, 0));
-        log.push(job(JobKind::MapReduce, 2, 1, 2));
-        let text = log.to_string();
-        assert!(text.contains("job 1"));
-        assert!(text.contains("job 2"));
-        assert!(text.contains("map-only"));
-        assert!(text.contains("map-reduce"));
+    fn kinds_display_as_map_only_and_map_reduce() {
+        assert_eq!(JobKind::MapOnly.to_string(), "map-only");
+        assert_eq!(JobKind::MapReduce.to_string(), "map-reduce");
     }
 }

@@ -12,8 +12,8 @@
 //!   communication (PWOC / co-located joins).
 //! * **A cluster of compute nodes** ([`cluster`]) across which partitions are
 //!   spread by hashing.
-//! * **A MapReduce job model** ([`job`]) with map and reduce tasks, per-job
-//!   startup overhead, intermediate result materialization and shuffling.
+//! * **A MapReduce job model** ([`job`]): map-only and map+reduce jobs, each
+//!   charged its startup overhead, materialization and shuffling.
 //! * **Cost accounting** ([`metrics`]): scan, CPU, I/O and network costs in
 //!   the style of Section 5.4, turned into a simulated response time.
 //! * **A parallel task runtime** ([`runtime`]): per-node map and reduce
@@ -45,7 +45,7 @@ pub mod runtime;
 pub mod scheduler;
 
 pub use cluster::{compute_statistics, Cluster, ClusterConfig};
-pub use job::{JobExecution, JobKind, JobLog, TaskExecution};
+pub use job::JobKind;
 pub use load::{BulkLoader, LoadOptions, LoadOutput, LoadReport};
 pub use metrics::{CostParameters, ExecutionMetrics};
 pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles};

@@ -554,38 +554,6 @@ impl BulkLoader {
             scratch_allocations: gauges.scratch_allocations.load(Ordering::Relaxed),
             merge_partitions,
         };
-        // Mirror the streaming gauges into the process-wide registry so a
-        // live `/metrics` scrape sees loader behavior; the `LoadReport`
-        // stays the authoritative per-load record.
-        let registry = cliquesquare_obs::global();
-        registry
-            .counter(
-                "csq_load_parsed_bytes_total",
-                "Decoded N-Triples bytes parsed across all loads",
-                &[],
-            )
-            .add(report.parsed_bytes);
-        registry
-            .counter(
-                "csq_load_scratch_allocations_total",
-                "Fresh triple-buffer allocations (pool misses) across all loads",
-                &[],
-            )
-            .add(report.scratch_allocations);
-        registry
-            .gauge(
-                "csq_load_peak_inflight_bytes",
-                "High-water decoded bytes in flight during a load",
-                &[],
-            )
-            .record_max(report.peak_inflight_bytes as i64);
-        registry
-            .counter(
-                "csq_load_triples_total",
-                "Triples loaded across all loads",
-                &[],
-            )
-            .add(report.triples as u64);
         LoadOutput {
             graph,
             store,

@@ -15,15 +15,21 @@
 //! 2. **Balance** — tasks are picked up dynamically (a shared atomic cursor
 //!    over the task list), so a skewed node does not stall the whole wave
 //!    behind a static assignment.
-//! 3. **Honest timing** — [`Runtime::run_timed_wave`] measures the wave's
-//!    wall-clock span, which the engine surfaces next to the simulated
-//!    seconds of the cost model.
+//!
+//! Two wave calls remain, one per lifetime class of task: [`Runtime::run_wave`]
+//! takes tasks that borrow (the loader, the store build, statistics, the
+//! reference evaluator) and runs them on scoped threads, and
+//! [`Runtime::run_job_wave`] takes `'static` tasks (the executor) and runs
+//! them on the persistent pool when there is one. Every crate is
+//! `#![forbid(unsafe_code)]` and a persistent pool can only be handed
+//! `'static` closures in safe Rust, while the borrowing callers' signatures
+//! (`BulkLoader::load_ntriples(&str, …)`, `PartitionedStore::build_with(&Graph, …)`,
+//! `compute_statistics(&Graph, …)`) are ones `benchmark/` calls.
 
 use crate::scheduler::{JobId, Scheduler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Instant;
 
 /// Environment variable overriding the default thread count
 /// (`auto` selects the machine's available parallelism).
@@ -140,17 +146,6 @@ impl Runtime {
         }
     }
 
-    /// Parses like [`Runtime::try_from_option`].
-    ///
-    /// # Panics
-    /// Panics with the parse error on invalid input (`0`, garbage).
-    pub fn from_option(value: &str) -> Self {
-        match Self::try_from_option(value) {
-            Ok(runtime) => runtime,
-            Err(error) => panic!("invalid thread count: {error}"),
-        }
-    }
-
     /// The configured degree of parallelism (always at least 1).
     pub fn threads(&self) -> usize {
         self.threads
@@ -191,18 +186,6 @@ impl Runtime {
             Some(scheduler) => scheduler.run_wave(job, tasks),
             None => self.run_wave(tasks),
         }
-    }
-
-    /// Runs one `'static` wave under `job` and additionally reports its
-    /// wall-clock span in seconds.
-    pub fn run_job_timed_wave<T, F>(&self, job: JobId, tasks: Vec<F>) -> (Vec<T>, f64)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let started = Instant::now();
-        let results = self.run_job_wave(job, tasks);
-        (results, started.elapsed().as_secs_f64())
     }
 
     /// Runs one wave of tasks and returns their results in task order.
@@ -272,17 +255,6 @@ impl Runtime {
             .map(|slot| slot.expect("every task ran"))
             .collect()
     }
-
-    /// Runs one wave and additionally reports its wall-clock span in seconds.
-    pub fn run_timed_wave<T, F>(&self, tasks: Vec<F>) -> (Vec<T>, f64)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let started = Instant::now();
-        let results = self.run_wave(tasks);
-        (results, started.elapsed().as_secs_f64())
-    }
 }
 
 #[cfg(test)]
@@ -339,10 +311,11 @@ mod tests {
 
     #[test]
     fn option_parsing_accepts_positive_counts_and_auto() {
-        assert_eq!(Runtime::from_option("3").threads(), 3);
-        assert_eq!(Runtime::from_option(" 5 ").threads(), 5);
-        assert!(Runtime::from_option("auto").threads() >= 1);
-        assert!(Runtime::from_option("AUTO").threads() >= 1);
+        let threads = |value| Runtime::try_from_option(value).unwrap().threads();
+        assert_eq!(threads("3"), 3);
+        assert_eq!(threads(" 5 "), 5);
+        assert!(threads("auto") >= 1);
+        assert!(threads("AUTO") >= 1);
     }
 
     /// Regression test: `0` and garbage used to silently select "auto" and
@@ -361,9 +334,6 @@ mod tests {
         assert!(Runtime::try_from_option("-2").is_err());
         assert!(Runtime::try_from_option("").is_err());
         assert!(Runtime::try_from_option("2.5").is_err());
-        // The panicking wrapper carries the same message.
-        let panic = std::panic::catch_unwind(|| Runtime::from_option("0"));
-        assert!(panic.is_err());
     }
 
     #[test]
@@ -384,10 +354,9 @@ mod tests {
         let runtime = Runtime::with_threads(4);
         assert!(runtime.scheduler().is_none());
         let job = runtime.begin_job();
-        let (results, seconds) =
-            runtime.run_job_timed_wave(job, (0..5usize).map(|i| move || i + 1).collect::<Vec<_>>());
+        let results =
+            runtime.run_job_wave(job, (0..5usize).map(|i| move || i + 1).collect::<Vec<_>>());
         assert_eq!(results, vec![1, 2, 3, 4, 5]);
-        assert!(seconds >= 0.0);
     }
 
     #[test]
@@ -395,15 +364,6 @@ mod tests {
         let runtime = Runtime::with_threads(4);
         let results: Vec<u32> = runtime.run_wave(Vec::<fn() -> u32>::new());
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn timed_wave_reports_a_duration() {
-        let runtime = Runtime::with_threads(2);
-        let tasks: Vec<_> = (0..4usize).map(|i| move || i + 1).collect();
-        let (results, seconds) = runtime.run_timed_wave(tasks);
-        assert_eq!(results, vec![1, 2, 3, 4]);
-        assert!(seconds >= 0.0);
     }
 
     #[test]

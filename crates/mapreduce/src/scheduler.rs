@@ -58,9 +58,10 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// observe how long it waited.
 type Queued = (Instant, Task);
 
-/// Registry handles for the scheduler's live metrics. All schedulers in a
-/// process share the global series (registration is idempotent), so
-/// `/metrics` reads one coherent queue picture.
+/// Registry handles for the scheduler's live metrics, the `csq_scheduler_*`
+/// series a `/metrics` scrape reads. All schedulers in a process share the
+/// global series (registration is idempotent); one scheduler's own counts
+/// are [`Scheduler::stats`].
 struct SchedMetrics {
     /// Tasks currently queued (across all jobs).
     queue_depth: Arc<Gauge>,

@@ -130,8 +130,7 @@ impl Histogram {
     }
 }
 
-/// A copyable histogram state, supporting interval deltas and quantile
-/// estimates.
+/// A copyable histogram state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds (the `+Inf` bucket is implicit).
@@ -146,42 +145,6 @@ impl HistogramSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Observations recorded since `earlier` (same bucket layout).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(self.bounds, earlier.bounds, "histogram layouts differ");
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            sum: (self.sum - earlier.sum).max(0.0),
-        }
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (0 ≤ q ≤ 1): the smallest
-    /// bucket bound whose cumulative count covers `q` of the observations.
-    /// Observations above every finite bound report the largest finite
-    /// bound. `None` when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (index, count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                let bound = index.min(self.bounds.len().saturating_sub(1));
-                return self.bounds.get(bound).copied();
-            }
-        }
-        self.bounds.last().copied()
     }
 }
 
@@ -422,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
+    fn histogram_buckets_count_and_sum() {
         let registry = Registry::new();
         let h = registry.histogram("lat_seconds", "latency", &[], &[0.001, 0.01, 0.1]);
         h.observe(0.0005); // bucket 0
@@ -434,32 +397,6 @@ mod tests {
         assert_eq!(snap.counts, vec![1, 2, 1, 1]);
         assert_eq!(snap.count(), 5);
         assert!((snap.sum - 5.0605).abs() < 1e-6);
-        assert_eq!(snap.quantile(0.0), Some(0.001));
-        assert_eq!(snap.quantile(0.5), Some(0.01));
-        // The +Inf observation reports the largest finite bound.
-        assert_eq!(snap.quantile(1.0), Some(0.1));
-    }
-
-    #[test]
-    fn histogram_delta() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat", "latency", &[], &[1.0, 2.0]);
-        h.observe(0.5);
-        let before = h.snapshot();
-        h.observe(1.5);
-        h.observe(10.0);
-        let delta = h.snapshot().since(&before);
-        assert_eq!(delta.counts, vec![0, 1, 1]);
-        assert_eq!(delta.count(), 2);
-        assert!((delta.sum - 11.5).abs() < 1e-6);
-        assert_eq!(delta.quantile(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantile() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat", "latency", &[], &[1.0]);
-        assert_eq!(h.snapshot().quantile(0.5), None);
     }
 
     #[test]

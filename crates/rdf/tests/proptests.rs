@@ -1,6 +1,6 @@
 //! Property-based tests for the RDF substrate: dictionary encoding,
-//! N-Triples round-tripping (including escape sequences), sharded
-//! bulk-load encoding and graph index consistency.
+//! N-Triples round-tripping (including escape sequences) and survival of
+//! untrusted text, sharded bulk-load encoding and graph index consistency.
 
 use cliquesquare_rdf::load::{
     encode_shard, merge_dictionaries, merge_dictionaries_partitioned, remap_triples,
@@ -23,7 +23,32 @@ fn spiky_literal_strategy() -> impl Strategy<Value = Term> {
     "[a-zA-Z\"\\\\\n\r\t\u{1}\u{7f}éλ ]{0,16}".prop_map(Term::literal)
 }
 
+/// What N-Triples lines are made of (`|`-separated), including `\u` / `\U`
+/// escapes cut short and surrogate code points.
+const NTRIPLES_TOKENS: &str =
+    "<http://e/s>|<|>|\"|\"lit\"|\\|\\u|\\u00|\\u00e9|\\uD800|\\uDFFF|\\U|\\U0001|\
+    \\U0001F600|\\UFFFFFFFF|\\n|^^|@|@en|_:|_:b0|.| |\n|#|é";
+
 proptest! {
+    /// Arbitrary bytes, read as text, parse to triples or to an error.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_ntriples_parser(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200)
+    ) {
+        let _ = ntriples::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// So does any sequence of N-Triples tokens, which gets deeper into
+    /// terms, escapes and suffixes than raw bytes do.
+    #[test]
+    fn token_soup_never_panics_the_ntriples_parser(
+        picks in proptest::collection::vec(any::<usize>(), 0..60)
+    ) {
+        let tokens: Vec<&str> = NTRIPLES_TOKENS.split('|').collect();
+        let text: String = picks.iter().map(|pick| tokens[pick % tokens.len()]).collect();
+        let _ = ntriples::parse(&text);
+    }
+
     /// Encoding then decoding any sequence of terms returns the same terms,
     /// and equal terms always receive equal identifiers.
     #[test]

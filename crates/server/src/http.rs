@@ -218,6 +218,17 @@ impl From<io::Error> for RequestError {
     }
 }
 
+/// `read_line` reports a head line that is not UTF-8 as `InvalidData`: the
+/// client's error, to be answered, not a dead connection.
+fn head_error(error: io::Error) -> RequestError {
+    if error.kind() == io::ErrorKind::InvalidData {
+        let message = "request head is not valid UTF-8".to_string();
+        RequestError::Serve(ServeError::BadQuery(message))
+    } else {
+        RequestError::Io(error)
+    }
+}
+
 fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, RequestError> {
     let too_large = |actual: usize| {
         RequestError::Serve(ServeError::TooLarge {
@@ -231,7 +242,7 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
     // of being buffered for as long as the client keeps sending.
     let mut head = reader.by_ref().take((max_bytes as u64).saturating_add(1));
     let mut request_line = String::new();
-    head.read_line(&mut request_line)?;
+    head.read_line(&mut request_line).map_err(head_error)?;
     if request_line.len() > max_bytes {
         return Err(too_large(request_line.len()));
     }
@@ -248,7 +259,7 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
     let mut header_bytes = request_line.len();
     loop {
         let mut line = String::new();
-        head.read_line(&mut line)?;
+        head.read_line(&mut line).map_err(head_error)?;
         header_bytes += line.len();
         if header_bytes > max_bytes {
             return Err(too_large(header_bytes));

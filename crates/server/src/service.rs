@@ -247,6 +247,17 @@ impl QueryService {
         query: &BgpQuery,
         parse_seconds: Option<f64>,
     ) -> Result<QueryAnswer, ServeError> {
+        if !query.is_connected() {
+            // The optimizer only builds ×-free plans (`Csq::plan` asserts it
+            // found one), so a cross product is turned away as the client's
+            // error before planning.
+            self.failed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::BadQuery(
+                "the triple patterns form a cross product (they do not all connect \
+                 through shared variables)"
+                    .to_string(),
+            ));
+        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.run_unguarded(query, parse_seconds)
         }));
@@ -394,7 +405,7 @@ impl QueryService {
             rows,
             total_rows,
             truncated,
-            job_descriptor: output.job_log.descriptor(),
+            job_descriptor: output.schedule.descriptor(),
             simulated_seconds: output.simulated_seconds,
             wall_seconds: output.wall_seconds,
             plan_seconds,
@@ -459,14 +470,25 @@ mod tests {
     #[test]
     fn planner_panic_is_contained_and_the_pool_survives() {
         let svc = service();
-        // A disconnected BGP makes the planner panic ("no plan found"); the
-        // serving boundary must turn that into a 500 and keep serving.
-        let error = svc
-            .execute_text("SELECT ?a WHERE { ?a ub:p ?b . ?x ub:q ?y }")
-            .unwrap_err();
+        // The parser never produces a query without patterns; one built by
+        // hand makes the planner panic ("no plan found"), and the serving
+        // boundary must turn that into a 500 and keep serving.
+        let error = svc.run(&BgpQuery::new(Vec::new(), Vec::new())).unwrap_err();
         assert_eq!(error.status(), 500);
         assert!(error.to_string().contains("no plan found"));
         assert!(svc.execute_named("Q2").is_ok());
+        assert_eq!(svc.counters(), (1, 1));
+    }
+
+    #[test]
+    fn a_cross_product_is_a_400_and_counts_as_failed() {
+        let svc = service();
+        let error = svc
+            .execute_text("SELECT ?a WHERE { ?a ub:p ?b . ?x ub:q ?y }")
+            .unwrap_err();
+        assert_eq!(error.status(), 400);
+        assert!(error.to_string().contains("cross product"), "{error}");
+        assert_eq!(svc.counters(), (0, 1));
     }
 
     #[test]

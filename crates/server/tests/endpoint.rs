@@ -1,7 +1,9 @@
 //! Live-socket tests of the HTTP SPARQL endpoint: every status code the
-//! serving boundary promises (200/400/404/408/413/500), concurrent clients
-//! getting bit-identical answers, `/metrics` exposing the registry in valid
-//! Prometheus text, and `profile=1` attaching a consistent span tree.
+//! serving boundary promises (200/400/404/408/413; the 500 of a contained
+//! panic is `service.rs`'s unit test), hostile request heads getting an
+//! answer or a clean close, concurrent clients getting bit-identical
+//! answers, `/metrics` exposing the registry in valid Prometheus text, and
+//! `profile=1` attaching a consistent span tree.
 
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
 use cliquesquare_rdf::{LubmGenerator, LubmScale};
@@ -44,9 +46,9 @@ fn start_server(config: ServerConfig) -> LiveServer {
 }
 
 /// Sends one raw HTTP request and returns `(status, body)`.
-fn request(addr: SocketAddr, raw: &str) -> (u16, String) {
+fn request(addr: SocketAddr, raw: impl AsRef<[u8]>) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write");
+    stream.write_all(raw.as_ref()).expect("write");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
     let status: u16 = response
@@ -64,14 +66,14 @@ fn request(addr: SocketAddr, raw: &str) -> (u16, String) {
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     request(
         addr,
-        &format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
+        format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
     )
 }
 
 fn post_sparql(addr: SocketAddr, query: &str) -> (u16, String) {
     request(
         addr,
-        &format!(
+        format!(
             "POST /sparql HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
             query.len(),
             query
@@ -144,19 +146,100 @@ fn the_endpoint_serves_every_promised_status_code() {
     // limit instead of being buffered until the client stops sending
     // (exactly limit + 1 bytes, so the server closes with nothing unread).
     let endless = format!("GET /{}", "a".repeat(4096 + 1 - "GET /".len()));
-    let (status, body) = request(addr, &endless);
+    let (status, body) = request(addr, endless);
     assert_eq!(status, 413, "body: {body}");
     assert_eq!(get(addr, "/health").0, 200);
 
-    // 500: a disconnected query parses but panics in the planner; the panic
-    // must not cross the boundary …
-    let (status, body) = post_sparql(addr, "SELECT ?a WHERE { ?a ub:p ?b . ?x ub:q ?y }");
-    assert_eq!(status, 500);
-    assert!(body.contains("no plan found"));
+    // 400: a cross product parses but has no ×-free plan — with two
+    // patterns that share no variable, and with a pattern that has no
+    // variable at all; the client's error, not a planner panic.
+    for query in [
+        "SELECT ?x WHERE { ?x ub:worksFor ?y . ?a ub:memberOf ?b }",
+        "SELECT ?x WHERE { ?x rdf:type ub:University . \
+         <http://www.University0.edu> rdf:type ub:University }",
+    ] {
+        let (status, body) = post_sparql(addr, query);
+        assert_eq!(status, 400, "body: {body}");
+        assert!(body.contains("cross product"), "body: {body}");
+        assert_eq!(get(addr, "/health").0, 200);
+    }
 
-    // … and the pool keeps serving afterwards.
+    // 400: a request line or a header that is not UTF-8 is answered, not
+    // hung up on.
+    for head in [
+        &b"GET /\xff\xfe HTTP/1.1\r\nHost: test\r\n\r\n"[..],
+        &b"GET /health HTTP/1.1\r\nX: \xff\xfe\r\n\r\n"[..],
+    ] {
+        let (status, body) = request(addr, head);
+        assert_eq!(status, 400, "body: {body}");
+        assert!(body.contains("not valid UTF-8"), "body: {body}");
+        assert_eq!(get(addr, "/health").0, 200);
+    }
+
+    // The pool keeps serving afterwards.
     let (status, _) = get(addr, "/query?name=Q2");
     assert_eq!(status, 200);
+}
+
+/// Random request heads of up to `max_request_bytes` — raw bytes, and bytes
+/// behind a well-formed request line so the header loop sees them — get a
+/// status line or a clean close, whether the client then closes its side or
+/// stalls until the read timeout fires; the server answers `/health` after
+/// each.
+#[test]
+fn random_request_heads_get_a_status_line_or_a_clean_close() {
+    const MAX_REQUEST_BYTES: usize = 2048;
+    let server = start_server(ServerConfig {
+        max_request_bytes: MAX_REQUEST_BYTES,
+        read_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    });
+    // xorshift64*: a fixed stream, so a failing head can be replayed.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    };
+    // Mostly these, so lines, colons and digits do turn up.
+    const PRINTABLE: &[u8] = b"\r\n: 09aZ?{}<>\"\\";
+    for case in 0..32 {
+        let mut head = match case % 2 {
+            0 => Vec::new(),
+            _ => b"POST /sparql HTTP/1.1\r\nContent-Length: 7\r\n".to_vec(),
+        };
+        let length = next() as usize % (MAX_REQUEST_BYTES + 1);
+        while head.len() < length {
+            let [printable, pick, byte, ..] = next().to_le_bytes();
+            let pick = PRINTABLE[pick as usize % PRINTABLE.len()];
+            head.push(if printable < 160 { pick } else { byte });
+        }
+        head.truncate(length);
+
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
+        let timeout = Some(Duration::from_secs(10));
+        stream.set_read_timeout(timeout).expect("client timeout");
+        // The server may answer and close before it has read everything.
+        let _ = stream.write_all(&head);
+        if case % 4 < 2 {
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        }
+        // A reset (the server closed with part of the head unread) ends the
+        // connection too; a client-side timeout does not.
+        let mut response = Vec::new();
+        let closed = match stream.read_to_end(&mut response) {
+            Ok(_) => true,
+            Err(error) => error.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "case {case}: the server held the connection open");
+        assert!(
+            response.is_empty() || response.starts_with(b"HTTP/1.1 "),
+            "case {case}: {:?}",
+            String::from_utf8_lossy(&response)
+        );
+        assert_eq!(get(server.addr, "/health").0, 200, "case {case}");
+    }
 }
 
 /// Like [`request`] but returns the raw response text (status line, headers
@@ -190,8 +273,15 @@ fn metrics_endpoint_renders_valid_prometheus_text() {
     let has = |name: &str| samples.iter().any(|s| s.name == name);
     assert!(has("csq_http_requests_total"), "body: {body}");
     assert!(has("csq_scheduler_tasks_total"), "body: {body}");
-    assert!(has("csq_relation_join_rows_total"), "body: {body}");
     assert!(has("csq_http_request_seconds_bucket"), "body: {body}");
+    // The relation and load counters are not series: they are reachable
+    // per operator, on a profiled answer.
+    let gone = |prefix: &str| !samples.iter().any(|s| s.name.starts_with(prefix));
+    assert!(gone("csq_relation_"), "body: {body}");
+    assert!(gone("csq_load_"), "body: {body}");
+    let (status, profiled) = get(addr, "/query?name=Q1&profile=1");
+    assert_eq!(status, 200);
+    assert!(profiled.contains("\"sorts_elided\""), "body: {profiled}");
 }
 
 #[test]

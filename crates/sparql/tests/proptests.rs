@@ -1,4 +1,5 @@
-//! Property-based tests for the BGP query model and parser.
+//! Property-based tests for the BGP query model and parser, including that
+//! untrusted text never panics the parser.
 
 use cliquesquare_sparql::parser::parse_query;
 use cliquesquare_sparql::{BgpQuery, PatternTerm, TriplePattern, Variable};
@@ -32,7 +33,39 @@ fn query_strategy() -> impl Strategy<Value = BgpQuery> {
     })
 }
 
+/// The tokens SPARQL text is made of (`|`-separated), a few of them only
+/// halves of one.
+const SPARQL_TOKENS: &str =
+    "SELECT|WHERE|PREFIX|{|}|?|?x|:|ub:p|<|>|<http://e/a>|\"|\"lit\"|\\|*|a|.| |\n";
+
+/// The concatenation of the tokens `picks` selects from a `|`-separated
+/// table (each pick modulo the table's length).
+fn token_soup(table: &str, picks: &[usize]) -> String {
+    let tokens: Vec<&str> = table.split('|').collect();
+    picks
+        .iter()
+        .map(|pick| tokens[pick % tokens.len()])
+        .collect()
+}
+
 proptest! {
+    /// Arbitrary bytes, read as text, parse to a query or to an error.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parser(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200)
+    ) {
+        let _ = parse_query(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// So does any sequence of SPARQL tokens, which gets deeper into the
+    /// grammar than raw bytes do.
+    #[test]
+    fn token_soup_never_panics_the_parser(
+        picks in proptest::collection::vec(any::<usize>(), 0..40)
+    ) {
+        let _ = parse_query(&token_soup(SPARQL_TOKENS, &picks));
+    }
+
     /// Printing a query and parsing it back yields the same patterns and the
     /// same distinguished variables (when the query has any variables).
     #[test]

@@ -46,7 +46,23 @@ pub fn run(scale: LubmScale) {
     println!("\nchosen logical plan (height {}):", report.plan_height);
     println!("{}", report.chosen_plan.render());
     println!("MapReduce jobs ({}):", report.job_descriptor);
-    println!("{}", report.execution.job_log);
+    let execution = &report.execution;
+    for (index, (job, kind)) in execution
+        .job_metrics
+        .iter()
+        .zip(&execution.schedule.kinds)
+        .enumerate()
+    {
+        println!(
+            "job {}: [{kind}] read={} shuffled={} joined={} written={}",
+            index + 1,
+            job.tuples_read,
+            job.tuples_shuffled,
+            job.join_output_tuples,
+            job.tuples_written
+        );
+    }
+    println!();
     println!("answers              : {}", report.result_count);
     println!("candidate plans      : {}", report.candidate_plans);
     println!("optimization time    : {:.2} ms", report.optimization_ms);

@@ -96,7 +96,7 @@ fn report_contains_consistent_job_accounting() {
     let csq = Csq::new(cluster, CsqConfig::default());
     for name in ["Q1", "Q7", "Q12"] {
         let report = csq.run(&lubm_query(name).unwrap());
-        assert_eq!(report.jobs, report.execution.job_log.job_count());
+        assert_eq!(report.jobs, report.execution.schedule.job_count);
         assert_eq!(report.execution.metrics.jobs as usize, report.jobs);
         assert!(report.execution.metrics.tuples_read > 0);
     }

@@ -4,14 +4,13 @@
 //! * the per-query span tree must tile the measured wall clock — parse,
 //!   plan and execute spans cover the query, job spans and the root gather
 //!   cover the execution;
-//! * the global metric registry must mirror the thread-local relation
-//!   counters the reports are built from.
+//! * the sort and run counters a profile attaches to its operators must add
+//!   up to the thread-local relation counters of a sequential run.
 
 use cliquesquare::engine::csq::{Csq, CsqConfig};
 use cliquesquare::engine::relation::stats as relation_stats;
 use cliquesquare::engine::{translate, Executor};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, Runtime};
-use cliquesquare::obs;
 use cliquesquare::querygen::lubm_queries::{lubm_queries, lubm_query};
 use cliquesquare::rdf::{LubmGenerator, LubmScale};
 use cliquesquare_server::QueryService;
@@ -39,8 +38,8 @@ fn profiling_is_bit_neutral_at_every_thread_count() {
                 query.name()
             );
             assert_eq!(
-                plain.job_log.descriptor(),
-                profiled.job_log.descriptor(),
+                plain.schedule.descriptor(),
+                profiled.schedule.descriptor(),
                 "{} at {threads} thread(s): profiling changed the job structure",
                 query.name()
             );
@@ -172,48 +171,46 @@ fn job_and_gather_spans_cover_the_execution() {
     }
 }
 
+/// An operator's counters are the sum of its tasks' deltas, taken on
+/// whichever thread ran each task: summed over the profile they equal a
+/// sequential `reset` → `execute` → `snapshot` of the same plan, on scoped
+/// threads and on the serving pool alike.
 #[test]
-fn registry_mirrors_the_thread_local_relation_counters() {
-    let registry = obs::global();
-    let join_rows = registry.counter(
-        "csq_relation_join_rows_total",
-        "Rows produced by the n-ary sort-merge join",
-        &[],
-    );
-    let sorts_performed = registry.counter(
-        "csq_relation_sorts_total",
-        "Ordering requirements by outcome",
-        &[("outcome", "performed")],
-    );
-    let runs_emitted = registry.counter(
-        "csq_relation_runs_emitted_total",
-        "Key groups emitted as factorized runs",
-        &[],
-    );
-    let peak_rows = registry.gauge(
-        "csq_relation_peak_rows",
-        "Largest single intermediate relation, in rows",
-        &[],
-    );
-
+fn profiled_counters_are_the_sum_of_task_deltas() {
     let cluster = cluster();
     let csq = Csq::new(cluster.clone(), CsqConfig::default());
-    let executor = Executor::sequential(&cluster);
-    let query = lubm_queries().remove(1); // Q2: has joins and sorts
-    let (_, chosen, _) = csq.plan(&query);
-    let physical = translate(&chosen, cluster.graph());
-
-    let before = (join_rows.get(), sorts_performed.get(), runs_emitted.get());
-    relation_stats::reset();
-    std::hint::black_box(executor.execute(&physical));
-    let local = relation_stats::snapshot();
-
-    // The sequential runtime bumps both the thread-local counters and the
-    // registry from this thread; other tests in this process may add more,
-    // so the registry delta is a lower-bounded mirror.
-    assert!(local.join_rows_out > 0, "Q2 joins produce rows");
-    assert!(join_rows.get() - before.0 >= local.join_rows_out);
-    assert!(sorts_performed.get() - before.1 >= local.sorts_performed);
-    assert!(runs_emitted.get() - before.2 >= local.runs_emitted);
-    assert!(peak_rows.get() >= local.peak_rows as i64);
+    for name in ["Q2", "Q5", "Q11"] {
+        let (_, chosen, _) = csq.plan(&lubm_query(name).expect("a LUBM query"));
+        let physical = translate(&chosen, cluster.graph());
+        relation_stats::reset();
+        std::hint::black_box(Executor::sequential(&cluster).execute(&physical));
+        let local = relation_stats::snapshot();
+        let expected = [
+            ("sorts_performed", local.sorts_performed),
+            ("sorts_elided", local.sorts_elided),
+            ("join_inputs_presorted", local.join_inputs_presorted),
+            ("runs_emitted", local.runs_emitted),
+            ("rows_expanded", local.rows_expanded),
+        ];
+        assert!(local.sorts_elided > 0, "{name} elides sorts");
+        for threads in [1, 2, 8] {
+            for runtime in [Runtime::with_threads(threads), Runtime::serving(threads)] {
+                let executor = Executor::with_runtime(&cluster, runtime);
+                let execute = executor
+                    .execute_profiled(&physical)
+                    .profile
+                    .expect("profiled");
+                let mut spans = vec![&execute];
+                let mut summed = expected.map(|(attr, _)| (attr, 0));
+                while let Some(span) = spans.pop() {
+                    spans.extend(&span.children);
+                    for (attr, sum) in &mut summed {
+                        let value = span.attrs.iter().find(|(name, _)| name == attr);
+                        *sum += value.map_or(0, |(_, value)| *value);
+                    }
+                }
+                assert_eq!(summed, expected, "{name} threads={threads}");
+            }
+        }
+    }
 }

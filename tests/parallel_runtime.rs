@@ -143,8 +143,7 @@ fn fanout_stars_take_the_factorized_path() {
     assert!(!output.results.is_empty(), "graph produced no star matches");
     assert!(snapshot.runs_emitted > 0, "fan-out star did not factorize");
     assert_eq!(
-        snapshot.rows_expanded,
-        output.job_log.total_metrics().join_output_tuples,
+        snapshot.rows_expanded, output.metrics.join_output_tuples,
         "expansion must materialize exactly the join's logical output"
     );
 }
@@ -186,8 +185,8 @@ proptest! {
             );
             prop_assert_eq!(sequential.metrics, parallel.metrics);
             prop_assert_eq!(
-                sequential.job_log.descriptor(),
-                parallel.job_log.descriptor()
+                sequential.schedule.descriptor(),
+                parallel.schedule.descriptor()
             );
         }
     }
@@ -226,8 +225,8 @@ proptest! {
             );
             prop_assert_eq!(sequential.metrics, parallel.metrics);
             prop_assert_eq!(
-                sequential.job_log.descriptor(),
-                parallel.job_log.descriptor()
+                sequential.schedule.descriptor(),
+                parallel.schedule.descriptor()
             );
         }
     }
