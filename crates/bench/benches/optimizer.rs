@@ -1,13 +1,16 @@
 //! Criterion benchmarks for the logical optimizer (Figure 18 companion):
-//! optimization time per variant on representative query shapes, plus the
-//! complexity-bound computation of Figure 8.
+//! optimization time per variant on representative query shapes, the
+//! complexity-bound computation of Figure 8, and the whole plan-cache miss
+//! (`Csq::plan`: search plus pricing every distinct candidate).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use cliquesquare_bench::{bench_scale, lubm_cluster};
 use cliquesquare_core::complexity::worst_case_decompositions;
 use cliquesquare_core::decomposition::DecompositionLimits;
 use cliquesquare_core::{Optimizer, OptimizerConfig, Variant};
-use cliquesquare_querygen::lubm_queries::{q11, q14, q7};
+use cliquesquare_engine::csq::{Csq, CsqConfig};
+use cliquesquare_querygen::lubm_queries::{q11, q12, q14, q7};
 use cliquesquare_querygen::{SyntheticShape, SyntheticWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +65,21 @@ fn bench_lubm_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a plan-cache miss costs. Q12 and Q14 (with Q13, which has Q12's
+/// shape) carry over 90 % of the LUBM mix's planning time; most of it is
+/// `translate` + `estimate` per candidate, so this is the before / after for
+/// a change to `translate`, `interesting_orders` or the cost model's walk.
+fn bench_plan_selection(c: &mut Criterion) {
+    let csq = Csq::new(lubm_cluster(bench_scale()), CsqConfig::default());
+    let mut group = c.benchmark_group("plan_selection");
+    for query in [q12(), q14()] {
+        group.bench_function(query.name().to_string(), |b| {
+            b.iter(|| black_box(csq.plan(black_box(&query))).0.len())
+        });
+    }
+    group.finish();
+}
+
 fn bench_complexity_bounds(c: &mut Criterion) {
     c.bench_function("figure8_bounds_n2_to_n10", |b| {
         b.iter(|| {
@@ -80,6 +98,7 @@ criterion_group!(
     benches,
     bench_variants_on_shapes,
     bench_lubm_queries,
+    bench_plan_selection,
     bench_complexity_bounds
 );
 criterion_main!(benches);

@@ -58,8 +58,10 @@ impl Default for OptimizerConfig {
 /// The result of running the optimizer on a query.
 #[derive(Debug, Clone)]
 pub struct OptimizeResult {
-    /// Every generated plan, including structural duplicates (Figure 16
-    /// counts all of them; Figure 19 measures the uniqueness ratio).
+    /// Every generated plan in generation order, including structural and
+    /// exact duplicates (Figure 16 counts all of them; Figure 19 measures
+    /// the uniqueness ratio). Duplicates are kept here and skipped where
+    /// plans are priced (`MapReduceCostModel::choose_best` in the engine).
     pub plans: Vec<LogicalPlan>,
     /// Total number of clique decompositions explored across all recursion
     /// levels.
@@ -168,8 +170,10 @@ impl Optimizer {
         if is_complete {
             result.plans.push(build_plan(states, query));
         } else {
-            let graph_ref = states.last().expect("state just pushed").clone();
-            let decs = decompositions(&graph_ref, self.config.variant, &self.config.limits);
+            // The recursion below pushes and pops in balance, so this index
+            // is this level's graph again whenever it returns.
+            let level = states.len() - 1;
+            let decs = decompositions(&states[level], self.config.variant, &self.config.limits);
             if decs.len() >= self.config.limits.max_decompositions {
                 result.truncated = true;
             }
@@ -179,7 +183,7 @@ impl Optimizer {
                     result.truncated = true;
                     break;
                 }
-                let reduced = reduce(&graph_ref, d);
+                let reduced = reduce(&states[level], d);
                 self.recurse(query, reduced, states, result);
             }
         }

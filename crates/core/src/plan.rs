@@ -4,6 +4,7 @@ use cliquesquare_sparql::{TriplePattern, Variable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of an operator inside a [`LogicalPlan`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -61,6 +62,23 @@ pub enum LogicalOp {
     },
 }
 
+/// Hashes the operator's *shape*: its kind, a Match's pattern index, the
+/// input ids of the others. Equal operators hash alike, as `Hash` requires;
+/// the patterns' IRIs and the variable sets are left to `==`, because among
+/// the candidate plans of one query — what the cost model hashes to skip
+/// exact duplicates — they follow from the shape, and hashing them costs
+/// more than pricing saves.
+impl Hash for LogicalOp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            LogicalOp::Match { pattern_index, .. } => pattern_index.hash(state),
+            LogicalOp::Join { inputs, .. } => inputs.hash(state),
+            LogicalOp::Select { input, .. } | LogicalOp::Project { input, .. } => input.hash(state),
+        }
+    }
+}
+
 impl LogicalOp {
     /// The operator's input operator ids (empty for Match).
     pub fn inputs(&self) -> Vec<OpId> {
@@ -97,7 +115,7 @@ impl LogicalOp {
 /// Plans built from exact covers are trees; plans built from simple covers
 /// may share sub-plans (DAG shape), e.g. when a selective intermediate result
 /// feeds two different joins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LogicalPlan {
     ops: Vec<LogicalOp>,
     root: OpId,

@@ -50,7 +50,8 @@ use cliquesquare_mapreduce::Cluster;
 use cliquesquare_rdf::{GraphStatistics, TriplePosition};
 use cliquesquare_sparql::Variable;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::Hash;
 
 /// The estimated cost of a physical plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -287,15 +288,36 @@ impl<'a> MapReduceCostModel<'a> {
         self.estimate(&translate(plan, self.cluster.graph()))
     }
 
-    /// Picks the cheapest logical plan of a slice according to the model.
+    /// Picks the cheapest logical plan of a slice according to the model:
+    /// the *earliest* plan whose estimated `total_seconds` is strictly below
+    /// every earlier plan's. A NaN cost never displaces a finite one (and
+    /// any other cost displaces a NaN), an empty slice gives `None`, and each
+    /// distinct plan is priced once: a plan that is `==` an earlier one has
+    /// its cost and would lose the tie to it, so it is skipped unpriced and
+    /// the returned reference is always a first occurrence.
     pub fn choose_best<'p>(&self, plans: &'p [LogicalPlan]) -> Option<&'p LogicalPlan> {
-        plans.iter().min_by(|a, b| {
-            self.estimate_logical(a)
-                .total_seconds
-                .partial_cmp(&self.estimate_logical(b).total_seconds)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        earliest_minimum(plans, |plan| self.estimate_logical(plan).total_seconds)
     }
+}
+
+/// The keyed minimum behind [`MapReduceCostModel::choose_best`], over any
+/// items and cost function so its contract can be tested with costs no
+/// cluster produces.
+fn earliest_minimum<T: Hash + Eq>(items: &[T], mut cost: impl FnMut(&T) -> f64) -> Option<&T> {
+    let mut seen = HashSet::with_capacity(items.len());
+    let mut best: Option<(&T, f64)> = None;
+    for item in items {
+        if !seen.insert(item) {
+            continue;
+        }
+        let cost = cost(item);
+        let cheaper =
+            best.is_none_or(|(_, least)| cost < least || (least.is_nan() && !cost.is_nan()));
+        if cheaper {
+            best = Some((item, cost));
+        }
+    }
+    best.map(|(item, _)| item)
 }
 
 /// The scan spec feeding an operator, walked through single-input chains.
@@ -471,6 +493,59 @@ mod tests {
         for plan in &plans {
             assert!(model.estimate_logical(plan).total_seconds >= best_cost);
         }
+    }
+
+    /// `earliest_minimum` over the positions of `costs`.
+    fn cheapest_position(costs: &[f64]) -> Option<usize> {
+        let positions: Vec<usize> = (0..costs.len()).collect();
+        earliest_minimum(&positions, |&at| costs[at]).copied()
+    }
+
+    #[test]
+    fn earliest_strict_minimum_wins() {
+        assert_eq!(cheapest_position(&[3.0, 2.0, 5.0, 2.0, 2.5]), Some(1));
+        assert_eq!(cheapest_position(&[1.0, 1.0]), Some(0));
+        assert_eq!(cheapest_position(&[]), None);
+    }
+
+    #[test]
+    fn a_nan_cost_never_displaces_a_finite_one() {
+        // Wherever the NaN sits, the cheapest finite cost wins.
+        assert_eq!(cheapest_position(&[f64::NAN, 3.0, 2.0]), Some(2));
+        assert_eq!(cheapest_position(&[3.0, f64::NAN, 2.0]), Some(2));
+        assert_eq!(cheapest_position(&[3.0, 2.0, f64::NAN]), Some(1));
+        assert_eq!(cheapest_position(&[f64::NAN, f64::INFINITY]), Some(1));
+        // Only NaNs: still an answer, the first.
+        assert_eq!(cheapest_position(&[f64::NAN, f64::NAN]), Some(0));
+    }
+
+    #[test]
+    fn duplicates_are_priced_once_and_the_first_occurrence_is_returned() {
+        let items = [7u32, 3, 7, 3, 3, 9];
+        let mut priced = Vec::new();
+        let best = earliest_minimum(&items, |&item| {
+            priced.push(item);
+            f64::from(item)
+        })
+        .unwrap();
+        assert_eq!(priced, vec![7, 3, 9]);
+        assert!(std::ptr::eq(best, &items[1]));
+    }
+
+    #[test]
+    fn choose_best_returns_the_first_of_two_equal_plans() {
+        let cluster = cluster();
+        let model = MapReduceCostModel::new(&cluster);
+        let q =
+            parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }").unwrap();
+        let plan = Optimizer::with_variant(Variant::Msc)
+            .optimize(&q)
+            .plans
+            .remove(0);
+        let plans = vec![plan.clone(), plan];
+        let best = model.choose_best(&plans).unwrap();
+        assert!(std::ptr::eq(best, &plans[0]));
+        assert!(model.choose_best(&[]).is_none());
     }
 
     #[test]

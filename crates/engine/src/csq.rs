@@ -106,8 +106,18 @@ impl Csq {
         &self.config
     }
 
-    /// Optimizes `query`, returning the candidate plans and the one chosen by
-    /// the cost model (without executing it).
+    /// Optimizes `query`, returning the candidate plans, the one chosen by
+    /// the cost model (without executing it) and the milliseconds both took.
+    ///
+    /// This is what a plan-cache miss costs. The candidates are everything
+    /// the optimizer generated, exact duplicates included (the paper's plan
+    /// counts); [`MapReduceCostModel::choose_best`] prices each distinct one
+    /// once and picks the earliest cheapest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the optimizer finds no plan, i.e. the query is empty or a
+    /// cross product (`!query.is_connected()`).
     pub fn plan(&self, query: &BgpQuery) -> (Vec<LogicalPlan>, LogicalPlan, f64) {
         let started = Instant::now();
         let optimizer_config = OptimizerConfig::variant(self.config.variant)

@@ -68,7 +68,7 @@ impl TemplateKey {
     /// cacheable by structure alone).
     pub fn of(query: &BgpQuery) -> Option<Self> {
         let rdf_type = Term::iri(cliquesquare_rdf::term::vocab::RDF_TYPE);
-        let mut canonical: HashMap<String, u32> = HashMap::new();
+        let mut canonical: HashMap<&str, u32> = HashMap::new();
         let mut patterns = Vec::with_capacity(query.patterns().len());
         for pattern in query.patterns() {
             let mut slots = [TemplateSlot::Constant; 3];
@@ -80,9 +80,7 @@ impl TemplateKey {
                 *slot = match term {
                     PatternTerm::Variable(v) => {
                         let next = canonical.len() as u32;
-                        TemplateSlot::Variable(
-                            *canonical.entry(v.name().to_string()).or_insert(next),
-                        )
+                        TemplateSlot::Variable(*canonical.entry(v.name()).or_insert(next))
                     }
                     PatternTerm::Constant(t) if is_property && *t == rdf_type => {
                         TemplateSlot::TypeProperty

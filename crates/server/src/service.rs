@@ -277,18 +277,8 @@ impl QueryService {
     /// cached template plan is rebound to this query's constants (skipping
     /// decomposition, plan-space search and translation entirely); on a
     /// miss the full pipeline runs and the result is cached under the
-    /// query's template key. Returns the plan, the optimizer milliseconds
-    /// (0 on a hit), whether this was a hit, and — on a hit — the map from
-    /// the cached plan's variable names to this query's.
-    fn plan_physical(
-        &self,
-        query: &BgpQuery,
-    ) -> (
-        Arc<PhysicalPlan>,
-        f64,
-        bool,
-        Option<HashMap<String, String>>,
-    ) {
+    /// query's template key.
+    fn plan_physical(&self, query: &BgpQuery) -> Planned {
         let graph = self.csq.cluster().graph();
         let stats_epoch = self.csq.cluster().stats_epoch();
         let key = match &self.plan_cache {
@@ -314,7 +304,12 @@ impl QueryService {
                             .zip(query.variables())
                             .map(|(t, q)| (t.name().to_string(), q.name().to_string()))
                             .collect();
-                        return (Arc::new(rebound), 0.0, true, Some(rename));
+                        return Planned {
+                            plan: Arc::new(rebound),
+                            optimize_ms: 0.0,
+                            candidates: 0,
+                            rename: Some(rename),
+                        };
                     }
                     // A template-key collision (the key should rule this
                     // out; guarded anyway): drop the colliding entry and
@@ -323,7 +318,7 @@ impl QueryService {
                 }
             }
         }
-        let (_, chosen, optimize_ms) = self.csq.plan(query);
+        let (candidates, chosen, optimize_ms) = self.csq.plan(query);
         let plan = Arc::new(translate(&chosen, graph));
         if let (Some(cache), Some(key)) = (&self.plan_cache, key) {
             cache.insert(
@@ -335,19 +330,26 @@ impl QueryService {
                 },
             );
         }
-        (plan, optimize_ms, false, None)
+        Planned {
+            plan,
+            optimize_ms,
+            candidates: candidates.len(),
+            rename: None,
+        }
     }
 
     fn run_unguarded(&self, query: &BgpQuery, parse_seconds: Option<f64>) -> QueryAnswer {
         let epoch = Instant::now();
-        let (physical, plan_ms, cache_hit, rename) = self.plan_physical(query);
+        let planned = self.plan_physical(query);
+        let physical = &planned.plan;
+        let cache_hit = planned.rename.is_some();
         let plan_seconds = epoch.elapsed().as_secs_f64();
         let output = if parse_seconds.is_some() {
-            let estimates = MapReduceCostModel::new(self.csq.cluster()).estimate_cards(&physical);
+            let estimates = MapReduceCostModel::new(self.csq.cluster()).estimate_cards(physical);
             self.executor
-                .execute_profiled_with_estimates(&physical, &estimates)
+                .execute_profiled_with_estimates(physical, &estimates)
         } else {
-            self.executor.execute(&physical)
+            self.executor.execute(physical)
         };
         let profile = parse_seconds.map(|parse_seconds| {
             let mut root = SpanNode::new("query");
@@ -357,8 +359,9 @@ impl QueryService {
             let mut plan = SpanNode::new("plan");
             plan.start_seconds = parse_seconds;
             plan.wall_seconds = plan_seconds;
-            plan.add_attr("optimize_us", (plan_ms * 1_000.0) as u64);
+            plan.add_attr("optimize_us", (planned.optimize_ms * 1_000.0) as u64);
             plan.add_attr("cache_hit", cache_hit as u64);
+            plan.add_attr("candidates", planned.candidates as u64);
             root.children.push(parse);
             root.children.push(plan);
             if let Some(mut execute) = output.profile.clone() {
@@ -396,7 +399,7 @@ impl QueryService {
                 .schema()
                 .iter()
                 .map(
-                    |v| match rename.as_ref().and_then(|map| map.get(v.name())) {
+                    |v| match planned.rename.as_ref().and_then(|map| map.get(v.name())) {
                         Some(name) => format!("?{name}"),
                         None => v.to_string(),
                     },
@@ -413,6 +416,18 @@ impl QueryService {
             profile,
         }
     }
+}
+
+/// What [`QueryService::plan_physical`] hands to execution.
+struct Planned {
+    plan: Arc<PhysicalPlan>,
+    /// Optimizer milliseconds (plan search + pricing); 0 on a cache hit.
+    optimize_ms: f64,
+    /// How many candidate plans the search produced; 0 on a cache hit.
+    candidates: usize,
+    /// On a cache hit, the map from the cached plan's variable names to this
+    /// query's; `None` on a miss.
+    rename: Option<HashMap<String, String>>,
 }
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads cover

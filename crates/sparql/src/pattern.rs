@@ -3,15 +3,21 @@
 use cliquesquare_rdf::Term;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A SPARQL variable, e.g. `?x`. The stored name excludes the leading `?`.
+///
+/// The name is shared, not owned: a clone is a reference-count bump, so the
+/// variable sets that planning copies at every layer (variable graphs, plan
+/// operators, interesting orders, distinct-count maps, relation schemas)
+/// never copy a string. Equality, ordering and hashing are those of the name.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Variable(pub String);
+pub struct Variable(Arc<str>);
 
 impl Variable {
     /// Creates a variable from its name (without the `?` sigil).
     pub fn new(name: impl Into<String>) -> Self {
-        Variable(name.into())
+        Variable(Arc::from(name.into()))
     }
 
     /// Returns the variable's name without the `?` sigil.

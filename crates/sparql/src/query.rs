@@ -113,18 +113,15 @@ impl BgpQuery {
     }
 
     /// Returns `true` if the query's variable graph is connected (no
-    /// cartesian product between its triple patterns).
+    /// cartesian product between its triple patterns). Counts components
+    /// without building them: this runs on every served request.
     pub fn is_connected(&self) -> bool {
-        self.connected_components().len() <= 1
+        self.component_ids().1 <= 1
     }
 
-    /// Splits the query into connected (×-free) sub-queries.
-    ///
-    /// Each component keeps the distinguished variables it mentions.
-    pub fn connected_components(&self) -> Vec<BgpQuery> {
-        if self.patterns.is_empty() {
-            return Vec::new();
-        }
+    /// Labels every pattern with the id of its connected component (ids
+    /// follow the first pattern of each component) and counts the components.
+    fn component_ids(&self) -> (Vec<usize>, usize) {
         let n = self.patterns.len();
         let mut component = vec![usize::MAX; n];
         let mut next = 0usize;
@@ -140,9 +137,7 @@ impl BgpQuery {
                 #[allow(clippy::needless_range_loop)]
                 for j in 0..n {
                     if component[j] == usize::MAX
-                        && !self.patterns[i]
-                            .shared_variables(&self.patterns[j])
-                            .is_empty()
+                        && share_a_variable(&self.patterns[i], &self.patterns[j])
                     {
                         component[j] = id;
                         stack.push(j);
@@ -150,6 +145,14 @@ impl BgpQuery {
                 }
             }
         }
+        (component, next)
+    }
+
+    /// Splits the query into connected (×-free) sub-queries.
+    ///
+    /// Each component keeps the distinguished variables it mentions.
+    pub fn connected_components(&self) -> Vec<BgpQuery> {
+        let (component, next) = self.component_ids();
         (0..next)
             .map(|id| {
                 let patterns: Vec<_> = self
@@ -170,6 +173,14 @@ impl BgpQuery {
             })
             .collect()
     }
+}
+
+/// `true` if the two patterns mention a common variable.
+fn share_a_variable(a: &TriplePattern, b: &TriplePattern) -> bool {
+    a.terms()
+        .into_iter()
+        .filter_map(|term| term.as_variable())
+        .any(|variable| b.mentions(variable))
 }
 
 impl fmt::Display for BgpQuery {

@@ -107,4 +107,26 @@ proptest! {
         }
         prop_assert_eq!(query.is_connected(), components.len() <= 1);
     }
+
+    /// `is_connected` counts components without building them; on queries of
+    /// 0 to 6 patterns over four variable names — few enough names that both
+    /// outcomes occur at every size from 2 up — it agrees with the components
+    /// actually built.
+    #[test]
+    fn is_connected_agrees_with_the_built_components(
+        ends in proptest::collection::vec(("[a-d]", "[a-d]"), 0..7)
+    ) {
+        let patterns: Vec<TriplePattern> = ends
+            .into_iter()
+            .map(|(s, o)| {
+                TriplePattern::new(
+                    PatternTerm::variable(s),
+                    PatternTerm::iri("http://ex.org/p"),
+                    PatternTerm::variable(o),
+                )
+            })
+            .collect();
+        let query = BgpQuery::new(Vec::new(), patterns);
+        prop_assert_eq!(query.is_connected(), query.connected_components().len() <= 1);
+    }
 }

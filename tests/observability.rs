@@ -107,6 +107,24 @@ fn profile_spans_tile_the_measured_wall_clock() {
     assert!(gather.rows_out as usize >= answer.total_rows);
 }
 
+/// The `plan` span says how big the search was: every candidate the
+/// optimizer produced on a plan-cache miss, none on a hit.
+#[test]
+fn the_plan_span_counts_the_candidates_of_a_miss() {
+    let service = QueryService::new(cluster(), Runtime::serving(2));
+    for (candidates, cache_hit) in [(1_434, 0), (0, 1)] {
+        let answer = service
+            .execute_named_opts("Q14", true)
+            .expect("Q14 serves profiled");
+        let profile = answer.profile.expect("profile attached");
+        let plan = &profile.root.children[1];
+        assert_eq!(plan.name, "plan");
+        let attr = |name: &str| plan.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(attr("cache_hit"), Some(cache_hit));
+        assert_eq!(attr("candidates"), Some(candidates));
+    }
+}
+
 /// Nothing relation-sized happens outside a span. On Q1, whose root holds
 /// over ten thousand rows, the job spans and the `Gather` span together
 /// cover the `execute` wall at every thread count — no silent merge after
