@@ -137,8 +137,7 @@ impl<'a> H2RdfSystem<'a> {
             jobs,
             job_descriptor,
             result_count,
-            simulated_seconds: metrics
-                .simulated_seconds(&self.cluster.config().cost, self.cluster.nodes()),
+            simulated_seconds: metrics.simulated_seconds(&self.cluster.config().cost),
         }
     }
 }

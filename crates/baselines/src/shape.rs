@@ -161,8 +161,7 @@ impl<'a> ShapeSystem<'a> {
             jobs,
             job_descriptor: jobs.to_string(),
             result_count,
-            simulated_seconds: metrics
-                .simulated_seconds(&self.cluster.config().cost, self.cluster.nodes()),
+            simulated_seconds: metrics.simulated_seconds(&self.cluster.config().cost),
         }
     }
 }

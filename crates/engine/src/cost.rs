@@ -248,8 +248,8 @@ impl<'a> MapReduceCostModel<'a> {
 
     /// Estimates the cost of a physical plan.
     pub fn estimate(&self, plan: &PhysicalPlan) -> CostEstimate {
-        let nodes = self.cluster.nodes().max(1) as f64;
         let params = &self.cluster.config().cost;
+        let nodes = params.nodes.max(1) as f64;
         let sched = schedule(plan);
         let (estimates, work) = self.walk(plan);
         let overhead = sched.job_count as f64 * params.job_startup

@@ -292,9 +292,13 @@ impl Executor {
             job.reduce_tasks = u64::from(*kind == JobKind::MapReduce);
             metrics.merge(job);
         }
-        let cluster = &self.cluster;
-        let simulated_seconds = metrics.simulated_seconds(&cluster.config().cost, cluster.nodes());
-        let profile = state.prof.map(|prof| prof.into_execute_node(started));
+        let simulated_seconds = metrics.simulated_seconds(&self.cluster.config().cost);
+        let profile = state.prof.map(|prof| {
+            let mut execute = prof.into_execute_node(started);
+            // The fan-out every wave of this execution ran at.
+            execute.add_attr("partitions", self.cluster.nodes() as u64);
+            execute
+        });
         ExecutionOutput {
             results,
             job_metrics,

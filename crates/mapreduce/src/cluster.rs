@@ -1,8 +1,9 @@
 //! The simulated compute cluster.
 
+use crate::load::LoadOutput;
 use crate::metrics::CostParameters;
 use crate::partition::PartitionedStore;
-use crate::runtime::Runtime;
+use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::{Graph, GraphStatistics, StatsFragment, Term};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,27 +40,35 @@ pub fn compute_statistics(graph: &Graph, runtime: &Runtime) -> GraphStatistics {
 /// Static configuration of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
-    /// Number of compute nodes (the paper's testbed has 7).
+    /// Physical partitions: files per replica of the store, tasks per scan /
+    /// join / reduce wave, shuffle fan-out and gather width. The size of
+    /// the cluster the cost model prices is [`CostParameters::nodes`].
     pub nodes: usize,
     /// Cost parameters used to turn work counters into simulated time.
     pub cost: CostParameters,
 }
 
 impl Default for ClusterConfig {
+    /// Partitions sized for this machine's threads ([`partitions_for`]),
+    /// priced as the paper's 7-node testbed.
     fn default() -> Self {
         Self {
-            nodes: 7,
+            nodes: partitions_for(Runtime::available().threads()),
             cost: CostParameters::default(),
         }
     }
 }
 
 impl ClusterConfig {
-    /// A configuration with the given node count and default costs.
+    /// A cluster of exactly `nodes` nodes: that many physical partitions,
+    /// priced as that many modelled nodes, with default per-tuple costs.
     pub fn with_nodes(nodes: usize) -> Self {
         Self {
             nodes,
-            ..Self::default()
+            cost: CostParameters {
+                nodes,
+                ..CostParameters::default()
+            },
         }
     }
 }
@@ -76,8 +85,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Partitions `graph` across the configured nodes and returns the
-    /// ready-to-query cluster.
+    /// Partitions `graph` into the configured number of partitions and
+    /// returns the ready-to-query cluster.
     pub fn load(graph: Graph, config: ClusterConfig) -> Self {
         Self::load_with(graph, config, &Runtime::sequential())
     }
@@ -88,6 +97,28 @@ impl Cluster {
     /// order-independent).
     pub fn load_with(graph: Graph, config: ClusterConfig, runtime: &Runtime) -> Self {
         let store = PartitionedStore::build_with(&graph, config.nodes, runtime);
+        Self::assemble(graph, store, config, runtime)
+    }
+
+    /// Adopts a bulk load's graph and store — the partitions are the ones
+    /// the loader built ([`crate::LoadOptions::nodes`] of them), not a
+    /// second build — and computes the catalog statistics on `runtime`.
+    /// Equal to [`load_with`](Self::load_with) on the loaded graph with
+    /// that partition count and `cost`.
+    pub fn from_load(output: LoadOutput, cost: CostParameters, runtime: &Runtime) -> Self {
+        let config = ClusterConfig {
+            nodes: output.store.nodes(),
+            cost,
+        };
+        Self::assemble(output.graph, output.store, config, runtime)
+    }
+
+    fn assemble(
+        graph: Graph,
+        store: PartitionedStore,
+        config: ClusterConfig,
+        runtime: &Runtime,
+    ) -> Self {
         let statistics = compute_statistics(&graph, runtime);
         Self {
             config,
@@ -103,7 +134,7 @@ impl Cluster {
         &self.config
     }
 
-    /// Number of compute nodes.
+    /// Number of physical partitions ([`ClusterConfig::nodes`]).
     pub fn nodes(&self) -> usize {
         self.config.nodes
     }
@@ -155,7 +186,49 @@ mod tests {
     #[test]
     fn default_config_matches_paper_testbed() {
         let config = ClusterConfig::default();
-        assert_eq!(config.nodes, 7);
+        assert_eq!(config.cost.nodes, 7);
+        let threads = Runtime::available().threads();
+        assert_eq!(config.nodes, partitions_for(threads));
+        assert_eq!(config.nodes, crate::LoadOptions::default().nodes);
+    }
+
+    #[test]
+    fn with_nodes_sets_the_partitions_and_the_modelled_cluster() {
+        for nodes in [1, 3, 4, 7] {
+            let config = ClusterConfig::with_nodes(nodes);
+            assert_eq!(config.nodes, nodes);
+            assert_eq!(
+                config.cost,
+                CostParameters {
+                    nodes,
+                    ..CostParameters::default()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn adopting_a_load_equals_partitioning_its_graph_again() {
+        let scale = LubmScale::tiny();
+        for threads in [1, 4] {
+            let runtime = Runtime::with_threads(threads);
+            let output = crate::BulkLoader::new(runtime.clone())
+                .load_lubm(scale, &crate::LoadOptions::with_nodes(3));
+            let rebuilt = Cluster::load_with(
+                output.graph.clone(),
+                ClusterConfig {
+                    nodes: 3,
+                    cost: CostParameters::fast(),
+                },
+                &runtime,
+            );
+            let adopted = Cluster::from_load(output, CostParameters::fast(), &runtime);
+            assert_eq!(adopted.config(), rebuilt.config());
+            assert_eq!(adopted.store(), rebuilt.store());
+            assert_eq!(adopted.graph(), rebuilt.graph());
+            assert_eq!(adopted.statistics(), rebuilt.statistics());
+            assert!(adopted.stats_epoch() > rebuilt.stats_epoch());
+        }
     }
 
     #[test]

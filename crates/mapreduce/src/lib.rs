@@ -11,7 +11,9 @@
 //!   This makes all first-level joins of a plan evaluable without
 //!   communication (PWOC / co-located joins).
 //! * **A cluster of compute nodes** ([`cluster`]) across which partitions are
-//!   spread by hashing.
+//!   spread by hashing. How many partitions the data is physically split
+//!   into follows the machine's threads ([`partitions_for`]); the 7 nodes of
+//!   the paper's testbed are a cost parameter ([`CostParameters::nodes`]).
 //! * **A MapReduce job model** ([`job`]): map-only and map+reduce jobs, each
 //!   charged its startup overhead, materialization and shuffling.
 //! * **Cost accounting** ([`metrics`]): scan, CPU, I/O and network costs in
@@ -49,5 +51,5 @@ pub use job::JobKind;
 pub use load::{BulkLoader, LoadOptions, LoadOutput, LoadReport};
 pub use metrics::{CostParameters, ExecutionMetrics};
 pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles};
-pub use runtime::{Runtime, THREADS_ENV};
+pub use runtime::{partitions_for, Runtime, THREADS_ENV};
 pub use scheduler::{JobId, Scheduler, SchedulerStats};

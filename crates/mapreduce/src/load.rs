@@ -40,7 +40,7 @@
 //! file placement; `tests/bulk_load.rs` enforces it at threads 1, 2 and 8.
 
 use crate::partition::PartitionedStore;
-use crate::runtime::Runtime;
+use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::load as shard;
 use cliquesquare_rdf::ntriples::ParseError;
 use cliquesquare_rdf::{
@@ -58,7 +58,8 @@ const CHUNKS_PER_THREAD: usize = 4;
 /// Configuration of a bulk load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadOptions {
-    /// Compute nodes of the partitioned store (the paper's testbed has 7).
+    /// Partitions of the store: files per replica (what
+    /// [`crate::ClusterConfig::nodes`] is to a cluster).
     pub nodes: usize,
     /// Number of input chunks (shards). `None` sizes the chunking from the
     /// runtime: one chunk on the sequential runtime (the loader then *is*
@@ -69,16 +70,18 @@ pub struct LoadOptions {
 }
 
 impl Default for LoadOptions {
+    /// Partitions sized for this machine's threads, the count
+    /// [`crate::ClusterConfig::default`] expects, and default chunking.
     fn default() -> Self {
         Self {
-            nodes: 7,
+            nodes: partitions_for(Runtime::available().threads()),
             chunks: None,
         }
     }
 }
 
 impl LoadOptions {
-    /// Options with the given node count and default chunking.
+    /// Options with the given partition count and default chunking.
     pub fn with_nodes(nodes: usize) -> Self {
         Self {
             nodes,
@@ -94,7 +97,7 @@ pub struct LoadReport {
     pub threads: usize,
     /// Input chunks (= dictionary shards) the load used.
     pub chunks: usize,
-    /// Compute nodes of the partitioned store.
+    /// Partitions of the store.
     pub nodes: usize,
     /// Triples loaded.
     pub triples: usize,
@@ -657,7 +660,7 @@ mod tests {
         let r = output.report;
         assert_eq!(r.threads, 1);
         assert_eq!(r.chunks, 1);
-        assert_eq!(r.nodes, 7);
+        assert_eq!(r.nodes, LoadOptions::default().nodes);
         assert!(r.triples > 100);
         assert!(r.distinct_terms > 50);
         for stage in [
@@ -699,8 +702,8 @@ mod tests {
         let parallel = loader.load_lubm(
             scale,
             &LoadOptions {
-                nodes: 7,
                 chunks: Some(3),
+                ..LoadOptions::default()
             },
         );
         assert!(parallel.report.merge_partitions > 1);

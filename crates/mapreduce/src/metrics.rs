@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// (disk I/O per tuple), `cshuffle` (network transfer per tuple), `ccheck`
 /// (a comparison) and the per-tuple join cost, plus the MapReduce job
 /// start-up overhead that the paper repeatedly identifies as a dominant
-/// factor for multi-job plans.
+/// factor for multi-job plans, and the size of the cluster being modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostParameters {
     /// Time to read one tuple from disk (seconds).
@@ -25,6 +25,12 @@ pub struct CostParameters {
     pub job_startup: f64,
     /// Fixed overhead charged for every task wave within a job (seconds).
     pub task_startup: f64,
+    /// Compute nodes of the *modelled* cluster (the paper's testbed has 7):
+    /// what per-tuple work is divided by, in [`ExecutionMetrics::simulated_seconds`]
+    /// and in the optimizer's plan pricing. How many partitions the data is
+    /// physically laid out in and executed over is `ClusterConfig::nodes`,
+    /// a property of the machine, not of the model.
+    pub nodes: usize,
 }
 
 impl Default for CostParameters {
@@ -37,6 +43,7 @@ impl Default for CostParameters {
             join: 1.0e-6,
             job_startup: 8.0,
             task_startup: 0.5,
+            nodes: 7,
         }
     }
 }
@@ -52,6 +59,7 @@ impl CostParameters {
             join: 5.0e-8,
             job_startup: 1.0,
             task_startup: 0.1,
+            ..Self::default()
         }
     }
 }
@@ -59,8 +67,8 @@ impl CostParameters {
 /// Raw work counters accumulated while executing a plan.
 ///
 /// Counters are totals across the cluster; [`ExecutionMetrics::simulated_seconds`]
-/// divides the per-tuple work by the number of compute nodes (intra-operator
-/// parallelism) and adds the sequential per-job overheads.
+/// divides the per-tuple work by the modelled number of compute nodes
+/// (intra-operator parallelism) and adds the sequential per-job overheads.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionMetrics {
     /// Tuples read from the distributed store or from intermediate files.
@@ -103,13 +111,14 @@ impl ExecutionMetrics {
             + self.join_output_tuples as f64 * params.join
     }
 
-    /// Simulated response time on a cluster of `nodes` compute nodes.
+    /// Simulated response time on the modelled cluster of `params.nodes`
+    /// compute nodes.
     ///
     /// Per-tuple work benefits from intra-operator parallelism (divided by
     /// the node count, assuming balanced partitions); job and task start-up
     /// overheads are sequential because successive jobs depend on each other.
-    pub fn simulated_seconds(&self, params: &CostParameters, nodes: usize) -> f64 {
-        let parallelism = nodes.max(1) as f64;
+    pub fn simulated_seconds(&self, params: &CostParameters) -> f64 {
+        let parallelism = params.nodes.max(1) as f64;
         let overhead = self.jobs as f64 * params.job_startup
             + (self.map_tasks + self.reduce_tasks) as f64 * params.task_startup;
         overhead + self.total_work_seconds(params) / parallelism
@@ -149,12 +158,12 @@ mod tests {
             ..sample()
         };
         let params = CostParameters::default();
-        let t1 = m.simulated_seconds(&params, 1);
-        let t7 = m.simulated_seconds(&params, 7);
-        assert!(t7 < t1);
+        let on = |nodes| m.simulated_seconds(&CostParameters { nodes, ..params });
+        assert_eq!(params.nodes, 7, "the paper's testbed");
+        assert!(on(7) < on(1));
         // Job overhead is not parallelizable: with huge node counts the time
         // converges to the sequential overhead.
-        let t_many = m.simulated_seconds(&params, 1_000_000);
+        let t_many = on(1_000_000);
         let overhead = 2.0 * params.job_startup + 5.0 * params.task_startup;
         assert!((t_many - overhead).abs() / overhead < 0.05);
     }
@@ -170,7 +179,7 @@ mod tests {
             jobs: 3,
             ..Default::default()
         };
-        assert!(three_jobs.simulated_seconds(&params, 7) > one_job.simulated_seconds(&params, 7));
+        assert!(three_jobs.simulated_seconds(&params) > one_job.simulated_seconds(&params));
     }
 
     #[test]
@@ -184,19 +193,22 @@ mod tests {
             join: 5.0,
             job_startup: 0.0,
             task_startup: 0.0,
+            nodes: 1,
         };
         let expected = 1_000.0 + 500.0 * 2.0 + 200.0 * 3.0 + 2_000.0 * 4.0 + 300.0 * 5.0;
         assert_eq!(m.total_work_seconds(&params), expected);
-        assert_eq!(m.simulated_seconds(&params, 1), expected);
+        assert_eq!(m.simulated_seconds(&params), expected);
     }
 
     #[test]
     fn zero_node_cluster_is_treated_as_one() {
         let m = sample();
-        let params = CostParameters::default();
-        assert_eq!(
-            m.simulated_seconds(&params, 0),
-            m.simulated_seconds(&params, 1)
-        );
+        let on = |nodes| {
+            m.simulated_seconds(&CostParameters {
+                nodes,
+                ..CostParameters::default()
+            })
+        };
+        assert_eq!(on(0), on(1));
     }
 }

@@ -35,6 +35,25 @@ use std::thread;
 /// (`auto` selects the machine's available parallelism).
 pub const THREADS_ENV: &str = "CSQ_THREADS";
 
+/// Partitions per busy thread: how many files each replica of the store is
+/// split into, and so how many tasks every scan, join, shuffle and reduce
+/// wave fans out to, for each thread that will drain them. Measured in
+/// EXPERIMENTS.md, "Partition execution by worker" (the partition sweep and
+/// the ×1 / ×2 pairs, 2 cores): fewer, larger parts win until the count is
+/// below, or not a multiple of, the busy threads; ×1 and ×2 tie on pass
+/// time (each ahead on one workload, neither in 9 of 10 pairs) and ×1 costs
+/// `sp2b_heavy` 6 % more peak memory, so ×2.
+const PARTITIONS_PER_THREAD: usize = 2;
+
+/// The partition count a deployment draining waves on `threads` threads
+/// lays its data out in: always a positive multiple of the thread count
+/// (`0` is taken as one thread), so a wave's tasks divide evenly over the
+/// threads. The one source of [`crate::ClusterConfig::default`]'s and
+/// [`crate::LoadOptions::default`]'s `nodes`.
+pub fn partitions_for(threads: usize) -> usize {
+    PARTITIONS_PER_THREAD * threads.max(1)
+}
+
 /// A task-wave executor with a fixed degree of parallelism.
 ///
 /// `threads == 1` is the *sequential* runtime: every task runs inline on the
@@ -307,6 +326,17 @@ mod tests {
         // The *programmatic* constructor clamps; the user-facing parsers
         // reject (see below).
         assert_eq!(Runtime::with_threads(0).threads(), 1);
+    }
+
+    #[test]
+    fn partition_counts_are_positive_multiples_of_the_thread_count() {
+        assert!(partitions_for(0) >= 1, "no threads is taken as one");
+        assert_eq!(partitions_for(0), partitions_for(1));
+        for threads in 1..=64 {
+            let partitions = partitions_for(threads);
+            assert!(partitions >= threads);
+            assert_eq!(partitions % threads, 0, "threads={threads}");
+        }
     }
 
     #[test]

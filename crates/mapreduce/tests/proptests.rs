@@ -48,9 +48,9 @@ proptest! {
     /// drops below the sequential job/task overhead.
     #[test]
     fn more_nodes_never_slow_things_down(m in metrics_strategy(), nodes in 1usize..64) {
-        let params = CostParameters::default();
-        let with_nodes = m.simulated_seconds(&params, nodes);
-        let with_more = m.simulated_seconds(&params, nodes * 2);
+        let params = CostParameters { nodes, ..CostParameters::default() };
+        let with_nodes = m.simulated_seconds(&params);
+        let with_more = m.simulated_seconds(&CostParameters { nodes: nodes * 2, ..params });
         prop_assert!(with_more <= with_nodes + 1e-9);
         let overhead = m.jobs as f64 * params.job_startup
             + (m.map_tasks + m.reduce_tasks) as f64 * params.task_startup;
@@ -68,6 +68,7 @@ proptest! {
             join: 1.0,
             job_startup: 0.0,
             task_startup: 0.0,
+            nodes: 1,
         };
         let scaled = CostParameters {
             read: factor as f64,

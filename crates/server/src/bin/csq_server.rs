@@ -4,19 +4,22 @@
 //! csq_server [--addr HOST:PORT] [--threads N|auto] [--scale U] [--plan-cache N|off]
 //! ```
 //!
-//! Loads a LUBM graph at `--scale U` universities onto a 7-node simulated
-//! cluster (statistics computed in parallel on the same thread budget),
-//! starts a persistent serving scheduler with `--threads` workers, and
-//! answers until killed. `--plan-cache` bounds the template plan cache
-//! (default 128 entries) or disables it with `off`:
+//! Bulk-loads a LUBM graph at `--scale U` universities into the partitions
+//! `--threads` workers call for (`partitions_for`; the loader's store is the
+//! cluster's, statistics computed on the same thread budget), prices it as
+//! the paper's 7-node cluster, starts a persistent serving scheduler with
+//! `--threads` workers, and answers until killed. `--plan-cache` bounds the
+//! template plan cache (default 128 entries) or disables it with `off`:
 //!
 //! ```text
 //! curl 'http://127.0.0.1:7878/query?name=Q4'
 //! curl -d 'SELECT ?x ?y WHERE { ?x ub:advisor ?y }' http://127.0.0.1:7878/sparql
 //! ```
 
-use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
-use cliquesquare_rdf::{LubmGenerator, LubmScale};
+use cliquesquare_mapreduce::{
+    partitions_for, BulkLoader, Cluster, CostParameters, LoadOptions, Runtime,
+};
+use cliquesquare_rdf::LubmScale;
 use cliquesquare_server::{HttpServer, QueryService, ServerConfig};
 use std::sync::Arc;
 
@@ -59,14 +62,20 @@ fn main() {
         },
     };
 
-    eprintln!("loading LUBM ({universities} universities) onto 7 nodes …");
-    let graph = LubmGenerator::new(LubmScale::with_universities(universities)).generate();
-    let triples = graph.len();
-    let cluster = Cluster::load_with(
-        graph,
-        ClusterConfig::default(),
-        &Runtime::with_threads(threads),
+    let partitions = partitions_for(threads);
+    let cost = CostParameters::default();
+    eprintln!(
+        "loading LUBM ({universities} universities) into {partitions} partitions, \
+         priced as {} modelled nodes …",
+        cost.nodes
     );
+    let load_runtime = Runtime::with_threads(threads);
+    let output = BulkLoader::new(load_runtime.clone()).load_lubm(
+        LubmScale::with_universities(universities),
+        &LoadOptions::with_nodes(partitions),
+    );
+    let triples = output.graph.len();
+    let cluster = Cluster::from_load(output, cost, &load_runtime);
     let service =
         Arc::new(QueryService::new(cluster, Runtime::serving(threads)).with_plan_cache(plan_cache));
 

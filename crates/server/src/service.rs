@@ -8,8 +8,8 @@ use cliquesquare_mapreduce::{Cluster, Runtime};
 use cliquesquare_obs::{QueryProfile, SpanNode};
 use cliquesquare_querygen::lubm_queries::lubm_queries;
 use cliquesquare_sparql::parser::parse_query;
-use cliquesquare_sparql::BgpQuery;
-use std::collections::{BTreeMap, HashMap};
+use cliquesquare_sparql::{BgpQuery, Variable};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,6 +147,13 @@ impl QueryService {
             .into_iter()
             .map(|q| (q.name().to_string(), q))
             .collect();
+        cliquesquare_obs::global()
+            .gauge(
+                "csq_cluster_partitions",
+                "Physical partitions of the served cluster: files per store replica, tasks per wave",
+                &[],
+            )
+            .set(cluster.nodes() as i64);
         Self {
             executor: Executor::with_runtime(&cluster, runtime),
             csq: Csq::new(cluster, CsqConfig::default()),
@@ -301,8 +308,8 @@ impl QueryService {
                         let rename = cached
                             .variables
                             .iter()
+                            .cloned()
                             .zip(query.variables())
-                            .map(|(t, q)| (t.name().to_string(), q.name().to_string()))
                             .collect();
                         return Planned {
                             plan: Arc::new(rebound),
@@ -398,12 +405,11 @@ impl QueryService {
             variables: results
                 .schema()
                 .iter()
-                .map(
-                    |v| match planned.rename.as_ref().and_then(|map| map.get(v.name())) {
-                        Some(name) => format!("?{name}"),
-                        None => v.to_string(),
-                    },
-                )
+                .map(|v| {
+                    let mut pairs = planned.rename.iter().flatten();
+                    let renamed = pairs.find(|(template, _)| template == v);
+                    renamed.map_or(v, |(_, name)| name).to_string()
+                })
                 .collect(),
             rows,
             total_rows,
@@ -425,9 +431,10 @@ struct Planned {
     optimize_ms: f64,
     /// How many candidate plans the search produced; 0 on a cache hit.
     candidates: usize,
-    /// On a cache hit, the map from the cached plan's variable names to this
-    /// query's; `None` on a miss.
-    rename: Option<HashMap<String, String>>,
+    /// On a cache hit, each of the cached plan's variables beside this
+    /// query's name for it (a handful of pairs sharing their names: no
+    /// string is copied or hashed); `None` on a miss.
+    rename: Option<Vec<(Variable, Variable)>>,
 }
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads cover

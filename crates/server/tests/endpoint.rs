@@ -274,6 +274,9 @@ fn metrics_endpoint_renders_valid_prometheus_text() {
     assert!(has("csq_http_requests_total"), "body: {body}");
     assert!(has("csq_scheduler_tasks_total"), "body: {body}");
     assert!(has("csq_http_request_seconds_bucket"), "body: {body}");
+    // The fan-out the served cluster runs at (`start_server` loads 4 nodes).
+    let partitions = samples.iter().find(|s| s.name == "csq_cluster_partitions");
+    assert_eq!(partitions.map(|s| s.value), Some(4.0), "body: {body}");
     // The relation and load counters are not series: they are reachable
     // per operator, on a profiled answer.
     let gone = |prefix: &str| !samples.iter().any(|s| s.name.starts_with(prefix));
@@ -282,6 +285,7 @@ fn metrics_endpoint_renders_valid_prometheus_text() {
     let (status, profiled) = get(addr, "/query?name=Q1&profile=1");
     assert_eq!(status, 200);
     assert!(profiled.contains("\"sorts_elided\""), "body: {profiled}");
+    assert!(profiled.contains("\"partitions\":4"), "body: {profiled}");
 }
 
 #[test]

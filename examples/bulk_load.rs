@@ -13,7 +13,7 @@
 
 use cliquesquare_engine::csq::{Csq, CsqConfig};
 use cliquesquare_mapreduce::load::{BulkLoader, LoadOptions};
-use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
+use cliquesquare_mapreduce::{Cluster, CostParameters, Runtime};
 use cliquesquare_rdf::{ntriples, LubmGenerator, LubmScale, Term};
 use cliquesquare_sparql::parser::parse_query;
 
@@ -76,8 +76,9 @@ pub fn run(scale: LubmScale) {
         reloaded.graph.len()
     );
 
-    // 4. Query the bulk-loaded cluster.
-    let cluster = Cluster::load(output.graph, ClusterConfig::with_nodes(4));
+    // 4. Query the bulk-loaded cluster: it adopts the loader's store, so
+    //    the data is partitioned once.
+    let cluster = Cluster::from_load(output, CostParameters::default(), &loader.runtime());
     let csq = Csq::new(cluster, CsqConfig::default());
     let query = parse_query(
         "SELECT ?student ?dept WHERE {

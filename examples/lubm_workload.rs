@@ -24,7 +24,7 @@ fn main() {
 pub fn run(scale: LubmScale) {
     let graph = LubmGenerator::new(scale).generate();
     println!("dataset: {} triples, 7-node cluster\n", graph.len());
-    let cluster = Cluster::load(graph, ClusterConfig::default());
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(7));
     let csq = Csq::new(cluster.clone(), CsqConfig::default());
     let shape = ShapeSystem::new(&cluster);
     let h2rdf = H2RdfSystem::new(&cluster);

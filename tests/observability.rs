@@ -84,6 +84,8 @@ fn profile_spans_tile_the_measured_wall_clock() {
     // follows the last, so their walls are disjoint and must fit inside the
     // execute span.
     let execute = &profile.root.children[2];
+    // The span says what fan-out its waves ran at.
+    assert_eq!(execute.attrs, [("partitions".to_string(), 4)]);
     let span_sum = execute.children_wall_seconds();
     assert!(
         span_sum <= execute.wall_seconds + 1e-3,

@@ -2,16 +2,19 @@
 //! threads must be **observationally identical** to sequential execution —
 //! same (bit-identical) result relation, same job descriptors, same work
 //! counters, same simulated seconds — and both must agree with the naive
-//! reference evaluator.
+//! reference evaluator. The same holds along the partition axis: how many
+//! partitions the data is laid out in follows the machine, so it may change
+//! neither the plan chosen nor anything a client sees.
 
 use cliquesquare_core::{Optimizer, Variant};
 use cliquesquare_engine::csq::{Csq, CsqConfig};
 use cliquesquare_engine::reference::reference_eval_with;
 use cliquesquare_engine::Executor;
-use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
+use cliquesquare_mapreduce::{Cluster, ClusterConfig, CostParameters, Runtime};
 use cliquesquare_querygen::lubm_queries::lubm_queries;
-use cliquesquare_querygen::{SyntheticShape, SyntheticWorkload};
-use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Term};
+use cliquesquare_querygen::sp2b_queries::sp2b_queries;
+use cliquesquare_querygen::{SyntheticShape, SyntheticWorkload, WorkloadConfig};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term};
 use cliquesquare_sparql::BgpQuery;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,6 +149,76 @@ fn fanout_stars_take_the_factorized_path() {
         snapshot.rows_expanded, output.metrics.join_output_tuples,
         "expansion must materialize exactly the join's logical output"
     );
+}
+
+/// The partition axis: LUBM Q1–Q14, SP²B S1–S6 and the synthetic workload
+/// at partitions {1, 2, 3, 4, 7} × threads {1, 2, 8}, the modelled cluster
+/// held at the paper's 7 nodes. `Csq::plan` picks the same plan on the
+/// narrowest and the widest layout; every execution of it gives the
+/// reference evaluator's distinct rows and count under one job descriptor;
+/// and the simulated response time is the counted work priced at
+/// `cost.nodes`, never at the physical partition count.
+#[test]
+fn partition_count_changes_neither_plans_nor_answers() {
+    let workloads = [
+        (
+            LubmGenerator::new(LubmScale::tiny()).generate(),
+            lubm_queries(),
+        ),
+        (
+            Sp2bGenerator::new(Sp2bScale::tiny()).generate(),
+            sp2b_queries(),
+        ),
+        (
+            synthetic_graph(7),
+            SyntheticWorkload::generate(WorkloadConfig::small()),
+        ),
+    ];
+    let modelled = CostParameters::default();
+    assert_eq!(modelled.nodes, 7);
+    for (graph, queries) in workloads {
+        let clusters: Vec<Cluster> = [1, 2, 3, 4, 7]
+            .into_iter()
+            .map(|nodes| {
+                let config = ClusterConfig {
+                    nodes,
+                    cost: modelled,
+                };
+                Cluster::load(graph.clone(), config)
+            })
+            .collect();
+        let plan_on = |cluster: &Cluster, query: &BgpQuery| {
+            Csq::new(cluster.clone(), CsqConfig::default())
+                .plan(query)
+                .1
+        };
+        for query in &queries {
+            let name = query.name();
+            let plan = plan_on(&clusters[0], query);
+            assert!(
+                plan == plan_on(&clusters[4], query),
+                "{name}: 1 and 7 partitions chose different plans"
+            );
+            let reference = reference_eval_with(&graph, query, &Runtime::sequential());
+            let mut descriptor = None;
+            for cluster in &clusters {
+                for threads in [1, 2, 8] {
+                    let at = format!("{name}, partitions={}, threads={threads}", cluster.nodes());
+                    let output = Executor::with_runtime(cluster, Runtime::with_threads(threads))
+                        .execute_logical(&plan);
+                    assert_eq!(output.distinct_count(), reference.len(), "{at}");
+                    assert_eq!(output.results.clone().distinct(), reference, "{at}");
+                    let jobs = output.schedule.descriptor();
+                    assert_eq!(descriptor.get_or_insert(jobs.clone()), &jobs, "{at}");
+                    assert_eq!(
+                        output.simulated_seconds,
+                        output.metrics.simulated_seconds(&modelled),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
