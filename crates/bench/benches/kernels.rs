@@ -43,6 +43,22 @@ fn sorted_star_input(rows: usize, fanout: usize, payload: &str) -> Relation {
     relation
 }
 
+/// A star's output: `arity` columns grouped by column 0 (four rows per
+/// key), the other columns dense term ids below 2¹⁹ in no order — what a
+/// consumer keyed on another column has to re-sort.
+fn grouped(rows: usize, arity: usize) -> Relation {
+    let mut relation = Relation::empty((0..arity).map(|c| v(&format!("c{c}"))).collect());
+    let mut row = vec![TermId(0); arity];
+    for i in 0..rows as u32 {
+        row[0] = TermId(i / 4);
+        for (c, cell) in row.iter_mut().enumerate().skip(1) {
+            *cell = TermId((i + c as u32).wrapping_mul(2_654_435_761) >> 13);
+        }
+        relation.push_row(&row);
+    }
+    relation
+}
+
 fn bench_sort(c: &mut Criterion) {
     let base = unsorted(ROWS);
     let mut group = c.benchmark_group("kernels_sort");
@@ -53,6 +69,24 @@ fn bench_sort(c: &mut Criterion) {
             black_box(relation.len())
         })
     });
+    // LUBM Q11's MapJoin output delivered on the next join's key, Q8's
+    // expansion delivered in canonical order of another column sequence,
+    // and a sort too small to amortize anything.
+    let shapes: [(&str, usize, usize, &[usize]); 3] = [
+        ("one_key_100k_x4", 100_000, 4, &[3]),
+        ("three_keys_60k_x3", 60_000, 3, &[2, 1, 0]),
+        ("one_key_48_x2", 48, 2, &[1]),
+    ];
+    for (name, rows, arity, keys) in shapes {
+        let base = grouped(rows, arity);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut relation = base.clone();
+                relation.sort_by_columns(keys);
+                black_box(relation.len())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -200,6 +200,7 @@ fn main() {
             simulated_seconds: report.simulated_seconds,
             results: report.result_count,
             sorts_performed: rel_stats.sorts_performed,
+            rows_sorted: rel_stats.rows_sorted,
             sorts_elided: rel_stats.sorts_elided,
             join_inputs_resorted: rel_stats.join_inputs_resorted,
             runs_emitted: rel_stats.runs_emitted,

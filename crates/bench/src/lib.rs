@@ -169,6 +169,8 @@ pub struct SnapshotQuery {
     pub results: usize,
     /// Index sorts the sequential execution actually performed.
     pub sorts_performed: u64,
+    /// Rows those sorts moved through the sort kernel.
+    pub rows_sorted: u64,
     /// Ordering requirements satisfied without a sort.
     pub sorts_elided: u64,
     /// Join inputs that paid a column-permuted re-sort.
@@ -212,12 +214,13 @@ pub fn write_execution_snapshot(
         push_escaped(&mut json, &q.jobs);
         json.push_str(&format!(
             "\", \"simulated_seconds\": {:.6}, \"results\": {}, \
-             \"sorts_performed\": {}, \"sorts_elided\": {}, \
+             \"sorts_performed\": {}, \"rows_sorted\": {}, \"sorts_elided\": {}, \
              \"join_inputs_resorted\": {}, \"runs_emitted\": {}, \
              \"rows_expanded\": {}, \"peak_rows\": {}, \"peak_bytes\": {}",
             q.simulated_seconds,
             q.results,
             q.sorts_performed,
+            q.rows_sorted,
             q.sorts_elided,
             q.join_inputs_resorted,
             q.runs_emitted,
@@ -311,6 +314,7 @@ mod tests {
                 simulated_seconds: 8.5,
                 results: 42,
                 sorts_performed: 3,
+                rows_sorted: 250,
                 sorts_elided: 17,
                 join_inputs_resorted: 1,
                 runs_emitted: 5,
@@ -327,6 +331,7 @@ mod tests {
                 simulated_seconds: 9.0,
                 results: 7,
                 sorts_performed: 0,
+                rows_sorted: 0,
                 sorts_elided: 20,
                 join_inputs_resorted: 0,
                 runs_emitted: 0,
@@ -348,13 +353,15 @@ mod tests {
              \"dataset_triples\": 1000,\n  \"nodes\": 7,\n  \"queries\": [\n    \
              {\"name\": \"Q\\\"1\", \"patterns\": 2, \"jobs\": \"M\", \
              \"simulated_seconds\": 8.500000, \"results\": 42, \"sorts_performed\": 3, \
-             \"sorts_elided\": 17, \"join_inputs_resorted\": 1, \"runs_emitted\": 5, \
-             \"rows_expanded\": 40, \"peak_rows\": 60, \"peak_bytes\": 480, \
+             \"rows_sorted\": 250, \"sorts_elided\": 17, \"join_inputs_resorted\": 1, \
+             \"runs_emitted\": 5, \"rows_expanded\": 40, \"peak_rows\": 60, \
+             \"peak_bytes\": 480, \
              \"median_q_error\": 1.2500, \"max_q_error\": 8.0000},\n    \
              {\"name\": \"Q2\", \"patterns\": 3, \"jobs\": \"1\", \
              \"simulated_seconds\": 9.000000, \"results\": 7, \"sorts_performed\": 0, \
-             \"sorts_elided\": 20, \"join_inputs_resorted\": 0, \"runs_emitted\": 0, \
-             \"rows_expanded\": 0, \"peak_rows\": 7, \"peak_bytes\": 56}\n  ]\n}\n"
+             \"rows_sorted\": 0, \"sorts_elided\": 20, \"join_inputs_resorted\": 0, \
+             \"runs_emitted\": 0, \"rows_expanded\": 0, \"peak_rows\": 7, \
+             \"peak_bytes\": 56}\n  ]\n}\n"
         );
         // A golden file holds nothing that varies run to run.
         assert!(!written.contains("wall") && !written.contains("threads"));

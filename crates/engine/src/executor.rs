@@ -600,6 +600,7 @@ impl<'a> ExecState<'a> {
         let stats = std::mem::take(&mut prof.stats);
         for (name, value) in [
             ("sorts_performed", stats.sorts_performed),
+            ("rows_sorted", stats.rows_sorted),
             ("sorts_elided", stats.sorts_elided),
             ("join_inputs_presorted", stats.join_inputs_presorted),
             ("join_inputs_resorted", stats.join_inputs_resorted),

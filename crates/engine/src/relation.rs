@@ -63,10 +63,13 @@ pub mod stats {
         pub join_inputs_presorted: u64,
         /// Join inputs that paid the one-shot column-permuted index sort.
         pub join_inputs_resorted: u64,
-        /// Index sorts actually performed: [`super::Relation::canonicalize`]
-        /// / [`super::Relation::sort_by_columns`] calls that had to permute
+        /// Index sorts actually performed (runs of the one sort kernel):
+        /// [`super::Relation::sort_by_columns`] calls that had to permute
         /// rows, plus join-input re-sorts.
         pub sorts_performed: u64,
+        /// Rows that went through the sort kernel, summed over
+        /// `sorts_performed`.
+        pub rows_sorted: u64,
         /// Ordering requirements satisfied *without* sorting: the tracked
         /// [`super::SortOrder`] (or a linear verification pass) proved the
         /// rows already ordered.
@@ -122,6 +125,7 @@ pub mod stats {
                 ),
                 join_inputs_resorted: count(self.join_inputs_resorted, other.join_inputs_resorted),
                 sorts_performed: count(self.sorts_performed, other.sorts_performed),
+                rows_sorted: count(self.rows_sorted, other.rows_sorted),
                 sorts_elided: count(self.sorts_elided, other.sorts_elided),
                 runs_emitted: count(self.runs_emitted, other.runs_emitted),
                 rows_expanded: count(self.rows_expanded, other.rows_expanded),
@@ -140,6 +144,7 @@ pub mod stats {
             join_inputs_presorted: 0,
             join_inputs_resorted: 0,
             sorts_performed: 0,
+            rows_sorted: 0,
             sorts_elided: 0,
             runs_emitted: 0,
             rows_expanded: 0,
@@ -189,14 +194,16 @@ pub mod stats {
         });
     }
 
-    pub(crate) fn count_sort(performed: bool) {
+    /// One run of the sort kernel over `rows` rows.
+    pub(crate) fn count_sort_performed(rows: u64) {
         update(|s| {
-            if performed {
-                s.sorts_performed += 1;
-            } else {
-                s.sorts_elided += 1;
-            }
+            s.sorts_performed += 1;
+            s.rows_sorted += rows;
         });
+    }
+
+    pub(crate) fn count_sort_elided() {
+        update(|s| s.sorts_elided += 1);
     }
 
     pub(crate) fn count_runs(n: u64) {
@@ -224,10 +231,12 @@ pub mod stats {
 }
 
 /// The ordering a relation's rows are known to satisfy: rows are sorted
-/// lexicographically by the listed columns, in sequence. Rows that tie on
-/// every listed column appear in a deterministic but unspecified relative
-/// order, so a descriptor listing **all** columns means equal rows are
-/// adjacent, and the identity permutation means *canonical* order.
+/// lexicographically by the listed columns, in sequence. Every sort and
+/// merge of this module is stable: rows that tie on every listed column
+/// keep the relative order they arrived in, so rows ordered by `[x]` and
+/// then sorted by `[z]` satisfy `[z, x]`. A descriptor listing **all**
+/// columns means equal rows are adjacent, and the identity permutation
+/// means *canonical* order.
 ///
 /// An empty descriptor claims nothing ([`SortOrder::none`]); it is always a
 /// safe value — it only costs a re-sort later.
@@ -364,25 +373,6 @@ fn sorted_by(data: &[TermId], arity: usize, columns: &[usize]) -> bool {
     true
 }
 
-/// One linear pass checking that a flat buffer's rows are in canonical
-/// (full lexicographic) order.
-fn flat_sorted(data: &[TermId], arity: usize) -> bool {
-    if arity == 0 {
-        return true;
-    }
-    let mut chunks = data.chunks_exact(arity);
-    let Some(mut previous) = chunks.next() else {
-        return true;
-    };
-    for row in chunks {
-        if previous > row {
-            return false;
-        }
-        previous = row;
-    }
-    true
-}
-
 /// Borrowed iterator over a relation's rows as `&[TermId]` slices.
 #[derive(Debug, Clone)]
 pub struct Rows<'a> {
@@ -496,11 +486,10 @@ impl Relation {
             );
             data.len() / arity
         };
-        let order = if flat_sorted(&data, arity) {
-            SortOrder::canonical(arity)
-        } else {
-            SortOrder::none()
-        };
+        let mut order = SortOrder::canonical(arity);
+        if !sorted_by(&data, arity, order.columns()) {
+            order = SortOrder::none();
+        }
         Self {
             schema,
             data,
@@ -658,23 +647,10 @@ impl Relation {
         self.schema.iter().position(|v| v == variable)
     }
 
-    /// Sorts the rows into canonical order (elided when the tracked order is
-    /// already canonical; one verification pass rescues almost-sorted
-    /// buffers from the sort).
+    /// Sorts the rows into canonical order: [`Relation::sort_by_columns`]
+    /// over every column in schema order.
     pub fn canonicalize(&mut self) {
-        let arity = self.schema.len();
-        if self.order.is_canonical(arity) {
-            stats::count_sort(false);
-        } else if flat_sorted(&self.data, arity) {
-            self.order = SortOrder::canonical(arity);
-            stats::count_sort(false);
-        } else {
-            self.sort_now(SortOrder::canonical(arity));
-        }
-        debug_assert!(
-            flat_sorted(&self.data, arity),
-            "canonical relation not sorted"
-        );
+        self.sort_by_columns(SortOrder::canonical(self.schema.len()).columns());
     }
 
     /// Ensures the rows are sorted by the given column sequence, eliding the
@@ -686,53 +662,32 @@ impl Relation {
         if self.rows <= 1 {
             // At most one row: every ordering holds, adopt the claim as-is.
             self.order = order;
-            stats::count_sort(false);
+            stats::count_sort_elided();
             return;
         }
         if self.order.satisfies(order.columns()) {
-            stats::count_sort(false);
+            stats::count_sort_elided();
             return;
         }
-        if sorted_by(&self.data, self.schema.len(), order.columns()) {
-            self.order = order;
-            stats::count_sort(false);
-            return;
-        }
-        self.sort_now(order);
-    }
-
-    /// Index sort + one permuted copy by the given order. The sort touches
-    /// only the key columns, gathered into contiguous column-major storage
-    /// first: a single-column key sorts one flat `(key, row)` array, and a
-    /// multi-column key goes through the chunked [`KeyChunk`] comparator.
-    /// A handful of buffer allocations, zero per-row allocations.
-    fn sort_now(&mut self, order: SortOrder) {
-        assert!(self.rows <= u32::MAX as usize, "relation too large");
         let arity = self.schema.len();
-        stats::count_buffer_alloc();
-        let permutation: Vec<u32> = if let [col] = *order.columns() {
-            // Single-column key: sort flat (key, row) pairs — a branch-light
-            // wide compare over one contiguous buffer. Ties keep the original
-            // row order, so the result is deterministic.
-            let mut keyed: Vec<(TermId, u32)> = (0..self.rows as u32)
-                .map(|row| (self.data[row as usize * arity + col], row))
-                .collect();
-            keyed.sort_unstable();
-            keyed.into_iter().map(|(_, row)| row).collect()
-        } else {
-            let chunk = KeyChunk::gather(&self.data, arity, order.columns(), self.rows);
-            let mut permutation: Vec<u32> = (0..self.rows as u32).collect();
-            permutation.sort_unstable_by(|&a, &b| chunk.cmp_rows(a as usize, b as usize));
-            permutation
-        };
+        if sorted_by(&self.data, arity, order.columns()) {
+            self.order = order;
+            stats::count_sort_elided();
+            return;
+        }
+        // The stable index sort over the key columns alone (gathered into
+        // contiguous column-major storage first; its scratch is freed
+        // before the copy is allocated), then one permuted copy. A handful
+        // of buffer allocations, zero per-row allocations.
+        let permutation =
+            KeyChunk::gather(&self.data, arity, order.columns(), self.rows).sorted_permutation();
         stats::count_buffer_alloc();
         let mut sorted: Vec<TermId> = Vec::with_capacity(self.data.len());
-        for &i in &permutation {
-            sorted.extend_from_slice(self.row(i as usize));
+        for &row in &permutation {
+            sorted.extend_from_slice(self.row(row as usize));
         }
         self.data = sorted;
         self.order = order;
-        stats::count_sort(true);
     }
 
     /// Merges relations with identical schemas into one, interleaving rows
@@ -916,28 +871,34 @@ impl Relation {
         self
     }
 
-    /// Number of distinct rows, without consuming or cloning the relation
-    /// when its tracked order covers every column (any full column
-    /// permutation puts equal rows next to each other).
+    /// Number of distinct rows, without consuming or cloning the relation:
+    /// counted in place when the tracked order covers every column (any full
+    /// column permutation puts equal rows next to each other), along one
+    /// index sort otherwise.
     pub fn distinct_len(&self) -> usize {
         let arity = self.schema.len();
         if arity == 0 {
             return self.rows.min(1);
         }
-        if self.order.columns().len() == arity {
+        let duplicates = if self.order.columns().len() == arity {
             debug_assert!(
                 sorted_by(&self.data, arity, self.order.columns()),
                 "tracked order not satisfied"
             );
-            let duplicates = (1..self.rows)
-                .filter(|&i| {
-                    self.data[(i - 1) * arity..i * arity] == self.data[i * arity..(i + 1) * arity]
-                })
-                .count();
-            self.rows - duplicates
+            (1..self.rows)
+                .filter(|&i| self.row(i - 1) == self.row(i))
+                .count()
         } else {
-            self.clone().distinct().len()
-        }
+            // Equal rows are adjacent along the sorted visit order; no row
+            // is copied.
+            let columns = SortOrder::canonical(arity);
+            KeyChunk::gather(&self.data, arity, columns.columns(), self.rows)
+                .sorted_permutation()
+                .windows(2)
+                .filter(|pair| self.row(pair[0] as usize) == self.row(pair[1] as usize))
+                .count()
+        };
+        self.rows - duplicates
     }
 
     /// N-ary **sort-merge** join of `inputs` on the shared `attributes`,
@@ -1240,10 +1201,8 @@ fn finalize_join_order(out: &mut Relation, output_order: JoinOrder<'_>) {
 
 /// A column-major (PAX-style) copy of a relation's key columns: column `k`'s
 /// values for every row sit in one contiguous `&[TermId]` slice. The merge
-/// and sort comparators walk these slices instead of striding through whole
-/// row-major rows, so a comparison touches only key cache lines and the
-/// single-column case degenerates to one flat `u32` compare the compiler can
-/// vectorize.
+/// comparator and the sort kernel walk these slices instead of striding
+/// through whole row-major rows, so they touch only key cache lines.
 pub(crate) struct KeyChunk {
     buf: Vec<TermId>,
     rows: usize,
@@ -1275,18 +1234,54 @@ impl KeyChunk {
         &self.buf[k * self.rows..(k + 1) * self.rows]
     }
 
-    /// Compares two rows of the chunk, touching only the contiguous key
-    /// columns (the explicit chunked comparator for multi-column keys).
-    #[inline]
-    pub(crate) fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        for k in 0..self.cols {
-            let col = self.column(k);
-            match col[a].cmp(&col[b]) {
-                Ordering::Equal => {}
-                other => return other,
+    /// The one sort kernel: the permutation (position → row) that visits the
+    /// chunk's rows in ascending key order, rows with equal keys in
+    /// ascending row order. A stable least-significant-digit radix sort of
+    /// the row indices — last key column first, one counting pass per byte
+    /// of the key — that skips every byte on which all keys of a column
+    /// agree: dictionary ids are dense and small, so two or three passes per
+    /// column replace a comparison sort's log₂ n compares through the
+    /// permutation. The scratch is one more `rows`-index buffer, freed on
+    /// return.
+    pub(crate) fn sorted_permutation(&self) -> Vec<u32> {
+        const DIGIT_BITS: usize = 8;
+        const DIGIT_MASK: usize = (1 << DIGIT_BITS) - 1;
+        assert!(self.rows <= u32::MAX as usize, "relation too large");
+        stats::count_sort_performed(self.rows as u64);
+        stats::count_buffer_alloc();
+        let mut rows: Vec<u32> = (0..self.rows as u32).collect();
+        let mut scattered: Vec<u32> = vec![0; self.rows];
+        for col in (0..self.cols).rev().map(|k| self.column(k)) {
+            // The key bits that differ anywhere in the column.
+            let (any, all) = col
+                .iter()
+                .fold((0, u32::MAX), |(any, all), key| (any | key.0, all & key.0));
+            let varying = any ^ all;
+            for shift in (0..u32::BITS).step_by(DIGIT_BITS) {
+                if (varying >> shift) as usize & DIGIT_MASK == 0 {
+                    continue;
+                }
+                let digit = |key: TermId| (key.0 >> shift) as usize & DIGIT_MASK;
+                // Count every digit, turn the counts into each digit's first
+                // output position, then deal the rows out in their current
+                // order (which is what keeps the pass stable).
+                let mut offsets = [0u32; DIGIT_MASK + 1];
+                for &key in col {
+                    offsets[digit(key)] += 1;
+                }
+                let mut start = 0u32;
+                for offset in &mut offsets {
+                    start += std::mem::replace(offset, start);
+                }
+                for &row in &rows {
+                    let offset = &mut offsets[digit(col[row as usize])];
+                    scattered[*offset as usize] = row;
+                    *offset += 1;
+                }
+                std::mem::swap(&mut rows, &mut scattered);
             }
         }
-        Ordering::Equal
+        rows
     }
 
     /// Reorders every column by `permutation` (new position → old position).
@@ -1312,7 +1307,7 @@ pub(crate) struct InputView<'r> {
     keys: KeyChunk,
     /// Row visit order: `None` when the relation's tracked order has the
     /// join attributes as a prefix (rows are already key-sorted); otherwise
-    /// the one-shot column-permuted index sort.
+    /// the keys' [`KeyChunk::sorted_permutation`].
     order: Option<Vec<u32>>,
 }
 
@@ -1331,15 +1326,12 @@ impl<'r> InputView<'r> {
         // claimed for a different column sequence.
         let presorted = rel.len() <= 1 || rel.order().satisfies(&key_cols);
         stats::count_join_input(presorted);
-        stats::count_sort(!presorted);
         let mut keys = KeyChunk::gather(rel.data(), rel.arity(), &key_cols, rel.len());
         let order = if presorted {
+            stats::count_sort_elided();
             None
         } else {
-            assert!(rel.len() <= u32::MAX as usize, "relation too large");
-            stats::count_buffer_alloc();
-            let mut order: Vec<u32> = (0..rel.len() as u32).collect();
-            order.sort_unstable_by(|&a, &b| keys.cmp_rows(a as usize, b as usize));
+            let order = keys.sorted_permutation();
             keys.permute(&order);
             Some(order)
         };
@@ -1520,6 +1512,7 @@ pub fn shuffle_hash(row: &[TermId], columns: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(name: &str) -> Variable {
         Variable::new(name)
@@ -1660,6 +1653,81 @@ mod tests {
     }
 
     #[test]
+    fn sorts_are_stable_and_the_next_requirement_cashes_it_in() {
+        // Rows in [x] order; y and z tie heavily.
+        let mut r = Relation::empty(vec![v("x"), v("y"), v("z")]);
+        for i in 0..64u32 {
+            r.push_row(&[t(i), t(i % 2), t(i * 7 % 4)]);
+        }
+        assert!(r.order().satisfies(&[0]));
+        stats::reset();
+        r.sort_by_columns(&[2, 1]);
+        // Ties on (z, y) kept their [x] order, so the rows satisfy
+        // [z, y, x] and asking for it costs a verification pass, no sort.
+        assert!(sorted_by(r.data(), 3, &[2, 1, 0]));
+        r.sort_by_columns(&[2, 1, 0]);
+        let after = stats::snapshot();
+        assert_eq!((after.sorts_performed, after.sorts_elided), (1, 1));
+        assert_eq!(after.rows_sorted, 64);
+        assert_eq!(r.order().columns(), &[2, 1, 0]);
+    }
+
+    /// One key column's values from raw draws: every byte varying, the byte
+    /// boundaries mixed into uniform draws, a tiny domain, dense ids below
+    /// 2¹⁹ (two high bytes skipped), only the high byte varying, all equal.
+    fn shaped(shape: usize, raw: u32) -> u32 {
+        const EDGES: [u32; 7] = [0, 255, 256, 65_535, 65_536, 1 << 24, u32::MAX];
+        match shape {
+            0 => raw,
+            1 if raw.is_multiple_of(3) => raw.rotate_left(7),
+            1 => EDGES[raw as usize % EDGES.len()],
+            2 => raw % 8,
+            3 => raw >> 13,
+            4 => raw & 0xff00_0000 | 0x00ab_00cd,
+            _ => 65_536,
+        }
+    }
+
+    proptest! {
+        /// The kernel is the stable sort by the key columns, and
+        /// `sort_by_columns` delivers its input rows along it.
+        #[test]
+        fn sorted_permutation_is_the_stable_sort(
+            raw in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+                0..5_001,
+            ),
+            shapes in proptest::collection::vec(0..6usize, 4..5),
+            keys in 1..=4usize,
+            first in 0..4usize,
+        ) {
+            let key_cols: Vec<usize> = (0..keys).map(|k| (first + k) % 4).collect();
+            let mut r = Relation::empty(vec![v("a"), v("b"), v("c"), v("d")]);
+            for &(a, b, c, d) in &raw {
+                let row: Vec<TermId> = [a, b, c, d]
+                    .iter()
+                    .zip(&shapes)
+                    .map(|(&raw, &shape)| t(shaped(shape, raw)))
+                    .collect();
+                r.push_row_unordered(&row);
+            }
+            let chunk = KeyChunk::gather(r.data(), 4, &key_cols, r.len());
+            let mut expected: Vec<u32> = (0..r.len() as u32).collect();
+            expected.sort_by(|&a, &b| {
+                cmp_by_columns(r.row(a as usize), r.row(b as usize), &key_cols)
+            });
+            prop_assert_eq!(&chunk.sorted_permutation(), &expected);
+
+            let mut sorted = r.clone();
+            sorted.sort_by_columns(&key_cols);
+            prop_assert!(sorted_by(sorted.data(), 4, &key_cols));
+            let permuted: Vec<&[TermId]> =
+                expected.iter().map(|&row| r.row(row as usize)).collect();
+            prop_assert_eq!(sorted.rows().collect::<Vec<_>>(), permuted);
+        }
+    }
+
+    #[test]
     fn assume_order_and_unordered_pushes() {
         let mut r = Relation::empty(vec![v("a"), v("b")]);
         // Rows ascending on column 1, not on column 0.
@@ -1742,7 +1810,7 @@ mod tests {
         let right = rel(&["x", "b"], &[&[10, 100], &[20, 200]]);
         let joined = Relation::join(&[&left, &right], &[v("x")]);
         assert!(joined.is_canonical());
-        assert!(flat_sorted(joined.data(), joined.arity()));
+        assert!(sorted_by(joined.data(), joined.arity(), &[0, 1, 2]));
     }
 
     #[test]

@@ -207,6 +207,7 @@ fn profiled_counters_are_the_sum_of_task_deltas() {
         let local = relation_stats::snapshot();
         let expected = [
             ("sorts_performed", local.sorts_performed),
+            ("rows_sorted", local.rows_sorted),
             ("sorts_elided", local.sorts_elided),
             ("join_inputs_presorted", local.join_inputs_presorted),
             ("runs_emitted", local.runs_emitted),
