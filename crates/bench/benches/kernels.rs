@@ -119,6 +119,23 @@ fn bench_factorized(c: &mut Criterion) {
         let vars = [v("a"), v("b")];
         b.iter(|| black_box(runs.project_expand(&vars).len()))
     });
+    // LUBM Q1 as the benchmark serves it (1 200 universities): 4 800
+    // departments of 11 professors and 52 members each, the join key
+    // projected away — 2.7 M rows of two columns, of which a served answer
+    // reads 1 000 and the count.
+    let works_for = sorted_star_input(4_800 * 11, 11, "p");
+    let member_of = sorted_star_input(4_800 * 52, 52, "s");
+    let q1 = join_runs(&[&works_for, &member_of], &key, &[]);
+    let vars = [v("p"), v("s")];
+    group.bench_function("q1_project_expand_4800_runs", |b| {
+        b.iter(|| black_box(q1.project_expand(&vars).len()))
+    });
+    group.bench_function("q1_project_bounded_4800_runs_k1000", |b| {
+        b.iter(|| {
+            let bounded = q1.project_bounded(&vars, 1_000).expect("?p never repeats");
+            black_box((bounded.count, bounded.head.len()))
+        })
+    });
     group.finish();
 }
 

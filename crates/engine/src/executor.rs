@@ -51,7 +51,7 @@
 //! `simulated_seconds` — unchanged by the thread count. `wall_seconds` is
 //! the real time of the whole execution.
 
-use crate::factorized::{self, RunsRelation};
+use crate::factorized::{self, BoundedProjection, RunsRelation};
 use crate::jobs::{schedule, JobSchedule};
 use crate::physical::{FilterCondition, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
 use crate::relation::{self, stats::RelationStats, JoinOrder, Relation, SortOrder};
@@ -69,8 +69,11 @@ use std::time::Instant;
 /// The result of executing one plan.
 #[derive(Debug, Clone)]
 pub struct ExecutionOutput {
-    /// The final (projected) result relation in canonical (sorted) order,
-    /// with duplicates preserved.
+    /// The final (projected) result relation in canonical (sorted) order.
+    /// From [`Executor::execute`] and the profiled entries: the whole
+    /// answer, duplicates preserved — nothing is counted or cut. From
+    /// [`Executor::execute_bounded`]: only the first `max_rows` **distinct**
+    /// rows, the count of the rest being [`BoundedOutput::total_rows`].
     pub results: Relation,
     /// Work counters of each scheduled job, indexed like
     /// [`JobSchedule::kinds`].
@@ -100,6 +103,17 @@ impl ExecutionOutput {
     pub fn distinct_count(&self) -> usize {
         self.results.distinct_len()
     }
+}
+
+/// The result of executing one plan under a row bound
+/// ([`Executor::execute_bounded`]).
+#[derive(Debug, Clone)]
+pub struct BoundedOutput {
+    /// The execution's facts; its `results` hold the first `max_rows`
+    /// distinct rows of the answer in canonical order.
+    pub execution: ExecutionOutput,
+    /// The exact number of distinct rows of the whole answer.
+    pub total_rows: usize,
 }
 
 /// Intermediate operator results: one relation per compute node, or one
@@ -230,7 +244,35 @@ impl Executor {
 
     /// Executes a physical plan.
     pub fn execute(&self, plan: &PhysicalPlan) -> ExecutionOutput {
-        self.execute_inner(plan, false, None)
+        self.execute_inner(plan, false, None, None).0
+    }
+
+    /// Executes a physical plan for a consumer that reads at most
+    /// `max_rows` rows and the answer's size: returns the first `max_rows`
+    /// **distinct** rows in canonical order and the exact distinct count,
+    /// which are `execute(plan).results.distinct()` cut at `max_rows` and
+    /// its length. Everything below the root runs as in
+    /// [`execute`](Self::execute), with the same job counters and simulated
+    /// seconds; the root `Project` counts on what its input holds — the
+    /// factorized runs, or each part's rows — and materializes only each
+    /// part's head when the parts' rows are provably disjoint
+    /// (`ExecState::project_bounded`), and the whole answer is expanded,
+    /// gathered, de-duplicated and cut otherwise. `Some(estimates)` records
+    /// the span tree as
+    /// [`execute_profiled_with_estimates`](Self::execute_profiled_with_estimates)
+    /// does; the root `Project` span says which way it went (`bounded`).
+    pub fn execute_bounded(
+        &self,
+        plan: &PhysicalPlan,
+        max_rows: usize,
+        estimates: Option<&[u64]>,
+    ) -> BoundedOutput {
+        let (execution, total_rows) =
+            self.execute_inner(plan, estimates.is_some(), estimates, Some(max_rows));
+        BoundedOutput {
+            execution,
+            total_rows,
+        }
     }
 
     /// Executes a physical plan, recording the per-operator span tree into
@@ -239,7 +281,7 @@ impl Executor {
     /// tasks compute, so answers are bit-identical to [`Executor::execute`]
     /// at every thread count (asserted in `tests/observability.rs`).
     pub fn execute_profiled(&self, plan: &PhysicalPlan) -> ExecutionOutput {
-        self.execute_inner(plan, true, None)
+        self.execute_inner(plan, true, None, None).0
     }
 
     /// Like [`execute_profiled`](Self::execute_profiled), but additionally
@@ -255,15 +297,19 @@ impl Executor {
         plan: &PhysicalPlan,
         estimates: &[u64],
     ) -> ExecutionOutput {
-        self.execute_inner(plan, true, Some(estimates))
+        self.execute_inner(plan, true, Some(estimates), None).0
     }
 
+    /// The one execution path. `bound` is read by the root `Project` wave
+    /// and the gather alone; without one the second value returned is just
+    /// the length of the results.
     fn execute_inner(
         &self,
         plan: &PhysicalPlan,
         profiled: bool,
         estimates: Option<&[u64]>,
-    ) -> ExecutionOutput {
+        bound: Option<usize>,
+    ) -> (ExecutionOutput, usize) {
         let started = Instant::now();
         let sched = schedule(plan);
         let mut state = ExecState {
@@ -276,10 +322,12 @@ impl Executor {
             memo: vec![None; plan.len()],
             prof: profiled.then(|| ProfCtx::new(started)),
             estimates,
+            bound,
+            counted: None,
         };
 
         state.run();
-        let results = state.gather();
+        let (results, total_rows) = state.gather();
 
         // Per-job fixed counters: one map wave per job, one reduce wave for
         // map+reduce jobs (the *wave* count drives the cost model's task
@@ -299,7 +347,7 @@ impl Executor {
             execute.add_attr("partitions", self.cluster.nodes() as u64);
             execute
         });
-        ExecutionOutput {
+        let output = ExecutionOutput {
             results,
             job_metrics,
             metrics,
@@ -308,7 +356,8 @@ impl Executor {
             threads: self.runtime.threads(),
             schedule: sched,
             profile,
-        }
+        };
+        (output, total_rows)
     }
 }
 
@@ -347,6 +396,9 @@ struct ProfCtx {
     /// Override for the current operator's input tuple count (scans read
     /// raw triples, which no memoized input reports).
     rows_in: Option<u64>,
+    /// Override for the current operator's output row count (a bounded root
+    /// holds heads; its output is what it counted).
+    rows_out: Option<u64>,
     /// Placement keys a sibling input handed the current scan, when it read
     /// only those: the estimator priced the whole file, so a deliberately
     /// narrowed read carries `keys_in` instead of an `est_rows` to be
@@ -369,6 +421,7 @@ impl ProfCtx {
             stats: RelationStats::default(),
             attrs: Vec::new(),
             rows_in: None,
+            rows_out: None,
             keys_in: None,
             gather: None,
         }
@@ -532,6 +585,13 @@ struct ExecState<'a> {
     /// Cost-model estimated cardinalities per operator (arena-indexed),
     /// attached as `est_rows` span attributes when profiling.
     estimates: Option<&'a [u64]>,
+    /// The number of result rows the caller reads
+    /// ([`Executor::execute_bounded`]); `None` delivers the whole answer.
+    bound: Option<usize>,
+    /// Distinct rows of the whole answer, once the root `Project` counted
+    /// them without expanding it; the memoized root then holds each part's
+    /// head.
+    counted: Option<usize>,
 }
 
 impl<'a> ExecState<'a> {
@@ -631,7 +691,7 @@ impl<'a> ExecState<'a> {
             .sum();
         let prof = self.prof.as_mut().expect("record_node requires profiling");
         node.rows_in = prof.rows_in.take().unwrap_or(rows_in_from_inputs);
-        node.rows_out = result.cardinality();
+        node.rows_out = prof.rows_out.take().unwrap_or(result.cardinality());
         if let Some(keys) = prof.keys_in.take() {
             node.add_attr("keys_in", keys);
         } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
@@ -646,24 +706,45 @@ impl<'a> ExecState<'a> {
     /// canonicalization of the whole execution — elided for free when the
     /// interesting-orders pass already ordered the final projection
     /// canonically. With profiling on this is the `Gather` span.
-    fn gather(&mut self) -> Relation {
+    ///
+    /// Under a bound the same task also cuts: heads of a counted root
+    /// (disjoint across parts, each distinct and canonical) merge and lose
+    /// what lies beyond the bound; an uncounted root is de-duplicated and
+    /// counted here, whole, before the cut. Returns the results and the row
+    /// count of the whole answer — distinct rows under a bound, every row
+    /// (duplicates included) without one.
+    fn gather(&mut self) -> (Relation, usize) {
         let root = self.memo[self.plan.root().index()]
             .take()
             .expect("root evaluated");
+        let (bound, counted) = (self.bound, self.counted);
         let span = self.open_span();
-        let results = self.run_wave(vec![move || {
+        let gathered = self.run_wave(vec![move || {
             let mut results = root.gather();
             results.canonicalize();
-            results
+            let merged = results.len();
+            let Some(bound) = bound else {
+                return (results, merged, merged);
+            };
+            let (mut results, total) = match counted {
+                Some(total) => (results, total),
+                None => {
+                    let results = results.distinct();
+                    let total = results.len();
+                    (results, total)
+                }
+            };
+            results.truncate(bound);
+            (results, total, merged)
         }]);
-        let results = results.into_iter().next().expect("one gather task");
+        let (results, total, merged) = gathered.into_iter().next().expect("one gather task");
         if let Some(span) = span {
             let mut node = self.close_span("Gather".to_string(), span);
-            node.rows_in = results.len() as u64;
+            node.rows_in = merged as u64;
             node.rows_out = results.len() as u64;
             self.prof.as_mut().expect("a span was opened").gather = Some(node);
         }
-        results
+        (results, total)
     }
 
     /// Evaluates the plan into the memo. Operators are stored bottom-up
@@ -1125,6 +1206,16 @@ impl<'a> ExecState<'a> {
         let value = self.input(input);
         let rows = value.cardinality();
         let vars: Arc<[Variable]> = variables.into();
+        self.job_mut(id).comparisons += rows;
+        if let Some(bound) = self.bound.filter(|_| id == self.plan.root()) {
+            let heads = self.project_bounded(&value, &vars, input, bound);
+            if let Some(prof) = &mut self.prof {
+                prof.attrs.push(("bounded", heads.is_some() as u64));
+            }
+            if let Some(heads) = heads {
+                return Arc::new(Intermediate::Local(heads));
+            }
+        }
         let tasks: Vec<_> = (0..value.parts())
             .map(|index| {
                 let (value, vars) = (Arc::clone(&value), Arc::clone(&vars));
@@ -1138,8 +1229,101 @@ impl<'a> ExecState<'a> {
             })
             .collect();
         let projected = self.run_wave(tasks);
-        self.job_mut(id).comparisons += rows;
         Arc::new(Intermediate::Local(projected))
+    }
+
+    /// The root projection under a bound: one task per part returns the
+    /// part's first `bound` distinct projected rows in canonical order and
+    /// its distinct count — from the runs without expanding them
+    /// ([`RunsRelation::project_bounded`]), from an eager part by
+    /// projecting, ordering and counting it in place. The counts add up and
+    /// the heads cover the answer's head only if no row occurs in two
+    /// parts. That holds when the projection keeps every attribute of the
+    /// join that produced `input` — its output is partitioned on them — and,
+    /// for runs that drop one, when every part vouches with the same kept
+    /// column and those columns' values, merged in one more task, never
+    /// repeat. On success `counted` is set and the heads are returned;
+    /// `None` (nothing else changed) sends the caller down the unbounded
+    /// path, and the gather counts.
+    fn project_bounded(
+        &mut self,
+        value: &Arc<Intermediate>,
+        vars: &Arc<[Variable]>,
+        input: PhysId,
+        bound: usize,
+    ) -> Option<Vec<Relation>> {
+        let keys_kept =
+            partition_key(self.plan, input).is_some_and(|key| key.iter().all(|k| vars.contains(k)));
+        if matches!(**value, Intermediate::Local(_)) && !keys_kept {
+            return None;
+        }
+        let tasks: Vec<_> = (0..value.parts())
+            .map(|index| {
+                let (value, vars) = (Arc::clone(value), Arc::clone(vars));
+                move || match &*value {
+                    Intermediate::Local(parts) => {
+                        let mut head = parts[index].project(&vars).distinct();
+                        let count = head.len();
+                        head.truncate(bound);
+                        Some(BoundedProjection {
+                            head,
+                            count,
+                            runs_expanded: 0,
+                            witness: None,
+                        })
+                    }
+                    Intermediate::LocalRuns(parts) => parts[index].project_bounded(&vars, bound),
+                }
+            })
+            .collect();
+        let parts: Vec<BoundedProjection> =
+            self.run_wave(tasks).into_iter().collect::<Option<_>>()?;
+        let (mut heads, mut witnesses) = (Vec::new(), Vec::new());
+        let (mut count, mut runs_expanded) = (0, 0);
+        for part in parts {
+            count += part.count;
+            runs_expanded += part.runs_expanded;
+            heads.push(part.head);
+            witnesses.extend(part.witness);
+        }
+        if let Some((vouching, _)) = witnesses.first() {
+            if witnesses.iter().any(|(column, _)| column != vouching) {
+                return None;
+            }
+            let values: Vec<Relation> = witnesses.into_iter().map(|(_, values)| values).collect();
+            let disjoint = self.run_wave(vec![move || {
+                let merged = Relation::merge_ordered(values);
+                merged.distinct_len() == merged.len()
+            }]);
+            if disjoint != [true] {
+                return None;
+            }
+        }
+        self.counted = Some(count);
+        if let Some(prof) = &mut self.prof {
+            prof.rows_out = Some(count as u64);
+            prof.attrs.push(("rows_counted", count as u64));
+            if matches!(**value, Intermediate::LocalRuns(_)) {
+                prof.attrs.push(("runs_emitted", runs_expanded as u64));
+            }
+        }
+        Some(heads)
+    }
+}
+
+/// The variables the parts of `id`'s output are partitioned on: the
+/// attributes of the join that produced it, seen through pass-through
+/// filters (a reduce join's output is hash-partitioned on all of them, a map
+/// join's co-located by the smallest). `None` for anything else.
+fn partition_key(plan: &PhysicalPlan, mut id: PhysId) -> Option<&BTreeSet<Variable>> {
+    loop {
+        match plan.op(id) {
+            PhysicalOp::Filter { input, .. } if as_scan(plan, id).is_none() => id = *input,
+            PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
+                return Some(attributes)
+            }
+            _ => return None,
+        }
     }
 }
 
@@ -1563,6 +1747,8 @@ mod tests {
             memo: vec![None; plan.len()],
             prof: Some(ProfCtx::new(Instant::now())),
             estimates: None,
+            bound: None,
+            counted: None,
         }
     }
 

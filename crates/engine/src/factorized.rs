@@ -22,7 +22,7 @@
 //! row-major path at every thread count.
 
 use crate::relation::{
-    merge_key_groups, stats, InputView, JoinOrder, Relation, SortOrder, TERM_BYTES,
+    merge_key_groups, stats, InputView, JoinOrder, KeyChunk, Relation, SortOrder, TERM_BYTES,
 };
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
@@ -63,6 +63,147 @@ struct RunInput {
     /// Prefix offsets into the payload rows: run `g` spans payload rows
     /// `offsets[g]..offsets[g + 1]`.
     offsets: Vec<u32>,
+}
+
+impl RunInput {
+    /// The payload rows of run `run`.
+    fn group(&self, run: usize) -> std::ops::Range<usize> {
+        self.offsets[run] as usize..self.offsets[run + 1] as usize
+    }
+
+    /// The values of payload column `col` over all runs — or `None` as soon
+    /// as a value of one run has occurred in an earlier run (within a run
+    /// it may repeat). One bit per term id seen, two passes over each run:
+    /// look its values up, then mark them.
+    fn column_unless_repeated(&self, col: usize, runs: usize) -> Option<Vec<TermId>> {
+        let pay = self.dst_cols.len();
+        let value = |row: usize| self.payload[row * pay + col].0 as usize;
+        let mut seen: Vec<u64> = Vec::new();
+        for run in 0..runs {
+            let marked = |v: usize| {
+                seen.get(v / 64)
+                    .is_some_and(|word| word >> (v % 64) & 1 == 1)
+            };
+            if self.group(run).any(|row| marked(value(row))) {
+                return None;
+            }
+            for v in self.group(run).map(value) {
+                if v / 64 >= seen.len() {
+                    seen.resize(v / 64 + 1, 0);
+                }
+                seen[v / 64] |= 1 << (v % 64);
+            }
+        }
+        Some((self.payload.iter().skip(col).step_by(pay).copied()).collect())
+    }
+
+    /// This input reduced to the payload columns `writes` keeps (as
+    /// `(payload column, _)` pairs), each run's rows sorted and
+    /// **de-duplicated**: what the input contributes to the distinct
+    /// projection of its runs. An input that keeps nothing contributes one
+    /// zero-width row per run. `O(|group|)` per run whose kept rows already
+    /// ascend strictly (scans deliver them so), a per-group sort otherwise.
+    fn project_distinct(&self, writes: &[(usize, usize)], runs: usize) -> RunInput {
+        let pay = self.dst_cols.len();
+        let width = writes.len();
+        let mut offsets: Vec<u32> = Vec::with_capacity(runs + 1);
+        offsets.push(0);
+        stats::count_buffer_alloc();
+        let mut payload: Vec<TermId> = Vec::with_capacity(width * self.payload.len() / pay.max(1));
+        for run in 0..runs {
+            if width == 0 {
+                offsets.push(run as u32 + 1);
+                continue;
+            }
+            let start = payload.len();
+            for pos in self.group(run) {
+                payload.extend(writes.iter().map(|&(src, _)| self.payload[pos * pay + src]));
+            }
+            sort_distinct_rows(&mut payload, start, width);
+            offsets.push((payload.len() / width) as u32);
+        }
+        RunInput {
+            dst_cols: writes.iter().map(|&(src, _)| self.dst_cols[src]).collect(),
+            payload,
+            offsets,
+        }
+    }
+}
+
+/// Sorts and de-duplicates the `width`-column rows of `rows[start..]` in
+/// place. One pass of neighbour comparisons decides what is needed: nothing
+/// when the rows already ascend strictly, no sort when they merely ascend.
+fn sort_distinct_rows(rows: &mut Vec<TermId>, start: usize, width: usize) {
+    let group = &mut rows[start..];
+    let (mut ascending, mut strictly) = (true, true);
+    for (a, b) in group
+        .chunks_exact(width)
+        .zip(group.chunks_exact(width).skip(1))
+    {
+        ascending &= a <= b;
+        strictly &= a < b;
+    }
+    if strictly {
+        return;
+    }
+    if !ascending {
+        if width == 1 {
+            group.sort_unstable();
+        } else {
+            let mut sorted: Vec<&[TermId]> = group.chunks_exact(width).collect();
+            sorted.sort_unstable();
+            let sorted = sorted.concat();
+            group.copy_from_slice(&sorted);
+        }
+    }
+    let mut kept = 1;
+    for row in 1..group.len() / width {
+        if group[row * width..(row + 1) * width] != group[(kept - 1) * width..kept * width] {
+            group.copy_within(row * width..(row + 1) * width, kept * width);
+            kept += 1;
+        }
+    }
+    rows.truncate(start + kept * width);
+}
+
+/// Where each column of a projection of the runs comes from.
+struct Projection {
+    /// The projected schema: the requested variables the runs bind, in the
+    /// order requested.
+    kept: Vec<Variable>,
+    /// `(key slot, projected column)` per kept join attribute.
+    key_writes: Vec<(usize, usize)>,
+    /// Per input: `(payload column, projected column)` per kept payload
+    /// column, in projected-column order.
+    writes: Vec<Vec<(usize, usize)>>,
+}
+
+/// Where the leading column of a projection comes from.
+#[derive(Clone, Copy)]
+enum Lead {
+    /// Key slot.
+    Key(usize),
+    /// `(input, payload column)` of the distinct projection.
+    Payload(usize, usize),
+}
+
+/// What one part's runs contribute to a bounded root: see
+/// [`RunsRelation::project_bounded`].
+#[derive(Debug, Clone)]
+pub struct BoundedProjection {
+    /// The part's first `k` distinct projected rows, in canonical order.
+    pub head: Relation,
+    /// The part's distinct projected rows, counted on the runs.
+    pub count: usize,
+    /// Runs the head was expanded from.
+    pub runs_expanded: usize,
+    /// Set when the projection drops a join attribute: the projected column
+    /// none of whose values occurs in two of this part's runs (which is what
+    /// makes the runs' rows disjoint), and its distinct values in ascending
+    /// order. Rows of *different parts* are disjoint when every part names
+    /// the same column and no value occurs in two parts either — the
+    /// caller's check.
+    pub witness: Option<(usize, Relation)>,
 }
 
 /// N-ary sort-merge join emitting run-length factorized output instead of
@@ -238,13 +379,33 @@ impl RunsRelation {
     /// multiplicities). The result carries the same row multiset as
     /// `self.expand().project(variables)`.
     pub fn project_expand(&self, variables: &[Variable]) -> Relation {
+        let Projection {
+            kept,
+            key_writes,
+            writes,
+        } = self.projection(variables);
+        // Runs expand in ascending key order, so the output is sorted by the
+        // longest *prefix* of the key attribute sequence that survives the
+        // projection (a dropped key column breaks ties the output can no
+        // longer see — same reasoning as Relation::project).
+        let mut order_cols: Vec<usize> = Vec::new();
+        for k in 0..self.key_cols.len() {
+            match key_writes.iter().find(|&&(kw, _)| kw == k) {
+                Some(&(_, dst)) => order_cols.push(dst),
+                None => break,
+            }
+        }
+        self.expand_with(kept, &key_writes, &writes, SortOrder::by(order_cols))
+    }
+
+    /// Where each column of a projection onto `variables` comes from: a key
+    /// slot or one input's payload column.
+    fn projection(&self, variables: &[Variable]) -> Projection {
         let kept: Vec<Variable> = variables
             .iter()
             .filter(|v| self.schema.contains(v))
             .cloned()
             .collect();
-        // Map each kept output column to its source: a key slot or one
-        // input's payload column.
         let mut key_writes: Vec<(usize, usize)> = Vec::new();
         let mut writes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.inputs.len()];
         for (dst, v) in kept.iter().enumerate() {
@@ -271,18 +432,199 @@ impl RunsRelation {
                 writes[i].push((src, dst));
             }
         }
-        // Runs expand in ascending key order, so the output is sorted by the
-        // longest *prefix* of the key attribute sequence that survives the
-        // projection (a dropped key column breaks ties the output can no
-        // longer see — same reasoning as Relation::project).
-        let mut order_cols: Vec<usize> = Vec::new();
-        for k in 0..self.key_cols.len() {
-            match key_writes.iter().find(|&&(kw, _)| kw == k) {
-                Some(&(_, dst)) => order_cols.push(dst),
-                None => break,
+        Projection {
+            kept,
+            key_writes,
+            writes,
+        }
+    }
+
+    /// The **distinct** projection of the runs onto `variables`, counted on
+    /// the factorized form and expanded only as far as its first `k` rows
+    /// in canonical order: `O(Σ |group|)` plus the ≈ `k` rows of the head,
+    /// never `O(Π |group|)`.
+    ///
+    /// * **Count.** Within a run the distinct projected rows are the cross
+    ///   product of each input's distinct kept payload rows
+    ///   (`RunInput::project_distinct` — checked per group, so nothing
+    ///   here relies on the join inputs being sets; a graph may hold a
+    ///   triple twice). Runs contribute disjoint rows when every join
+    ///   attribute is kept; when one is dropped they still do if some kept
+    ///   payload column holds no value in two runs, which is verified on
+    ///   that column alone — stopping at the first repeat — and handed back
+    ///   as [`BoundedProjection::witness`]. Otherwise rows can repeat
+    ///   across runs, nothing short of the expansion counts them, and the
+    ///   result is `None` (as it is for a projection that keeps no column).
+    /// * **Head.** Canonical order leads with the first kept column. Every
+    ///   value of that column is paired with the number of distinct rows
+    ///   carrying it, the pairs go through the sort kernel, and the prefix
+    ///   sums give the smallest value `t` whose rows, with everything below
+    ///   it, cover `k`. Only the rows with a leading value `≤ t` are
+    ///   expanded, sorted and cut to `k`. There is one level only: a single
+    ///   leading value carrying most of the rows expands them all — the
+    ///   cost of [`project_expand`](Self::project_expand), not a wrong
+    ///   answer.
+    pub fn project_bounded(&self, variables: &[Variable], k: usize) -> Option<BoundedProjection> {
+        let projection = self.projection(variables);
+        if projection.kept.is_empty() {
+            return None;
+        }
+        // Decline before anything is copied: a projection that cannot be
+        // counted costs a scan that stops at the first repeat.
+        let keys_kept = (0..self.key_cols.len())
+            .all(|slot| projection.key_writes.iter().any(|&(k, _)| k == slot));
+        let witness = if keys_kept || self.runs == 0 {
+            None
+        } else {
+            Some(self.witness(&projection)?)
+        };
+        let inputs = (self.inputs.iter().zip(&projection.writes))
+            .map(|(input, writes)| input.project_distinct(writes, self.runs))
+            .collect();
+        let distinct = self.derived(self.keys.clone(), inputs);
+        let count = distinct.expanded_rows;
+        let head_runs = if count > k {
+            distinct.head_runs(&projection, k)
+        } else {
+            distinct
+        };
+        let mut head = head_runs.project_expand(variables);
+        head.canonicalize();
+        debug_assert_eq!(head.distinct_len(), head.len(), "the head repeats a row");
+        head.truncate(k);
+        Some(BoundedProjection {
+            head,
+            count,
+            runs_expanded: head_runs.runs,
+            witness,
+        })
+    }
+
+    /// Runs derived from these — some of their keys, with inputs reduced
+    /// to some of their columns and rows: same schema and key columns (of
+    /// which only what the inputs still provide can be projected), no
+    /// delivered order to re-establish, `expanded_rows` from the groups.
+    fn derived(&self, keys: Vec<TermId>, inputs: Vec<RunInput>) -> RunsRelation {
+        let runs = inputs[0].offsets.len() - 1;
+        let expanded_rows = (0..runs)
+            .map(|run| {
+                let groups = inputs.iter().map(|input| input.group(run).len());
+                groups.product::<usize>()
+            })
+            .sum();
+        RunsRelation {
+            schema: self.schema.clone(),
+            key_cols: self.key_cols.clone(),
+            delivered: Vec::new(),
+            keys,
+            inputs,
+            runs,
+            expanded_rows,
+        }
+    }
+
+    /// The first kept payload column — columns of the input with the fewest
+    /// rows first — none of whose values occurs in two runs, as `(projected
+    /// column, its distinct values in ascending order)`. Rows of different
+    /// runs then differ in that column.
+    fn witness(&self, projection: &Projection) -> Option<(usize, Relation)> {
+        let mut candidates: Vec<(usize, usize, usize)> = (projection.writes.iter().enumerate())
+            .flat_map(|(i, writes)| writes.iter().map(move |&(src, dst)| (i, src, dst)))
+            .collect();
+        candidates.sort_by_key(|&(i, ..)| self.inputs[i].payload.len());
+        candidates.into_iter().find_map(|(i, src, dst)| {
+            let values = self.inputs[i].column_unless_repeated(src, self.runs)?;
+            let rows = values.len();
+            let schema = vec![projection.kept[dst].clone()];
+            let values = Relation::from_raw(schema, values, rows, SortOrder::none());
+            // What is left to drop are repeats within a run.
+            Some((dst, values.distinct()))
+        })
+    }
+
+    /// On a distinct projection whose rows are disjoint across runs: the
+    /// runs restricted to the rows whose leading projected column is at
+    /// most the threshold that covers `k` rows.
+    fn head_runs(&self, projection: &Projection, k: usize) -> RunsRelation {
+        let key_arity = self.key_cols.len();
+        let key_of = |run: usize| &self.keys[run * key_arity..(run + 1) * key_arity];
+        let lead = match projection.key_writes.iter().find(|&&(_, dst)| dst == 0) {
+            Some(&(slot, _)) => Lead::Key(slot),
+            None => (projection.writes.iter().enumerate())
+                .find_map(|(i, writes)| {
+                    let col = writes.iter().position(|&(_, dst)| dst == 0)?;
+                    Some(Lead::Payload(i, col))
+                })
+                .expect("the leading column has a source"),
+        };
+        // The leading value of row `row` of input `i`, if that is where the
+        // leading column comes from.
+        let lead_of = |i: usize, row: usize| match lead {
+            Lead::Payload(input, col) if input == i => {
+                Some(self.inputs[i].payload[row * self.inputs[i].dst_cols.len() + col])
+            }
+            _ => None,
+        };
+
+        // Every leading value beside the distinct rows that carry it.
+        let mut values: Vec<TermId> = Vec::new();
+        let mut weights: Vec<usize> = Vec::new();
+        for run in 0..self.runs {
+            let groups = self.inputs.iter().map(|input| input.group(run).len());
+            let rows: usize = groups.product();
+            match lead {
+                Lead::Key(slot) => {
+                    values.push(key_of(run)[slot]);
+                    weights.push(rows);
+                }
+                Lead::Payload(i, _) => {
+                    let group = self.inputs[i].group(run);
+                    weights.extend(group.clone().map(|_| rows / group.len()));
+                    values.extend(group.filter_map(|row| lead_of(i, row)));
+                }
             }
         }
-        self.expand_with(kept, &key_writes, &writes, SortOrder::by(order_cols))
+        let ascending = KeyChunk::gather(&values, 1, &[0], values.len()).sorted_permutation();
+        let mut covered = 0usize;
+        let mut threshold = TermId(u32::MAX);
+        for position in ascending {
+            covered += weights[position as usize];
+            if covered >= k {
+                threshold = values[position as usize];
+                break;
+            }
+        }
+
+        let within = |i: usize, row: usize| lead_of(i, row).is_none_or(|value| value <= threshold);
+        let mut keys: Vec<TermId> = Vec::new();
+        let mut inputs: Vec<RunInput> = (self.inputs.iter())
+            .map(|input| RunInput {
+                dst_cols: input.dst_cols.clone(),
+                payload: Vec::new(),
+                offsets: vec![0],
+            })
+            .collect();
+        for run in 0..self.runs {
+            let run_within = match lead {
+                Lead::Key(slot) => key_of(run)[slot] <= threshold,
+                Lead::Payload(i, _) => self.inputs[i].group(run).any(|row| within(i, row)),
+            };
+            if !run_within {
+                continue;
+            }
+            keys.extend_from_slice(key_of(run));
+            for (i, (from, to)) in self.inputs.iter().zip(&mut inputs).enumerate() {
+                let width = from.dst_cols.len();
+                let mut rows = *to.offsets.last().expect("seeded offsets");
+                for row in from.group(run).filter(|&row| within(i, row)) {
+                    to.payload
+                        .extend_from_slice(&from.payload[row * width..(row + 1) * width]);
+                    rows += 1;
+                }
+                to.offsets.push(rows);
+            }
+        }
+        self.derived(keys, inputs)
     }
 
     /// Shared expansion loop: writes `key_writes` once per run and the cross

@@ -54,8 +54,8 @@ pub mod translate;
 
 pub use cost::{q_error, CostEstimate, MapReduceCostModel};
 pub use csq::{Csq, CsqConfig, CsqReport};
-pub use executor::{ExecutionOutput, Executor};
-pub use factorized::{join_runs, RunsRelation};
+pub use executor::{BoundedOutput, ExecutionOutput, Executor};
+pub use factorized::{join_runs, BoundedProjection, RunsRelation};
 pub use physical::{OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
 pub use relation::{hash_partition, JoinOrder, Relation, SortOrder};
 pub use translate::{interesting_orders, rebind_constants, translate};

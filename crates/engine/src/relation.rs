@@ -871,6 +871,17 @@ impl Relation {
         self
     }
 
+    /// Keeps the first `rows` rows (all of them when there are fewer) and
+    /// gives the rest of the buffer back. A prefix inherits the tracked
+    /// order.
+    pub fn truncate(&mut self, rows: usize) {
+        if rows < self.rows {
+            self.rows = rows;
+            self.data.truncate(rows * self.schema.len());
+            self.data.shrink_to_fit();
+        }
+    }
+
     /// Number of distinct rows, without consuming or cloning the relation:
     /// counted in place when the tracked order covers every column (any full
     /// column permutation puts equal rows next to each other), along one

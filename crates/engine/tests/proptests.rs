@@ -1,14 +1,15 @@
 //! Property-based tests for the execution layer: the n-ary hash join of
 //! [`Relation`] against a brute-force nested-loop oracle, the k-way ordered
-//! merge against a stable sort, and partition/scan invariants of the
-//! simulated store.
+//! merge against a stable sort, the count and head of a factorized join's
+//! distinct projection against its expansion, and partition/scan invariants
+//! of the simulated store.
 
-use cliquesquare_engine::{Relation, SortOrder};
+use cliquesquare_engine::{join_runs, Relation, SortOrder};
 use cliquesquare_mapreduce::PartitionedStore;
 use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
 use cliquesquare_sparql::Variable;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn v(name: &str) -> Variable {
     Variable::new(name)
@@ -107,6 +108,35 @@ fn merge_input(
     (relation, descriptor)
 }
 
+/// One input of a random star join: how many payload columns it provides
+/// (0 to 2), whether its first payload column tags every row uniquely (so
+/// its payload never repeats across keys) or draws from a small domain, and
+/// its rows as `(key x, key y, payload, payload)` draws.
+type StarInput = (usize, bool, Vec<(u32, u32, u32, u32)>);
+
+/// Builds input `index` of a star join on `keys` (`x`, or `x` and `y`):
+/// schema `keys ++ [a<index>, b<index>][..payload]`, rows as drawn —
+/// repeated rows included — in no order.
+fn star_input(index: usize, keys: &[Variable], spec: &StarInput) -> Relation {
+    let (payload, unique, draws) = spec;
+    let mut schema = keys.to_vec();
+    schema.extend(
+        [format!("a{index}"), format!("b{index}")]
+            .iter()
+            .take(*payload)
+            .map(|name| v(name)),
+    );
+    let rows = draws.iter().enumerate().map(|(position, &(x, y, a, b))| {
+        let a = if *unique { 100 + position as u32 } else { a };
+        let row = [x, y]
+            .into_iter()
+            .take(keys.len())
+            .chain([a, b].into_iter().take(*payload));
+        row.map(TermId).collect()
+    });
+    Relation::new(schema, rows.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -150,6 +180,81 @@ proptest! {
         prop_assert_eq!(merged.len(), expected.len());
         prop_assert_eq!(merged.rows().collect::<Vec<_>>(), expected);
         prop_assert!(merged.order().satisfies(&shared));
+    }
+
+    /// The bounded projection of a factorized star join is its expansion,
+    /// de-duplicated, counted and cut — for 2 to 4 inputs on one or two key
+    /// columns, inputs that repeat rows, and projections that keep or drop
+    /// the keys and keep none, some or all of each input's payload. It
+    /// declines (`None`) exactly when rows can repeat across runs: a key
+    /// column is dropped and no kept payload column is free of repeats
+    /// across the joined keys — or nothing is kept at all.
+    #[test]
+    fn bounded_projection_equals_the_expansion_counted_and_cut(
+        two_keys in any::<bool>(),
+        specs in proptest::collection::vec(
+            (0usize..3, any::<bool>(),
+             proptest::collection::vec((0u32..3, 0u32..2, 0u32..4, 0u32..2), 0..12)),
+            2..5,
+        ),
+        picks in proptest::collection::vec(0usize..16, 0..6),
+        bound in (any::<bool>(), 0usize..40),
+    ) {
+        let keys: Vec<Variable> = if two_keys { vec![v("x"), v("y")] } else { vec![v("x")] };
+        let inputs: Vec<Relation> = specs
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| star_input(index, &keys, spec))
+            .collect();
+        let refs: Vec<&Relation> = inputs.iter().collect();
+        let runs = join_runs(&refs, &keys, &[]);
+        let mut projection: Vec<Variable> = Vec::new();
+        for pick in picks {
+            let variable = runs.schema()[pick % runs.schema().len()].clone();
+            if !projection.contains(&variable) {
+                projection.push(variable);
+            }
+        }
+        let bound = if bound.0 { usize::MAX } else { bound.1 };
+
+        // The model of "rows can repeat across runs", from the inputs alone.
+        let key_of = |input: &Relation, row: &[TermId]| -> Vec<TermId> {
+            keys.iter().map(|k| row[input.column(k).unwrap()]).collect()
+        };
+        let joined_keys: BTreeSet<Vec<TermId>> = inputs[0]
+            .rows()
+            .map(|row| key_of(&inputs[0], row))
+            .filter(|key| inputs.iter().all(|i| i.rows().any(|row| &key_of(i, row) == key)))
+            .collect();
+        let vouches = |input: &Relation| {
+            let kept = projection.iter().filter(|p| !keys.contains(p));
+            kept.filter_map(|p| input.column(p)).any(|column| {
+                let mut per_key: BTreeMap<Vec<TermId>, BTreeSet<TermId>> = BTreeMap::new();
+                for row in input.rows().filter(|row| joined_keys.contains(&key_of(input, row))) {
+                    per_key.entry(key_of(input, row)).or_default().insert(row[column]);
+                }
+                let all: BTreeSet<&TermId> = per_key.values().flatten().collect();
+                all.len() == per_key.values().map(BTreeSet::len).sum::<usize>()
+            })
+        };
+        let keys_kept = keys.iter().all(|k| projection.contains(k));
+        let countable = !projection.is_empty()
+            && (keys_kept || joined_keys.is_empty() || inputs.iter().any(vouches));
+
+        let bounded = runs.project_bounded(&projection, bound);
+        prop_assert_eq!(bounded.is_some(), countable, "projection {:?}", projection);
+        if let Some(bounded) = bounded {
+            let mut expected = runs.project_expand(&projection).distinct();
+            prop_assert_eq!(bounded.count, expected.len());
+            expected.truncate(bound);
+            prop_assert_eq!(&bounded.head, &expected);
+            prop_assert!(bounded.head.is_canonical());
+            prop_assert_eq!(bounded.witness.is_some(), !keys_kept && runs.runs() > 0);
+            if let Some((_, payload)) = bounded.witness {
+                prop_assert!(payload.is_canonical());
+                prop_assert_eq!(payload.distinct_len(), payload.len());
+            }
+        }
     }
 
     /// The hash join returns exactly the rows the nested-loop oracle returns,

@@ -98,7 +98,11 @@ pub struct QueryAnswer {
     /// Decoded distinct rows in canonical order, capped at the service's
     /// row limit.
     pub rows: Vec<Vec<String>>,
-    /// The full distinct answer count (may exceed `rows.len()`).
+    /// The full distinct answer count (may exceed `rows.len()`), exact on
+    /// every path of the executor's bounded root
+    /// ([`Executor::execute_bounded`]): counted on the factorized runs or on
+    /// each part's rows where those provably share no row, over the whole
+    /// expanded and de-duplicated answer otherwise.
     pub total_rows: usize,
     /// Whether `rows` was truncated to the row limit.
     pub truncated: bool,
@@ -106,7 +110,9 @@ pub struct QueryAnswer {
     pub job_descriptor: String,
     /// Simulated response time on the modeled cluster, in seconds.
     pub simulated_seconds: f64,
-    /// Measured wall-clock execution time, in seconds.
+    /// Measured wall-clock execution time, in seconds: the whole of
+    /// [`Executor::execute_bounded`], so it includes counting `total_rows`
+    /// and cutting to the row limit; decoding `rows` comes after it.
     pub wall_seconds: f64,
     /// Measured wall-clock planning time (plan choice + translation on a
     /// cache miss, constant rebinding on a hit), in seconds. Disjoint from
@@ -351,13 +357,12 @@ impl QueryService {
         let physical = &planned.plan;
         let cache_hit = planned.rename.is_some();
         let plan_seconds = epoch.elapsed().as_secs_f64();
-        let output = if parse_seconds.is_some() {
-            let estimates = MapReduceCostModel::new(self.csq.cluster()).estimate_cards(physical);
-            self.executor
-                .execute_profiled_with_estimates(physical, &estimates)
-        } else {
-            self.executor.execute(physical)
-        };
+        let estimates = parse_seconds
+            .map(|_| MapReduceCostModel::new(self.csq.cluster()).estimate_cards(physical));
+        let bounded = self
+            .executor
+            .execute_bounded(physical, self.max_rows, estimates.as_deref());
+        let (output, total_rows) = (bounded.execution, bounded.total_rows);
         let profile = parse_seconds.map(|parse_seconds| {
             let mut root = SpanNode::new("query");
             root.wall_seconds = parse_seconds + epoch.elapsed().as_secs_f64();
@@ -382,13 +387,11 @@ impl QueryService {
                 root,
             }
         });
-        let results = output.results.distinct();
+        let results = &output.results;
         let graph = self.csq.cluster().graph();
-        let total_rows = results.len();
-        let truncated = total_rows > self.max_rows;
+        let truncated = total_rows > results.len();
         let rows = results
             .rows()
-            .take(self.max_rows)
             .map(|row| {
                 row.iter()
                     .map(|&id| match graph.decode(id) {

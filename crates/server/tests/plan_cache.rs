@@ -141,3 +141,50 @@ fn warm_planning_is_reported_separately_from_execution() {
         cold.plan_seconds
     );
 }
+
+/// The bounded root reads nothing stale from a cached plan:
+/// `rebind_constants` splices new constants into the plan a first query
+/// cached, and the count, the cut and the schema are the new query's — for
+/// a constant that moves the answer from over the 1 000-row cut to under
+/// it, one that empties it, and the first one again.
+#[test]
+fn a_rebound_plan_is_counted_and_cut_like_a_fresh_one() {
+    let graph = LubmGenerator::new(LubmScale::with_universities(8)).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    let cached = QueryService::new(cluster.clone(), Runtime::serving(2));
+    let fresh = QueryService::new(cluster, Runtime::serving(2)).with_plan_cache(None);
+    let members = |class: &str| {
+        format!("SELECT ?x ?d WHERE {{ ?x rdf:type ub:{class} . ?x ub:memberOf ?d }}")
+    };
+
+    let over = cached
+        .execute_text(&members("UndergraduateStudent"))
+        .expect("serves");
+    assert!(!over.cache_hit);
+    assert!(
+        over.truncated && over.total_rows > 1_000,
+        "{}",
+        over.total_rows
+    );
+    assert_eq!(over.rows.len(), 1_000);
+
+    for class in ["GraduateStudent", "NoSuchClass", "UndergraduateStudent"] {
+        let warm = cached.execute_text(&members(class)).expect("serves");
+        let cold = fresh.execute_text(&members(class)).expect("serves");
+        assert!(warm.cache_hit && !cold.cache_hit, "{class}");
+        assert_eq!(comparable(&warm), comparable(&cold), "{class}");
+        assert_eq!(warm.truncated, cold.truncated, "{class}");
+        assert_eq!(warm.variables, ["?x", "?d"], "{class}");
+        match class {
+            "GraduateStudent" => {
+                assert!(!warm.truncated && warm.total_rows > 0, "{class}");
+                assert_eq!(warm.rows.len(), warm.total_rows, "{class}");
+            }
+            "NoSuchClass" => {
+                assert_eq!((warm.total_rows, warm.rows.len()), (0, 0), "{class}");
+                assert!(!warm.truncated, "{class}");
+            }
+            _ => assert_eq!(comparable(&warm), comparable(&over), "{class}"),
+        }
+    }
+}

@@ -5,11 +5,16 @@
 //! [`hash_partition`] and [`Relation::merge_ordered`]: each must allocate a
 //! bounded number of whole buffers — never one allocation per row or per
 //! key. The engine's own `relation::stats` counters are cross-checked in the
-//! same run.
+//! same run. The same allocator counts bytes, to hold a served (bounded)
+//! answer's memory against the unbounded execution of the same plan.
 
 use cliquesquare::engine::relation::stats;
-use cliquesquare::engine::{hash_partition, join_runs, Relation};
-use cliquesquare::rdf::TermId;
+use cliquesquare::engine::{
+    hash_partition, join_runs, translate, Csq, CsqConfig, Executor, Relation,
+};
+use cliquesquare::mapreduce::{Cluster, ClusterConfig, Runtime};
+use cliquesquare::querygen::lubm_queries::q1;
+use cliquesquare::rdf::{LubmGenerator, LubmScale, TermId};
 use cliquesquare::sparql::Variable;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,11 +26,13 @@ struct CountingAllocator;
 
 thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        THREAD_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
@@ -35,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        THREAD_BYTES.with(|n| n.set(n.get() + new_size as u64));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,6 +52,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the current thread has asked the allocator for so far.
+fn allocated_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 fn v(name: &str) -> Variable {
@@ -237,5 +250,51 @@ fn join_allocations_do_not_scale_with_row_count() {
     assert!(
         large <= small + 16,
         "8x the rows cost {large} allocations vs {small}: the join allocates per row"
+    );
+}
+
+/// Bounded means bounded memory: Q1 at 48 universities is 192 runs for
+/// 109 824 rows, and answering its first 1 000 with the count asks the
+/// allocator for well under half of what executing the same plan unbounded
+/// asks for (measured 0.82 MB against 2.30 MB: what is left is the scans
+/// and the join, ≈ 3 kB per run against the ≈ 9 kB per run the expansion and
+/// the gather copy add). The whole served request — the 1 000 rows decoded
+/// to strings included, ≈ 0.44 MB whatever the scale — stays below the
+/// unbounded execution alone. A root that expanded the answer again would
+/// fail both.
+#[test]
+fn serving_q1_allocates_a_fraction_of_executing_it() {
+    const ROWS: usize = 192 * 11 * 52;
+    let graph = LubmGenerator::new(LubmScale::with_universities(48)).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    let (_, chosen, _) = Csq::new(cluster.clone(), CsqConfig::default()).plan(&q1());
+    let plan = translate(&chosen, cluster.graph());
+    let executor = Executor::sequential(&cluster);
+    let service = cliquesquare_server::QueryService::new(cluster.clone(), Runtime::sequential());
+    // First calls pay for the plan cache entry and lazy statics.
+    let warm = service.execute_named("Q1").expect("Q1 serves");
+    assert_eq!((warm.total_rows, warm.rows.len()), (ROWS, 1_000));
+    executor.execute(&plan);
+
+    let before = allocated_bytes();
+    let output = executor.execute(&plan);
+    let executing = allocated_bytes() - before;
+    let before = allocated_bytes();
+    let bounded = executor.execute_bounded(&plan, 1_000, None);
+    let bounding = allocated_bytes() - before;
+    let before = allocated_bytes();
+    let answer = service.execute_named("Q1").expect("Q1 serves");
+    let serving = allocated_bytes() - before;
+
+    assert_eq!(output.results.len(), ROWS);
+    assert_eq!(bounded.total_rows, ROWS);
+    assert!(answer.cache_hit && answer.truncated);
+    assert!(
+        bounding * 2 < executing,
+        "the bounded execution allocated {bounding} bytes, the unbounded one {executing}"
+    );
+    assert!(
+        serving < executing,
+        "serving Q1 allocated {serving} bytes, executing it {executing}"
     );
 }
