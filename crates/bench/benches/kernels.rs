@@ -1,15 +1,19 @@
 //! Criterion micro-benchmarks for the relation-level execution kernels: the
 //! column-major sort and merge-compare paths of `Relation`, the run-length
 //! factorized join (run emission and projection-boundary expansion), the
-//! fill-proportional shuffle partitioner, and the galloping k-way ordered
-//! merge of the reduce tasks and the root gather. These isolate the kernels the
-//! `report_execution` wall-clock columns are built from.
+//! fill-proportional shuffle partitioner, the galloping k-way ordered
+//! merge of the reduce tasks and the root gather, and the scan's bulk bind.
+//! These isolate the kernels the `report_execution` wall-clock columns are
+//! built from. `cargo bench --bench kernels -- kernels_merge_join` runs one
+//! group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cliquesquare_engine::{hash_partition, join_runs, JoinOrder, Relation};
-use cliquesquare_rdf::TermId;
-use cliquesquare_sparql::Variable;
+use cliquesquare_engine::{
+    hash_partition, join_runs, JoinOrder, Relation, SortOrder, TripleBinder,
+};
+use cliquesquare_rdf::{TermId, Triple};
+use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 
 const ROWS: usize = 20_000;
 
@@ -90,6 +94,30 @@ fn bench_sort(c: &mut Criterion) {
     group.finish();
 }
 
+/// A key-ordered relation over `schema` (key columns first) holding
+/// `copies(key)` rows for every key below `keys`; each row's key columns
+/// come from `key_of(key, copy)` and the rest count rows.
+fn keyed(
+    schema: &[&str],
+    keys: usize,
+    copies: impl Fn(usize) -> usize,
+    key_of: impl Fn(usize, usize) -> Vec<u32>,
+) -> Relation {
+    let mut relation = Relation::empty(schema.iter().map(|name| v(name)).collect());
+    let mut row: Vec<TermId> = Vec::new();
+    for key in 0..keys {
+        for copy in 0..copies(key) {
+            row.clear();
+            row.extend(key_of(key, copy).into_iter().map(TermId));
+            while row.len() < schema.len() {
+                row.push(TermId(relation.len() as u32));
+            }
+            relation.push_row(&row);
+        }
+    }
+    relation
+}
+
 fn bench_merge_join(c: &mut Criterion) {
     let left = sorted_star_input(ROWS, 4, "a");
     let right = sorted_star_input(ROWS, 4, "b");
@@ -100,6 +128,85 @@ fn bench_merge_join(c: &mut Criterion) {
             black_box(Relation::join_ordered(&[&left, &right], &key, JoinOrder::Natural).len())
         })
     });
+
+    // LUBM Q11's first-level star on ?X as one of four partitions sees it
+    // at 1 200 universities: advisor (46.5 k rows, three students in four
+    // have one), takesCourse (124 k, two courses a student on average),
+    // memberOf and the type scan (62 k each) — 93 k rows of 4 columns, every
+    // group 1 x k x 1 x 1. `star4_align_only` walks the same groups without
+    // emitting a row, so the difference is the emission.
+    const STUDENTS: usize = 62_000;
+    let one = |key: usize, _: usize| vec![key as u32];
+    let advisor = keyed(&["x", "w"], STUDENTS, |key| usize::from(key % 4 != 3), one);
+    let takes = keyed(&["x", "y"], STUDENTS, |key| 1 + key % 3, one);
+    let member = keyed(&["x", "z"], STUDENTS, |_| 1, one);
+    let typed = keyed(&["x"], STUDENTS, |_| 1, one);
+    let star = [&advisor, &takes, &member, &typed];
+    group.bench_function("star4_align_only", |b| {
+        b.iter(|| black_box(Relation::key_groups(&star, &key)))
+    });
+    group.bench_function("star4_eager", |b| {
+        b.iter(|| black_box(Relation::join_ordered(&star, &key, JoinOrder::Natural).len()))
+    });
+
+    // LUBM Q10's reduce join: two inputs of 150 k rows on two attributes,
+    // three rows to a leading value, of which the second column pairs two.
+    let keys = [v("x"), v("y")];
+    let two = |shift: usize| move |key: usize, copy: usize| vec![key as u32, (copy + shift) as u32];
+    let advised = keyed(&["x", "y", "a"], 50_000, |_| 3, two(0));
+    let taught = keyed(&["x", "y", "b"], 50_000, |_| 3, two(1));
+    group.bench_function("two_keys_150k_x2", |b| {
+        b.iter(|| {
+            black_box(Relation::join_ordered(&[&advised, &taught], &keys, JoinOrder::Natural).len())
+        })
+    });
+
+    // A non-key column both inputs bind: four rows a key on either side,
+    // of which the shared column lets half the combinations through.
+    let shared = |key: usize, copy: usize| vec![key as u32, (copy % 2) as u32];
+    let left = keyed(&["x", "s", "a"], ROWS / 4, |_| 4, shared);
+    let right = keyed(&["x", "s", "b"], ROWS / 4, |_| 4, shared);
+    group.bench_function("shared_column_20k_x_20k", |b| {
+        b.iter(|| {
+            black_box(Relation::join_ordered(&[&left, &right], &key, JoinOrder::Natural).len())
+        })
+    });
+    group.finish();
+}
+
+/// The scan's bulk bind over one partition's file of a 125 k-triple
+/// property (LUBM `takesCourse` at 1 200 universities on four partitions),
+/// subject-ordered: one and two columns with nothing to reject, and a
+/// repeated variable that rejects all but every eighth triple.
+fn bench_scan(c: &mut Criterion) {
+    const TRIPLES: u32 = 125_000;
+    let triples: Vec<Triple> = (0..TRIPLES)
+        .map(|i| {
+            let subject = i / 2;
+            let object = if i % 8 == 0 { subject } else { TRIPLES + i };
+            Triple::new(TermId(subject), TermId(7), TermId(object))
+        })
+        .collect();
+    let property = || PatternTerm::iri("takesCourse");
+    let pattern = |object: &str| {
+        TriplePattern::new(
+            PatternTerm::variable("x"),
+            property(),
+            PatternTerm::variable(object),
+        )
+    };
+    let shapes = [
+        ("bind_1col_125k", pattern("y"), vec![v("x")]),
+        ("bind_2col_125k", pattern("y"), vec![v("x"), v("y")]),
+        ("bind_repeated_variable_125k", pattern("x"), vec![v("x")]),
+    ];
+    let mut group = c.benchmark_group("kernels_scan");
+    for (name, pattern, schema) in shapes {
+        let binder = TripleBinder::new(&pattern, schema);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(binder.bind_all(&triples, &[], SortOrder::by([0])).len()))
+        });
+    }
     group.finish();
 }
 
@@ -178,6 +285,7 @@ criterion_group!(
     bench_merge_join,
     bench_factorized,
     bench_shuffle,
-    bench_merge_ordered
+    bench_merge_ordered,
+    bench_scan
 );
 criterion_main!(benches);

@@ -60,7 +60,7 @@ use cliquesquare_core::LogicalPlan;
 use cliquesquare_mapreduce::{Cluster, ExecutionMetrics, JobKind, Runtime};
 use cliquesquare_obs::{SpanNode, TaskSpan};
 use cliquesquare_rdf::{TermId, Triple, TriplePosition};
-use cliquesquare_sparql::{PatternTerm, Variable};
+use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -664,6 +664,7 @@ impl<'a> ExecState<'a> {
             ("sorts_elided", stats.sorts_elided),
             ("join_inputs_presorted", stats.join_inputs_presorted),
             ("join_inputs_resorted", stats.join_inputs_resorted),
+            ("key_groups", stats.key_groups),
             ("runs_emitted", stats.runs_emitted),
             ("rows_expanded", stats.rows_expanded),
         ] {
@@ -851,11 +852,17 @@ impl<'a> ExecState<'a> {
     ///   ([`RESTRICT_ROWS_PER_KEY`]), the task reads only those keys;
     /// * otherwise the files are read in full, as they are stored.
     ///
-    /// All three deliver the store's placement-major order, so each node's
-    /// relation starts pre-ordered: it is tagged with the index order the
-    /// interesting-orders pass derived for this operator (verified in debug
-    /// builds), and a scan feeding a join on the placement variable needs
-    /// no re-sort at all.
+    /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
+    /// over the triples appends each schema column's source position
+    /// straight into the relation's buffer — reserved at its exact size
+    /// when neither a residual constant nor a repeated variable can reject
+    /// a triple.
+    ///
+    /// All three reads deliver the store's placement-major order, so each
+    /// node's relation starts pre-ordered: it is tagged with the index order
+    /// the interesting-orders pass derived for this operator (verified in
+    /// debug builds), and a scan feeding a join on the placement variable
+    /// needs no re-sort at all.
     fn eval_scan(
         &mut self,
         id: PhysId,
@@ -900,8 +907,7 @@ impl<'a> ExecState<'a> {
         let ctx = Arc::new(ScanWave {
             store,
             spec: spec.clone(),
-            binder: TripleBinder::new(spec, &schema),
-            schema,
+            binder: TripleBinder::new(&spec.pattern, schema),
             order_cols,
             residual: residual.to_vec(),
             sought,
@@ -910,23 +916,7 @@ impl<'a> ExecState<'a> {
         let tasks: Vec<_> = (0..nodes)
             .map(|node| {
                 let ctx = Arc::clone(&ctx);
-                move || -> (Relation, u64, Option<u64>) {
-                    let (triples, keys_in) = ctx.read(node);
-                    let mut relation = Relation::empty(ctx.schema.clone());
-                    let mut scratch = vec![TermId(0); ctx.binder.arity()];
-                    'triples: for triple in triples.iter() {
-                        for condition in &ctx.residual {
-                            if triple.get(condition.position) != condition.constant {
-                                continue 'triples;
-                            }
-                        }
-                        if ctx.binder.bind(triple, &mut scratch) {
-                            relation.push_row_unordered(&scratch);
-                        }
-                    }
-                    relation.assume_order(SortOrder::by(ctx.order_cols.iter().copied()));
-                    (relation, triples.len() as u64, keys_in)
-                }
+                move || ctx.task(node)
             })
             .collect();
         let results = self.run_wave(tasks);
@@ -1343,7 +1333,6 @@ struct ScanWave {
     store: Arc<cliquesquare_mapreduce::PartitionedStore>,
     spec: ScanSpec,
     binder: TripleBinder,
-    schema: Vec<Variable>,
     order_cols: Vec<usize>,
     /// Constants still checked triple by triple (all but the sought one).
     residual: Vec<FilterCondition>,
@@ -1376,6 +1365,16 @@ impl ScanWave {
             None => (files.read(), None),
         }
     }
+
+    /// One node's scan task: reads the node's triples and binds them in
+    /// bulk, tagging the rows with the index order. Returns the relation,
+    /// the triples read and the sibling keys the read was restricted to.
+    fn task(&self, node: usize) -> (Relation, u64, Option<u64>) {
+        let (triples, keys_in) = self.read(node);
+        let order = SortOrder::by(self.order_cols.iter().copied());
+        let relation = self.binder.bind_all(&triples, &self.residual, order);
+        (relation, triples.len() as u64, keys_in)
+    }
 }
 
 /// The shared `'static` context of one map-join wave: the evaluated inputs'
@@ -1386,71 +1385,85 @@ struct JoinWave {
     evaluated: Vec<Arc<Intermediate>>,
 }
 
-/// Converts raw triples matched by a scan spec into binding rows over a
-/// fixed schema, with the position → column mapping computed **once** per
-/// scan instead of per triple. [`TripleBinder::bind`] writes into a caller
-/// scratch row, so the scan performs no per-row heap allocation.
-struct TripleBinder {
-    arity: usize,
-    /// First occurrence of each schema variable in the pattern: the triple
-    /// position that provides the column's value.
-    writes: Vec<(TriplePosition, usize)>,
-    /// Repeated occurrences: positions that must agree with an already
-    /// written column (repeated-variable consistency).
-    checks: Vec<(TriplePosition, usize)>,
+/// Converts the raw triples a scan read into binding rows over a fixed
+/// schema. Where each column comes from and which positions a repeated
+/// variable ties together is resolved **once** per scan;
+/// [`TripleBinder::bind_all`] then turns a whole file into a relation in one
+/// loop that writes straight into the relation's buffer.
+#[derive(Debug, Clone)]
+pub struct TripleBinder {
+    schema: Vec<Variable>,
+    /// Per schema column, in slot order: the triple position (as an index
+    /// into [`Triple::as_array`]) of the variable's first occurrence in the
+    /// pattern.
+    sources: Vec<usize>,
+    /// `(position, earlier position)` of every repeated occurrence of a
+    /// schema variable: a triple binds it only when both hold one term.
+    repeats: Vec<(usize, usize)>,
     /// `true` when some schema variable does not occur in the pattern: no
-    /// triple can bind it, so the scan produces no rows (mirrors the
-    /// row-by-row `None` of the historical binder).
+    /// triple can bind it, so the scan produces no rows.
     unbound_column: bool,
 }
 
 impl TripleBinder {
-    fn new(spec: &ScanSpec, schema: &[Variable]) -> Self {
-        let positions = [
-            (&spec.pattern.subject, TriplePosition::Subject),
-            (&spec.pattern.property, TriplePosition::Property),
-            (&spec.pattern.object, TriplePosition::Object),
-        ];
-        let mut writes: Vec<(TriplePosition, usize)> = Vec::new();
-        let mut checks: Vec<(TriplePosition, usize)> = Vec::new();
-        let mut written = vec![false; schema.len()];
-        for (term, position) in positions {
-            if let PatternTerm::Variable(v) = term {
-                if let Some(slot) = schema.iter().position(|s| s == v) {
-                    if written[slot] {
-                        checks.push((position, slot));
-                    } else {
-                        written[slot] = true;
-                        writes.push((position, slot));
-                    }
-                }
+    /// Resolves `pattern`'s variables against the output `schema`.
+    pub fn new(pattern: &TriplePattern, schema: Vec<Variable>) -> Self {
+        let terms = [&pattern.subject, &pattern.property, &pattern.object];
+        let mut first: Vec<Option<usize>> = vec![None; schema.len()];
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for (position, term) in terms.into_iter().enumerate() {
+            let PatternTerm::Variable(v) = term else {
+                continue;
+            };
+            let Some(slot) = schema.iter().position(|s| s == v) else {
+                continue;
+            };
+            match first[slot] {
+                Some(earlier) => repeats.push((position, earlier)),
+                None => first[slot] = Some(position),
             }
         }
         Self {
-            arity: schema.len(),
-            writes,
-            checks,
-            unbound_column: written.iter().any(|w| !w),
+            schema,
+            unbound_column: first.contains(&None),
+            sources: first.into_iter().flatten().collect(),
+            repeats,
         }
     }
 
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Fills `row` with the triple's bindings; returns `false` when the
-    /// triple binds a repeated variable to different values (or a schema
-    /// column has no source position).
-    fn bind(&self, triple: &Triple, row: &mut [TermId]) -> bool {
-        if self.unbound_column {
-            return false;
+    /// The rows `triples` bind, in the triples' order: every triple that
+    /// holds each `residual` constant and one term wherever a variable
+    /// repeats contributes its source positions in slot order. `order` is
+    /// what the caller knows the triples — hence the rows — to be sorted by
+    /// (verified in debug builds).
+    ///
+    /// The buffer is reserved at exactly `triples.len() × arity` when
+    /// nothing can reject a triple, and grown otherwise. A zero-arity
+    /// schema still counts its rows.
+    pub fn bind_all(
+        &self,
+        triples: &[Triple],
+        residual: &[FilterCondition],
+        order: SortOrder,
+    ) -> Relation {
+        let mut data: Vec<TermId> = Vec::new();
+        let mut rows = 0usize;
+        if !self.unbound_column {
+            if residual.is_empty() && self.repeats.is_empty() {
+                data.reserve_exact(triples.len() * self.sources.len());
+            }
+            for triple in triples {
+                let terms = triple.as_array();
+                let rejected = (residual.iter())
+                    .any(|condition| triple.get(condition.position) != condition.constant)
+                    || self.repeats.iter().any(|&(a, b)| terms[a] != terms[b]);
+                if !rejected {
+                    data.extend(self.sources.iter().map(|&source| terms[source]));
+                    rows += 1;
+                }
+            }
         }
-        for &(position, slot) in &self.writes {
-            row[slot] = triple.get(position);
-        }
-        self.checks
-            .iter()
-            .all(|&(position, slot)| triple.get(position) == row[slot])
+        Relation::from_raw(self.schema.clone(), data, rows, order)
     }
 }
 
@@ -1629,6 +1642,113 @@ mod tests {
             Variant::Msc,
         );
         assert_eq!(output.distinct_count(), 0);
+    }
+
+    /// The scan a pattern, an output schema and residual constants ask
+    /// for, the way the executor ran it before the bulk bind: one triple at
+    /// a time — skip it unless it holds every constant, write each schema
+    /// variable's first occurrence into its slot, reject the triple if a
+    /// later occurrence disagrees, and bind nothing at all when a column has
+    /// no position to come from.
+    fn per_triple_scan(
+        pattern: &TriplePattern,
+        schema: &[Variable],
+        residual: &[FilterCondition],
+        triples: &[Triple],
+    ) -> Vec<Vec<TermId>> {
+        let mut rows = Vec::new();
+        'triples: for triple in triples {
+            for condition in residual {
+                if triple.get(condition.position) != condition.constant {
+                    continue 'triples;
+                }
+            }
+            let mut row: Vec<Option<TermId>> = vec![None; schema.len()];
+            for (term, position) in pattern.terms().into_iter().zip(TriplePosition::ALL) {
+                let slot = (term.as_variable()).and_then(|v| schema.iter().position(|s| s == v));
+                let Some(slot) = slot else {
+                    continue;
+                };
+                match row[slot] {
+                    None => row[slot] = Some(triple.get(position)),
+                    Some(bound) if bound != triple.get(position) => continue 'triples,
+                    Some(_) => {}
+                }
+            }
+            if let Some(row) = row.into_iter().collect::<Option<Vec<TermId>>>() {
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        /// Bulk bind ≡ per-triple reference: over random triple files and
+        /// patterns with 0–3 variables (a variable may repeat, `?x p ?x`), a
+        /// schema that keeps any of them and possibly a column the pattern
+        /// cannot bind, and residual constants that reject none, some or
+        /// all triples, a scan task delivers the reference's rows in the
+        /// reference's order and reports every triple of the file as read.
+        #[test]
+        fn bulk_bind_equals_the_per_triple_reference(
+            file in proptest::collection::vec((0u32..4, 0u32..3, 0u32..4), 0..40),
+            terms in proptest::collection::vec(0usize..5, 3..4),
+            kept in proptest::collection::vec(proptest::prelude::any::<bool>(), 4..5),
+            constants in proptest::collection::vec((0usize..3, 0u32..5), 0..3),
+        ) {
+            static CLUSTER: std::sync::OnceLock<Cluster> = std::sync::OnceLock::new();
+            let names = ["x", "y", "z"];
+            // Terms 0–2 are variables, anything above a constant.
+            let term = |choice: usize| match names.get(choice) {
+                Some(name) => PatternTerm::variable(*name),
+                None => PatternTerm::iri(format!("http://example.org/c{choice}")),
+            };
+            let pattern = TriplePattern::new(term(terms[0]), term(terms[1]), term(terms[2]));
+            // The variables of the pattern that `kept` keeps, in schema
+            // (sorted) order, then — `kept[3]` — one it does not mention.
+            let mut schema: Vec<Variable> = (names.iter().zip(&kept))
+                .filter(|(name, keep)| **keep && pattern.mentions(&Variable::new(**name)))
+                .map(|(name, _)| Variable::new(*name))
+                .collect();
+            if kept[3] {
+                schema.push(Variable::new("zz"));
+            }
+            let residual: Vec<FilterCondition> = constants
+                .iter()
+                .map(|&(position, constant)| FilterCondition {
+                    position: TriplePosition::ALL[position],
+                    constant: TermId(constant),
+                })
+                .collect();
+            let triples: Vec<Triple> = file
+                .iter()
+                .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
+                .collect();
+
+            let wave = ScanWave {
+                store: CLUSTER.get_or_init(cluster).store_arc(),
+                spec: ScanSpec {
+                    pattern_index: 0,
+                    pattern: pattern.clone(),
+                    placement: TriplePosition::Subject,
+                    property: None,
+                    type_object: None,
+                },
+                binder: TripleBinder::new(&pattern, schema.clone()),
+                order_cols: Vec::new(),
+                residual: residual.clone(),
+                sought: Some(vec![triples.clone()]),
+                keys: None,
+            };
+            let (relation, read, keys_in) = wave.task(0);
+            let expected = per_triple_scan(&pattern, &schema, &residual, &triples);
+            proptest::prop_assert_eq!(relation.schema(), &schema[..]);
+            proptest::prop_assert_eq!(relation.len(), expected.len());
+            let rows: Vec<Vec<TermId>> = relation.rows().map(<[TermId]>::to_vec).collect();
+            proptest::prop_assert_eq!(rows, expected);
+            proptest::prop_assert_eq!(read, triples.len() as u64);
+            proptest::prop_assert_eq!(keys_in, None);
+        }
     }
 
     #[test]

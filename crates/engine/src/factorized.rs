@@ -22,7 +22,8 @@
 //! row-major path at every thread count.
 
 use crate::relation::{
-    merge_key_groups, stats, InputView, JoinOrder, KeyChunk, Relation, SortOrder, TERM_BYTES,
+    merge_key_groups, row_offset, stats, InputView, JoinOrder, KeyChunk, Relation, SortOrder,
+    TERM_BYTES,
 };
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
@@ -112,7 +113,7 @@ impl RunInput {
         let mut payload: Vec<TermId> = Vec::with_capacity(width * self.payload.len() / pay.max(1));
         for run in 0..runs {
             if width == 0 {
-                offsets.push(run as u32 + 1);
+                offsets.push(row_offset(run + 1));
                 continue;
             }
             let start = payload.len();
@@ -120,7 +121,7 @@ impl RunInput {
                 payload.extend(writes.iter().map(|&(src, _)| self.payload[pos * pay + src]));
             }
             sort_distinct_rows(&mut payload, start, width);
-            offsets.push((payload.len() / width) as u32);
+            offsets.push(row_offset(payload.len() / width));
         }
         RunInput {
             dst_cols: writes.iter().map(|&(src, _)| self.dst_cols[src]).collect(),
@@ -207,11 +208,11 @@ pub struct BoundedProjection {
 }
 
 /// N-ary sort-merge join emitting run-length factorized output instead of
-/// materialized cross products. The merge skeleton (input views, key-chunk
-/// comparators, group alignment) is shared with [`Relation::join_ordered`];
-/// only the per-group emission differs: each aligned group appends one run —
-/// the key tuple plus each input's payload rows — in `O(Σ |group|)` instead
-/// of `O(Π |group|)`.
+/// materialized cross products. The merge skeleton (input views, the
+/// leapfrog alignment of their key columns) is shared with
+/// [`Relation::join_ordered`]; only the per-group emission differs: each
+/// aligned group appends one run — the key tuple plus each input's payload
+/// rows — in `O(Σ |group|)` instead of `O(Π |group|)`.
 ///
 /// `delivered` is the output order the plan requires; it is stored on the
 /// result and re-established at expansion time.
@@ -289,9 +290,8 @@ pub fn join_runs(
         .map(|rel| InputView::new(rel, attributes))
         .collect();
     let mut keys: Vec<TermId> = Vec::new();
-    let mut runs = 0usize;
     let mut expanded_rows = 0usize;
-    merge_key_groups(&views, |views, cursors, ends| {
+    let runs = merge_key_groups(&views, |cursors, ends| {
         // The aligned group's key tuple, read from the first input's
         // contiguous key chunk.
         for k in 0..views[0].key_arity() {
@@ -308,10 +308,9 @@ pub fn join_runs(
             }
             let group = ends[i] - cursors[i];
             combinations *= group;
-            let total = input.offsets.last().copied().expect("seeded offsets") + group as u32;
-            input.offsets.push(total);
+            let taken = *input.offsets.last().expect("seeded offsets") as usize;
+            input.offsets.push(row_offset(taken + group));
         }
-        runs += 1;
         expanded_rows += combinations;
     });
     // The factorized join *is* the join at the accounting level: it reports
@@ -319,7 +318,7 @@ pub fn join_runs(
     // throughput metrics stay comparable with the eager path, plus the run
     // count that makes output-sublinearity measurable.
     stats::count_runs(runs as u64);
-    stats::count_join_rows(expanded_rows as u64);
+    stats::count_join(expanded_rows as u64, runs as u64);
     let held = keys.len() + run_inputs.iter().map(|i| i.payload.len()).sum::<usize>();
     stats::note_intermediate(runs as u64, (held * TERM_BYTES) as u64);
     RunsRelation {

@@ -54,7 +54,7 @@ pub mod translate;
 
 pub use cost::{q_error, CostEstimate, MapReduceCostModel};
 pub use csq::{Csq, CsqConfig, CsqReport};
-pub use executor::{BoundedOutput, ExecutionOutput, Executor};
+pub use executor::{BoundedOutput, ExecutionOutput, Executor, TripleBinder};
 pub use factorized::{join_runs, BoundedProjection, RunsRelation};
 pub use physical::{OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
 pub use relation::{hash_partition, JoinOrder, Relation, SortOrder};

@@ -57,6 +57,11 @@ pub mod stats {
         pub buffer_allocs: u64,
         /// Rows produced by [`super::Relation::join`].
         pub join_rows_out: u64,
+        /// Aligned key groups the joins found (distinct keys common to all
+        /// inputs of a join, summed over the joins): `rows_in / key_groups`
+        /// and `rows_out / key_groups` say whether a join spends its time
+        /// aligning keys or emitting cross products.
+        pub key_groups: u64,
         /// Join inputs consumed through the tracked-order fast path (the
         /// join attributes are a prefix of the input's [`super::SortOrder`];
         /// no re-sort needed).
@@ -119,6 +124,7 @@ pub mod stats {
                 row_allocs: count(self.row_allocs, other.row_allocs),
                 buffer_allocs: count(self.buffer_allocs, other.buffer_allocs),
                 join_rows_out: count(self.join_rows_out, other.join_rows_out),
+                key_groups: count(self.key_groups, other.key_groups),
                 join_inputs_presorted: count(
                     self.join_inputs_presorted,
                     other.join_inputs_presorted,
@@ -141,6 +147,7 @@ pub mod stats {
             row_allocs: 0,
             buffer_allocs: 0,
             join_rows_out: 0,
+            key_groups: 0,
             join_inputs_presorted: 0,
             join_inputs_resorted: 0,
             sorts_performed: 0,
@@ -180,8 +187,13 @@ pub mod stats {
         update(|s| s.buffer_allocs += 1);
     }
 
-    pub(crate) fn count_join_rows(n: u64) {
-        update(|s| s.join_rows_out += n);
+    /// One finished join: the rows it produced and the key groups its
+    /// alignment found.
+    pub(crate) fn count_join(rows: u64, key_groups: u64) {
+        update(|s| {
+            s.join_rows_out += rows;
+            s.key_groups += key_groups;
+        });
     }
 
     pub(crate) fn count_join_input(presorted: bool) {
@@ -928,10 +940,13 @@ impl Relation {
     /// Each input is walked in key order: an input whose tracked
     /// [`SortOrder`] has the join attributes as a prefix is consumed as-is,
     /// and any other input pays one column-permuted index sort — no hash
-    /// table and no per-row key allocation on either path. Matching key
-    /// groups are combined with a cross product that writes into one reused
-    /// scratch row, rejecting combinations that disagree on shared non-join
-    /// attributes.
+    /// table and no per-row key allocation on either path. The inputs' key
+    /// columns are aligned by a leapfrog, one column at a time over one
+    /// contiguous slice per input (`merge_key_groups`), and each aligned
+    /// group's cross product is written straight into the output buffer —
+    /// an output row is input 0's row followed by the columns each later
+    /// input is the first to provide — skipping combinations that disagree
+    /// on a shared non-join attribute (`Emitter`).
     ///
     /// The merge emits key groups in ascending key order, so the raw output
     /// is sorted by the join attributes; `output_order` then decides how
@@ -964,77 +979,48 @@ impl Relation {
                 order: inputs[0].order.clone(),
             };
             finalize_join_order(&mut out, output_order);
-            stats::count_join_rows(out.rows as u64);
+            stats::count_join(out.rows as u64, 0);
             return out;
         }
 
-        let n = inputs.len();
         // Per input: key columns and the row visit order that makes the
         // rows key-sorted.
         let views: Vec<InputView<'_>> = inputs
             .iter()
             .map(|rel| InputView::new(rel, attributes))
             .collect();
-
-        let mut out = Relation::empty(schema);
-        if views.iter().any(|view| view.len() == 0) {
-            // An empty output satisfies any ordering: adopt the requested
-            // one so downstream consumers see the order the plan promised.
-            finalize_join_order(&mut out, output_order);
-            stats::count_join_rows(0);
-            return out;
-        }
-
-        // Output column mapping: `writes[i]` are the columns input `i` is
-        // the first to provide; `checks[i]` are columns some earlier input
-        // already provided that are *not* join attributes (join attributes
-        // are equal by construction of the merge). Both are column-index
-        // pairs `(src, dst)`.
-        let mut writes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        let mut checks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        let mut provided = vec![false; out.schema.len()];
-        for (i, rel) in inputs.iter().enumerate() {
-            for (src, v) in rel.schema().iter().enumerate() {
-                let dst = out
-                    .schema
-                    .iter()
-                    .position(|s| s == v)
-                    .expect("schema union");
-                if !provided[dst] {
-                    provided[dst] = true;
-                    writes[i].push((src, dst));
-                } else if !attributes.contains(v) {
-                    checks[i].push((src, dst));
-                }
-            }
-        }
-
-        stats::count_buffer_alloc();
-        let mut scratch: Vec<TermId> = vec![TermId(0); out.schema.len()];
-        merge_key_groups(&views, |views, cursors, ends| {
-            emit_groups(
-                views,
-                &writes,
-                &checks,
-                cursors,
-                ends,
-                0,
-                &mut scratch,
-                &mut out,
-            );
-        });
-        // Key groups were emitted in ascending key order: the output is
-        // sorted by the join attributes' output columns.
-        let natural = SortOrder::by(
-            attributes
+        let natural = SortOrder::by(attributes.iter().map(|a| {
+            schema
                 .iter()
-                .map(|a| out.column(a).expect("join attribute in output schema")),
-        );
-        out.assume_order(natural);
+                .position(|s| s == a)
+                .expect("join attribute in output schema")
+        }));
+        stats::count_buffer_alloc();
+        let mut emitter = Emitter::new(&views, &schema, attributes);
+        let key_groups = merge_key_groups(&views, |cursors, ends| emitter.emit(cursors, ends));
+        // Key groups were emitted in ascending key order: the output is
+        // sorted by the join attributes' output columns. (An empty output
+        // satisfies any ordering, so finalizing it adopts the requested one
+        // and downstream consumers see the order the plan promised.)
+        let Emitter { data, rows, .. } = emitter;
+        let mut out = Relation::from_raw(schema, data, rows, natural);
         finalize_join_order(&mut out, output_order);
-        stats::count_join_rows(out.rows as u64);
-        stats::note_intermediate(out.rows as u64, (out.data.len() * TERM_BYTES) as u64);
+        stats::count_join(out.rows as u64, key_groups as u64);
+        stats::note_intermediate(out.rows as u64, out.buffer_bytes());
         out
+    }
+
+    /// The number of distinct keys every input holds — the aligned key
+    /// groups an n-ary join of `inputs` on `attributes` walks, counted
+    /// without emitting a row: [`Relation::join_ordered`] minus its cross
+    /// products. The kernel benches time it to split a join into alignment
+    /// and emission; the join oracle checks it against the nested loop.
+    pub fn key_groups(inputs: &[&Relation], attributes: &[Variable]) -> usize {
+        let views: Vec<InputView<'_>> = inputs
+            .iter()
+            .map(|rel| InputView::new(rel, attributes))
+            .collect();
+        merge_key_groups(&views, |_, _| {})
     }
 }
 
@@ -1133,67 +1119,123 @@ fn gallop(rows: &[TermId], count: usize, arity: usize, keep: impl Fn(&[TermId]) 
 /// Bytes per stored [`TermId`], for the `peak_bytes` accounting.
 pub(crate) const TERM_BYTES: usize = std::mem::size_of::<TermId>();
 
-/// Drives the n-ary sort-merge alignment over pre-built [`InputView`]s:
-/// repeatedly aligns all cursors on the next common key, delimits each
-/// input's equal-key group `[cursors[i], ends[i])`, and hands the aligned
-/// group to `on_group`. Groups arrive in ascending key order. Shared by the
-/// eager cross-product join and the factorized run-emitting join in
+/// A row count or row position as the `u32` the sort kernel's permutations
+/// and the factorized runs' offsets store.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` rows, where the narrow form would wrap into a
+/// wrong answer.
+pub(crate) fn row_offset(rows: usize) -> u32 {
+    u32::try_from(rows).expect("relation too large")
+}
+
+/// Drives the n-ary sort-merge alignment over pre-built [`InputView`]s and
+/// hands every aligned key group — per input the equal-key range
+/// `[cursors[i], ends[i])` of key-sorted positions — to `on_group`, in
+/// ascending key order. Returns the number of groups. Shared by the eager
+/// cross-product join and the factorized run-emitting join in
 /// [`crate::factorized`].
-pub(crate) fn merge_key_groups<F>(views: &[InputView<'_>], mut on_group: F)
+///
+/// The alignment is a leapfrog over one key column at a time
+/// ([`align`]): the leading column is aligned over every input's whole
+/// contiguous key slice, and a join on more attributes refines each aligned
+/// range on the next column by the same routine one level down. The state
+/// of all levels (a cursor and an end per input and level) is allocated
+/// here, once per join.
+pub(crate) fn merge_key_groups<F>(views: &[InputView<'_>], mut on_group: F) -> usize
 where
-    F: FnMut(&[InputView<'_>], &[usize], &[usize]),
+    F: FnMut(&[usize], &[usize]),
 {
     let n = views.len();
     if views.iter().any(|view| view.len() == 0) {
+        return 0;
+    }
+    let levels = views[0].key_arity();
+    // Level-major: `columns[level * n + i]` is input `i`'s key column `level`.
+    let columns: Vec<&[TermId]> = (0..levels)
+        .flat_map(|level| views.iter().map(move |view| view.keys.column(level)))
+        .collect();
+    let mut state = vec![0usize; 2 * n * (levels + 1)];
+    let (whole, state) = state.split_at_mut(2 * n);
+    let (from, to) = whole.split_at_mut(n);
+    for (to, view) in to.iter_mut().zip(views) {
+        *to = view.len();
+    }
+    let mut groups = 0usize;
+    align(&columns, n, from, to, state, &mut |cursors, ends| {
+        groups += 1;
+        on_group(cursors, ends);
+    });
+    groups
+}
+
+/// One level of the alignment: `columns[..n]` holds every input's slice of
+/// the key column this level aligns (`columns[n..]` the deeper levels'),
+/// ascending inside the non-empty range `[from[i], to[i])` because the
+/// columns before it are constant there. Leapfrog: input 0's head is the
+/// first target; advance each input in turn while it is below the target,
+/// and let a head above the target become the target — until every input's
+/// head equals it (the largest head there was); then delimit each input's
+/// run of the target and either hand the ranges to `on_group` (last column)
+/// or align the next column inside them. Ends when an input's range runs
+/// out. With no column at all (a cross product) the ranges as given are the
+/// one group.
+fn align<F>(
+    columns: &[&[TermId]],
+    n: usize,
+    from: &[usize],
+    to: &[usize],
+    state: &mut [usize],
+    on_group: &mut F,
+) where
+    F: FnMut(&[usize], &[usize]),
+{
+    if columns.is_empty() {
+        on_group(from, to);
         return;
     }
-    let mut cursors = vec![0usize; n];
-    let mut ends = vec![0usize; n];
-    // Repeatedly align all cursors on a common key, then hand the aligned
-    // key groups to the emitter.
-    let mut max_input = 0usize;
-    'merge: loop {
-        // Align every input's current key with the largest current key.
-        'align: loop {
-            let mut advanced_max = false;
-            for i in 0..n {
-                if i == max_input {
-                    continue;
-                }
-                loop {
-                    if cursors[i] == views[i].len() {
-                        break 'merge;
-                    }
-                    match cmp_keys(&views[i], cursors[i], &views[max_input], cursors[max_input]) {
-                        Ordering::Less => cursors[i] += 1,
-                        Ordering::Equal => break,
-                        Ordering::Greater => {
-                            max_input = i;
-                            advanced_max = true;
-                            break;
-                        }
-                    }
-                }
-                if advanced_max {
-                    continue 'align;
-                }
+    let (columns, deeper) = columns.split_at(n);
+    let (level, state) = state.split_at_mut(2 * n);
+    // `heads[i]` scans forward through input `i`'s range; `starts[i]` is
+    // where its run of the current target began.
+    let (starts, heads) = level.split_at_mut(n);
+    heads.copy_from_slice(from);
+    while heads[0] < to[0] {
+        let mut target = columns[0][heads[0]];
+        // Consecutive inputs (cyclically, up to the one before `i`) whose
+        // head equals the target.
+        let (mut agreed, mut i) = (0, 0);
+        while agreed < n {
+            let column = &columns[i][..to[i]];
+            let mut head = heads[i];
+            while head < column.len() && column[head] < target {
+                head += 1;
             }
-            break 'align;
+            if head == column.len() {
+                return;
+            }
+            heads[i] = head;
+            if column[head] == target {
+                agreed += 1;
+            } else {
+                target = column[head];
+                agreed = 1;
+            }
+            i = if i + 1 == n { 0 } else { i + 1 };
         }
-        // All inputs agree on the key: delimit each input's key group.
         for i in 0..n {
-            let mut end = cursors[i] + 1;
-            while end < views[i].len()
-                && cmp_keys(&views[i], end, &views[i], cursors[i]) == Ordering::Equal
-            {
+            let column = &columns[i][..to[i]];
+            let mut end = heads[i] + 1;
+            while end < column.len() && column[end] == target {
                 end += 1;
             }
-            ends[i] = end;
+            starts[i] = std::mem::replace(&mut heads[i], end);
         }
-        on_group(views, &cursors, &ends);
-        cursors.copy_from_slice(&ends);
-        if (0..n).any(|i| cursors[i] == views[i].len()) {
-            break 'merge;
+        if deeper.is_empty() {
+            on_group(starts, heads);
+        } else {
+            align(deeper, n, starts, heads, state, on_group);
         }
     }
 }
@@ -1257,10 +1299,9 @@ impl KeyChunk {
     pub(crate) fn sorted_permutation(&self) -> Vec<u32> {
         const DIGIT_BITS: usize = 8;
         const DIGIT_MASK: usize = (1 << DIGIT_BITS) - 1;
-        assert!(self.rows <= u32::MAX as usize, "relation too large");
         stats::count_sort_performed(self.rows as u64);
         stats::count_buffer_alloc();
-        let mut rows: Vec<u32> = (0..self.rows as u32).collect();
+        let mut rows: Vec<u32> = (0..row_offset(self.rows)).collect();
         let mut scattered: Vec<u32> = vec![0; self.rows];
         for col in (0..self.cols).rev().map(|k| self.column(k)) {
             // The key bits that differ anywhere in the column.
@@ -1379,62 +1420,168 @@ impl<'r> InputView<'r> {
     }
 }
 
-/// Compares the join keys of two key-sorted positions (possibly of different
-/// inputs), walking the contiguous column-major key chunks in attribute
-/// order — the hot comparator of the n-ary merge.
-#[inline]
-pub(crate) fn cmp_keys(a: &InputView<'_>, apos: usize, b: &InputView<'_>, bpos: usize) -> Ordering {
-    debug_assert_eq!(a.key_cols.len(), b.key_cols.len());
-    for k in 0..a.key_cols.len() {
-        match a.keys.column(k)[apos].cmp(&b.keys.column(k)[bpos]) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    Ordering::Equal
+/// The eager join's emitter: appends the cross products of aligned key
+/// groups to the output buffer, rows written in place.
+///
+/// The output schema is the inputs' schemas unioned in input order, so an
+/// output row is one *segment* per input laid end to end: the columns that
+/// input is the first to provide, in its schema order (all of input 0's; a
+/// later input's minus the join attributes and whatever else an earlier
+/// input already binds). The row under construction lives at the tail of
+/// the buffer; a shared non-key column is compared against what is already
+/// written there.
+struct Emitter<'v, 'r> {
+    views: &'v [InputView<'r>],
+    /// Per input: the source columns of its segment.
+    takes: Vec<Vec<usize>>,
+    /// Per input: `(column, output column)` of every non-key column some
+    /// earlier input already provides; rows that disagree are rejected.
+    checks: Vec<Vec<(usize, usize)>>,
+    /// Output column at which each input's segment starts, then the arity.
+    starts: Vec<usize>,
+    /// No input has anything to check: a group emits its whole product.
+    unchecked: bool,
+    /// The odometer: every input's position inside the current group.
+    at: Vec<usize>,
+    data: Vec<TermId>,
+    rows: usize,
 }
 
-/// Emits the cross product of the aligned key groups `[cursors[i], ends[i])`
-/// into `out`, writing every combination into the single reused `scratch`
-/// row. Combinations that disagree on a shared non-join attribute are
-/// rejected before recursing further. Rows are appended to the raw buffer;
-/// the caller re-establishes the output's ordering descriptor afterwards.
-#[allow(clippy::too_many_arguments)]
-fn emit_groups(
-    views: &[InputView<'_>],
-    writes: &[Vec<(usize, usize)>],
-    checks: &[Vec<(usize, usize)>],
-    cursors: &[usize],
-    ends: &[usize],
-    depth: usize,
-    scratch: &mut Vec<TermId>,
-    out: &mut Relation,
-) {
-    if depth == views.len() {
-        out.data.extend_from_slice(scratch);
-        out.rows += 1;
-        return;
-    }
-    'rows: for pos in cursors[depth]..ends[depth] {
-        let row = views[depth].row(pos);
-        for &(src, dst) in &checks[depth] {
-            if scratch[dst] != row[src] {
-                continue 'rows;
+impl<'v, 'r> Emitter<'v, 'r> {
+    fn new(views: &'v [InputView<'r>], schema: &[Variable], attributes: &[Variable]) -> Self {
+        let n = views.len();
+        let mut takes: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut checks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        let mut starts = Vec::with_capacity(n + 1);
+        // First occurrences claim output columns in sequence, which is how
+        // the schema union numbered them.
+        let mut provided = 0;
+        for (i, view) in views.iter().enumerate() {
+            starts.push(provided);
+            for (src, v) in view.rel.schema().iter().enumerate() {
+                let dst = schema.iter().position(|s| s == v).expect("schema union");
+                if dst == provided {
+                    provided += 1;
+                    takes[i].push(src);
+                } else if !attributes.contains(v) {
+                    checks[i].push((src, dst));
+                }
             }
         }
-        for &(src, dst) in &writes[depth] {
-            scratch[dst] = row[src];
-        }
-        emit_groups(
+        debug_assert_eq!(provided, schema.len());
+        starts.push(provided);
+        Self {
             views,
-            writes,
+            takes,
+            unchecked: checks.iter().all(Vec::is_empty),
             checks,
-            cursors,
-            ends,
-            depth + 1,
-            scratch,
-            out,
-        );
+            starts,
+            at: vec![0; n],
+            data: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    /// Appends the cross product of the aligned groups
+    /// `[cursors[i], ends[i])`, nested in input order with input 0
+    /// outermost, minus the combinations that disagree on a shared non-key
+    /// column (a rejected row of input `i` is skipped with everything that
+    /// would extend it).
+    ///
+    /// When no input has anything to check the group's size is known and
+    /// reserved at once. A group of one row per input is one short append;
+    /// anything larger runs the odometer `at`: [`place`] the rows of the
+    /// inputs from `depth` on, count the row, [`step`] the last input that
+    /// has a row left (the inputs behind it start over) and begin the next
+    /// row as a copy of the finished one's segments before that input. A
+    /// rejected row steps its input at once and is cut back the same way.
+    fn emit(&mut self, cursors: &[usize], ends: &[usize]) {
+        let n = self.views.len();
+        let arity = self.starts[n];
+        let mut base = self.data.len();
+        let product: usize = cursors.iter().zip(ends).map(|(c, e)| e - c).product();
+        if self.unchecked {
+            self.data.reserve(product * arity);
+        }
+        if product == 1 {
+            let segments = self.takes.iter().zip(&self.checks);
+            let rows = self.views.iter().zip(cursors);
+            if (rows.zip(segments)).all(|((view, &pos), (takes, checks))| {
+                place(&mut self.data, base, view.row(pos), takes, checks)
+            }) {
+                self.rows += 1;
+            } else {
+                self.data.truncate(base);
+            }
+            return;
+        }
+        self.at[0] = cursors[0];
+        let mut depth = 0;
+        loop {
+            while depth < n {
+                let row = self.views[depth].row(self.at[depth]);
+                if place(
+                    &mut self.data,
+                    base,
+                    row,
+                    &self.takes[depth],
+                    &self.checks[depth],
+                ) {
+                    depth += 1;
+                    if depth < n {
+                        self.at[depth] = cursors[depth];
+                    }
+                } else if let Some(next) = step(&mut self.at, ends, depth) {
+                    depth = next;
+                    self.data.truncate(base + self.starts[depth]);
+                } else {
+                    self.data.truncate(base);
+                    return;
+                }
+            }
+            self.rows += 1;
+            let Some(next) = step(&mut self.at, ends, n - 1) else {
+                return;
+            };
+            depth = next;
+            self.data
+                .extend_from_within(base..base + self.starts[depth]);
+            base += arity;
+        }
+    }
+}
+
+/// Appends the columns `takes` of an input's `row` as the next segment of
+/// the output row that starts at `data[base]` — unless the row disagrees
+/// with the segments already there on a `(column, output column)` of
+/// `checks`.
+#[inline]
+fn place(
+    data: &mut Vec<TermId>,
+    base: usize,
+    row: &[TermId],
+    takes: &[usize],
+    checks: &[(usize, usize)],
+) -> bool {
+    let built = &data[base..];
+    if checks.iter().any(|&(src, dst)| built[dst] != row[src]) {
+        return false;
+    }
+    data.extend(takes.iter().map(|&src| row[src]));
+    true
+}
+
+/// One step of the odometer `at` from input `depth`: moves the last input at
+/// or before `depth` that has a row left in its group `[.., ends[i])` on to
+/// it and returns that input — the ones behind it start over — or `None`
+/// when the group is exhausted.
+fn step(at: &mut [usize], ends: &[usize], mut depth: usize) -> Option<usize> {
+    loop {
+        at[depth] += 1;
+        if at[depth] < ends[depth] {
+            return Some(depth);
+        }
+        depth = depth.checked_sub(1)?;
     }
 }
 
@@ -1736,6 +1883,18 @@ mod tests {
                 expected.iter().map(|&row| r.row(row as usize)).collect();
             prop_assert_eq!(sorted.rows().collect::<Vec<_>>(), permuted);
         }
+    }
+
+    #[test]
+    fn row_offsets_in_range_convert() {
+        assert_eq!(row_offset(0), 0);
+        assert_eq!(row_offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "relation too large")]
+    fn row_offsets_past_u32_panic_instead_of_wrapping() {
+        row_offset(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! empty inputs, shared non-join attributes, cross products (no join
 //! attributes), and single-input identity joins, on both the
 //! sorted-leading-key fast path and the column-permuted re-sort path.
+//! The raw emission *sequence* is pinned too
+//! (`emission_order_matches_the_nested_loop`): stable re-sorts downstream
+//! and the factorized expansion both depend on it.
 
-use cliquesquare_engine::Relation;
+use cliquesquare_engine::{join_runs, JoinOrder, Relation};
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
 use proptest::prelude::*;
@@ -28,6 +31,14 @@ fn relation(schema: &[&str], rows: Vec<Vec<u32>>) -> Relation {
 /// (join attributes and incidental shared columns alike), and merges them
 /// into output rows over the union schema. Returns the sorted multiset.
 fn oracle_join(inputs: &[&Relation], attributes: &[Variable]) -> Vec<Vec<TermId>> {
+    let mut out = oracle_sequence(inputs, attributes);
+    out.sort_unstable();
+    out
+}
+
+/// The oracle's rows in nested-loop order: input 0 outermost, every input
+/// in the order its rows are stored.
+fn oracle_sequence(inputs: &[&Relation], attributes: &[Variable]) -> Vec<Vec<TermId>> {
     let mut schema: Vec<Variable> = Vec::new();
     for rel in inputs {
         for var in rel.schema() {
@@ -69,8 +80,69 @@ fn oracle_join(inputs: &[&Relation], attributes: &[Variable]) -> Vec<Vec<TermId>
         }
     }
     recurse(inputs, &schema, 0, &seed, &mut out);
-    out.sort_unstable();
     out
+}
+
+/// A small deterministic generator (splitmix64), so one proptest seed
+/// shapes a whole family of inputs.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u32) -> u32 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % u64::from(bound)) as u32
+    }
+}
+
+/// `count` inputs that all bind the join attributes `k0..k{arity}` — at a
+/// random column each, drawn from a domain of three values so keys repeat
+/// within an input and go missing from others — plus a payload column of
+/// their own; with `shared`, inputs 0 and 1 also both bind the non-key
+/// column `s`. About half the inputs are then sorted on the key (tracked:
+/// the merge takes them as they are), the rest stay in generation order
+/// (the join's index sort visits them).
+fn random_inputs(
+    rng: &mut Rng,
+    count: usize,
+    arity: usize,
+    shared: bool,
+) -> (Vec<Relation>, Vec<Variable>) {
+    let attributes: Vec<Variable> = (0..arity).map(|k| v(&format!("k{k}"))).collect();
+    let inputs = (0..count)
+        .map(|i| {
+            let mut schema = attributes.clone();
+            schema.push(v(&format!("p{i}")));
+            if shared && i < 2 {
+                schema.push(v("s"));
+            }
+            for slot in (1..schema.len()).rev() {
+                schema.swap(slot, rng.below(slot as u32 + 1) as usize);
+            }
+            let rows = (0..rng.below(13))
+                .map(|_| {
+                    (schema.iter())
+                        .map(|var| match var.name().as_bytes()[0] {
+                            b'k' => TermId(rng.below(3)),
+                            b's' => TermId(rng.below(2)),
+                            _ => TermId(rng.below(50)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut relation = Relation::new(schema, rows);
+            if rng.below(2) == 0 {
+                let key_cols: Vec<usize> = (attributes.iter())
+                    .map(|a| relation.column(a).expect("every input binds the key"))
+                    .collect();
+                relation.sort_by_columns(&key_cols);
+            }
+            relation
+        })
+        .collect();
+    (inputs, attributes)
 }
 
 /// The engine join's rows as a sorted multiset (it is canonical already,
@@ -82,6 +154,50 @@ fn joined_rows(inputs: &[&Relation], attributes: &[Variable]) -> Vec<Vec<TermId>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Order, not only multiset: the rows of `join_ordered(.., Natural)` *in
+    /// sequence* are the nested loop's (input 0 outermost, every input in
+    /// stored order) stably sorted by the key — key groups ascending, each
+    /// group's cross product nested in input order, rows that a shared
+    /// non-key column rejects gone without disturbing the rest. Where
+    /// factorization is legal the expanded runs are the same sequence, and
+    /// the alignment alone finds exactly the keys every input holds.
+    #[test]
+    fn emission_order_matches_the_nested_loop(
+        count in 2usize..6,
+        arity in 1usize..4,
+        shared in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (inputs, attributes) = random_inputs(&mut Rng(seed), count, arity, shared);
+        let inputs: Vec<&Relation> = inputs.iter().collect();
+        let joined = Relation::join_ordered(&inputs, &attributes, JoinOrder::Natural);
+        let key_cols: Vec<usize> = (attributes.iter())
+            .map(|a| joined.column(a).expect("the output binds the key"))
+            .collect();
+        let key_of = |row: &[TermId]| key_cols.iter().map(|&c| row[c]).collect::<Vec<_>>();
+        let mut expected = oracle_sequence(&inputs, &attributes);
+        expected.sort_by_key(|row| key_of(row));
+        let rows: Vec<Vec<TermId>> = joined.rows().map(<[TermId]>::to_vec).collect();
+        prop_assert_eq!(&rows, &expected);
+        prop_assert!(joined.order().satisfies(&key_cols));
+        if !shared {
+            let expanded = join_runs(&inputs, &attributes, &[]).expand();
+            prop_assert_eq!(expanded.schema(), joined.schema());
+            let rows: Vec<Vec<TermId>> = expanded.rows().map(<[TermId]>::to_vec).collect();
+            prop_assert_eq!(&rows, &expected);
+        }
+        let keys_of = |input: &Relation| -> std::collections::BTreeSet<Vec<TermId>> {
+            let cols: Vec<usize> = (attributes.iter())
+                .map(|a| input.column(a).expect("every input binds the key"))
+                .collect();
+            input.rows().map(|row| cols.iter().map(|&c| row[c]).collect()).collect()
+        };
+        let common = (inputs.iter().map(|input| keys_of(input)))
+            .reduce(|a, b| &a & &b)
+            .expect("at least two inputs");
+        prop_assert_eq!(Relation::key_groups(&inputs, &attributes), common.len());
+    }
 
     /// Binary join on one attribute, tiny domain → lots of duplicate keys,
     /// plus the empty-input edge (0-row vectors are generated).

@@ -16,17 +16,19 @@
 //! Every error is a structured JSON body with the status the
 //! [`ServeError`] maps to (400 malformed query, 404 unknown name or route,
 //! 408 read timeout, 413 oversized request, 500 contained execution panic).
-//! Each connection is handled on its own thread with read/write timeouts;
-//! the actual query work all funnels into the service's shared serving
-//! runtime.
+//! Each connection is handled off the accept loop with read/write
+//! timeouts, on a handler thread that parks between connections and is
+//! reused (a new one starts only when none is parked); the actual query
+//! work all funnels into the service's shared serving runtime.
 
 use crate::service::{QueryAnswer, QueryService, ServeError};
 use cliquesquare_obs::json::{push_escaped, push_strings};
 use cliquesquare_obs::LATENCY_SECONDS_BUCKETS;
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -106,34 +108,127 @@ impl HttpServer {
         })
     }
 
-    /// Runs the accept loop until [`ShutdownHandle::stop`] is called. Each
-    /// connection gets a short-lived handler thread; a handler that fails
-    /// mid-write only loses its own connection.
+    /// Runs the accept loop until [`ShutdownHandle::stop`] is called. Every
+    /// connection is handed to a handler thread at once — a parked one when
+    /// there is one, a new one otherwise — so no connection waits for
+    /// another; a handler that fails mid-write only loses its own
+    /// connection. The handlers leave when the loop does.
     pub fn serve(&self) -> io::Result<()> {
+        let handlers = Arc::new(Handlers::default());
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            if handlers.hand_over(stream) {
+                continue;
+            }
+            let handlers = Arc::clone(&handlers);
             let service = Arc::clone(&self.service);
             let config = self.config;
             thread::spawn(move || {
-                let _ = handle_connection(&service, stream, config);
+                while let Some(mut stream) = handlers.next() {
+                    let _ = handle_connection(&service, &mut stream, config);
+                    // Parked *before* the connection closes: a client that
+                    // waits for the close and then sends its next request
+                    // finds this handler, every time.
+                    if !handlers.park() {
+                        break;
+                    }
+                }
             });
         }
+        handlers.close();
         Ok(())
+    }
+}
+
+/// At most this many handler threads stay parked; one that finishes a
+/// connection beyond that exits, so a burst does not keep its threads.
+const MAX_PARKED_HANDLERS: usize = 16;
+
+/// The accepted connections no handler has taken yet and the handler
+/// threads parked for one. A client that sends one request after another
+/// is served by one long-lived thread: with a thread per connection the
+/// memory the process held depended on whether the last handler had
+/// finished exiting when the next one started (the allocator keeps a heap
+/// per thread and hands a dead thread's heap to the next thread born).
+#[derive(Default)]
+struct Handlers {
+    state: Mutex<HandlerState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct HandlerState {
+    pending: VecDeque<TcpStream>,
+    /// Handlers that will take a connection without being started: the
+    /// ones that called [`Handlers::park`] (or were just started) and have
+    /// not taken one since. Never fewer than `pending`.
+    parked: usize,
+    closed: bool,
+}
+
+impl Handlers {
+    /// Queues `stream` for a parked handler; `false` when there is none
+    /// left for it, so the caller has to start one (counted as parked
+    /// already).
+    fn hand_over(&self, stream: TcpStream) -> bool {
+        let mut state = self.state.lock().expect("handler state");
+        state.pending.push_back(stream);
+        let taken = state.pending.len() <= state.parked;
+        if !taken {
+            state.parked += 1;
+        }
+        drop(state);
+        self.ready.notify_one();
+        taken
+    }
+
+    /// Parks the calling handler for its next connection; `false` when
+    /// enough are parked already (or the accept loop ended) and it should
+    /// exit instead.
+    fn park(&self) -> bool {
+        let mut state = self.state.lock().expect("handler state");
+        let stays = !state.closed && state.parked < MAX_PARKED_HANDLERS;
+        if stays {
+            state.parked += 1;
+        }
+        stays
+    }
+
+    /// The next connection for the calling, parked handler — waiting until
+    /// there is one — or `None` once the accept loop has ended.
+    fn next(&self) -> Option<TcpStream> {
+        let mut state = self.state.lock().expect("handler state");
+        loop {
+            if let Some(stream) = state.pending.pop_front() {
+                state.parked -= 1;
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).expect("handler state");
+        }
+    }
+
+    /// Lets every handler exit once the queue is empty.
+    fn close(&self) {
+        self.state.lock().expect("handler state").closed = true;
+        self.ready.notify_all();
     }
 }
 
 fn handle_connection(
     service: &QueryService,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     config: ServerConfig,
 ) -> io::Result<()> {
     let started = Instant::now();
     stream.set_read_timeout(config.read_timeout)?;
     stream.set_write_timeout(config.write_timeout)?;
-    let (endpoint, response) = match read_request(&mut stream, config.max_request_bytes) {
+    let (endpoint, response) = match read_request(stream, config.max_request_bytes) {
         Ok(request) => (endpoint_label(&request.path), route(service, &request)),
         Err(RequestError::Serve(error)) => ("error", error_response(&error)),
         Err(RequestError::Io(error)) if is_timeout(&error) => {
@@ -141,13 +236,13 @@ fn handle_connection(
             // closing, best-effort.
             let response = error_response(&ServeError::Timeout);
             observe_request("error", response.status, started.elapsed().as_secs_f64());
-            let _ = write_response(&mut stream, &response);
+            let _ = write_response(stream, &response);
             return Ok(());
         }
         Err(RequestError::Io(error)) => return Err(error),
     };
     observe_request(endpoint, response.status, started.elapsed().as_secs_f64());
-    write_response(&mut stream, &response)
+    write_response(stream, &response)
 }
 
 /// Bounded-cardinality endpoint label for the request metrics.
@@ -492,6 +587,36 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_new_handler_is_asked_for_only_when_none_is_parked() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let connection = || TcpStream::connect(addr).expect("connect");
+        let handlers = Handlers::default();
+
+        // Nobody is parked: the first connection needs a handler started,
+        // which takes it and parks before it closes it.
+        assert!(!handlers.hand_over(connection()));
+        let first = handlers.next().expect("the queued connection");
+        assert!(handlers.park());
+        drop(first);
+        // The parked handler covers one connection, not two.
+        assert!(handlers.hand_over(connection()));
+        assert!(!handlers.hand_over(connection()));
+        assert!(handlers.next().is_some());
+        assert!(handlers.next().is_some());
+        // Both handlers park; the third connection starts no third one.
+        assert!(handlers.park());
+        assert!(handlers.park());
+        assert!(handlers.hand_over(connection()));
+
+        // Closing still hands out what is queued, then releases everyone.
+        handlers.close();
+        assert!(handlers.next().is_some());
+        assert!(handlers.next().is_none());
+        assert!(!handlers.park());
+    }
 
     #[test]
     fn percent_decoding_handles_escapes_plus_and_garbage() {

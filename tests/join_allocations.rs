@@ -10,12 +10,13 @@
 
 use cliquesquare::engine::relation::stats;
 use cliquesquare::engine::{
-    hash_partition, join_runs, translate, Csq, CsqConfig, Executor, Relation,
+    hash_partition, join_runs, translate, Csq, CsqConfig, Executor, JoinOrder, Relation, SortOrder,
+    TripleBinder,
 };
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, Runtime};
 use cliquesquare::querygen::lubm_queries::q1;
-use cliquesquare::rdf::{LubmGenerator, LubmScale, TermId};
-use cliquesquare::sparql::Variable;
+use cliquesquare::rdf::{LubmGenerator, LubmScale, TermId, Triple};
+use cliquesquare::sparql::{PatternTerm, TriplePattern, Variable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -250,6 +251,70 @@ fn join_allocations_do_not_scale_with_row_count() {
     assert!(
         large <= small + 16,
         "8x the rows cost {large} allocations vs {small}: the join allocates per row"
+    );
+}
+
+/// The join's working state — alignment cursors, the emitter's odometer —
+/// is allocated once per join, never per key group: a 4-input star of 4 000
+/// singleton groups and a join of 40 groups of 10 × 10 rows (4 000 output
+/// rows each) both stay under one small bound made of the per-input views
+/// and the output buffer's doublings. One `to_vec` per group would add
+/// 4 000 allocations to the first and 40 to the second, and fail both.
+#[test]
+fn join_state_is_allocated_per_join_not_per_group() {
+    const BOUND: u64 = 40;
+    let key = [v("x")];
+    let spokes: Vec<Relation> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|payload| build(&["x", payload], 4_000, |i| i as u32))
+        .collect();
+    let star: Vec<&Relation> = spokes.iter().collect();
+    let left = build(&["x", "a"], 400, |i| (i / 10) as u32);
+    let right = build(&["x", "b"], 400, |i| (i / 10) as u32);
+    for (inputs, groups) in [(&star[..], 4_000), (&[&left, &right][..], 40)] {
+        stats::reset();
+        let before = allocations();
+        let joined = Relation::join_ordered(inputs, &key, JoinOrder::Natural);
+        let spent = allocations() - before;
+        assert_eq!(joined.len(), 4_000);
+        assert_eq!(stats::snapshot().key_groups, groups);
+        assert!(
+            spent <= BOUND,
+            "a join of {groups} key groups performed {spent} allocations"
+        );
+    }
+}
+
+/// A scan with nothing to reject knows its size: the row buffer is
+/// allocated once, at exactly `triples × arity` (the per-triple push grew it
+/// from empty, ≈ 16 doublings for this file). What else the bind allocates
+/// is the relation's schema and order descriptor.
+#[test]
+fn scan_bind_allocates_its_row_buffer_once() {
+    const TRIPLES: u32 = 100_000;
+    let triples: Vec<Triple> = (0..TRIPLES)
+        .map(|i| Triple::new(TermId(i / 2), TermId(7), TermId(TRIPLES + i)))
+        .collect();
+    let pattern = TriplePattern::new(
+        PatternTerm::variable("x"),
+        PatternTerm::iri("http://example.org/p"),
+        PatternTerm::variable("y"),
+    );
+    let binder = TripleBinder::new(&pattern, vec![v("x"), v("y")]);
+
+    let before = allocations();
+    let relation = binder.bind_all(&triples, &[], SortOrder::by([0]));
+    let spent = allocations() - before;
+
+    assert_eq!(relation.len(), TRIPLES as usize);
+    assert_eq!(
+        relation.reserved_bytes(),
+        std::mem::size_of_val(relation.data()),
+        "the row buffer is reserved at exactly the rows bound"
+    );
+    assert!(
+        spent <= 3,
+        "binding {TRIPLES} triples performed {spent} allocations"
     );
 }
 

@@ -208,12 +208,14 @@ fn profiled_counters_are_the_sum_of_task_deltas() {
         let expected = [
             ("sorts_performed", local.sorts_performed),
             ("rows_sorted", local.rows_sorted),
+            ("key_groups", local.key_groups),
             ("sorts_elided", local.sorts_elided),
             ("join_inputs_presorted", local.join_inputs_presorted),
             ("runs_emitted", local.runs_emitted),
             ("rows_expanded", local.rows_expanded),
         ];
         assert!(local.sorts_elided > 0, "{name} elides sorts");
+        assert!(local.key_groups > 0, "{name} aligns key groups");
         for threads in [1, 2, 8] {
             for runtime in [Runtime::with_threads(threads), Runtime::serving(threads)] {
                 let executor = Executor::with_runtime(&cluster, runtime);
