@@ -109,7 +109,7 @@ impl<'a> H2RdfSystem<'a> {
                 metrics.tuples_shuffled += accumulated.len() as u64 + next.len() as u64;
                 metrics.reduce_tasks += 1;
             }
-            let joined = Relation::join(&[&accumulated, &next], &shared);
+            let joined = Relation::join(&[&accumulated, &next], &shared, &[]);
             metrics.join_output_tuples += joined.len() as u64;
             metrics.tuples_written += joined.len() as u64;
             metrics.jobs += 1;
@@ -117,8 +117,7 @@ impl<'a> H2RdfSystem<'a> {
             accumulated = joined;
         }
 
-        // `distinct_len` counts without cloning: projections of canonical
-        // flat relations skip the sort entirely.
+        // `distinct_len` counts without cloning or re-ordering the rows.
         let projected = if query.distinguished().is_empty() {
             accumulated
         } else {

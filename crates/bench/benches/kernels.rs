@@ -9,9 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cliquesquare_engine::{
-    hash_partition, join_runs, JoinOrder, Relation, SortOrder, TripleBinder,
-};
+use cliquesquare_engine::{hash_partition, join_runs, Relation, SortOrder, TripleBinder};
 use cliquesquare_rdf::{TermId, Triple};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 
@@ -28,7 +26,7 @@ fn unsorted(rows: usize) -> Relation {
     let keys = (rows / 8).max(1) as u32;
     for i in 0..rows {
         let i = i as u32;
-        relation.push_row_unordered(&[
+        relation.push_row(&[
             TermId((i.wrapping_mul(2_654_435_761)) % keys),
             TermId(i),
             TermId(i ^ 0x5a5a),
@@ -44,6 +42,7 @@ fn sorted_star_input(rows: usize, fanout: usize, payload: &str) -> Relation {
     for i in 0..rows {
         relation.push_row(&[TermId((i / fanout) as u32), TermId(i as u32)]);
     }
+    relation.canonicalize();
     relation
 }
 
@@ -96,26 +95,25 @@ fn bench_sort(c: &mut Criterion) {
 
 /// A key-ordered relation over `schema` (key columns first) holding
 /// `copies(key)` rows for every key below `keys`; each row's key columns
-/// come from `key_of(key, copy)` and the rest count rows.
+/// come from `key_of(key, copy)` and the rest count rows. Canonical order
+/// is claimed where the rows are in it.
 fn keyed(
     schema: &[&str],
     keys: usize,
     copies: impl Fn(usize) -> usize,
     key_of: impl Fn(usize, usize) -> Vec<u32>,
 ) -> Relation {
-    let mut relation = Relation::empty(schema.iter().map(|name| v(name)).collect());
-    let mut row: Vec<TermId> = Vec::new();
+    let mut rows: Vec<Vec<TermId>> = Vec::new();
     for key in 0..keys {
         for copy in 0..copies(key) {
-            row.clear();
-            row.extend(key_of(key, copy).into_iter().map(TermId));
+            let mut row: Vec<TermId> = key_of(key, copy).into_iter().map(TermId).collect();
             while row.len() < schema.len() {
-                row.push(TermId(relation.len() as u32));
+                row.push(TermId(rows.len() as u32));
             }
-            relation.push_row(&row);
+            rows.push(row);
         }
     }
-    relation
+    Relation::new(schema.iter().map(|name| v(name)).collect(), rows)
 }
 
 fn bench_merge_join(c: &mut Criterion) {
@@ -124,9 +122,7 @@ fn bench_merge_join(c: &mut Criterion) {
     let key = [v("x")];
     let mut group = c.benchmark_group("kernels_merge_join");
     group.bench_function("eager_20k_x_20k", |b| {
-        b.iter(|| {
-            black_box(Relation::join_ordered(&[&left, &right], &key, JoinOrder::Natural).len())
-        })
+        b.iter(|| black_box(Relation::join(&[&left, &right], &key, &[]).len()))
     });
 
     // LUBM Q11's first-level star on ?X as one of four partitions sees it
@@ -146,7 +142,7 @@ fn bench_merge_join(c: &mut Criterion) {
         b.iter(|| black_box(Relation::key_groups(&star, &key)))
     });
     group.bench_function("star4_eager", |b| {
-        b.iter(|| black_box(Relation::join_ordered(&star, &key, JoinOrder::Natural).len()))
+        b.iter(|| black_box(Relation::join(&star, &key, &[]).len()))
     });
 
     // LUBM Q10's reduce join: two inputs of 150 k rows on two attributes,
@@ -156,9 +152,7 @@ fn bench_merge_join(c: &mut Criterion) {
     let advised = keyed(&["x", "y", "a"], 50_000, |_| 3, two(0));
     let taught = keyed(&["x", "y", "b"], 50_000, |_| 3, two(1));
     group.bench_function("two_keys_150k_x2", |b| {
-        b.iter(|| {
-            black_box(Relation::join_ordered(&[&advised, &taught], &keys, JoinOrder::Natural).len())
-        })
+        b.iter(|| black_box(Relation::join(&[&advised, &taught], &keys, &[]).len()))
     });
 
     // A non-key column both inputs bind: four rows a key on either side,
@@ -167,9 +161,7 @@ fn bench_merge_join(c: &mut Criterion) {
     let left = keyed(&["x", "s", "a"], ROWS / 4, |_| 4, shared);
     let right = keyed(&["x", "s", "b"], ROWS / 4, |_| 4, shared);
     group.bench_function("shared_column_20k_x_20k", |b| {
-        b.iter(|| {
-            black_box(Relation::join_ordered(&[&left, &right], &key, JoinOrder::Natural).len())
-        })
+        b.iter(|| black_box(Relation::join(&[&left, &right], &key, &[]).len()))
     });
     group.finish();
 }
@@ -269,6 +261,7 @@ fn bench_merge_ordered(c: &mut Criterion) {
                 for i in 0..ROWS {
                     relation.push_row(&[TermId(((i / run) * k + part) as u32), TermId(i as u32)]);
                 }
+                relation.canonicalize();
                 relation
             })
             .collect();

@@ -12,14 +12,14 @@
 //! runs), together with the resulting real speedup. Both executions are
 //! asserted to produce bit-identical answers.
 //!
-//! The `row allocs` / `Mrow/s` columns come from the engine's relation
-//! counters: the flat columnar layout performs **zero** per-row heap
-//! allocations on the join and shuffle paths, and the throughput column
-//! reports join output rows per wall-second of the sequential execution.
-//! The `sorts` / `elided` / `resorts` columns come from the same counters:
-//! index sorts the sequential execution performed, ordering requirements the
-//! interesting-orders pass satisfied without sorting, and join inputs that
-//! paid a column-permuted re-sort.
+//! The `Mrow/s` column comes from the engine's relation counters: join
+//! output rows per wall-second of the sequential execution. (That the flat
+//! columnar layout performs no per-row heap allocation on the join and
+//! shuffle paths is measured by the counting allocator of
+//! `tests/join_allocations.rs`.) The `sorts` / `elided` / `resorts` columns
+//! come from the same counters: index sorts the sequential execution
+//! performed, ordering requirements the interesting-orders pass satisfied
+//! without sorting, and join inputs that paid a column-permuted re-sort.
 //!
 //! Usage: `cargo run --release -p cliquesquare-bench --bin report_execution [-- --threads N] [--scale U] [--cardinality] [--snapshot [PATH]]`
 //! (`--threads auto` uses all cores; default: `CSQ_THREADS` or sequential.
@@ -131,7 +131,7 @@ fn main() {
         let wall_par = measure_seconds(REPEATS, || {
             std::hint::black_box(parallel_executor.execute(&physical));
         });
-        // Allocation / throughput counters of one sequential execution.
+        // Throughput / sort / run counters of one sequential execution.
         relation_stats::reset();
         std::hint::black_box(executor.execute(&physical));
         let rel_stats = relation_stats::snapshot();
@@ -231,7 +231,6 @@ fn main() {
             fmt_f64(wall_par * 1e3),
             fmt_f64(wall_seq / wall_par),
             fmt_f64(join_mrows_per_s),
-            rel_stats.row_allocs.to_string(),
             rel_stats.sorts_performed.to_string(),
             rel_stats.sorts_elided.to_string(),
             rel_stats.join_inputs_resorted.to_string(),
@@ -256,7 +255,6 @@ fn main() {
                 "wall NT (ms)",
                 "speedup",
                 "Mrow/s",
-                "row allocs",
                 "sorts",
                 "elided",
                 "resorts",
@@ -271,10 +269,9 @@ fn main() {
     println!(
         "Columns `MSC-Best`..`linear/MSC` are simulated (cost model, thread-independent); \
          `wall *` columns are measured on this machine. `Mrow/s` is join output throughput \
-         of the sequential run; `row allocs` counts per-row heap allocations on the \
-         join/shuffle paths (always 0 with the flat columnar relations); `sorts`/`elided` \
-         count index sorts performed vs ordering requirements the interesting-orders pass \
-         satisfied without sorting, and `resorts` counts join inputs that paid a re-sort. \
+         of the sequential run; `sorts`/`elided` count index sorts performed vs ordering \
+         requirements the interesting-orders pass satisfied without sorting, and \
+         `resorts` counts join inputs that paid a re-sort. \
          `runs`/`expanded` count factorized join runs emitted vs rows materialized at the \
          projection boundary, and `peak rows` is the largest single join intermediate."
     );

@@ -53,12 +53,17 @@ pub fn runtime_from_args(args: &[String]) -> Runtime {
 
 /// Parses `--scale U` (LUBM universities) from the argument list, falling
 /// back to `default`. Lets the wall-clock speedup experiments run on a
-/// larger dataset than the paper-figure default without recompiling.
+/// larger dataset than the paper-figure default without recompiling. A
+/// malformed value (zero, negative, garbage) prints the parse error and
+/// exits with status 2, as `--threads` does.
 pub fn scale_from_args(args: &[String], default: LubmScale) -> LubmScale {
-    flag_value(args, "--scale")
-        .and_then(|value| value.trim().parse::<usize>().ok())
-        .map(|universities| LubmScale::with_universities(universities.max(1)))
-        .unwrap_or(default)
+    match flag_value(args, "--scale") {
+        Some(value) => LubmScale::try_from_option(value).unwrap_or_else(|error| {
+            eprintln!("error: invalid --scale: {error}");
+            std::process::exit(2);
+        }),
+        None => default,
+    }
 }
 
 /// The value of a `--flag value` / `--flag=value` argument, if present.

@@ -54,7 +54,7 @@
 use crate::factorized::{self, BoundedProjection, RunsRelation};
 use crate::jobs::{schedule, JobSchedule};
 use crate::physical::{FilterCondition, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
-use crate::relation::{self, stats::RelationStats, JoinOrder, Relation, SortOrder};
+use crate::relation::{self, stats::RelationStats, Relation, SortOrder};
 use crate::translate::translate;
 use cliquesquare_core::LogicalPlan;
 use cliquesquare_mapreduce::{Cluster, ExecutionMetrics, JobKind, Runtime};
@@ -151,6 +151,20 @@ impl Intermediate {
         }
     }
 
+    /// The per-node relations: what every consumer reads — a shuffle, a map
+    /// join, a scan's key source, the root gather — but the root `Project`,
+    /// the one consumer of factorized runs (through pass-through filters).
+    fn relations(&self) -> &[Relation] {
+        match self {
+            Intermediate::Local(parts) => parts,
+            Intermediate::LocalRuns(_) => unreachable!(
+                "runs never leave the root Project: `translate::factorized_joins` factorizes \
+                 only joins whose one consumer chain ends there, and `PhysicalPlan::new`, the \
+                 only constructor (`rebind_constants` included), applies it"
+            ),
+        }
+    }
+
     /// One route task of the shuffle: hash-partitions part `part` on the
     /// join attributes into one bucket per destination node. Each bucket's
     /// flat buffer is built directly by [`relation::hash_partition`] — no
@@ -165,14 +179,7 @@ impl Intermediate {
     /// planned local sort on the smallest pieces, not a join-input re-sort
     /// on the assembled bucket.
     fn route(&self, part: usize, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
-        let mut buckets = match self {
-            Intermediate::Local(parts) => relation::hash_partition(&parts[part], attributes, nodes),
-            // Defensive: runs never feed a shuffle in well-formed plans
-            // (their sole consumer is the root projection).
-            Intermediate::LocalRuns(parts) => {
-                relation::hash_partition(&parts[part].expand(), attributes, nodes)
-            }
-        };
+        let mut buckets = relation::hash_partition(&self.relations()[part], attributes, nodes);
         for bucket in &mut buckets {
             establish_key_order(bucket, attributes);
         }
@@ -185,9 +192,8 @@ impl Intermediate {
     /// order and independent of the thread count. The parts are moved into
     /// the merge unless another consumer still shares them.
     fn gather(self: Arc<Self>) -> Relation {
-        let parts = match Arc::unwrap_or_clone(self) {
-            Intermediate::Local(parts) => parts,
-            Intermediate::LocalRuns(parts) => parts.iter().map(RunsRelation::expand).collect(),
+        let Intermediate::Local(parts) = Arc::unwrap_or_clone(self) else {
+            unreachable!("runs never leave the root Project (see `Intermediate::relations`)");
         };
         if parts.is_empty() {
             return Relation::empty(Vec::new());
@@ -964,9 +970,7 @@ impl<'a> ExecState<'a> {
             TriplePosition::Object => &spec.pattern.object,
         };
         let value = self.input(source);
-        let Intermediate::Local(parts) = &*value else {
-            return None;
-        };
+        let parts = value.relations();
         let column = parts.first()?.column(term.as_variable()?)?;
         let sorted = parts.len() == self.cluster.nodes()
             && parts
@@ -1021,7 +1025,7 @@ impl<'a> ExecState<'a> {
             let rows = RunsRelation::expanded_len;
             Intermediate::LocalRuns(self.map_join_wave(id, ctx, factorized::join_runs, rows))
         } else {
-            Intermediate::Local(self.map_join_wave(id, ctx, join_rows, Relation::len))
+            Intermediate::Local(self.map_join_wave(id, ctx, Relation::join, Relation::len))
         })
     }
 
@@ -1039,13 +1043,8 @@ impl<'a> ExecState<'a> {
             .map(|node| {
                 let ctx = Arc::clone(&ctx);
                 move || {
-                    let node_inputs: Vec<&Relation> = ctx
-                        .evaluated
-                        .iter()
-                        .map(|value| match &**value {
-                            Intermediate::Local(parts) => &parts[node],
-                            Intermediate::LocalRuns(_) => unreachable!("scans stay row-wise"),
-                        })
+                    let node_inputs: Vec<&Relation> = (ctx.evaluated.iter())
+                        .map(|value| &value.relations()[node])
                         .collect();
                     join(&node_inputs, &ctx.attrs, &ctx.delivered)
                 }
@@ -1100,8 +1099,8 @@ impl<'a> ExecState<'a> {
             let (join, rows) = (factorized::join_runs, RunsRelation::expanded_len);
             Intermediate::LocalRuns(self.reduce(id, buckets, &attrs, &delivered, join, rows))
         } else {
-            let rows = Relation::len;
-            Intermediate::Local(self.reduce(id, buckets, &attrs, &delivered, join_rows, rows))
+            let (join, rows) = (Relation::join, Relation::len);
+            Intermediate::Local(self.reduce(id, buckets, &attrs, &delivered, join, rows))
         };
         self.job_mut(id).tuples_shuffled += shuffled;
         Arc::new(joined)
@@ -1318,14 +1317,9 @@ fn partition_key(plan: &PhysicalPlan, mut id: PhysId) -> Option<&BTreeSet<Variab
 }
 
 /// What a join task runs on its node's inputs, given the join attributes
-/// and the order the plan demands of the output: [`join_rows`] or
+/// and the order the plan demands of the output: [`Relation::join`] or
 /// [`factorized::join_runs`].
 type JoinKernel<T> = fn(&[&Relation], &[Variable], &[Variable]) -> T;
-
-/// The eager join kernel: the n-ary sort-merge join.
-fn join_rows(inputs: &[&Relation], attributes: &[Variable], delivered: &[Variable]) -> Relation {
-    Relation::join_ordered(inputs, attributes, JoinOrder::Columns(delivered))
-}
 
 /// The shared `'static` context of one scan wave: the store snapshot plus
 /// this scan's own small state, behind a single `Arc`.
@@ -1355,10 +1349,8 @@ impl ScanWave {
             .store
             .scan_files(node, spec.placement, spec.property, spec.type_object);
         let keys = self.keys.as_ref().and_then(|(source, column)| {
-            let Intermediate::Local(parts) = &**source else {
-                return None;
-            };
-            distinct_keys(&parts[node], *column, files.rows() / RESTRICT_ROWS_PER_KEY)
+            let part = &source.relations()[node];
+            distinct_keys(part, *column, files.rows() / RESTRICT_ROWS_PER_KEY)
         });
         match keys {
             Some(keys) => (Cow::Owned(files.read_keys(&keys)), Some(keys.len() as u64)),
@@ -2017,7 +2009,7 @@ mod tests {
                         }
                     };
                     let whole: Vec<&Relation> = whole.iter().collect();
-                    let joined = Relation::join(&whole, &attrs);
+                    let joined = Relation::join(&whole, &attrs, &[]);
                     let key_cols: Vec<usize> =
                         attrs.iter().map(|a| joined.column(a).unwrap()).collect();
                     assert_eq!(parts.len(), nodes);

@@ -22,8 +22,7 @@
 //! row-major path at every thread count.
 
 use crate::relation::{
-    merge_key_groups, row_offset, stats, InputView, JoinOrder, KeyChunk, Relation, SortOrder,
-    TERM_BYTES,
+    merge_key_groups, row_offset, stats, InputView, KeyChunk, Relation, SortOrder, TERM_BYTES,
 };
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
@@ -109,7 +108,6 @@ impl RunInput {
         let width = writes.len();
         let mut offsets: Vec<u32> = Vec::with_capacity(runs + 1);
         offsets.push(0);
-        stats::count_buffer_alloc();
         let mut payload: Vec<TermId> = Vec::with_capacity(width * self.payload.len() / pay.max(1));
         for run in 0..runs {
             if width == 0 {
@@ -210,7 +208,7 @@ pub struct BoundedProjection {
 /// N-ary sort-merge join emitting run-length factorized output instead of
 /// materialized cross products. The merge skeleton (input views, the
 /// leapfrog alignment of their key columns) is shared with
-/// [`Relation::join_ordered`]; only the per-group emission differs: each
+/// [`Relation::join`]; only the per-group emission differs: each
 /// aligned group appends one run — the key tuple plus each input's payload
 /// rows — in `O(Σ |group|)` instead of `O(Π |group|)`.
 ///
@@ -276,7 +274,6 @@ pub fn join_runs(
             dst_cols.push(dst);
             srcs.push(src);
         }
-        stats::count_buffer_alloc();
         run_inputs.push(RunInput {
             dst_cols,
             payload: Vec::new(),
@@ -349,7 +346,7 @@ impl RunsRelation {
     }
 
     /// Materializes the full-width eager join output, bit-identical to
-    /// [`Relation::join_ordered`] with `JoinOrder::Columns(delivered)`: runs
+    /// [`Relation::join`] with the same `delivered`: runs
     /// expand in key order as cross products nested in input order (exactly
     /// the eager emitter's order), the natural key order is claimed, and the
     /// delivered order is re-established with the same sort-elision path the
@@ -638,7 +635,6 @@ impl RunsRelation {
         order: SortOrder,
     ) -> Relation {
         let arity = schema.len();
-        stats::count_buffer_alloc();
         let mut data: Vec<TermId> = Vec::with_capacity(self.expanded_rows * arity);
         let mut scratch: Vec<TermId> = vec![TermId(0); arity];
         let mut rows = 0usize;
@@ -650,11 +646,14 @@ impl RunsRelation {
             self.emit_run(run, 0, writes, &mut scratch, &mut data, &mut rows);
         }
         let mut out = Relation::from_raw(schema, data, rows, order);
-        // Re-establish the order the plan asked the join to deliver (elided
-        // when the emission order already satisfies it — the exact elision
-        // the eager join's finalize step performs).
-        let delivered_cols: Vec<usize> =
-            self.delivered.iter().map_while(|v| out.column(v)).collect();
+        // Re-establish the order the plan asked the join to deliver, by the
+        // columns [`Relation::join`] sorts by (elided when the emission
+        // order already satisfies them, as the eager join elides it).
+        let delivered_cols: Vec<usize> = self
+            .delivered
+            .iter()
+            .filter_map(|v| out.column(v))
+            .collect();
         if !delivered_cols.is_empty() {
             out.sort_by_columns(&delivered_cols);
         }
@@ -692,16 +691,6 @@ impl RunsRelation {
     }
 }
 
-/// Equivalent eager join order for differential tests: the expansion must be
-/// bit-identical to this call on the same inputs.
-pub fn eager_equivalent(
-    inputs: &[&Relation],
-    attributes: &[Variable],
-    delivered: &[Variable],
-) -> Relation {
-    Relation::join_ordered(inputs, attributes, JoinOrder::Columns(delivered))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,7 +704,7 @@ mod tests {
         let mut r = Relation::empty(schema);
         for row in rows {
             let ids: Vec<TermId> = row.iter().map(|&v| TermId(v)).collect();
-            r.push_row_unordered(&ids);
+            r.push_row(&ids);
         }
         r.canonicalize();
         r
@@ -740,22 +729,6 @@ mod tests {
         assert_eq!(after.runs_emitted, 2);
         assert_eq!(after.join_rows_out, 128);
         assert!(after.runs_emitted < runs.expanded_len() as u64);
-    }
-
-    #[test]
-    fn expansion_is_bit_identical_to_the_eager_join() {
-        let a = rel(&["x", "a"], &[&[1, 10], &[1, 11], &[2, 12], &[3, 13]]);
-        let b = rel(&["x", "b"], &[&[1, 20], &[2, 21], &[2, 22], &[4, 23]]);
-        let attrs = [var("x")];
-        for delivered in [
-            Vec::new(),
-            vec![var("x"), var("a")],
-            vec![var("a"), var("b")],
-        ] {
-            let runs = join_runs(&[&a, &b], &attrs, &delivered);
-            let eager = eager_equivalent(&[&a, &b], &attrs, &delivered);
-            assert_eq!(runs.expand(), eager, "delivered {delivered:?}");
-        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! concatenated in chunk order, making the result **bit-identical** to the
 //! sequential evaluation at any thread count.
 //!
-//! The binding table is built with `push_row_unordered` (no per-push order
-//! bookkeeping — intermediate binding order is scan order, which the final
-//! `distinct` re-sorts anyway); the executor's order-elided pipeline is
-//! differentially tested against this evaluator precisely because the two
-//! take entirely different ordering paths to the same answer set.
+//! The binding table is built with `push_row`, which claims no order —
+//! intermediate binding order is scan order, which the final `distinct`
+//! re-sorts anyway; the executor's order-elided pipeline is differentially
+//! tested against this evaluator precisely because the two take entirely
+//! different ordering paths to the same answer set.
 
 use crate::relation::Relation;
 use cliquesquare_mapreduce::Runtime;
@@ -76,10 +76,7 @@ impl PatternEval<'_> {
                 .iter()
                 .all(|&(position, slot)| triple.get(position) == scratch[slot]);
             if consistent {
-                // The binding table is consumed row-at-a-time (and the final
-                // projection re-sorts anyway), so skip the per-push ordering
-                // bookkeeping of `push_row`.
-                out.push_row_unordered(scratch);
+                out.push_row(scratch);
             }
         }
     }
@@ -177,13 +174,10 @@ fn extend(
                 }
             })
             .collect();
-        // Concatenate the chunk outputs in chunk order: identical to the
-        // sequential row order at every thread count.
-        let mut output = Relation::empty(schema.clone());
-        for chunk in runtime.run_wave(tasks) {
-            output.concat(chunk);
-        }
-        output
+        // Chunk outputs claim no order, so the merge concatenates them in
+        // chunk order: identical to the sequential row order at every
+        // thread count.
+        Relation::merge_ordered(runtime.run_wave(tasks))
     } else {
         let mut output = Relation::empty(schema.clone());
         let mut scratch = vec![TermId(0); eval.out_arity];

@@ -4,8 +4,8 @@
 //! A [`Relation`] keeps all of its rows in **one** row-major `Vec<TermId>`
 //! buffer (`arity` consecutive ids per row) instead of a `Vec` per row. Rows
 //! are handed out as borrowed `&[TermId]` slices, so scanning, shuffling and
-//! joining perform no per-row heap allocation — the [`stats`] counters make
-//! that measurable.
+//! joining perform no per-row heap allocation — the counting allocator of
+//! `tests/join_allocations.rs` measures that.
 //!
 //! Relations track the ordering their rows are known to satisfy as an
 //! explicit [`SortOrder`] descriptor: the column permutation the rows are
@@ -14,29 +14,30 @@
 //! interesting-orders machinery in `translate`/`executor` mostly works with
 //! **partial** orders — a join only needs its inputs sorted by the key
 //! columns, and a shuffle bucket of a key-ordered input is still key-ordered.
-//! Every consumer of an ordering goes through [`Relation::sort_by_columns`]
-//! (or [`Relation::canonicalize`]), which elides the sort whenever the
-//! tracked order — or a linear verification pass — proves the rows already
-//! ordered; the `sorts_performed` / `sorts_elided` counters in [`stats`]
-//! record which way each requirement went. The n-ary [`Relation::join`]
-//! cashes the same invariant in: inputs whose tracked order has the join
-//! attributes as a prefix are merged in place, and every other input pays
-//! one column-permuted index sort — never a hash table, never a key `Vec`
-//! per row.
+//! Appending a row ([`Relation::push_row`]) claims no order; an order is
+//! claimed by [`Relation::sort_by_columns`] (or [`Relation::canonicalize`]),
+//! which elides the sort whenever the tracked order — or a linear
+//! verification pass — proves the rows already ordered, or by a kernel that
+//! knows the order it wrote. The `sorts_performed` / `sorts_elided` counters
+//! in [`stats`] record which way each requirement went. The one n-ary
+//! [`Relation::join`] cashes the same invariant in: inputs whose tracked
+//! order has the join attributes as a prefix are merged in place, and every
+//! other input pays one column-permuted index sort — never a hash table,
+//! never a key `Vec` per row.
 
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
 use std::cmp::Ordering;
 
-/// Thread-local allocation and throughput counters for the relation layer.
+/// Thread-local work counters for the relation layer.
 ///
-/// The counters exist so the flat-buffer and sort-elision claims are
-/// *measured*, not asserted: `row_allocs` counts heap allocations made for
-/// an individual row (zero on every engine path since the columnar
-/// refactor), `buffer_allocs` counts whole-buffer allocations (bounded by
-/// the operator count, not the row count), the join counters record output
-/// volume and which of the two sort-merge paths each input took, and the
-/// `sorts_*` counters record how every ordering requirement was met.
+/// The counters exist so the sort-elision and factorization claims are
+/// *measured*, not asserted: the join counters record output volume and
+/// which of the two sort-merge paths each input took, the `sorts_*`
+/// counters record how every ordering requirement was met, the run counters
+/// how much of a join stayed factorized, and the peaks the largest
+/// intermediates. (Allocations are not counted here: the counting allocator
+/// of `tests/join_allocations.rs` measures them.)
 ///
 /// The thread-local cells are the counters' only home: a sequential
 /// `reset` → execute → `snapshot` reads an execution's totals (the golden
@@ -49,12 +50,6 @@ pub mod stats {
     /// A snapshot of the thread-local relation counters.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct RelationStats {
-        /// Heap allocations sized to a single row (must stay 0 on the join
-        /// and shuffle paths).
-        pub row_allocs: u64,
-        /// Whole-buffer allocations (one per operator output / sort / merge,
-        /// independent of the row count).
-        pub buffer_allocs: u64,
         /// Rows produced by [`super::Relation::join`].
         pub join_rows_out: u64,
         /// Aligned key groups the joins found (distinct keys common to all
@@ -121,8 +116,6 @@ pub mod stats {
             peak: fn(u64, u64) -> u64,
         ) -> RelationStats {
             RelationStats {
-                row_allocs: count(self.row_allocs, other.row_allocs),
-                buffer_allocs: count(self.buffer_allocs, other.buffer_allocs),
                 join_rows_out: count(self.join_rows_out, other.join_rows_out),
                 key_groups: count(self.key_groups, other.key_groups),
                 join_inputs_presorted: count(
@@ -144,8 +137,6 @@ pub mod stats {
 
     thread_local! {
         static STATS: Cell<RelationStats> = const { Cell::new(RelationStats {
-            row_allocs: 0,
-            buffer_allocs: 0,
             join_rows_out: 0,
             key_groups: 0,
             join_inputs_presorted: 0,
@@ -177,14 +168,6 @@ pub mod stats {
             f(&mut v);
             s.set(v);
         });
-    }
-
-    pub(crate) fn count_row_allocs(n: u64) {
-        update(|s| s.row_allocs += n);
-    }
-
-    pub(crate) fn count_buffer_alloc() {
-        update(|s| s.buffer_allocs += 1);
     }
 
     /// One finished join: the rows it produced and the key groups its
@@ -339,9 +322,8 @@ pub struct Relation {
     /// Number of rows, tracked explicitly because the arity can be zero
     /// (a relation over no variables still distinguishes 0 rows from 1).
     rows: usize,
-    /// The ordering the rows are known to satisfy. Kept up to date cheaply
-    /// on `push_row`/`concat`; [`SortOrder::none`] is always a safe
-    /// value (it only costs a re-sort later).
+    /// The ordering the rows are known to satisfy; [`SortOrder::none`] is
+    /// always a safe value (it only costs a re-sort later).
     order: SortOrder,
 }
 
@@ -414,22 +396,6 @@ impl<'a> Iterator for Rows<'a> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
-/// The output-order requirement of [`Relation::join_ordered`]: what the
-/// join's consumer needs the output sorted by.
-#[derive(Debug, Clone, Copy)]
-pub enum JoinOrder<'a> {
-    /// Fully canonicalize the output (sort by all columns in schema order).
-    /// This is the pre-interesting-orders behaviour and what
-    /// [`Relation::join`] requests.
-    Canonical,
-    /// Keep the natural key-grouped order: the output is sorted by the join
-    /// attributes (in attribute order) and left otherwise untouched.
-    Natural,
-    /// Sort the output by the given variable sequence, eliding the sort when
-    /// the natural key order already delivers it.
-    Columns(&'a [Variable]),
-}
-
 impl Relation {
     /// Creates an empty relation with the given schema.
     pub fn empty(schema: Vec<Variable>) -> Self {
@@ -453,61 +419,26 @@ impl Relation {
         }
     }
 
-    /// Creates a relation from a schema and materialized rows.
-    ///
-    /// This is a convenience for tests and small fixtures: it flattens the
-    /// per-row `Vec`s into the columnar buffer (and counts them as row
-    /// allocations in [`stats`]). Hot paths build relations with
-    /// [`Relation::push_row`] or [`Relation::from_flat`] instead.
+    /// Creates a relation from a schema and materialized rows — a
+    /// convenience for tests and small fixtures; operators write their
+    /// buffers directly. One linear check claims canonical order when the
+    /// rows are in it, so consumers can still skip redundant sorts.
     ///
     /// # Panics
     ///
     /// Panics if any row's arity differs from the schema's.
     pub fn new(schema: Vec<Variable>, rows: Vec<Vec<TermId>>) -> Self {
-        stats::count_row_allocs(rows.len() as u64);
         let mut relation = Self::empty(schema);
-        if let Some(first) = rows.first() {
-            stats::count_buffer_alloc();
-            relation.data.reserve(first.len() * rows.len());
-        }
+        let arity = relation.arity();
+        relation.data.reserve(arity * rows.len());
         for row in &rows {
             relation.push_row(row);
         }
+        let canonical = SortOrder::canonical(arity);
+        if sorted_by(&relation.data, arity, canonical.columns()) {
+            relation.order = canonical;
+        }
         relation
-    }
-
-    /// Creates a relation directly from a flat row-major buffer.
-    ///
-    /// The ordering descriptor is computed with one linear canonical-order
-    /// check so downstream consumers can still skip redundant sorts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not a multiple of the schema arity
-    /// (a zero-arity schema requires an empty buffer).
-    pub fn from_flat(schema: Vec<Variable>, data: Vec<TermId>) -> Self {
-        let arity = schema.len();
-        let rows = if arity == 0 {
-            assert!(data.is_empty(), "flat buffer for a zero-arity schema");
-            0
-        } else {
-            assert_eq!(
-                data.len() % arity,
-                0,
-                "flat buffer length not a multiple of arity"
-            );
-            data.len() / arity
-        };
-        let mut order = SortOrder::canonical(arity);
-        if !sorted_by(&data, arity, order.columns()) {
-            order = SortOrder::none();
-        }
-        Self {
-            schema,
-            data,
-            rows,
-            order,
-        }
     }
 
     /// The relation's schema (variable order of each row).
@@ -604,10 +535,11 @@ impl Relation {
         self.order.is_canonical(self.schema.len())
     }
 
-    /// Declares the ordering the rows are known to satisfy. The caller
-    /// guarantees the claim (a producer that emitted rows in a known order,
-    /// e.g. an index scan); it is verified in debug builds.
-    pub fn assume_order(&mut self, order: SortOrder) {
+    /// Declares the ordering the rows are known to satisfy, without the
+    /// verification pass of [`Relation::sort_by_columns`] and without
+    /// counting an elided sort. The caller guarantees the claim; it is
+    /// verified in debug builds.
+    pub(crate) fn assume_order(&mut self, order: SortOrder) {
         debug_assert!(
             sorted_by(&self.data, self.schema.len(), order.columns()),
             "assumed order {:?} not satisfied",
@@ -616,36 +548,15 @@ impl Relation {
         self.order = order;
     }
 
-    /// Appends a row by copying it into the flat buffer, keeping the
-    /// ordering descriptor accurate: appending a row that compares `>=` the
-    /// current last row under the tracked order preserves it.
+    /// Appends a row by copying it into the flat buffer. The relation then
+    /// claims no order ([`SortOrder::none`]): a caller that knows the order
+    /// of what it appended claims it with [`Relation::sort_by_columns`],
+    /// whose verification pass finds it without a sort.
     ///
     /// # Panics
     ///
     /// Panics if the row arity differs from the schema's.
     pub fn push_row(&mut self, row: &[TermId]) {
-        let arity = self.schema.len();
-        assert_eq!(row.len(), arity, "row arity mismatch");
-        if self.rows > 0 && !self.order.is_none() {
-            let last = &self.data[(self.rows - 1) * arity..];
-            if cmp_by_columns(last, row, self.order.columns()) == Ordering::Greater {
-                self.order = SortOrder::none();
-            }
-        }
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Appends a row *without* maintaining the ordering descriptor (the
-    /// relation's order becomes [`SortOrder::none`]). Producers that emit
-    /// rows in an order they already know — index scans, the reference
-    /// evaluator's chunk loop — use this to skip the per-push comparison and
-    /// re-establish the descriptor once with [`Relation::assume_order`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row arity differs from the schema's.
-    pub fn push_row_unordered(&mut self, row: &[TermId]) {
         assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
         if !self.order.is_none() {
             self.order = SortOrder::none();
@@ -693,7 +604,6 @@ impl Relation {
         // of buffer allocations, zero per-row allocations.
         let permutation =
             KeyChunk::gather(&self.data, arity, order.columns(), self.rows).sorted_permutation();
-        stats::count_buffer_alloc();
         let mut sorted: Vec<TermId> = Vec::with_capacity(self.data.len());
         for &row in &permutation {
             sorted.extend_from_slice(self.row(row as usize));
@@ -744,7 +654,6 @@ impl Relation {
         let shared = &first.order.columns()[..shared];
         let mut data: Vec<TermId> = Vec::new();
         if arity > 0 {
-            stats::count_buffer_alloc();
             data.reserve_exact(rows * arity);
             match shared.split_first() {
                 None => parts
@@ -766,46 +675,6 @@ impl Relation {
         }
     }
 
-    /// Appends another relation's rows (same schema) in concatenation
-    /// order, without the ordered merge of [`Relation::merge_ordered`].
-    /// The ordering descriptor stays exact: the result keeps the orders'
-    /// shared prefix only when the boundary rows are ordered by it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schemas differ.
-    pub fn concat(&mut self, other: Relation) {
-        assert_eq!(self.schema, other.schema, "schema mismatch in concat");
-        if other.rows == 0 {
-            return;
-        }
-        if self.rows == 0 {
-            self.data = other.data;
-            self.rows = other.rows;
-            self.order = other.order;
-            return;
-        }
-        let arity = self.schema.len();
-        if arity == 0 {
-            self.rows += other.rows;
-            return;
-        }
-        let shared = self.order.shared_prefix(&other.order).to_vec();
-        let ordered = !shared.is_empty()
-            && cmp_by_columns(
-                &self.data[(self.rows - 1) * arity..],
-                &other.data[..arity],
-                &shared,
-            ) != Ordering::Greater;
-        self.data.extend_from_slice(&other.data);
-        self.rows += other.rows;
-        self.order = if ordered {
-            SortOrder::by(shared)
-        } else {
-            SortOrder::none()
-        };
-    }
-
     /// Projects the relation onto `variables` (dropping duplicates of rows is
     /// *not* performed: BGP semantics keep multiplicities).
     pub fn project(&self, variables: &[Variable]) -> Relation {
@@ -816,7 +685,6 @@ impl Relation {
             .cloned()
             .collect();
         let arity = kept.len();
-        stats::count_buffer_alloc();
         let mut data: Vec<TermId> = Vec::with_capacity(arity * self.rows);
         for row in self.rows() {
             for &c in &columns {
@@ -925,13 +793,7 @@ impl Relation {
     }
 
     /// N-ary **sort-merge** join of `inputs` on the shared `attributes`,
-    /// with the output fully canonicalized. Equivalent to
-    /// [`Relation::join_ordered`] with [`JoinOrder::Canonical`].
-    pub fn join(inputs: &[&Relation], attributes: &[Variable]) -> Relation {
-        Self::join_ordered(inputs, attributes, JoinOrder::Canonical)
-    }
-
-    /// N-ary **sort-merge** join of `inputs` on the shared `attributes`.
+    /// its output sorted by the `delivered` variables.
     ///
     /// The output schema is the union of the input schemas in input order
     /// (join attributes appear once). This mirrors the logical `J_A`
@@ -949,15 +811,12 @@ impl Relation {
     /// on a shared non-join attribute (`Emitter`).
     ///
     /// The merge emits key groups in ascending key order, so the raw output
-    /// is sorted by the join attributes; `output_order` then decides how
-    /// much more ordering the consumer needs — sorting is elided whenever
-    /// the natural key order already satisfies it. All paths are
-    /// deterministic, so join results are bit-identical at any thread count.
-    pub fn join_ordered(
-        inputs: &[&Relation],
-        attributes: &[Variable],
-        output_order: JoinOrder<'_>,
-    ) -> Relation {
+    /// is sorted by the join attributes; the output is then sorted by the
+    /// columns of `delivered` (variables the output lacks are skipped) —
+    /// elided whenever the natural key order already satisfies them, as it
+    /// satisfies an empty `delivered`. All paths are deterministic, so join
+    /// results are bit-identical at any thread count.
+    pub fn join(inputs: &[&Relation], attributes: &[Variable], delivered: &[Variable]) -> Relation {
         assert!(!inputs.is_empty(), "join needs at least one input");
         // Output schema: union of schemas, first occurrence wins.
         let mut schema: Vec<Variable> = Vec::new();
@@ -968,17 +827,19 @@ impl Relation {
                 }
             }
         }
+        let deliver = |out: &mut Relation| {
+            let columns: Vec<usize> = delivered.iter().filter_map(|v| out.column(v)).collect();
+            out.sort_by_columns(&columns);
+        };
         if inputs.len() == 1 {
-            // Single input: the join is the identity (finalized to the
-            // requested order).
-            stats::count_buffer_alloc();
+            // Single input: the join is the identity.
             let mut out = Relation {
                 schema,
                 data: inputs[0].data.clone(),
                 rows: inputs[0].rows,
                 order: inputs[0].order.clone(),
             };
-            finalize_join_order(&mut out, output_order);
+            deliver(&mut out);
             stats::count_join(out.rows as u64, 0);
             return out;
         }
@@ -995,16 +856,15 @@ impl Relation {
                 .position(|s| s == a)
                 .expect("join attribute in output schema")
         }));
-        stats::count_buffer_alloc();
         let mut emitter = Emitter::new(&views, &schema, attributes);
         let key_groups = merge_key_groups(&views, |cursors, ends| emitter.emit(cursors, ends));
         // Key groups were emitted in ascending key order: the output is
         // sorted by the join attributes' output columns. (An empty output
-        // satisfies any ordering, so finalizing it adopts the requested one
+        // satisfies any ordering, so delivering it adopts the requested one
         // and downstream consumers see the order the plan promised.)
         let Emitter { data, rows, .. } = emitter;
         let mut out = Relation::from_raw(schema, data, rows, natural);
-        finalize_join_order(&mut out, output_order);
+        deliver(&mut out);
         stats::count_join(out.rows as u64, key_groups as u64);
         stats::note_intermediate(out.rows as u64, out.buffer_bytes());
         out
@@ -1012,7 +872,7 @@ impl Relation {
 
     /// The number of distinct keys every input holds — the aligned key
     /// groups an n-ary join of `inputs` on `attributes` walks, counted
-    /// without emitting a row: [`Relation::join_ordered`] minus its cross
+    /// without emitting a row: [`Relation::join`] minus its cross
     /// products. The kernel benches time it to split a join into alignment
     /// and emission; the join oracle checks it against the nested loop.
     pub fn key_groups(inputs: &[&Relation], attributes: &[Variable]) -> usize {
@@ -1240,18 +1100,6 @@ fn align<F>(
     }
 }
 
-/// Applies a [`JoinOrder`] requirement to a finished join output.
-fn finalize_join_order(out: &mut Relation, output_order: JoinOrder<'_>) {
-    match output_order {
-        JoinOrder::Canonical => out.canonicalize(),
-        JoinOrder::Natural => {}
-        JoinOrder::Columns(variables) => {
-            let columns: Vec<usize> = variables.iter().filter_map(|v| out.column(v)).collect();
-            out.sort_by_columns(&columns);
-        }
-    }
-}
-
 /// A column-major (PAX-style) copy of a relation's key columns: column `k`'s
 /// values for every row sit in one contiguous `&[TermId]` slice. The merge
 /// comparator and the sort kernel walk these slices instead of striding
@@ -1267,7 +1115,6 @@ impl KeyChunk {
     /// One buffer allocation sized `key_cols.len() * rows`; no per-row
     /// allocation.
     pub(crate) fn gather(data: &[TermId], arity: usize, key_cols: &[usize], rows: usize) -> Self {
-        stats::count_buffer_alloc();
         let mut buf: Vec<TermId> = Vec::with_capacity(key_cols.len() * rows);
         if rows > 0 {
             for &col in key_cols {
@@ -1300,7 +1147,6 @@ impl KeyChunk {
         const DIGIT_BITS: usize = 8;
         const DIGIT_MASK: usize = (1 << DIGIT_BITS) - 1;
         stats::count_sort_performed(self.rows as u64);
-        stats::count_buffer_alloc();
         let mut rows: Vec<u32> = (0..row_offset(self.rows)).collect();
         let mut scattered: Vec<u32> = vec![0; self.rows];
         for col in (0..self.cols).rev().map(|k| self.column(k)) {
@@ -1338,7 +1184,6 @@ impl KeyChunk {
 
     /// Reorders every column by `permutation` (new position → old position).
     fn permute(&mut self, permutation: &[u32]) {
-        stats::count_buffer_alloc();
         let mut permuted: Vec<TermId> = Vec::with_capacity(self.buf.len());
         for k in 0..self.cols {
             let col = self.column(k);
@@ -1617,7 +1462,6 @@ pub fn hash_partition(relation: &Relation, attributes: &[Variable], nodes: usize
     // row) and the per-bucket row counts. Row counts are tracked explicitly
     // so zero-arity rows (empty key, empty payload) are routed like any
     // other row instead of vanishing.
-    stats::count_buffer_alloc();
     let mut routes: Vec<u32> = Vec::with_capacity(relation.len());
     let mut counts = vec![0usize; nodes];
     for row in relation.rows() {
@@ -1628,10 +1472,7 @@ pub fn hash_partition(relation: &Relation, attributes: &[Variable], nodes: usize
     // Pass 2: scatter into buffers reserved at exactly the observed fill.
     let mut buffers: Vec<Vec<TermId>> = counts
         .iter()
-        .map(|&rows| {
-            stats::count_buffer_alloc();
-            Vec::with_capacity(rows * arity)
-        })
+        .map(|&rows| Vec::with_capacity(rows * arity))
         .collect();
     for (row, &node) in relation.rows().zip(&routes) {
         buffers[node as usize].extend_from_slice(row);
@@ -1733,17 +1574,6 @@ mod tests {
     }
 
     #[test]
-    fn from_flat_round_trips() {
-        let schema = vec![v("a"), v("b")];
-        let r = Relation::from_flat(schema.clone(), vec![t(1), t(2), t(3), t(4)]);
-        assert_eq!(r.len(), 2);
-        assert!(r.is_canonical());
-        let unsorted = Relation::from_flat(schema, vec![t(9), t(9), t(1), t(2)]);
-        assert!(!unsorted.is_canonical());
-        assert_eq!(unsorted.len(), 2);
-    }
-
-    #[test]
     fn sort_order_prefix_reasoning() {
         let order = SortOrder::by([2, 0, 1]);
         assert!(order.satisfies(&[]));
@@ -1817,6 +1647,7 @@ mod tests {
         for i in 0..64u32 {
             r.push_row(&[t(i), t(i % 2), t(i * 7 % 4)]);
         }
+        r.sort_by_columns(&[0]);
         assert!(r.order().satisfies(&[0]));
         stats::reset();
         r.sort_by_columns(&[2, 1]);
@@ -1867,7 +1698,7 @@ mod tests {
                     .zip(&shapes)
                     .map(|(&raw, &shape)| t(shaped(shape, raw)))
                     .collect();
-                r.push_row_unordered(&row);
+                r.push_row(&row);
             }
             let chunk = KeyChunk::gather(r.data(), 4, &key_cols, r.len());
             let mut expected: Vec<u32> = (0..r.len() as u32).collect();
@@ -1901,8 +1732,8 @@ mod tests {
     fn assume_order_and_unordered_pushes() {
         let mut r = Relation::empty(vec![v("a"), v("b")]);
         // Rows ascending on column 1, not on column 0.
-        r.push_row_unordered(&[t(9), t(1)]);
-        r.push_row_unordered(&[t(5), t(2)]);
+        r.push_row(&[t(9), t(1)]);
+        r.push_row(&[t(5), t(2)]);
         assert!(r.order().is_none());
         r.assume_order(SortOrder::by([1]));
         assert!(r.order().satisfies(&[1]));
@@ -1912,7 +1743,7 @@ mod tests {
     fn binary_join_on_one_attribute() {
         let left = rel(&["a", "x"], &[&[1, 10], &[2, 20], &[3, 10]]);
         let right = rel(&["x", "b"], &[&[10, 100], &[20, 200], &[30, 300]]);
-        let joined = Relation::join(&[&left, &right], &[v("x")]).sorted();
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]).sorted();
         assert_eq!(joined.schema(), &[v("a"), v("x"), v("b")]);
         assert_eq!(
             rows_of(&joined),
@@ -1931,7 +1762,7 @@ mod tests {
         let r1 = rel(&["x", "a"], &[&[1, 11], &[2, 12]]);
         let r2 = rel(&["x", "b"], &[&[1, 21], &[1, 22]]);
         let r3 = rel(&["x", "c"], &[&[1, 31], &[3, 33]]);
-        let joined = Relation::join(&[&r1, &r2, &r3], &[v("x")]).sorted();
+        let joined = Relation::join(&[&r1, &r2, &r3], &[v("x")], &[]).sorted();
         // Only x = 1 survives; r2 contributes two rows.
         assert_eq!(joined.len(), 2);
         for row in joined.rows() {
@@ -1943,7 +1774,7 @@ mod tests {
     fn join_on_multiple_attributes() {
         let left = rel(&["x", "y", "a"], &[&[1, 2, 10], &[1, 3, 11]]);
         let right = rel(&["x", "y", "b"], &[&[1, 2, 20], &[1, 9, 21]]);
-        let joined = Relation::join(&[&left, &right], &[v("x"), v("y")]);
+        let joined = Relation::join(&[&left, &right], &[v("x"), v("y")], &[]);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined.row(0), &[t(1), t(2), t(10), t(20)]);
     }
@@ -1954,7 +1785,7 @@ mod tests {
         // that disagree on `z` must not combine.
         let left = rel(&["x", "z"], &[&[1, 5], &[1, 6]]);
         let right = rel(&["x", "z", "b"], &[&[1, 5, 50], &[1, 7, 70]]);
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined.row(0), &[t(1), t(5), t(50)]);
     }
@@ -1963,14 +1794,14 @@ mod tests {
     fn empty_input_produces_empty_join() {
         let left = rel(&["x", "a"], &[]);
         let right = rel(&["x", "b"], &[&[1, 2]]);
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         assert!(joined.is_empty());
     }
 
     #[test]
     fn single_input_join_is_identity_up_to_order() {
         let r = rel(&["x", "a"], &[&[1, 2], &[3, 4]]);
-        let joined = Relation::join(&[&r], &[v("x")]);
+        let joined = Relation::join(&[&r], &[v("x")], &[]);
         assert_eq!(rows_of(&joined), rows_of(&r));
     }
 
@@ -1978,7 +1809,7 @@ mod tests {
     fn join_output_is_canonical() {
         let left = rel(&["a", "x"], &[&[9, 10], &[2, 20], &[3, 10]]);
         let right = rel(&["x", "b"], &[&[10, 100], &[20, 200]]);
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[v("a"), v("x"), v("b")]);
         assert!(joined.is_canonical());
         assert!(sorted_by(joined.data(), joined.arity(), &[0, 1, 2]));
     }
@@ -1987,15 +1818,16 @@ mod tests {
     fn join_ordered_natural_keeps_key_order() {
         let left = rel(&["a", "x"], &[&[9, 10], &[2, 20], &[3, 10]]);
         let right = rel(&["x", "b"], &[&[10, 100], &[20, 200]]);
-        let joined = Relation::join_ordered(&[&left, &right], &[v("x")], JoinOrder::Natural);
-        // Output schema [a, x, b]: sorted by the key column x (= column 1),
-        // not canonicalized.
+        // Nothing delivered: output schema [a, x, b] stays sorted by the key
+        // column x (= column 1), not canonicalized.
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         assert_eq!(joined.order().columns(), &[1]);
         assert!(joined.order().satisfies(&[1]));
         let keys: Vec<u32> = joined.rows().map(|row| row[1].0).collect();
         assert_eq!(keys, vec![10, 10, 20]);
         // Same rows as the canonical join, different order.
-        let canonical = Relation::join(&[&left, &right], &[v("x")]);
+        let canonical = Relation::join(&[&left, &right], &[v("x")], &[v("a"), v("x"), v("b")]);
+        assert!(canonical.is_canonical());
         assert_eq!(joined.sorted(), canonical);
     }
 
@@ -2003,17 +1835,14 @@ mod tests {
     fn join_ordered_columns_sorts_by_the_requirement() {
         let left = rel(&["a", "x"], &[&[9, 10], &[2, 20], &[3, 10]]);
         let right = rel(&["x", "b"], &[&[10, 100], &[20, 200]]);
-        stats::reset();
-        let joined =
-            Relation::join_ordered(&[&left, &right], &[v("x")], JoinOrder::Columns(&[v("a")]));
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[v("a")]);
         let a_values: Vec<u32> = joined.rows().map(|row| row[0].0).collect();
         assert_eq!(a_values, vec![2, 3, 9]);
         assert!(joined.order().satisfies(&[0]));
 
         // A requirement the natural key order already satisfies is elided.
         stats::reset();
-        let by_key =
-            Relation::join_ordered(&[&left, &right], &[v("x")], JoinOrder::Columns(&[v("x")]));
+        let by_key = Relation::join(&[&left, &right], &[v("x")], &[v("x")]);
         assert!(by_key.order().satisfies(&[1]));
         let after = stats::snapshot();
         assert_eq!(
@@ -2026,7 +1855,7 @@ mod tests {
     fn join_with_no_attributes_is_a_cross_product() {
         let left = rel(&["a"], &[&[1], &[2]]);
         let right = rel(&["b"], &[&[7], &[8], &[9]]);
-        let joined = Relation::join(&[&left, &right], &[]);
+        let joined = Relation::join(&[&left, &right], &[], &[]);
         assert_eq!(joined.len(), 6);
         assert_eq!(joined.schema(), &[v("a"), v("b")]);
     }
@@ -2038,7 +1867,7 @@ mod tests {
         let left = rel(&["x", "a"], &[&[1, 10], &[2, 20]]);
         let right = rel(&["x", "b"], &[&[1, 5], &[3, 6]]);
         assert!(left.is_canonical() && right.is_canonical());
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         assert_eq!(joined.len(), 1);
         let after = stats::snapshot();
         assert_eq!(after.join_inputs_presorted, 2);
@@ -2047,7 +1876,7 @@ mod tests {
         stats::reset();
         // Key `x` trailing in the left input → one column-permuted sort.
         let trailing = rel(&["a", "x"], &[&[10, 1], &[20, 2]]);
-        let joined = Relation::join(&[&trailing, &right], &[v("x")]);
+        let joined = Relation::join(&[&trailing, &right], &[v("x")], &[]);
         assert_eq!(joined.len(), 1);
         let after = stats::snapshot();
         assert_eq!(after.join_inputs_presorted, 1);
@@ -2059,12 +1888,12 @@ mod tests {
         // Key `x` trailing in the schema, but the rows are *tracked* as
         // sorted by x — the fast path must accept them without a re-sort.
         let mut left = Relation::empty(vec![v("a"), v("x")]);
-        left.push_row_unordered(&[t(30), t(1)]);
-        left.push_row_unordered(&[t(10), t(2)]);
+        left.push_row(&[t(30), t(1)]);
+        left.push_row(&[t(10), t(2)]);
         left.assume_order(SortOrder::by([1]));
         let right = rel(&["x", "b"], &[&[1, 5], &[2, 6]]);
         stats::reset();
-        let joined = Relation::join_ordered(&[&left, &right], &[v("x")], JoinOrder::Natural);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         assert_eq!(joined.len(), 2);
         let after = stats::snapshot();
         assert_eq!(after.join_inputs_presorted, 2);
@@ -2076,7 +1905,7 @@ mod tests {
     fn join_handles_duplicate_keys_on_both_sides() {
         let left = rel(&["x", "a"], &[&[1, 10], &[1, 11], &[2, 12]]);
         let right = rel(&["x", "b"], &[&[1, 20], &[1, 21], &[1, 22]]);
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
+        let joined = Relation::join(&[&left, &right], &[v("x")], &[]);
         // 2 left rows with x=1 × 3 right rows with x=1.
         assert_eq!(joined.len(), 6);
     }
@@ -2131,7 +1960,7 @@ mod tests {
         // Tracked order [1] (sorted by x in trailing position).
         let mut r = Relation::empty(vec![v("a"), v("x")]);
         for i in 0..16u32 {
-            r.push_row_unordered(&[t(100 - i), t(i)]);
+            r.push_row(&[t(100 - i), t(i)]);
         }
         r.assume_order(SortOrder::by([1]));
         for bucket in hash_partition(&r, &[v("x")], 4) {
@@ -2145,7 +1974,7 @@ mod tests {
         let part = |rows: &[[u32; 2]]| {
             let mut r = Relation::empty(vec![v("x"), v("p")]);
             for row in rows {
-                r.push_row_unordered(&[t(row[0]), t(row[1])]);
+                r.push_row(&[t(row[0]), t(row[1])]);
             }
             r.assume_order(SortOrder::by([0]));
             r
@@ -2227,12 +2056,12 @@ mod tests {
     fn merge_ordered_merges_by_the_shared_order_prefix() {
         // Both sides sorted by the trailing column only.
         let mut a = Relation::empty(vec![v("a"), v("x")]);
-        a.push_row_unordered(&[t(9), t(1)]);
-        a.push_row_unordered(&[t(1), t(5)]);
+        a.push_row(&[t(9), t(1)]);
+        a.push_row(&[t(1), t(5)]);
         a.assume_order(SortOrder::by([1]));
         let mut b = Relation::empty(vec![v("a"), v("x")]);
-        b.push_row_unordered(&[t(7), t(2)]);
-        b.push_row_unordered(&[t(2), t(5)]);
+        b.push_row(&[t(7), t(2)]);
+        b.push_row(&[t(2), t(5)]);
         b.assume_order(SortOrder::by([1]));
         let a = Relation::merge_ordered(vec![a, b]);
         assert_eq!(a.order().columns(), &[1]);
@@ -2255,20 +2084,6 @@ mod tests {
     }
 
     #[test]
-    fn push_row_tracks_canonical_order() {
-        let mut r = Relation::empty(vec![v("x")]);
-        assert!(r.is_canonical());
-        r.push_row(&[t(1)]);
-        r.push_row(&[t(2)]);
-        assert!(r.is_canonical());
-        r.push_row(&[t(0)]);
-        assert!(!r.is_canonical());
-        r.canonicalize();
-        assert!(r.is_canonical());
-        assert_eq!(r.row(0), &[t(0)]);
-    }
-
-    #[test]
     fn distinct_len_matches_distinct() {
         let canonical = rel(&["x"], &[&[1], &[1], &[2], &[3], &[3]]);
         assert!(canonical.is_canonical());
@@ -2283,8 +2098,8 @@ mod tests {
     fn equality_ignores_the_order_descriptor() {
         let sorted = rel(&["x"], &[&[1], &[2]]);
         let mut pushed = Relation::empty(vec![v("x")]);
-        pushed.push_row_unordered(&[t(1)]);
-        pushed.push_row_unordered(&[t(2)]);
+        pushed.push_row(&[t(1)]);
+        pushed.push_row(&[t(2)]);
         assert!(pushed.order().is_none());
         assert_eq!(sorted, pushed);
     }
@@ -2295,19 +2110,5 @@ mod tests {
         let a = rel(&["x"], &[&[1]]);
         let b = rel(&["y"], &[&[2]]);
         Relation::merge_ordered(vec![a, b]);
-    }
-
-    #[test]
-    fn join_reports_zero_row_allocations() {
-        let left = rel(&["x", "a"], &[&[1, 10], &[2, 20], &[3, 30]]);
-        let right = rel(&["b", "x"], &[&[5, 1], &[6, 2], &[7, 9]]);
-        stats::reset();
-        let joined = Relation::join(&[&left, &right], &[v("x")]);
-        let buckets = hash_partition(&joined, &[v("x")], 4);
-        let after = stats::snapshot();
-        assert_eq!(after.row_allocs, 0, "join/shuffle allocated per-row");
-        assert_eq!(after.join_rows_out, joined.len() as u64);
-        assert!(after.buffer_allocs > 0);
-        assert_eq!(buckets.len(), 4);
     }
 }

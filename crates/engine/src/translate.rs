@@ -118,10 +118,10 @@ fn build_scan(
 
 /// The ordering a MapScan's output rows satisfy, as a variable sequence.
 ///
-/// [`cliquesquare_mapreduce::PartitionedStore::scan_node`] delivers triples
-/// placement-major (`scan_order`: the placement position's value first, then
-/// subject, property, object), and the executor converts triples to binding
-/// rows in that order. Translated to columns: positions bound to constants
+/// A scan's files ([`cliquesquare_mapreduce::PartitionedStore::scan_files`])
+/// deliver triples placement-major (`scan_order`: the placement position's
+/// value first, then subject, property, object), and the executor converts
+/// triples to binding rows in that order. Translated to columns: positions bound to constants
 /// are equal on every scanned row (the property file restriction, the
 /// `rdf:type` object file, and the fused Filter's residual constants) and
 /// contribute nothing; a position repeating an already-listed variable is

@@ -6,9 +6,11 @@
 //! sorted-leading-key fast path and the column-permuted re-sort path.
 //! The raw emission *sequence* is pinned too
 //! (`emission_order_matches_the_nested_loop`): stable re-sorts downstream
-//! and the factorized expansion both depend on it.
+//! and the factorized expansion both depend on it — and so is the sequence
+//! a consumer's `delivered` order makes of it, eager and expanded alike
+//! (`delivered_order_matches_the_sorted_nested_loop`).
 
-use cliquesquare_engine::{join_runs, JoinOrder, Relation};
+use cliquesquare_engine::{join_runs, Relation};
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
 use proptest::prelude::*;
@@ -145,19 +147,18 @@ fn random_inputs(
     (inputs, attributes)
 }
 
-/// The engine join's rows as a sorted multiset (it is canonical already,
-/// but sort defensively so the comparison never depends on that).
+/// The engine join's rows as a sorted multiset.
 fn joined_rows(inputs: &[&Relation], attributes: &[Variable]) -> Vec<Vec<TermId>> {
-    let joined = Relation::join(inputs, attributes).sorted();
+    let joined = Relation::join(inputs, attributes, &[]).sorted();
     joined.rows().map(<[TermId]>::to_vec).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Order, not only multiset: the rows of `join_ordered(.., Natural)` *in
-    /// sequence* are the nested loop's (input 0 outermost, every input in
-    /// stored order) stably sorted by the key — key groups ascending, each
+    /// Order, not only multiset: the rows of `join(.., &[])` *in sequence*
+    /// are the nested loop's (input 0 outermost, every input in stored
+    /// order) stably sorted by the key — key groups ascending, each
     /// group's cross product nested in input order, rows that a shared
     /// non-key column rejects gone without disturbing the rest. Where
     /// factorization is legal the expanded runs are the same sequence, and
@@ -171,7 +172,7 @@ proptest! {
     ) {
         let (inputs, attributes) = random_inputs(&mut Rng(seed), count, arity, shared);
         let inputs: Vec<&Relation> = inputs.iter().collect();
-        let joined = Relation::join_ordered(&inputs, &attributes, JoinOrder::Natural);
+        let joined = Relation::join(&inputs, &attributes, &[]);
         let key_cols: Vec<usize> = (attributes.iter())
             .map(|a| joined.column(a).expect("the output binds the key"))
             .collect();
@@ -180,7 +181,8 @@ proptest! {
         expected.sort_by_key(|row| key_of(row));
         let rows: Vec<Vec<TermId>> = joined.rows().map(<[TermId]>::to_vec).collect();
         prop_assert_eq!(&rows, &expected);
-        prop_assert!(joined.order().satisfies(&key_cols));
+        // (At most one row satisfies any order; asking for none claims none.)
+        prop_assert!(joined.len() <= 1 || joined.order().satisfies(&key_cols));
         if !shared {
             let expanded = join_runs(&inputs, &attributes, &[]).expand();
             prop_assert_eq!(expanded.schema(), joined.schema());
@@ -197,6 +199,68 @@ proptest! {
             .reduce(|a, b| &a & &b)
             .expect("at least two inputs");
         prop_assert_eq!(Relation::key_groups(&inputs, &attributes), common.len());
+    }
+
+    /// The order a consumer asks for, whatever `delivered` holds — nothing,
+    /// a prefix of the key, payload columns, the whole schema, or among
+    /// payload columns a variable no input binds (skipped): the rows *in
+    /// sequence* are the nested loop's stably sorted by the key, then by the
+    /// delivered columns the output has, and the output claims that order.
+    /// Where factorization is legal the expanded runs are the same sequence.
+    #[test]
+    fn delivered_order_matches_the_sorted_nested_loop(
+        count in 2usize..5,
+        arity in 1usize..4,
+        shared in any::<bool>(),
+        kind in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng(seed);
+        let (inputs, attributes) = random_inputs(&mut rng, count, arity, shared);
+        let inputs: Vec<&Relation> = inputs.iter().collect();
+        let mut schema: Vec<Variable> = Vec::new();
+        for var in inputs.iter().flat_map(|input| input.schema()) {
+            if !schema.contains(var) {
+                schema.push(var.clone());
+            }
+        }
+        let mut payload: Vec<Variable> =
+            schema.iter().filter(|var| !attributes.contains(var)).cloned().collect();
+        for slot in (1..payload.len()).rev() {
+            payload.swap(slot, rng.below(slot as u32 + 1) as usize);
+        }
+        let delivered: Vec<Variable> = match kind {
+            0 => Vec::new(),
+            1 => attributes[..=rng.below(arity as u32) as usize].to_vec(),
+            2 => payload[..=rng.below(payload.len() as u32) as usize].to_vec(),
+            3 => schema.clone(),
+            _ => {
+                let mut with_absent = payload.clone();
+                with_absent.insert(rng.below(payload.len() as u32 + 1) as usize, v("absent"));
+                with_absent
+            }
+        };
+
+        let column = |var: &Variable| schema.iter().position(|s| s == var);
+        let key_cols: Vec<usize> = attributes.iter().filter_map(column).collect();
+        let delivered_cols: Vec<usize> = delivered.iter().filter_map(column).collect();
+        let pick = |row: &Vec<TermId>, cols: &[usize]| {
+            cols.iter().map(|&c| row[c]).collect::<Vec<_>>()
+        };
+        let mut expected = oracle_sequence(&inputs, &attributes);
+        expected.sort_by_key(|row| pick(row, &key_cols));
+        expected.sort_by_key(|row| pick(row, &delivered_cols));
+
+        let joined = Relation::join(&inputs, &attributes, &delivered);
+        prop_assert_eq!(joined.schema(), &schema[..]);
+        let rows: Vec<Vec<TermId>> = joined.rows().map(<[TermId]>::to_vec).collect();
+        prop_assert_eq!(&rows, &expected, "delivered {:?}", delivered);
+        prop_assert!(joined.order().satisfies(&delivered_cols));
+        if !shared {
+            let expanded = join_runs(&inputs, &attributes, &delivered).expand();
+            let rows: Vec<Vec<TermId>> = expanded.rows().map(<[TermId]>::to_vec).collect();
+            prop_assert_eq!(&rows, &expected, "delivered {:?}", delivered);
+        }
     }
 
     /// Binary join on one attribute, tiny domain → lots of duplicate keys,
@@ -288,7 +352,7 @@ proptest! {
         let r = relation(&["x", "a"], rows.iter().map(|&(x, a)| vec![x, a]).collect());
         let attrs = vec![v("x")];
         prop_assert_eq!(joined_rows(&[&r], &attrs), oracle_join(&[&r], &attrs));
-        let identity = Relation::join(&[&r], &attrs);
+        let identity = Relation::join(&[&r], &attrs, &[]);
         prop_assert_eq!(identity.len(), r.len());
     }
 }

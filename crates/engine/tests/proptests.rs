@@ -4,7 +4,7 @@
 //! distinct projection against its expansion, and partition/scan invariants
 //! of the simulated store.
 
-use cliquesquare_engine::{join_runs, Relation, SortOrder};
+use cliquesquare_engine::{join_runs, Relation};
 use cliquesquare_mapreduce::PartitionedStore;
 use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
 use cliquesquare_sparql::Variable;
@@ -59,10 +59,10 @@ fn oracle_join(left: &Relation, right: &Relation, attrs: &[Variable]) -> usize {
 type PartSpec = (usize, Vec<(u32, usize)>, bool);
 
 /// Builds merge input `index` of the given arity, sorted by the descriptor
-/// it claims (the empty one claims nothing) — its own pick, or the case's
-/// `common` one. Column 0 is the run key — runs of 1 to 1 000 rows — column
-/// 1 a small domain, the rest tag the row with its input and position
-/// unless `repeats`.
+/// it claims (the empty one claims nothing; `sort_by_columns` claims the
+/// rest) — its own pick, or the case's `common` one. Column 0 is the run
+/// key — runs of 1 to 1 000 rows — column 1 a small domain, the rest tag
+/// the row with its input and position unless `repeats`.
 fn merge_input(
     index: usize,
     arity: usize,
@@ -102,9 +102,9 @@ fn merge_input(
         .collect();
     let mut relation = Relation::empty(schema);
     for row in &rows {
-        relation.push_row_unordered(&row.iter().copied().map(TermId).collect::<Vec<_>>());
+        relation.push_row(&row.iter().copied().map(TermId).collect::<Vec<_>>());
     }
-    relation.assume_order(SortOrder::by(descriptor.iter().copied()));
+    relation.sort_by_columns(&descriptor);
     (relation, descriptor)
 }
 
@@ -267,9 +267,9 @@ proptest! {
         let left = relation(&["x", "a"], left_rows.iter().map(|&(x, a)| vec![x, a]).collect());
         let right = relation(&["x", "b"], right_rows.iter().map(|&(x, b)| vec![x, b]).collect());
         let attrs = vec![v("x")];
-        let joined = Relation::join(&[&left, &right], &attrs);
+        let joined = Relation::join(&[&left, &right], &attrs, &[]);
         prop_assert_eq!(joined.len(), oracle_join(&left, &right, &attrs));
-        let swapped = Relation::join(&[&right, &left], &attrs);
+        let swapped = Relation::join(&[&right, &left], &attrs, &[]);
         prop_assert_eq!(swapped.len(), joined.len());
     }
 
@@ -284,9 +284,9 @@ proptest! {
         let b = relation(&["x", "b"], r2.iter().map(|&(x, y)| vec![x, y]).collect());
         let c = relation(&["x", "c"], r3.iter().map(|&(x, y)| vec![x, y]).collect());
         let attrs = vec![v("x")];
-        let nary = Relation::join(&[&a, &b, &c], &attrs);
-        let ab = Relation::join(&[&a, &b], &attrs);
-        let cascaded = Relation::join(&[&ab, &c], &attrs);
+        let nary = Relation::join(&[&a, &b, &c], &attrs, &[]);
+        let ab = Relation::join(&[&a, &b], &attrs, &[]);
+        let cascaded = Relation::join(&[&ab, &c], &attrs, &[]);
         prop_assert_eq!(nary.len(), cascaded.len());
         prop_assert_eq!(
             nary.clone().distinct().sorted().len(),

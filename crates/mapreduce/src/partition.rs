@@ -111,11 +111,11 @@ fn node_of(id: TermId, nodes: usize) -> usize {
     ((u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % nodes as u64) as usize
 }
 
-/// The index order [`PartitionedStore::scan_node`] delivers triples in for a
-/// replica of `placement`: the placement position first (the value the
-/// partition is grouped by), then the remaining positions in subject,
-/// property, object order. Later positions repeat the placement position
-/// harmlessly — ordering by an already-ordered position adds nothing.
+/// The index order [`ScanFiles::read`] delivers triples in for a replica of
+/// `placement`: the placement position first (the value the partition is
+/// grouped by), then the remaining positions in subject, property, object
+/// order. Later positions repeat the placement position harmlessly —
+/// ordering by an already-ordered position adds nothing.
 ///
 /// The engine's interesting-orders pass reads this to tag leaf-scan outputs
 /// with the ordering they already satisfy, so scans feeding a join on the
@@ -343,7 +343,8 @@ impl PartitionedStore {
             .unwrap_or(&[])
     }
 
-    /// Scans the files matching a triple-pattern access path.
+    /// The files of a single compute node that a scan of a triple-pattern
+    /// access path reads (the per-node unit of work of a map task wave):
     ///
     /// * `placement` selects which replica to read (chosen from the join
     ///   variable position of the pattern, so the scan is co-located with
@@ -353,26 +354,11 @@ impl PartitionedStore {
     /// * `type_object = Some(c)` additionally narrows an `rdf:type` scan to
     ///   the file of class `c`.
     ///
-    /// Returns one vector of triples per compute node, preserving locality
-    /// information for the co-located first-level joins. Each node's triples
-    /// come back in the replica's index order — see [`scan_order`].
-    pub fn scan(
-        &self,
-        placement: TriplePosition,
-        property: Option<TermId>,
-        type_object: Option<TermId>,
-    ) -> Vec<Vec<Triple>> {
-        (0..self.nodes)
-            .map(|node| {
-                self.scan_node(node, placement, property, type_object)
-                    .into_owned()
-            })
-            .collect()
-    }
-
-    /// The files of a single compute node that a scan reads (the per-node
-    /// unit of work of a map task wave). See [`scan`](Self::scan) for the
-    /// selectors.
+    /// [`ScanFiles::read`] returns the triples sorted placement-major — by
+    /// the value of the `placement` position first, then by `(subject,
+    /// property, object)` — i.e. in [`scan_order`]. This is the order the
+    /// replica's files are stored in, and it is what lets a scan feeding a
+    /// join on the placement variable start pre-ordered.
     pub fn scan_files(
         &self,
         node: usize,
@@ -394,27 +380,9 @@ impl PartitionedStore {
         }
     }
 
-    /// Scans the matching files of a single compute node.
-    ///
-    /// Triples are returned sorted placement-major — by the value of the
-    /// `placement` position first, then by `(subject, property, object)` —
-    /// i.e. in [`scan_order`]. This is the order the replica's files are
-    /// stored in, and it is what lets a scan feeding a join on the placement
-    /// variable start pre-ordered.
-    pub fn scan_node(
-        &self,
-        node: usize,
-        placement: TriplePosition,
-        property: Option<TermId>,
-        type_object: Option<TermId>,
-    ) -> Cow<'_, [Triple]> {
-        self.scan_files(node, placement, property, type_object)
-            .read()
-    }
-
     /// The triples of a scan that carry `constant` at `position`, per
     /// compute node: node for node the rows, in the order, that filtering
-    /// [`scan_node`](Self::scan_node) by the constant gives — without
+    /// the node's [`ScanFiles::read`] by the constant gives — without
     /// reading the scan's files. Every such triple sits in the replica
     /// placed by `position`, on the node owning `constant`, as one equal
     /// range per matching file; the few matches are routed to the nodes the
@@ -445,7 +413,8 @@ impl PartitionedStore {
         routed
     }
 
-    /// Total number of tuples that [`scan`](Self::scan) would read.
+    /// Total number of tuples a scan reads: the
+    /// [`scan_files`](Self::scan_files) rows of every node.
     pub fn scan_cardinality(
         &self,
         placement: TriplePosition,
@@ -599,7 +568,7 @@ mod tests {
     }
 
     /// Every stored file is in the scan order of its replica whatever the
-    /// build's thread count, and `scan_node` delivers triples
+    /// build's thread count, and [`ScanFiles::read`] delivers triples
     /// placement-major — sorted by the value at the replica's placement
     /// position first, then by the full triple — also where it merges
     /// several files (no property, or `rdf:type` without a class).
@@ -646,7 +615,15 @@ mod tests {
         let a = PartitionedStore::build(&graph, 4);
         let b = PartitionedStore::build(&graph, 4);
         for placement in TriplePosition::ALL {
-            assert_eq!(a.scan(placement, None, None), b.scan(placement, None, None));
+            for node in 0..4 {
+                let read = |store: &PartitionedStore| {
+                    store
+                        .scan_files(node, placement, None, None)
+                        .read()
+                        .into_owned()
+                };
+                assert_eq!(read(&a), read(&b));
+            }
         }
     }
 

@@ -141,7 +141,12 @@ proptest! {
         constants.push(TermId(u32::MAX));
         for placement in TriplePosition::ALL {
             for &(property, class) in &selectors {
-                let full = store.scan(placement, property, class);
+                let full: Vec<Vec<_>> = (0..store.nodes())
+                    .map(|node| {
+                        let files = store.scan_files(node, placement, property, class);
+                        files.read().into_owned()
+                    })
+                    .collect();
                 for position in TriplePosition::ALL {
                     for &constant in &constants {
                         let sought = store.seek(placement, property, class, position, constant);

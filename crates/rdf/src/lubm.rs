@@ -104,6 +104,20 @@ impl LubmScale {
         }
     }
 
+    /// Parses a user-supplied scale option (the `--scale` flag): a positive
+    /// number of universities at the default scale. `"0"`, negative numbers
+    /// and anything unparseable are rejected with a message naming the
+    /// offending value.
+    pub fn try_from_option(value: &str) -> Result<Self, String> {
+        let value = value.trim();
+        match value.parse::<usize>() {
+            Ok(universities) if universities > 0 => Ok(Self::with_universities(universities)),
+            _ => Err(format!(
+                "universities must be a positive integer (got \"{value}\")"
+            )),
+        }
+    }
+
     /// A rough upper bound on the number of triples the scale will generate.
     pub fn estimated_triples(&self) -> usize {
         let depts = self.universities * self.departments_per_university;
@@ -369,6 +383,22 @@ impl LubmGenerator {
 mod tests {
     use super::*;
     use crate::term::vocab;
+
+    #[test]
+    fn scale_options_parse_strictly() {
+        assert_eq!(
+            LubmScale::try_from_option("12"),
+            Ok(LubmScale::with_universities(12))
+        );
+        assert_eq!(
+            LubmScale::try_from_option(" 3 "),
+            Ok(LubmScale::with_universities(3))
+        );
+        for bad in ["0", "abc", "-1"] {
+            let error = LubmScale::try_from_option(bad).expect_err(bad);
+            assert!(error.contains(&format!("\"{bad}\"")), "{error}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -46,10 +46,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let universities = flag_value(&args, "--scale")
-        .and_then(|value| value.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
+    let scale = match LubmScale::try_from_option(flag_value(&args, "--scale").unwrap_or("1")) {
+        Ok(scale) => scale,
+        Err(error) => {
+            eprintln!("error: invalid --scale: {error}");
+            std::process::exit(2);
+        }
+    };
 
     let plan_cache = match flag_value(&args, "--plan-cache").unwrap_or("128").trim() {
         "off" | "0" => None,
@@ -65,15 +68,13 @@ fn main() {
     let partitions = partitions_for(threads);
     let cost = CostParameters::default();
     eprintln!(
-        "loading LUBM ({universities} universities) into {partitions} partitions, \
+        "loading LUBM ({} universities) into {partitions} partitions, \
          priced as {} modelled nodes …",
-        cost.nodes
+        scale.universities, cost.nodes
     );
     let load_runtime = Runtime::with_threads(threads);
-    let output = BulkLoader::new(load_runtime.clone()).load_lubm(
-        LubmScale::with_universities(universities),
-        &LoadOptions::with_nodes(partitions),
-    );
+    let output = BulkLoader::new(load_runtime.clone())
+        .load_lubm(scale, &LoadOptions::with_nodes(partitions));
     let triples = output.graph.len();
     let cluster = Cluster::from_load(output, cost, &load_runtime);
     let service =
