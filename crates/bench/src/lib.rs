@@ -38,46 +38,55 @@ pub fn lubm_cluster(scale: LubmScale) -> Cluster {
 /// Resolves the execution runtime of a report binary: an explicit
 /// `--threads N` argument wins (also accepting `auto` for the machine's
 /// available parallelism), then the `CSQ_THREADS` environment variable,
-/// then the deterministic sequential default. A malformed `--threads`
-/// value (zero, negative, garbage) prints the parse error and exits with
-/// status 2 instead of panicking.
+/// then the deterministic sequential default. A `--threads` without a
+/// value or with a malformed one (zero, negative, garbage) prints the
+/// error and exits with status 2 instead of panicking.
 pub fn runtime_from_args(args: &[String]) -> Runtime {
-    match flag_value(args, "--threads") {
-        Some(value) => Runtime::try_from_option(value).unwrap_or_else(|error| {
-            eprintln!("error: invalid --threads: {error}");
-            std::process::exit(2);
-        }),
-        None => Runtime::from_env(),
-    }
+    parse_flag(args, "--threads", Runtime::try_from_option).unwrap_or_else(Runtime::from_env)
 }
 
 /// Parses `--scale U` (LUBM universities) from the argument list, falling
 /// back to `default`. Lets the wall-clock speedup experiments run on a
 /// larger dataset than the paper-figure default without recompiling. A
-/// malformed value (zero, negative, garbage) prints the parse error and
-/// exits with status 2, as `--threads` does.
+/// `--scale` without a value or with a malformed one (zero, negative,
+/// garbage) prints the error and exits with status 2, as `--threads` does.
 pub fn scale_from_args(args: &[String], default: LubmScale) -> LubmScale {
-    match flag_value(args, "--scale") {
-        Some(value) => LubmScale::try_from_option(value).unwrap_or_else(|error| {
-            eprintln!("error: invalid --scale: {error}");
+    parse_flag(args, "--scale", LubmScale::try_from_option).unwrap_or(default)
+}
+
+/// Parses the value of `flag` with `parse`, `None` when the flag is absent.
+/// A flag given without a value, or with one `parse` rejects, prints the
+/// error naming the flag and exits with status 2.
+fn parse_flag<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    match flag_value(args, flag).and_then(|value| value.map(parse).transpose()) {
+        Ok(parsed) => parsed,
+        Err(error) => {
+            eprintln!("error: invalid {flag}: {error}");
             std::process::exit(2);
-        }),
-        None => default,
+        }
     }
 }
 
-/// The value of a `--flag value` / `--flag=value` argument, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+/// The value of a `--flag value` / `--flag=value` argument: `Ok(None)` when
+/// the flag is absent, an error when it is the last argument, with no value.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == flag {
-            return iter.next().map(String::as_str);
+            return iter
+                .next()
+                .map(|value| Some(value.as_str()))
+                .ok_or_else(|| "missing value".to_string());
         }
         if let Some(value) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Some(value);
+            return Ok(Some(value));
         }
     }
-    None
+    Ok(None)
 }
 
 /// Measures `f`'s wall-clock seconds as the best (minimum) of `repeats`
@@ -307,6 +316,26 @@ mod tests {
             LubmScale::with_universities(3)
         );
         assert_eq!(scale_from_args(&args(&[]), report_scale()), report_scale());
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_an_error_not_its_default() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        assert_eq!(
+            flag_value(&args(&["--fast", "--scale"]), "--scale"),
+            Err("missing value".to_string())
+        );
+        assert_eq!(
+            flag_value(&args(&["--threads"]), "--threads"),
+            Err("missing value".to_string())
+        );
+        assert_eq!(flag_value(&args(&["--fast"]), "--scale"), Ok(None));
+        assert_eq!(flag_value(&args(&[]), "--threads"), Ok(None));
+        assert_eq!(
+            flag_value(&args(&["--scale", "3", "--fast"]), "--scale"),
+            Ok(Some("3"))
+        );
+        assert_eq!(flag_value(&args(&["--scale="]), "--scale"), Ok(Some("")));
     }
 
     #[test]

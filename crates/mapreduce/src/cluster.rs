@@ -4,7 +4,7 @@ use crate::load::LoadOutput;
 use crate::metrics::CostParameters;
 use crate::partition::PartitionedStore;
 use crate::runtime::{partitions_for, Runtime};
-use cliquesquare_rdf::{Graph, GraphStatistics, StatsFragment, Term};
+use cliquesquare_rdf::{Graph, GraphStatistics};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,26 +15,13 @@ use std::sync::Arc;
 /// possibly a different best plan.
 static STATS_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Computes the catalog statistics of `graph` on `runtime`'s task waves:
-/// a map wave folds one [`StatsFragment`] per triple chunk, and the merge
-/// finalizes them into [`GraphStatistics`]. Fragments are order-independent
-/// partials, so the result is identical to the sequential computation at
-/// any thread count.
+/// Computes the catalog statistics of `graph` from its positional indexes
+/// as one task wave on `runtime`, one task per predicate (see
+/// [`GraphStatistics::compute_with`]). The wave returns results in task
+/// order, so the catalog is identical to the sequential one at any thread
+/// count.
 pub fn compute_statistics(graph: &Graph, runtime: &Runtime) -> GraphStatistics {
-    let rdf_type = graph.lookup(&Term::iri(cliquesquare_rdf::term::vocab::RDF_TYPE));
-    let triples = graph.triples();
-    let fragments = if !runtime.is_parallel() || triples.len() < 2 {
-        vec![StatsFragment::from_triples(triples, rdf_type)]
-    } else {
-        let chunk_size = triples.len().div_ceil(runtime.threads());
-        runtime.run_wave(
-            triples
-                .chunks(chunk_size)
-                .map(|chunk| move || StatsFragment::from_triples(chunk, rdf_type))
-                .collect(),
-        )
-    };
-    GraphStatistics::from_fragments(fragments, rdf_type)
+    GraphStatistics::compute_with(graph, |tasks| runtime.run_wave(tasks))
 }
 
 /// Static configuration of the simulated cluster.
@@ -93,8 +80,8 @@ impl Cluster {
 
     /// Partitions `graph` and computes its catalog statistics on
     /// `runtime`'s task waves. Bit-identical to [`load`](Self::load) at any
-    /// thread count (both the store build and the statistics fold are
-    /// order-independent).
+    /// thread count (the store build is order-independent and the
+    /// statistics wave returns its results in task order).
     pub fn load_with(graph: Graph, config: ClusterConfig, runtime: &Runtime) -> Self {
         let store = PartitionedStore::build_with(&graph, config.nodes, runtime);
         Self::assemble(graph, store, config, runtime)
@@ -164,11 +151,6 @@ impl Cluster {
     /// The catalog statistics computed when the cluster was loaded.
     pub fn statistics(&self) -> &GraphStatistics {
         &self.statistics
-    }
-
-    /// An owned snapshot handle to the (immutable) statistics.
-    pub fn statistics_arc(&self) -> Arc<GraphStatistics> {
-        Arc::clone(&self.statistics)
     }
 
     /// The statistics epoch of this snapshot: distinct per load, so plans

@@ -520,7 +520,10 @@ mod tests {
             }
         }
         assert!(!subject_to_node.is_empty());
-        assert_eq!(subject_to_node.len(), graph.stats().distinct_subjects);
+        assert_eq!(
+            subject_to_node.len(),
+            graph.values_at(TriplePosition::Subject).len()
+        );
     }
 
     #[test]

@@ -166,12 +166,27 @@ impl Graph {
     /// The index slice (triple positions into [`triples`](Self::triples))
     /// for a component value, empty when the value never occurs there.
     pub fn index_of(&self, position: TriplePosition, value: TermId) -> &[usize] {
-        let index = match position {
+        self.index(position)
+            .get(&value)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    /// The distinct values occurring at `position` (the keys of that
+    /// positional index), in no particular order; `len()` is their count.
+    pub fn values_at(
+        &self,
+        position: TriplePosition,
+    ) -> impl ExactSizeIterator<Item = TermId> + '_ {
+        self.index(position).keys().copied()
+    }
+
+    fn index(&self, position: TriplePosition) -> &HashMap<TermId, Vec<usize>> {
+        match position {
             TriplePosition::Subject => &self.by_subject,
             TriplePosition::Property => &self.by_property,
             TriplePosition::Object => &self.by_object,
-        };
-        index.get(&value).map(Vec::as_slice).unwrap_or(&[])
+        }
     }
 
     /// Iterates over the triples whose component at `position` equals
@@ -225,47 +240,6 @@ impl Graph {
             .filter(move |t| object.is_none_or(|o| t.object == o))
             .copied()
     }
-
-    /// Returns the number of distinct property values in the graph.
-    pub fn distinct_properties(&self) -> usize {
-        self.by_property.len()
-    }
-
-    /// Computes summary statistics for the graph.
-    pub fn stats(&self) -> GraphStats {
-        GraphStats {
-            triples: self.triples.len(),
-            distinct_terms: self.dictionary.len(),
-            distinct_subjects: self.by_subject.len(),
-            distinct_properties: self.by_property.len(),
-            distinct_objects: self.by_object.len(),
-        }
-    }
-
-    /// Returns, for each property id, the number of triples carrying it.
-    ///
-    /// Property cardinalities drive the cost model's cardinality estimates.
-    pub fn property_cardinalities(&self) -> HashMap<TermId, usize> {
-        self.by_property
-            .iter()
-            .map(|(&p, v)| (p, v.len()))
-            .collect()
-    }
-}
-
-/// Summary statistics about a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GraphStats {
-    /// Total number of triples.
-    pub triples: usize,
-    /// Number of distinct dictionary terms.
-    pub distinct_terms: usize,
-    /// Number of distinct subjects.
-    pub distinct_subjects: usize,
-    /// Number of distinct properties.
-    pub distinct_properties: usize,
-    /// Number of distinct objects.
-    pub distinct_objects: usize,
 }
 
 #[cfg(test)]
@@ -286,7 +260,6 @@ mod tests {
         let g = sample_graph();
         assert_eq!(g.len(), 4);
         assert!(!g.is_empty());
-        assert_eq!(g.stats().triples, 4);
     }
 
     #[test]
@@ -325,14 +298,14 @@ mod tests {
     #[test]
     fn stats_and_cardinalities() {
         let g = sample_graph();
-        let stats = g.stats();
-        assert_eq!(stats.distinct_subjects, 2);
-        assert_eq!(stats.distinct_properties, 2);
-        assert_eq!(stats.distinct_objects, 4);
-        let cards = g.property_cardinalities();
-        assert_eq!(cards.values().sum::<usize>(), 4);
-        assert!(cards.values().all(|&c| c == 2));
-        assert_eq!(g.distinct_properties(), 2);
+        assert_eq!(g.values_at(TriplePosition::Subject).len(), 2);
+        assert_eq!(g.values_at(TriplePosition::Property).len(), 2);
+        assert_eq!(g.values_at(TriplePosition::Object).len(), 4);
+        let cards: Vec<usize> = g
+            .values_at(TriplePosition::Property)
+            .map(|p| g.index_of(TriplePosition::Property, p).len())
+            .collect();
+        assert_eq!(cards, [2, 2]);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`sp2b`] — a deterministic SP²Bench/DBLP-like generator with power-law
 //!   author/journal skew and long citation chains,
 //! * [`stats`] — catalog statistics (per-predicate counts and distincts,
-//!   characteristic sets) backing the engine's selectivity estimates,
+//!   per-class `rdf:type` counts) read off the graph's positional indexes,
+//!   backing the engine's selectivity estimates,
 //! * [`load`] — sharded bulk-load primitives (chunk splitting, per-shard
 //!   dictionary encoding, order-preserving merge) whose parallel
 //!   orchestration lives in `cliquesquare_mapreduce::load`.
@@ -49,9 +50,9 @@ pub mod term;
 pub mod triple;
 
 pub use dictionary::Dictionary;
-pub use graph::{Graph, GraphStats};
+pub use graph::Graph;
 pub use lubm::{LubmGenerator, LubmScale};
 pub use sp2b::{Sp2bGenerator, Sp2bScale};
-pub use stats::{CharacteristicSet, GraphStatistics, PredicateStats, StatsFragment};
+pub use stats::{GraphStatistics, PredicateStats};
 pub use term::{Term, TermId};
 pub use triple::{Triple, TriplePosition};

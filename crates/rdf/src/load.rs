@@ -85,16 +85,11 @@ pub fn split_ntriples(text: &str, chunks: usize) -> Vec<NtriplesChunk<'_>> {
 }
 
 /// Parses one chunk produced by [`split_ntriples`] into term triples,
-/// reporting errors with document-global line numbers.
-pub fn parse_chunk(chunk: NtriplesChunk<'_>) -> Result<Vec<(Term, Term, Term)>, ParseError> {
-    ntriples::parse_from(chunk.text, chunk.first_line)
-}
-
-/// Like [`parse_chunk`], but appends into a caller-supplied buffer. The
-/// streaming bulk loader keeps one recycled buffer per in-flight chunk, so
-/// parsing a document of `c` chunks allocates `O(workers)` triple buffers
-/// instead of `c`. On error the buffer may hold a partial prefix; the caller
-/// clears it before recycling.
+/// appending to a caller-supplied buffer and reporting errors with
+/// document-global line numbers. The streaming bulk loader keeps one
+/// recycled buffer per in-flight chunk, so parsing a document of `c` chunks
+/// allocates `O(workers)` triple buffers instead of `c`. On error the
+/// buffer may hold a partial prefix; the caller clears it before recycling.
 pub fn parse_chunk_into(
     chunk: NtriplesChunk<'_>,
     out: &mut Vec<(Term, Term, Term)>,
@@ -115,16 +110,11 @@ pub struct EncodedShard {
     pub triples: Vec<Triple>,
 }
 
-/// Encodes one chunk of term triples against a fresh shard dictionary.
-/// This is the per-worker step of the parallel encode wave.
-pub fn encode_shard(terms: Vec<(Term, Term, Term)>) -> EncodedShard {
-    let mut terms = terms;
-    encode_shard_from(&mut terms)
-}
-
-/// Like [`encode_shard`], but drains a caller-supplied buffer so its
-/// capacity survives for the next chunk. Pairs with [`parse_chunk_into`] in
-/// the streaming loader's fused parse→encode task.
+/// Encodes one chunk of term triples against a fresh shard dictionary —
+/// the per-worker step of the parallel encode wave. Drains the
+/// caller-supplied buffer so its capacity survives for the next chunk;
+/// pairs with [`parse_chunk_into`] in the streaming loader's fused
+/// parse→encode task.
 pub fn encode_shard_from(terms: &mut Vec<(Term, Term, Term)>) -> EncodedShard {
     let mut dictionary = Dictionary::new();
     let mut triples = Vec::with_capacity(terms.len());
@@ -439,7 +429,7 @@ mod tests {
         let split = split_ntriples(text, 4);
         let error = split
             .iter()
-            .filter_map(|&c| parse_chunk(c).err())
+            .filter_map(|&c| parse_chunk_into(c, &mut Vec::new()).err())
             .next()
             .expect("one chunk fails");
         assert_eq!(error.line, 3);
@@ -485,7 +475,7 @@ mod tests {
             (iri("s2"), iri("p"), Term::literal("x")),
             (iri("s1"), iri("q"), iri("s2")),
         ];
-        let shard = encode_shard(terms.clone());
+        let shard = encode_shard_from(&mut terms.clone());
         assert_eq!(shard.triples.len(), 3);
         assert_eq!(shard.dictionary.len(), 6);
         let (global, remaps) = merge_dictionaries(vec![shard.dictionary.clone()]);
@@ -605,13 +595,16 @@ mod tests {
         let shard = encode_shard_from(&mut buffer);
         assert!(buffer.is_empty());
         assert_eq!(buffer.capacity(), capacity);
-        assert_eq!(shard.triples.len(), 2);
         assert_eq!(
-            shard,
-            encode_shard(vec![
-                (iri("s"), iri("p"), iri("o")),
-                (iri("s"), iri("p"), Term::literal("l")),
-            ])
+            shard.triples,
+            [
+                Triple::new(TermId(0), TermId(1), TermId(2)),
+                Triple::new(TermId(0), TermId(1), TermId(3)),
+            ]
+        );
+        assert_eq!(
+            shard.dictionary.decode(TermId(3)),
+            Some(&Term::literal("l"))
         );
     }
 }

@@ -3,24 +3,23 @@
 //! [`GraphStatistics`] summarizes a loaded graph the way a relational
 //! optimizer's catalog would: per-predicate triple counts, per-predicate
 //! distinct subject/object counts (the denominators of distinct-count join
-//! estimation), per-class `rdf:type` counts (mirroring the store's split
-//! type files), and *characteristic sets* — the distinct predicate
-//! combinations subjects exhibit, with how many subjects and triples each
-//! combination covers (Neumann & Moerkotte's structure summary for
-//! star-shaped selectivity).
+//! estimation) and per-class `rdf:type` counts (mirroring the store's split
+//! type files) — the values the Section 5.4 cost model reads.
 //!
-//! The computation is expressed as order-independent *fragments* so a task
-//! runtime can build it as a map wave (one [`StatsFragment`] per triple
-//! chunk) followed by a merge: [`StatsFragment::absorb`] is commutative and
-//! associative, and [`GraphStatistics::from_fragments`] finalizes sets into
-//! counts deterministically. The parallel orchestration lives in
-//! `cliquesquare_mapreduce` next to the partition build; any merge order at
-//! any thread count yields the same statistics.
+//! The catalog is read off the [`Graph`]'s positional indexes, which the
+//! load already built: the totals are index lengths, and each predicate's
+//! entry is one sort + dedup of the subject and object columns its property
+//! index selects (for `rdf:type`, the run lengths of the sorted object
+//! column are the class counts). Predicates are independent, so
+//! [`GraphStatistics::compute_with`] hands one task per predicate to a
+//! caller-supplied wave runner; `cliquesquare_mapreduce::compute_statistics`
+//! runs them as one task wave, and any runner that returns the results in
+//! task order yields the same catalog.
 
 use crate::graph::Graph;
 use crate::term::{vocab, Term, TermId};
-use crate::triple::{Triple, TriplePosition};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::triple::TriplePosition;
+use std::collections::HashMap;
 
 /// Statistics of one predicate (property value).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,74 +32,12 @@ pub struct PredicateStats {
     pub distinct_objects: usize,
 }
 
-/// One characteristic set: a predicate combination subjects exhibit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CharacteristicSet {
-    /// The predicates of the set, sorted by id.
-    pub properties: Vec<TermId>,
-    /// Number of subjects whose predicate set is exactly `properties`.
-    pub subjects: usize,
-    /// Total triples of those subjects.
-    pub triples: usize,
-}
+/// What one predicate's task computes: its [`PredicateStats`] and, for
+/// `rdf:type`, the triple count of each class (ascending by class id).
+pub type PredicateEntry = (PredicateStats, Vec<(TermId, usize)>);
 
-/// An order-independent partial of [`GraphStatistics`] built from one chunk
-/// of triples. Merging fragments in any order yields the same totals.
-#[derive(Debug, Clone, Default)]
-pub struct StatsFragment {
-    triples: usize,
-    objects: HashSet<TermId>,
-    /// Per-predicate (triple count, subject set, object set).
-    predicates: HashMap<TermId, (usize, HashSet<TermId>, HashSet<TermId>)>,
-    /// Per-class triple counts of `rdf:type` (the store's split type files).
-    type_classes: HashMap<TermId, usize>,
-    /// Per-subject predicate set and triple count.
-    subjects: HashMap<TermId, (BTreeSet<TermId>, usize)>,
-}
-
-impl StatsFragment {
-    /// Accumulates one chunk of triples. `rdf_type` is the dictionary id of
-    /// `rdf:type` in the source graph, if present.
-    pub fn from_triples(triples: &[Triple], rdf_type: Option<TermId>) -> Self {
-        let mut fragment = Self::default();
-        for triple in triples {
-            fragment.triples += 1;
-            fragment.objects.insert(triple.object);
-            let (count, subjects, objects) =
-                fragment.predicates.entry(triple.property).or_default();
-            *count += 1;
-            subjects.insert(triple.subject);
-            objects.insert(triple.object);
-            if Some(triple.property) == rdf_type {
-                *fragment.type_classes.entry(triple.object).or_default() += 1;
-            }
-            let (properties, count) = fragment.subjects.entry(triple.subject).or_default();
-            properties.insert(triple.property);
-            *count += 1;
-        }
-        fragment
-    }
-
-    /// Merges `other` into `self` (commutative up to the final counts).
-    pub fn absorb(&mut self, other: Self) {
-        self.triples += other.triples;
-        self.objects.extend(other.objects);
-        for (property, (count, subjects, objects)) in other.predicates {
-            let entry = self.predicates.entry(property).or_default();
-            entry.0 += count;
-            entry.1.extend(subjects);
-            entry.2.extend(objects);
-        }
-        for (class, count) in other.type_classes {
-            *self.type_classes.entry(class).or_default() += count;
-        }
-        for (subject, (properties, count)) in other.subjects {
-            let entry = self.subjects.entry(subject).or_default();
-            entry.0.extend(properties);
-            entry.1 += count;
-        }
-    }
-}
+/// One predicate's task of [`GraphStatistics::compute_with`].
+pub type PredicateTask<'g> = Box<dyn FnOnce() -> PredicateEntry + Send + 'g>;
 
 /// Catalog-style statistics of a loaded graph, carried on the cluster
 /// snapshot and read by the cost model's selectivity estimates.
@@ -112,68 +49,50 @@ pub struct GraphStatistics {
     rdf_type: Option<TermId>,
     predicates: HashMap<TermId, PredicateStats>,
     type_classes: HashMap<TermId, usize>,
-    characteristic_sets: Vec<CharacteristicSet>,
 }
 
 impl GraphStatistics {
-    /// Computes the statistics of `graph` sequentially (one fragment). The
-    /// parallel wave build in `cliquesquare_mapreduce` produces identical
-    /// output at any thread count.
+    /// Computes the statistics of `graph`, running the per-predicate tasks
+    /// inline one after another.
     pub fn compute(graph: &Graph) -> Self {
-        let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
-        Self::from_fragments(
-            vec![StatsFragment::from_triples(graph.triples(), rdf_type)],
-            rdf_type,
-        )
+        Self::compute_with(graph, |tasks| {
+            tasks.into_iter().map(|task| task()).collect()
+        })
     }
 
-    /// Finalizes merged fragments into the statistics catalog. The result
-    /// depends only on the multiset of triples the fragments covered, not on
-    /// chunking or merge order.
-    pub fn from_fragments(fragments: Vec<StatsFragment>, rdf_type: Option<TermId>) -> Self {
-        let mut merged = StatsFragment::default();
-        for fragment in fragments {
-            merged.absorb(fragment);
-        }
-        let predicates = merged
-            .predicates
-            .into_iter()
-            .map(|(property, (triples, subjects, objects))| {
-                (
-                    property,
-                    PredicateStats {
-                        triples,
-                        distinct_subjects: subjects.len(),
-                        distinct_objects: objects.len(),
-                    },
-                )
+    /// Computes the statistics of `graph` with one task per predicate, run
+    /// by `run_wave`, which must return the tasks' results in task order.
+    pub fn compute_with<'g>(
+        graph: &'g Graph,
+        run_wave: impl FnOnce(Vec<PredicateTask<'g>>) -> Vec<PredicateEntry>,
+    ) -> Self {
+        let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
+        let properties: Vec<TermId> = graph.values_at(TriplePosition::Property).collect();
+        let tasks = properties
+            .iter()
+            .map(|&property| {
+                let task = move || predicate_entry(graph, property, Some(property) == rdf_type);
+                Box::new(task) as PredicateTask<'g>
             })
             .collect();
-        // Group subjects by their exact predicate combination; BTreeMap
-        // keys give a deterministic set order.
-        let mut sets: BTreeMap<Vec<TermId>, (usize, usize)> = BTreeMap::new();
-        for (properties, triple_count) in merged.subjects.values() {
-            let key: Vec<TermId> = properties.iter().copied().collect();
-            let entry = sets.entry(key).or_default();
-            entry.0 += 1;
-            entry.1 += triple_count;
-        }
-        let characteristic_sets = sets
+        let entries = run_wave(tasks);
+        assert_eq!(entries.len(), properties.len(), "one entry per task");
+        let mut type_classes = HashMap::new();
+        let predicates = properties
             .into_iter()
-            .map(|(properties, (subjects, triples))| CharacteristicSet {
-                properties,
-                subjects,
-                triples,
+            .zip(entries)
+            .map(|(property, (stats, classes))| {
+                type_classes.extend(classes);
+                (property, stats)
             })
             .collect();
         Self {
-            triples: merged.triples,
-            distinct_subjects: merged.subjects.len(),
-            distinct_objects: merged.objects.len(),
+            triples: graph.len(),
+            distinct_subjects: graph.values_at(TriplePosition::Subject).len(),
+            distinct_objects: graph.values_at(TriplePosition::Object).len(),
             rdf_type,
             predicates,
-            type_classes: merged.type_classes,
-            characteristic_sets,
+            type_classes,
         }
     }
 
@@ -212,12 +131,6 @@ impl GraphStatistics {
         self.type_classes.get(&class).copied().unwrap_or(0)
     }
 
-    /// The characteristic sets (distinct per-subject predicate
-    /// combinations), in deterministic predicate-list order.
-    pub fn characteristic_sets(&self) -> &[CharacteristicSet] {
-        &self.characteristic_sets
-    }
-
     /// Exact cardinality of a property-restricted scan: how many triples a
     /// `MapScan` with the given file restrictions reads, answered from the
     /// catalog without touching the store.
@@ -242,6 +155,36 @@ impl GraphStatistics {
     }
 }
 
+/// One predicate's catalog entry: the subject and object columns of the
+/// triples its property index selects, each sorted once; with
+/// `count_classes`, the object runs are kept as the class counts.
+fn predicate_entry(graph: &Graph, property: TermId, count_classes: bool) -> PredicateEntry {
+    let offsets = graph.index_of(TriplePosition::Property, property);
+    let sorted_column = |position| {
+        let mut column: Vec<TermId> = offsets
+            .iter()
+            .map(|&offset| graph.triples()[offset].get(position))
+            .collect();
+        column.sort_unstable();
+        column
+    };
+    let mut subjects = sorted_column(TriplePosition::Subject);
+    subjects.dedup();
+    let objects = sorted_column(TriplePosition::Object);
+    let runs = || objects.chunk_by(|a, b| a == b);
+    let stats = PredicateStats {
+        triples: offsets.len(),
+        distinct_subjects: subjects.len(),
+        distinct_objects: runs().count(),
+    };
+    let classes = if count_classes {
+        runs().map(|run| (run[0], run.len())).collect()
+    } else {
+        Vec::new()
+    };
+    (stats, classes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,18 +198,27 @@ mod tests {
     fn totals_match_graph_stats() {
         let g = graph();
         let stats = GraphStatistics::compute(&g);
-        let graph_stats = g.stats();
-        assert_eq!(stats.triples(), graph_stats.triples);
-        assert_eq!(stats.distinct_subjects(), graph_stats.distinct_subjects);
-        assert_eq!(stats.distinct_properties(), graph_stats.distinct_properties);
-        assert_eq!(stats.distinct_objects(), graph_stats.distinct_objects);
+        assert_eq!(stats.triples(), g.len());
+        assert_eq!(
+            stats.distinct_subjects(),
+            g.values_at(TriplePosition::Subject).len()
+        );
+        assert_eq!(
+            stats.distinct_properties(),
+            g.values_at(TriplePosition::Property).len()
+        );
+        assert_eq!(
+            stats.distinct_objects(),
+            g.values_at(TriplePosition::Object).len()
+        );
     }
 
     #[test]
     fn per_predicate_counts_match_the_index() {
         let g = graph();
         let stats = GraphStatistics::compute(&g);
-        for (property, expected) in g.property_cardinalities() {
+        for property in g.values_at(TriplePosition::Property) {
+            let expected = g.index_of(TriplePosition::Property, property).len();
             let per_predicate = stats.predicate(property).expect("predicate present");
             assert_eq!(per_predicate.triples, expected, "property {property:?}");
             assert!(per_predicate.distinct_subjects <= expected);
@@ -283,37 +235,18 @@ mod tests {
         let g = graph();
         let stats = GraphStatistics::compute(&g);
         let rdf_type = stats.rdf_type().expect("LUBM has rdf:type");
-        let mut total = 0;
-        for set in stats.characteristic_sets() {
-            assert!(set.subjects > 0);
-            assert!(set.triples >= set.properties.len() * set.subjects);
-            total += set.subjects;
-        }
-        assert_eq!(total, stats.distinct_subjects());
-        // Every class count equals the graph's own pattern match.
-        let grad = g
+        assert!(g
             .lookup(&Term::iri(vocab::ub("GraduateStudent")))
-            .expect("class exists");
-        assert_eq!(
-            stats.scan_cardinality(Some(rdf_type), Some(grad)),
-            g.match_pattern(None, Some(rdf_type), Some(grad)).count()
-        );
-    }
-
-    #[test]
-    fn chunked_fragments_merge_to_the_sequential_result() {
-        let g = graph();
-        let rdf_type = g.lookup(&Term::iri(vocab::RDF_TYPE));
-        let sequential = GraphStatistics::compute(&g);
-        for chunks in [2, 3, 7] {
-            let chunk_size = g.len().div_ceil(chunks).max(1);
-            let fragments: Vec<StatsFragment> = g
-                .triples()
-                .chunks(chunk_size)
-                .map(|chunk| StatsFragment::from_triples(chunk, rdf_type))
-                .collect();
-            let chunked = GraphStatistics::from_fragments(fragments, rdf_type);
-            assert_eq!(chunked, sequential, "chunks={chunks}");
+            .is_some_and(|grad| stats.type_class_triples(grad) > 0));
+        // Every class count equals the graph's own pattern match.
+        for class in g
+            .triples_with(TriplePosition::Property, rdf_type)
+            .map(|t| t.object)
+        {
+            assert_eq!(
+                stats.scan_cardinality(Some(rdf_type), Some(class)),
+                g.match_pattern(None, Some(rdf_type), Some(class)).count()
+            );
         }
     }
 
@@ -322,7 +255,7 @@ mod tests {
         let stats = GraphStatistics::compute(&Graph::new());
         assert_eq!(stats.triples(), 0);
         assert_eq!(stats.distinct_subjects(), 0);
-        assert!(stats.characteristic_sets().is_empty());
+        assert_eq!(stats.distinct_properties(), 0);
         assert_eq!(stats.scan_cardinality(None, None), 0);
     }
 
@@ -341,6 +274,5 @@ mod tests {
         assert_eq!(stats.distinct_at(p, TriplePosition::Property), 1);
         assert_eq!(stats.distinct_at(q, TriplePosition::Subject), 1);
         assert_eq!(stats.distinct_at(TermId(77), TriplePosition::Subject), 0);
-        assert_eq!(stats.characteristic_sets().len(), 2);
     }
 }

@@ -1,13 +1,17 @@
 //! Property-based tests for the RDF substrate: dictionary encoding,
 //! N-Triples round-tripping (including escape sequences) and survival of
-//! untrusted text, sharded bulk-load encoding and graph index consistency.
+//! untrusted text, sharded bulk-load encoding, graph index consistency and
+//! the statistics catalog against a brute-force count.
 
 use cliquesquare_rdf::load::{
-    encode_shard, merge_dictionaries, merge_dictionaries_partitioned, remap_triples,
+    encode_shard_from, merge_dictionaries, merge_dictionaries_partitioned, remap_triples,
 };
-use cliquesquare_rdf::{ntriples, Dictionary, Graph, Term, TriplePosition};
+use cliquesquare_rdf::term::vocab;
+use cliquesquare_rdf::{
+    ntriples, Dictionary, Graph, GraphStatistics, PredicateStats, Term, TermId, TriplePosition,
+};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn term_strategy() -> impl Strategy<Value = Term> {
     prop_oneof![
@@ -181,7 +185,7 @@ proptest! {
             chunks.push(rest.to_vec());
         }
 
-        let shards: Vec<_> = chunks.into_iter().map(encode_shard).collect();
+        let shards: Vec<_> = chunks.iter_mut().map(encode_shard_from).collect();
         let (dictionaries, locals): (Vec<_>, Vec<_>) =
             shards.into_iter().map(|s| (s.dictionary, s.triples)).unzip();
         let (merged, remaps) = merge_dictionaries(dictionaries);
@@ -255,8 +259,78 @@ proptest! {
                 prop_assert_eq!(indexed.len(), scanned.len());
             }
         }
-        let stats = graph.stats();
-        prop_assert_eq!(stats.triples, raw.len());
-        prop_assert!(stats.distinct_terms >= stats.distinct_properties);
+        prop_assert_eq!(graph.len(), raw.len());
+        prop_assert!(graph.dictionary().len() >= graph.values_at(TriplePosition::Property).len());
+    }
+
+    /// The catalog equals a brute-force count over the triple list, on
+    /// graphs whose small id ranges repeat triples and whose property pool
+    /// includes `rdf:type` (with classes that other properties also reach).
+    #[test]
+    fn statistics_match_a_brute_force_count(
+        raw in proptest::collection::vec((0u32..8, 0u32..4, 0u32..8), 1..60)
+    ) {
+        let mut graph = Graph::new();
+        for (s, p, o) in &raw {
+            let property = match p {
+                0 => Term::iri(vocab::RDF_TYPE),
+                p => Term::iri(format!("p{p}")),
+            };
+            graph.insert_terms(Term::iri(format!("n{s}")), property, Term::iri(format!("n{o}")));
+        }
+        let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
+        let mut predicates: BTreeMap<TermId, (usize, BTreeSet<TermId>, BTreeSet<TermId>)> =
+            BTreeMap::new();
+        let mut classes: BTreeMap<TermId, usize> = BTreeMap::new();
+        for t in graph.triples() {
+            let (count, subjects, objects) = predicates.entry(t.property).or_default();
+            *count += 1;
+            subjects.insert(t.subject);
+            objects.insert(t.object);
+            if Some(t.property) == rdf_type {
+                *classes.entry(t.object).or_default() += 1;
+            }
+        }
+        let distinct = |position| graph.triples().iter().map(|t| t.get(position)).collect::<BTreeSet<_>>().len();
+
+        let stats = GraphStatistics::compute(&graph);
+        prop_assert_eq!(stats.triples(), raw.len());
+        prop_assert_eq!(stats.distinct_subjects(), distinct(TriplePosition::Subject));
+        prop_assert_eq!(stats.distinct_properties(), distinct(TriplePosition::Property));
+        prop_assert_eq!(stats.distinct_objects(), distinct(TriplePosition::Object));
+        prop_assert_eq!(stats.rdf_type(), rdf_type);
+        prop_assert_eq!(stats.scan_cardinality(None, None), raw.len());
+        for (property, (count, subjects, objects)) in &predicates {
+            let expected = PredicateStats {
+                triples: *count,
+                distinct_subjects: subjects.len(),
+                distinct_objects: objects.len(),
+            };
+            prop_assert_eq!(stats.predicate(*property), Some(&expected));
+        }
+        for (id, _) in graph.dictionary().iter() {
+            let expected = classes.get(&id).copied().unwrap_or(0);
+            prop_assert_eq!(stats.type_class_triples(id), expected);
+            if let Some(rdf_type) = rdf_type {
+                prop_assert_eq!(stats.scan_cardinality(Some(rdf_type), Some(id)), expected);
+            }
+        }
+        // Every predicate × position, plus a property the graph never uses.
+        let unknown = TermId(graph.dictionary().len() as u32);
+        for property in predicates.keys().copied().chain([unknown]) {
+            let entry = predicates.get(&property);
+            prop_assert_eq!(
+                stats.scan_cardinality(Some(property), None),
+                entry.map_or(0, |e| e.0)
+            );
+            for position in TriplePosition::ALL {
+                let expected = entry.map_or(0, |(_, subjects, objects)| match position {
+                    TriplePosition::Subject => subjects.len(),
+                    TriplePosition::Property => 1,
+                    TriplePosition::Object => objects.len(),
+                });
+                prop_assert_eq!(stats.distinct_at(property, position), expected);
+            }
+        }
     }
 }

@@ -23,47 +23,62 @@ use cliquesquare_rdf::LubmScale;
 use cliquesquare_server::{HttpServer, QueryService, ServerConfig};
 use std::sync::Arc;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+/// Parses the value of `flag` with `parse`, `None` when the flag is absent.
+/// A flag given without a value, or with one `parse` rejects, prints the
+/// error naming the flag and exits with status 2.
+fn parse_flag<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    match flag_value(args, flag).and_then(|value| value.map(parse).transpose()) {
+        Ok(parsed) => parsed,
+        Err(error) => {
+            eprintln!("error: invalid {flag}: {error}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value of a `--flag value` / `--flag=value` argument: `Ok(None)` when
+/// the flag is absent, an error when it is the last argument, with no value.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == flag {
-            return iter.next().map(String::as_str);
+            return iter
+                .next()
+                .map(|value| Some(value.as_str()))
+                .ok_or_else(|| "missing value".to_string());
         }
         if let Some(value) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Some(value);
+            return Ok(Some(value));
         }
     }
-    None
+    Ok(None)
+}
+
+/// `--plan-cache N|off`: a capacity, or `None` (`off` or `0`) for no cache.
+fn plan_cache_capacity(value: &str) -> Result<Option<usize>, String> {
+    match value.trim() {
+        "off" | "0" => Ok(None),
+        value => value
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("expected a capacity or `off` (got \"{value}\")")),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = flag_value(&args, "--addr").unwrap_or("127.0.0.1:7878");
-    let threads = match Runtime::try_from_option(flag_value(&args, "--threads").unwrap_or("auto")) {
-        Ok(runtime) => runtime.threads(),
-        Err(error) => {
-            eprintln!("error: invalid --threads: {error}");
-            std::process::exit(2);
-        }
-    };
-    let scale = match LubmScale::try_from_option(flag_value(&args, "--scale").unwrap_or("1")) {
-        Ok(scale) => scale,
-        Err(error) => {
-            eprintln!("error: invalid --scale: {error}");
-            std::process::exit(2);
-        }
-    };
-
-    let plan_cache = match flag_value(&args, "--plan-cache").unwrap_or("128").trim() {
-        "off" | "0" => None,
-        value => match value.parse::<usize>() {
-            Ok(capacity) => Some(capacity),
-            Err(_) => {
-                eprintln!("error: invalid --plan-cache (expected a capacity or `off`)");
-                std::process::exit(2);
-            }
-        },
-    };
+    let addr = parse_flag(&args, "--addr", |value| Ok(value.to_string()))
+        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let threads = parse_flag(&args, "--threads", Runtime::try_from_option)
+        .unwrap_or_else(Runtime::available)
+        .threads();
+    let scale = parse_flag(&args, "--scale", LubmScale::try_from_option)
+        .unwrap_or(LubmScale::with_universities(1));
+    let plan_cache = parse_flag(&args, "--plan-cache", plan_cache_capacity).unwrap_or(Some(128));
 
     let partitions = partitions_for(threads);
     let cost = CostParameters::default();
@@ -80,7 +95,7 @@ fn main() {
     let service =
         Arc::new(QueryService::new(cluster, Runtime::serving(threads)).with_plan_cache(plan_cache));
 
-    let server = HttpServer::bind(Arc::clone(&service), addr, ServerConfig::default())
+    let server = HttpServer::bind(Arc::clone(&service), addr.as_str(), ServerConfig::default())
         .unwrap_or_else(|error| {
             eprintln!("error: cannot bind {addr}: {error}");
             std::process::exit(1);
