@@ -306,7 +306,7 @@ mod tests {
         )
         .unwrap();
         let expected = reference_count(cluster.graph(), &q);
-        let executor = Executor::new(&cluster);
+        let executor = Executor::sequential(&cluster);
         for plan in [
             planner.best_bushy(&q).unwrap(),
             planner.best_linear(&q).unwrap(),

@@ -14,7 +14,7 @@ fn bench_plan_families(c: &mut Criterion) {
     let cluster = lubm_cluster(bench_scale());
     let csq = Csq::new(cluster.clone(), CsqConfig::default());
     let planner = BinaryPlanner::new(cluster.graph());
-    let executor = Executor::new(&cluster);
+    let executor = Executor::sequential(&cluster);
 
     let mut group = c.benchmark_group("figure20_execution");
     for query in [q1(), q4(), q10(), q12()] {

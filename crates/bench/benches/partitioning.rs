@@ -83,7 +83,7 @@ fn bench_colocated_vs_shuffled(c: &mut Criterion) {
         .clone();
     let colocated = translate(&logical, cluster.graph());
     let shuffled = force_reduce_joins(&colocated);
-    let executor = Executor::new(&cluster);
+    let executor = Executor::sequential(&cluster);
 
     let mut group = c.benchmark_group("pwoc_ablation");
     group.bench_function("colocated_map_join", |b| {

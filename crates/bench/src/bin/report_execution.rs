@@ -22,7 +22,7 @@
 //! without sorting, and join inputs that paid a column-permuted re-sort.
 //!
 //! Usage: `cargo run --release -p cliquesquare-bench --bin report_execution [-- --threads N] [--scale U] [--cardinality] [--snapshot [PATH]]`
-//! (`--threads auto` uses all cores; default: `CSQ_THREADS` or sequential.
+//! (`--threads auto` uses all cores; default: sequential.
 //! `--scale U` generates U LUBM universities — larger datasets amortize the
 //! per-wave thread spawn cost, which is what the speedup column measures.
 //! `--snapshot [PATH]` additionally writes each query's deterministic

@@ -7,8 +7,8 @@
 //! Usage: `cargo run --release -p cliquesquare-bench --bin report_query_stats [-- --threads N]`
 //!
 //! The naive reference evaluator dominates this report's runtime;
-//! `--threads N` (or `CSQ_THREADS`) evaluates the binding extensions on `N`
-//! OS threads with bit-identical cardinalities.
+//! `--threads N` evaluates the binding extensions on `N` OS threads with
+//! bit-identical cardinalities (default: sequential).
 
 use cliquesquare_bench::{lubm_cluster, report_scale, runtime_from_args, table};
 use cliquesquare_engine::reference::reference_eval_with;

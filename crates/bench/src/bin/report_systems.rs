@@ -4,9 +4,9 @@
 //! in the paper.
 //!
 //! The `CSQ wall (ms)` column is the *measured* wall-clock execution time of
-//! the CSQ plan on this machine, using the runtime selected by `--threads N`
-//! (default: `CSQ_THREADS` or sequential); the `(s)` columns are simulated
-//! by the cost model and independent of the thread count.
+//! the CSQ plan on this machine, on the `--threads N` runtime (default:
+//! sequential) that `CsqConfig::threads` carries; the `(s)` columns are
+//! simulated by the cost model and independent of the thread count.
 //!
 //! Usage: `cargo run --release -p cliquesquare-bench --bin report_systems [-- --threads N]`
 

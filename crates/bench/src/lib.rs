@@ -35,14 +35,13 @@ pub fn lubm_cluster(scale: LubmScale) -> Cluster {
     Cluster::load(lubm_graph(scale), ClusterConfig::with_nodes(7))
 }
 
-/// Resolves the execution runtime of a report binary: an explicit
-/// `--threads N` argument wins (also accepting `auto` for the machine's
-/// available parallelism), then the `CSQ_THREADS` environment variable,
-/// then the deterministic sequential default. A `--threads` without a
-/// value or with a malformed one (zero, negative, garbage) prints the
-/// error and exits with status 2 instead of panicking.
+/// Resolves the execution runtime of a report binary: `--threads N` (or
+/// `auto` for the machine's available parallelism), the deterministic
+/// sequential runtime without it. A `--threads` without a value or with a
+/// malformed one (zero, negative, garbage) prints the error and exits with
+/// status 2 instead of panicking.
 pub fn runtime_from_args(args: &[String]) -> Runtime {
-    parse_flag(args, "--threads", Runtime::try_from_option).unwrap_or_else(Runtime::from_env)
+    parse_flag(args, "--threads", Runtime::try_from_option).unwrap_or_else(Runtime::sequential)
 }
 
 /// Parses `--scale U` (LUBM universities) from the argument list, falling
@@ -300,8 +299,8 @@ mod tests {
         assert_eq!(runtime_from_args(&args(&["--threads", "4"])).threads(), 4);
         assert_eq!(runtime_from_args(&args(&["--threads=2"])).threads(), 2);
         assert!(runtime_from_args(&args(&["--threads", "auto"])).threads() >= 1);
-        // No flag: defers to CSQ_THREADS / sequential; just ensure sanity.
-        assert!(runtime_from_args(&args(&["--fast"])).threads() >= 1);
+        // No flag: sequential.
+        assert_eq!(runtime_from_args(&args(&["--fast"])), Runtime::sequential());
     }
 
     #[test]

@@ -18,10 +18,9 @@ pub struct CsqConfig {
     pub variant: Variant,
     /// Cap on the number of candidate plans considered by the cost model.
     pub max_candidate_plans: usize,
-    /// Degree of execution parallelism: `1` runs task waves sequentially,
-    /// `N > 1` runs them on `N` OS threads, and `0` defers to the
-    /// `CSQ_THREADS` environment variable (sequential when unset). Results
-    /// and simulated seconds are bit-identical at every setting; only the
+    /// Degree of execution parallelism: `1` (the default) runs task waves
+    /// sequentially, `N > 1` runs them on `N` OS threads. Results and
+    /// simulated seconds are bit-identical at every setting; only the
     /// measured wall-clock time changes.
     pub threads: usize,
 }
@@ -31,7 +30,7 @@ impl Default for CsqConfig {
         Self {
             variant: Variant::Msc,
             max_candidate_plans: 2_000,
-            threads: 0,
+            threads: 1,
         }
     }
 }
@@ -45,11 +44,7 @@ impl CsqConfig {
 
     /// The runtime the configuration selects.
     pub fn runtime(&self) -> Runtime {
-        if self.threads == 0 {
-            Runtime::from_env()
-        } else {
-            Runtime::with_threads(self.threads)
-        }
+        Runtime::with_threads(self.threads)
     }
 }
 

@@ -217,13 +217,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor over the given cluster. The runtime is taken from
-    /// the `CSQ_THREADS` environment variable (sequential when unset), so
-    /// results are bit-identical either way.
-    pub fn new(cluster: &Cluster) -> Self {
-        Self::with_runtime(cluster, Runtime::from_env())
-    }
-
     /// Creates a sequential (single-threaded) executor.
     pub fn sequential(cluster: &Cluster) -> Self {
         Self::with_runtime(cluster, Runtime::sequential())
@@ -285,7 +278,8 @@ impl Executor {
     /// [`ExecutionOutput::profile`]. Profiling only brackets the existing
     /// waves with clocks and counter snapshots — it never changes what the
     /// tasks compute, so answers are bit-identical to [`Executor::execute`]
-    /// at every thread count (asserted in `tests/observability.rs`).
+    /// at every thread count (asserted in `tests/observability.rs` and
+    /// `tests/differential.rs`).
     pub fn execute_profiled(&self, plan: &PhysicalPlan) -> ExecutionOutput {
         self.execute_inner(plan, true, None, None).0
     }

@@ -12,8 +12,8 @@
 //!   (Section 5.3),
 //! * [`executor`] — execution with full work accounting; per-node map and
 //!   reduce task waves run on a [`cliquesquare_mapreduce::Runtime`]
-//!   (sequential by default, real OS threads with `CSQ_THREADS`/`--threads`,
-//!   bit-identical results either way),
+//!   (sequential by default, real OS threads with `--threads`, bit-identical
+//!   results either way),
 //! * [`factorized`] — run-length factorized join outputs: star joins emit
 //!   `(key, payload ranges)` runs and expand only at the projection
 //!   boundary,

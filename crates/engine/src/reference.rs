@@ -188,12 +188,11 @@ fn extend(
     }
 }
 
-/// Evaluates a BGP query over the graph and returns the **distinct** set of
-/// bindings of its distinguished variables. The thread count is taken from
-/// the `CSQ_THREADS` environment variable (sequential when unset); see
+/// Evaluates a BGP query over the graph, sequentially, and returns the
+/// **distinct** set of bindings of its distinguished variables; see
 /// [`reference_eval_with`] for an explicit runtime.
 pub fn reference_eval(graph: &Graph, query: &BgpQuery) -> Relation {
-    reference_eval_with(graph, query, &Runtime::from_env())
+    reference_eval_with(graph, query, &Runtime::sequential())
 }
 
 /// Evaluates a BGP query over the graph on the given runtime and returns the

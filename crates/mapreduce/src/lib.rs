@@ -51,5 +51,5 @@ pub use job::JobKind;
 pub use load::{BulkLoader, LoadOptions, LoadOutput, LoadReport};
 pub use metrics::{CostParameters, ExecutionMetrics};
 pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles};
-pub use runtime::{partitions_for, Runtime, THREADS_ENV};
+pub use runtime::{partitions_for, Runtime};
 pub use scheduler::{JobId, Scheduler, SchedulerStats};

@@ -18,8 +18,8 @@
 //!    waves *and* across loads ([`LoadReport::scratch_allocations`] counts
 //!    the cold allocations; a warm reload makes zero);
 //! 2. **merge + remap** — shard dictionaries merge into the global
-//!    dictionary in first-occurrence order. On a parallel runtime the merge
-//!    is **partitioned**: the term space is hash-split across
+//!    dictionary in first-occurrence order. The merge is **partitioned**,
+//!    at every thread count: the term space is hash-split across
 //!    [`LoadReport::merge_partitions`] independent partition scans (one task
 //!    each), per-shard id blocks are prefix-summed, and final ids are
 //!    assigned per shard in parallel — bit-identical to the sequential
@@ -131,8 +131,7 @@ pub struct LoadReport {
     /// At most one per concurrent worker on a cold loader; zero on a warm
     /// reload.
     pub scratch_allocations: u64,
-    /// Partitions of the dictionary merge (1 = the sequential
-    /// first-occurrence walk; >1 = the parallel partitioned merge).
+    /// Partitions of the dictionary merge: two per worker thread.
     pub merge_partitions: usize,
 }
 
@@ -428,18 +427,8 @@ impl BulkLoader {
         self.assemble(shards, options, input_seconds, encode_seconds, gauges)
     }
 
-    /// The dictionary-merge partition count: a couple of partition scans
-    /// per worker so the wave balances, and never more than there could be
-    /// distinct terms to split.
-    fn merge_partition_count(&self, shard_count: usize) -> usize {
-        if self.runtime.is_parallel() && shard_count > 1 {
-            (self.runtime.threads() * 2).max(2)
-        } else {
-            1
-        }
-    }
-
-    /// The parallel partitioned dictionary merge: every phase of
+    /// The partitioned dictionary merge, with a couple of partition scans per
+    /// worker so the wave balances: every phase of
     /// `cliquesquare_rdf::load::merge_dictionaries_partitioned` run as its
     /// own task wave (hash per shard → scan per partition → prefix-sum →
     /// assign per shard → resolve per shard), bit-identical to
@@ -493,19 +482,14 @@ impl BulkLoader {
     ) -> LoadOutput {
         let chunks = shards.len().max(1);
 
-        // Merge (partitioned task waves on a parallel runtime, the
-        // sequential first-occurrence walk otherwise) + parallel remap.
+        // Partitioned merge + parallel remap.
         let started = Instant::now();
         let (dictionaries, local_triples): (Vec<_>, Vec<_>) = shards
             .into_iter()
             .map(|s| (s.dictionary, s.triples))
             .unzip();
-        let merge_partitions = self.merge_partition_count(dictionaries.len());
-        let (dictionary, remaps) = if merge_partitions > 1 {
-            self.merge_partitioned(dictionaries, merge_partitions)
-        } else {
-            shard::merge_dictionaries(dictionaries)
-        };
+        let merge_partitions = self.runtime.threads() * 2;
+        let (dictionary, remaps) = self.merge_partitioned(dictionaries, merge_partitions);
         let remapped = self.runtime.run_wave(
             local_triples
                 .into_iter()
@@ -677,7 +661,9 @@ mod tests {
         assert!(r.parsed_bytes > 0);
         assert!(r.peak_inflight_bytes > 0);
         assert!(r.peak_inflight_bytes <= r.parsed_bytes);
-        assert_eq!(r.merge_partitions, 1, "sequential loads merge serially");
+        // One merge path at every thread count: two partition scans for the
+        // one worker.
+        assert_eq!(r.merge_partitions, 2);
     }
 
     #[test]
@@ -697,7 +683,8 @@ mod tests {
     fn parallel_loads_use_the_partitioned_merge() {
         let scale = LubmScale::default(); // 3 universities → 3 shards
         let sequential = BulkLoader::sequential().load_lubm(scale, &LoadOptions::default());
-        assert_eq!(sequential.report.merge_partitions, 1);
+        // The sequential loader runs the partitioned merge too, inline.
+        assert_eq!(sequential.report.merge_partitions, 2);
         let loader = BulkLoader::new(Runtime::with_threads(2));
         let parallel = loader.load_lubm(
             scale,
@@ -706,7 +693,7 @@ mod tests {
                 ..LoadOptions::default()
             },
         );
-        assert!(parallel.report.merge_partitions > 1);
+        assert_eq!(parallel.report.merge_partitions, 4);
         assert_eq!(parallel.graph, sequential.graph);
         assert_eq!(parallel.store, sequential.store);
     }

@@ -264,58 +264,55 @@ impl PartitionedStore {
     /// Partitions `graph` across `nodes` compute nodes, building the store
     /// on `runtime`'s task waves.
     ///
-    /// On a parallel runtime the build runs as a miniature MapReduce job:
-    /// a *map wave* routes triple chunks into per-node file maps, and a
-    /// *reduce wave* (one task per node) concatenates each node's chunk
-    /// maps and sorts every file into the [`scan_order`] of its replica.
-    /// A file's triples do not depend on the chunking and the sort key is
-    /// a total order, so the result is bit-identical to
-    /// [`build`](Self::build) at any thread count.
+    /// The build runs as a miniature MapReduce job: a *map wave* routes
+    /// triple chunks (one per thread) into per-node file maps, and a
+    /// *reduce wave* (one task per node) appends each node's later chunk
+    /// maps to its first and sorts every file into the [`scan_order`] of its
+    /// replica. A file's triples do not depend on the chunking and the sort
+    /// key is a total order, so the result is bit-identical at any thread
+    /// count; on the sequential runtime both waves run inline.
     pub fn build_with(graph: &Graph, nodes: usize, runtime: &Runtime) -> Self {
         let nodes = nodes.max(1);
         let rdf_type = graph.lookup(&Term::iri(cliquesquare_rdf::term::vocab::RDF_TYPE));
         let triples = graph.triples();
-        let files = if !runtime.is_parallel() || triples.len() < 2 {
-            partition_chunk(triples, nodes, rdf_type)
-                .into_iter()
-                .map(sort_files)
-                .collect()
-        } else {
-            // Map wave: one routing task per chunk.
-            let chunk_size = triples.len().div_ceil(runtime.threads());
-            let chunk_maps = runtime.run_wave(
-                triples
-                    .chunks(chunk_size)
-                    .map(|chunk| move || partition_chunk(chunk, nodes, rdf_type))
-                    .collect(),
-            );
-            // Transpose chunk-major → node-major (cheap map moves).
-            let mut per_node: Vec<Vec<NodeFiles>> = (0..nodes)
-                .map(|_| Vec::with_capacity(chunk_maps.len()))
-                .collect();
-            for chunk in chunk_maps {
-                for (node, map) in chunk.into_iter().enumerate() {
-                    per_node[node].push(map);
-                }
+        // Map wave: one routing task per chunk (none for an empty graph).
+        let chunk_size = triples.len().div_ceil(runtime.threads()).max(1);
+        let chunk_maps = runtime.run_wave(
+            triples
+                .chunks(chunk_size)
+                .map(|chunk| move || partition_chunk(chunk, nodes, rdf_type))
+                .collect(),
+        );
+        // Transpose chunk-major → node-major (cheap map moves).
+        let mut per_node: Vec<Vec<NodeFiles>> = (0..nodes)
+            .map(|_| Vec::with_capacity(chunk_maps.len()))
+            .collect();
+        for chunk in chunk_maps {
+            for (node, map) in chunk.into_iter().enumerate() {
+                per_node[node].push(map);
             }
-            // Reduce wave: one merge-and-sort task per node.
-            runtime.run_wave(
-                per_node
-                    .into_iter()
-                    .map(|maps| {
-                        move || {
-                            let mut merged: NodeFiles = HashMap::new();
-                            for map in maps {
-                                for (key, mut triples) in map {
-                                    merged.entry(key).or_default().append(&mut triples);
-                                }
+        }
+        // Reduce wave: one merge-and-sort task per node.
+        let files = runtime.run_wave(
+            per_node
+                .into_iter()
+                .map(|maps| {
+                    move || {
+                        let mut maps = maps.into_iter();
+                        let mut merged = maps.next().unwrap_or_default();
+                        for map in maps {
+                            for (key, mut triples) in map {
+                                // Exact: the store keeps these files.
+                                let file = merged.entry(key).or_default();
+                                file.reserve_exact(triples.len());
+                                file.append(&mut triples);
                             }
-                            sort_files(merged)
                         }
-                    })
-                    .collect(),
-            )
-        };
+                        sort_files(merged)
+                    }
+                })
+                .collect(),
+        );
         Self {
             nodes,
             rdf_type,
@@ -630,9 +627,9 @@ mod tests {
         }
     }
 
-    /// The parallel build (map wave routing chunks + reduce wave merging
-    /// per node) is bit-identical to the sequential build: same file keys,
-    /// same triples per file, in the same stored order.
+    /// The parallel build (several chunks routed, then merged per node) is
+    /// bit-identical to the sequential one-chunk build: same file keys, same
+    /// triples per file, in the same stored order.
     #[test]
     fn parallel_build_is_bit_identical() {
         let graph = LubmGenerator::new(LubmScale::tiny()).generate();
@@ -653,5 +650,6 @@ mod tests {
         let empty = Graph::new();
         let store = PartitionedStore::build_with(&empty, 3, &Runtime::with_threads(4));
         assert_eq!(store.stats().stored_triples, 0);
+        assert_eq!(store, PartitionedStore::build(&empty, 3));
     }
 }

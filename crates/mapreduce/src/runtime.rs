@@ -31,10 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// Environment variable overriding the default thread count
-/// (`auto` selects the machine's available parallelism).
-pub const THREADS_ENV: &str = "CSQ_THREADS";
-
 /// Partitions per busy thread: how many files each replica of the store is
 /// split into, and so how many tasks every scan, join, shuffle and reduce
 /// wave fans out to, for each thread that will drain them. Measured in
@@ -126,26 +122,7 @@ impl Runtime {
         )
     }
 
-    /// Reads the thread count from the `CSQ_THREADS` environment variable:
-    /// a positive number selects that many threads, `auto` selects the
-    /// machine's available parallelism, and an unset variable keeps the
-    /// deterministic sequential default.
-    ///
-    /// # Panics
-    /// Panics with a clear message when the variable is set to `0` or
-    /// unparseable garbage — a misconfigured thread count should stop the
-    /// process, not silently degrade to one thread.
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV) {
-            Ok(value) => match Self::try_from_option(&value) {
-                Ok(runtime) => runtime,
-                Err(error) => panic!("invalid {THREADS_ENV}: {error}"),
-            },
-            Err(_) => Self::sequential(),
-        }
-    }
-
-    /// Parses a user-supplied thread-count option (CLI flag or env value):
+    /// Parses a user-supplied thread-count option (a `--threads` flag):
     /// `"auto"` selects the available parallelism and a positive number
     /// selects that many threads. `"0"` and anything unparseable are
     /// rejected with a message naming the offending value.

@@ -9,7 +9,8 @@
 //! cluster's, statistics computed on the same thread budget), prices it as
 //! the paper's 7-node cluster, starts a persistent serving scheduler with
 //! `--threads` workers, and answers until killed. `--plan-cache` bounds the
-//! template plan cache (default 128 entries) or disables it with `off`:
+//! template plan cache (default 128 entries) or disables it with `off`. Any
+//! other argument exits with status 2, naming it:
 //!
 //! ```text
 //! curl 'http://127.0.0.1:7878/query?name=Q4'
@@ -22,6 +23,25 @@ use cliquesquare_mapreduce::{
 use cliquesquare_rdf::LubmScale;
 use cliquesquare_server::{HttpServer, QueryService, ServerConfig};
 use std::sync::Arc;
+
+/// The flags `csq_server` takes, each with a value.
+const FLAGS: [&str; 4] = ["--addr", "--threads", "--scale", "--plan-cache"];
+
+/// The first argument that is neither one of [`FLAGS`], one's `--flag=value`
+/// form, nor the value following one.
+fn unknown_argument(args: &[String]) -> Option<&str> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let flag = arg.split_once('=').map_or(arg.as_str(), |(flag, _)| flag);
+        if !FLAGS.contains(&flag) {
+            return Some(arg);
+        }
+        if flag == arg {
+            iter.next();
+        }
+    }
+    None
+}
 
 /// Parses the value of `flag` with `parse`, `None` when the flag is absent.
 /// A flag given without a value, or with one `parse` rejects, prints the
@@ -71,6 +91,13 @@ fn plan_cache_capacity(value: &str) -> Result<Option<usize>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_argument(&args) {
+        eprintln!(
+            "error: unknown argument {arg:?} (flags: {})",
+            FLAGS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let addr = parse_flag(&args, "--addr", |value| Ok(value.to_string()))
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let threads = parse_flag(&args, "--threads", Runtime::try_from_option)
@@ -108,5 +135,25 @@ fn main() {
     if let Err(error) = server.serve() {
         eprintln!("error: accept loop failed: {error}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unknown_argument_is_named() {
+        for (args, unknown) in [
+            (&["--scale", "1", "--threads=2"][..], None),
+            (&["--addr", "127.0.0.1:0", "--plan-cache", "off"], None),
+            (&["--thread", "2"], Some("--thread")),
+            (&["--plan_cache", "off"], Some("--plan_cache")),
+            (&["--threads", "2", "4"], Some("4")),
+            (&["--threadsx=2"], Some("--threadsx=2")),
+        ] {
+            let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+            assert_eq!(unknown_argument(&args), unknown, "{args:?}");
+        }
     }
 }

@@ -364,7 +364,9 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
             break;
         }
         if let Some(value) = header_value(line, "content-length") {
-            content_length = value.trim().parse().map_err(|_| {
+            // `1*DIGIT` (RFC 9110): `usize::from_str` would also take a sign.
+            let digits = value.bytes().all(|byte| byte.is_ascii_digit());
+            content_length = value.parse().ok().filter(|_| digits).ok_or_else(|| {
                 RequestError::Serve(ServeError::BadQuery(format!(
                     "unparseable Content-Length: {value:?}"
                 )))
@@ -427,8 +429,10 @@ fn percent_decode(text: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
+                // Two hex digits: `from_str_radix` would also take a sign.
                 match bytes
                     .get(i + 1..i + 3)
+                    .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|hex| std::str::from_utf8(hex).ok())
                     .and_then(|hex| u8::from_str_radix(hex, 16).ok())
                 {
@@ -624,6 +628,9 @@ mod tests {
         assert_eq!(percent_decode("%3Fx"), "?x");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // A sign is no hex digit: the `%` stays, the `+` is a space.
+        assert_eq!(percent_decode("%+A"), "% A");
+        assert_eq!(percent_decode("%+1"), "% 1");
     }
 
     #[test]

@@ -120,6 +120,20 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert_eq!(status, 400);
     assert!(body.contains("malformed query"));
 
+    // 400: a Content-Length with a sign, though it equals the valid body's
+    // length: the header is `1*DIGIT`.
+    let query = "SELECT ?x ?y WHERE { ?x ub:advisor ?y }";
+    let (status, body) = request(
+        addr,
+        format!(
+            "POST /sparql HTTP/1.1\r\nContent-Length: +{}\r\n\r\n{query}",
+            query.len()
+        ),
+    );
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("Content-Length"), "body: {body}");
+    assert_eq!(get(addr, "/health").0, 200);
+
     // 404: unknown query name, unknown route.
     let (status, body) = get(addr, "/query?name=Q99");
     assert_eq!(status, 404);

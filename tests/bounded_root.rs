@@ -5,22 +5,18 @@
 //! .distinct()` cut at the bound and that relation's length, and the count is
 //! the reference evaluator's. All three routes of the root are taken by the
 //! suites (counted on the runs, counted on eager parts, expanded and counted
-//! by the gather), and the graph the count on the runs must not get wrong —
-//! Q1's shape with a professor in two departments that share a member — is
-//! sent down the last one, whether the two departments' runs sit in one
-//! partition or in two.
+//! by the gather). The graph the count on the runs must not get wrong — Q1's
+//! shape with a professor in two departments that share a member — is the
+//! `departments_sharing_a_pair` row of `tests/differential.rs`.
 
 use cliquesquare_engine::reference::reference_eval_with;
-use cliquesquare_engine::{translate, Csq, CsqConfig, Executor, PhysicalPlan, Relation};
+use cliquesquare_engine::{translate, Csq, CsqConfig, Executor, PhysicalPlan};
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
 use cliquesquare_obs::SpanNode;
 use cliquesquare_querygen::lubm_queries::lubm_queries;
 use cliquesquare_querygen::sp2b_queries::sp2b_queries;
 use cliquesquare_querygen::{SyntheticWorkload, WorkloadConfig};
-use cliquesquare_rdf::{
-    Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TriplePosition,
-};
-use cliquesquare_sparql::parser::parse_query;
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term};
 use cliquesquare_sparql::BgpQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,90 +155,4 @@ fn synthetic_answers_are_the_unbounded_ones_cut() {
     routes.sort_unstable();
     routes.dedup();
     assert!(routes.len() >= 2, "one route only: {routes:?}");
-}
-
-/// Eight departments of three professors and four members each, nothing
-/// shared — then, if `shared` names two departments, one more professor
-/// working for both and one more member of both. Returns the graph and the
-/// departments' terms.
-fn departments(shared: Option<(usize, usize)>) -> (Graph, Vec<Term>) {
-    let iri = |text: String| Term::iri(format!("http://adversarial.example/{text}"));
-    let works_for = Term::iri("http://swat.cse.lehigh.edu/onto/univ-bench.owl#worksFor");
-    let member_of = Term::iri("http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf");
-    let mut graph = Graph::new();
-    let departments: Vec<Term> = (0..8).map(|d| iri(format!("Department{d}"))).collect();
-    for (d, department) in departments.iter().enumerate() {
-        for p in 0..3 {
-            let professor = iri(format!("Department{d}/Professor{p}"));
-            graph.insert_terms(professor, works_for.clone(), department.clone());
-        }
-        for s in 0..4 {
-            let student = iri(format!("Department{d}/Student{s}"));
-            graph.insert_terms(student, member_of.clone(), department.clone());
-        }
-    }
-    if let Some((a, b)) = shared {
-        for department in [&departments[a], &departments[b]] {
-            graph.insert_terms(iri("Visitor".into()), works_for.clone(), department.clone());
-            graph.insert_terms(iri("Auditor".into()), member_of.clone(), department.clone());
-        }
-    }
-    (graph, departments)
-}
-
-#[test]
-fn a_pair_repeated_across_runs_is_counted_by_the_gather() {
-    let q1 = parse_query("SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D }").unwrap();
-    // Nothing shared: ?P vouches for the runs and the root counts on them.
-    let (graph, terms) = departments(None);
-    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
-    assert_eq!(
-        assert_bounded_equals_unbounded_cut(&cluster, &q1),
-        Route::Runs
-    );
-
-    // Where the store placed each department (Q1's scans are placed by ?D,
-    // the object): the later graphs only append terms, so ids and placement
-    // stay.
-    let works_for = cluster
-        .graph()
-        .lookup(&Term::iri(
-            "http://swat.cse.lehigh.edu/onto/univ-bench.owl#worksFor",
-        ))
-        .expect("loaded");
-    let node_of = |department: &Term| {
-        let id = cluster.graph().lookup(department).expect("loaded");
-        (0..cluster.nodes())
-            .find(|&node| {
-                let files =
-                    cluster
-                        .store()
-                        .scan_files(node, TriplePosition::Object, Some(works_for), None);
-                files.read().iter().any(|triple| triple.object == id)
-            })
-            .expect("every department employs someone")
-    };
-    let nodes: Vec<usize> = terms.iter().map(node_of).collect();
-    let pairs = (0..8).flat_map(|a| (a + 1..8).map(move |b| (a, b)));
-    let (together, apart): (Vec<_>, Vec<_>) = pairs.partition(|&(a, b)| nodes[a] == nodes[b]);
-
-    // The visitor works for two departments that share the auditor: the
-    // pair (visitor, auditor) comes out of both runs, neither ?P nor ?S can
-    // vouch, and exactness is the gather's — in one partition (the part's
-    // own check fails) and across two (only the merged check can).
-    for (case, shared) in [("one partition", together[0]), ("two partitions", apart[0])] {
-        let (graph, _) = departments(Some(shared));
-        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
-        let route = assert_bounded_equals_unbounded_cut(&cluster, &q1);
-        assert_eq!(route, Route::Fallback, "{case}: departments {shared:?}");
-        let reference = reference_eval_with(cluster.graph(), &q1, &Runtime::sequential());
-        // 8 × 3 × 4 pairs, the visitor with 2 × 4 students, the auditor
-        // with 2 × 3 professors, and the visitor with the auditor once.
-        assert_eq!(reference.len(), 96 + 8 + 6 + 1, "{case}");
-        let plan = served_plan(&cluster, &q1);
-        let served = Executor::sequential(&cluster).execute_bounded(&plan, 1_000, None);
-        assert_eq!(served.total_rows, reference.len(), "{case}");
-        let raw: Relation = Executor::sequential(&cluster).execute(&plan).results;
-        assert_eq!(raw.len(), reference.len() + 1, "{case}: the pair repeats");
-    }
 }

@@ -106,9 +106,9 @@ fn chunk_count_never_changes_the_result() {
     }
 }
 
-/// The partitioned dictionary merge engages on parallel runtimes and stays
-/// bit-identical to the sequential first-occurrence merge at every thread
-/// count (the satellite differential for the parallel merge rework).
+/// The partitioned dictionary merge runs at every thread count, two
+/// partitions per worker, and stays bit-identical to the first-occurrence
+/// merge of a sequential parse.
 #[test]
 fn partitioned_merge_is_bit_identical_across_thread_counts() {
     let text = spiky_ntriples();
@@ -122,17 +122,7 @@ fn partitioned_merge_is_bit_identical_across_thread_counts() {
         let output = loader
             .load_ntriples(&text, &options)
             .expect("load succeeds");
-        if threads == 1 {
-            assert_eq!(
-                output.report.merge_partitions, 1,
-                "sequential runtimes must keep the single-pass merge"
-            );
-        } else {
-            assert!(
-                output.report.merge_partitions > 1,
-                "threads={threads}: parallel runtime fell back to the serial merge"
-            );
-        }
+        assert_eq!(output.report.merge_partitions, 2 * threads);
         assert_eq!(output.graph, expected_graph, "threads={threads}");
         for (id, term) in expected_graph.dictionary().iter() {
             assert_eq!(output.graph.lookup(term), Some(id), "threads={threads}");

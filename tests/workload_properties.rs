@@ -99,7 +99,7 @@ proptest! {
             .optimize(&query)
             .flattest_plans()[0]
             .clone();
-        let output = Executor::new(&cluster).execute_logical(&plan);
+        let output = Executor::sequential(&cluster).execute_logical(&plan);
         prop_assert_eq!(output.distinct_count(), expected);
     }
 }
@@ -117,7 +117,7 @@ fn lubm_data_supports_the_synthetic_and_benchmark_workloads() {
         .optimize(&query)
         .flattest_plans()[0]
         .clone();
-    let output = Executor::new(&cluster).execute_logical(&plan);
+    let output = Executor::sequential(&cluster).execute_logical(&plan);
     assert_eq!(
         output.distinct_count(),
         reference_eval(cluster.graph(), &query).len()
@@ -140,7 +140,7 @@ fn single_pattern_queries_execute_without_joins() {
         .optimize(&query)
         .flattest_plans()[0]
         .clone();
-    let output = Executor::new(&cluster).execute_logical(&plan);
+    let output = Executor::sequential(&cluster).execute_logical(&plan);
     assert_eq!(output.metrics.join_output_tuples, 0);
     assert_eq!(
         output.distinct_count(),
