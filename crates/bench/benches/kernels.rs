@@ -4,14 +4,18 @@
 //! fill-proportional shuffle partitioner, the galloping k-way ordered
 //! merge of the reduce tasks and the root gather, and the scan's bulk bind.
 //! These isolate the kernels the `report_execution` wall-clock columns are
-//! built from. `cargo bench --bench kernels -- kernels_merge_join` runs one
-//! group.
+//! built from. `answer_render` times the server's answer body, rendered from
+//! ids. `cargo bench --bench kernels -- kernels_merge_join` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cliquesquare_engine::{hash_partition, join_runs, Relation, SortOrder, TripleBinder};
-use cliquesquare_rdf::{TermId, Triple};
+use cliquesquare_rdf::term::vocab;
+use cliquesquare_rdf::{LubmGenerator, LubmScale, Term, TermId, Triple};
+use cliquesquare_server::http::render_answer;
+use cliquesquare_server::{AnswerRows, QueryAnswer};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
+use std::sync::Arc;
 
 const ROWS: usize = 20_000;
 
@@ -272,6 +276,49 @@ fn bench_merge_ordered(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served answer's JSON body, its rows rendered from ids: LUBM Q3 as
+/// `point_lookup` asks it, 1 000 (professor, student) rows of one
+/// university's departments — two IRI columns, each cell escaped straight
+/// from the dictionary.
+fn bench_answer_render(c: &mut Criterion) {
+    let graph = LubmGenerator::new(LubmScale::with_universities(1)).generate();
+    let id = |local: &str| {
+        graph
+            .lookup(&Term::iri(vocab::ub(local)))
+            .expect("a LUBM term")
+    };
+    let (works_for, member_of) = (id("worksFor"), id("memberOf"));
+    let with =
+        |property| (graph.triples().iter()).filter(move |t: &&Triple| t.property == property);
+    let mut rows: Vec<Vec<TermId>> = with(works_for)
+        .flat_map(|p| {
+            let members = with(member_of).filter(move |s| s.object == p.object);
+            members.map(move |s| vec![p.subject, s.subject])
+        })
+        .take(1_000)
+        .collect();
+    rows.sort();
+    assert_eq!(rows.len(), 1_000);
+    let answer = QueryAnswer {
+        query: String::new(),
+        variables: vec!["?P".to_string(), "?S".to_string()],
+        rows: AnswerRows::new(Relation::new(vec![v("P"), v("S")], rows), Arc::new(graph)),
+        total_rows: 1_000,
+        truncated: false,
+        job_descriptor: "1".to_string(),
+        simulated_seconds: 0.0,
+        wall_seconds: 0.0,
+        plan_seconds: 0.0,
+        cache_hit: true,
+        profile: None,
+    };
+    let mut group = c.benchmark_group("answer_render");
+    group.bench_function("q3_lookup_1000_rows_x2_iris", |b| {
+        b.iter(|| black_box(render_answer(&answer).len()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -279,6 +326,7 @@ criterion_group!(
     bench_factorized,
     bench_shuffle,
     bench_merge_ordered,
-    bench_scan
+    bench_scan,
+    bench_answer_render
 );
 criterion_main!(benches);

@@ -11,7 +11,9 @@
 //!
 //! The query routes accept `profile=1` in the query string, which attaches a
 //! per-query execution profile (parse → plan → per-job execute span tree) to
-//! the JSON answer; answers are bit-identical with or without it.
+//! the JSON answer; answers are bit-identical with or without it. An
+//! answer's rows reach [`render_answer`] as dictionary ids, and each cell is
+//! escaped from the dictionary straight into the one response buffer.
 //!
 //! Every error is a structured JSON body with the status the
 //! [`ServeError`] maps to (400 malformed query, 404 unknown name or route,
@@ -24,6 +26,7 @@
 use crate::service::{QueryAnswer, QueryService, ServeError};
 use cliquesquare_obs::json::{push_escaped, push_strings};
 use cliquesquare_obs::LATENCY_SECONDS_BUCKETS;
+use cliquesquare_rdf::{Graph, Term, TermId};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -231,18 +234,19 @@ fn handle_connection(
     let (endpoint, response) = match read_request(stream, config.max_request_bytes) {
         Ok(request) => (endpoint_label(&request.path), route(service, &request)),
         Err(RequestError::Serve(error)) => ("error", error_response(&error)),
+        // The client never delivered a full request; tell it why before
+        // closing, best-effort.
         Err(RequestError::Io(error)) if is_timeout(&error) => {
-            // The client never delivered a full request; tell it why before
-            // closing, best-effort.
-            let response = error_response(&ServeError::Timeout);
-            observe_request("error", response.status, started.elapsed().as_secs_f64());
-            let _ = write_response(stream, &response);
-            return Ok(());
+            ("error", error_response(&ServeError::Timeout))
         }
         Err(RequestError::Io(error)) => return Err(error),
     };
-    observe_request(endpoint, response.status, started.elapsed().as_secs_f64());
-    write_response(stream, &response)
+    // Observed once the response is written (or failed to be): the
+    // histogram's time is the whole of handling the request.
+    let status = response.status;
+    let written = write_response(stream, response);
+    observe_request(endpoint, status, started.elapsed().as_secs_f64());
+    written
 }
 
 /// Bounded-cardinality endpoint label for the request metrics.
@@ -506,6 +510,11 @@ fn answer(result: Result<QueryAnswer, ServeError>) -> Response {
     }
 }
 
+/// Spare capacity an answer body reserves for the response head:
+/// [`write_response`] shifts the body within its own buffer to put the head
+/// in front, instead of copying both into a second one.
+const HEAD_ROOM: usize = 128;
+
 fn ok_body(body: String) -> Response {
     Response {
         status: 200,
@@ -527,16 +536,16 @@ fn error_response(error: &ServeError) -> Response {
     }
 }
 
-fn render_answer(answer: &QueryAnswer) -> String {
-    // One body buffer, reserved for the cells (quotes and separators
-    // included) plus the envelope; cells are escaped straight into it.
-    let cells: usize = answer
-        .rows
-        .iter()
-        .flatten()
-        .map(|cell| cell.len() + 4)
+/// The JSON body of `answer`. One buffer, reserved for the cells (quotes,
+/// separators and escapes of the common case included), the envelope and
+/// the response head; each cell is escaped into it straight from the
+/// dictionary, so no cell is ever a `String` of its own.
+pub fn render_answer(answer: &QueryAnswer) -> String {
+    let graph = answer.rows.graph();
+    let cells: usize = (answer.rows.ids().flatten())
+        .map(|&id| graph.decode(id).map_or(16, |term| term.value().len() + 8))
         .sum();
-    let mut json = String::with_capacity(512 + cells + 8 * answer.rows.len());
+    let mut json = String::with_capacity(HEAD_ROOM + 512 + cells + 8 * answer.rows.len());
     json.push_str("{\n  \"query\": \"");
     push_escaped(&mut json, &answer.query);
     json.push_str("\",\n  \"variables\": [");
@@ -556,9 +565,14 @@ fn render_answer(answer: &QueryAnswer) -> String {
         answer.wall_seconds
     ));
     json.push_str("  \"rows\": [\n");
-    for (index, row) in answer.rows.iter().enumerate() {
+    for (index, row) in answer.rows.ids().enumerate() {
         json.push_str("    [");
-        push_strings(&mut json, row);
+        for (column, &id) in row.iter().enumerate() {
+            if column > 0 {
+                json.push_str(", ");
+            }
+            push_cell(&mut json, graph, id);
+        }
         json.push_str(if index + 1 == answer.rows.len() {
             "]\n"
         } else {
@@ -575,22 +589,52 @@ fn render_answer(answer: &QueryAnswer) -> String {
     json
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        response.status,
-        response.reason,
-        response.content_type,
-        response.body.len(),
-        response.body
-    )?;
-    stream.flush()
+/// Appends one answer cell as a quoted JSON string: the term's text
+/// (`<iri>`, `"literal"`, or `#id` for an id the dictionary does not hold),
+/// escaped from the dictionary's own bytes. `<` and `>` need no escape, the
+/// literal's quotes do.
+fn push_cell(json: &mut String, graph: &Graph, id: TermId) {
+    match graph.decode(id) {
+        Some(Term::Iri(iri)) => {
+            json.push_str("\"<");
+            push_escaped(json, iri);
+            json.push_str(">\"");
+        }
+        Some(Term::Literal(text)) => {
+            json.push_str("\"\\\"");
+            push_escaped(json, text);
+            json.push_str("\\\"\"");
+        }
+        None => json.push_str(&format!("\"{id}\"")),
+    }
+}
+
+/// Writes `response` with one `write` where the writer takes it all: the
+/// head goes in front of the body in the body's own buffer (a raw
+/// `TcpStream` has no buffer of its own, so each formatted fragment would
+/// be a syscall).
+fn write_response<W: Write>(out: &mut W, response: Response) -> io::Result<()> {
+    let Response {
+        status,
+        reason,
+        content_type,
+        mut body,
+    } = response;
+    let head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    body.insert_str(0, &head);
+    out.write_all(body.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::AnswerRows;
+    use cliquesquare_engine::Relation;
+    use cliquesquare_sparql::Variable;
 
     #[test]
     fn a_new_handler_is_asked_for_only_when_none_is_parked() {
@@ -652,17 +696,23 @@ mod tests {
         assert_eq!(header_value("Host: x", "content-length"), None);
     }
 
-    #[test]
-    fn answer_body_layout_is_fixed_byte_for_byte() {
+    /// A two-column answer over a hand-built dictionary: an IRI and a
+    /// literal that needs escapes, an IRI and an empty literal, and an id
+    /// the dictionary does not hold.
+    fn sample_answer() -> QueryAnswer {
+        let mut graph = Graph::new();
+        let a = graph.encode(Term::iri("a"));
+        let escaped = graph.encode(Term::literal("l\\1\n"));
+        let b = graph.encode(Term::iri("b"));
+        let empty = graph.encode(Term::literal(""));
+        let schema = vec![Variable::new("x"), Variable::new("y")];
+        let ids = vec![vec![a, escaped], vec![b, empty], vec![TermId(99), a]];
         let cell = |text: &str| text.to_string();
-        let answer = QueryAnswer {
+        QueryAnswer {
             query: cell("Q\"1"),
             variables: vec![cell("?x"), cell("?y")],
-            rows: vec![
-                vec![cell("<a>"), cell("\"l\\1\"\n")],
-                vec![cell("<b>"), cell("")],
-            ],
-            total_rows: 2,
+            rows: AnswerRows::new(Relation::new(schema, ids), Arc::new(graph)),
+            total_rows: 3,
             truncated: false,
             job_descriptor: cell("M"),
             simulated_seconds: 1.5,
@@ -670,21 +720,73 @@ mod tests {
             plan_seconds: 0.0,
             cache_hit: false,
             profile: None,
-        };
+        }
+    }
+
+    #[test]
+    fn answer_body_layout_is_fixed_byte_for_byte() {
+        let answer = sample_answer();
         assert_eq!(
             render_answer(&answer),
-            "{\n  \"query\": \"Q\\\"1\",\n  \"variables\": [\"?x\", \"?y\"],\n  \"total_rows\": 2,\n  \
+            "{\n  \"query\": \"Q\\\"1\",\n  \"variables\": [\"?x\", \"?y\"],\n  \"total_rows\": 3,\n  \
              \"truncated\": false,\n  \"jobs\": \"M\",\n  \"simulated_seconds\": 1.500000,\n  \
-             \"wall_seconds\": 0.250000,\n  \"rows\": [\n    [\"<a>\", \"\\\"l\\\\1\\\"\\n\"],\n    \
-             [\"<b>\", \"\"]\n  ]\n}\n"
+             \"wall_seconds\": 0.250000,\n  \"rows\": [\n    [\"<a>\", \"\\\"l\\\\1\\n\\\"\"],\n    \
+             [\"<b>\", \"\\\"\\\"\"],\n    [\"#99\", \"<a>\"]\n  ]\n}\n"
         );
+        let graph = answer.rows.graph().clone();
+        let none = Relation::empty(Vec::new());
         let empty = QueryAnswer {
-            rows: Vec::new(),
+            rows: AnswerRows::new(none, Arc::new(graph)),
             variables: Vec::new(),
             ..answer
         };
         let body = render_answer(&empty);
         assert!(body.contains("  \"variables\": [],\n"), "{body}");
         assert!(body.ends_with("  \"rows\": [\n  ]\n}\n"), "{body}");
+    }
+
+    /// Records every `write` call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_and_body() {
+        let body = render_answer(&sample_answer());
+        let unknown = error_response(&ServeError::UnknownQuery("Q99".to_string()));
+        let cases = [
+            (ok_body(body.clone()), "200 OK", "application/json", body),
+            (
+                unknown,
+                "404 Not Found",
+                "application/json",
+                "{\"error\": \"unknown query name: \\\"Q99\\\"\", \"status\": 404}\n".to_string(),
+            ),
+        ];
+        for (response, status, content_type, body) in cases {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, response).expect("written");
+            let expected = format!(
+                "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).expect("UTF-8"), expected);
+            assert_eq!(out.writes, 1, "{status}");
+        }
     }
 }

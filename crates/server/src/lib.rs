@@ -35,4 +35,4 @@ pub mod service;
 
 pub use http::{HttpServer, ServerConfig, ShutdownHandle};
 pub use plancache::{CachedPlan, PlanCache, TemplateKey};
-pub use service::{QueryAnswer, QueryService, ServeError};
+pub use service::{AnswerRows, QueryAnswer, QueryService, ServeError};

@@ -1,12 +1,15 @@
 //! The serving boundary: SPARQL text in, structured answers or errors out.
 
 use crate::plancache::{CachedPlan, PlanCache, TemplateKey, DEFAULT_CAPACITY};
+use cliquesquare_engine::relation::Rows;
 use cliquesquare_engine::{
     rebind_constants, translate, Csq, CsqConfig, Executor, MapReduceCostModel, PhysicalPlan,
+    Relation,
 };
 use cliquesquare_mapreduce::{Cluster, Runtime};
 use cliquesquare_obs::{QueryProfile, SpanNode};
 use cliquesquare_querygen::lubm_queries::lubm_queries;
+use cliquesquare_rdf::{Graph, TermId};
 use cliquesquare_sparql::parser::parse_query;
 use cliquesquare_sparql::{BgpQuery, Variable};
 use std::collections::BTreeMap;
@@ -16,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default cap on the number of result rows decoded into one answer, so a
-/// single huge query cannot balloon an HTTP response without bound. The full
+/// Default cap on the number of result rows one answer carries, so a single
+/// huge query cannot balloon an HTTP response without bound. The full
 /// distinct count is always reported.
 pub const DEFAULT_MAX_ROWS: usize = 1_000;
 
@@ -87,17 +90,72 @@ impl fmt::Display for ServeError {
     }
 }
 
-/// One served query's answer: the decoded distinct bindings plus the
+/// An answer's rows as the bounded root cut them: dictionary ids, beside the
+/// graph whose dictionary decodes them. Nothing is decoded on the serving
+/// path until the HTTP writer renders each cell straight from
+/// [`Graph::decode`] into the response body; [`decoded`](Self::decoded) is
+/// for tests and in-process callers that want the terms as text.
+#[derive(Clone)]
+pub struct AnswerRows {
+    relation: Relation,
+    graph: Arc<Graph>,
+}
+
+impl AnswerRows {
+    /// The rows of `relation`, to be decoded through `graph`'s dictionary.
+    pub fn new(relation: Relation, graph: Arc<Graph>) -> Self {
+        Self { relation, graph }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.relation.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.relation.is_empty()
+    }
+
+    /// The rows as id slices, in canonical order.
+    pub(crate) fn ids(&self) -> Rows<'_> {
+        self.relation.rows()
+    }
+
+    /// The graph whose dictionary decodes the ids.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The rows with every cell decoded to its term's text (`<iri>`,
+    /// `"literal"`), or `#id` for an id the dictionary does not hold.
+    pub fn decoded(&self) -> impl Iterator<Item = Vec<String>> + '_ {
+        let decode = |&id: &TermId| match self.graph.decode(id) {
+            Some(term) => term.to_string(),
+            None => id.to_string(),
+        };
+        self.ids().map(move |row| row.iter().map(decode).collect())
+    }
+}
+
+/// Shows the decoded rows, not the whole graph behind them.
+impl fmt::Debug for AnswerRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.decoded()).finish()
+    }
+}
+
+/// One served query's answer: the distinct bindings, still as ids, plus the
 /// execution facts a client needs to reason about them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QueryAnswer {
     /// The query's name (empty for ad-hoc SPARQL text).
     pub query: String,
     /// The projected variables, in schema order (`?x`, `?y`, …).
     pub variables: Vec<String>,
-    /// Decoded distinct rows in canonical order, capped at the service's
-    /// row limit.
-    pub rows: Vec<Vec<String>>,
+    /// Distinct rows in canonical order, capped at the service's row limit:
+    /// the bounded root's cut, decoded only when rendered.
+    pub rows: AnswerRows,
     /// The full distinct answer count (may exceed `rows.len()`), exact on
     /// every path of the executor's bounded root
     /// ([`Executor::execute_bounded`]): counted on the factorized runs or on
@@ -112,7 +170,7 @@ pub struct QueryAnswer {
     pub simulated_seconds: f64,
     /// Measured wall-clock execution time, in seconds: the whole of
     /// [`Executor::execute_bounded`], so it includes counting `total_rows`
-    /// and cutting to the row limit; decoding `rows` comes after it.
+    /// and cutting to the row limit; rendering `rows` comes after it.
     pub wall_seconds: f64,
     /// Measured wall-clock planning time (plan choice + translation on a
     /// cache miss, constant rebinding on a hit), in seconds. Disjoint from
@@ -387,20 +445,7 @@ impl QueryService {
                 root,
             }
         });
-        let results = &output.results;
-        let graph = self.csq.cluster().graph();
-        let truncated = total_rows > results.len();
-        let rows = results
-            .rows()
-            .map(|row| {
-                row.iter()
-                    .map(|&id| match graph.decode(id) {
-                        Some(term) => term.to_string(),
-                        None => format!("#{id}"),
-                    })
-                    .collect()
-            })
-            .collect();
+        let results = output.results;
         QueryAnswer {
             query: query.name().to_string(),
             // On a cache hit the plan's schema carries the template's
@@ -414,9 +459,9 @@ impl QueryService {
                     renamed.map_or(v, |(_, name)| name).to_string()
                 })
                 .collect(),
-            rows,
+            truncated: total_rows > results.len(),
+            rows: AnswerRows::new(results, self.csq.cluster().graph_arc()),
             total_rows,
-            truncated,
             job_descriptor: output.schedule.descriptor(),
             simulated_seconds: output.simulated_seconds,
             wall_seconds: output.wall_seconds,
@@ -548,7 +593,7 @@ mod tests {
         for handle in handles {
             let interleaved = handle.join().unwrap();
             for (a, b) in solo.iter().zip(&interleaved) {
-                assert_eq!(a.rows, b.rows);
+                assert!(a.rows.decoded().eq(b.rows.decoded()));
                 assert_eq!(a.total_rows, b.total_rows);
                 assert_eq!(a.job_descriptor, b.job_descriptor);
             }

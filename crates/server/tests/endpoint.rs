@@ -6,8 +6,10 @@
 //! `profile=1` attaching a consistent span tree.
 
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, Runtime};
-use cliquesquare_rdf::{LubmGenerator, LubmScale};
-use cliquesquare_server::{HttpServer, QueryService, ServerConfig, ShutdownHandle};
+use cliquesquare_obs::json::{push_escaped, push_strings};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Term};
+use cliquesquare_server::http::render_answer;
+use cliquesquare_server::{HttpServer, QueryAnswer, QueryService, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -395,6 +397,101 @@ fn a_stalled_request_gets_a_408_when_the_read_timeout_fires() {
         response.starts_with("HTTP/1.1 408 Request Timeout"),
         "response: {response}"
     );
+}
+
+/// An answer body as the server rendered it while rows were decoded first:
+/// every cell a `String` from `Term`'s `Display`, escaped by `push_strings`.
+/// Kept here only as the oracle of the renderer that writes cells straight
+/// from the dictionary.
+fn decoded_body(answer: &QueryAnswer) -> String {
+    let mut json = String::from("{\n  \"query\": \"");
+    push_escaped(&mut json, &answer.query);
+    json.push_str("\",\n  \"variables\": [");
+    push_strings(&mut json, &answer.variables);
+    json.push_str("],\n");
+    json.push_str(&format!("  \"total_rows\": {},\n", answer.total_rows));
+    json.push_str(&format!("  \"truncated\": {},\n", answer.truncated));
+    json.push_str("  \"jobs\": \"");
+    push_escaped(&mut json, &answer.job_descriptor);
+    json.push_str("\",\n");
+    json.push_str(&format!(
+        "  \"simulated_seconds\": {:.6},\n",
+        answer.simulated_seconds
+    ));
+    json.push_str(&format!(
+        "  \"wall_seconds\": {:.6},\n",
+        answer.wall_seconds
+    ));
+    json.push_str("  \"rows\": [\n");
+    let rows: Vec<Vec<String>> = answer.rows.decoded().collect();
+    for (index, row) in rows.iter().enumerate() {
+        json.push_str("    [");
+        push_strings(&mut json, row);
+        json.push_str(if index + 1 == rows.len() {
+            "]\n"
+        } else {
+            "],\n"
+        });
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// Every character JSON escapes, and multi-byte ones beside them, in IRIs
+/// and literals of a hand-built graph: the body served in-process and over
+/// HTTP is the decode-then-escape oracle's, byte for byte.
+#[test]
+fn escaped_terms_render_byte_for_byte_like_decoded_strings() {
+    const TRICKY: [&str; 10] = [
+        "quote\"d",
+        "back\\slash",
+        "line\nfeed",
+        "carriage\rreturn",
+        "tab\tbed",
+        "one\u{1}",
+        "unit\u{1f}sep",
+        "café",
+        "東京",
+        "\"\\\n\r\t\u{1}\u{1f}é東京",
+    ];
+    let property = Term::iri("http://example.org/p");
+    let mut graph = Graph::new();
+    for (index, text) in TRICKY.iter().enumerate() {
+        let subject = Term::iri(format!("http://example.org/{text}/{index}"));
+        graph.insert_terms(subject.clone(), property.clone(), Term::literal(*text));
+        let object = Term::iri(format!("http://example.org/o/{text}"));
+        graph.insert_terms(subject, property.clone(), object);
+    }
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(2));
+    let service = Arc::new(QueryService::new(cluster, Runtime::serving(1)));
+    let query = "SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }";
+
+    let answer = service.execute_text(query).expect("serves");
+    assert_eq!(answer.rows.len(), 2 * TRICKY.len());
+    let oracle = decoded_body(&answer);
+    assert!(
+        oracle.contains("東京") && oracle.contains("\\u001f"),
+        "{oracle}"
+    );
+    assert_eq!(render_answer(&answer), oracle);
+
+    let server = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default());
+    let server = server.expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle().expect("handle");
+    let thread = std::thread::spawn(move || server.serve().expect("serve"));
+    let (status, body) = post_sparql(addr, query);
+    handle.stop();
+    thread.join().expect("server thread");
+    assert_eq!(status, 200, "body: {body}");
+    // Only the request's own execution wall differs.
+    let timeless = |text: &str| -> Vec<String> {
+        let lines = text
+            .split_inclusive('\n')
+            .filter(|l| !l.contains("\"wall_seconds\""));
+        lines.map(str::to_string).collect()
+    };
+    assert_eq!(timeless(&body), timeless(&oracle));
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn cluster() -> Cluster {
 fn comparable(answer: &QueryAnswer) -> (Vec<String>, Vec<Vec<String>>, usize) {
     (
         answer.variables.clone(),
-        answer.rows.clone(),
+        answer.rows.decoded().collect(),
         answer.total_rows,
     )
 }

@@ -328,7 +328,8 @@ impl Dataset {
                                 let checked = cache && !noise;
                                 assert!(!checked || answer.cache_hit == hit, "{cell}: hit {hit}");
                                 let (total, truncated) = (answer.total_rows, answer.truncated);
-                                answer_lines((answer.variables, answer.rows, total, truncated))
+                                let rows = answer.rows.decoded().collect();
+                                answer_lines((answer.variables, rows, total, truncated))
                             }
                         };
                         assert_eq!(served, wanted[index], "{cell}");

@@ -7,7 +7,7 @@
 //! key. It is the relation layer's one allocation measurement (the engine's
 //! `relation::stats` counters record work, not allocations). The same
 //! allocator counts bytes, to hold a served (bounded) answer's memory
-//! against the unbounded execution of the same plan.
+//! against the bounded and the unbounded execution of the same plan.
 
 use cliquesquare::engine::relation::stats;
 use cliquesquare::engine::{
@@ -303,13 +303,18 @@ fn scan_bind_allocates_its_row_buffer_once() {
 /// allocator for well under half of what executing the same plan unbounded
 /// asks for (measured 0.82 MB against 2.30 MB: what is left is the scans
 /// and the join, ≈ 3 kB per run against the ≈ 9 kB per run the expansion and
-/// the gather copy add). The whole served request — the 1 000 rows decoded
-/// to strings included, ≈ 0.44 MB whatever the scale — stays below the
-/// unbounded execution alone. A root that expanded the answer again would
-/// fail both.
+/// the gather copy add). The whole served request adds a constant to the
+/// bounded execution: the plan-cache rebind and the answer's few fields —
+/// its 1 000 rows stay the execution's ids, so nothing is allocated per
+/// row or per cell (measured 5.3 kB; one `String` per cell was 0.44 MB). A
+/// root that expanded the answer again would fail the first bound, an
+/// answer that decoded its cells the second.
 #[test]
 fn serving_q1_allocates_a_fraction_of_executing_it() {
     const ROWS: usize = 192 * 11 * 52;
+    /// What serving may allocate beyond `execute_bounded`: three times the
+    /// measured 5.3 kB.
+    const ANSWER_BYTES: u64 = 16 * 1024;
     let graph = LubmGenerator::new(LubmScale::with_universities(48)).generate();
     let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
     let (_, chosen, _) = Csq::new(cluster.clone(), CsqConfig::default()).plan(&q1());
@@ -339,7 +344,7 @@ fn serving_q1_allocates_a_fraction_of_executing_it() {
         "the bounded execution allocated {bounding} bytes, the unbounded one {executing}"
     );
     assert!(
-        serving < executing,
-        "serving Q1 allocated {serving} bytes, executing it {executing}"
+        serving <= bounding + ANSWER_BYTES,
+        "serving Q1 allocated {serving} bytes, its bounded execution {bounding}"
     );
 }

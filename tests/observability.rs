@@ -5,15 +5,21 @@
 //!   plan and execute spans cover the query, job spans and the root gather
 //!   cover the execution;
 //! * the sort and run counters a profile attaches to its operators must add
-//!   up to the thread-local relation counters of a sequential run.
+//!   up to the thread-local relation counters of a sequential run;
+//! * the HTTP latency histogram counts each request once.
 
 use cliquesquare::engine::csq::{Csq, CsqConfig};
 use cliquesquare::engine::relation::stats as relation_stats;
 use cliquesquare::engine::{translate, Executor};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, Runtime};
+use cliquesquare::obs::LATENCY_SECONDS_BUCKETS;
 use cliquesquare::querygen::lubm_queries::{lubm_queries, lubm_query};
 use cliquesquare::rdf::{LubmGenerator, LubmScale};
-use cliquesquare_server::QueryService;
+use cliquesquare_server::{HttpServer, QueryService, ServerConfig};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn cluster() -> Cluster {
     let graph = LubmGenerator::new(LubmScale::tiny()).generate();
@@ -236,4 +242,54 @@ fn profiled_counters_are_the_sum_of_task_deltas() {
             }
         }
     }
+}
+
+/// `csq_http_request_seconds` counts each request once, observed when its
+/// response has been written: an answered query and a request that stalls
+/// into its 408 alike. No other test of this binary serves HTTP, so the
+/// process-wide histogram moves by this test's requests alone.
+#[test]
+fn each_http_request_is_one_latency_observation() {
+    let service = Arc::new(QueryService::new(cluster(), Runtime::serving(2)));
+    let config = ServerConfig {
+        read_timeout: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    };
+    let server = HttpServer::bind(service, "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle().expect("handle");
+    let thread = std::thread::spawn(move || server.serve().expect("serve"));
+    let observed = |endpoint: &str| {
+        let histogram = cliquesquare::obs::global().histogram(
+            "csq_http_request_seconds",
+            "End-to-end HTTP request handling time",
+            &[("endpoint", endpoint)],
+            LATENCY_SECONDS_BUCKETS,
+        );
+        histogram.snapshot().count()
+    };
+    // The server closes the connection after observing: once the client
+    // has read to the end, the count has moved.
+    let exchange = |request: &[u8]| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request).expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        response
+    };
+    for (endpoint, request, status) in [
+        (
+            "query",
+            &b"GET /query?name=Q1 HTTP/1.1\r\n\r\n"[..],
+            "HTTP/1.1 200 ",
+        ),
+        ("error", &b"GET /health HT"[..], "HTTP/1.1 408 "),
+    ] {
+        let before = observed(endpoint);
+        let response = exchange(request);
+        assert!(response.starts_with(status), "{response}");
+        assert_eq!(observed(endpoint), before + 1, "{endpoint}");
+    }
+    handle.stop();
+    thread.join().expect("server thread");
 }

@@ -42,7 +42,7 @@ fn stable(answer: &QueryAnswer) -> (String, Vec<String>, Vec<Vec<String>>, usize
     (
         answer.query.clone(),
         answer.variables.clone(),
-        answer.rows.clone(),
+        answer.rows.decoded().collect(),
         answer.total_rows,
         answer.job_descriptor.clone(),
     )
