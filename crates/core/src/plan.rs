@@ -20,9 +20,9 @@ impl OpId {
 /// A logical operator of a CliqueSquare plan.
 ///
 /// The paper defines four operators: Match, (n-ary) Join, Select and Project.
-/// Selections arising from constants in triple patterns are folded into the
-/// corresponding Match operator; the explicit Select operator remains
-/// available for predicates that can only be checked on a join output.
+/// In the BGP fragment every selection comes from a constant in a triple
+/// pattern and is folded into that pattern's Match (joins enforce every
+/// other equality), so no Select operator is built.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogicalOp {
     /// `M_tp`: outputs the relation of triples matching triple pattern `tp`.
@@ -42,15 +42,6 @@ pub enum LogicalOp {
         /// Input operators.
         inputs: Vec<OpId>,
         /// Output attributes (union of the inputs' attributes).
-        output: BTreeSet<Variable>,
-    },
-    /// `σ_c(op)`: filters tuples of `op` by an equality condition.
-    Select {
-        /// Human-readable description of the condition.
-        condition: String,
-        /// Input operator.
-        input: OpId,
-        /// Output attributes (same as the input's).
         output: BTreeSet<Variable>,
     },
     /// `π_A(op)`: projects the input onto the attribute list `A`.
@@ -74,7 +65,7 @@ impl Hash for LogicalOp {
         match self {
             LogicalOp::Match { pattern_index, .. } => pattern_index.hash(state),
             LogicalOp::Join { inputs, .. } => inputs.hash(state),
-            LogicalOp::Select { input, .. } | LogicalOp::Project { input, .. } => input.hash(state),
+            LogicalOp::Project { input, .. } => input.hash(state),
         }
     }
 }
@@ -85,16 +76,14 @@ impl LogicalOp {
         match self {
             LogicalOp::Match { .. } => Vec::new(),
             LogicalOp::Join { inputs, .. } => inputs.clone(),
-            LogicalOp::Select { input, .. } | LogicalOp::Project { input, .. } => vec![*input],
+            LogicalOp::Project { input, .. } => vec![*input],
         }
     }
 
     /// The operator's output attributes.
     pub fn output(&self) -> BTreeSet<Variable> {
         match self {
-            LogicalOp::Match { output, .. }
-            | LogicalOp::Join { output, .. }
-            | LogicalOp::Select { output, .. } => output.clone(),
+            LogicalOp::Match { output, .. } | LogicalOp::Join { output, .. } => output.clone(),
             LogicalOp::Project { variables, .. } => variables.iter().cloned().collect(),
         }
     }
@@ -236,7 +225,7 @@ impl LogicalPlan {
 
     /// A canonical structural signature of the plan, used to deduplicate
     /// plans and to define the similarity classes `P∼(q)` of Section 4.3
-    /// (projections and selections are ignored, join inputs are unordered).
+    /// (projections are ignored, join inputs are unordered).
     pub fn signature(&self) -> String {
         let mut memo = vec![None; self.ops.len()];
         self.signature_of(self.root, &mut memo)
@@ -258,8 +247,8 @@ impl LogicalPlan {
                 let attrs: Vec<String> = attributes.iter().map(|v| v.name().to_string()).collect();
                 format!("J[{}]({})", attrs.join(","), child_sigs.join("|"))
             }
-            LogicalOp::Select { input, .. } | LogicalOp::Project { input, .. } => {
-                // σ/π do not participate in the similarity classes.
+            LogicalOp::Project { input, .. } => {
+                // π does not participate in the similarity classes.
                 self.signature_of(*input, memo)
             }
         };
@@ -300,12 +289,6 @@ impl LogicalPlan {
                 for input in inputs {
                     self.render_into(*input, depth + 1, out);
                 }
-            }
-            LogicalOp::Select {
-                condition, input, ..
-            } => {
-                out.push_str(&format!("{indent}Select {condition}\n"));
-                self.render_into(*input, depth + 1, out);
             }
             LogicalOp::Project { variables, input } => {
                 let vars: Vec<String> = variables.iter().map(ToString::to_string).collect();

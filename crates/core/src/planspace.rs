@@ -21,11 +21,6 @@ pub fn optimal_height(query: &BgpQuery) -> Option<usize> {
         .min_height()
 }
 
-/// Returns `true` if `plan` is height-optimal for `query` (Definition 4.1).
-pub fn is_height_optimal(plan: &LogicalPlan, query: &BgpQuery) -> bool {
-    optimal_height(query).is_some_and(|h| plan.height() == h)
-}
-
 /// Per-query measurements for one variant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryMeasurement {

@@ -19,8 +19,8 @@
 //! * **Scans** are exact: per-predicate triple counts (and per-class counts
 //!   for split `rdf:type` files) answer a scan's size without touching the
 //!   store.
-//! * **Residual filters** use distinct-count selection: an equality on
-//!   position `P` of a predicate-`p` scan keeps `1 / d_P(p)` of its input,
+//! * **Residual constants** use distinct-count selection: an equality on
+//!   position `P` of a predicate-`p` scan keeps `1 / d_P(p)` of its rows,
 //!   where `d_P(p)` is the number of distinct values predicate `p` has at
 //!   `P` — instead of the old fixed 5% guess.
 //! * **Joins** use distinct-count estimation under the containment
@@ -171,31 +171,35 @@ impl<'a> MapReduceCostModel<'a> {
             let op = plan.op(id);
             let estimate = match op {
                 PhysicalOp::MapScan { spec, .. } => {
-                    let card = self.scan_cardinality(spec);
-                    work += card * params.read;
-                    OpEstimate {
-                        card,
-                        distincts: self.scan_distincts(spec, card),
-                    }
-                }
-                PhysicalOp::Filter {
-                    conditions, input, ..
-                } => {
-                    let input_est = &estimates[input.index()];
-                    let input_card = input_est.card;
-                    work += input_card * params.check;
-                    let selectivity = match (self.statistics, scan_spec(plan, *input)) {
-                        (Some(stats), Some(spec)) => conditions
-                            .iter()
-                            .map(|condition| condition_selectivity(stats, spec, condition.position))
-                            .product::<f64>(),
-                        // Without statistics: the old fixed 5% per condition.
-                        _ => 0.05f64.powi(conditions.len() as i32),
-                    };
-                    let card = input_card * selectivity;
-                    OpEstimate {
-                        card,
-                        distincts: scale_distincts(&input_est.distincts, card),
+                    // Priced as the paper's MapScan and the Filter over it:
+                    // every row of the files read, then each row checked
+                    // against the residual constants, if any (the
+                    // executor's seek of the first one is not credited).
+                    let rows = self.scan_cardinality(spec);
+                    work += rows * params.read;
+                    let distincts = self.scan_distincts(spec, rows);
+                    if spec.residual.is_empty() {
+                        OpEstimate {
+                            card: rows,
+                            distincts,
+                        }
+                    } else {
+                        work += rows * params.check;
+                        let selectivity = match self.statistics {
+                            Some(stats) => (spec.residual.iter())
+                                .map(|condition| {
+                                    condition_selectivity(stats, spec, condition.position)
+                                })
+                                .product::<f64>(),
+                            // Without statistics: the old fixed 5% per
+                            // condition.
+                            None => 0.05f64.powi(spec.residual.len() as i32),
+                        };
+                        let card = rows * selectivity;
+                        OpEstimate {
+                            card,
+                            distincts: scale_distincts(&distincts, card),
+                        }
                     }
                 }
                 PhysicalOp::MapShuffler { input, .. } => {
@@ -318,19 +322,6 @@ fn earliest_minimum<T: Hash + Eq>(items: &[T], mut cost: impl FnMut(&T) -> f64) 
         }
     }
     best.map(|(item, _)| item)
-}
-
-/// The scan spec feeding an operator, walked through single-input chains.
-fn scan_spec(plan: &PhysicalPlan, mut id: PhysId) -> Option<&ScanSpec> {
-    loop {
-        match plan.op(id) {
-            PhysicalOp::MapScan { spec, .. } => return Some(spec),
-            PhysicalOp::Filter { input, .. }
-            | PhysicalOp::MapShuffler { input, .. }
-            | PhysicalOp::Project { input, .. } => id = *input,
-            PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. } => return None,
-        }
-    }
 }
 
 /// Distinct-count selectivity of an equality condition on `position` of a

@@ -29,8 +29,9 @@
 //! inputs, which do not depend on who runs the task.
 //!
 //! Scans use the store's three replicas as the indexes they are: files come
-//! back in index order without a sort, a residual constant is an equal-range
-//! seek in the replica placed by its position, and the scan inputs of a
+//! back in index order without a sort, a residual constant (one no file
+//! name consumed, [`ScanSpec::residual`]) is an equal-range seek in the
+//! replica placed by its position, and the scan inputs of a
 //! MapJoin are evaluated smallest first, each reading only the placement
 //! keys its smallest sibling still holds when those are few against its
 //! files (see `ExecState::eval_scan`).
@@ -153,13 +154,13 @@ impl Intermediate {
 
     /// The per-node relations: what every consumer reads — a shuffle, a map
     /// join, a scan's key source, the root gather — but the root `Project`,
-    /// the one consumer of factorized runs (through pass-through filters).
+    /// the one consumer of factorized runs.
     fn relations(&self) -> &[Relation] {
         match self {
             Intermediate::Local(parts) => parts,
             Intermediate::LocalRuns(_) => unreachable!(
                 "runs never leave the root Project: `translate::factorized_joins` factorizes \
-                 only joins whose one consumer chain ends there, and `PhysicalPlan::new`, the \
+                 only joins whose one consumer it is, and `PhysicalPlan::new`, the \
                  only constructor (`rebind_constants` included), applies it"
             ),
         }
@@ -465,30 +466,8 @@ impl ProfCtx {
     }
 }
 
-/// The scan an operator evaluates against the raw triples — a MapScan, or
-/// the Filter directly above one, whose residual constants apply to the
-/// triple rather than to binding rows — as `(spec, output, constants)`.
-fn as_scan(
-    plan: &PhysicalPlan,
-    id: PhysId,
-) -> Option<(&ScanSpec, &BTreeSet<Variable>, &[FilterCondition])> {
-    match plan.op(id) {
-        PhysicalOp::MapScan { spec, output } => Some((spec, output, &[])),
-        PhysicalOp::Filter {
-            conditions,
-            input,
-            output,
-        } => match plan.op(*input) {
-            PhysicalOp::MapScan { spec, .. } => Some((spec, output, conditions)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Marks the operators the executor evaluates: everything reachable from the
-/// root, except MapScans that are consumed through the Filter directly above
-/// them (those are evaluated fused into the filter, see [`as_scan`]).
+/// root.
 fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
     let mut needed = vec![false; plan.len()];
     let mut stack = vec![plan.root()];
@@ -497,13 +476,7 @@ fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
             continue;
         }
         needed[id.index()] = true;
-        let op = plan.op(id);
-        if matches!(op, PhysicalOp::Filter { .. }) && as_scan(plan, id).is_some() {
-            continue;
-        }
-        for input in op.inputs() {
-            stack.push(input);
-        }
+        stack.extend(plan.op(id).inputs());
     }
     needed
 }
@@ -519,7 +492,7 @@ fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
         for input in op.inputs() {
             consumers[input.index()] += 1;
             driven[input.index()] =
-                matches!(op, PhysicalOp::MapJoin { .. }) && as_scan(plan, input).is_some();
+                matches!(op, PhysicalOp::MapJoin { .. }) && is_scan(plan, input);
         }
     }
     for (driven, consumers) in driven.iter_mut().zip(consumers) {
@@ -798,10 +771,12 @@ impl<'a> ExecState<'a> {
             .iter()
             .filter(|id| self.memo[id.index()].is_none())
             .filter_map(|&id| {
-                let (spec, _, constants) = as_scan(plan, id)?;
+                let PhysicalOp::MapScan { spec, .. } = plan.op(id) else {
+                    return None;
+                };
                 let stored =
                     store.scan_cardinality(spec.placement, spec.property, spec.type_object);
-                Some((constants.is_empty(), stored, id))
+                Some((spec.residual.is_empty(), stored, id))
             })
             .collect();
         pending.sort_unstable();
@@ -819,15 +794,8 @@ impl<'a> ExecState<'a> {
     }
 
     fn eval_op(&mut self, id: PhysId, keys_from: Option<PhysId>) -> Arc<Intermediate> {
-        let plan = self.plan;
-        if let Some((spec, output, constants)) = as_scan(plan, id) {
-            return self.eval_scan(id, spec, output, constants, keys_from);
-        }
-        match plan.op(id) {
-            PhysicalOp::MapScan { .. } => unreachable!("scans are handled above"),
-            PhysicalOp::Filter {
-                conditions, input, ..
-            } => self.eval_filter(id, conditions, *input),
+        match self.plan.op(id) {
+            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, keys_from),
             PhysicalOp::MapJoin {
                 attributes, inputs, ..
             } => self.eval_map_join(id, attributes, inputs),
@@ -840,9 +808,9 @@ impl<'a> ExecState<'a> {
     }
 
     /// Reads the triples `spec` selects and converts them to binding rows,
-    /// applying `constants` (residual constants pushed down from an
-    /// enclosing Filter) and the pattern's own repeated-variable equalities.
-    /// One map task per node, and three ways to read:
+    /// applying the spec's residual constants and the pattern's own
+    /// repeated-variable equalities. One map task per node, and three ways
+    /// to read:
     ///
     /// * a residual constant is **sought**: the replica placed by the
     ///   constant's position holds every matching triple as one equal range
@@ -868,7 +836,6 @@ impl<'a> ExecState<'a> {
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        constants: &[FilterCondition],
         keys_from: Option<PhysId>,
     ) -> Arc<Intermediate> {
         let plan = self.plan;
@@ -885,7 +852,7 @@ impl<'a> ExecState<'a> {
             .map_while(|v| schema.iter().position(|s| s == v))
             .collect();
         let store = self.cluster.store_arc();
-        let (sought, residual) = match constants.split_first() {
+        let (sought, residual) = match spec.residual.split_first() {
             Some((seek, residual)) => (
                 Some(store.seek(
                     spec.placement,
@@ -896,7 +863,7 @@ impl<'a> ExecState<'a> {
                 )),
                 residual,
             ),
-            None => (None, constants),
+            None => (None, &spec.residual[..]),
         };
         let keys = match sought {
             Some(_) => None,
@@ -921,7 +888,7 @@ impl<'a> ExecState<'a> {
             .collect();
         let results = self.run_wave(tasks);
 
-        let checks = (constants.len() as u64).max(1);
+        let checks = (spec.residual.len() as u64).max(1);
         let mut scanned_total: u64 = 0;
         let mut produced: u64 = 0;
         let mut keys_total: Option<u64> = None;
@@ -957,7 +924,9 @@ impl<'a> ExecState<'a> {
     /// them in. (Inputs of one join share every variable they both bind, so
     /// restricting by a shared variable can only drop rows with no partner.)
     fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<(Arc<Intermediate>, usize)> {
-        as_scan(self.plan, source)?;
+        if !is_scan(self.plan, source) {
+            return None;
+        }
         let term = match spec.placement {
             TriplePosition::Subject => &spec.pattern.subject,
             TriplePosition::Property => &spec.pattern.property,
@@ -973,21 +942,6 @@ impl<'a> ExecState<'a> {
         sorted.then_some((value, column))
     }
 
-    fn eval_filter(
-        &mut self,
-        id: PhysId,
-        conditions: &[FilterCondition],
-        input: PhysId,
-    ) -> Arc<Intermediate> {
-        let value = self.input(input);
-        let rows = value.cardinality();
-        self.job_mut(id).comparisons += rows * (conditions.len() as u64).max(1);
-        // Filters over non-scan inputs carry no residual conditions in the
-        // BGP fragment (joins enforce every equality), so they pass through
-        // sharing the input's Arc.
-        value
-    }
-
     fn eval_map_join(
         &mut self,
         id: PhysId,
@@ -995,7 +949,7 @@ impl<'a> ExecState<'a> {
         inputs: &[PhysId],
     ) -> Arc<Intermediate> {
         let plan = self.plan;
-        if inputs.iter().any(|&input| as_scan(plan, input).is_none()) {
+        if !inputs.iter().all(|&input| is_scan(plan, input)) {
             // Defensive path: only the scans of one join are placed by its
             // key. Anything else (well-formed translations never build it)
             // is not co-located, so it is shuffled like a reduce join's
@@ -1294,19 +1248,21 @@ impl<'a> ExecState<'a> {
     }
 }
 
+/// Returns `true` when `id` is a MapScan.
+fn is_scan(plan: &PhysicalPlan, id: PhysId) -> bool {
+    matches!(plan.op(id), PhysicalOp::MapScan { .. })
+}
+
 /// The variables the parts of `id`'s output are partitioned on: the
-/// attributes of the join that produced it, seen through pass-through
-/// filters (a reduce join's output is hash-partitioned on all of them, a map
-/// join's co-located by the smallest). `None` for anything else.
-fn partition_key(plan: &PhysicalPlan, mut id: PhysId) -> Option<&BTreeSet<Variable>> {
-    loop {
-        match plan.op(id) {
-            PhysicalOp::Filter { input, .. } if as_scan(plan, id).is_none() => id = *input,
-            PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
-                return Some(attributes)
-            }
-            _ => return None,
+/// attributes of the join that produced it (a reduce join's output is
+/// hash-partitioned on all of them, a map join's co-located by the
+/// smallest). `None` for anything else.
+fn partition_key(plan: &PhysicalPlan, id: PhysId) -> Option<&BTreeSet<Variable>> {
+    match plan.op(id) {
+        PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
+            Some(attributes)
         }
+        _ => None,
     }
 }
 
@@ -1719,6 +1675,7 @@ mod tests {
                     placement: TriplePosition::Subject,
                     property: None,
                     type_object: None,
+                    residual: Vec::new(),
                 },
                 binder: TripleBinder::new(&pattern, schema.clone()),
                 order_cols: Vec::new(),

@@ -2,7 +2,8 @@
 //!
 //! The rules of the paper are:
 //!
-//! * projections and filters run in the same task as their parent operator,
+//! * projections and filters run in the same task as their parent operator
+//!   (here a filter is part of the MapScan whose triples it checks),
 //! * map joins (and all their ancestors in the scan chains) run inside a map
 //!   task,
 //! * every reduce join needs a shuffle, and a reduce join can only consume

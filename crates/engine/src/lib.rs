@@ -5,9 +5,11 @@
 //! physical MapReduce plans and executes them against the partitioned store
 //! of `cliquesquare-mapreduce`, reproducing Section 5 of the paper:
 //!
-//! * [`physical`] — the physical operators (MapScan, Filter, MapJoin,
-//!   MapShuffler, ReduceJoin, Project) and physical plans,
-//! * [`translate`] — logical → physical translation (Section 5.2),
+//! * [`physical`] — the physical operators (MapScan — with the paper's
+//!   Filter over it fused in —, MapJoin, MapShuffler, ReduceJoin, Project)
+//!   and physical plans,
+//! * [`translate`](mod@translate) — logical → physical translation
+//!   (Section 5.2),
 //! * [`jobs`] — grouping of physical operators into MapReduce jobs
 //!   (Section 5.3),
 //! * [`executor`] — execution with full work accounting; per-node map and
@@ -18,8 +20,8 @@
 //!   `(key, payload ranges)` runs and expand only at the projection
 //!   boundary,
 //! * [`cost`] — the Section 5.4 cost model used to choose among plans,
-//! * [`reference`] — a naive single-node BGP evaluator used as a correctness
-//!   oracle in tests,
+//! * [`reference`](mod@reference) — a naive single-node BGP evaluator used
+//!   as a correctness oracle in tests,
 //! * [`csq`] — the end-to-end façade (optimize, choose, execute).
 //!
 //! # Example

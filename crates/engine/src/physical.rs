@@ -5,8 +5,9 @@
 //! The executor uses the delivered orders to skip re-sorts between
 //! operators; a sort runs only where required and delivered disagree.
 
-use cliquesquare_rdf::{TermId, TriplePosition};
-use cliquesquare_sparql::{TriplePattern, Variable};
+use cliquesquare_rdf::term::vocab;
+use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
+use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -22,7 +23,13 @@ impl PhysId {
     }
 }
 
-/// Describes which partition files a Map Scan reads.
+/// Sentinel id used for constants that do not occur in the dictionary: no
+/// stored triple can carry it, so a scan restricted or sought by it matches
+/// nothing.
+pub const UNKNOWN_CONSTANT: TermId = TermId(u32::MAX);
+
+/// What one Map Scan matches: the partition files it reads and the residual
+/// constants it checks on the triples it reads.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanSpec {
     /// Index of the triple pattern in the original query.
@@ -37,9 +44,62 @@ pub struct ScanSpec {
     pub property: Option<TermId>,
     /// `rdf:type` object file restriction (dictionary id of the class).
     pub type_object: Option<TermId>,
+    /// The pattern's constants no file name consumed — a constant subject,
+    /// then a constant object unless the class file took it. The first is
+    /// sought in the replica placed by its position, the rest are checked
+    /// triple by triple.
+    pub residual: Vec<FilterCondition>,
 }
 
-/// A residual equality check a Filter applies on scanned triples.
+impl ScanSpec {
+    /// The scan of `pattern` on the `placement` replica, with every constant
+    /// resolved against `graph`'s dictionary ([`UNKNOWN_CONSTANT`] when
+    /// absent): a constant property names the property file, the object of
+    /// an `rdf:type` pattern names the class file, and every other constant
+    /// is a residual.
+    pub fn new(
+        pattern_index: usize,
+        pattern: TriplePattern,
+        placement: TriplePosition,
+        graph: &Graph,
+    ) -> Self {
+        let resolve = |term: &PatternTerm| {
+            let constant = term.as_constant()?;
+            Some(graph.lookup(constant).unwrap_or(UNKNOWN_CONSTANT))
+        };
+        let property = resolve(&pattern.property);
+        // Distinct terms have distinct ids: the property is `rdf:type`'s id
+        // exactly when it is that IRI and the data holds it.
+        let is_rdf_type = matches!(
+            pattern.property.as_constant(),
+            Some(Term::Iri(iri)) if iri == vocab::RDF_TYPE
+        );
+        let type_scan = is_rdf_type && property != Some(UNKNOWN_CONSTANT);
+        let type_object = type_scan.then(|| resolve(&pattern.object)).flatten();
+        let residual_terms = [
+            (TriplePosition::Subject, &pattern.subject),
+            (TriplePosition::Object, &pattern.object),
+        ];
+        let residual = (residual_terms.into_iter())
+            .filter(|&(position, _)| !(type_scan && position == TriplePosition::Object))
+            .filter_map(|(position, term)| {
+                let constant = resolve(term)?;
+                Some(FilterCondition { position, constant })
+            })
+            .collect();
+        Self {
+            pattern_index,
+            pattern,
+            placement,
+            property,
+            type_object,
+            residual,
+        }
+    }
+}
+
+/// A residual constant of a scan: the triples it keeps hold `constant` at
+/// `position`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilterCondition {
     /// The triple position being constrained.
@@ -51,19 +111,12 @@ pub struct FilterCondition {
 /// A physical MapReduce operator.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PhysicalOp {
-    /// `MS[FS]`: scans the HDFS partition files selected by the spec.
+    /// `MS[FS]`: scans the HDFS partition files selected by the spec and
+    /// keeps the triples holding its residual constants — the paper's
+    /// MapScan with the Filter over it fused in.
     MapScan {
         /// What to scan.
         spec: ScanSpec,
-        /// Output attributes.
-        output: BTreeSet<Variable>,
-    },
-    /// `F_con(op)`: filters tuples by residual constant equalities.
-    Filter {
-        /// The conditions to check (conjunction).
-        conditions: Vec<FilterCondition>,
-        /// Input operator.
-        input: PhysId,
         /// Output attributes.
         output: BTreeSet<Variable>,
     },
@@ -111,9 +164,9 @@ impl PhysicalOp {
     pub fn inputs(&self) -> Vec<PhysId> {
         match self {
             PhysicalOp::MapScan { .. } => Vec::new(),
-            PhysicalOp::Filter { input, .. }
-            | PhysicalOp::MapShuffler { input, .. }
-            | PhysicalOp::Project { input, .. } => vec![*input],
+            PhysicalOp::MapShuffler { input, .. } | PhysicalOp::Project { input, .. } => {
+                vec![*input]
+            }
             PhysicalOp::MapJoin { inputs, .. } | PhysicalOp::ReduceJoin { inputs, .. } => {
                 inputs.clone()
             }
@@ -124,7 +177,6 @@ impl PhysicalOp {
     pub fn output(&self) -> BTreeSet<Variable> {
         match self {
             PhysicalOp::MapScan { output, .. }
-            | PhysicalOp::Filter { output, .. }
             | PhysicalOp::MapJoin { output, .. }
             | PhysicalOp::MapShuffler { output, .. }
             | PhysicalOp::ReduceJoin { output, .. } => output.clone(),
@@ -136,7 +188,6 @@ impl PhysicalOp {
     pub fn name(&self) -> &'static str {
         match self {
             PhysicalOp::MapScan { .. } => "MapScan",
-            PhysicalOp::Filter { .. } => "Filter",
             PhysicalOp::MapJoin { .. } => "MapJoin",
             PhysicalOp::MapShuffler { .. } => "MapShuffler",
             PhysicalOp::ReduceJoin { .. } => "ReduceJoin",
@@ -335,7 +386,6 @@ impl fmt::Display for PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesquare_sparql::PatternTerm;
 
     fn vars(names: &[&str]) -> BTreeSet<Variable> {
         names.iter().map(|n| Variable::new(*n)).collect()
@@ -353,6 +403,7 @@ mod tests {
                 placement,
                 property: Some(TermId(1)),
                 type_object: None,
+                residual: Vec::new(),
             },
             output: vars(out),
         }

@@ -2,36 +2,26 @@
 //! interesting-orders pass attaching ordering properties to the plan.
 //!
 //! * Every *edge* out of a logical Match operator becomes its own MapScan
-//!   (plus a Filter for residual subject/object constants), reading the
-//!   placement replica of the variable its consumer joins on, so that
-//!   first-level joins are co-located.
+//!   ([`ScanSpec::new`]: the property and `rdf:type` class files its
+//!   constants name, plus any residual subject/object constant it checks),
+//!   reading the placement replica of the variable its consumer joins on, so
+//!   that first-level joins are co-located.
 //! * A logical Join whose inputs are all Match operators becomes a MapJoin;
 //!   any other Join becomes a ReduceJoin, with a MapShuffler inserted on top
 //!   of inputs that are themselves ReduceJoins (a reduce join cannot consume
 //!   another reduce join's output directly).
-//! * Select maps to Filter and Project maps to the physical projection.
+//! * Project maps to the physical projection.
 //! * [`interesting_orders`] (run by [`PhysicalPlan::new`]) propagates each
 //!   consumer's *required* ordering down the plan and each operator's
 //!   *delivered* ordering up, so the executor only sorts where the two
 //!   disagree — the classic interesting-orders reasoning applied to the
 //!   sort-merge execution stack.
 
-use crate::physical::{FilterCondition, OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
+use crate::physical::{OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
 use cliquesquare_core::{LogicalOp, LogicalPlan, OpId};
-use cliquesquare_rdf::term::vocab;
-use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
+use cliquesquare_rdf::{Graph, TriplePosition};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 use std::collections::BTreeSet;
-
-/// Sentinel id used for constants that do not occur in the dictionary: no
-/// stored triple can carry it, so scans and filters using it match nothing.
-pub const UNKNOWN_CONSTANT: TermId = TermId(u32::MAX);
-
-/// Resolves a constant pattern term to its dictionary id (or the
-/// [`UNKNOWN_CONSTANT`] sentinel when the value is absent from the data).
-fn resolve(graph: &Graph, term: &Term) -> TermId {
-    graph.lookup(term).unwrap_or(UNKNOWN_CONSTANT)
-}
 
 /// Picks the placement replica for a scan feeding a join on `attributes`:
 /// the position (subject / property / object) of the placement variable
@@ -54,68 +44,6 @@ fn placement_for(pattern: &TriplePattern, attributes: &BTreeSet<Variable>) -> Tr
     TriplePosition::Subject
 }
 
-/// Builds the MapScan (and Filter, if needed) for one outgoing edge of a
-/// logical Match operator. Returns the id of the top operator of the chain.
-fn build_scan(
-    ops: &mut Vec<PhysicalOp>,
-    graph: &Graph,
-    pattern_index: usize,
-    pattern: &TriplePattern,
-    output: &BTreeSet<Variable>,
-    consumer_attributes: &BTreeSet<Variable>,
-) -> PhysId {
-    let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
-    let property = pattern.property.as_constant().map(|t| resolve(graph, t));
-    let is_type_scan = property.is_some() && property == rdf_type;
-    let type_object = if is_type_scan {
-        pattern.object.as_constant().map(|t| resolve(graph, t))
-    } else {
-        None
-    };
-
-    let spec = ScanSpec {
-        pattern_index,
-        pattern: pattern.clone(),
-        placement: placement_for(pattern, consumer_attributes),
-        property,
-        type_object,
-    };
-    ops.push(PhysicalOp::MapScan {
-        spec,
-        output: output.clone(),
-    });
-    let scan_id = PhysId(ops.len() - 1);
-
-    // Residual constants: the property constant was consumed by the file
-    // name, an rdf:type object constant by the type file; anything else
-    // becomes an explicit Filter.
-    let mut conditions = Vec::new();
-    if let Some(constant) = pattern.subject.as_constant() {
-        conditions.push(FilterCondition {
-            position: TriplePosition::Subject,
-            constant: resolve(graph, constant),
-        });
-    }
-    if !is_type_scan {
-        if let Some(constant) = pattern.object.as_constant() {
-            conditions.push(FilterCondition {
-                position: TriplePosition::Object,
-                constant: resolve(graph, constant),
-            });
-        }
-    }
-    if conditions.is_empty() {
-        scan_id
-    } else {
-        ops.push(PhysicalOp::Filter {
-            conditions,
-            input: scan_id,
-            output: output.clone(),
-        });
-        PhysId(ops.len() - 1)
-    }
-}
-
 /// The ordering a MapScan's output rows satisfy, as a variable sequence.
 ///
 /// A scan's files ([`cliquesquare_mapreduce::PartitionedStore::scan_files`])
@@ -123,7 +51,7 @@ fn build_scan(
 /// value first, then subject, property, object), and the executor converts
 /// triples to binding rows in that order. Translated to columns: positions bound to constants
 /// are equal on every scanned row (the property file restriction, the
-/// `rdf:type` object file, and the fused Filter's residual constants) and
+/// `rdf:type` object file, and the scan's residual constants) and
 /// contribute nothing; a position repeating an already-listed variable is
 /// equal to it by the binder's repeated-variable check and is skipped; and a
 /// variable the output schema drops ends the claim — later positions only
@@ -175,10 +103,10 @@ fn truncate_order(order: &[Variable], output: &BTreeSet<Variable>) -> Vec<Variab
 ///    its inputs ordered by its join attributes (so the sort-merge can
 ///    consume them without re-sorting), a projection requires its input
 ///    ordered by the projected variable sequence (so the final
-///    canonicalization at the root is free), and pass-through operators
-///    (Filter, MapShuffler) forward their own requirement to their input.
+///    canonicalization at the root is free), and a MapShuffler forwards its
+///    own requirement to its input.
 ///    When an operator feeds several consumers (DAG plans), their claims are
-///    *split* into prefix-compatible groups ([`resolve_claims`]): each
+///    *split* into prefix-compatible groups (`resolve_claims`): each
 ///    consumer's requirement decomposes into the prefix the producer can
 ///    serve for the whole group plus a residual the consumer re-sorts
 ///    locally, and the group satisfying the most consumers wins (ties go to
@@ -187,9 +115,9 @@ fn truncate_order(order: &[Variable], output: &BTreeSet<Variable>) -> Vec<Variab
 ///    the choice because the executor consults the *actual* tracked order of
 ///    every relation.
 /// 2. **Delivered orders, bottom-up** (ascending ids): scans deliver their
-///    index order ([`scan_delivered_order`]), joins deliver their natural
+///    index order (`scan_delivered_order`), joins deliver their natural
 ///    key order when it satisfies the requirement and otherwise sort their
-///    output into the required order, pass-throughs forward their input's
+///    output into the required order, shufflers forward their input's
 ///    order, and projections keep the longest delivered prefix whose
 ///    variables survive the projection.
 pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
@@ -197,7 +125,7 @@ pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
 
     // Sweep 1: requirements flow from consumers (higher ids) to inputs.
     // Every consumer's claim is recorded; shared producers resolve the set
-    // with [`resolve_claims`]. An operator's own requirement is final by the
+    // with `resolve_claims`. An operator's own requirement is final by the
     // time the sweep reaches it (all consumers have larger ids).
     let mut claims: Vec<Vec<Vec<Variable>>> = vec![Vec::new(); n];
     let mut required: Vec<Vec<Variable>> = vec![Vec::new(); n];
@@ -208,7 +136,7 @@ pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
             PhysicalOp::Project { variables, input } => {
                 claims[input.index()].push(variables.clone());
             }
-            PhysicalOp::Filter { input, .. } | PhysicalOp::MapShuffler { input, .. } => {
+            PhysicalOp::MapShuffler { input, .. } => {
                 claims[input.index()].push(own);
             }
             PhysicalOp::MapJoin {
@@ -232,8 +160,7 @@ pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
         let required_order = required[index].clone();
         let delivered = match &ops[index] {
             PhysicalOp::MapScan { spec, output } => scan_delivered_order(spec, output),
-            PhysicalOp::Filter { input, output, .. }
-            | PhysicalOp::MapShuffler { input, output, .. } => {
+            PhysicalOp::MapShuffler { input, output, .. } => {
                 truncate_order(&orders[input.index()].delivered, output)
             }
             PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
@@ -307,8 +234,7 @@ fn resolve_claims(claims: &[Vec<Variable>]) -> Vec<Variable> {
 /// A join qualifies when
 ///
 /// 1. it has at least two inputs (a single-input join is the identity),
-/// 2. its *only* consumer chain — through Filters that are themselves
-///    single-consumer — ends at the root Project, so the runs are expanded
+/// 2. its *only* consumer is the root Project, so the runs are expanded
 ///    exactly once, at the final projection boundary, and
 /// 3. its inputs pairwise share **only** the join attributes: aligned key
 ///    groups then combine as pure cross products, with no cross-input
@@ -337,20 +263,9 @@ pub(crate) fn factorized_joins(ops: &[PhysicalOp], root: PhysId) -> Vec<bool> {
         if inputs.len() < 2 {
             continue;
         }
-        // Follow the single-consumer chain through Filters to the root
-        // Project.
-        let mut current = index;
-        let ends_at_root_project = loop {
-            match consumers[current].as_slice() {
-                [consumer] => match &ops[*consumer] {
-                    PhysicalOp::Filter { .. } => current = *consumer,
-                    PhysicalOp::Project { .. } => break *consumer == root.index(),
-                    _ => break false,
-                },
-                _ => break false,
-            }
-        };
-        if !ends_at_root_project {
+        let feeds_root_project = consumers[index] == [root.index()]
+            && matches!(ops[root.index()], PhysicalOp::Project { .. });
+        if !feeds_root_project {
             continue;
         }
         let outputs: Vec<BTreeSet<Variable>> =
@@ -374,7 +289,7 @@ pub fn translate(plan: &LogicalPlan, graph: &Graph) -> PhysicalPlan {
     let mut translated: Vec<Option<PhysId>> = vec![None; plan.len()];
 
     // Resolves a logical input of `consumer_attributes`-joining operator,
-    // creating a dedicated scan chain for Match inputs.
+    // creating a dedicated scan for Match inputs.
     fn resolve_input(
         plan: &LogicalPlan,
         graph: &Graph,
@@ -388,14 +303,14 @@ pub fn translate(plan: &LogicalPlan, graph: &Graph) -> PhysicalPlan {
                 pattern_index,
                 pattern,
                 output,
-            } => build_scan(
-                ops,
-                graph,
-                *pattern_index,
-                pattern,
-                output,
-                consumer_attributes,
-            ),
+            } => {
+                let placement = placement_for(pattern, consumer_attributes);
+                ops.push(PhysicalOp::MapScan {
+                    spec: ScanSpec::new(*pattern_index, pattern.clone(), placement, graph),
+                    output: output.clone(),
+                });
+                PhysId(ops.len() - 1)
+            }
             _ => translated[input.index()].expect("inputs are translated before consumers"),
         }
     }
@@ -445,22 +360,6 @@ pub fn translate(plan: &LogicalPlan, graph: &Graph) -> PhysicalPlan {
                 ops.push(join);
                 translated[id.index()] = Some(PhysId(ops.len() - 1));
             }
-            LogicalOp::Select {
-                condition: _,
-                input,
-                output,
-            } => {
-                let phys = resolve_input(plan, graph, &mut ops, &translated, *input, output);
-                // Logical selections carry no machine-checkable condition in
-                // the BGP fragment (joins enforce all equalities), so they
-                // translate to a no-op filter.
-                ops.push(PhysicalOp::Filter {
-                    conditions: Vec::new(),
-                    input: phys,
-                    output: output.clone(),
-                });
-                translated[id.index()] = Some(PhysId(ops.len() - 1));
-            }
             LogicalOp::Project { variables, input } => {
                 let attrs: BTreeSet<Variable> = variables.iter().cloned().collect();
                 let phys = resolve_input(plan, graph, &mut ops, &translated, *input, &attrs);
@@ -484,12 +383,12 @@ pub fn translate(plan: &LogicalPlan, graph: &Graph) -> PhysicalPlan {
 ///
 /// The plan's variable names stay those of the template query it was built
 /// from (answer rows depend only on pattern structure, constants and the
-/// projection's position order, never on variable *names*); constants live
-/// in exactly three places and all are rewritten from `query`:
-///
-/// * each `ScanSpec.pattern`'s constant positions (read by the row binder),
-/// * `ScanSpec.property` / `ScanSpec.type_object` (the file restrictions),
-/// * residual `FilterCondition.constant`s of the scan's fused filter.
+/// projection's position order, never on variable *names*). Constants live
+/// only in the scans: each MapScan's pattern takes `query`'s constants at
+/// its constant positions and is rebuilt with [`ScanSpec::new`] on its
+/// cached placement, the constructor [`translate`] uses — so the file
+/// restrictions and residual constants are exactly those a cold
+/// translation of `query` resolves.
 ///
 /// Returns `None` when `query` does not structurally match the plan (a
 /// pattern index out of range, or a constant position that is not constant
@@ -500,58 +399,28 @@ pub fn rebind_constants(
     query: &cliquesquare_sparql::BgpQuery,
     graph: &Graph,
 ) -> Option<PhysicalPlan> {
-    let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
-    let mut ops = plan.ops().to_vec();
-    // Pattern index of each MapScan op, so filters can find the pattern
-    // their conditions came from (a residual filter sits directly on its
-    // scan — see `build_scan`).
-    let mut scan_patterns: Vec<Option<usize>> = vec![None; ops.len()];
-    for (index, op) in ops.iter_mut().enumerate() {
-        match op {
-            PhysicalOp::MapScan { spec, .. } => {
-                let new_pattern = query.patterns().get(spec.pattern_index)?;
-                scan_patterns[index] = Some(spec.pattern_index);
-                for (cached, new) in [
-                    (&mut spec.pattern.subject, &new_pattern.subject),
-                    (&mut spec.pattern.property, &new_pattern.property),
-                    (&mut spec.pattern.object, &new_pattern.object),
-                ] {
-                    if !cached.is_variable() {
-                        *cached = PatternTerm::Constant(new.as_constant()?.clone());
-                    }
-                }
-                spec.property = spec
-                    .pattern
-                    .property
-                    .as_constant()
-                    .map(|t| resolve(graph, t));
-                let is_type_scan = spec.property.is_some() && spec.property == rdf_type;
-                spec.type_object = if is_type_scan {
-                    spec.pattern.object.as_constant().map(|t| resolve(graph, t))
-                } else {
-                    None
-                };
-            }
-            PhysicalOp::Filter {
-                conditions, input, ..
-            } => {
-                if conditions.is_empty() {
-                    continue;
-                }
-                let pattern_index = scan_patterns[input.index()]?;
-                let new_pattern = query.patterns().get(pattern_index)?;
-                for condition in conditions.iter_mut() {
-                    let term = match condition.position {
-                        TriplePosition::Subject => &new_pattern.subject,
-                        TriplePosition::Property => &new_pattern.property,
-                        TriplePosition::Object => &new_pattern.object,
-                    };
-                    condition.constant = resolve(graph, term.as_constant()?);
+    let ops = (plan.ops().iter())
+        .map(|op| {
+            let PhysicalOp::MapScan { spec, output } = op else {
+                return Some(op.clone());
+            };
+            let new_pattern = query.patterns().get(spec.pattern_index)?;
+            let mut pattern = spec.pattern.clone();
+            for (cached, new) in [
+                (&mut pattern.subject, &new_pattern.subject),
+                (&mut pattern.property, &new_pattern.property),
+                (&mut pattern.object, &new_pattern.object),
+            ] {
+                if !cached.is_variable() {
+                    *cached = PatternTerm::Constant(new.as_constant()?.clone());
                 }
             }
-            _ => {}
-        }
-    }
+            Some(PhysicalOp::MapScan {
+                spec: ScanSpec::new(spec.pattern_index, pattern, spec.placement, graph),
+                output: output.clone(),
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
     // `PhysicalPlan::new` re-runs the interesting-orders and factorization
     // passes; both depend only on operator structure and variables, which
     // rebinding leaves untouched, so the rebuilt plan is the cached plan
@@ -562,8 +431,10 @@ pub fn rebind_constants(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::UNKNOWN_CONSTANT;
     use cliquesquare_core::{Optimizer, Variant};
-    use cliquesquare_rdf::{LubmGenerator, LubmScale};
+    use cliquesquare_rdf::term::vocab;
+    use cliquesquare_rdf::{LubmGenerator, LubmScale, Term};
     use cliquesquare_sparql::parser::parse_query;
 
     fn lubm_graph() -> Graph {
@@ -768,15 +639,13 @@ mod tests {
         let PhysicalOp::Project { variables, input } = physical.op(physical.root()) else {
             panic!("root must be a projection");
         };
-        // The requirement flows through pass-through operators down to the
-        // first order-producing operator.
+        // The requirement flows through shufflers down to the first
+        // order-producing operator.
         let mut id = *input;
         loop {
             assert_eq!(&physical.ordering(id).required, variables);
             match physical.op(id) {
-                PhysicalOp::Filter { input, .. } | PhysicalOp::MapShuffler { input, .. } => {
-                    id = *input;
-                }
+                PhysicalOp::MapShuffler { input, .. } => id = *input,
                 _ => break,
             }
         }
@@ -907,6 +776,10 @@ mod tests {
         assert_eq!(rebound, physical);
     }
 
+    /// A rebound plan is the plan a cold translation builds for the new
+    /// constants, and answers alike, for every kind of constant a template
+    /// holds: the class of an `rdf:type` pattern, a residual subject, a
+    /// residual object, the property, and a constant absent from the data.
     #[test]
     fn rebind_swaps_constants_and_matches_cold_planning_answers() {
         use crate::executor::Executor;
@@ -914,16 +787,6 @@ mod tests {
 
         let graph = lubm_graph();
         let cluster = Cluster::load(graph, ClusterConfig::with_nodes(2));
-        let template = parse_query(
-            "SELECT ?x ?d WHERE { ?x rdf:type ub:GraduateStudent . ?x ub:memberOf ?d }",
-        )
-        .unwrap();
-        // Same shape, different class constant.
-        let repeat = parse_query(
-            "SELECT ?x ?d WHERE { ?x rdf:type ub:UndergraduateStudent . ?x ub:memberOf ?d }",
-        )
-        .unwrap();
-
         let plan_for = |q: &cliquesquare_sparql::BgpQuery| {
             let logical = Optimizer::with_variant(Variant::Msc)
                 .optimize(q)
@@ -933,24 +796,78 @@ mod tests {
                 .expect("plan found");
             translate(&logical, cluster.graph())
         };
-
-        let cached = plan_for(&template);
-        let rebound =
-            rebind_constants(&cached, &repeat, cluster.graph()).expect("template rebinds");
-        // The type split must follow the new class constant.
+        let executor = Executor::sequential(&cluster);
+        let university = "<http://www.University0.edu>";
+        let department = "<http://www.Department0.University0.edu>";
+        let professor = "<http://www.Department0.University0.edu/FullProfessor0>";
+        // (template, repeat, the repeat has answers): same shape, other
+        // constants.
+        let cases = [
+            (
+                "SELECT ?x ?d WHERE { ?x rdf:type ub:GraduateStudent . ?x ub:memberOf ?d }"
+                    .to_string(),
+                "SELECT ?x ?d WHERE { ?x rdf:type ub:UndergraduateStudent . ?x ub:memberOf ?d }"
+                    .to_string(),
+                true,
+            ),
+            (
+                "SELECT ?d ?s WHERE { <http://www.Department1.University0.edu/FullProfessor0> ub:worksFor ?d . ?s ub:memberOf ?d }"
+                    .to_string(),
+                format!("SELECT ?d ?s WHERE {{ {professor} ub:worksFor ?d . ?s ub:memberOf ?d }}"),
+                true,
+            ),
+            (
+                "SELECT ?x ?d WHERE { ?x ub:memberOf <http://www.Department1.University0.edu> . ?x ub:advisor ?d }"
+                    .to_string(),
+                format!("SELECT ?x ?d WHERE {{ ?x ub:memberOf {department} . ?x ub:advisor ?d }}"),
+                true,
+            ),
+            (
+                "SELECT ?x ?d WHERE { ?x ub:worksFor ?d . ?d ub:subOrganizationOf ?u }".to_string(),
+                "SELECT ?x ?d WHERE { ?x ub:memberOf ?d . ?d ub:subOrganizationOf ?u }".to_string(),
+                true,
+            ),
+            (
+                format!("SELECT ?x WHERE {{ ?x ub:memberOf ?d . ?d ub:subOrganizationOf {university} }}"),
+                "SELECT ?x WHERE { ?x ub:memberOf ?d . ?d ub:subOrganizationOf <http://nowhere.example> }"
+                    .to_string(),
+                false,
+            ),
+        ];
+        for (template, repeat, answered) in &cases {
+            let template = parse_query(template).unwrap();
+            let repeat = parse_query(repeat).unwrap();
+            let cached = plan_for(&template);
+            let rebound =
+                rebind_constants(&cached, &repeat, cluster.graph()).expect("template rebinds");
+            let cold = plan_for(&repeat);
+            assert_eq!(rebound, cold, "rebinding {template} to {repeat}");
+            let warm = executor.execute(&rebound);
+            assert_eq!(warm.results, executor.execute(&cold).results);
+            assert_eq!(!warm.results.is_empty(), *answered, "{repeat}");
+        }
+        // The type split follows the new class constant.
         let new_class = cluster
             .graph()
             .lookup(&Term::iri(vocab::ub("UndergraduateStudent")));
+        let rebound = rebind_constants(
+            &plan_for(&parse_query(&cases[0].0).unwrap()),
+            &parse_query(&cases[0].1).unwrap(),
+            cluster.graph(),
+        )
+        .unwrap();
+        assert!(new_class.is_some());
         assert!(rebound.ops().iter().any(|op| matches!(
             op,
-            PhysicalOp::MapScan { spec, .. } if spec.type_object == new_class && new_class.is_some()
+            PhysicalOp::MapScan { spec, .. } if spec.type_object == new_class
         )));
-
-        let executor = Executor::sequential(&cluster);
-        let warm = executor.execute(&rebound);
-        let cold = executor.execute(&plan_for(&repeat));
-        assert_eq!(warm.results, cold.results);
-        assert!(!cold.results.is_empty(), "repeat query should have answers");
+        // The absent constant resolves to the sentinel, as a residual.
+        let absent = plan_for(&parse_query(&cases[4].1).unwrap());
+        assert!(absent.ops().iter().any(|op| matches!(
+            op,
+            PhysicalOp::MapScan { spec, .. }
+                if spec.residual.iter().any(|c| c.constant == UNKNOWN_CONSTANT)
+        )));
     }
 
     #[test]

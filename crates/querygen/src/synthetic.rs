@@ -1,6 +1,6 @@
 //! Synthetic BGP query generator (the Section 6.2 optimizer workload).
 //!
-//! The paper uses the query generator of [10] to build 120 synthetic queries
+//! The paper uses the query generator of \[10\] to build 120 synthetic queries
 //! whose shape is *chain*, *star*, or *random* with *thin* and *dense*
 //! variants (dense queries have many variables shared across triple
 //! patterns, thin ones are close to chains). Queries have between 1 and 10

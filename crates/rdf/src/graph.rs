@@ -115,11 +115,6 @@ impl Graph {
         &self.dictionary
     }
 
-    /// Returns a mutable reference to the graph's dictionary.
-    pub fn dictionary_mut(&mut self) -> &mut Dictionary {
-        &mut self.dictionary
-    }
-
     /// Returns the full triple list.
     pub fn triples(&self) -> &[Triple] {
         &self.triples

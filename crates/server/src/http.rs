@@ -16,7 +16,8 @@
 //! escaped from the dictionary straight into the one response buffer.
 //!
 //! Every error is a structured JSON body with the status the
-//! [`ServeError`] maps to (400 malformed query, 404 unknown name or route,
+//! [`ServeError`] maps to (400 malformed request or query, 404 unknown name
+//! or path, 405 known path with another method — with an `Allow` header —,
 //! 408 read timeout, 413 oversized request, 500 contained execution panic).
 //! Each connection is handled off the accept loop with read/write
 //! timeouts, on a handler thread that parks between connections and is
@@ -354,7 +355,7 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
         )));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut header_bytes = request_line.len();
     loop {
         let mut line = String::new();
@@ -370,13 +371,22 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
         if let Some(value) = header_value(line, "content-length") {
             // `1*DIGIT` (RFC 9110): `usize::from_str` would also take a sign.
             let digits = value.bytes().all(|byte| byte.is_ascii_digit());
-            content_length = value.parse().ok().filter(|_| digits).ok_or_else(|| {
+            let length = value.parse().ok().filter(|_| digits).ok_or_else(|| {
                 RequestError::Serve(ServeError::BadQuery(format!(
                     "unparseable Content-Length: {value:?}"
                 )))
             })?;
+            // Differing lengths leave the body's end unknown (RFC 9112
+            // §6.3): answered, never guessed.
+            if let Some(earlier) = content_length.filter(|&earlier| earlier != length) {
+                return Err(RequestError::Serve(ServeError::BadQuery(format!(
+                    "conflicting Content-Length headers: {earlier} and {length}"
+                ))));
+            }
+            content_length = Some(length);
         }
     }
+    let content_length = content_length.unwrap_or(0);
 
     // Saturating: a declared length near `usize::MAX` must not wrap past
     // the limit (and then be allocated).
@@ -454,11 +464,13 @@ fn percent_decode(text: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// A rendered response: status, reason, content type, body.
+/// A rendered response: status, reason, content type, the `Allow` header
+/// of a 405, body.
 struct Response {
     status: u16,
     reason: &'static str,
     content_type: &'static str,
+    allow: Option<&'static str>,
     body: String,
 }
 
@@ -484,6 +496,7 @@ fn route(service: &QueryService, request: &Request) -> Response {
             status: 200,
             reason: "OK",
             content_type: "text/plain; version=0.0.4",
+            allow: None,
             body: cliquesquare_obs::global().render_prometheus(),
         },
         ("POST", "/sparql") => answer(service.execute_text_opts(&request.body, profile)),
@@ -499,7 +512,23 @@ fn route(service: &QueryService, request: &Request) -> Response {
                 "missing ?name= parameter".to_string(),
             )),
         },
-        (_, path) => error_response(&ServeError::UnknownQuery(path.to_string())),
+        (method, path) => error_response(&match allowed_methods(path) {
+            Some(allow) => ServeError::MethodNotAllowed {
+                method: method.to_string(),
+                allow,
+            },
+            None => ServeError::UnknownPath(path.to_string()),
+        }),
+    }
+}
+
+/// The methods [`route`] serves `path` with, as an `Allow` header value;
+/// `None` for a path it does not serve.
+fn allowed_methods(path: &str) -> Option<&'static str> {
+    match path {
+        "/health" | "/" | "/metrics" | "/query" => Some("GET"),
+        "/sparql" => Some("GET, POST"),
+        _ => None,
     }
 }
 
@@ -520,6 +549,7 @@ fn ok_body(body: String) -> Response {
         status: 200,
         reason: "OK",
         content_type: "application/json",
+        allow: None,
         body,
     }
 }
@@ -528,10 +558,15 @@ fn error_response(error: &ServeError) -> Response {
     let mut body = String::from("{\"error\": \"");
     push_escaped(&mut body, &error.to_string());
     body.push_str(&format!("\", \"status\": {}}}\n", error.status()));
+    let allow = match error {
+        ServeError::MethodNotAllowed { allow, .. } => Some(*allow),
+        _ => None,
+    };
     Response {
         status: error.status(),
         reason: error.reason(),
         content_type: "application/json",
+        allow,
         body,
     }
 }
@@ -618,10 +653,12 @@ fn write_response<W: Write>(out: &mut W, response: Response) -> io::Result<()> {
         status,
         reason,
         content_type,
+        allow,
         mut body,
     } = response;
+    let allow = allow.map_or(String::new(), |methods| format!("Allow: {methods}\r\n"));
     let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{allow}Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     body.insert_str(0, &head);

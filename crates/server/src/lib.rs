@@ -19,7 +19,7 @@
 //!   the cluster's statistics epoch.
 //! * [`http`] — a minimal HTTP/1.1 front end on `std::net::TcpListener`:
 //!   `POST /sparql` with a query body, `GET /query?name=Q4` for the named
-//!   LUBM mix, `GET /health`. Errors map to 400/404/413/500.
+//!   LUBM mix, `GET /health`. Errors map to 400/404/405/408/413/500.
 //!
 //! Answers are bit-identical to the single-job path at any thread count and
 //! any concurrency level: plans are chosen by a deterministic cost model and

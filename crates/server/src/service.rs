@@ -34,6 +34,15 @@ pub enum ServeError {
     /// The request asked for a named query the service does not know
     /// (HTTP 404).
     UnknownQuery(String),
+    /// The request's path is not one the endpoint serves (HTTP 404).
+    UnknownPath(String),
+    /// The request's path is served, but not for its method (HTTP 405).
+    MethodNotAllowed {
+        /// The method the request used.
+        method: String,
+        /// The methods the path accepts, as the `Allow` header lists them.
+        allow: &'static str,
+    },
     /// The request body exceeds the configured size limit (HTTP 413).
     TooLarge {
         /// The configured limit in bytes.
@@ -54,7 +63,8 @@ impl ServeError {
     pub fn status(&self) -> u16 {
         match self {
             ServeError::BadQuery(_) => 400,
-            ServeError::UnknownQuery(_) => 404,
+            ServeError::UnknownQuery(_) | ServeError::UnknownPath(_) => 404,
+            ServeError::MethodNotAllowed { .. } => 405,
             ServeError::TooLarge { .. } => 413,
             ServeError::Internal(_) => 500,
             ServeError::Timeout => 408,
@@ -65,7 +75,8 @@ impl ServeError {
     pub fn reason(&self) -> &'static str {
         match self {
             ServeError::BadQuery(_) => "Bad Request",
-            ServeError::UnknownQuery(_) => "Not Found",
+            ServeError::UnknownQuery(_) | ServeError::UnknownPath(_) => "Not Found",
+            ServeError::MethodNotAllowed { .. } => "Method Not Allowed",
             ServeError::TooLarge { .. } => "Payload Too Large",
             ServeError::Internal(_) => "Internal Server Error",
             ServeError::Timeout => "Request Timeout",
@@ -78,6 +89,10 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::BadQuery(message) => write!(f, "malformed query: {message}"),
             ServeError::UnknownQuery(name) => write!(f, "unknown query name: {name:?}"),
+            ServeError::UnknownPath(path) => write!(f, "unknown path: {path:?}"),
+            ServeError::MethodNotAllowed { method, allow } => {
+                write!(f, "method {method:?} not allowed here (allowed: {allow})")
+            }
             ServeError::TooLarge { limit, actual } => {
                 write!(
                     f,
@@ -247,11 +262,6 @@ impl QueryService {
     /// The plan cache, when enabled.
     pub fn plan_cache(&self) -> Option<&PlanCache> {
         self.plan_cache.as_ref()
-    }
-
-    /// The names of the catalog queries, in order.
-    pub fn query_names(&self) -> Vec<String> {
-        self.named.keys().cloned().collect()
     }
 
     /// Number of worker threads the serving runtime uses.

@@ -136,12 +136,46 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert!(body.contains("Content-Length"), "body: {body}");
     assert_eq!(get(addr, "/health").0, 200);
 
-    // 404: unknown query name, unknown route.
+    // 400: two Content-Length headers that differ leave the body's end
+    // unknown (RFC 9112 §6.3); equal duplicates are one length.
+    let conflicting = format!(
+        "POST /sparql HTTP/1.1\r\nContent-Length: {}\r\nContent-Length: 40\r\n\r\n{query}",
+        query.len()
+    );
+    let (status, body) = request(addr, conflicting);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("conflicting Content-Length"), "body: {body}");
+    let repeated = format!(
+        "POST /sparql HTTP/1.1\r\nContent-Length: {0}\r\nContent-Length: {0}\r\n\r\n{query}",
+        query.len()
+    );
+    assert_eq!(request(addr, repeated).0, 200);
+
+    // 404: unknown query name, unknown path — each named for what it is.
     let (status, body) = get(addr, "/query?name=Q99");
     assert_eq!(status, 404);
     assert!(body.contains("unknown query name"));
-    let (status, _) = get(addr, "/nope");
+    let (status, body) = get(addr, "/nope");
     assert_eq!(status, 404);
+    assert!(body.contains("unknown path: \\\"/nope\\\""), "body: {body}");
+
+    // 405: a known path with a method it is not served with, and the
+    // methods it is served with in `Allow`.
+    for (head, allow) in [
+        ("POST /query HTTP/1.1\r\nContent-Length: 0\r\n\r\n", "GET"),
+        ("DELETE /sparql HTTP/1.1\r\n\r\n", "GET, POST"),
+    ] {
+        let response = raw_request(addr, head);
+        assert!(
+            response.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
+            "{response}"
+        );
+        assert!(
+            response.contains(&format!("\r\nAllow: {allow}\r\n")),
+            "{response}"
+        );
+        assert!(response.contains("not allowed"), "{response}");
+    }
 
     // 413: a body larger than the configured limit is rejected up front.
     let oversized = "x".repeat(8192);
