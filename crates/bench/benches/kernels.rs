@@ -5,17 +5,24 @@
 //! merge of the reduce tasks and the root gather, and the scan's bulk bind.
 //! These isolate the kernels the `report_execution` wall-clock columns are
 //! built from. `answer_render` times the server's answer body, rendered from
-//! ids. `cargo bench --bench kernels -- kernels_merge_join` runs one group.
+//! ids. `wave_dispatch` and `route_filter` size the executor's two
+//! run-time decisions: which waves run on the submitting thread, and which
+//! shuffle inputs are semi-joined in their route tasks.
+//! `cargo bench --bench kernels -- kernels_merge_join` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cliquesquare_engine::{hash_partition, join_runs, Relation, SortOrder, TripleBinder};
+use cliquesquare_engine::{
+    hash_partition, hash_partition_filtered, join_runs, KeySet, Relation, SortOrder, TripleBinder,
+};
+use cliquesquare_mapreduce::Runtime;
 use cliquesquare_rdf::term::vocab;
 use cliquesquare_rdf::{LubmGenerator, LubmScale, Term, TermId, Triple};
 use cliquesquare_server::http::render_answer;
 use cliquesquare_server::{AnswerRows, QueryAnswer};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 20_000;
 
@@ -319,6 +326,80 @@ fn bench_answer_render(c: &mut Criterion) {
     group.finish();
 }
 
+/// One wave of `k` tasks that each spin for `work`, through the persistent
+/// scheduler with one worker (the submitter helps drain it) and inline on
+/// the submitting thread: what dispatching a wave costs over running it.
+fn bench_wave_dispatch(c: &mut Criterion) {
+    let serving = Runtime::serving(1);
+    let job = serving.begin_job();
+    let wave = |k: usize, work: Duration| -> Vec<_> {
+        (0..k)
+            .map(|task| {
+                move || {
+                    let start = Instant::now();
+                    while start.elapsed() < work {
+                        std::hint::spin_loop();
+                    }
+                    task
+                }
+            })
+            .collect()
+    };
+    let mut group = c.benchmark_group("wave_dispatch");
+    for (label, work) in [("noop", Duration::ZERO), ("1us", Duration::from_micros(1))] {
+        for k in [1, 4, 8] {
+            group.bench_function(format!("serving1_k{k}_{label}"), |b| {
+                b.iter(|| black_box(serving.run_job_wave(job, wave(k, work)).len()))
+            });
+            group.bench_function(format!("inline_k{k}_{label}"), |b| {
+                b.iter(|| black_box(wave(k, work).into_iter().map(|task| task()).sum::<usize>()))
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The route task of a shuffle over 100 k `(x, a, b)` rows into 4 buckets:
+/// plain, and semi-joined to a key set that keeps all, half or 1 % of the
+/// rows; plus building the key set of a 15 k-row smallest input (SP²B S4's
+/// shape: 90 011 rows against 15 000, none dropped). Keys are spread over
+/// 800 k term ids, a dictionary's range at a few million triples, so the
+/// key set is as large as a served query's (100 kB).
+fn bench_route_filter(c: &mut Criterion) {
+    const ROWS: u32 = 100_000;
+    const SPREAD: u32 = 64;
+    let keys = ROWS / 8;
+    let rows = |count: u32| {
+        let mut relation = Relation::empty(vec![v("x"), v("a"), v("b")]);
+        for i in 0..count {
+            let x = i.wrapping_mul(2_654_435_761) % keys * SPREAD;
+            relation.push_row(&[TermId(x), TermId(i), TermId(i ^ 0x5a5a)]);
+        }
+        relation
+    };
+    let relation = rows(ROWS);
+    let key = [v("x")];
+    let kept = |share: u32| -> KeySet {
+        let kept = (0..keys).filter(|k| k % 100 < share);
+        kept.map(|k| TermId(k * SPREAD)).collect()
+    };
+    let mut group = c.benchmark_group("route_filter");
+    group.bench_function("hash_partition_100k_4n", |b| {
+        b.iter(|| black_box(hash_partition(&relation, &key, 4).len()))
+    });
+    for (label, share) in [("drop0", 100), ("drop50", 50), ("drop99", 1)] {
+        let keys = kept(share);
+        group.bench_function(format!("filtered_100k_4n_{label}"), |b| {
+            b.iter(|| black_box(hash_partition_filtered(&relation, &key, 4, &keys).len()))
+        });
+    }
+    let smallest = rows(15_000);
+    group.bench_function("key_set_15k", |b| {
+        b.iter(|| black_box(smallest.rows().map(|row| row[0]).collect::<KeySet>()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -327,6 +408,8 @@ criterion_group!(
     bench_shuffle,
     bench_merge_ordered,
     bench_scan,
-    bench_answer_render
+    bench_answer_render,
+    bench_wave_dispatch,
+    bench_route_filter
 );
 criterion_main!(benches);

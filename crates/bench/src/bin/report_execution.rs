@@ -26,8 +26,8 @@
 //! `--scale U` generates U LUBM universities — larger datasets amortize the
 //! per-wave thread spawn cost, which is what the speedup column measures.
 //! `--snapshot [PATH]` additionally writes each query's deterministic
-//! fields — job descriptor, simulated seconds, result count, sort / run /
-//! peak counters and, with `--cardinality`, q-errors — to `PATH`,
+//! fields — job descriptor, simulated seconds, result count, tuples read and
+//! shuffled, sort / run / peak counters and, with `--cardinality`, q-errors — to `PATH`,
 //! `BENCH_execution.json` by default. The file holds no wall-clock and no
 //! thread count, so the committed copy is a golden file: CI re-records it
 //! at `--scale 12 --cardinality` and gates on `git diff --exit-code`.
@@ -199,6 +199,8 @@ fn main() {
             jobs: report.job_descriptor.clone(),
             simulated_seconds: report.simulated_seconds,
             results: report.result_count,
+            tuples_read: sequential_output.metrics.tuples_read,
+            tuples_shuffled: sequential_output.metrics.tuples_shuffled,
             sorts_performed: rel_stats.sorts_performed,
             rows_sorted: rel_stats.rows_sorted,
             sorts_elided: rel_stats.sorts_elided,

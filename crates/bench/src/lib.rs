@@ -180,6 +180,10 @@ pub struct SnapshotQuery {
     pub simulated_seconds: f64,
     /// Number of distinct answers.
     pub results: usize,
+    /// Triples the scans read (a keyed or sought read counts what it found).
+    pub tuples_read: u64,
+    /// Rows the shuffles routed (a semi-joined route counts what it kept).
+    pub tuples_shuffled: u64,
     /// Index sorts the sequential execution actually performed.
     pub sorts_performed: u64,
     /// Rows those sorts moved through the sort kernel.
@@ -227,11 +231,14 @@ pub fn write_execution_snapshot(
         push_escaped(&mut json, &q.jobs);
         json.push_str(&format!(
             "\", \"simulated_seconds\": {:.6}, \"results\": {}, \
+             \"tuples_read\": {}, \"tuples_shuffled\": {}, \
              \"sorts_performed\": {}, \"rows_sorted\": {}, \"sorts_elided\": {}, \
              \"join_inputs_resorted\": {}, \"runs_emitted\": {}, \
              \"rows_expanded\": {}, \"peak_rows\": {}, \"peak_bytes\": {}",
             q.simulated_seconds,
             q.results,
+            q.tuples_read,
+            q.tuples_shuffled,
             q.sorts_performed,
             q.rows_sorted,
             q.sorts_elided,
@@ -346,6 +353,8 @@ mod tests {
                 jobs: "M".to_string(),
                 simulated_seconds: 8.5,
                 results: 42,
+                tuples_read: 1_200,
+                tuples_shuffled: 0,
                 sorts_performed: 3,
                 rows_sorted: 250,
                 sorts_elided: 17,
@@ -363,6 +372,8 @@ mod tests {
                 jobs: "1".to_string(),
                 simulated_seconds: 9.0,
                 results: 7,
+                tuples_read: 640,
+                tuples_shuffled: 96,
                 sorts_performed: 0,
                 rows_sorted: 0,
                 sorts_elided: 20,
@@ -385,13 +396,15 @@ mod tests {
             "{\n  \"benchmark\": \"execution\",\n  \"workload\": \"LUBM Q1-Q14\",\n  \
              \"dataset_triples\": 1000,\n  \"nodes\": 7,\n  \"queries\": [\n    \
              {\"name\": \"Q\\\"1\", \"patterns\": 2, \"jobs\": \"M\", \
-             \"simulated_seconds\": 8.500000, \"results\": 42, \"sorts_performed\": 3, \
+             \"simulated_seconds\": 8.500000, \"results\": 42, \"tuples_read\": 1200, \
+             \"tuples_shuffled\": 0, \"sorts_performed\": 3, \
              \"rows_sorted\": 250, \"sorts_elided\": 17, \"join_inputs_resorted\": 1, \
              \"runs_emitted\": 5, \"rows_expanded\": 40, \"peak_rows\": 60, \
              \"peak_bytes\": 480, \
              \"median_q_error\": 1.2500, \"max_q_error\": 8.0000},\n    \
              {\"name\": \"Q2\", \"patterns\": 3, \"jobs\": \"1\", \
-             \"simulated_seconds\": 9.000000, \"results\": 7, \"sorts_performed\": 0, \
+             \"simulated_seconds\": 9.000000, \"results\": 7, \"tuples_read\": 640, \
+             \"tuples_shuffled\": 96, \"sorts_performed\": 0, \
              \"rows_sorted\": 0, \"sorts_elided\": 20, \"join_inputs_resorted\": 0, \
              \"runs_emitted\": 0, \"rows_expanded\": 0, \"peak_rows\": 7, \
              \"peak_bytes\": 56}\n  ]\n}\n"

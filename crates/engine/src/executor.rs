@@ -22,19 +22,30 @@
 //! inline on the calling thread; `Runtime::with_threads` drains each wave
 //! on scoped OS threads; `Runtime::serving` hands waves to the persistent
 //! scheduler, where they interleave with other queries' waves (the
-//! submitter helps drain its own). Results are **bit-identical** on all
-//! three at every thread count: scan order, hash routing, stable merges
-//! with ties resolved by source order, and the sorts the interesting-orders
-//! pass leaves in place are all deterministic functions of the per-node
-//! inputs, which do not depend on who runs the task.
+//! submitter helps drain its own). A wave whose operator reads fewer than
+//! `INLINE_ROWS` rows runs on the submitting thread on every runtime, in
+//! task-index order: dispatching it would cost more than the work inside
+//! it. Results are **bit-identical** on all three at every thread count:
+//! scan order, hash routing, stable merges with ties resolved by source
+//! order, and the sorts the interesting-orders pass leaves in place are all
+//! deterministic functions of the per-node inputs, which do not depend on
+//! who runs the task.
 //!
 //! Scans use the store's three replicas as the indexes they are: files come
 //! back in index order without a sort, a residual constant (one no file
 //! name consumed, [`ScanSpec::residual`]) is an equal-range seek in the
-//! replica placed by its position, and the scan inputs of a
-//! MapJoin are evaluated smallest first, each reading only the placement
-//! keys its smallest sibling still holds when those are few against its
-//! files (see `ExecState::eval_scan`).
+//! replica placed by its position, and the scan inputs of a join are
+//! evaluated after its other inputs, smallest first, each reading only the
+//! placement keys the smallest input evaluated so far still holds when
+//! those are few against its files (see `ExecState::eval_scan`).
+//!
+//! A reduce join shuffles only rows that can meet a partner: its driven
+//! scans read by key as above, and every input at least `FILTER_RATIO`
+//! times larger than its smallest input drops, in its route tasks, the rows
+//! whose first join attribute the smallest input lacks (a semi-join; the
+//! key set is built by one task). Dropped rows have no partner, so every
+//! join output — and every answer — is unchanged; `tuples_shuffled` counts
+//! the rows that crossed.
 //!
 //! Operators do **not** canonicalize their outputs. Leaf scans are tagged
 //! with the index order the partitioned store already delivers, joins emit
@@ -55,7 +66,7 @@
 use crate::factorized::{self, BoundedProjection, RunsRelation};
 use crate::jobs::{schedule, JobSchedule};
 use crate::physical::{FilterCondition, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
-use crate::relation::{self, stats::RelationStats, Relation, SortOrder};
+use crate::relation::{self, stats::RelationStats, KeySet, Relation, SortOrder};
 use crate::translate::translate;
 use cliquesquare_core::LogicalPlan;
 use cliquesquare_mapreduce::{Cluster, ExecutionMetrics, JobKind, Runtime};
@@ -179,8 +190,21 @@ impl Intermediate {
     /// — the key order is established here, on each routed bucket: a
     /// planned local sort on the smallest pieces, not a join-input re-sort
     /// on the assembled bucket.
-    fn route(&self, part: usize, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
-        let mut buckets = relation::hash_partition(&self.relations()[part], attributes, nodes);
+    ///
+    /// With `keys`, rows whose first join attribute is not among them are
+    /// dropped on the way ([`relation::hash_partition_filtered`]).
+    fn route(
+        &self,
+        part: usize,
+        attributes: &[Variable],
+        nodes: usize,
+        keys: Option<&KeySet>,
+    ) -> Vec<Relation> {
+        let part = &self.relations()[part];
+        let mut buckets = match keys {
+            Some(keys) => relation::hash_partition_filtered(part, attributes, nodes, keys),
+            None => relation::hash_partition(part, attributes, nodes),
+        };
         for bucket in &mut buckets {
             establish_key_order(bucket, attributes);
         }
@@ -400,11 +424,14 @@ struct ProfCtx {
     /// Override for the current operator's output row count (a bounded root
     /// holds heads; its output is what it counted).
     rows_out: Option<u64>,
-    /// Placement keys a sibling input handed the current scan, when it read
-    /// only those: the estimator priced the whole file, so a deliberately
-    /// narrowed read carries `keys_in` instead of an `est_rows` to be
-    /// compared against.
+    /// Placement keys another join input handed the current scan, when it
+    /// read only those: the estimator priced the whole file, so a
+    /// deliberately narrowed read carries `keys_in` instead of an `est_rows`
+    /// to be compared against.
     keys_in: Option<u64>,
+    /// Whether a wave of the current operator ran on the submitting thread
+    /// because its volume was small ([`INLINE_ROWS`]).
+    inline: bool,
     /// The root gather's span, once it ran.
     gather: Option<SpanNode>,
 }
@@ -424,6 +451,7 @@ impl ProfCtx {
             rows_in: None,
             rows_out: None,
             keys_in: None,
+            inline: false,
             gather: None,
         }
     }
@@ -481,9 +509,10 @@ fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
     needed
 }
 
-/// Marks the scans whose only consumer is a MapJoin: the join evaluates
-/// those itself ([`ExecState::drive_scans`]). A scan shared between
-/// consumers is evaluated on its own, in full, like any other operator.
+/// Marks the scans whose only consumer is a join, map or reduce: the join
+/// evaluates those itself ([`ExecState::drive_scans`]). A scan shared
+/// between consumers is evaluated on its own, in full, like any other
+/// operator.
 fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
     let mut consumers = vec![0usize; plan.len()];
     let mut driven = vec![false; plan.len()];
@@ -491,8 +520,11 @@ fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
         let op = plan.op(PhysId(index));
         for input in op.inputs() {
             consumers[input.index()] += 1;
-            driven[input.index()] =
-                matches!(op, PhysicalOp::MapJoin { .. }) && is_scan(plan, input);
+            let join = matches!(
+                op,
+                PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. }
+            );
+            driven[input.index()] = join && is_scan(plan, input);
         }
     }
     for (driven, consumers) in driven.iter_mut().zip(consumers) {
@@ -501,13 +533,64 @@ fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
     driven
 }
 
-/// A scan input restricts its read to a sibling's placement keys when its
-/// files hold at least this many rows per key. Looking one key up costs
-/// about `2·log2(rows per key) + 2` probes, so from 64 rows per key a
+/// A scan input restricts its read to another join input's placement keys
+/// when its files hold at least this many rows per key. Looking one key up
+/// costs about `2·log2(rows per key) + 2` probes, so from 64 rows per key a
 /// restricted read touches under a quarter of what a full read binds even
 /// when every row turns out to match; below it the keys are dense enough
 /// that reading the file and letting the merge join skip is as cheap.
 const RESTRICT_ROWS_PER_KEY: usize = 64;
+
+/// A wave runs on the submitting thread, in task-index order, when its
+/// operator's input volume (`ExecState::run_wave`) is below this many rows.
+/// Criterion `wave_dispatch` (2 cores, means of 1 s windows): a wave of 4
+/// tasks — the fan-out of 2 threads — costs 2.6 µs more through
+/// `Runtime::serving(1)` than inline when its tasks do nothing, 3.7 µs when
+/// each spins 1 µs; 8 tasks cost 4.3–5.1 µs more. On two threads the pool
+/// at best halves a wave's work W, so it pays once W / 2 exceeds that, at
+/// W ≈ 7.4 µs. The cheapest row passes near the cut — a projection, the
+/// gather's merge of ordered parts, a bind (3.5 ns a triple) — cost about
+/// 2 ns a row, hence 4 096; a one-task wave never gains from the pool.
+/// Against 1 024, alternating `point_lookup` and `lubm_mix` runs did not
+/// favour the smaller cut (EXPERIMENTS.md, "Semi-joined shuffles and inline
+/// waves").
+const INLINE_ROWS: u64 = 4_096;
+
+/// A reduce join input at least this many times larger than the join's
+/// smallest input is key-filtered in its route tasks. Criterion
+/// `route_filter` (2 cores, means of 1 s windows): routing 100 k rows into
+/// 4 buckets takes 9.9 ns a row; with the key set it takes 11.0 (none
+/// dropped), 7.9 (half) and 4.7 (99 %), and the set itself costs 6.3 ns per
+/// row of the smallest input. A dropped row also skips the reduce-side
+/// merge (≈ 11 ns). With nothing dropped the filter is pure cost — about
+/// `1.1 + 6.3 / ratio` ns per row of the large input — so the ratio must
+/// stay above the lopsided joins that drop nothing: SP²B S4's join is
+/// 90 397 rows against 15 000 (6.0 ×), none of them partnerless. At 8 × the
+/// filter's worst case is ≈ 2 ns a row (a fifth of routing it), repaid once
+/// it drops a tenth of the rows.
+const FILTER_RATIO: u64 = 8;
+
+/// How a scan driven by a join finds the placement keys it may restrict
+/// its read to: from the smallest input of that join evaluated so far.
+#[derive(Debug, Clone, Copy)]
+enum KeysFrom {
+    /// A MapJoin sibling, co-located with the scan: a node's part holds
+    /// every key that node's files can match (see `ExecState::key_source`).
+    Sibling(PhysId),
+    /// A ReduceJoin input, not co-located: its keys are the union over all
+    /// of its parts, each sought on the node it is placed on (see
+    /// `ExecState::gathered_keys`).
+    Gathered(PhysId),
+}
+
+/// The placement keys a scan task reads, when it reads by key.
+enum ScanKeys {
+    /// A co-located sibling's parts and its placement-variable column: each
+    /// task takes its own node's distinct keys.
+    Sibling(Arc<Intermediate>, usize),
+    /// Per node, the ascending distinct keys placed on it.
+    Placed(Vec<Vec<TermId>>),
+}
 
 /// The distinct values of `column`, which `relation` is sorted by — or
 /// `None` as soon as there are more than `limit` of them.
@@ -573,19 +656,26 @@ impl<'a> ExecState<'a> {
         &mut self.jobs[job - 1]
     }
 
-    /// Runs one wave of this job's tasks. With profiling on, every task is
+    /// Runs one wave of this job's tasks for an operator whose inputs hold
+    /// `volume` rows: on the submitting thread, in task-index order, when
+    /// that is below [`INLINE_ROWS`], and on the runtime otherwise. The
+    /// volume is a scan's expected triples (`ExecState::scan_volume`), a
+    /// reduce wave's rows the shuffle delivered, and any other wave's
+    /// operator input rows. With profiling on, every task is
     /// additionally bracketed — on the thread that runs it — with its start
     /// offset, its wall clock and its relation-stats delta: pure
     /// observations that cannot change task results. The deltas sum into
     /// the span of the operator being evaluated.
-    fn run_wave<T, F>(&mut self, tasks: Vec<F>) -> Vec<T>
+    fn run_wave<T, F>(&mut self, volume: u64, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        let inline = volume < INLINE_ROWS;
         let Some(prof) = &mut self.prof else {
-            return self.runtime.run_job_wave(self.job_id, tasks);
+            return self.dispatch(inline, tasks);
         };
+        prof.inline |= inline;
         let epoch = prof.epoch;
         let wrapped: Vec<_> = tasks
             .into_iter()
@@ -601,7 +691,8 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let outcomes = self.runtime.run_job_wave(self.job_id, wrapped);
+        let outcomes = self.dispatch(inline, wrapped);
+        let prof = self.prof.as_mut().expect("profiling");
         let mut results = Vec::with_capacity(outcomes.len());
         for (index, (result, start, wall, delta)) in outcomes.into_iter().enumerate() {
             prof.tasks.push(TaskSpan {
@@ -613,6 +704,19 @@ impl<'a> ExecState<'a> {
             results.push(result);
         }
         results
+    }
+
+    /// Runs `tasks` on this thread in index order when `inline`, as a wave
+    /// of this job on the runtime otherwise.
+    fn dispatch<T, F>(&self, inline: bool, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        match inline {
+            true => tasks.into_iter().map(|task| task()).collect(),
+            false => self.runtime.run_job_wave(self.job_id, tasks),
+        }
     }
 
     /// Opens the driver-side bracket of a span; `None` unless profiling.
@@ -647,6 +751,9 @@ impl<'a> ExecState<'a> {
         }
         for (name, value) in std::mem::take(&mut prof.attrs) {
             node.add_attr(name, value);
+        }
+        if std::mem::take(&mut prof.inline) {
+            node.add_attr("inline", 1);
         }
         node
     }
@@ -693,24 +800,28 @@ impl<'a> ExecState<'a> {
             .expect("root evaluated");
         let (bound, counted) = (self.bound, self.counted);
         let span = self.open_span();
-        let gathered = self.run_wave(vec![move || {
-            let mut results = root.gather();
-            results.canonicalize();
-            let merged = results.len();
-            let Some(bound) = bound else {
-                return (results, merged, merged);
-            };
-            let (mut results, total) = match counted {
-                Some(total) => (results, total),
-                None => {
-                    let results = results.distinct();
-                    let total = results.len();
-                    (results, total)
-                }
-            };
-            results.truncate(bound);
-            (results, total, merged)
-        }]);
+        let rows = root.cardinality();
+        let gathered = self.run_wave(
+            rows,
+            vec![move || {
+                let mut results = root.gather();
+                results.canonicalize();
+                let merged = results.len();
+                let Some(bound) = bound else {
+                    return (results, merged, merged);
+                };
+                let (mut results, total) = match counted {
+                    Some(total) => (results, total),
+                    None => {
+                        let results = results.distinct();
+                        let total = results.len();
+                        (results, total)
+                    }
+                };
+                results.truncate(bound);
+                (results, total, merged)
+            }],
+        );
         let (results, total, merged) = gathered.into_iter().next().expect("one gather task");
         if let Some(span) = span {
             let mut node = self.close_span("Gather".to_string(), span);
@@ -724,16 +835,20 @@ impl<'a> ExecState<'a> {
     /// Evaluates the plan into the memo. Operators are stored bottom-up
     /// (inputs have smaller ids than their consumers), so one in-order pass
     /// over the arena evaluates every operator after its inputs — no
-    /// recursion, no re-evaluation. The scans a MapJoin drives wait for it:
-    /// the join runs them itself, smallest first, so each can read only the
-    /// keys the others left.
+    /// recursion, no re-evaluation. The scans a join drives wait for it:
+    /// the join runs them itself, after its other inputs and smallest
+    /// first, so each can read only the keys the others left.
     fn run(&mut self) {
         let plan = self.plan;
         let needed = evaluated_ops(plan);
         let driven = join_driven_scans(plan, &needed);
         for index in (0..plan.len()).filter(|&index| needed[index] && !driven[index]) {
-            if let PhysicalOp::MapJoin { inputs, .. } = plan.op(PhysId(index)) {
-                self.drive_scans(inputs);
+            match plan.op(PhysId(index)) {
+                PhysicalOp::MapJoin { inputs, .. } => self.drive_scans(inputs, KeysFrom::Sibling),
+                PhysicalOp::ReduceJoin { inputs, .. } => {
+                    self.drive_scans(inputs, KeysFrom::Gathered)
+                }
+                _ => {}
             }
             self.run_op(PhysId(index), None);
         }
@@ -742,7 +857,7 @@ impl<'a> ExecState<'a> {
     /// Evaluates one operator into the memo. With profiling on, the
     /// operator is bracketed with a driver-side clock; the wave wrapper in
     /// `run_wave` adds what its tasks observed.
-    fn run_op(&mut self, id: PhysId, keys_from: Option<PhysId>) {
+    fn run_op(&mut self, id: PhysId, keys_from: Option<KeysFrom>) {
         let span = self.open_span();
         let result = self.eval_op(id, keys_from);
         if let Some(span) = span {
@@ -753,35 +868,33 @@ impl<'a> ExecState<'a> {
         self.memo[id.index()] = Some(result);
     }
 
-    /// Evaluates the scans a MapJoin drives, each as its own operator (own
+    /// Evaluates the scans a join drives, each as its own operator (own
     /// wave, own span): constant seeks first, then by stored rows ascending
     /// — both known before anything is read. Each scan is handed the
-    /// smallest input evaluated so far, whose placement keys it may restrict
-    /// its read to; a restricted read returns only rows that can still find
-    /// a partner, so it tends to be the next scan's key source in turn.
-    fn drive_scans(&mut self, inputs: &[PhysId]) {
+    /// smallest input evaluated so far (`keys_from` says how its keys are
+    /// found), whose placement keys it may restrict its read to; a
+    /// restricted read returns only rows that can still find a partner, so
+    /// it tends to be the next scan's key source in turn.
+    fn drive_scans(&mut self, inputs: &[PhysId], keys_from: fn(PhysId) -> KeysFrom) {
         let plan = self.plan;
         let rows_of = |state: &Self, id: PhysId| {
             let value = state.memo[id.index()].as_ref()?;
             Some((value.cardinality(), id))
         };
         let mut smallest = inputs.iter().filter_map(|&id| rows_of(self, id)).min();
-        let store = self.cluster.store();
-        let mut pending: Vec<(bool, usize, PhysId)> = inputs
+        let mut pending: Vec<(bool, u64, PhysId)> = inputs
             .iter()
             .filter(|id| self.memo[id.index()].is_none())
             .filter_map(|&id| {
                 let PhysicalOp::MapScan { spec, .. } = plan.op(id) else {
                     return None;
                 };
-                let stored =
-                    store.scan_cardinality(spec.placement, spec.property, spec.type_object);
-                Some((spec.residual.is_empty(), stored, id))
+                Some((spec.residual.is_empty(), self.stored_rows(spec), id))
             })
             .collect();
         pending.sort_unstable();
         for (_, _, id) in pending {
-            self.run_op(id, smallest.map(|(_, source)| source));
+            self.run_op(id, smallest.map(|(_, source)| keys_from(source)));
             smallest = smallest.into_iter().chain(rows_of(self, id)).min();
         }
     }
@@ -793,7 +906,7 @@ impl<'a> ExecState<'a> {
             .expect("inputs evaluated before consumers")
     }
 
-    fn eval_op(&mut self, id: PhysId, keys_from: Option<PhysId>) -> Arc<Intermediate> {
+    fn eval_op(&mut self, id: PhysId, keys_from: Option<KeysFrom>) -> Arc<Intermediate> {
         match self.plan.op(id) {
             PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, keys_from),
             PhysicalOp::MapJoin {
@@ -815,9 +928,9 @@ impl<'a> ExecState<'a> {
     /// * a residual constant is **sought**: the replica placed by the
     ///   constant's position holds every matching triple as one equal range
     ///   per file, so the scan's own files are never read;
-    /// * otherwise, when `keys_from` names a sibling join input whose
-    ///   distinct placement keys are few against this node's stored rows
-    ///   ([`RESTRICT_ROWS_PER_KEY`]), the task reads only those keys;
+    /// * otherwise, when `keys_from` names an input of the driving join
+    ///   whose distinct placement keys are few against this node's stored
+    ///   rows ([`RESTRICT_ROWS_PER_KEY`]), the task reads only those keys;
     /// * otherwise the files are read in full, as they are stored.
     ///
     /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
@@ -836,7 +949,7 @@ impl<'a> ExecState<'a> {
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        keys_from: Option<PhysId>,
+        keys_from: Option<KeysFrom>,
     ) -> Arc<Intermediate> {
         let plan = self.plan;
         let nodes = self.cluster.nodes();
@@ -865,10 +978,12 @@ impl<'a> ExecState<'a> {
             ),
             None => (None, &spec.residual[..]),
         };
-        let keys = match sought {
-            Some(_) => None,
-            None => keys_from.and_then(|source| self.key_source(spec, source)),
+        let keys = match (&sought, keys_from) {
+            (None, Some(KeysFrom::Sibling(source))) => self.key_source(spec, source),
+            (None, Some(KeysFrom::Gathered(source))) => self.gathered_keys(spec, source),
+            _ => None,
         };
+        let volume = self.scan_volume(spec, sought.as_deref(), keys.as_ref());
         // One `'static` snapshot shared by the wave's tasks: the store stays
         // behind its `Arc`, everything else is this scan's own small state.
         let ctx = Arc::new(ScanWave {
@@ -886,7 +1001,7 @@ impl<'a> ExecState<'a> {
                 move || ctx.task(node)
             })
             .collect();
-        let results = self.run_wave(tasks);
+        let results = self.run_wave(volume, tasks);
 
         let checks = (spec.residual.len() as u64).max(1);
         let mut scanned_total: u64 = 0;
@@ -923,23 +1038,100 @@ impl<'a> ExecState<'a> {
     /// part's distinct keys come out ascending, the order the files hold
     /// them in. (Inputs of one join share every variable they both bind, so
     /// restricting by a shared variable can only drop rows with no partner.)
-    fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<(Arc<Intermediate>, usize)> {
+    fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<ScanKeys> {
         if !is_scan(self.plan, source) {
             return None;
         }
-        let term = match spec.placement {
-            TriplePosition::Subject => &spec.pattern.subject,
-            TriplePosition::Property => &spec.pattern.property,
-            TriplePosition::Object => &spec.pattern.object,
-        };
         let value = self.input(source);
         let parts = value.relations();
-        let column = parts.first()?.column(term.as_variable()?)?;
+        let column = parts.first()?.column(placement_variable(spec)?)?;
         let sorted = parts.len() == self.cluster.nodes()
             && parts
                 .iter()
                 .all(|part| part.order().columns().first() == Some(&column));
-        sorted.then_some((value, column))
+        sorted.then_some(ScanKeys::Sibling(value, column))
+    }
+
+    /// The distinct values of the scan's placement variable in `source`, an
+    /// input of the reduce join driving the scan — which `translate` places
+    /// by that join's first attribute — split by the node each value is
+    /// placed on. `source` is not co-located with the scan, so one task
+    /// gathers the union over all of its parts, sorts and de-duplicates it.
+    /// `None` (and no task) when `source` has more rows than
+    /// [`RESTRICT_ROWS_PER_KEY`] lets the scan's stored rows restrict to.
+    fn gathered_keys(&mut self, spec: &ScanSpec, source: PhysId) -> Option<ScanKeys> {
+        let value = self.input(source);
+        let column = value
+            .relations()
+            .first()?
+            .column(placement_variable(spec)?)?;
+        let rows = value.cardinality();
+        let stored = self.stored_rows(spec);
+        if rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
+            return None;
+        }
+        let store = self.cluster.store_arc();
+        let placed = self.run_wave(
+            rows,
+            vec![move || {
+                let parts = value.relations().iter();
+                let mut keys: Vec<TermId> = parts
+                    .flat_map(|part| part.rows().map(|row| row[column]))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let mut placed = vec![Vec::new(); store.nodes()];
+                for key in keys {
+                    placed[store.node_of(key)].push(key);
+                }
+                placed
+            }],
+        );
+        placed.into_iter().next().map(ScanKeys::Placed)
+    }
+
+    /// The triples a full read of `spec`'s files binds, from the catalog:
+    /// each replica holds every triple once.
+    fn stored_rows(&self, spec: &ScanSpec) -> u64 {
+        let stats = self.cluster.statistics();
+        stats.scan_cardinality(spec.property, spec.type_object) as u64
+    }
+
+    /// The triples a scan of `spec` is expected to read — the volume its
+    /// wave is dispatched by: the triples a constant `sought`, or, reading
+    /// by key, the key count (for a sibling's keys, its rows: a bound) times
+    /// the catalog's rows per distinct placement value (one for a class
+    /// file), or else its stored rows.
+    fn scan_volume(
+        &self,
+        spec: &ScanSpec,
+        sought: Option<&[Vec<Triple>]>,
+        keys: Option<&ScanKeys>,
+    ) -> u64 {
+        if let Some(sought) = sought {
+            return sought.iter().map(|triples| triples.len() as u64).sum();
+        }
+        let stored = self.stored_rows(spec);
+        let keys = match keys {
+            Some(ScanKeys::Sibling(source, _)) => source.cardinality(),
+            Some(ScanKeys::Placed(placed)) => placed.iter().map(|keys| keys.len() as u64).sum(),
+            None => return stored,
+        };
+        let rows_per_key = match (spec.type_object, spec.property) {
+            (Some(_), _) => 1,
+            (None, Some(property)) => {
+                let distinct = self
+                    .cluster
+                    .statistics()
+                    .distinct_at(property, spec.placement);
+                stored.div_ceil(distinct.max(1) as u64)
+            }
+            (None, None) => return stored,
+        };
+        if keys.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
+            return stored;
+        }
+        stored.min(keys * rows_per_key)
     }
 
     fn eval_map_join(
@@ -998,7 +1190,8 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let parts = self.run_wave(tasks);
+        let volume = ctx.evaluated.iter().map(|value| value.cardinality()).sum();
+        let parts = self.run_wave(volume, tasks);
         self.charge_join_output(id, parts.iter().map(rows).sum());
         parts
     }
@@ -1032,13 +1225,22 @@ impl<'a> ExecState<'a> {
         let attrs: Arc<[Variable]> = attributes.iter().cloned().collect();
         let delivered: Arc<[Variable]> = plan.ordering(id).delivered.as_slice().into();
         let evaluated: Vec<Arc<Intermediate>> = inputs.iter().map(|&i| self.input(i)).collect();
-        let shuffled: u64 = evaluated.iter().map(|v| v.cardinality()).sum();
-        if let Some(prof) = &mut self.prof {
-            prof.attrs.push(("tuples_shuffled", shuffled));
-        }
+        let rows: Vec<u64> = evaluated.iter().map(|v| v.cardinality()).collect();
+        let volume = rows.iter().sum();
+        let filter = self.semi_join(&evaluated, &rows, &attrs, volume);
+        let filtered_inputs = filter.as_ref().map_or(0, |(_, flags)| {
+            flags.iter().filter(|&&flagged| flagged).count() as u64
+        });
 
         // The reduce phase spans both waves: route, then merge + join.
-        let buckets = self.shuffle(&evaluated, &attrs);
+        let (buckets, shuffled) = self.shuffle(&evaluated, &attrs, filter, volume);
+        if let Some(prof) = &mut self.prof {
+            prof.attrs.push(("tuples_shuffled", shuffled));
+            if filtered_inputs > 0 {
+                prof.attrs.push(("filtered_inputs", filtered_inputs));
+                prof.attrs.push(("filtered_rows", volume - shuffled));
+            }
+        }
         // The hash partition gives the nodes disjoint key sets and never
         // separates joinable rows, so the per-node outputs together are the
         // cluster-wide join; they stay per node, each in the delivered
@@ -1054,28 +1256,74 @@ impl<'a> ExecState<'a> {
         Arc::new(joined)
     }
 
+    /// The semi-join of a reduce join's shuffle: when an input holds at
+    /// least [`FILTER_RATIO`] times the rows of the smallest input (`rows`
+    /// per input), one task builds the set of the smallest input's values
+    /// of the first join attribute, and the returned flags mark the inputs
+    /// whose route tasks drop the rows outside it. Every input of a join
+    /// binds every join attribute, so a dropped row has no partner. `None`
+    /// when no input is that lopsided, or the join has no attribute.
+    fn semi_join(
+        &mut self,
+        evaluated: &[Arc<Intermediate>],
+        rows: &[u64],
+        attrs: &[Variable],
+        volume: u64,
+    ) -> Option<(Arc<KeySet>, Vec<bool>)> {
+        let first = attrs.first()?.clone();
+        let (smallest, &least) = rows.iter().enumerate().min_by_key(|&(_, rows)| *rows)?;
+        let filtered: Vec<bool> = (rows.iter().enumerate())
+            .map(|(input, &rows)| input != smallest && rows > 0 && rows >= FILTER_RATIO * least)
+            .collect();
+        if !filtered.contains(&true) {
+            return None;
+        }
+        let source = Arc::clone(&evaluated[smallest]);
+        let keys = self.run_wave(
+            volume,
+            vec![move || {
+                let parts = source.relations().iter();
+                (parts.flat_map(|part| {
+                    let column = part
+                        .column(&first)
+                        .expect("every join input binds its attributes");
+                    part.rows().map(move |row| row[column])
+                }))
+                .collect::<KeySet>()
+            }],
+        );
+        let keys = keys.into_iter().next().expect("one key-set task");
+        Some((Arc::new(keys), filtered))
+    }
+
     /// The shuffle of one join: a wave of one route task per (input, source
     /// part) hash-partitions every part on the join attributes
     /// ([`Intermediate::route`]), so all rows agreeing on the key meet on
     /// one node; the routed buckets are then handed to their destinations
-    /// by move. Returns, per destination node and per input, the buckets
-    /// that node received, in source-part order.
+    /// by move. With a `filter` ([`ExecState::semi_join`]), the route tasks
+    /// of the inputs it flags drop the rows outside its key set. Returns,
+    /// per destination node and per input, the buckets that node received,
+    /// in source-part order, and the number of rows routed.
     fn shuffle(
         &mut self,
         evaluated: &[Arc<Intermediate>],
         attrs: &Arc<[Variable]>,
-    ) -> Vec<Vec<Vec<Relation>>> {
+        filter: Option<(Arc<KeySet>, Vec<bool>)>,
+        volume: u64,
+    ) -> (Vec<Vec<Vec<Relation>>>, u64) {
         let nodes = self.cluster.nodes();
-        let tasks: Vec<_> = evaluated
-            .iter()
-            .flat_map(|value| (0..value.parts()).map(move |part| (value, part)))
-            .map(|(value, part)| {
+        let (keys, filtered) = filter.unzip();
+        let tasks: Vec<_> = (evaluated.iter().enumerate())
+            .flat_map(|(input, value)| (0..value.parts()).map(move |part| (input, value, part)))
+            .map(|(input, value, part)| {
                 let (value, attrs) = (Arc::clone(value), Arc::clone(attrs));
-                move || value.route(part, &attrs, nodes)
+                let flagged = filtered.as_ref().is_some_and(|filtered| filtered[input]);
+                let keys = keys.clone().filter(|_| flagged);
+                move || value.route(part, &attrs, nodes, keys.as_deref())
             })
             .collect();
         let route_tasks = tasks.len() as u64;
-        let routed = self.run_wave(tasks);
+        let routed = self.run_wave(volume, tasks);
 
         let mut received: Vec<Vec<Vec<Relation>>> = (0..nodes)
             .map(|_| {
@@ -1083,12 +1331,13 @@ impl<'a> ExecState<'a> {
                 per_input.collect()
             })
             .collect();
-        let mut shuffle_bytes: u64 = 0;
+        let (mut shuffle_bytes, mut shuffled) = (0, 0);
         let mut routed = routed.into_iter();
         for (input, value) in evaluated.iter().enumerate() {
             for buckets in routed.by_ref().take(value.parts()) {
                 for (node, bucket) in buckets.into_iter().enumerate() {
                     shuffle_bytes += bucket.buffer_bytes();
+                    shuffled += bucket.len() as u64;
                     received[node][input].push(bucket);
                 }
             }
@@ -1098,7 +1347,7 @@ impl<'a> ExecState<'a> {
             prof.attrs.push(("route_tasks", route_tasks));
             prof.attrs.push(("shuffle_bytes", shuffle_bytes));
         }
-        received
+        (received, shuffled)
     }
 
     /// The reduce wave of one join: one task per node takes ownership of
@@ -1107,7 +1356,8 @@ impl<'a> ExecState<'a> {
     /// the pass ordered by this join's attributes are joined without a
     /// re-sort — and joins them with `join`. Deterministic in part order,
     /// so identical at every thread count. Returns the per-node outputs,
-    /// whose logical row counts `rows` reports.
+    /// whose logical row counts `rows` reports. The wave's volume is the
+    /// rows the shuffle delivered.
     fn reduce<T: Send + 'static>(
         &mut self,
         id: PhysId,
@@ -1117,6 +1367,8 @@ impl<'a> ExecState<'a> {
         join: JoinKernel<T>,
         rows: fn(&T) -> usize,
     ) -> Vec<T> {
+        let received = buckets.iter().flatten().flatten();
+        let volume = received.map(|bucket| bucket.len() as u64).sum();
         let tasks: Vec<_> = buckets
             .into_iter()
             .map(|buckets| {
@@ -1129,7 +1381,7 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let parts = self.run_wave(tasks);
+        let parts = self.run_wave(volume, tasks);
         self.charge_join_output(id, parts.iter().map(rows).sum());
         parts
     }
@@ -1165,7 +1417,7 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let projected = self.run_wave(tasks);
+        let projected = self.run_wave(rows, tasks);
         Arc::new(Intermediate::Local(projected))
     }
 
@@ -1213,8 +1465,11 @@ impl<'a> ExecState<'a> {
                 }
             })
             .collect();
-        let parts: Vec<BoundedProjection> =
-            self.run_wave(tasks).into_iter().collect::<Option<_>>()?;
+        let volume = value.cardinality();
+        let parts: Vec<BoundedProjection> = self
+            .run_wave(volume, tasks)
+            .into_iter()
+            .collect::<Option<_>>()?;
         let (mut heads, mut witnesses) = (Vec::new(), Vec::new());
         let (mut count, mut runs_expanded) = (0, 0);
         for part in parts {
@@ -1228,10 +1483,13 @@ impl<'a> ExecState<'a> {
                 return None;
             }
             let values: Vec<Relation> = witnesses.into_iter().map(|(_, values)| values).collect();
-            let disjoint = self.run_wave(vec![move || {
-                let merged = Relation::merge_ordered(values);
-                merged.distinct_len() == merged.len()
-            }]);
+            let disjoint = self.run_wave(
+                volume,
+                vec![move || {
+                    let merged = Relation::merge_ordered(values);
+                    merged.distinct_len() == merged.len()
+                }],
+            );
             if disjoint != [true] {
                 return None;
             }
@@ -1251,6 +1509,17 @@ impl<'a> ExecState<'a> {
 /// Returns `true` when `id` is a MapScan.
 fn is_scan(plan: &PhysicalPlan, id: PhysId) -> bool {
     matches!(plan.op(id), PhysicalOp::MapScan { .. })
+}
+
+/// The variable at a scan's placement position — the one its files are
+/// placed and ordered by — unless a constant sits there.
+fn placement_variable(spec: &ScanSpec) -> Option<&Variable> {
+    let term = match spec.placement {
+        TriplePosition::Subject => &spec.pattern.subject,
+        TriplePosition::Property => &spec.pattern.property,
+        TriplePosition::Object => &spec.pattern.object,
+    };
+    term.as_variable()
 }
 
 /// The variables the parts of `id`'s output are partitioned on: the
@@ -1282,14 +1551,14 @@ struct ScanWave {
     residual: Vec<FilterCondition>,
     /// Per-node triples a constant seek found; `None` reads the files.
     sought: Option<Vec<Vec<Triple>>>,
-    /// A sibling join input and its placement-variable column
-    /// (see [`ExecState::key_source`]).
-    keys: Option<(Arc<Intermediate>, usize)>,
+    /// The placement keys the read is restricted to, where they are few
+    /// enough ([`RESTRICT_ROWS_PER_KEY`]).
+    keys: Option<ScanKeys>,
 }
 
 impl ScanWave {
-    /// One node's triples in scan order, and the number of sibling keys the
-    /// read was restricted to (`None`: sought, or read in full).
+    /// One node's triples in scan order, and the number of keys the read
+    /// was restricted to (`None`: sought, or read in full).
     fn read(&self, node: usize) -> (Cow<'_, [Triple]>, Option<u64>) {
         if let Some(sought) = &self.sought {
             return (Cow::Borrowed(&sought[node]), None);
@@ -1298,10 +1567,17 @@ impl ScanWave {
         let files = self
             .store
             .scan_files(node, spec.placement, spec.property, spec.type_object);
-        let keys = self.keys.as_ref().and_then(|(source, column)| {
-            let part = &source.relations()[node];
-            distinct_keys(part, *column, files.rows() / RESTRICT_ROWS_PER_KEY)
-        });
+        let limit = files.rows() / RESTRICT_ROWS_PER_KEY;
+        let keys = match &self.keys {
+            Some(ScanKeys::Sibling(source, column)) => {
+                distinct_keys(&source.relations()[node], *column, limit).map(Cow::Owned)
+            }
+            Some(ScanKeys::Placed(placed)) => {
+                let keys = &placed[node];
+                (keys.len() <= limit).then_some(Cow::Borrowed(&keys[..]))
+            }
+            None => None,
+        };
         match keys {
             Some(keys) => (Cow::Owned(files.read_keys(&keys)), Some(keys.len() as u64)),
             None => (files.read(), None),
@@ -1310,7 +1586,7 @@ impl ScanWave {
 
     /// One node's scan task: reads the node's triples and binds them in
     /// bulk, tagging the rows with the index order. Returns the relation,
-    /// the triples read and the sibling keys the read was restricted to.
+    /// the triples read and the keys the read was restricted to.
     fn task(&self, node: usize) -> (Relation, u64, Option<u64>) {
         let (triples, keys_in) = self.read(node);
         let order = SortOrder::by(self.order_cols.iter().copied());
@@ -1769,7 +2045,8 @@ mod tests {
     /// object position, in both (around a variable property, so the scans
     /// read the property-placed replica), a constant that leaves one join
     /// input empty (absent from the dictionary; present but never under
-    /// that property), repeated variables, and two-attribute MapJoins.
+    /// that property), repeated variables, two-attribute MapJoins, and a
+    /// class scan joined on the reduce side to one department's advisees.
     const SELECTIVE_TEMPLATES: &[&str] = &[
         "SELECT ?X WHERE { ?X rdf:type ub:AssistantProfessor . \
          ?X ub:doctoralDegreeFrom <http://www.University0.edu> }",
@@ -1791,6 +2068,8 @@ mod tests {
         "SELECT ?S ?P ?D WHERE { ?S ub:worksFor ?D . ?S ?P ?D }",
         "SELECT ?S ?C WHERE { ?S rdf:type ?C . ?S ?P ?C . ?S ub:doctoralDegreeFrom \
          <http://www.University2.edu> }",
+        "SELECT ?X ?Y WHERE { ?X rdf:type ub:UndergraduateStudent . ?Y rdf:type ub:FullProfessor . \
+         ?X ub:advisor ?Y . ?Y ub:worksFor <http://www.Department0.University0.edu> }",
     ];
 
     /// A profiling execution state over `plan`, nothing evaluated yet.
@@ -1815,15 +2094,17 @@ mod tests {
         }
     }
 
-    /// Evaluates `plan` and returns every MapJoin's per-node parts, plus how
-    /// many scans read only a sibling's keys. With `restrict` off, the
-    /// scans the joins would drive are evaluated first, in full; the joins
-    /// then find every input memoized and drive nothing.
-    fn map_join_parts(
+    /// Evaluates `plan` and returns the per-node parts of every join `kind`
+    /// selects, plus how many scans read only another join input's keys.
+    /// With `restrict` off, the scans the joins would drive are evaluated
+    /// first, in full; the joins then find every input memoized and drive
+    /// nothing.
+    fn join_parts(
         cluster: &Cluster,
         plan: &PhysicalPlan,
         runtime: &Runtime,
         restrict: bool,
+        kind: fn(&PhysicalOp) -> bool,
     ) -> (Vec<Vec<Relation>>, usize) {
         let sched = schedule(plan);
         let mut state = exec_state(cluster, plan, &sched, runtime);
@@ -1839,7 +2120,7 @@ mod tests {
             .filter(|(_, node)| node.attrs.iter().any(|(name, _)| name == "keys_in"))
             .count();
         let parts = plan
-            .ops_where(|op| matches!(op, PhysicalOp::MapJoin { .. }))
+            .ops_where(kind)
             .into_iter()
             .map(|id| match &*state.input(id) {
                 Intermediate::Local(parts) => parts.clone(),
@@ -1864,16 +2145,77 @@ mod tests {
         {
             let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
             let physical = translate(result.flattest_plans()[0], cluster.graph());
-            let (full, none) = map_join_parts(&cluster, &physical, &Runtime::sequential(), false);
+            let map_joins = |op: &PhysicalOp| matches!(op, PhysicalOp::MapJoin { .. });
+            let sequential = Runtime::sequential();
+            let (full, none) = join_parts(&cluster, &physical, &sequential, false, map_joins);
             assert_eq!(none, 0, "scans evaluated on their own never restrict");
             for threads in [1, 2, 8] {
                 let runtime = Runtime::with_threads(threads);
-                let (parts, restricted) = map_join_parts(&cluster, &physical, &runtime, true);
+                let (parts, restricted) =
+                    join_parts(&cluster, &physical, &runtime, true, map_joins);
                 assert_eq!(parts, full, "threads={threads}: {query}");
                 restricted_scans += restricted;
             }
         }
         assert!(restricted_scans > 0, "the templates exercise key passing");
+    }
+
+    /// The semi-join of a reduce join only drops rows that have no partner:
+    /// on every node, every ReduceJoin of the first eight MSC plans of every
+    /// selective template outputs the rows, in the order, it outputs over
+    /// driven scans read in full — at threads {1, 2, 8} — and the plans
+    /// read by key for a reduce join and filter its route tasks. (At 24
+    /// universities the advisees' side is small enough against the class
+    /// file for a keyed read.)
+    #[test]
+    fn semi_joined_reduce_joins_equal_full_ones_node_for_node() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(24)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let reduce_joins = |op: &PhysicalOp| matches!(op, PhysicalOp::ReduceJoin { .. });
+        let (mut restricted_scans, mut filtered) = (0, 0);
+        let queries = SELECTIVE_TEMPLATES
+            .iter()
+            .map(|text| parse_query(text).unwrap());
+        for query in queries {
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            for plan in result.plans.iter().take(8) {
+                let physical = translate(plan, cluster.graph());
+                let sequential = Runtime::sequential();
+                let (full, _) = join_parts(&cluster, &physical, &sequential, false, reduce_joins);
+                for threads in [1, 2, 8] {
+                    let runtime = Runtime::with_threads(threads);
+                    let (parts, _) = join_parts(&cluster, &physical, &runtime, true, reduce_joins);
+                    assert_eq!(parts, full, "threads={threads}: {query}");
+                }
+                let output = Executor::sequential(&cluster).execute_profiled(&physical);
+                let profile = output.profile.expect("profiled");
+                let operators = profile.children.iter().flat_map(|job| &job.children);
+                for op in operators {
+                    let attr = |name| op.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+                    filtered += attr("filtered_rows").unwrap_or(0);
+                    let id = op
+                        .name
+                        .split_once('#')
+                        .map(|(_, id)| id.parse::<usize>().unwrap());
+                    let consumer = physical.ops().iter().find(|consumer| {
+                        reduce_joins(consumer) && consumer.inputs().contains(&PhysId(id.unwrap()))
+                    });
+                    restricted_scans +=
+                        usize::from(attr("keys_in").is_some() && consumer.is_some());
+                }
+            }
+        }
+        assert!(restricted_scans > 0, "a reduce join drives a scan by key");
+        assert!(filtered > 0, "a reduce join filters its route tasks");
+    }
+
+    /// The rows of `relation` that `keep` accepts, in order.
+    fn rows_where(relation: &Relation, keep: impl Fn(&[TermId]) -> bool) -> Relation {
+        let mut kept = Relation::empty(relation.schema().to_vec());
+        for row in relation.rows().filter(|row| keep(row)) {
+            kept.push_row(row);
+        }
+        kept
     }
 
     /// The rows of `relation` whose `key_cols` hash to `node`, canonically
@@ -1884,19 +2226,16 @@ mod tests {
         node: usize,
         nodes: usize,
     ) -> Relation {
-        let mut routed = Relation::empty(relation.schema().to_vec());
-        for row in relation.rows() {
-            if relation::shuffle_hash(row, key_cols) % nodes as u64 == node as u64 {
-                routed.push_row(row);
-            }
-        }
-        routed.sorted()
+        let hashed = |row: &[TermId]| relation::shuffle_hash(row, key_cols) % nodes as u64;
+        rows_where(relation, |row| hashed(row) == node as u64).sorted()
     }
 
-    /// The shuffle moves rows, it neither drops, copies nor misroutes them:
-    /// on every destination node the reduce task merges, per input, exactly
-    /// the input's rows whose key hashes to that node, in join-key order —
-    /// and the part it outputs is the cluster-wide join restricted to that
+    /// The shuffle moves rows, it neither copies nor misroutes them, and
+    /// drops only what its semi-join filter rejects: on every destination
+    /// node the reduce task merges, per input, exactly the input's kept rows
+    /// whose key hashes to that node, in join-key order — unfiltered, and
+    /// with every input but the first filtered by the first's keys — and
+    /// the part it outputs is the cluster-wide join restricted to that
     /// node's keys. At threads {1, 2, 8}.
     #[test]
     fn reduce_tasks_join_exactly_the_rows_routed_to_their_node() {
@@ -1932,25 +2271,45 @@ mod tests {
                     let evaluated: Vec<_> = inputs.iter().map(|&i| state.input(i)).collect();
                     let whole: Vec<Relation> =
                         evaluated.iter().map(|v| Arc::clone(v).gather()).collect();
-                    let received = state.shuffle(&evaluated, &attrs);
-                    assert_eq!(received.len(), nodes);
-                    for (node, per_input) in received.into_iter().enumerate() {
-                        for (buckets, whole) in per_input.into_iter().zip(&whole) {
-                            let merged = Relation::merge_ordered(buckets);
-                            let key_cols: Vec<usize> =
-                                attrs.iter().map(|a| merged.column(a).unwrap()).collect();
-                            assert!(
-                                merged.len() <= 1 || merged.order().satisfies(&key_cols),
-                                "threads={threads} node={node}: a merged input lost the key order"
-                            );
-                            let mut by_key = merged.clone();
-                            by_key.sort_by_columns(&key_cols);
-                            assert_eq!(by_key.data(), merged.data(), "the claimed order holds");
-                            assert_eq!(
-                                merged.sorted(),
-                                rows_routed_to(whole, &key_cols, node, nodes),
-                                "threads={threads} node={node}: {text}"
-                            );
+                    // Unfiltered, and semi-joined to the first input's keys.
+                    let first = whole[0].column(&attrs[0]).unwrap();
+                    let keys: KeySet = whole[0].rows().map(|row| row[first]).collect();
+                    let flags: Vec<bool> = (0..whole.len()).map(|input| input > 0).collect();
+                    let filters = [None, Some((Arc::new(keys), flags))];
+                    for filter in filters {
+                        let kept: Vec<Relation> = (whole.iter().enumerate())
+                            .map(|(input, whole)| match &filter {
+                                Some((keys, flags)) if flags[input] => {
+                                    let first = whole.column(&attrs[0]).unwrap();
+                                    rows_where(whole, |row| keys.contains(row[first]))
+                                }
+                                _ => whole.clone(),
+                            })
+                            .collect();
+                        let routed = state.shuffle(&evaluated, &attrs, filter, u64::MAX);
+                        let (received, shuffled) = routed;
+                        let expected: usize = kept.iter().map(Relation::len).sum();
+                        assert_eq!(shuffled, expected as u64, "{text}");
+                        assert_eq!(received.len(), nodes);
+                        for (node, per_input) in received.into_iter().enumerate() {
+                            let at = format!("threads={threads} node={node}: {text}");
+                            for (buckets, kept) in per_input.into_iter().zip(&kept) {
+                                let merged = Relation::merge_ordered(buckets);
+                                let key_cols: Vec<usize> =
+                                    attrs.iter().map(|a| merged.column(a).unwrap()).collect();
+                                assert!(
+                                    merged.len() <= 1 || merged.order().satisfies(&key_cols),
+                                    "{at}: a merged input lost the key order"
+                                );
+                                let mut by_key = merged.clone();
+                                by_key.sort_by_columns(&key_cols);
+                                assert_eq!(by_key.data(), merged.data(), "the order holds");
+                                let routed = rows_where(kept, |row| {
+                                    relation::shuffle_hash(row, &key_cols) % nodes as u64
+                                        == node as u64
+                                });
+                                assert_eq!(merged.sorted(), routed.sorted(), "{at}");
+                            }
                         }
                     }
                     let parts = match &*state.input(id) {

@@ -22,7 +22,8 @@
 //! row-major path at every thread count.
 
 use crate::relation::{
-    merge_key_groups, row_offset, stats, InputView, KeyChunk, Relation, SortOrder, TERM_BYTES,
+    merge_key_groups, row_offset, stats, InputView, KeyChunk, KeySet, Relation, SortOrder,
+    TERM_BYTES,
 };
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
@@ -73,25 +74,18 @@ impl RunInput {
 
     /// The values of payload column `col` over all runs — or `None` as soon
     /// as a value of one run has occurred in an earlier run (within a run
-    /// it may repeat). One bit per term id seen, two passes over each run:
-    /// look its values up, then mark them.
+    /// it may repeat). One bit per term id seen ([`KeySet`]), two passes
+    /// over each run: look its values up, then mark them.
     fn column_unless_repeated(&self, col: usize, runs: usize) -> Option<Vec<TermId>> {
         let pay = self.dst_cols.len();
-        let value = |row: usize| self.payload[row * pay + col].0 as usize;
-        let mut seen: Vec<u64> = Vec::new();
+        let value = |row: usize| self.payload[row * pay + col];
+        let mut seen = KeySet::default();
         for run in 0..runs {
-            let marked = |v: usize| {
-                seen.get(v / 64)
-                    .is_some_and(|word| word >> (v % 64) & 1 == 1)
-            };
-            if self.group(run).any(|row| marked(value(row))) {
+            if self.group(run).any(|row| seen.contains(value(row))) {
                 return None;
             }
             for v in self.group(run).map(value) {
-                if v / 64 >= seen.len() {
-                    seen.resize(v / 64 + 1, 0);
-                }
-                seen[v / 64] |= 1 << (v % 64);
+                seen.insert(v);
             }
         }
         Some((self.payload.iter().skip(col).step_by(pay).copied()).collect())

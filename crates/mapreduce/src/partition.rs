@@ -326,6 +326,13 @@ impl PartitionedStore {
         self.nodes
     }
 
+    /// The node holding the triples whose placement value is `value`, in
+    /// every replica: the only node whose files a read of that key can
+    /// find anything in.
+    pub fn node_of(&self, value: TermId) -> usize {
+        node_of(value, self.nodes)
+    }
+
     /// The dictionary id of `rdf:type` in the source graph, if present.
     pub fn rdf_type(&self) -> Option<TermId> {
         self.rdf_type
@@ -454,6 +461,36 @@ mod tests {
         let graph = LubmGenerator::new(LubmScale::tiny()).generate();
         let store = PartitionedStore::build(&graph, nodes);
         (graph, store)
+    }
+
+    /// A key read finds triples only on the node the key is placed on:
+    /// handed keys placed elsewhere, a node's files return nothing extra.
+    #[test]
+    fn read_keys_finds_nothing_for_keys_placed_on_other_nodes() {
+        let (graph, store) = store(4);
+        let takes = graph.lookup(&Term::iri(vocab::ub("takesCourse")));
+        let subject = TriplePosition::Subject;
+        let mut subjects: Vec<TermId> = (0..store.nodes())
+            .flat_map(|node| {
+                store
+                    .scan_files(node, subject, takes, None)
+                    .read()
+                    .into_owned()
+            })
+            .map(|triple| triple.subject)
+            .collect();
+        subjects.sort_unstable();
+        subjects.dedup();
+        for node in 0..store.nodes() {
+            let files = store.scan_files(node, subject, takes, None);
+            let (own, foreign): (Vec<TermId>, Vec<TermId>) = subjects
+                .iter()
+                .partition(|&&key| store.node_of(key) == node);
+            assert!(!own.is_empty() && !foreign.is_empty(), "node {node}");
+            assert!(files.read_keys(&foreign).is_empty(), "node {node}");
+            assert_eq!(files.read_keys(&subjects), files.read().into_owned());
+            assert_eq!(files.read_keys(&own), files.read().into_owned());
+        }
     }
 
     #[test]

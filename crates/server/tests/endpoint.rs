@@ -122,6 +122,11 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert_eq!(status, 400);
     assert!(body.contains("malformed query"));
 
+    // 400: a projected variable no pattern binds, named.
+    let (status, body) = post_sparql(addr, "SELECT ?z WHERE { ?x ub:worksFor ?y }");
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("?z"), "body: {body}");
+
     // 400: a Content-Length with a sign, though it equals the valid body's
     // length: the header is `1*DIGIT`.
     let query = "SELECT ?x ?y WHERE { ?x ub:advisor ?y }";

@@ -240,10 +240,17 @@ pub fn parse_query(text: &str) -> Result<BgpQuery, ParseError> {
     }
 
     let query = BgpQuery::new(distinguished, patterns);
+    let bound = query.variables();
     if query.distinguished().is_empty() {
         // SELECT * (or an empty projection): project all variables.
-        let vars = query.variables();
-        return Ok(BgpQuery::new(vars, query.patterns().to_vec()));
+        return Ok(BgpQuery::new(bound, query.patterns().to_vec()));
+    }
+    // A projected variable no pattern binds has no value in any answer: a
+    // mistyped name, which projecting would silently drop.
+    if let Some(unbound) = (query.distinguished().iter()).find(|v| !bound.contains(v)) {
+        return Err(err(format!(
+            "projected variable {unbound} is not bound by any triple pattern"
+        )));
     }
     Ok(query)
 }
@@ -252,6 +259,15 @@ pub fn parse_query(text: &str) -> Result<BgpQuery, ParseError> {
 mod tests {
     use super::*;
     use cliquesquare_rdf::Term;
+
+    #[test]
+    fn a_projected_variable_no_pattern_binds_is_rejected_by_name() {
+        let error = parse_query("SELECT ?z WHERE { ?x ub:worksFor ?y }").unwrap_err();
+        assert!(error.to_string().contains("?z"), "{error}");
+        let error = parse_query("SELECT ?x ?z WHERE { ?x ub:worksFor ?y }").unwrap_err();
+        assert!(error.to_string().contains("?z"), "{error}");
+        assert!(parse_query("SELECT ?x ?y WHERE { ?x ub:worksFor ?y }").is_ok());
+    }
 
     #[test]
     fn parses_simple_two_pattern_query() {

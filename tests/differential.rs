@@ -32,8 +32,8 @@ use cliquesquare_baselines::BinaryPlanner;
 use cliquesquare_core::LogicalPlan;
 use cliquesquare_engine::reference::reference_eval;
 use cliquesquare_engine::{
-    rebind_constants, translate, Csq, CsqConfig, Executor, MapReduceCostModel, PhysicalPlan,
-    Relation,
+    rebind_constants, translate, Csq, CsqConfig, Executor, MapReduceCostModel, PhysId, PhysicalOp,
+    PhysicalPlan, Relation,
 };
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, CostParameters, Runtime};
 use cliquesquare_obs::json::push_strings;
@@ -88,6 +88,17 @@ fn attr_sum(root: &SpanNode, name: &str) -> u64 {
     attr(root, name).unwrap_or(0) + children.sum::<u64>()
 }
 
+/// Whether the operator a span names (`MapScan#3`) is an input of one of
+/// `plan`'s ReduceJoins.
+fn reduce_join_over(plan: &PhysicalPlan, span: &str) -> bool {
+    let Some(id) = span.split_once('#').and_then(|(_, id)| id.parse().ok()) else {
+        return false;
+    };
+    plan.ops().iter().any(
+        |op| matches!(op, PhysicalOp::ReduceJoin { inputs, .. } if inputs.contains(&PhysId(id))),
+    )
+}
+
 /// The route a profiled bounded execution's span tree reports.
 fn route_of(execute: &SpanNode) -> Route {
     let operators = execute.children.iter().flat_map(|job| &job.children);
@@ -108,8 +119,18 @@ fn route_of(execute: &SpanNode) -> Route {
 struct Observed {
     /// The route the bounded cells took (the same in every one).
     route: Option<Route>,
-    /// Scans that read only a sibling's keys (`keys_in`).
+    /// Scans that read only another join input's keys (`keys_in`).
     restricted_scans: usize,
+    /// Of those, the scans a ReduceJoin drove: keys gathered from an input
+    /// that is not co-located.
+    reduce_restricted_scans: usize,
+    /// Rows the ReduceJoins' route tasks dropped as partnerless
+    /// (`filtered_rows`).
+    filtered_rows: u64,
+    /// Operators with a wave that ran on the submitting thread (`inline`).
+    inline_waves: usize,
+    /// Waves the serving pools' schedulers ran, over every cell.
+    pool_waves: u64,
     runs_emitted: u64,
     /// How far the rows expanded at the root are from the joins' output (a
     /// star whose one join is factorized expands exactly its join output).
@@ -188,11 +209,21 @@ impl Dataset {
         observed
     }
 
+    /// Waves the serving runtimes' schedulers have run so far.
+    fn pool_waves(&self) -> u64 {
+        let schedulers = self
+            .runtimes
+            .iter()
+            .filter_map(|(_, runtime, _)| runtime.scheduler());
+        schedulers.map(|scheduler| scheduler.stats().waves).sum()
+    }
+
     /// Every engine cell of `plan`, held to the reference answer of `query`.
     fn check_plan(&self, query: &BgpQuery, label: &str, plan: &PhysicalPlan) -> Observed {
         let reference = reference_eval(self.graph(), query);
         let mut descriptor = None;
         let mut observed = Observed::default();
+        let pool_waves = self.pool_waves();
         for cluster in &self.clusters {
             let at = format!("{}: {} ({label} plan)", self.name, query.name());
             let at = format!("{at}, partitions={}", cluster.nodes());
@@ -242,8 +273,15 @@ impl Dataset {
                         assert_eq!(*observed.route.get_or_insert(taken), taken, "{cell}");
                     } else if *runtime_name == "sequential" {
                         let operators = execute.children.iter().flat_map(|j| &j.children);
-                        let restricted = operators.filter(|op| attr(op, "keys_in").is_some());
-                        observed.restricted_scans += restricted.count();
+                        for op in operators {
+                            let restricted = attr(op, "keys_in").is_some();
+                            observed.restricted_scans += usize::from(restricted);
+                            let by_reduce = reduce_join_over(plan, &op.name);
+                            observed.reduce_restricted_scans +=
+                                usize::from(restricted && by_reduce);
+                            observed.inline_waves += usize::from(attr(op, "inline").is_some());
+                        }
+                        observed.filtered_rows += attr_sum(execute, "filtered_rows");
                         observed.runs_emitted += attr_sum(execute, "runs_emitted");
                         let expanded = attr_sum(execute, "rows_expanded");
                         let joined = output.metrics.join_output_tuples;
@@ -252,6 +290,7 @@ impl Dataset {
                 }
             }
         }
+        observed.pool_waves = self.pool_waves() - pool_waves;
         observed
     }
 
@@ -464,7 +503,42 @@ fn lubm() {
     assert_eq!(observed[0].route, Some(Route::Runs), "Q1");
     let eager = observed.iter().any(|o| o.route == Some(Route::Eager));
     assert!(eager, "{observed:?}");
+    // Q11's second reduce join semi-joins its large input to the 4-row
+    // side; Q1 is map-only. Tiny waves all run on the submitting thread, so
+    // the pools' schedulers see none.
+    assert!(observed[10].filtered_rows > 0, "Q11: {:?}", observed[10]);
+    assert_eq!(observed[0].filtered_rows, 0, "Q1: {:?}", observed[0]);
+    for (query, observed) in queries.iter().zip(&observed) {
+        let at = format!("{}: {observed:?}", query.name());
+        assert!(
+            observed.inline_waves > 0 && observed.pool_waves == 0,
+            "{at}"
+        );
+    }
     lubm.check_service(&queries, true);
+}
+
+/// LUBM at 24 universities, large enough for both sides of the decisions
+/// tiny data never reaches: one department's advisees (the `point_lookup`
+/// Q4 shape) read the undergraduate class file by key for a reduce join,
+/// and Q1's scans and star join are too large to run inline, so the serving
+/// pools run waves.
+#[test]
+fn lubm_at_24_universities() {
+    let graph = LubmGenerator::new(LubmScale::with_universities(24)).generate();
+    let lubm = Dataset::new("LUBM 24", graph);
+    let advisees = parse_query(
+        "SELECT ?X ?Y WHERE { ?X rdf:type ub:UndergraduateStudent . ?Y rdf:type ub:FullProfessor . \
+         ?X ub:advisor ?Y . ?Y ub:worksFor <http://www.Department0.University0.edu> }",
+    )
+    .unwrap();
+    let q1 = cliquesquare_querygen::lubm_queries::lubm_query("Q1").expect("Q1");
+    let lookup = lubm.check_query(&advisees, false);
+    assert!(lookup.reduce_restricted_scans > 0, "advisees: {lookup:?}");
+    let star = lubm.check_query(&q1, false);
+    assert_eq!(star.reduce_restricted_scans, 0, "Q1: {star:?}");
+    assert!(star.pool_waves > 0, "Q1: {star:?}");
+    lubm.check_service(&[advisees, q1], false);
 }
 
 #[test]

@@ -137,7 +137,8 @@ fn the_plan_span_counts_the_candidates_of_a_miss() {
 /// over ten thousand rows, the job spans and the `Gather` span together
 /// cover the `execute` wall at every thread count — no silent merge after
 /// the last operator. On Q11, with two reduce joins, each ReduceJoin span
-/// carries the tasks of both its waves. The profiled answers are the
+/// carries the tasks of both its waves, after the one task that builds its
+/// semi-join key set when it filters inputs. The profiled answers are the
 /// unprofiled ones.
 #[test]
 fn job_and_gather_spans_cover_the_execution() {
@@ -169,10 +170,11 @@ fn job_and_gather_spans_cover_the_execution() {
                     assert_eq!(routed.is_some(), operator.name.starts_with("ReduceJoin#"));
                     if let Some((_, routed)) = routed {
                         reduce_spans += 1;
+                        let filters = operator.attrs.iter().any(|(n, _)| n == "filtered_inputs");
                         assert_eq!(
                             operator.tasks.len(),
-                            *routed as usize + cluster.nodes(),
-                            "route tasks, then one reduce task per node"
+                            usize::from(filters) + *routed as usize + cluster.nodes(),
+                            "the key-set task, route tasks, then one reduce task per node"
                         );
                     }
                 }
