@@ -117,7 +117,8 @@ impl fmt::Display for Variant {
 pub struct DecompositionLimits {
     /// Maximum number of decompositions returned for a single graph.
     pub max_decompositions: usize,
-    /// Maximum number of candidate cliques considered for a single graph.
+    /// Maximum number of partial candidate cliques generated for a single
+    /// graph. Every maximal clique is a candidate even past it.
     pub max_candidate_cliques: usize,
 }
 
@@ -153,6 +154,13 @@ struct Candidate {
 /// non-empty subset of each maximal clique is a candidate (Definition 3.2).
 /// Candidates with identical node sets are deduplicated, keeping the first
 /// generating variable: the induced join is identical either way.
+///
+/// Partial cliques stop at [`DecompositionLimits::max_candidate_cliques`].
+/// A maximal clique's subsets come in mask order, the full clique last, so
+/// when the cap cuts the enumeration every maximal clique not generated yet
+/// is appended after it: the graph keeps its largest cliques, and with them
+/// a decomposition for every connected graph, even when the cap falls
+/// before the first subset holding a clique's last members.
 fn candidate_cliques(
     graph: &VariableGraph,
     variant: Variant,
@@ -160,35 +168,47 @@ fn candidate_cliques(
 ) -> Vec<Candidate> {
     let mut seen: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
     let mut candidates = Vec::new();
+    let mut capped = false;
     for (variable, maximal) in graph.maximal_cliques() {
-        if variant.maximal_only() {
-            if seen.insert(maximal.clone()) {
-                candidates.push(Candidate {
-                    variable,
-                    nodes: maximal,
-                });
+        if !variant.maximal_only() && !capped {
+            // Partial cliques: all non-empty subsets of the maximal clique,
+            // in mask order. A member past the word's bits is in no mask the
+            // cap lets through, so its bit reads as zero instead of shifting
+            // out of the word.
+            let members: Vec<usize> = maximal.iter().copied().collect();
+            let word = usize::BITS as usize;
+            let last_mask = if members.len() < word {
+                (1usize << members.len()) - 1
+            } else {
+                usize::MAX
+            };
+            for mask in 1..=last_mask {
+                let nodes: BTreeSet<usize> = members
+                    .iter()
+                    .enumerate()
+                    .filter(|&(bit, _)| bit < word && (mask >> bit) & 1 != 0)
+                    .map(|(_, &n)| n)
+                    .collect();
+                if seen.insert(nodes.clone()) {
+                    candidates.push(Candidate {
+                        variable: variable.clone(),
+                        nodes,
+                    });
+                }
+                if candidates.len() >= limits.max_candidate_cliques {
+                    capped = true;
+                    break;
+                }
             }
-            continue;
         }
-        // Partial cliques: all non-empty subsets of the maximal clique.
-        let members: Vec<usize> = maximal.iter().copied().collect();
-        let subset_count = 1usize << members.len();
-        for mask in 1..subset_count {
-            let nodes: BTreeSet<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|(bit, _)| mask & (1 << bit) != 0)
-                .map(|(_, &n)| n)
-                .collect();
-            if seen.insert(nodes.clone()) {
-                candidates.push(Candidate {
-                    variable: variable.clone(),
-                    nodes,
-                });
-            }
-            if candidates.len() >= limits.max_candidate_cliques {
-                return candidates;
-            }
+        // The maximal clique itself: already generated as the last mask
+        // unless the cap cut its subsets (or this variant takes no others).
+        if !seen.contains(&maximal) {
+            seen.insert(maximal.clone());
+            candidates.push(Candidate {
+                variable,
+                nodes: maximal,
+            });
         }
     }
     candidates
@@ -360,6 +380,7 @@ fn enumerate_covers(
 mod tests {
     use super::*;
     use crate::paper_examples;
+    use cliquesquare_querygen::SyntheticWorkload;
     use std::collections::BTreeSet;
 
     fn graph(q: &cliquesquare_sparql::BgpQuery) -> VariableGraph {
@@ -530,6 +551,43 @@ mod tests {
         let decs = decompositions(&g, Variant::Sc, &limits);
         assert!(decs.len() <= 5);
         assert!(!decs.is_empty());
+    }
+
+    #[test]
+    fn a_capped_enumeration_keeps_every_maximal_clique() {
+        // 16 arms: 65 535 subsets, cut at 50 000 before the full clique.
+        // 64 and 70 arms: more members than a mask has bits.
+        for arms in [16, 17, 64, 70] {
+            let g = graph(&SyntheticWorkload::fanout_star(arms));
+            let full: BTreeSet<usize> = (0..arms).collect();
+            let limits = DecompositionLimits::default();
+            let candidates = candidate_cliques(&g, Variant::Msc, &limits);
+            assert_eq!(candidates.len(), limits.max_candidate_cliques + 1, "{arms}");
+            assert_eq!(candidates.last().map(|c| &c.nodes), Some(&full), "{arms}");
+            let decs = decompositions(&g, Variant::Msc, &limits);
+            assert_eq!(decs.len(), 1, "{arms}");
+            assert_eq!(decs[0].cliques[0].nodes, full, "{arms}");
+        }
+    }
+
+    #[test]
+    fn graphs_under_the_cap_keep_their_exact_candidates() {
+        // 15 arms: all 32 767 subsets fit under the cap, full clique last.
+        let g = graph(&SyntheticWorkload::fanout_star(15));
+        let candidates = candidate_cliques(&g, Variant::Msc, &DecompositionLimits::default());
+        assert_eq!(candidates.len(), (1 << 15) - 1);
+        assert_eq!(candidates.last().map(|c| c.nodes.len()), Some(15));
+        // The cap cuts one clique's subsets, the other maximal cliques follow
+        // whole: Figure 1's Q1 under a cap of 10.
+        let q1 = graph(&paper_examples::figure1_q1());
+        let limits = DecompositionLimits {
+            max_decompositions: 5,
+            max_candidate_cliques: 10,
+        };
+        let candidates = candidate_cliques(&q1, Variant::Sc, &limits);
+        for maximal in q1.maximal_cliques().values() {
+            assert!(candidates.iter().any(|c| c.nodes == *maximal));
+        }
     }
 
     #[test]

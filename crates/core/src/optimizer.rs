@@ -1,13 +1,22 @@
 //! The CliqueSquare optimization algorithm (Algorithm 1) and plan builder
 //! (`CREATEQUERYPLANS`, Section 4.2).
+//!
+//! Algorithm 1 reaches the same variable graph along many decomposition
+//! paths. What a graph expands to — its decompositions and the graphs they
+//! reduce it to — depends on the graph alone, so one `optimize` call
+//! decomposes each distinct graph once and replays that expansion on every
+//! later visit. Graphs are shared (`Rc<VariableGraph>`) between the memo,
+//! the recursion's state stack and [`build_plan`]. The generated plans,
+//! their order and the counters are exactly those of the plain recursion.
 
-use crate::clique::reduce;
+use crate::clique::{reduce, Decomposition};
 use crate::decomposition::{decompositions, DecompositionLimits, Variant};
 use crate::plan::{LogicalOp, LogicalPlan, OpId};
 use crate::variable_graph::VariableGraph;
 use cliquesquare_sparql::BgpQuery;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Configuration of the [`Optimizer`].
@@ -136,59 +145,139 @@ impl Optimizer {
     /// decomposition can cover the isolated patterns and the result is empty.
     pub fn optimize(&self, query: &BgpQuery) -> OptimizeResult {
         let start = Instant::now();
-        let mut result = OptimizeResult {
-            plans: Vec::new(),
-            decompositions_explored: 0,
-            truncated: false,
-            elapsed: Duration::ZERO,
+        let mut search = Search {
+            config: &self.config,
+            query,
+            states: Vec::new(),
+            memo: HashMap::new(),
+            expansions: Vec::new(),
+            result: OptimizeResult {
+                plans: Vec::new(),
+                decompositions_explored: 0,
+                truncated: false,
+                elapsed: Duration::ZERO,
+            },
         };
-        if query.is_empty() {
-            result.elapsed = start.elapsed();
-            return result;
+        if !query.is_empty() {
+            let graph = VariableGraph::from_query(query);
+            let expansion = search.expand(&graph);
+            search.recurse(Rc::new(graph), expansion);
         }
-        let graph = VariableGraph::from_query(query);
-        let mut states = Vec::new();
-        self.recurse(query, graph, &mut states, &mut result);
+        let mut result = search.result;
         result.elapsed = start.elapsed();
         result
     }
+}
 
-    /// One recursive step of Algorithm 1.
-    fn recurse(
-        &self,
-        query: &BgpQuery,
-        graph: VariableGraph,
-        states: &mut Vec<VariableGraph>,
-        result: &mut OptimizeResult,
-    ) {
-        if result.plans.len() >= self.config.max_plans {
-            result.truncated = true;
+/// What one variable graph expands to: its decompositions in enumeration
+/// order, and the first `children.len()` of the graphs they reduce it to,
+/// each with its own expansion (`None` for a one-node graph). Children are
+/// reduced when first reached, in order, so a search cut short by
+/// [`OptimizerConfig::max_plans`] reduces no more graphs than it visits.
+struct Expansion {
+    decompositions: Vec<Decomposition>,
+    children: Vec<(Rc<VariableGraph>, Option<usize>)>,
+}
+
+/// One run of Algorithm 1.
+///
+/// The same variable graph is reached along many paths (Q14: 3 148 visits
+/// of far fewer distinct graphs), and what it expands to depends on the
+/// graph alone, so each distinct graph is decomposed once, each of its
+/// children reduced once, and every later visit replays that
+/// [`Expansion`]. Graphs are shared (`Rc`): a revisit clones a pointer into
+/// the state stack, not a graph. The counters are still accumulated per
+/// visit, so [`OptimizeResult`] is exactly what the plain recursion gives.
+struct Search<'a> {
+    config: &'a OptimizerConfig,
+    query: &'a BgpQuery,
+    /// The graphs from the query's down to the one being expanded.
+    states: Vec<Rc<VariableGraph>>,
+    /// Index into `expansions` of every distinct graph met so far, keyed by
+    /// [`state_key`].
+    memo: HashMap<Vec<usize>, usize>,
+    expansions: Vec<Expansion>,
+    result: OptimizeResult,
+}
+
+impl Search<'_> {
+    /// One recursive step of Algorithm 1 on `graph`, whose expansion is
+    /// `expansion` (`None`: a one-node graph, which completes a plan).
+    fn recurse(&mut self, graph: Rc<VariableGraph>, expansion: Option<usize>) {
+        if self.result.plans.len() >= self.config.max_plans {
+            self.result.truncated = true;
             return;
         }
-        let is_complete = graph.len() == 1;
-        states.push(graph);
-        if is_complete {
-            result.plans.push(build_plan(states, query));
-        } else {
-            // The recursion below pushes and pops in balance, so this index
-            // is this level's graph again whenever it returns.
-            let level = states.len() - 1;
-            let decs = decompositions(&states[level], self.config.variant, &self.config.limits);
-            if decs.len() >= self.config.limits.max_decompositions {
-                result.truncated = true;
+        self.states.push(graph);
+        match expansion {
+            None => {
+                let plan = build_plan(&self.states, self.query);
+                self.result.plans.push(plan);
             }
-            result.decompositions_explored += decs.len();
-            for d in &decs {
-                if result.plans.len() >= self.config.max_plans {
-                    result.truncated = true;
-                    break;
+            Some(at) => {
+                let count = self.expansions[at].decompositions.len();
+                if count >= self.config.limits.max_decompositions {
+                    self.result.truncated = true;
                 }
-                let reduced = reduce(&states[level], d);
-                self.recurse(query, reduced, states, result);
+                self.result.decompositions_explored += count;
+                for index in 0..count {
+                    if self.result.plans.len() >= self.config.max_plans {
+                        self.result.truncated = true;
+                        break;
+                    }
+                    let (child, child_expansion) = self.child(at, index);
+                    self.recurse(child, child_expansion);
+                }
             }
         }
-        states.pop();
+        self.states.pop();
     }
+
+    /// The expansion of `graph`: `None` for a one-node graph, the memoized
+    /// one if an equal graph was met before, else its decompositions.
+    fn expand(&mut self, graph: &VariableGraph) -> Option<usize> {
+        if graph.len() == 1 {
+            return None;
+        }
+        let next = self.expansions.len();
+        let at = *self.memo.entry(state_key(graph)).or_insert(next);
+        if at == next {
+            self.expansions.push(Expansion {
+                decompositions: decompositions(graph, self.config.variant, &self.config.limits),
+                children: Vec::new(),
+            });
+        }
+        Some(at)
+    }
+
+    /// Child `index` of expansion `at`, the expansion of the graph on top of
+    /// the state stack. Visits reach the children in order, so a child not
+    /// reduced yet is the next one.
+    fn child(&mut self, at: usize, index: usize) -> (Rc<VariableGraph>, Option<usize>) {
+        if index == self.expansions[at].children.len() {
+            let graph = self.states.last().expect("a graph is being expanded");
+            let reduced = reduce(graph, &self.expansions[at].decompositions[index]);
+            let expansion = self.expand(&reduced);
+            self.expansions[at]
+                .children
+                .push((Rc::new(reduced), expansion));
+        }
+        let (child, expansion) = &self.expansions[at].children[index];
+        (Rc::clone(child), *expansion)
+    }
+}
+
+/// The memo key of a variable graph: its nodes' pattern sets, in node order,
+/// each prefixed by its length. It is enough: a node's variables are the
+/// union of its patterns' variables, and [`decompositions`] and [`reduce`]
+/// read nothing else (a node's `derived_from` only wires the plan).
+fn state_key(graph: &VariableGraph) -> Vec<usize> {
+    let mut key = Vec::with_capacity(2 * graph.len());
+    for node in graph.nodes() {
+        key.push(node.patterns.len());
+        key.extend(node.patterns.iter().copied());
+    }
+    key
 }
 
 /// Builds a logical plan from a sequence of variable graphs
@@ -198,10 +287,10 @@ impl Optimizer {
 /// later graph contributes one n-ary Join per multi-node clique, while
 /// single-node cliques pass their operator through unchanged. A final Project
 /// restricts the output to the query's distinguished variables.
-pub fn build_plan(states: &[VariableGraph], query: &BgpQuery) -> LogicalPlan {
+pub fn build_plan(states: &[Rc<VariableGraph>], query: &BgpQuery) -> LogicalPlan {
     assert!(!states.is_empty(), "cannot build a plan from no states");
     assert_eq!(
-        states.last().map(VariableGraph::len),
+        states.last().map(|graph| graph.len()),
         Some(1),
         "the final state must have a single node"
     );
@@ -280,6 +369,120 @@ mod tests {
 
     fn optimize(variant: Variant, query: &BgpQuery) -> OptimizeResult {
         Optimizer::with_variant(variant).optimize(query)
+    }
+
+    /// Algorithm 1 without the memo: every visit decomposes its graph and
+    /// reduces every child it reaches. What [`Optimizer::optimize`] must
+    /// equal.
+    fn optimize_unmemoized(config: &OptimizerConfig, query: &BgpQuery) -> OptimizeResult {
+        fn recurse(
+            config: &OptimizerConfig,
+            query: &BgpQuery,
+            graph: VariableGraph,
+            states: &mut Vec<Rc<VariableGraph>>,
+            result: &mut OptimizeResult,
+        ) {
+            if result.plans.len() >= config.max_plans {
+                result.truncated = true;
+                return;
+            }
+            let is_complete = graph.len() == 1;
+            states.push(Rc::new(graph));
+            if is_complete {
+                result.plans.push(build_plan(states, query));
+            } else {
+                let graph = Rc::clone(states.last().expect("just pushed"));
+                let decs = decompositions(&graph, config.variant, &config.limits);
+                if decs.len() >= config.limits.max_decompositions {
+                    result.truncated = true;
+                }
+                result.decompositions_explored += decs.len();
+                for d in &decs {
+                    if result.plans.len() >= config.max_plans {
+                        result.truncated = true;
+                        break;
+                    }
+                    recurse(config, query, reduce(&graph, d), states, result);
+                }
+            }
+            states.pop();
+        }
+        let mut result = OptimizeResult {
+            plans: Vec::new(),
+            decompositions_explored: 0,
+            truncated: false,
+            elapsed: Duration::ZERO,
+        };
+        if !query.is_empty() {
+            let graph = VariableGraph::from_query(query);
+            recurse(config, query, graph, &mut Vec::new(), &mut result);
+        }
+        result
+    }
+
+    /// `optimize` equals the memo-free recursion under `config`: the same
+    /// plans in the same order, the same counters.
+    fn assert_memo_changes_nothing(config: OptimizerConfig, query: &BgpQuery) {
+        let memoized = Optimizer::new(config).optimize(query);
+        let plain = optimize_unmemoized(&config, query);
+        let context = format!("{} on {}", config.variant, query.name());
+        assert_eq!(memoized.plans, plain.plans, "{context}");
+        assert_eq!(
+            memoized.decompositions_explored, plain.decompositions_explored,
+            "{context}"
+        );
+        assert_eq!(memoized.truncated, plain.truncated, "{context}");
+    }
+
+    #[test]
+    fn the_memo_changes_no_plan_on_the_paper_examples() {
+        for query in paper_examples::all() {
+            for variant in Variant::ALL {
+                // SC and XC explode on Figure 1's Q1: bounded, as everywhere.
+                let config = OptimizerConfig::variant(variant).with_max_plans(2_000);
+                assert_memo_changes_nothing(config, &query);
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_changes_no_plan_on_lubm_sp2b_and_synthetic_shapes() {
+        use cliquesquare_querygen::{
+            lubm_queries, sp2b_queries, SyntheticWorkload, WorkloadConfig,
+        };
+        let mut queries = lubm_queries();
+        queries.extend(sp2b_queries());
+        for seed in [7, 42] {
+            let config = WorkloadConfig {
+                seed,
+                ..WorkloadConfig::small()
+            };
+            queries.extend(SyntheticWorkload::generate(config));
+        }
+        for query in &queries {
+            for variant in Variant::ALL {
+                let config = OptimizerConfig::variant(variant).with_max_plans(2_000);
+                assert_memo_changes_nothing(config, query);
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_changes_no_plan_when_the_search_is_truncated() {
+        let q = paper_examples::figure1_q1();
+        let config = OptimizerConfig::variant(Variant::Sc).with_max_plans(10);
+        assert!(Optimizer::new(config).optimize(&q).truncated);
+        assert_memo_changes_nothing(config, &q);
+        // A cut by the decomposition limits rather than by `max_plans`.
+        let limits = DecompositionLimits {
+            max_decompositions: 3,
+            max_candidate_cliques: 100,
+        };
+        let config = OptimizerConfig::variant(Variant::Sc)
+            .with_max_plans(500)
+            .with_limits(limits);
+        assert!(Optimizer::new(config).optimize(&q).truncated);
+        assert_memo_changes_nothing(config, &q);
     }
 
     #[test]
@@ -405,6 +608,19 @@ mod tests {
         let result = Optimizer::new(config).optimize(&q);
         assert!(result.truncated);
         assert!(result.plans.len() <= 10);
+    }
+
+    #[test]
+    fn a_wide_star_keeps_its_one_join_plan() {
+        // From 16 arms on, the partial cliques of the hub outnumber the
+        // candidate cap; the full clique is still a candidate.
+        for arms in [16, 17, 64, 70] {
+            let star = cliquesquare_querygen::SyntheticWorkload::fanout_star(arms);
+            let result = optimize(Variant::Msc, &star);
+            assert_eq!(result.plans.len(), 1, "{arms} arms");
+            assert_eq!(result.plans[0].height(), 1, "{arms} arms");
+            assert_eq!(result.plans[0].max_join_fanin(), arms, "{arms} arms");
+        }
     }
 
     #[test]

@@ -111,16 +111,20 @@ pub struct LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Creates a plan from an operator arena and its root.
+    /// Creates a plan from an operator arena and its root. The arena is
+    /// bottom-up: every operator's inputs precede it, which is what lets
+    /// [`height`](Self::height) and the engine's translation walk it once in
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if any referenced operator id is out of bounds.
+    /// Panics if the root is out of bounds or an input id is not below its
+    /// consumer's.
     pub fn new(ops: Vec<LogicalOp>, root: OpId) -> Self {
         assert!(root.index() < ops.len(), "root out of bounds");
-        for op in &ops {
+        for (index, op) in ops.iter().enumerate() {
             for input in op.inputs() {
-                assert!(input.index() < ops.len(), "input out of bounds");
+                assert!(input.index() < index, "input out of bounds");
             }
         }
         Self { ops, root }
@@ -175,24 +179,19 @@ impl LogicalPlan {
     /// The plan's **height**: the largest number of join operators on a
     /// root-to-leaf path (Section 4.4). Flat plans have small height.
     pub fn height(&self) -> usize {
-        let mut memo = vec![None; self.ops.len()];
-        self.height_of(self.root, &mut memo)
-    }
-
-    fn height_of(&self, id: OpId, memo: &mut Vec<Option<usize>>) -> usize {
-        if let Some(h) = memo[id.index()] {
-            return h;
+        // One pass over the bottom-up arena: every input's height is known
+        // by the time its consumer is reached.
+        let mut heights = vec![0usize; self.ops.len()];
+        for (index, op) in self.ops.iter().enumerate() {
+            heights[index] = match op {
+                LogicalOp::Match { .. } => 0,
+                LogicalOp::Join { inputs, .. } => {
+                    1 + inputs.iter().map(|i| heights[i.index()]).max().unwrap_or(0)
+                }
+                LogicalOp::Project { input, .. } => heights[input.index()],
+            };
         }
-        let op = self.op(id);
-        let children_max = op
-            .inputs()
-            .into_iter()
-            .map(|c| self.height_of(c, memo))
-            .max()
-            .unwrap_or(0);
-        let h = children_max + usize::from(op.is_join());
-        memo[id.index()] = Some(h);
-        h
+        heights[self.root.index()]
     }
 
     /// The maximum fan-in (number of join inputs) over all joins in the plan.

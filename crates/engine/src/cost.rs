@@ -13,6 +13,14 @@
 //!
 //! plus the per-job start-up overhead, which is what makes flat plans win.
 //!
+//! That overhead is also what keeps plan choice cheap. A plan's job count
+//! follows from its height, so its start-up cost — its *job floor*,
+//! [`MapReduceCostModel::job_floor`] — is known before it is translated, and
+//! [`MapReduceCostModel::choose_best`] skips, untranslated, every candidate
+//! whose floor is at least the least cost priced so far: it could at best
+//! tie, and ties go to the earlier plan. Which plan wins is unchanged; only
+//! the pricing of plans that cannot win is saved.
+//!
 //! Cardinalities come from the catalog statistics the cluster computes at
 //! load time ([`cliquesquare_rdf::GraphStatistics`]):
 //!
@@ -46,7 +54,7 @@ use crate::jobs::schedule;
 use crate::physical::{PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
 use crate::translate::translate;
 use cliquesquare_core::LogicalPlan;
-use cliquesquare_mapreduce::Cluster;
+use cliquesquare_mapreduce::{Cluster, CostParameters, JobKind};
 use cliquesquare_rdf::{GraphStatistics, TriplePosition};
 use cliquesquare_sparql::Variable;
 use serde::{Deserialize, Serialize};
@@ -256,15 +264,7 @@ impl<'a> MapReduceCostModel<'a> {
         let nodes = params.nodes.max(1) as f64;
         let sched = schedule(plan);
         let (estimates, work) = self.walk(plan);
-        let overhead = sched.job_count as f64 * params.job_startup
-            + sched
-                .kinds
-                .iter()
-                .map(|k| match k {
-                    cliquesquare_mapreduce::JobKind::MapOnly => params.task_startup,
-                    cliquesquare_mapreduce::JobKind::MapReduce => 2.0 * params.task_startup,
-                })
-                .sum::<f64>();
+        let overhead = job_overhead(params, sched.kinds.iter().copied());
         CostEstimate {
             total_seconds: overhead + work / nodes,
             jobs: sched.job_count,
@@ -292,26 +292,73 @@ impl<'a> MapReduceCostModel<'a> {
         self.estimate(&translate(plan, self.cluster.graph()))
     }
 
+    /// The least cost [`estimate_logical`](Self::estimate_logical) can give
+    /// `plan`, read off its height without translating it: the start-up of
+    /// the jobs its schedule will have. `translate` makes a join of Match
+    /// operators a MapJoin and every other join a ReduceJoin, so a plan of
+    /// height `h` has `max(1, h − 1)` jobs, map-only iff `h ≤ 1`. The
+    /// overhead is computed by the helper [`estimate`](Self::estimate) uses,
+    /// so the floor is the estimate's first term bit for bit, and since the
+    /// rest of the estimate is non-negative work, no estimate is below it.
+    pub fn job_floor(&self, plan: &LogicalPlan) -> f64 {
+        let (kind, jobs) = match plan.height() {
+            0 | 1 => (JobKind::MapOnly, 1),
+            height => (JobKind::MapReduce, height - 1),
+        };
+        job_overhead(&self.cluster.config().cost, std::iter::repeat_n(kind, jobs))
+    }
+
     /// Picks the cheapest logical plan of a slice according to the model:
     /// the *earliest* plan whose estimated `total_seconds` is strictly below
     /// every earlier plan's. A NaN cost never displaces a finite one (and
-    /// any other cost displaces a NaN), an empty slice gives `None`, and each
-    /// distinct plan is priced once: a plan that is `==` an earlier one has
-    /// its cost and would lose the tie to it, so it is skipped unpriced and
-    /// the returned reference is always a first occurrence.
+    /// any other cost displaces a NaN), and an empty slice gives `None`.
+    ///
+    /// Only plans that can win are priced. A plan whose
+    /// [`job_floor`](Self::job_floor) is at least the least cost priced so
+    /// far could at best tie, and a tie goes to the earlier plan, so it is
+    /// skipped untranslated; with job start-up dominating every per-tuple
+    /// term, that leaves the minimum-height candidates (Q14: 389 of 935).
+    /// A plan that is `==` an earlier one is skipped too: it has that plan's
+    /// cost and would lose the tie to it, so the returned reference is
+    /// always a first occurrence.
     pub fn choose_best<'p>(&self, plans: &'p [LogicalPlan]) -> Option<&'p LogicalPlan> {
-        earliest_minimum(plans, |plan| self.estimate_logical(plan).total_seconds)
+        earliest_minimum(
+            plans,
+            |plan| self.job_floor(plan),
+            |plan| self.estimate_logical(plan).total_seconds,
+        )
     }
 }
 
+/// The start-up cost of a schedule whose jobs have the given kinds:
+/// [`CostParameters::job_startup`] per job plus one task wave of
+/// [`CostParameters::task_startup`] per map-only job and two per map-reduce
+/// job. [`MapReduceCostModel::estimate`] and
+/// [`MapReduceCostModel::job_floor`] both price start-up here.
+fn job_overhead(params: &CostParameters, kinds: impl ExactSizeIterator<Item = JobKind>) -> f64 {
+    kinds.len() as f64 * params.job_startup
+        + kinds
+            .map(|kind| match kind {
+                JobKind::MapOnly => params.task_startup,
+                JobKind::MapReduce => 2.0 * params.task_startup,
+            })
+            .sum::<f64>()
+}
+
 /// The keyed minimum behind [`MapReduceCostModel::choose_best`], over any
-/// items and cost function so its contract can be tested with costs no
-/// cluster produces.
-fn earliest_minimum<T: Hash + Eq>(items: &[T], mut cost: impl FnMut(&T) -> f64) -> Option<&T> {
+/// items, floor and cost function so its contract can be tested with costs
+/// no cluster produces. `floor(item)` must be a lower bound of
+/// `cost(item)`: an item whose floor is at least the least cost so far is
+/// not priced. A NaN least cost never skips (no comparison with it holds).
+fn earliest_minimum<T: Hash + Eq>(
+    items: &[T],
+    mut floor: impl FnMut(&T) -> f64,
+    mut cost: impl FnMut(&T) -> f64,
+) -> Option<&T> {
     let mut seen = HashSet::with_capacity(items.len());
     let mut best: Option<(&T, f64)> = None;
     for item in items {
-        if !seen.insert(item) {
+        if best.is_some_and(|(_, least)| floor(item) >= least) || !seen.insert(item) {
             continue;
         }
         let cost = cost(item);
@@ -486,10 +533,68 @@ mod tests {
         }
     }
 
-    /// `earliest_minimum` over the positions of `costs`.
+    /// `earliest_minimum` over the positions of `costs`, with no floor.
     fn cheapest_position(costs: &[f64]) -> Option<usize> {
         let positions: Vec<usize> = (0..costs.len()).collect();
-        earliest_minimum(&positions, |&at| costs[at]).copied()
+        earliest_minimum(&positions, |_| f64::NEG_INFINITY, |&at| costs[at]).copied()
+    }
+
+    /// The positions `earliest_minimum` prices, and the one it returns, over
+    /// `(floor, cost)` pairs.
+    fn priced_positions(items: &[(f64, f64)]) -> (Vec<usize>, Option<usize>) {
+        let positions: Vec<usize> = (0..items.len()).collect();
+        let mut priced = Vec::new();
+        let best = earliest_minimum(
+            &positions,
+            |&at| items[at].0,
+            |&at| {
+                priced.push(at);
+                items[at].1
+            },
+        )
+        .copied();
+        (priced, best)
+    }
+
+    #[test]
+    fn an_item_whose_floor_reaches_the_best_is_never_priced() {
+        // Floors 11 and 12 exceed the least cost so far (10.5 after item 1).
+        let items = [
+            (9.0, 11.0),
+            (9.0, 10.5),
+            (11.0, 11.0),
+            (12.0, 13.0),
+            (9.5, 9.9),
+        ];
+        assert_eq!(priced_positions(&items), (vec![0, 1, 4], Some(4)));
+        // A floor below the best is priced even when its cost then loses.
+        assert_eq!(
+            priced_positions(&[(1.0, 5.0), (4.0, 6.0)]),
+            (vec![0, 1], Some(0))
+        );
+    }
+
+    #[test]
+    fn a_floor_equal_to_the_best_skips() {
+        // Item 1 could at best tie with item 0, and a tie goes to item 0.
+        assert_eq!(
+            priced_positions(&[(2.0, 3.0), (3.0, 3.0)]),
+            (vec![0], Some(0))
+        );
+    }
+
+    #[test]
+    fn a_nan_best_never_skips() {
+        // No comparison with a NaN least cost holds, so every item after it
+        // is priced, whatever its floor, and a finite cost displaces it.
+        assert_eq!(
+            priced_positions(&[(0.0, f64::NAN), (f64::INFINITY, f64::INFINITY), (1e9, 2e9)]),
+            (vec![0, 1, 2], Some(2))
+        );
+        assert_eq!(
+            priced_positions(&[(0.0, f64::NAN), (f64::NAN, f64::NAN), (5.0, 6.0)]),
+            (vec![0, 1, 2], Some(2))
+        );
     }
 
     #[test]
@@ -514,10 +619,14 @@ mod tests {
     fn duplicates_are_priced_once_and_the_first_occurrence_is_returned() {
         let items = [7u32, 3, 7, 3, 3, 9];
         let mut priced = Vec::new();
-        let best = earliest_minimum(&items, |&item| {
-            priced.push(item);
-            f64::from(item)
-        })
+        let best = earliest_minimum(
+            &items,
+            |_| 0.0,
+            |&item| {
+                priced.push(item);
+                f64::from(item)
+            },
+        )
         .unwrap();
         assert_eq!(priced, vec![7, 3, 9]);
         assert!(std::ptr::eq(best, &items[1]));

@@ -106,13 +106,18 @@ impl Csq {
     ///
     /// This is what a plan-cache miss costs. The candidates are everything
     /// the optimizer generated, exact duplicates included (the paper's plan
-    /// counts); [`MapReduceCostModel::choose_best`] prices each distinct one
-    /// once and picks the earliest cheapest.
+    /// counts); [`MapReduceCostModel::choose_best`] picks the earliest
+    /// cheapest, pricing only the distinct ones whose job floor can still
+    /// win.
     ///
     /// # Panics
     ///
     /// Panics if the optimizer finds no plan, i.e. the query is empty or a
-    /// cross product (`!query.is_connected()`).
+    /// cross product (`!query.is_connected()`). Every maximal clique stays a
+    /// candidate however many partial ones the enumeration cap cuts, so MSC
+    /// finds a plan for every connected query, and the server, which
+    /// answers an empty query or a cross product with a 400 before
+    /// planning, no longer reaches this panic.
     pub fn plan(&self, query: &BgpQuery) -> (Vec<LogicalPlan>, LogicalPlan, f64) {
         let started = Instant::now();
         let optimizer_config = OptimizerConfig::variant(self.config.variant)

@@ -236,6 +236,29 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert_eq!(status, 200);
 }
 
+/// A star of 17 patterns on one variable has more partial cliques than the
+/// optimizer's candidate cap; its one-join plan is still found and served,
+/// not a 500 from a planner that found no plan.
+#[test]
+fn a_seventeen_pattern_star_is_answered() {
+    let server = start_server(ServerConfig::default());
+    let total_rows = |body: &str| -> u64 {
+        let (_, rest) = body.split_once("\"total_rows\": ").expect("total_rows");
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect("a count")
+    };
+    let arms: Vec<String> = (0..17).map(|i| format!("?x ub:worksFor ?o{i}")).collect();
+    let star = format!("SELECT ?x WHERE {{ {} }}", arms.join(" . "));
+    let (status, body) = post_sparql(server.addr, &star);
+    assert_eq!(status, 200, "body: {body}");
+    // Every arm binds the same department, so the star answers what one
+    // arm does.
+    let (status, one) = post_sparql(server.addr, "SELECT ?x WHERE { ?x ub:worksFor ?o }");
+    assert_eq!(status, 200, "body: {one}");
+    assert!(total_rows(&one) > 0);
+    assert_eq!(total_rows(&body), total_rows(&one));
+}
+
 /// Random request heads of up to `max_request_bytes` — raw bytes, and bytes
 /// behind a well-formed request line so the header loop sees them — get a
 /// status line or a clean close, whether the client then closes its side or

@@ -3,12 +3,16 @@
 //! minimum must pick the plan `MapReduceCostModel::choose_best` and
 //! `Csq::plan` pick, by position in the candidate list. `choose_best` skips
 //! duplicates and prices each distinct plan once; nothing else pins plan
-//! choice outside the 14 queries of `BENCH_execution.json`.
+//! choice outside the 14 queries of `BENCH_execution.json`. It also leaves
+//! unpriced every plan whose job floor reaches the least cost so far, which
+//! is sound only while the floor bounds every estimate from below: the last
+//! test pins that.
 
 use cliquesquare::core::{paper_examples, LogicalPlan, Optimizer, OptimizerConfig, Variant};
 use cliquesquare::engine::csq::{Csq, CsqConfig};
-use cliquesquare::engine::MapReduceCostModel;
-use cliquesquare::mapreduce::{Cluster, ClusterConfig};
+use cliquesquare::engine::jobs::schedule;
+use cliquesquare::engine::{translate, MapReduceCostModel};
+use cliquesquare::mapreduce::{Cluster, ClusterConfig, JobKind};
 use cliquesquare::querygen::{
     lubm_queries, lubm_query, sp2b_queries, SyntheticWorkload, WorkloadConfig,
 };
@@ -89,4 +93,59 @@ fn q14_keeps_its_duplicate_plans() {
     let distinct: HashSet<&LogicalPlan> = result.plans.iter().collect();
     assert_eq!(distinct.len(), 935);
     assert_eq!(result.unique_count(), 935);
+}
+
+/// The bound `choose_best` skips plans by holds on every candidate,
+/// duplicates included: the schedule `translate` gives a plan of height `h`
+/// has `max(1, h − 1)` jobs, all map-only iff `h ≤ 1`, which is what
+/// `job_floor` reads off the height, and no estimate is below the floor.
+fn assert_floors_hold(cluster: &Cluster, queries: &[BgpQuery]) {
+    let csq = Csq::new(cluster.clone(), CsqConfig::default());
+    let models = [
+        ("statistics", MapReduceCostModel::new(cluster)),
+        ("uniform", MapReduceCostModel::uniform(cluster)),
+    ];
+    for query in queries {
+        let (plans, _, _) = csq.plan(query);
+        for plan in &plans {
+            let height = plan.height();
+            let schedule = schedule(&translate(plan, cluster.graph()));
+            let (kind, jobs) = if height <= 1 {
+                (JobKind::MapOnly, 1)
+            } else {
+                (JobKind::MapReduce, height - 1)
+            };
+            assert_eq!(
+                schedule.job_count,
+                jobs,
+                "{} at height {height}",
+                query.name()
+            );
+            assert_eq!(schedule.kinds, vec![kind; jobs], "{}", query.name());
+            for (label, model) in &models {
+                let floor = model.job_floor(plan);
+                let cost = model.estimate_logical(plan).total_seconds;
+                assert!(
+                    cost >= floor,
+                    "{} under {label}: {cost} < {floor}",
+                    query.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_job_floor_is_a_lower_bound_of_every_candidates_estimate() {
+    let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    assert_floors_hold(&cluster, &lubm_queries());
+    assert_floors_hold(&cluster, &paper_examples::all());
+    assert_floors_hold(
+        &cluster,
+        &SyntheticWorkload::generate(WorkloadConfig::small()),
+    );
+    let graph = Sp2bGenerator::new(Sp2bScale::tiny()).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    assert_floors_hold(&cluster, &sp2b_queries());
 }
