@@ -7,16 +7,12 @@
 //! **The driver only dispatches waves and moves ownership; every pass over
 //! rows is a task.** The thread that calls [`Executor::execute`] walks the
 //! plan and submits *task waves* to a [`Runtime`]; nothing it does itself
-//! grows with a relation. A map-side operator is one wave of one task per
-//! compute node. A reduce join is two waves: one *route* task per (input,
-//! source part) hash-partitions that part on the join attributes, the
-//! routed buckets change hands by move, and one *reduce* task per node
-//! merges the buckets it received — in source order — and joins them, as a
-//! reducer sort-merges its own partition. Every operator's result stays
-//! per node (hash-disjoint keys, each part in the order the operator
-//! delivered), so the next shuffle, the projection and the root consume
-//! parts in waves too; the cluster-wide relation exists once, when the root
-//! is gathered by a single k-way merge — itself a one-task wave.
+//! grows with a relation. An operator is one wave of one task per compute
+//! node (a shuffled join adds its route wave). Every operator's result
+//! stays per node (each part in the order the operator delivered), so the
+//! next shuffle, the projection and the root consume parts in waves too;
+//! the cluster-wide relation exists once, when the root is gathered by a
+//! single k-way merge — itself a one-task wave.
 //!
 //! `Runtime::sequential()` (the deterministic default) runs every task
 //! inline on the calling thread; `Runtime::with_threads` drains each wave
@@ -32,20 +28,28 @@
 //! who runs the task.
 //!
 //! Scans use the store's three replicas as the indexes they are: files come
-//! back in index order without a sort, a residual constant (one no file
+//! back in index order without a sort, and a residual constant (one no file
 //! name consumed, [`ScanSpec::residual`]) is an equal-range seek in the
-//! replica placed by its position, and the scan inputs of a join are
-//! evaluated after its other inputs, smallest first, each reading only the
-//! placement keys the smallest input evaluated so far still holds when
-//! those are few against its files (see `ExecState::eval_scan`).
+//! replica placed by its position.
 //!
-//! A reduce join shuffles only rows that can meet a partner: its driven
-//! scans read by key as above, and every input at least `FILTER_RATIO`
-//! times larger than its smallest input drops, in its route tasks, the rows
-//! whose first join attribute the smallest input lacks (a semi-join; the
-//! key set is built by one task). Dropped rows have no partner, so every
-//! join output — and every answer — is unchanged; `tuples_shuffled` counts
-//! the rows that crossed.
+//! **A join is one operator; co-location only decides where a node's
+//! inputs come from** ([`PhysicalPlan::co_located`]). One task per node
+//! runs the join kernel the plan picks on that node's inputs. A co-located
+//! join — a MapJoin over scans, which are placed by its key — reads part
+//! `n` of every input in place. Any other join (every ReduceJoin) shuffles
+//! first: one *route* task per (input, source part) hash-partitions that
+//! part on the join attributes, the routed buckets change hands by move,
+//! and node `n` merges the buckets it received in source order, as a
+//! reducer sort-merges its own partition; the output parts then hold
+//! hash-disjoint keys. Only rows that can meet a partner are read or
+//! shuffled. The scan inputs of a join are evaluated after its other
+//! inputs, smallest first, each reading only the placement keys the
+//! smallest input evaluated so far holds, when those are few against its
+//! files (see `ExecState::eval_scan`). And every shuffled input at least
+//! `FILTER_RATIO` times larger than the smallest drops, in its route tasks,
+//! the rows whose first join attribute the smallest input lacks (a
+//! semi-join; the key set is built by one task). Neither changes any join
+//! output — or any answer; `tuples_shuffled` counts the rows that crossed.
 //!
 //! Operators do **not** canonicalize their outputs. Leaf scans are tagged
 //! with the index order the partitioned store already delivers, joins emit
@@ -131,12 +135,12 @@ pub struct BoundedOutput {
 /// Intermediate operator results: one relation per compute node, or one
 /// **run-length factorized** join output per node — cross products held as
 /// `(key, payload ranges)` runs, expanded only at the final projection
-/// boundary (see [`crate::factorized`]). The parts of a map-side operator
-/// are co-located by its scans' placement variable, those of a reduce join
-/// hash-partitioned on its join attributes; either way each part is in the
-/// order its operator delivered, and consumers work part by part. Shared
-/// between consumers via `Arc` — a memo hit costs a reference-count bump,
-/// not a relation clone.
+/// boundary (see [`crate::factorized`]). The parts of a scan and of a
+/// co-located join are placed by the scans' placement variable, those of a
+/// shuffled join hash-partitioned on its join attributes; either way each
+/// part is in the order its operator delivered, and consumers work part by
+/// part. Shared between consumers via `Arc` — a memo hit costs a
+/// reference-count bump, not a relation clone.
 #[derive(Debug, Clone)]
 enum Intermediate {
     Local(Vec<Relation>),
@@ -524,7 +528,8 @@ fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
                 op,
                 PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. }
             );
-            driven[input.index()] = join && is_scan(plan, input);
+            let scan = matches!(plan.op(input), PhysicalOp::MapScan { .. });
+            driven[input.index()] = join && scan;
         }
     }
     for (driven, consumers) in driven.iter_mut().zip(consumers) {
@@ -556,7 +561,7 @@ const RESTRICT_ROWS_PER_KEY: usize = 64;
 /// waves").
 const INLINE_ROWS: u64 = 4_096;
 
-/// A reduce join input at least this many times larger than the join's
+/// A shuffled join's input at least this many times larger than the join's
 /// smallest input is key-filtered in its route tasks. Criterion
 /// `route_filter` (2 cores, means of 1 s windows): routing 100 k rows into
 /// 4 buckets takes 9.9 ns a row; with the key set it takes 11.0 (none
@@ -570,26 +575,19 @@ const INLINE_ROWS: u64 = 4_096;
 /// it drops a tenth of the rows.
 const FILTER_RATIO: u64 = 8;
 
-/// How a scan driven by a join finds the placement keys it may restrict
-/// its read to: from the smallest input of that join evaluated so far.
-#[derive(Debug, Clone, Copy)]
-enum KeysFrom {
-    /// A MapJoin sibling, co-located with the scan: a node's part holds
-    /// every key that node's files can match (see `ExecState::key_source`).
-    Sibling(PhysId),
-    /// A ReduceJoin input, not co-located: its keys are the union over all
-    /// of its parts, each sought on the node it is placed on (see
-    /// `ExecState::gathered_keys`).
-    Gathered(PhysId),
-}
-
-/// The placement keys a scan task reads, when it reads by key.
-enum ScanKeys {
-    /// A co-located sibling's parts and its placement-variable column: each
-    /// task takes its own node's distinct keys.
-    Sibling(Arc<Intermediate>, usize),
-    /// Per node, the ascending distinct keys placed on it.
-    Placed(Vec<Vec<TermId>>),
+/// Where a scan driven by a join may take the placement keys it restricts
+/// its read to: `column` of `source`, the smallest input of that join
+/// evaluated so far. Each scan task computes its own node's keys from it
+/// ([`ScanWave::read`]).
+struct ScanKeys {
+    source: Arc<Intermediate>,
+    /// The column of `source` holding the scan's placement variable.
+    column: usize,
+    /// Whether the driving join is co-located: node `n`'s keys are then the
+    /// distinct values of `source`'s part `n`, which is sorted by `column`;
+    /// otherwise they are the values of every part that the store places
+    /// on node `n`.
+    co_located: bool,
 }
 
 /// The distinct values of `column`, which `relation` is sorted by — or
@@ -660,8 +658,8 @@ impl<'a> ExecState<'a> {
     /// `volume` rows: on the submitting thread, in task-index order, when
     /// that is below [`INLINE_ROWS`], and on the runtime otherwise. The
     /// volume is a scan's expected triples (`ExecState::scan_volume`), a
-    /// reduce wave's rows the shuffle delivered, and any other wave's
-    /// operator input rows. With profiling on, every task is
+    /// join wave's the rows its tasks join (for a shuffled join, what the
+    /// shuffle delivered), and any other wave's operator input rows. With profiling on, every task is
     /// additionally bracketed — on the thread that runs it — with its start
     /// offset, its wall clock and its relation-stats delta: pure
     /// observations that cannot change task results. The deltas sum into
@@ -692,7 +690,7 @@ impl<'a> ExecState<'a> {
             })
             .collect();
         let outcomes = self.dispatch(inline, wrapped);
-        let prof = self.prof.as_mut().expect("profiling");
+        let prof = self.prof.as_mut().expect("`prof` is `Some`: checked above");
         let mut results = Vec::with_capacity(outcomes.len());
         for (index, (result, start, wall, delta)) in outcomes.into_iter().enumerate() {
             prof.tasks.push(TaskSpan {
@@ -843,21 +841,22 @@ impl<'a> ExecState<'a> {
         let needed = evaluated_ops(plan);
         let driven = join_driven_scans(plan, &needed);
         for index in (0..plan.len()).filter(|&index| needed[index] && !driven[index]) {
-            match plan.op(PhysId(index)) {
-                PhysicalOp::MapJoin { inputs, .. } => self.drive_scans(inputs, KeysFrom::Sibling),
-                PhysicalOp::ReduceJoin { inputs, .. } => {
-                    self.drive_scans(inputs, KeysFrom::Gathered)
-                }
-                _ => {}
+            let id = PhysId(index);
+            if let PhysicalOp::MapJoin { inputs, .. } | PhysicalOp::ReduceJoin { inputs, .. } =
+                plan.op(id)
+            {
+                self.drive_scans(inputs, plan.co_located(id));
             }
-            self.run_op(PhysId(index), None);
+            self.run_op(id, None);
         }
     }
 
     /// Evaluates one operator into the memo. With profiling on, the
     /// operator is bracketed with a driver-side clock; the wave wrapper in
-    /// `run_wave` adds what its tasks observed.
-    fn run_op(&mut self, id: PhysId, keys_from: Option<KeysFrom>) {
+    /// `run_wave` adds what its tasks observed. `keys_from` is, for a scan a
+    /// join drives, the smallest input of that join evaluated so far and
+    /// whether the join is co-located.
+    fn run_op(&mut self, id: PhysId, keys_from: Option<(PhysId, bool)>) {
         let span = self.open_span();
         let result = self.eval_op(id, keys_from);
         if let Some(span) = span {
@@ -871,11 +870,11 @@ impl<'a> ExecState<'a> {
     /// Evaluates the scans a join drives, each as its own operator (own
     /// wave, own span): constant seeks first, then by stored rows ascending
     /// — both known before anything is read. Each scan is handed the
-    /// smallest input evaluated so far (`keys_from` says how its keys are
-    /// found), whose placement keys it may restrict its read to; a
-    /// restricted read returns only rows that can still find a partner, so
-    /// it tends to be the next scan's key source in turn.
-    fn drive_scans(&mut self, inputs: &[PhysId], keys_from: fn(PhysId) -> KeysFrom) {
+    /// smallest input evaluated so far and the join's co-location, and may
+    /// restrict its read to that input's placement keys; a restricted read
+    /// returns only rows that can still find a partner, so it tends to be
+    /// the next scan's key source in turn.
+    fn drive_scans(&mut self, inputs: &[PhysId], co_located: bool) {
         let plan = self.plan;
         let rows_of = |state: &Self, id: PhysId| {
             let value = state.memo[id.index()].as_ref()?;
@@ -894,7 +893,7 @@ impl<'a> ExecState<'a> {
             .collect();
         pending.sort_unstable();
         for (_, _, id) in pending {
-            self.run_op(id, smallest.map(|(_, source)| keys_from(source)));
+            self.run_op(id, smallest.map(|(_, source)| (source, co_located)));
             smallest = smallest.into_iter().chain(rows_of(self, id)).min();
         }
     }
@@ -903,19 +902,19 @@ impl<'a> ExecState<'a> {
     fn input(&self, id: PhysId) -> Arc<Intermediate> {
         self.memo[id.index()]
             .clone()
-            .expect("inputs evaluated before consumers")
+            .expect("arena order: inputs have smaller ids (`PhysicalPlan::new` asserts it)")
     }
 
-    fn eval_op(&mut self, id: PhysId, keys_from: Option<KeysFrom>) -> Arc<Intermediate> {
+    fn eval_op(&mut self, id: PhysId, keys_from: Option<(PhysId, bool)>) -> Arc<Intermediate> {
         match self.plan.op(id) {
             PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, keys_from),
             PhysicalOp::MapJoin {
                 attributes, inputs, ..
-            } => self.eval_map_join(id, attributes, inputs),
-            PhysicalOp::MapShuffler { input, .. } => self.eval_shuffler(id, *input),
-            PhysicalOp::ReduceJoin {
+            }
+            | PhysicalOp::ReduceJoin {
                 attributes, inputs, ..
-            } => self.eval_reduce_join(id, attributes, inputs),
+            } => self.eval_join(id, attributes, inputs),
+            PhysicalOp::MapShuffler { input, .. } => self.eval_shuffler(id, *input),
             PhysicalOp::Project { variables, input } => self.eval_project(id, variables, *input),
         }
     }
@@ -929,8 +928,9 @@ impl<'a> ExecState<'a> {
     ///   constant's position holds every matching triple as one equal range
     ///   per file, so the scan's own files are never read;
     /// * otherwise, when `keys_from` names an input of the driving join
-    ///   whose distinct placement keys are few against this node's stored
-    ///   rows ([`RESTRICT_ROWS_PER_KEY`]), the task reads only those keys;
+    ///   whose distinct placement keys on this node are few against this
+    ///   node's stored rows ([`RESTRICT_ROWS_PER_KEY`]), the task reads only
+    ///   those keys ([`ExecState::scan_keys`]);
     /// * otherwise the files are read in full, as they are stored.
     ///
     /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
@@ -949,7 +949,7 @@ impl<'a> ExecState<'a> {
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        keys_from: Option<KeysFrom>,
+        keys_from: Option<(PhysId, bool)>,
     ) -> Arc<Intermediate> {
         let plan = self.plan;
         let nodes = self.cluster.nodes();
@@ -979,8 +979,7 @@ impl<'a> ExecState<'a> {
             None => (None, &spec.residual[..]),
         };
         let keys = match (&sought, keys_from) {
-            (None, Some(KeysFrom::Sibling(source))) => self.key_source(spec, source),
-            (None, Some(KeysFrom::Gathered(source))) => self.gathered_keys(spec, source),
+            (None, Some((source, co_located))) => self.scan_keys(spec, source, co_located),
             _ => None,
         };
         let volume = self.scan_volume(spec, sought.as_deref(), keys.as_ref());
@@ -1029,65 +1028,40 @@ impl<'a> ExecState<'a> {
         Arc::new(Intermediate::Local(parts))
     }
 
-    /// The evaluated sibling `source` as a key source for a scan of `spec`:
-    /// its per-node parts plus the column holding the scan's placement
-    /// variable — provided the sibling is a scan too (the scans of one join
-    /// are placed by the same variable, so a node's part holds every key
-    /// that node's files can match; a reduce output is partitioned by its
-    /// own join key) and every part is sorted by that column first, so a
-    /// part's distinct keys come out ascending, the order the files hold
-    /// them in. (Inputs of one join share every variable they both bind, so
-    /// restricting by a shared variable can only drop rows with no partner.)
-    fn key_source(&self, spec: &ScanSpec, source: PhysId) -> Option<ScanKeys> {
-        if !is_scan(self.plan, source) {
-            return None;
-        }
+    /// The evaluated input `source` of the join driving a scan of `spec`,
+    /// as the keys that scan may restrict its read to: the column of
+    /// `source` holding the scan's placement variable. (Inputs of one join
+    /// share every variable they both bind, so restricting by a shared
+    /// variable can only drop rows with no partner.)
+    ///
+    /// * **Co-located** (`co_located`): `source` is a scan of the same join,
+    ///   placed by the same variable, so node `n`'s part holds every key
+    ///   node `n`'s files can match. Usable when every part is sorted by
+    ///   that column first, so a part's distinct keys come out ascending,
+    ///   the order the files hold them in.
+    /// * **Otherwise** `source`'s parts are partitioned by something else
+    ///   (a reduce output by its own join key), so each node seeks the keys
+    ///   of every part that the store places on it. Usable when `source` has
+    ///   few rows against the scan's stored rows ([`RESTRICT_ROWS_PER_KEY`]):
+    ///   every node then reads all of `source`.
+    fn scan_keys(&self, spec: &ScanSpec, source: PhysId, co_located: bool) -> Option<ScanKeys> {
         let value = self.input(source);
         let parts = value.relations();
         let column = parts.first()?.column(placement_variable(spec)?)?;
-        let sorted = parts.len() == self.cluster.nodes()
-            && parts
-                .iter()
-                .all(|part| part.order().columns().first() == Some(&column));
-        sorted.then_some(ScanKeys::Sibling(value, column))
-    }
-
-    /// The distinct values of the scan's placement variable in `source`, an
-    /// input of the reduce join driving the scan — which `translate` places
-    /// by that join's first attribute — split by the node each value is
-    /// placed on. `source` is not co-located with the scan, so one task
-    /// gathers the union over all of its parts, sorts and de-duplicates it.
-    /// `None` (and no task) when `source` has more rows than
-    /// [`RESTRICT_ROWS_PER_KEY`] lets the scan's stored rows restrict to.
-    fn gathered_keys(&mut self, spec: &ScanSpec, source: PhysId) -> Option<ScanKeys> {
-        let value = self.input(source);
-        let column = value
-            .relations()
-            .first()?
-            .column(placement_variable(spec)?)?;
-        let rows = value.cardinality();
-        let stored = self.stored_rows(spec);
-        if rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
-            return None;
-        }
-        let store = self.cluster.store_arc();
-        let placed = self.run_wave(
-            rows,
-            vec![move || {
-                let parts = value.relations().iter();
-                let mut keys: Vec<TermId> = parts
-                    .flat_map(|part| part.rows().map(|row| row[column]))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                let mut placed = vec![Vec::new(); store.nodes()];
-                for key in keys {
-                    placed[store.node_of(key)].push(key);
-                }
-                placed
-            }],
-        );
-        placed.into_iter().next().map(ScanKeys::Placed)
+        let usable = if co_located {
+            parts.len() == self.cluster.nodes()
+                && parts
+                    .iter()
+                    .all(|part| part.order().columns().first() == Some(&column))
+        } else {
+            let rows = value.cardinality();
+            rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) <= self.stored_rows(spec)
+        };
+        usable.then_some(ScanKeys {
+            source: value,
+            column,
+            co_located,
+        })
     }
 
     /// The triples a full read of `spec`'s files binds, from the catalog:
@@ -1099,7 +1073,7 @@ impl<'a> ExecState<'a> {
 
     /// The triples a scan of `spec` is expected to read — the volume its
     /// wave is dispatched by: the triples a constant `sought`, or, reading
-    /// by key, the key count (for a sibling's keys, its rows: a bound) times
+    /// by key, the key source's rows (a bound on its distinct keys) times
     /// the catalog's rows per distinct placement value (one for a class
     /// file), or else its stored rows.
     fn scan_volume(
@@ -1112,11 +1086,10 @@ impl<'a> ExecState<'a> {
             return sought.iter().map(|triples| triples.len() as u64).sum();
         }
         let stored = self.stored_rows(spec);
-        let keys = match keys {
-            Some(ScanKeys::Sibling(source, _)) => source.cardinality(),
-            Some(ScanKeys::Placed(placed)) => placed.iter().map(|keys| keys.len() as u64).sum(),
-            None => return stored,
+        let Some(keys) = keys else {
+            return stored;
         };
+        let keys = keys.source.cardinality();
         let rows_per_key = match (spec.type_object, spec.property) {
             (Some(_), _) => 1,
             (None, Some(property)) => {
@@ -1134,75 +1107,6 @@ impl<'a> ExecState<'a> {
         stored.min(keys * rows_per_key)
     }
 
-    fn eval_map_join(
-        &mut self,
-        id: PhysId,
-        attributes: &BTreeSet<Variable>,
-        inputs: &[PhysId],
-    ) -> Arc<Intermediate> {
-        let plan = self.plan;
-        if !inputs.iter().all(|&input| is_scan(plan, input)) {
-            // Defensive path: only the scans of one join are placed by its
-            // key. Anything else (well-formed translations never build it)
-            // is not co-located, so it is shuffled like a reduce join's
-            // inputs.
-            return self.eval_reduce_join(id, attributes, inputs);
-        }
-        // `'static` wave context: the inputs' `Arc`s plus this join's key
-        // and output order. The interesting-orders pass picked that order
-        // to satisfy the consumer; the join sorts only when its natural key
-        // order does not already deliver it.
-        let ctx = Arc::new(JoinWave {
-            attrs: attributes.iter().cloned().collect(),
-            delivered: plan.ordering(id).delivered.clone(),
-            evaluated: inputs.iter().map(|&i| self.input(i)).collect(),
-        });
-        Arc::new(if plan.factorized(id) {
-            // Factorized path: emit `(key, payload ranges)` runs per node
-            // instead of materializing the cross product. Counters report the
-            // rows an expansion yields, so the job totals (and the cost model
-            // on top) match the eager path exactly.
-            let rows = RunsRelation::expanded_len;
-            Intermediate::LocalRuns(self.map_join_wave(id, ctx, factorized::join_runs, rows))
-        } else {
-            Intermediate::Local(self.map_join_wave(id, ctx, Relation::join, Relation::len))
-        })
-    }
-
-    /// The wave of one co-located join: one task per node joins that node's
-    /// part of every input with `join`. Returns the per-node outputs, whose
-    /// logical row counts `rows` reports.
-    fn map_join_wave<T: Send + 'static>(
-        &mut self,
-        id: PhysId,
-        ctx: Arc<JoinWave>,
-        join: JoinKernel<T>,
-        rows: fn(&T) -> usize,
-    ) -> Vec<T> {
-        let tasks: Vec<_> = (0..self.cluster.nodes())
-            .map(|node| {
-                let ctx = Arc::clone(&ctx);
-                move || {
-                    let node_inputs: Vec<&Relation> = (ctx.evaluated.iter())
-                        .map(|value| &value.relations()[node])
-                        .collect();
-                    join(&node_inputs, &ctx.attrs, &ctx.delivered)
-                }
-            })
-            .collect();
-        let volume = ctx.evaluated.iter().map(|value| value.cardinality()).sum();
-        let parts = self.run_wave(volume, tasks);
-        self.charge_join_output(id, parts.iter().map(rows).sum());
-        parts
-    }
-
-    /// Charges the rows a join wave produced to the join's job.
-    fn charge_join_output(&mut self, id: PhysId, produced: usize) {
-        let job = self.job_mut(id);
-        job.join_output_tuples += produced as u64;
-        job.tuples_written += produced as u64;
-    }
-
     fn eval_shuffler(&mut self, id: PhysId, input: PhysId) -> Arc<Intermediate> {
         let value = self.input(input);
         let rows = value.cardinality();
@@ -1215,7 +1119,24 @@ impl<'a> ExecState<'a> {
         value
     }
 
-    fn eval_reduce_join(
+    /// Evaluates a join — MapJoin and ReduceJoin alike: one wave of one
+    /// task per node runs the kernel the plan picks on that node's inputs
+    /// ([`NodeInputs::join`]) and emits in the order the interesting-orders
+    /// pass picked to satisfy the consumer (sorting only when the join's
+    /// natural key order does not already deliver it). The factorized
+    /// kernel emits `(key, payload ranges)` runs per node instead of
+    /// materializing the cross product; counters report the rows an
+    /// expansion yields, so the job totals (and the cost model on top)
+    /// match the eager kernel exactly.
+    ///
+    /// The one branch is where a node's inputs come from. A co-located
+    /// join ([`PhysicalPlan::co_located`]) reads part `n` of every input in
+    /// place. Any other join's inputs are semi-joined
+    /// ([`ExecState::semi_join`]) and shuffled ([`ExecState::shuffle`]):
+    /// the hash partition gives the nodes disjoint key sets and never
+    /// separates joinable rows, so the per-node outputs together are the
+    /// cluster-wide join.
+    fn eval_join(
         &mut self,
         id: PhysId,
         attributes: &BTreeSet<Variable>,
@@ -1224,39 +1145,68 @@ impl<'a> ExecState<'a> {
         let plan = self.plan;
         let attrs: Arc<[Variable]> = attributes.iter().cloned().collect();
         let delivered: Arc<[Variable]> = plan.ordering(id).delivered.as_slice().into();
-        let evaluated: Vec<Arc<Intermediate>> = inputs.iter().map(|&i| self.input(i)).collect();
-        let rows: Vec<u64> = evaluated.iter().map(|v| v.cardinality()).collect();
-        let volume = rows.iter().sum();
-        let filter = self.semi_join(&evaluated, &rows, &attrs, volume);
-        let filtered_inputs = filter.as_ref().map_or(0, |(_, flags)| {
-            flags.iter().filter(|&&flagged| flagged).count() as u64
-        });
-
-        // The reduce phase spans both waves: route, then merge + join.
-        let (buckets, shuffled) = self.shuffle(&evaluated, &attrs, filter, volume);
-        if let Some(prof) = &mut self.prof {
-            prof.attrs.push(("tuples_shuffled", shuffled));
-            if filtered_inputs > 0 {
-                prof.attrs.push(("filtered_inputs", filtered_inputs));
-                prof.attrs.push(("filtered_rows", volume - shuffled));
+        let evaluated: Arc<[Arc<Intermediate>]> = inputs.iter().map(|&i| self.input(i)).collect();
+        let node_inputs: Vec<NodeInputs> = if plan.co_located(id) {
+            let nodes = 0..self.cluster.nodes();
+            (nodes.map(|node| NodeInputs::Parts(Arc::clone(&evaluated), node))).collect()
+        } else {
+            let rows: Vec<u64> = evaluated.iter().map(|v| v.cardinality()).collect();
+            let volume = rows.iter().sum();
+            let filter = self.semi_join(&evaluated, &rows, &attrs, volume);
+            let filtered_inputs = filter.as_ref().map_or(0, |(_, flags)| {
+                flags.iter().filter(|&&flagged| flagged).count() as u64
+            });
+            let (buckets, shuffled) = self.shuffle(&evaluated, &attrs, filter, volume);
+            if let Some(prof) = &mut self.prof {
+                prof.attrs.push(("tuples_shuffled", shuffled));
+                if filtered_inputs > 0 {
+                    prof.attrs.push(("filtered_inputs", filtered_inputs));
+                    prof.attrs.push(("filtered_rows", volume - shuffled));
+                }
             }
-        }
-        // The hash partition gives the nodes disjoint key sets and never
-        // separates joinable rows, so the per-node outputs together are the
-        // cluster-wide join; they stay per node, each in the delivered
-        // order (factorized: as runs, expanded at the projection boundary).
-        let joined = if plan.factorized(id) {
+            self.job_mut(id).tuples_shuffled += shuffled;
+            buckets.into_iter().map(NodeInputs::Buckets).collect()
+        };
+        Arc::new(if plan.factorized(id) {
             let (join, rows) = (factorized::join_runs, RunsRelation::expanded_len);
-            Intermediate::LocalRuns(self.reduce(id, buckets, &attrs, &delivered, join, rows))
+            Intermediate::LocalRuns(self.join_wave(id, node_inputs, &attrs, &delivered, join, rows))
         } else {
             let (join, rows) = (Relation::join, Relation::len);
-            Intermediate::Local(self.reduce(id, buckets, &attrs, &delivered, join, rows))
-        };
-        self.job_mut(id).tuples_shuffled += shuffled;
-        Arc::new(joined)
+            Intermediate::Local(self.join_wave(id, node_inputs, &attrs, &delivered, join, rows))
+        })
     }
 
-    /// The semi-join of a reduce join's shuffle: when an input holds at
+    /// The wave of one join: one task per node joins that node's inputs
+    /// with `join`; its volume is the rows those inputs hold. Deterministic
+    /// in part order, so identical at every thread count. Returns the
+    /// per-node outputs, whose logical row counts `rows` reports, and
+    /// charges them to the join's job.
+    fn join_wave<T: Send + 'static>(
+        &mut self,
+        id: PhysId,
+        node_inputs: Vec<NodeInputs>,
+        attrs: &Arc<[Variable]>,
+        delivered: &Arc<[Variable]>,
+        join: JoinKernel<T>,
+        rows: fn(&T) -> usize,
+    ) -> Vec<T> {
+        let volume = node_inputs.iter().map(NodeInputs::rows).sum();
+        let tasks: Vec<_> = node_inputs
+            .into_iter()
+            .map(|inputs| {
+                let (attrs, delivered) = (Arc::clone(attrs), Arc::clone(delivered));
+                move || inputs.join(join, &attrs, &delivered)
+            })
+            .collect();
+        let parts = self.run_wave(volume, tasks);
+        let produced = parts.iter().map(rows).sum::<usize>() as u64;
+        let job = self.job_mut(id);
+        job.join_output_tuples += produced;
+        job.tuples_written += produced;
+        parts
+    }
+
+    /// The semi-join of a shuffled join: when an input holds at
     /// least [`FILTER_RATIO`] times the rows of the smallest input (`rows`
     /// per input), one task builds the set of the smallest input's values
     /// of the first join attribute, and the returned flags mark the inputs
@@ -1286,13 +1236,13 @@ impl<'a> ExecState<'a> {
                 (parts.flat_map(|part| {
                     let column = part
                         .column(&first)
-                        .expect("every join input binds its attributes");
+                        .expect("`translate` joins inputs on variables they all bind");
                     part.rows().map(move |row| row[column])
                 }))
                 .collect::<KeySet>()
             }],
         );
-        let keys = keys.into_iter().next().expect("one key-set task");
+        let keys = keys.into_iter().next().expect("one task, one result");
         Some((Arc::new(keys), filtered))
     }
 
@@ -1348,42 +1298,6 @@ impl<'a> ExecState<'a> {
             prof.attrs.push(("shuffle_bytes", shuffle_bytes));
         }
         (received, shuffled)
-    }
-
-    /// The reduce wave of one join: one task per node takes ownership of
-    /// the buckets that node received, merges each input's buckets in
-    /// source order — a stable merge by their shared key order, so inputs
-    /// the pass ordered by this join's attributes are joined without a
-    /// re-sort — and joins them with `join`. Deterministic in part order,
-    /// so identical at every thread count. Returns the per-node outputs,
-    /// whose logical row counts `rows` reports. The wave's volume is the
-    /// rows the shuffle delivered.
-    fn reduce<T: Send + 'static>(
-        &mut self,
-        id: PhysId,
-        buckets: Vec<Vec<Vec<Relation>>>,
-        attrs: &Arc<[Variable]>,
-        delivered: &Arc<[Variable]>,
-        join: JoinKernel<T>,
-        rows: fn(&T) -> usize,
-    ) -> Vec<T> {
-        let received = buckets.iter().flatten().flatten();
-        let volume = received.map(|bucket| bucket.len() as u64).sum();
-        let tasks: Vec<_> = buckets
-            .into_iter()
-            .map(|buckets| {
-                let (attrs, delivered) = (Arc::clone(attrs), Arc::clone(delivered));
-                move || {
-                    let inputs: Vec<Relation> =
-                        buckets.into_iter().map(Relation::merge_ordered).collect();
-                    let inputs: Vec<&Relation> = inputs.iter().collect();
-                    join(&inputs, &attrs, &delivered)
-                }
-            })
-            .collect();
-        let parts = self.run_wave(volume, tasks);
-        self.charge_join_output(id, parts.iter().map(rows).sum());
-        parts
     }
 
     fn eval_project(
@@ -1506,11 +1420,6 @@ impl<'a> ExecState<'a> {
     }
 }
 
-/// Returns `true` when `id` is a MapScan.
-fn is_scan(plan: &PhysicalPlan, id: PhysId) -> bool {
-    matches!(plan.op(id), PhysicalOp::MapScan { .. })
-}
-
 /// The variable at a scan's placement position — the one its files are
 /// placed and ordered by — unless a constant sits there.
 fn placement_variable(spec: &ScanSpec) -> Option<&Variable> {
@@ -1523,9 +1432,9 @@ fn placement_variable(spec: &ScanSpec) -> Option<&Variable> {
 }
 
 /// The variables the parts of `id`'s output are partitioned on: the
-/// attributes of the join that produced it (a reduce join's output is
-/// hash-partitioned on all of them, a map join's co-located by the
-/// smallest). `None` for anything else.
+/// attributes of the join that produced it (a shuffled join's output is
+/// hash-partitioned on all of them, a co-located join's placed by one of
+/// them). `None` for anything else.
 fn partition_key(plan: &PhysicalPlan, id: PhysId) -> Option<&BTreeSet<Variable>> {
     match plan.op(id) {
         PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
@@ -1551,14 +1460,16 @@ struct ScanWave {
     residual: Vec<FilterCondition>,
     /// Per-node triples a constant seek found; `None` reads the files.
     sought: Option<Vec<Vec<Triple>>>,
-    /// The placement keys the read is restricted to, where they are few
-    /// enough ([`RESTRICT_ROWS_PER_KEY`]).
+    /// Where a node's placement keys come from, when the read may be
+    /// restricted to them; `None` reads the files in full.
     keys: Option<ScanKeys>,
 }
 
 impl ScanWave {
     /// One node's triples in scan order, and the number of keys the read
-    /// was restricted to (`None`: sought, or read in full).
+    /// was restricted to (`None`: sought, or read in full). The one place
+    /// a node's keys are computed and held to the node's limit
+    /// ([`RESTRICT_ROWS_PER_KEY`] rows per key of its files).
     fn read(&self, node: usize) -> (Cow<'_, [Triple]>, Option<u64>) {
         if let Some(sought) = &self.sought {
             return (Cow::Borrowed(&sought[node]), None);
@@ -1567,17 +1478,22 @@ impl ScanWave {
         let files = self
             .store
             .scan_files(node, spec.placement, spec.property, spec.type_object);
+        // This node's keys, ascending and distinct, unless there are more
+        // than its files restrict to.
         let limit = files.rows() / RESTRICT_ROWS_PER_KEY;
-        let keys = match &self.keys {
-            Some(ScanKeys::Sibling(source, column)) => {
-                distinct_keys(&source.relations()[node], *column, limit).map(Cow::Owned)
+        let keys = self.keys.as_ref().and_then(|keys| {
+            let (parts, column) = (keys.source.relations(), keys.column);
+            if keys.co_located {
+                return distinct_keys(&parts[node], column, limit);
             }
-            Some(ScanKeys::Placed(placed)) => {
-                let keys = &placed[node];
-                (keys.len() <= limit).then_some(Cow::Borrowed(&keys[..]))
-            }
-            None => None,
-        };
+            let mut placed: Vec<TermId> = (parts.iter().flat_map(Relation::rows))
+                .map(|row| row[column])
+                .filter(|&key| self.store.node_of(key) == node)
+                .collect();
+            placed.sort_unstable();
+            placed.dedup();
+            (placed.len() <= limit).then_some(placed)
+        });
         match keys {
             Some(keys) => (Cow::Owned(files.read_keys(&keys)), Some(keys.len() as u64)),
             None => (files.read(), None),
@@ -1595,12 +1511,48 @@ impl ScanWave {
     }
 }
 
-/// The shared `'static` context of one map-join wave: the evaluated inputs'
-/// `Arc`s plus the join key and output order.
-struct JoinWave {
-    attrs: Vec<Variable>,
-    delivered: Vec<Variable>,
-    evaluated: Vec<Arc<Intermediate>>,
+/// One join task's inputs — the only thing a co-located join and a
+/// shuffled one do differently ([`ExecState::eval_join`]).
+enum NodeInputs {
+    /// Co-located: part `node` of every evaluated input, read in place.
+    Parts(Arc<[Arc<Intermediate>]>, usize),
+    /// Shuffled: per input, the buckets this node received, in source-part
+    /// order.
+    Buckets(Vec<Vec<Relation>>),
+}
+
+impl NodeInputs {
+    /// The rows the task joins.
+    fn rows(&self) -> u64 {
+        let rows: usize = match self {
+            NodeInputs::Parts(evaluated, node) => (evaluated.iter())
+                .map(|value| value.relations()[*node].len())
+                .sum(),
+            NodeInputs::Buckets(buckets) => buckets.iter().flatten().map(Relation::len).sum(),
+        };
+        rows as u64
+    }
+
+    /// Runs `join` on this node's inputs. Shuffled buckets are first merged
+    /// per input, in source order — a stable merge by their shared key
+    /// order, so inputs the pass ordered by this join's attributes are
+    /// joined without a re-sort — as a reducer sort-merges its partition.
+    fn join<T>(self, join: JoinKernel<T>, attrs: &[Variable], delivered: &[Variable]) -> T {
+        let (evaluated, merged): (Arc<[Arc<Intermediate>]>, Vec<Relation>);
+        let inputs: Vec<&Relation> = match self {
+            NodeInputs::Parts(parts, node) => {
+                evaluated = parts;
+                (evaluated.iter())
+                    .map(|value| &value.relations()[node])
+                    .collect()
+            }
+            NodeInputs::Buckets(buckets) => {
+                merged = buckets.into_iter().map(Relation::merge_ordered).collect();
+                merged.iter().collect()
+            }
+        };
+        join(&inputs, attrs, delivered)
+    }
 }
 
 /// Converts the raw triples a scan read into binding rows over a fixed
@@ -2339,8 +2291,9 @@ mod tests {
     /// A MapJoin is co-located only when the plan says so (all its inputs
     /// are scans): a hand-built one over a ReduceJoin's output — per-node
     /// parts too, but partitioned by another key — is shuffled instead, and
-    /// its driven scan does not take that output's parts for the keys its
-    /// own files can match. The answers equal the reference's.
+    /// its driven scan is keyed the non-co-located way: a node may seek only
+    /// the output's keys the store places on it, never its own part's. The
+    /// answers equal the reference's.
     #[test]
     fn a_map_join_over_a_reduce_output_is_not_taken_for_co_located() {
         let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
@@ -2382,6 +2335,7 @@ mod tests {
         });
         let root = PhysId(ops.len() - 1);
         let plan = PhysicalPlan::new(ops, root);
+        assert!(!plan.co_located(PhysId(root.index() - 1)));
 
         let query = parse_query(
             "SELECT ?x ?z ?s WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?z . \

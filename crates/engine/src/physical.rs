@@ -292,6 +292,21 @@ impl PhysicalPlan {
         self.factorized[id.index()]
     }
 
+    /// Returns `true` when the operator with the given id is a *co-located*
+    /// join: a MapJoin whose inputs are all scans. The scans of one MapJoin
+    /// are placed by its join variable, so node `n`'s part of every input
+    /// holds every row that can meet on node `n`; any other join — every
+    /// ReduceJoin, and a MapJoin over anything but scans — must shuffle its
+    /// inputs first. This is the one place the executor asks.
+    pub fn co_located(&self, id: PhysId) -> bool {
+        match self.op(id) {
+            PhysicalOp::MapJoin { inputs, .. } => inputs
+                .iter()
+                .all(|&input| matches!(self.op(input), PhysicalOp::MapScan { .. })),
+            _ => false,
+        }
+    }
+
     /// The operator with the given id.
     pub fn op(&self, id: PhysId) -> &PhysicalOp {
         &self.ops[id.index()]

@@ -47,6 +47,7 @@ use cliquesquare_rdf::{
     Dictionary, Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TermId,
     TriplePosition,
 };
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -281,6 +282,38 @@ impl BulkLoader {
             .push(buffer);
     }
 
+    /// One task of the fused input+encode wave: `fill` parses or generates
+    /// a chunk into a recycled scratch buffer (timed as input), which is
+    /// then encoded against the chunk's own shard dictionary (timed as
+    /// encode); its decoded bytes count as in flight in between. The
+    /// buffer goes back to the pool whether `fill` fails or not.
+    fn fused_chunk<E>(
+        &self,
+        gauges: &StreamGauges,
+        fill: impl FnOnce(&mut TripleBuffer) -> Result<(), E>,
+    ) -> Result<shard::EncodedShard, E> {
+        let mut buffer = self.take_scratch(gauges);
+        let input_started = Instant::now();
+        let filled = fill(&mut buffer);
+        let input_nanos = input_started.elapsed().as_nanos() as u64;
+        gauges.input_nanos.fetch_add(input_nanos, Ordering::Relaxed);
+        if let Err(error) = filled {
+            self.recycle_scratch(buffer);
+            return Err(error);
+        }
+        let bytes = buffer_bytes(&buffer);
+        gauges.note_parsed(bytes);
+        let encode_started = Instant::now();
+        let encoded = shard::encode_shard_from(&mut buffer);
+        let encode_nanos = encode_started.elapsed().as_nanos() as u64;
+        gauges
+            .encode_nanos
+            .fetch_add(encode_nanos, Ordering::Relaxed);
+        gauges.note_encoded(bytes);
+        self.recycle_scratch(buffer);
+        Ok(encoded)
+    }
+
     /// The number of input chunks a load will use.
     fn chunk_count(&self, options: &LoadOptions) -> usize {
         options
@@ -316,29 +349,8 @@ impl BulkLoader {
             chunks
                 .into_iter()
                 .map(|chunk| {
-                    move || -> Result<shard::EncodedShard, ParseError> {
-                        let mut buffer = self.take_scratch(gauges);
-                        let parse_started = Instant::now();
-                        let parsed = shard::parse_chunk_into(chunk, &mut buffer);
-                        gauges.input_nanos.fetch_add(
-                            parse_started.elapsed().as_nanos() as u64,
-                            Ordering::Relaxed,
-                        );
-                        if let Err(error) = parsed {
-                            self.recycle_scratch(buffer);
-                            return Err(error);
-                        }
-                        let bytes = buffer_bytes(&buffer);
-                        gauges.note_parsed(bytes);
-                        let encode_started = Instant::now();
-                        let encoded = shard::encode_shard_from(&mut buffer);
-                        gauges.encode_nanos.fetch_add(
-                            encode_started.elapsed().as_nanos() as u64,
-                            Ordering::Relaxed,
-                        );
-                        gauges.note_encoded(bytes);
-                        self.recycle_scratch(buffer);
-                        Ok(encoded)
+                    move || {
+                        self.fused_chunk(gauges, |buffer| shard::parse_chunk_into(chunk, buffer))
                     }
                 })
                 .collect(),
@@ -399,25 +411,10 @@ impl BulkLoader {
                 .map(|first| {
                     let last = (first + per_batch).min(units);
                     move || {
-                        let mut buffer = self.take_scratch(gauges);
-                        let generate_started = Instant::now();
-                        for unit in first..last {
-                            generate(unit, &mut buffer);
-                        }
-                        gauges.input_nanos.fetch_add(
-                            generate_started.elapsed().as_nanos() as u64,
-                            Ordering::Relaxed,
-                        );
-                        let bytes = buffer_bytes(&buffer);
-                        gauges.note_parsed(bytes);
-                        let encode_started = Instant::now();
-                        let encoded = shard::encode_shard_from(&mut buffer);
-                        gauges.encode_nanos.fetch_add(
-                            encode_started.elapsed().as_nanos() as u64,
-                            Ordering::Relaxed,
-                        );
-                        gauges.note_encoded(bytes);
-                        self.recycle_scratch(buffer);
+                        let Ok(encoded) = self.fused_chunk::<Infallible>(gauges, |buffer| {
+                            (first..last).for_each(|unit| generate(unit, buffer));
+                            Ok(())
+                        });
                         encoded
                     }
                 })

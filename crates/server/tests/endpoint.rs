@@ -127,6 +127,15 @@ fn the_endpoint_serves_every_promised_status_code() {
     assert_eq!(status, 400, "body: {body}");
     assert!(body.contains("?z"), "body: {body}");
 
+    // 400: text after the closing brace — a solution modifier the BGP
+    // subset does not support — is refused by name, not ignored.
+    let (status, body) = post_sparql(
+        addr,
+        "SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d } LIMIT 1",
+    );
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("LIMIT"), "body: {body}");
+
     // 400: a Content-Length with a sign, though it equals the valid body's
     // length: the header is `1*DIGIT`.
     let query = "SELECT ?x ?y WHERE { ?x ub:advisor ?y }";

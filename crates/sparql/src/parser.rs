@@ -17,6 +17,10 @@
 //! * `a` as a shorthand for `rdf:type`,
 //! * `<full-iri>`, `pfx:local`, `"literal"` and `?variable` terms,
 //! * triple patterns separated by `.`.
+//!
+//! Nothing may follow the closing `}`: solution modifiers (`LIMIT`,
+//! `ORDER BY`, …) are not supported, and a query that carries one is
+//! refused rather than answered in full.
 
 use crate::pattern::{PatternTerm, TriplePattern, Variable};
 use crate::query::BgpQuery;
@@ -229,6 +233,12 @@ pub fn parse_query(text: &str) -> Result<BgpQuery, ParseError> {
     if pos >= tokens.len() {
         return Err(err("expected '}'"));
     }
+    if let Some(extra) = tokens.get(pos + 1) {
+        return Err(err(format!(
+            "unexpected {extra:?} after the closing '}}': solution modifiers \
+             (LIMIT, ORDER BY, …) are not supported"
+        )));
+    }
     if !current.is_empty() {
         return Err(err(format!(
             "dangling triple pattern with {} term(s)",
@@ -267,6 +277,24 @@ mod tests {
         let error = parse_query("SELECT ?x ?z WHERE { ?x ub:worksFor ?y }").unwrap_err();
         assert!(error.to_string().contains("?z"), "{error}");
         assert!(parse_query("SELECT ?x ?y WHERE { ?x ub:worksFor ?y }").is_ok());
+    }
+
+    /// Text after the closing brace is an error naming its first token,
+    /// never silently dropped: a client asking for one row would otherwise
+    /// get every row.
+    #[test]
+    fn text_after_the_closing_brace_is_rejected_by_name() {
+        let query = "SELECT ?x WHERE { ?x ub:advisor ?y }";
+        for (suffix, named) in [
+            (" LIMIT 1", "\"LIMIT\""),
+            (" ORDER BY ?x", "\"ORDER\""),
+            (" } }", "\"}\""),
+        ] {
+            let error = parse_query(&format!("{query}{suffix}")).unwrap_err();
+            assert!(error.to_string().contains(named), "{suffix}: {error}");
+            assert!(error.to_string().contains("not supported"), "{error}");
+        }
+        assert!(parse_query(&format!("{query} \n\t ")).is_ok());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 
 use cliquesquare_core::{paper_examples, Optimizer, Variant};
 use cliquesquare_engine::jobs::schedule;
-use cliquesquare_engine::physical::PhysicalOp;
+use cliquesquare_engine::physical::{PhysId, PhysicalOp};
 use cliquesquare_engine::translate;
 use cliquesquare_mapreduce::JobKind;
-use cliquesquare_querygen::lubm_queries;
-use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale};
+use cliquesquare_querygen::{lubm_queries, sp2b_queries};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale};
 
 fn data() -> Graph {
     LubmGenerator::new(LubmScale::tiny()).generate()
@@ -120,4 +120,35 @@ fn map_only_plans_have_no_shufflers() {
         .is_empty());
     let sched = schedule(&physical);
     assert_eq!(sched.descriptor(), "M");
+}
+
+/// The executor's one co-location predicate agrees with the operator kind
+/// the translation chose: on every MSC candidate of LUBM Q1–Q14, SP²B
+/// S1–S6 and the paper's examples, every MapJoin is co-located (its inputs
+/// are all scans) and no other operator — no ReduceJoin — is.
+#[test]
+fn every_translated_map_join_and_only_it_is_co_located() {
+    let lubm = data();
+    let sp2b = Sp2bGenerator::new(Sp2bScale::tiny()).generate();
+    let workloads = [
+        (&lubm, lubm_queries::lubm_queries()),
+        (&sp2b, sp2b_queries::sp2b_queries()),
+        (&lubm, paper_examples::all()),
+    ];
+    let mut joins = [0usize; 2];
+    for (graph, queries) in workloads {
+        for query in queries {
+            for logical in Optimizer::with_variant(Variant::Msc).optimize(&query).plans {
+                let physical = translate(&logical, graph);
+                for (index, op) in physical.ops().iter().enumerate() {
+                    let map_join = matches!(op, PhysicalOp::MapJoin { .. });
+                    joins[0] += usize::from(map_join);
+                    joins[1] += usize::from(matches!(op, PhysicalOp::ReduceJoin { .. }));
+                    let co_located = physical.co_located(PhysId(index));
+                    assert_eq!(co_located, map_join, "{}: operator {index}", query.name());
+                }
+            }
+        }
+    }
+    assert!(joins.iter().all(|&count| count > 0), "{joins:?}");
 }
