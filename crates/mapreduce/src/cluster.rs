@@ -6,14 +6,7 @@ use crate::partition::PartitionedStore;
 use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::{Graph, GraphStatistics};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide counter stamping each loaded cluster with a distinct,
-/// monotonically increasing statistics epoch. A plan cached against one
-/// epoch is invalid against any other: different data, different statistics,
-/// possibly a different best plan.
-static STATS_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// Computes the catalog statistics of `graph` from its positional indexes
 /// as one task wave on `runtime`, one task per predicate (see
@@ -68,7 +61,6 @@ pub struct Cluster {
     graph: Arc<Graph>,
     store: Arc<PartitionedStore>,
     statistics: Arc<GraphStatistics>,
-    stats_epoch: u64,
 }
 
 impl Cluster {
@@ -112,7 +104,6 @@ impl Cluster {
             graph: Arc::new(graph),
             store: Arc::new(store),
             statistics: Arc::new(statistics),
-            stats_epoch: STATS_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
         }
     }
 
@@ -151,12 +142,6 @@ impl Cluster {
     /// The catalog statistics computed when the cluster was loaded.
     pub fn statistics(&self) -> &GraphStatistics {
         &self.statistics
-    }
-
-    /// The statistics epoch of this snapshot: distinct per load, so plans
-    /// cached against one loaded dataset never serve another.
-    pub fn stats_epoch(&self) -> u64 {
-        self.stats_epoch
     }
 }
 
@@ -209,7 +194,6 @@ mod tests {
             assert_eq!(adopted.store(), rebuilt.store());
             assert_eq!(adopted.graph(), rebuilt.graph());
             assert_eq!(adopted.statistics(), rebuilt.statistics());
-            assert!(adopted.stats_epoch() > rebuilt.stats_epoch());
         }
     }
 
@@ -231,7 +215,6 @@ mod tests {
         assert!(Arc::ptr_eq(&cluster.graph, &clone.graph));
         assert!(Arc::ptr_eq(&cluster.store, &clone.store));
         assert!(Arc::ptr_eq(&cluster.statistics, &clone.statistics));
-        assert_eq!(cluster.stats_epoch(), clone.stats_epoch());
     }
 
     #[test]
@@ -256,9 +239,5 @@ mod tests {
         );
         assert_eq!(first.statistics(), second.statistics());
         assert_eq!(first.statistics().triples(), first.graph().len());
-        assert!(
-            second.stats_epoch() > first.stats_epoch(),
-            "every load gets a fresh epoch"
-        );
     }
 }

@@ -18,13 +18,10 @@
 //!    waves *and* across loads ([`LoadReport::scratch_allocations`] counts
 //!    the cold allocations; a warm reload makes zero);
 //! 2. **merge + remap** — shard dictionaries merge into the global
-//!    dictionary in first-occurrence order. The merge is **partitioned**,
-//!    at every thread count: the term space is hash-split across
-//!    [`LoadReport::merge_partitions`] independent partition scans (one task
-//!    each), per-shard id blocks are prefix-summed, and final ids are
-//!    assigned per shard in parallel — bit-identical to the sequential
-//!    first-occurrence walk (see `cliquesquare_rdf::load`). Then every
-//!    shard rewrites its triples to final ids in parallel;
+//!    dictionary by one sequential walk over the shards in chunk order,
+//!    which assigns final ids in global first-occurrence order — the ids a
+//!    sequential load assigns (see `cliquesquare_rdf::load`). Then every
+//!    shard rewrites its triples to final ids, one task per shard;
 //! 3. **index wave** — the graph's three positional indexes are built
 //!    concurrently (one task per position);
 //! 4. **partition wave** — the Section 5.1 replicated store is built as a
@@ -44,8 +41,7 @@ use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::load as shard;
 use cliquesquare_rdf::ntriples::ParseError;
 use cliquesquare_rdf::{
-    Dictionary, Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TermId,
-    TriplePosition,
+    Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TriplePosition,
 };
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +108,7 @@ pub struct LoadReport {
     /// (the encode share of the fused wave).
     pub encode_seconds: f64,
     /// Seconds spent merging shard dictionaries and remapping shard triples
-    /// to final ids (partitioned merge waves + parallel remap wave).
+    /// to final ids (the sequential merge walk + the parallel remap wave).
     pub merge_seconds: f64,
     /// Seconds spent building the graph's three positional indexes.
     pub index_seconds: f64,
@@ -132,8 +128,6 @@ pub struct LoadReport {
     /// At most one per concurrent worker on a cold loader; zero on a warm
     /// reload.
     pub scratch_allocations: u64,
-    /// Partitions of the dictionary merge: two per worker thread.
-    pub merge_partitions: usize,
 }
 
 impl LoadReport {
@@ -424,50 +418,6 @@ impl BulkLoader {
         self.assemble(shards, options, input_seconds, encode_seconds, gauges)
     }
 
-    /// The partitioned dictionary merge, with a couple of partition scans per
-    /// worker so the wave balances: every phase of
-    /// `cliquesquare_rdf::load::merge_dictionaries_partitioned` run as its
-    /// own task wave (hash per shard → scan per partition → prefix-sum →
-    /// assign per shard → resolve per shard), bit-identical to
-    /// [`shard::merge_dictionaries`] at any thread and partition count.
-    fn merge_partitioned(
-        &self,
-        shards: Vec<Dictionary>,
-        partitions: usize,
-    ) -> (Dictionary, Vec<Vec<TermId>>) {
-        let shard_refs = &shards;
-        let hashes: Vec<Vec<u64>> = self.runtime.run_wave(
-            (0..shards.len())
-                .map(|s| move || shard::shard_term_hashes(&shard_refs[s]))
-                .collect(),
-        );
-        let hashes_ref = &hashes;
-        let plans: Vec<shard::MergePartition> = self.runtime.run_wave(
-            (0..partitions)
-                .map(|p| move || shard::partition_merge_plan(shard_refs, hashes_ref, partitions, p))
-                .collect(),
-        );
-        let (bases, distinct) = shard::merge_bases(&plans, shards.len());
-        let plans_ref = &plans;
-        let finals: Vec<Vec<TermId>> = self.runtime.run_wave(
-            (0..shards.len())
-                .map(|s| {
-                    let base = bases[s];
-                    move || shard::assign_final_ids(s, shard_refs[s].len(), plans_ref, base)
-                })
-                .collect(),
-        );
-        let finals_ref = &finals;
-        let remaps: Vec<Vec<TermId>> = self.runtime.run_wave(
-            (0..shards.len())
-                .map(|s| move || shard::resolve_shard_remap(s, finals_ref, plans_ref))
-                .collect(),
-        );
-        let (terms, term_hashes) = shard::merged_term_table(shards, &hashes, &finals, distinct);
-        let dictionary = Dictionary::from_id_ordered_terms_with_hashes(terms, &term_hashes);
-        (dictionary, remaps)
-    }
-
     /// Stages 2–4: merge + remap, index, partition.
     fn assemble(
         &self,
@@ -479,14 +429,13 @@ impl BulkLoader {
     ) -> LoadOutput {
         let chunks = shards.len().max(1);
 
-        // Partitioned merge + parallel remap.
+        // Sequential merge + parallel remap.
         let started = Instant::now();
         let (dictionaries, local_triples): (Vec<_>, Vec<_>) = shards
             .into_iter()
             .map(|s| (s.dictionary, s.triples))
             .unzip();
-        let merge_partitions = self.runtime.threads() * 2;
-        let (dictionary, remaps) = self.merge_partitioned(dictionaries, merge_partitions);
+        let (dictionary, remaps) = shard::merge_dictionaries(dictionaries);
         let remapped = self.runtime.run_wave(
             local_triples
                 .into_iter()
@@ -536,7 +485,6 @@ impl BulkLoader {
             peak_inflight_bytes: gauges.peak_inflight_bytes.load(Ordering::Relaxed),
             parsed_bytes: gauges.parsed_bytes.load(Ordering::Relaxed),
             scratch_allocations: gauges.scratch_allocations.load(Ordering::Relaxed),
-            merge_partitions,
         };
         LoadOutput {
             graph,
@@ -658,9 +606,6 @@ mod tests {
         assert!(r.parsed_bytes > 0);
         assert!(r.peak_inflight_bytes > 0);
         assert!(r.peak_inflight_bytes <= r.parsed_bytes);
-        // One merge path at every thread count: two partition scans for the
-        // one worker.
-        assert_eq!(r.merge_partitions, 2);
     }
 
     #[test]
@@ -676,12 +621,12 @@ mod tests {
         }
     }
 
+    /// A parallel load merges three shard dictionaries into the graph and
+    /// store the sequential loader builds from one.
     #[test]
     fn parallel_loads_use_the_partitioned_merge() {
         let scale = LubmScale::default(); // 3 universities → 3 shards
         let sequential = BulkLoader::sequential().load_lubm(scale, &LoadOptions::default());
-        // The sequential loader runs the partitioned merge too, inline.
-        assert_eq!(sequential.report.merge_partitions, 2);
         let loader = BulkLoader::new(Runtime::with_threads(2));
         let parallel = loader.load_lubm(
             scale,
@@ -690,7 +635,7 @@ mod tests {
                 ..LoadOptions::default()
             },
         );
-        assert_eq!(parallel.report.merge_partitions, 4);
+        assert_eq!(parallel.report.chunks, 3);
         assert_eq!(parallel.graph, sequential.graph);
         assert_eq!(parallel.store, sequential.store);
     }

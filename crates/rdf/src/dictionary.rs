@@ -43,12 +43,7 @@ impl Eq for Dictionary {}
 
 /// A stable 64-bit hash of a term (FNV-1a over a kind tag plus the text),
 /// independent of the process and platform.
-///
-/// Public because the partitioned dictionary merge
-/// ([`crate::load::partition_merge_plan`]) hash-partitions the term space
-/// with the *same* function the index probes with, so per-partition
-/// deduplication and final index construction agree on every term.
-pub fn term_hash(term: &Term) -> u64 {
+fn term_hash(term: &Term) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let tag: u8 = if term.is_iri() { 1 } else { 2 };
     hash ^= u64::from(tag);
@@ -200,48 +195,6 @@ impl Dictionary {
     /// dictionary (see [`crate::load::merge_dictionaries`]).
     pub fn into_terms(self) -> Vec<Term> {
         self.terms
-    }
-
-    /// The id-ordered term table, borrowed: `terms()[id]` is the term of
-    /// `TermId(id)`. The partitioned merge scans shard tables by position
-    /// without consuming the shards.
-    pub fn terms(&self) -> &[Term] {
-        &self.terms
-    }
-
-    /// Builds a dictionary directly from an id-ordered term table:
-    /// `terms[i]` becomes `TermId(i)`. The caller guarantees the terms are
-    /// distinct; the index is built once at its final size.
-    pub fn from_id_ordered_terms(terms: Vec<Term>) -> Self {
-        let mut dictionary = Self {
-            terms,
-            index: Vec::new(),
-        };
-        dictionary.rebuild_index(Self::slots_for(dictionary.terms.len()));
-        dictionary
-    }
-
-    /// Like [`from_id_ordered_terms`](Self::from_id_ordered_terms) but with
-    /// the terms' [`term_hash`] values supplied by the caller, so a merge
-    /// that already hashed every term once (to partition the term space)
-    /// never re-hashes the strings while building the final index.
-    pub fn from_id_ordered_terms_with_hashes(terms: Vec<Term>, hashes: &[u64]) -> Self {
-        assert_eq!(terms.len(), hashes.len());
-        debug_assert!(terms
-            .iter()
-            .zip(hashes)
-            .all(|(term, &hash)| term_hash(term) == hash));
-        let capacity = Self::slots_for(terms.len());
-        let mask = capacity - 1;
-        let mut index = vec![0u32; capacity];
-        for (position, &hash) in hashes.iter().enumerate() {
-            let mut slot = (hash as usize) & mask;
-            while index[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            index[slot] = position as u32 + 1;
-        }
-        Self { terms, index }
     }
 
     /// Estimated heap footprint in bytes: the term table (one `Term` slot
@@ -397,29 +350,6 @@ mod tests {
         assert_eq!(organic, presized);
         presized.encode(Term::iri("extra"));
         assert_ne!(organic, presized);
-    }
-
-    /// An id-ordered table round-trips through the bulk constructors with
-    /// the same mapping (and a working index) as organic insertion.
-    #[test]
-    fn from_id_ordered_terms_matches_organic_growth() {
-        let mut organic = Dictionary::new();
-        for i in 0..1000u32 {
-            organic.encode(Term::iri(format!("http://example.org/{}", i % 700)));
-            organic.encode(Term::literal(format!("lit{}", i % 300)));
-        }
-        let table = organic.clone().into_terms();
-        let hashes: Vec<u64> = table.iter().map(term_hash).collect();
-
-        let rebuilt = Dictionary::from_id_ordered_terms(table.clone());
-        let hashed = Dictionary::from_id_ordered_terms_with_hashes(table.clone(), &hashes);
-        assert_eq!(rebuilt, organic);
-        assert_eq!(hashed, organic);
-        for (i, term) in table.iter().enumerate() {
-            assert_eq!(rebuilt.lookup(term), Some(TermId(i as u32)));
-            assert_eq!(hashed.lookup(term), Some(TermId(i as u32)));
-        }
-        assert_eq!(hashed.lookup(&Term::iri("absent")), None);
     }
 
     /// Memory-footprint regression test: the term text must be stored once.

@@ -18,14 +18,18 @@
 //! * therefore walking the shards in chunk order, and each shard's terms in
 //!   local id order, visits all terms in global first-occurrence order.
 //!
-//! [`merge_dictionaries`] implements exactly that walk and hands back one
-//! remap table per shard; [`remap_triples`] rewrites a shard's local-id
-//! triples to final ids (independently per shard, so it parallelizes too).
+//! [`merge_dictionaries`] implements exactly that walk, on one thread, and
+//! hands back one remap table per shard; [`remap_triples`] rewrites a
+//! shard's local-id triples to final ids (independently per shard, so the
+//! loader runs it as a parallel wave). The walk is the loader's only merge:
+//! it is a few percent of a load (≈ 0.2 s of a 2.1 M-triple LUBM load on
+//! two cores), and a hash-partitioned parallel merge that won this stage
+//! never moved the whole load's time, so it was removed.
 //! These functions are deliberately free of any threading so this crate
 //! stays dependency-light; the task-wave orchestration lives in
 //! `cliquesquare_mapreduce::load`.
 
-use crate::dictionary::{term_hash, Dictionary};
+use crate::dictionary::Dictionary;
 use crate::ntriples::{self, ParseError};
 use crate::term::{Term, TermId};
 use crate::triple::Triple;
@@ -155,222 +159,6 @@ pub fn merge_dictionaries(shards: Vec<Dictionary>) -> (Dictionary, Vec<Vec<TermI
     (global, remaps)
 }
 
-/// Sentinel marking a shard-local id whose term first occurred in an
-/// earlier shard: [`assign_final_ids`] leaves these slots unassigned and
-/// [`resolve_shard_remap`] patches them from the first occurrence's shard.
-pub const MERGE_UNASSIGNED: TermId = TermId(u32::MAX);
-
-/// Hashes every term of a shard dictionary, in local-id order. One hash
-/// wave runs per shard; the hashes drive partition routing, per-partition
-/// dedup probing, *and* the final index build, so each term's text is
-/// hashed exactly once across the whole merge.
-pub fn shard_term_hashes(shard: &Dictionary) -> Vec<u64> {
-    shard.terms().iter().map(term_hash).collect()
-}
-
-/// One partition's slice of the merge plan: which shard-local terms are
-/// global first occurrences, and where each repeat occurrence first
-/// appeared.
-///
-/// Because all occurrences of a term share a [`term_hash`], they land in
-/// the same partition, so "first occurrence within this partition's scan"
-/// equals "global first occurrence" — partitions are independent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergePartition {
-    /// Per shard: strictly ascending local ids whose term first occurs at
-    /// that position (walking shards in order, each shard in local order).
-    pub new_locals: Vec<Vec<u32>>,
-    /// Per shard: `(local, first_shard, first_local)` for every repeat
-    /// occurrence, pointing at the term's global first occurrence.
-    pub duplicates: Vec<Vec<(u32, u32, u32)>>,
-}
-
-/// Scans all shards for the terms hashing into `partition` (of
-/// `partitions`) and splits them into first occurrences and duplicates.
-/// Partitions are disjoint, so one such scan per partition can run as its
-/// own task on the parallel runtime.
-///
-/// The dedup set is open-addressing keyed by the precomputed hashes and
-/// sized once from an exact occurrence count, so the scan re-hashes no
-/// strings and never rehashes the table.
-pub fn partition_merge_plan(
-    shards: &[Dictionary],
-    hashes: &[Vec<u64>],
-    partitions: usize,
-    partition: usize,
-) -> MergePartition {
-    debug_assert_eq!(shards.len(), hashes.len());
-    let modulus = partitions.max(1) as u64;
-    let target = partition as u64;
-    let occurrences: usize = hashes
-        .iter()
-        .map(|shard| shard.iter().filter(|&&h| h % modulus == target).count())
-        .sum();
-    let capacity = (occurrences * 8 / 7 + 1).next_power_of_two();
-    let mask = capacity - 1;
-    // Slots hold 1-based indexes into `entries`; an entry records the hash
-    // and first occurrence `(shard, local)` of one distinct term.
-    let mut slots = vec![0u32; capacity];
-    let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(occurrences);
-    let mut new_locals = vec![Vec::new(); shards.len()];
-    let mut duplicates: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); shards.len()];
-    for (s, shard) in shards.iter().enumerate() {
-        let terms = shard.terms();
-        for (l, &hash) in hashes[s].iter().enumerate() {
-            if hash % modulus != target {
-                continue;
-            }
-            let mut slot = (hash as usize) & mask;
-            loop {
-                match slots[slot] {
-                    0 => {
-                        entries.push((hash, s as u32, l as u32));
-                        slots[slot] = entries.len() as u32;
-                        new_locals[s].push(l as u32);
-                        break;
-                    }
-                    stored => {
-                        let (entry_hash, fs, fl) = entries[(stored - 1) as usize];
-                        if entry_hash == hash
-                            && shards[fs as usize].terms()[fl as usize] == terms[l]
-                        {
-                            duplicates[s].push((l as u32, fs, fl));
-                            break;
-                        }
-                    }
-                }
-                slot = (slot + 1) & mask;
-            }
-        }
-    }
-    MergePartition {
-        new_locals,
-        duplicates,
-    }
-}
-
-/// Prefix-sums the per-shard first-occurrence counts across all partition
-/// plans: returns each shard's final-id base and the distinct-term total.
-///
-/// Sequentially, the new terms of shard `s` receive the contiguous id block
-/// `[base, base + new)` in ascending local order (a term's global
-/// first-occurrence rank is the number of distinct terms first occurring at
-/// a lexicographically smaller `(shard, local)` position), which is exactly
-/// how [`assign_final_ids`] hands ids out — so the partitioned merge is
-/// bit-identical to [`merge_dictionaries`].
-pub fn merge_bases(plans: &[MergePartition], shard_count: usize) -> (Vec<u32>, usize) {
-    let mut bases = Vec::with_capacity(shard_count);
-    let mut total = 0usize;
-    for s in 0..shard_count {
-        bases.push(u32::try_from(total).expect("dictionary overflow"));
-        total += plans.iter().map(|p| p.new_locals[s].len()).sum::<usize>();
-    }
-    (bases, total)
-}
-
-/// Assigns final ids to one shard's first-occurrence terms: ascending local
-/// ids get consecutive ids from `base`. Duplicate slots stay
-/// [`MERGE_UNASSIGNED`] until [`resolve_shard_remap`]. Runs independently
-/// per shard.
-pub fn assign_final_ids(
-    shard: usize,
-    shard_len: usize,
-    plans: &[MergePartition],
-    base: u32,
-) -> Vec<TermId> {
-    let mut is_new = vec![false; shard_len];
-    for plan in plans {
-        for &l in &plan.new_locals[shard] {
-            is_new[l as usize] = true;
-        }
-    }
-    let mut finals = vec![MERGE_UNASSIGNED; shard_len];
-    let mut next = base;
-    for (l, &fresh) in is_new.iter().enumerate() {
-        if fresh {
-            finals[l] = TermId(next);
-            next += 1;
-        }
-    }
-    finals
-}
-
-/// Completes one shard's remap table by patching every duplicate slot with
-/// the id assigned at the term's first occurrence. Safe to run as soon as
-/// *all* shards' [`assign_final_ids`] are done (first occurrences are
-/// always "new" entries, so the referenced slots are already assigned).
-/// Runs independently per shard.
-pub fn resolve_shard_remap(
-    shard: usize,
-    finals: &[Vec<TermId>],
-    plans: &[MergePartition],
-) -> Vec<TermId> {
-    let mut remap = finals[shard].clone();
-    for plan in plans {
-        for &(l, fs, fl) in &plan.duplicates[shard] {
-            let id = finals[fs as usize][fl as usize];
-            debug_assert_ne!(id, MERGE_UNASSIGNED, "duplicate points at a duplicate");
-            remap[l as usize] = id;
-        }
-    }
-    debug_assert!(remap.iter().all(|&id| id != MERGE_UNASSIGNED));
-    remap
-}
-
-/// Moves every first-occurrence term (and its precomputed hash) into the
-/// id-ordered global table. Walking shards in order and locals in ascending
-/// order visits final ids `0, 1, 2, …` exactly once, so this is a single
-/// sequential move with no positional writes.
-pub fn merged_term_table(
-    shards: Vec<Dictionary>,
-    hashes: &[Vec<u64>],
-    finals: &[Vec<TermId>],
-    distinct: usize,
-) -> (Vec<Term>, Vec<u64>) {
-    let mut terms = Vec::with_capacity(distinct);
-    let mut term_hashes = Vec::with_capacity(distinct);
-    for (s, shard) in shards.into_iter().enumerate() {
-        for (l, term) in shard.into_terms().into_iter().enumerate() {
-            let id = finals[s][l];
-            if id != MERGE_UNASSIGNED {
-                debug_assert_eq!(id.index(), terms.len(), "ids not visited densely");
-                terms.push(term);
-                term_hashes.push(hashes[s][l]);
-            }
-        }
-    }
-    (terms, term_hashes)
-}
-
-/// The partitioned merge, phase by phase, run sequentially: the reference
-/// orchestration of [`shard_term_hashes`] → [`partition_merge_plan`] →
-/// [`merge_bases`] → [`assign_final_ids`] → [`resolve_shard_remap`] →
-/// [`merged_term_table`]. Bit-identical to [`merge_dictionaries`] for any
-/// partition count (differential-tested, including by proptest); the
-/// parallel task-wave orchestration of the same phases lives in
-/// `cliquesquare_mapreduce::load`.
-pub fn merge_dictionaries_partitioned(
-    shards: Vec<Dictionary>,
-    partitions: usize,
-) -> (Dictionary, Vec<Vec<TermId>>) {
-    let hashes: Vec<Vec<u64>> = shards.iter().map(shard_term_hashes).collect();
-    let plans: Vec<MergePartition> = (0..partitions.max(1))
-        .map(|p| partition_merge_plan(&shards, &hashes, partitions, p))
-        .collect();
-    let (bases, distinct) = merge_bases(&plans, shards.len());
-    let finals: Vec<Vec<TermId>> = shards
-        .iter()
-        .enumerate()
-        .map(|(s, shard)| assign_final_ids(s, shard.len(), &plans, bases[s]))
-        .collect();
-    let remaps: Vec<Vec<TermId>> = (0..shards.len())
-        .map(|s| resolve_shard_remap(s, &finals, &plans))
-        .collect();
-    let (terms, term_hashes) = merged_term_table(shards, &hashes, &finals, distinct);
-    let dictionary = Dictionary::from_id_ordered_terms_with_hashes(terms, &term_hashes);
-    (dictionary, remaps)
-}
-
 /// Rewrites a shard's local-id triples to final global ids through its
 /// remap table from [`merge_dictionaries`]. Runs independently per shard.
 pub fn remap_triples(triples: &[Triple], remap: &[TermId]) -> Vec<Triple> {
@@ -496,93 +284,6 @@ mod tests {
         assert!(global.is_empty());
         assert_eq!(remaps, vec![Vec::<TermId>::new(), Vec::new()]);
         assert!(remap_triples(&[], &[]).is_empty());
-    }
-
-    /// Builds shard dictionaries from slices of one term stream, the way
-    /// the encode wave would.
-    fn shards_of(stream: &[Term], cuts: &[usize]) -> Vec<Dictionary> {
-        let mut shards = Vec::new();
-        let mut start = 0;
-        for &cut in cuts.iter().chain(std::iter::once(&stream.len())) {
-            let mut d = Dictionary::new();
-            for term in &stream[start..cut] {
-                d.encode(term.clone());
-            }
-            shards.push(d);
-            start = cut;
-        }
-        shards
-    }
-
-    #[test]
-    fn partitioned_merge_is_bit_identical_to_sequential() {
-        let stream: Vec<Term> = ["a", "b", "a", "c", "b", "d", "e", "c", "f", "a", "g", "e"]
-            .iter()
-            .map(|t| iri(*t))
-            .chain((0..50).map(|i| Term::literal(format!("v{}", i % 17))))
-            .collect();
-        for cuts in [vec![], vec![4], vec![3, 7], vec![2, 5, 9, 30]] {
-            let shards = shards_of(&stream, &cuts);
-            let (expected_dict, expected_remaps) = merge_dictionaries(shards.clone());
-            for partitions in [1, 2, 3, 7, 64] {
-                let (dict, remaps) = merge_dictionaries_partitioned(shards.clone(), partitions);
-                assert_eq!(dict, expected_dict, "cuts={cuts:?} partitions={partitions}");
-                assert_eq!(
-                    remaps, expected_remaps,
-                    "cuts={cuts:?} partitions={partitions}"
-                );
-                // The rebuilt index answers lookups, not just equality.
-                for (id, term) in expected_dict.iter() {
-                    assert_eq!(dict.lookup(term), Some(id));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_merge_handles_empty_and_trivial_shards() {
-        let (dict, remaps) =
-            merge_dictionaries_partitioned(vec![Dictionary::new(), Dictionary::new()], 4);
-        assert!(dict.is_empty());
-        assert_eq!(remaps, vec![Vec::<TermId>::new(), Vec::new()]);
-
-        let mut only = Dictionary::new();
-        only.encode(iri("x"));
-        only.encode(iri("y"));
-        let (dict, remaps) = merge_dictionaries_partitioned(vec![only.clone()], 8);
-        assert_eq!(dict, only);
-        assert_eq!(remaps, vec![vec![TermId(0), TermId(1)]]);
-    }
-
-    #[test]
-    fn partition_plans_cover_every_local_id_exactly_once() {
-        let stream: Vec<Term> = (0..40).map(|i| iri(format!("t{}", i % 13))).collect();
-        let shards = shards_of(&stream, &[11, 25]);
-        let hashes: Vec<Vec<u64>> = shards.iter().map(shard_term_hashes).collect();
-        let partitions = 5;
-        let plans: Vec<MergePartition> = (0..partitions)
-            .map(|p| partition_merge_plan(&shards, &hashes, partitions, p))
-            .collect();
-        for (s, shard) in shards.iter().enumerate() {
-            let mut seen = vec![0u32; shard.len()];
-            for plan in &plans {
-                assert!(plan.new_locals[s].windows(2).all(|w| w[0] < w[1]));
-                for &l in &plan.new_locals[s] {
-                    seen[l as usize] += 1;
-                }
-                for &(l, fs, fl) in &plan.duplicates[s] {
-                    seen[l as usize] += 1;
-                    // Duplicates point at a strictly earlier occurrence of
-                    // an equal term.
-                    assert!((fs as usize, fl as usize) < (s, l as usize));
-                    assert_eq!(
-                        shards[fs as usize].terms()[fl as usize],
-                        shard.terms()[l as usize]
-                    );
-                }
-            }
-            assert!(seen.iter().all(|&n| n == 1), "shard {s}: {seen:?}");
-        }
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! untrusted text, sharded bulk-load encoding, graph index consistency and
 //! the statistics catalog against a brute-force count.
 
-use cliquesquare_rdf::load::{
-    encode_shard_from, merge_dictionaries, merge_dictionaries_partitioned, remap_triples,
-};
+use cliquesquare_rdf::load::{encode_shard_from, merge_dictionaries, remap_triples};
 use cliquesquare_rdf::term::vocab;
 use cliquesquare_rdf::{
     ntriples, Dictionary, Graph, GraphStatistics, PredicateStats, Term, TermId, TriplePosition,
@@ -198,39 +196,6 @@ proptest! {
             .map(|t| (t.subject, t.property, t.object))
             .collect();
         prop_assert_eq!(remapped, sequential_triples);
-    }
-
-    /// The partitioned dictionary merge assigns ids bit-identically to the
-    /// sequential first-occurrence merge for any shard split and any
-    /// partition count (thread-count invariance is tested on the parallel
-    /// orchestration in the workspace `bulk_load` suite).
-    #[test]
-    fn partitioned_merge_matches_sequential(
-        terms in proptest::collection::vec(term_strategy(), 1..120),
-        splits in proptest::collection::vec(1usize..120, 0..6),
-        partitions in 1usize..16,
-    ) {
-        let mut cuts: Vec<usize> = splits.iter().map(|&c| c % terms.len()).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut shards = Vec::new();
-        let mut start = 0;
-        for cut in cuts.into_iter().chain(std::iter::once(terms.len())) {
-            let mut shard = Dictionary::new();
-            for term in &terms[start..cut] {
-                shard.encode(term.clone());
-            }
-            shards.push(shard);
-            start = cut;
-        }
-
-        let (expected_dict, expected_remaps) = merge_dictionaries(shards.clone());
-        let (dict, remaps) = merge_dictionaries_partitioned(shards, partitions);
-        prop_assert_eq!(&dict, &expected_dict);
-        prop_assert_eq!(remaps, expected_remaps);
-        for (id, term) in expected_dict.iter() {
-            prop_assert_eq!(dict.lookup(term), Some(id));
-        }
     }
 
     /// Every positional index returns exactly the triples carrying the value

@@ -18,7 +18,8 @@
 //! Every error is a structured JSON body with the status the
 //! [`ServeError`] maps to (400 malformed request or query, 404 unknown name
 //! or path, 405 known path with another method — with an `Allow` header —,
-//! 408 read timeout, 413 oversized request, 500 contained execution panic).
+//! 408 read timeout, 411 a body framed by `Transfer-Encoding` instead of
+//! `Content-Length`, 413 oversized request, 500 contained execution panic).
 //! Each connection is handled off the accept loop with read/write
 //! timeouts, on a handler thread that parks between connections and is
 //! reused (a new one starts only when none is parked); the actual query
@@ -356,6 +357,7 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
     }
 
     let mut content_length: Option<usize> = None;
+    let mut transfer_encoded = false;
     let mut header_bytes = request_line.len();
     loop {
         let mut line = String::new();
@@ -385,6 +387,13 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
             }
             content_length = Some(length);
         }
+        transfer_encoded |= header_value(line, "transfer-encoding").is_some();
+    }
+    // Bodies are read by `Content-Length` alone: a chunked body would read
+    // as empty and be blamed on its query, so it is refused before any of
+    // it is read.
+    if transfer_encoded {
+        return Err(RequestError::Serve(ServeError::LengthRequired));
     }
     let content_length = content_length.unwrap_or(0);
 

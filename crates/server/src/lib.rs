@@ -15,11 +15,11 @@
 //! * [`plancache`] — a structure-keyed template plan cache: queries that
 //!   repeat a BGP shape with different constants skip clique decomposition,
 //!   plan-space search and translation entirely; the cached physical plan is
-//!   rebound to the new constants in one pass. Bounded LRU, invalidated by
-//!   the cluster's statistics epoch.
+//!   rebound to the new constants in one pass. Bounded LRU; a service's
+//!   cache lives and dies with its one cluster.
 //! * [`http`] — a minimal HTTP/1.1 front end on `std::net::TcpListener`:
 //!   `POST /sparql` with a query body, `GET /query?name=Q4` for the named
-//!   LUBM mix, `GET /health`. Errors map to 400/404/405/408/413/500.
+//!   LUBM mix, `GET /health`. Errors map to 400/404/405/408/411/413/500.
 //!
 //! Answers are bit-identical to the single-job path at any thread count and
 //! any concurrency level: plans are chosen by a deterministic cost model and

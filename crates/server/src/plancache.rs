@@ -17,10 +17,11 @@
 //! [`cliquesquare_engine::rebind_constants`], which splices the new
 //! constants into the cached plan in one pass over its operators.
 //!
-//! Entries are invalidated by the cluster's statistics epoch (a reload may
-//! change both the data and the plans the cost model prefers) and evicted
-//! least-recently-used beyond [`DEFAULT_CAPACITY`]. Hits, misses and
-//! evictions are exported as `csq_plancache_{hits,misses,evictions}_total`
+//! A cache belongs to one service, which serves one cluster for its whole
+//! life, so a cached plan never outlives the data and statistics it was
+//! chosen against. Entries are evicted least-recently-used beyond
+//! [`DEFAULT_CAPACITY`], or dropped when they fail to rebind. Hits, misses
+//! and evictions are exported as `csq_plancache_{hits,misses,evictions}_total`
 //! in the global metric registry.
 
 use cliquesquare_engine::PhysicalPlan;
@@ -118,7 +119,6 @@ pub struct CachedPlan {
 #[derive(Debug)]
 struct Entry {
     cached: CachedPlan,
-    epoch: u64,
     last_used: u64,
 }
 
@@ -151,8 +151,7 @@ impl Tally {
     }
 }
 
-/// A bounded, thread-safe template → plan cache with LRU eviction and
-/// statistics-epoch invalidation.
+/// A bounded, thread-safe template → plan cache with LRU eviction.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -181,30 +180,22 @@ impl PlanCache {
             )),
             evictions: Tally::new(registry.counter(
                 "csq_plancache_evictions_total",
-                "Plan cache entries dropped (LRU pressure or stale epoch)",
+                "Plan cache entries dropped (LRU pressure or a failed rebind)",
                 &[],
             )),
         }
     }
 
-    /// Looks up `key`, counting a hit or a miss. An entry whose epoch is not
-    /// `epoch` was planned against superseded statistics: it is dropped
-    /// (counted as an eviction) and the lookup misses.
-    pub fn lookup(&self, key: &TemplateKey, epoch: u64) -> Option<CachedPlan> {
+    /// Looks up `key`, counting a hit or a miss.
+    pub fn lookup(&self, key: &TemplateKey) -> Option<CachedPlan> {
         let mut inner = self.inner.lock().expect("plan cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
-            Some(entry) if entry.epoch == epoch => {
+            Some(entry) => {
                 entry.last_used = tick;
                 self.hits.inc();
                 Some(entry.cached.clone())
-            }
-            Some(_) => {
-                inner.entries.remove(key);
-                self.evictions.inc();
-                self.misses.inc();
-                None
             }
             None => {
                 self.misses.inc();
@@ -222,7 +213,7 @@ impl PlanCache {
 
     /// Inserts a freshly planned template, evicting the least recently used
     /// entry if the cache is full.
-    pub fn insert(&self, key: TemplateKey, epoch: u64, cached: CachedPlan) {
+    pub fn insert(&self, key: TemplateKey, cached: CachedPlan) {
         let mut inner = self.inner.lock().expect("plan cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -241,7 +232,6 @@ impl PlanCache {
             key,
             Entry {
                 cached,
-                epoch,
                 last_used: tick,
             },
         );
@@ -337,44 +327,18 @@ mod tests {
         let b = key("SELECT ?x WHERE { ?x ub:worksFor ?y . ?y ub:subOrganizationOf ?z }");
         let c = key("SELECT ?x WHERE { ?x rdf:type ub:GraduateStudent }");
         let plan = dummy_plan("SELECT ?x WHERE { ?x ub:advisor ?y }");
-        cache.insert(a.clone(), 1, plan.clone());
-        cache.insert(b.clone(), 1, plan.clone());
+        cache.insert(a.clone(), plan.clone());
+        cache.insert(b.clone(), plan.clone());
         // Touch `a` so `b` is the LRU victim.
-        assert!(cache.lookup(&a, 1).is_some());
-        cache.insert(c.clone(), 1, plan.clone());
+        assert!(cache.lookup(&a).is_some());
+        cache.insert(c.clone(), plan.clone());
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&b, 1).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(&a, 1).is_some());
-        assert!(cache.lookup(&c, 1).is_some());
+        assert!(cache.lookup(&b).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(&a).is_some());
+        assert!(cache.lookup(&c).is_some());
         let (h1, m1, e1) = cache.counters();
         assert_eq!(h1 - h0, 3);
         assert_eq!(m1 - m0, 1);
         assert_eq!(e1 - e0, 1);
-    }
-
-    #[test]
-    fn stale_epoch_invalidates_the_entry() {
-        let cache = PlanCache::new(4);
-        let (_, _, e0) = cache.counters();
-        let a = key("SELECT ?x WHERE { ?x ub:advisor ?y }");
-        cache.insert(
-            a.clone(),
-            1,
-            dummy_plan("SELECT ?x WHERE { ?x ub:advisor ?y }"),
-        );
-        assert!(cache.lookup(&a, 1).is_some());
-        // A reload bumped the statistics epoch: the plan was chosen against
-        // superseded statistics and must not be served.
-        assert!(cache.lookup(&a, 2).is_none());
-        assert_eq!(cache.len(), 0);
-        let (_, _, e1) = cache.counters();
-        assert_eq!(e1 - e0, 1);
-        // Re-inserting under the new epoch serves again.
-        cache.insert(
-            a.clone(),
-            2,
-            dummy_plan("SELECT ?x WHERE { ?x ub:advisor ?y }"),
-        );
-        assert!(cache.lookup(&a, 2).is_some());
     }
 }

@@ -50,6 +50,10 @@ pub enum ServeError {
         /// The size the request declared or reached.
         actual: usize,
     },
+    /// The request framed its body with `Transfer-Encoding`, which the
+    /// endpoint does not decode: it reads bodies by `Content-Length` only
+    /// (HTTP 411).
+    LengthRequired,
     /// Query execution panicked; the job was cancelled and the worker pool
     /// survived (HTTP 500).
     Internal(String),
@@ -65,6 +69,7 @@ impl ServeError {
             ServeError::BadQuery(_) => 400,
             ServeError::UnknownQuery(_) | ServeError::UnknownPath(_) => 404,
             ServeError::MethodNotAllowed { .. } => 405,
+            ServeError::LengthRequired => 411,
             ServeError::TooLarge { .. } => 413,
             ServeError::Internal(_) => 500,
             ServeError::Timeout => 408,
@@ -77,6 +82,7 @@ impl ServeError {
             ServeError::BadQuery(_) => "Bad Request",
             ServeError::UnknownQuery(_) | ServeError::UnknownPath(_) => "Not Found",
             ServeError::MethodNotAllowed { .. } => "Method Not Allowed",
+            ServeError::LengthRequired => "Length Required",
             ServeError::TooLarge { .. } => "Payload Too Large",
             ServeError::Internal(_) => "Internal Server Error",
             ServeError::Timeout => "Request Timeout",
@@ -93,6 +99,10 @@ impl fmt::Display for ServeError {
             ServeError::MethodNotAllowed { method, allow } => {
                 write!(f, "method {method:?} not allowed here (allowed: {allow})")
             }
+            ServeError::LengthRequired => write!(
+                f,
+                "Transfer-Encoding is not supported: send the body with a Content-Length"
+            ),
             ServeError::TooLarge { limit, actual } => {
                 write!(
                     f,
@@ -361,7 +371,6 @@ impl QueryService {
     /// query's template key.
     fn plan_physical(&self, query: &BgpQuery) -> Planned {
         let graph = self.csq.cluster().graph();
-        let stats_epoch = self.csq.cluster().stats_epoch();
         let key = match &self.plan_cache {
             Some(cache) => {
                 let key = TemplateKey::of(query);
@@ -373,7 +382,7 @@ impl QueryService {
             None => None,
         };
         if let (Some(cache), Some(key)) = (&self.plan_cache, &key) {
-            if let Some(cached) = cache.lookup(key, stats_epoch) {
+            if let Some(cached) = cache.lookup(key) {
                 match rebind_constants(&cached.plan, query, graph) {
                     Some(rebound) => {
                         // The plan carries the template's variable names;
@@ -404,7 +413,6 @@ impl QueryService {
         if let (Some(cache), Some(key)) = (&self.plan_cache, key) {
             cache.insert(
                 key,
-                stats_epoch,
                 CachedPlan {
                     plan: Arc::clone(&plan),
                     variables: query.variables(),

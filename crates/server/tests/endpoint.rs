@@ -1,5 +1,5 @@
 //! Live-socket tests of the HTTP SPARQL endpoint: every status code the
-//! serving boundary promises (200/400/404/408/413; the 500 of a contained
+//! serving boundary promises (200/400/404/408/411/413; the 500 of a contained
 //! panic is `service.rs`'s unit test), hostile request heads getting an
 //! answer or a clean close, concurrent clients getting bit-identical
 //! answers, `/metrics` exposing the registry in valid Prometheus text, and
@@ -190,6 +190,23 @@ fn the_endpoint_serves_every_promised_status_code() {
         );
         assert!(response.contains("not allowed"), "{response}");
     }
+
+    // 411: a chunked body is refused by name, not read as an empty query
+    // and blamed on it — with or without a `Content-Length` beside it.
+    let chunk = format!("{:x}\r\n{query}\r\n0\r\n\r\n", query.len());
+    for framing in ["", "Content-Length: 0\r\n"] {
+        let (status, body) = request(
+            addr,
+            format!(
+                "POST /sparql HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\
+                 {framing}Connection: close\r\n\r\n{chunk}"
+            ),
+        );
+        assert_eq!(status, 411, "body: {body}");
+        assert!(body.contains("Transfer-Encoding"), "body: {body}");
+        assert!(body.contains("Content-Length"), "body: {body}");
+    }
+    assert_eq!(get(addr, "/health").0, 200);
 
     // 413: a body larger than the configured limit is rejected up front.
     let oversized = "x".repeat(8192);
