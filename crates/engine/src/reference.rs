@@ -8,6 +8,11 @@
 //! concatenated in chunk order, making the result **bit-identical** to the
 //! sequential evaluation at any thread count.
 //!
+//! Patterns are matched through [`Graph::match_pattern`], so the first
+//! evaluation over a graph builds the graph's positional indexes for the
+//! positions its constants fix; serving never reads them, so a served
+//! graph pays for them only when it is checked against this evaluator.
+//!
 //! The binding table is built with `push_row`, which claims no order —
 //! intermediate binding order is scan order, which the final `distinct`
 //! re-sorts anyway; the executor's order-elided pipeline is differentially

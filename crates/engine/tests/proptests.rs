@@ -329,9 +329,7 @@ proptest! {
         prop_assert_eq!(stats.nodes, nodes.max(1));
         let properties: BTreeSet<TermId> = graph.triples().iter().map(|t| t.property).collect();
         for property in properties {
-            let expected = graph
-                .triples_with(TriplePosition::Property, property)
-                .count();
+            let expected = graph.match_pattern(None, Some(property), None).count();
             for placement in TriplePosition::ALL {
                 prop_assert_eq!(
                     store.scan_cardinality(placement, Some(property), None),

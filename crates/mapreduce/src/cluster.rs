@@ -8,8 +8,8 @@ use cliquesquare_rdf::{Graph, GraphStatistics};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Computes the catalog statistics of `graph` from its positional indexes
-/// as one task wave on `runtime`, one task per predicate (see
+/// Computes the catalog statistics of `graph` from one grouping pass over
+/// its triples and one task wave on `runtime`, one task per predicate (see
 /// [`GraphStatistics::compute_with`]). The wave returns results in task
 /// order, so the catalog is identical to the sequential one at any thread
 /// count.

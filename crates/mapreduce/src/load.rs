@@ -2,10 +2,9 @@
 //! [`Graph`] + [`PartitionedStore`] out.
 //!
 //! Sequential ingest funnels every triple through one dictionary, then one
-//! index builder, then one partitioner — so load time, not query time,
-//! bounds the dataset scales the benchmarks can reach. [`BulkLoader`] runs
-//! the same pipeline as waves of per-chunk tasks on the existing
-//! [`Runtime`]:
+//! partitioner — so load time, not query time, bounds the dataset scales
+//! the benchmarks can reach. [`BulkLoader`] runs the same pipeline as waves
+//! of per-chunk tasks on the existing [`Runtime`]:
 //!
 //! 1. **fused input + encode wave** — each N-Triples chunk is parsed (or
 //!    each LUBM university batch / SP²Bench unit generated) and immediately
@@ -22,8 +21,10 @@
 //!    which assigns final ids in global first-occurrence order — the ids a
 //!    sequential load assigns (see `cliquesquare_rdf::load`). Then every
 //!    shard rewrites its triples to final ids, one task per shard;
-//! 3. **index wave** — the graph's three positional indexes are built
-//!    concurrently (one task per position);
+//! 3. **graph assembly** — the remapped chunks are concatenated in chunk
+//!    order into the [`Graph`]. The graph's positional indexes are not
+//!    built here: the graph builds each on its first read, and neither the
+//!    store nor the catalog reads them;
 //! 4. **partition wave** — the Section 5.1 replicated store is built as a
 //!    map wave (route chunks) plus a reduce wave (merge per node), see
 //!    [`PartitionedStore::build_with`].
@@ -33,16 +34,14 @@
 //! [`cliquesquare_rdf::ntriples::parse_into_graph`] /
 //! [`cliquesquare_rdf::LubmGenerator::generate`] followed by
 //! [`PartitionedStore::build`] — at any thread count and any chunking.
-//! Same [`cliquesquare_rdf::TermId`] assignment, same index order, same
+//! Same [`cliquesquare_rdf::TermId`] assignment, same triple order, same
 //! file placement; `tests/bulk_load.rs` enforces it at threads 1, 2 and 8.
 
 use crate::partition::PartitionedStore;
 use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::load as shard;
 use cliquesquare_rdf::ntriples::ParseError;
-use cliquesquare_rdf::{
-    Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TriplePosition,
-};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,7 +109,9 @@ pub struct LoadReport {
     /// Seconds spent merging shard dictionaries and remapping shard triples
     /// to final ids (the sequential merge walk + the parallel remap wave).
     pub merge_seconds: f64,
-    /// Seconds spent building the graph's three positional indexes.
+    /// Seconds spent assembling the graph: concatenating the remapped
+    /// chunks and checking their ids against the dictionary. No index is
+    /// built here: the graph builds each on its first read.
     pub index_seconds: f64,
     /// Seconds spent building the replicated partitioned store.
     pub partition_seconds: f64,
@@ -151,11 +152,11 @@ impl LoadReport {
     }
 }
 
-/// The result of a bulk load: the indexed graph, the partitioned store, and
-/// the per-stage timing report.
+/// The result of a bulk load: the graph, the partitioned store, and the
+/// per-stage timing report.
 #[derive(Debug, Clone)]
 pub struct LoadOutput {
-    /// The dictionary-encoded, indexed graph.
+    /// The dictionary-encoded graph.
     pub graph: Graph,
     /// The Section 5.1 replicated, property-grouped store.
     pub store: PartitionedStore,
@@ -418,7 +419,7 @@ impl BulkLoader {
         self.assemble(shards, options, input_seconds, encode_seconds, gauges)
     }
 
-    /// Stages 2–4: merge + remap, index, partition.
+    /// Stages 2–4: merge + remap, graph assembly, partition.
     fn assemble(
         &self,
         shards: Vec<shard::EncodedShard>,
@@ -445,25 +446,9 @@ impl BulkLoader {
         );
         let merge_seconds = started.elapsed().as_secs_f64();
 
-        // Index wave: concatenate in chunk order, then one task per
-        // positional index.
+        // Graph assembly: concatenate in chunk order.
         let started = Instant::now();
-        let mut triples = Vec::with_capacity(remapped.iter().map(Vec::len).sum());
-        for chunk in remapped {
-            triples.extend(chunk);
-        }
-        let triples_ref = &triples;
-        let mut indexes = self.runtime.run_wave(
-            TriplePosition::ALL
-                .into_iter()
-                .map(|position| move || Graph::position_index(triples_ref, position))
-                .collect(),
-        );
-        let by_object = indexes.pop().expect("object index");
-        let by_property = indexes.pop().expect("property index");
-        let by_subject = indexes.pop().expect("subject index");
-        let graph =
-            Graph::from_parts_with_indexes(dictionary, triples, by_subject, by_property, by_object);
+        let graph = Graph::from_parts(dictionary, remapped.concat());
         let index_seconds = started.elapsed().as_secs_f64();
 
         // Partition wave(s): the Section 5.1 replicated store.

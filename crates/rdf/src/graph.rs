@@ -1,25 +1,43 @@
-//! Indexed in-memory RDF graph store.
+//! In-memory RDF graph: a dictionary plus a triple list.
 
 use crate::dictionary::Dictionary;
 use crate::term::{Term, TermId};
 use crate::triple::{Triple, TriplePosition};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-/// An indexed, dictionary-encoded, in-memory RDF graph.
+/// Triple offsets by the term id at one position.
+type PositionIndex = HashMap<TermId, Vec<usize>>;
+
+/// A dictionary-encoded, in-memory RDF graph.
 ///
-/// The graph keeps the full triple list plus three positional indexes
-/// (by subject, by property, by object). This is the "local store" view of
-/// the data; the distributed placement of triples across compute nodes is
-/// handled by the partitioner in `cliquesquare-mapreduce`.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The graph is its dictionary plus its triple list. The three positional
+/// indexes (by subject, by property, by object) are derived: each is built
+/// on its first read through [`index_of`](Self::index_of) or
+/// [`match_pattern`](Self::match_pattern) and dropped by any insertion, so
+/// a graph that is only partitioned never builds one. This is the "local
+/// store" view of the data; queries are served from the partitioned
+/// placement built by `cliquesquare-mapreduce`.
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Graph {
     dictionary: Dictionary,
     triples: Vec<Triple>,
-    by_subject: HashMap<TermId, Vec<usize>>,
-    by_property: HashMap<TermId, Vec<usize>>,
-    by_object: HashMap<TermId, Vec<usize>>,
+    /// One lazily built index per position, in [`TriplePosition::ALL`]
+    /// order.
+    #[serde(skip)]
+    indexes: [OnceLock<PositionIndex>; 3],
 }
+
+/// Graphs are equal when their dictionaries and triples are: the indexes
+/// are derived from those, whether built yet or not.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.dictionary == other.dictionary && self.triples == other.triples
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Creates an empty graph.
@@ -28,50 +46,10 @@ impl Graph {
     }
 
     /// Builds a graph from an already-encoded triple list and the dictionary
-    /// that encoded it, constructing the three positional indexes here.
-    ///
-    /// This is the bulk-load constructor: inserting the same triples one by
-    /// one through [`insert`](Self::insert) yields an identical graph, but
-    /// pays three hash-map probes per triple interleaved with the encode
-    /// path. Panics if a triple references an id outside the dictionary.
+    /// that encoded it: the bulk-load constructor. Inserting the same
+    /// triples one by one through [`insert`](Self::insert) yields an equal
+    /// graph. Panics if a triple references an id outside the dictionary.
     pub fn from_parts(dictionary: Dictionary, triples: Vec<Triple>) -> Self {
-        let by_subject = Self::position_index(&triples, TriplePosition::Subject);
-        let by_property = Self::position_index(&triples, TriplePosition::Property);
-        let by_object = Self::position_index(&triples, TriplePosition::Object);
-        Self::from_parts_with_indexes(dictionary, triples, by_subject, by_property, by_object)
-    }
-
-    /// Builds the positional index of `triples` for one position: a map from
-    /// each term id occurring there to the ascending list of triple offsets.
-    ///
-    /// The three positional indexes are independent of each other, so a
-    /// parallel loader can build them on separate workers and assemble the
-    /// graph with [`from_parts_with_indexes`](Self::from_parts_with_indexes);
-    /// the result is identical to sequential insertion because offsets are
-    /// appended in triple order either way.
-    pub fn position_index(
-        triples: &[Triple],
-        position: TriplePosition,
-    ) -> HashMap<TermId, Vec<usize>> {
-        let mut index: HashMap<TermId, Vec<usize>> = HashMap::new();
-        for (offset, triple) in triples.iter().enumerate() {
-            index.entry(triple.get(position)).or_default().push(offset);
-        }
-        index
-    }
-
-    /// Assembles a graph from pre-built parts (see
-    /// [`position_index`](Self::position_index)). In debug builds the
-    /// indexes are verified against a fresh rebuild and every id against the
-    /// dictionary, so a loader bug cannot silently produce a graph that
-    /// violates the index invariants.
-    pub fn from_parts_with_indexes(
-        dictionary: Dictionary,
-        triples: Vec<Triple>,
-        by_subject: HashMap<TermId, Vec<usize>>,
-        by_property: HashMap<TermId, Vec<usize>>,
-        by_object: HashMap<TermId, Vec<usize>>,
-    ) -> Self {
         let terms = dictionary.len() as u32;
         assert!(
             triples
@@ -79,24 +57,10 @@ impl Graph {
                 .all(|t| t.as_array().iter().all(|id| id.0 < terms)),
             "triple references an id outside the dictionary"
         );
-        debug_assert_eq!(
-            by_subject,
-            Self::position_index(&triples, TriplePosition::Subject)
-        );
-        debug_assert_eq!(
-            by_property,
-            Self::position_index(&triples, TriplePosition::Property)
-        );
-        debug_assert_eq!(
-            by_object,
-            Self::position_index(&triples, TriplePosition::Object)
-        );
         Self {
             dictionary,
             triples,
-            by_subject,
-            by_property,
-            by_object,
+            indexes: Default::default(),
         }
     }
 
@@ -137,14 +101,8 @@ impl Graph {
 
     /// Inserts an already-encoded triple.
     pub fn insert(&mut self, triple: Triple) {
-        let idx = self.triples.len();
-        self.by_subject.entry(triple.subject).or_default().push(idx);
-        self.by_property
-            .entry(triple.property)
-            .or_default()
-            .push(idx);
-        self.by_object.entry(triple.object).or_default().push(idx);
         self.triples.push(triple);
+        self.indexes = Default::default();
     }
 
     /// Encodes the three terms and inserts the resulting triple.
@@ -159,7 +117,8 @@ impl Graph {
     }
 
     /// The index slice (triple positions into [`triples`](Self::triples))
-    /// for a component value, empty when the value never occurs there.
+    /// for a component value, empty when the value never occurs there. The
+    /// first read of a position builds that position's index.
     pub fn index_of(&self, position: TriplePosition, value: TermId) -> &[usize] {
         self.index(position)
             .get(&value)
@@ -167,33 +126,16 @@ impl Graph {
             .unwrap_or(&[])
     }
 
-    /// The distinct values occurring at `position` (the keys of that
-    /// positional index), in no particular order; `len()` is their count.
-    pub fn values_at(
-        &self,
-        position: TriplePosition,
-    ) -> impl ExactSizeIterator<Item = TermId> + '_ {
-        self.index(position).keys().copied()
-    }
-
-    fn index(&self, position: TriplePosition) -> &HashMap<TermId, Vec<usize>> {
-        match position {
-            TriplePosition::Subject => &self.by_subject,
-            TriplePosition::Property => &self.by_property,
-            TriplePosition::Object => &self.by_object,
-        }
-    }
-
-    /// Iterates over the triples whose component at `position` equals
-    /// `value`, without materializing a vector.
-    pub fn triples_with(
-        &self,
-        position: TriplePosition,
-        value: TermId,
-    ) -> impl Iterator<Item = Triple> + '_ {
-        self.index_of(position, value)
-            .iter()
-            .map(move |&i| self.triples[i])
+    /// The positional index of `position`, built on first read: each term
+    /// id occurring there maps to the ascending offsets of its triples.
+    fn index(&self, position: TriplePosition) -> &PositionIndex {
+        self.indexes[position as usize].get_or_init(|| {
+            let mut index = PositionIndex::new();
+            for (offset, triple) in self.triples.iter().enumerate() {
+                index.entry(triple.get(position)).or_default().push(offset);
+            }
+            index
+        })
     }
 
     /// Iterates over the triples matching an optional pattern on each
@@ -240,6 +182,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();
@@ -262,10 +205,11 @@ mod tests {
         let g = sample_graph();
         let a = g.lookup(&Term::iri("a")).unwrap();
         let p1 = g.lookup(&Term::iri("p1")).unwrap();
-        assert_eq!(g.triples_with(TriplePosition::Subject, a).count(), 2);
-        assert_eq!(g.triples_with(TriplePosition::Property, p1).count(), 2);
-        assert_eq!(g.triples_with(TriplePosition::Object, a).count(), 1);
-        assert_eq!(g.index_of(TriplePosition::Subject, a).len(), 2);
+        assert_eq!(g.match_pattern(Some(a), None, None).count(), 2);
+        assert_eq!(g.match_pattern(None, Some(p1), None).count(), 2);
+        assert_eq!(g.match_pattern(None, None, Some(a)).count(), 1);
+        assert_eq!(g.index_of(TriplePosition::Subject, a), [0, 1]);
+        assert_eq!(g.index_of(TriplePosition::Object, a), [2]);
     }
 
     #[test]
@@ -283,24 +227,49 @@ mod tests {
     fn match_pattern_unknown_ids_yield_nothing() {
         let g = sample_graph();
         assert_eq!(g.match_pattern(Some(TermId(999)), None, None).count(), 0);
-        assert_eq!(
-            g.triples_with(TriplePosition::Property, TermId(999))
-                .count(),
-            0
-        );
+        assert!(g.index_of(TriplePosition::Property, TermId(999)).is_empty());
     }
 
     #[test]
     fn stats_and_cardinalities() {
         let g = sample_graph();
-        assert_eq!(g.values_at(TriplePosition::Subject).len(), 2);
-        assert_eq!(g.values_at(TriplePosition::Property).len(), 2);
-        assert_eq!(g.values_at(TriplePosition::Object).len(), 4);
-        let cards: Vec<usize> = g
-            .values_at(TriplePosition::Property)
+        let distinct = |position| {
+            let values: HashSet<TermId> = g.triples().iter().map(|t| t.get(position)).collect();
+            values
+        };
+        assert_eq!(distinct(TriplePosition::Subject).len(), 2);
+        assert_eq!(distinct(TriplePosition::Property).len(), 2);
+        assert_eq!(distinct(TriplePosition::Object).len(), 4);
+        let cards: Vec<usize> = distinct(TriplePosition::Property)
+            .into_iter()
             .map(|p| g.index_of(TriplePosition::Property, p).len())
             .collect();
         assert_eq!(cards, [2, 2]);
+    }
+
+    #[test]
+    fn insertion_drops_the_indexes_it_invalidates() {
+        let mut g = sample_graph();
+        let a = g.lookup(&Term::iri("a")).unwrap();
+        assert_eq!(g.index_of(TriplePosition::Subject, a).len(), 2);
+        let added = g.insert_terms(Term::iri("a"), Term::iri("p3"), Term::iri("e"));
+        assert_eq!(g.index_of(TriplePosition::Subject, a), [0, 1, 4]);
+        assert_eq!(
+            g.match_pattern(None, Some(added.property), None)
+                .collect::<Vec<_>>(),
+            [added]
+        );
+    }
+
+    #[test]
+    fn equality_ignores_which_indexes_were_read() {
+        let g = sample_graph();
+        let clone = g.clone();
+        assert_eq!(g, clone);
+        let a = g.lookup(&Term::iri("a")).unwrap();
+        assert_eq!(g.match_pattern(Some(a), None, None).count(), 2);
+        assert_eq!(g, clone);
+        assert_eq!(clone, g.clone());
     }
 
     #[test]
@@ -311,18 +280,15 @@ mod tests {
             incremental.triples().to_vec(),
         );
         assert_eq!(rebuilt, incremental);
-
-        let by_subject = Graph::position_index(incremental.triples(), TriplePosition::Subject);
-        let by_property = Graph::position_index(incremental.triples(), TriplePosition::Property);
-        let by_object = Graph::position_index(incremental.triples(), TriplePosition::Object);
-        let assembled = Graph::from_parts_with_indexes(
-            incremental.dictionary().clone(),
-            incremental.triples().to_vec(),
-            by_subject,
-            by_property,
-            by_object,
-        );
-        assert_eq!(assembled, incremental);
+        for position in TriplePosition::ALL {
+            for triple in incremental.triples() {
+                let value = triple.get(position);
+                assert_eq!(
+                    rebuilt.index_of(position, value),
+                    incremental.index_of(position, value)
+                );
+            }
+        }
     }
 
     #[test]

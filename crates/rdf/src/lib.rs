@@ -8,15 +8,15 @@
 //! * [`Dictionary`] — a bidirectional string dictionary used to encode terms
 //!   into compact integer identifiers,
 //! * [`Triple`] — a dictionary-encoded RDF triple,
-//! * [`Graph`] — an indexed, in-memory triple store with per-position and
-//!   per-property access paths,
+//! * [`Graph`] — an in-memory triple store (dictionary + triple list) whose
+//!   per-position access paths are indexes built on first read,
 //! * [`ntriples`] — a minimal N-Triples style reader/writer,
 //! * [`lubm`] — a deterministic LUBM-like synthetic data generator standing
 //!   in for the LUBM10k dataset used in the paper's evaluation,
 //! * [`sp2b`] — a deterministic SP²Bench/DBLP-like generator with power-law
 //!   author/journal skew and long citation chains,
 //! * [`stats`] — catalog statistics (per-predicate counts and distincts,
-//!   per-class `rdf:type` counts) read off the graph's positional indexes,
+//!   per-class `rdf:type` counts) from one grouping pass over the triples,
 //!   backing the engine's selectivity estimates,
 //! * [`load`] — sharded bulk-load primitives (chunk splitting, per-shard
 //!   dictionary encoding, order-preserving merge) whose parallel

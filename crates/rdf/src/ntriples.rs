@@ -37,9 +37,12 @@ impl ParseError {
     }
 }
 
-/// Decodes the N-Triples string escapes inside a literal's raw text
-/// (the content between the quotes, escapes still encoded).
-fn unescape_literal(raw: &str, line: usize) -> Result<String, ParseError> {
+/// Decodes the N-Triples string escapes (`\"`, `\\`, `\n`, `\r`, `\t`,
+/// `\uXXXX`) inside a literal's raw text (the content between the quotes,
+/// escapes still encoded). The SPARQL parser decodes its literals here too,
+/// so a query names exactly the term a load stored. An unknown, truncated or
+/// invalid escape is an error whose message names it.
+pub fn unescape_literal(raw: &str) -> Result<String, String> {
     if !raw.contains('\\') {
         return Ok(raw.to_string());
     }
@@ -59,35 +62,19 @@ fn unescape_literal(raw: &str, line: usize) -> Result<String, ParseError> {
             Some('u') => {
                 let hex: String = chars.by_ref().take(4).collect();
                 if hex.len() != 4 {
-                    return Err(ParseError::new(
-                        line,
-                        format!("truncated \\u escape \\u{hex}"),
-                    ));
+                    return Err(format!("truncated \\u escape \\u{hex}"));
                 }
                 if !hex.chars().all(|h| h.is_ascii_hexdigit()) {
-                    return Err(ParseError::new(
-                        line,
-                        format!("invalid hex digit in \\u escape \\u{hex}"),
-                    ));
+                    return Err(format!("invalid hex digit in \\u escape \\u{hex}"));
                 }
                 let code = u32::from_str_radix(&hex, 16).expect("validated hex");
                 match char::from_u32(code) {
                     Some(decoded) => out.push(decoded),
-                    None => {
-                        return Err(ParseError::new(
-                            line,
-                            format!("\\u{hex} is not a Unicode scalar value"),
-                        ))
-                    }
+                    None => return Err(format!("\\u{hex} is not a Unicode scalar value")),
                 }
             }
-            Some(other) => {
-                return Err(ParseError::new(
-                    line,
-                    format!("unknown escape sequence \\{other} in literal"),
-                ))
-            }
-            None => return Err(ParseError::new(line, "trailing backslash in literal")),
+            Some(other) => return Err(format!("unknown escape sequence \\{other} in literal")),
+            None => return Err("trailing backslash in literal".to_string()),
         }
     }
     Ok(out)
@@ -95,8 +82,9 @@ fn unescape_literal(raw: &str, line: usize) -> Result<String, ParseError> {
 
 /// Encodes a literal's text with the N-Triples string escapes, so the
 /// output of [`serialize`] always re-parses (`"` and `\` are escaped, and
-/// control characters cannot terminate or break a line).
-fn escape_literal(text: &str) -> String {
+/// control characters cannot terminate or break a line). A query's text
+/// form writes its literals with it too, so that text re-parses.
+pub fn escape_literal(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -126,7 +114,8 @@ fn parse_term(token: &str, line: usize) -> Result<Term, ParseError> {
     if let Some(inner) = token.strip_prefix('<').and_then(|t| t.strip_suffix('>')) {
         Ok(Term::iri(inner))
     } else if let Some(inner) = token.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
-        Ok(Term::literal(unescape_literal(inner, line)?))
+        let text = unescape_literal(inner).map_err(|message| ParseError::new(line, message))?;
+        Ok(Term::literal(text))
     } else {
         Err(ParseError::new(
             line,

@@ -6,10 +6,12 @@
 //! estimation) and per-class `rdf:type` counts (mirroring the store's split
 //! type files) — the values the Section 5.4 cost model reads.
 //!
-//! The catalog is read off the [`Graph`]'s positional indexes, which the
-//! load already built: the totals are index lengths, and each predicate's
-//! entry is one sort + dedup of the subject and object columns its property
-//! index selects (for `rdf:type`, the run lengths of the sorted object
+//! The catalog comes from one grouping pass over the [`Graph`]'s triple
+//! list, which reads none of the graph's positional indexes: the pass groups
+//! the triple offsets by property and marks, per term id, whether it occurs
+//! as a subject and as an object (the distinct totals). Each predicate's
+//! entry is then one sort + dedup of the subject and object columns its
+//! offsets select (for `rdf:type`, the run lengths of the sorted object
 //! column are the class counts). Predicates are independent, so
 //! [`GraphStatistics::compute_with`] hands one task per predicate to a
 //! caller-supplied wave runner; `cliquesquare_mapreduce::compute_statistics`
@@ -67,11 +69,21 @@ impl GraphStatistics {
         run_wave: impl FnOnce(Vec<PredicateTask<'g>>) -> Vec<PredicateEntry>,
     ) -> Self {
         let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
-        let properties: Vec<TermId> = graph.values_at(TriplePosition::Property).collect();
+        let mut by_property: HashMap<TermId, Vec<usize>> = HashMap::new();
+        let mut is_subject = vec![false; graph.dictionary().len()];
+        let mut is_object = is_subject.clone();
+        for (offset, triple) in graph.triples().iter().enumerate() {
+            by_property.entry(triple.property).or_default().push(offset);
+            is_subject[triple.subject.index()] = true;
+            is_object[triple.object.index()] = true;
+        }
+        let (properties, groups): (Vec<TermId>, Vec<Vec<usize>>) = by_property.into_iter().unzip();
         let tasks = properties
             .iter()
-            .map(|&property| {
-                let task = move || predicate_entry(graph, property, Some(property) == rdf_type);
+            .zip(groups)
+            .map(|(&property, offsets)| {
+                let count_classes = Some(property) == rdf_type;
+                let task = move || predicate_entry(graph, &offsets, count_classes);
                 Box::new(task) as PredicateTask<'g>
             })
             .collect();
@@ -88,8 +100,8 @@ impl GraphStatistics {
             .collect();
         Self {
             triples: graph.len(),
-            distinct_subjects: graph.values_at(TriplePosition::Subject).len(),
-            distinct_objects: graph.values_at(TriplePosition::Object).len(),
+            distinct_subjects: is_subject.into_iter().filter(|&seen| seen).count(),
+            distinct_objects: is_object.into_iter().filter(|&seen| seen).count(),
             rdf_type,
             predicates,
             type_classes,
@@ -156,10 +168,9 @@ impl GraphStatistics {
 }
 
 /// One predicate's catalog entry: the subject and object columns of the
-/// triples its property index selects, each sorted once; with
+/// triples at `offsets` (all of that predicate's), each sorted once; with
 /// `count_classes`, the object runs are kept as the class counts.
-fn predicate_entry(graph: &Graph, property: TermId, count_classes: bool) -> PredicateEntry {
-    let offsets = graph.index_of(TriplePosition::Property, property);
+fn predicate_entry(graph: &Graph, offsets: &[usize], count_classes: bool) -> PredicateEntry {
     let sorted_column = |position| {
         let mut column: Vec<TermId> = offsets
             .iter()
@@ -189,9 +200,15 @@ fn predicate_entry(graph: &Graph, property: TermId, count_classes: bool) -> Pred
 mod tests {
     use super::*;
     use crate::lubm::{LubmGenerator, LubmScale};
+    use std::collections::HashSet;
 
     fn graph() -> Graph {
         LubmGenerator::new(LubmScale::tiny()).generate()
+    }
+
+    /// The distinct values at `position`, read off the triple list.
+    fn values_at(g: &Graph, position: TriplePosition) -> HashSet<TermId> {
+        g.triples().iter().map(|t| t.get(position)).collect()
     }
 
     #[test]
@@ -201,15 +218,15 @@ mod tests {
         assert_eq!(stats.triples(), g.len());
         assert_eq!(
             stats.distinct_subjects(),
-            g.values_at(TriplePosition::Subject).len()
+            values_at(&g, TriplePosition::Subject).len()
         );
         assert_eq!(
             stats.distinct_properties(),
-            g.values_at(TriplePosition::Property).len()
+            values_at(&g, TriplePosition::Property).len()
         );
         assert_eq!(
             stats.distinct_objects(),
-            g.values_at(TriplePosition::Object).len()
+            values_at(&g, TriplePosition::Object).len()
         );
     }
 
@@ -217,7 +234,7 @@ mod tests {
     fn per_predicate_counts_match_the_index() {
         let g = graph();
         let stats = GraphStatistics::compute(&g);
-        for property in g.values_at(TriplePosition::Property) {
+        for property in values_at(&g, TriplePosition::Property) {
             let expected = g.index_of(TriplePosition::Property, property).len();
             let per_predicate = stats.predicate(property).expect("predicate present");
             assert_eq!(per_predicate.triples, expected, "property {property:?}");
@@ -240,7 +257,7 @@ mod tests {
             .is_some_and(|grad| stats.type_class_triples(grad) > 0));
         // Every class count equals the graph's own pattern match.
         for class in g
-            .triples_with(TriplePosition::Property, rdf_type)
+            .match_pattern(None, Some(rdf_type), None)
             .map(|t| t.object)
         {
             assert_eq!(

@@ -214,18 +214,23 @@ proptest! {
         }
         for position in TriplePosition::ALL {
             for (id, _) in graph.dictionary().iter() {
-                let indexed: Vec<_> = graph.triples_with(position, id).collect();
+                let indexed: Vec<_> = graph
+                    .index_of(position, id)
+                    .iter()
+                    .map(|&offset| graph.triples()[offset])
+                    .collect();
                 let scanned: Vec<_> = graph
                     .triples()
                     .iter()
                     .filter(|t| t.get(position) == id)
                     .copied()
                     .collect();
-                prop_assert_eq!(indexed.len(), scanned.len());
+                prop_assert_eq!(indexed, scanned);
             }
         }
         prop_assert_eq!(graph.len(), raw.len());
-        prop_assert!(graph.dictionary().len() >= graph.values_at(TriplePosition::Property).len());
+        let properties: BTreeSet<_> = graph.triples().iter().map(|t| t.property).collect();
+        prop_assert!(graph.dictionary().len() >= properties.len());
     }
 
     /// The catalog equals a brute-force count over the triple list, on

@@ -415,7 +415,13 @@ fn read_request(stream: &mut TcpStream, max_bytes: usize) -> Result<Request, Req
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8_lossy(&body).into_owned();
+    // Rewriting invalid bytes to U+FFFD would query a term the client
+    // never sent: the body is the client's error, answered.
+    let body = String::from_utf8(body).map_err(|_| {
+        RequestError::Serve(ServeError::BadQuery(
+            "request body is not valid UTF-8".to_string(),
+        ))
+    })?;
 
     let (path, query_string) = match target.split_once('?') {
         Some((path, query)) => (path.to_string(), query.to_string()),
@@ -435,16 +441,25 @@ fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     key.trim().eq_ignore_ascii_case(name).then(|| value.trim())
 }
 
-/// The decoded value of `key=…` in a query string.
-fn query_param(query_string: &str, key: &str) -> Option<String> {
-    query_string.split('&').find_map(|pair| {
+/// The decoded value of `key=…` in a query string, `None` when absent. A
+/// value that does not decode to UTF-8 is answered 400, naming its key.
+fn query_param(query_string: &str, key: &str) -> Result<Option<String>, ServeError> {
+    let Some(raw) = query_string.split('&').find_map(|pair| {
         let (k, v) = pair.split_once('=')?;
-        (k == key).then(|| percent_decode(v))
+        (k == key).then_some(v)
+    }) else {
+        return Ok(None);
+    };
+    percent_decode(raw).map(Some).ok_or_else(|| {
+        ServeError::BadQuery(format!(
+            "the {key:?} parameter is not valid UTF-8 once percent-decoded"
+        ))
     })
 }
 
-/// Percent-decoding (plus `+` as space), tolerant of malformed escapes.
-fn percent_decode(text: &str) -> String {
+/// Percent-decoding (plus `+` as space), tolerant of malformed escapes;
+/// `None` when the decoded bytes are not UTF-8.
+fn percent_decode(text: &str) -> Option<String> {
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -470,7 +485,7 @@ fn percent_decode(text: &str) -> String {
         }
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).ok()
 }
 
 /// A rendered response: status, reason, content type, the `Allow` header
@@ -484,15 +499,16 @@ struct Response {
 }
 
 /// Whether the query string asks for a per-query execution profile.
-fn wants_profile(query_string: &str) -> bool {
-    matches!(
-        query_param(query_string, "profile").as_deref(),
-        Some("1") | Some("true")
-    )
+fn wants_profile(query_string: &str) -> Result<bool, ServeError> {
+    let profile = query_param(query_string, "profile")?;
+    Ok(matches!(profile.as_deref(), Some("1") | Some("true")))
 }
 
 fn route(service: &QueryService, request: &Request) -> Response {
-    let profile = wants_profile(&request.query_string);
+    let profile = match wants_profile(&request.query_string) {
+        Ok(profile) => profile,
+        Err(error) => return error_response(&error),
+    };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") | ("GET", "/") => {
             let (served, failed) = service.counters();
@@ -510,16 +526,18 @@ fn route(service: &QueryService, request: &Request) -> Response {
         },
         ("POST", "/sparql") => answer(service.execute_text_opts(&request.body, profile)),
         ("GET", "/sparql") => match query_param(&request.query_string, "query") {
-            Some(text) => answer(service.execute_text_opts(&text, profile)),
-            None => error_response(&ServeError::BadQuery(
+            Ok(Some(text)) => answer(service.execute_text_opts(&text, profile)),
+            Ok(None) => error_response(&ServeError::BadQuery(
                 "missing ?query= parameter".to_string(),
             )),
+            Err(error) => error_response(&error),
         },
         ("GET", "/query") => match query_param(&request.query_string, "name") {
-            Some(name) => answer(service.execute_named_opts(&name, profile)),
-            None => error_response(&ServeError::BadQuery(
+            Ok(Some(name)) => answer(service.execute_named_opts(&name, profile)),
+            Ok(None) => error_response(&ServeError::BadQuery(
                 "missing ?name= parameter".to_string(),
             )),
+            Err(error) => error_response(&error),
         },
         (method, path) => error_response(&match allowed_methods(path) {
             Some(allow) => ServeError::MethodNotAllowed {
@@ -714,23 +732,32 @@ mod tests {
 
     #[test]
     fn percent_decoding_handles_escapes_plus_and_garbage() {
-        assert_eq!(percent_decode("a%20b+c"), "a b c");
-        assert_eq!(percent_decode("%3Fx"), "?x");
-        assert_eq!(percent_decode("100%"), "100%");
-        assert_eq!(percent_decode("%zz"), "%zz");
+        let decode = |text| percent_decode(text).expect("UTF-8");
+        assert_eq!(decode("a%20b+c"), "a b c");
+        assert_eq!(decode("%3Fx"), "?x");
+        assert_eq!(decode("100%"), "100%");
+        assert_eq!(decode("%zz"), "%zz");
         // A sign is no hex digit: the `%` stays, the `+` is a space.
-        assert_eq!(percent_decode("%+A"), "% A");
-        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(decode("%+A"), "% A");
+        assert_eq!(decode("%+1"), "% 1");
+        assert_eq!(decode("%C3%A9"), "é");
+        // Bytes that are not UTF-8 are refused, not rewritten to U+FFFD.
+        assert_eq!(percent_decode("%FF"), None);
+        assert_eq!(percent_decode("a%C3"), None);
     }
 
     #[test]
     fn query_params_are_extracted_by_key() {
-        assert_eq!(query_param("name=Q4&x=1", "name").as_deref(), Some("Q4"));
-        assert_eq!(query_param("x=1", "name"), None);
+        let param = |query, key| query_param(query, key).expect("UTF-8");
+        assert_eq!(param("name=Q4&x=1", "name").as_deref(), Some("Q4"));
+        assert_eq!(param("x=1", "name"), None);
         assert_eq!(
-            query_param("query=SELECT%20%3Fx", "query").as_deref(),
+            param("query=SELECT%20%3Fx", "query").as_deref(),
             Some("SELECT ?x")
         );
+        let error = query_param("x=1&query=%FF", "query").unwrap_err();
+        assert!(error.to_string().contains("\"query\""), "{error}");
+        assert!(error.to_string().contains("UTF-8"), "{error}");
     }
 
     #[test]

@@ -117,6 +117,42 @@ fn the_endpoint_serves_every_promised_status_code() {
     );
     assert_eq!(status, 200);
 
+    // 200: a `.` right after a variable ends it, and a literal runs through
+    // its escaped quote.
+    for query in [
+        "SELECT ?x WHERE { ?x ub:worksFor ?y.?y ub:name ?n }",
+        "SELECT ?x WHERE { ?x ub:name \"say \\\"hi\\\"\" }",
+    ] {
+        let (status, body) = post_sparql(addr, query);
+        assert_eq!(status, 200, "{query}: {body}");
+    }
+
+    // 400: request text that is not UTF-8, in the body or in a decoded
+    // parameter, is refused by name rather than rewritten to U+FFFD.
+    let text = b"SELECT ?x WHERE { ?x ub:name \"\xff\xfe\" }";
+    let mut raw = format!(
+        "POST /sparql HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        text.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(text);
+    let (status, body) = request(addr, raw);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("body is not valid UTF-8"), "body: {body}");
+    for (target, key) in [
+        (
+            "/sparql?query=SELECT%20%3Fx%20WHERE%20%7B%20%3Fx%20ub%3Aname%20%22%FF%22%20%7D",
+            "query",
+        ),
+        ("/query?name=Q%FF", "name"),
+        ("/query?name=Q1&profile=%FE", "profile"),
+    ] {
+        let (status, body) = get(addr, target);
+        assert_eq!(status, 400, "{target}: {body}");
+        let named = format!("{key}\\\" parameter is not valid UTF-8");
+        assert!(body.contains(&named), "{target}: {body}");
+    }
+
     // 400: malformed SPARQL.
     let (status, body) = post_sparql(addr, "SELECT WHERE oops {");
     assert_eq!(status, 400);

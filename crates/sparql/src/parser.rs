@@ -15,8 +15,13 @@
 //! * `PREFIX pfx: <iri>` declarations (the `ub:` and `rdf:` prefixes are
 //!   pre-declared),
 //! * `a` as a shorthand for `rdf:type`,
-//! * `<full-iri>`, `pfx:local`, `"literal"` and `?variable` terms,
-//! * triple patterns separated by `.`.
+//! * `<full-iri>`, `pfx:local`, `"literal"` and `?variable` terms; a
+//!   literal's escapes are the N-Triples ones (`\"`, `\\`, `\n`, `\r`, `\t`,
+//!   `\uXXXX`), decoded by [`cliquesquare_rdf::ntriples::unescape_literal`]
+//!   so a query names the term a load stored, and any other escape is an
+//!   error naming it,
+//! * triple patterns separated by `.`, which also ends a variable written
+//!   right before it (`?x <p> ?y.?y <q> ?z`).
 //!
 //! Nothing may follow the closing `}`: solution modifiers (`LIMIT`,
 //! `ORDER BY`, …) are not supported, and a query that carries one is
@@ -24,6 +29,7 @@
 
 use crate::pattern::{PatternTerm, TriplePattern, Variable};
 use crate::query::BgpQuery;
+use cliquesquare_rdf::ntriples;
 use cliquesquare_rdf::term::vocab;
 use std::collections::HashMap;
 use std::fmt;
@@ -74,11 +80,17 @@ fn tokenize(text: &str) -> Result<Vec<String>, ParseError> {
                 let mut tok = String::new();
                 tok.push(chars.next().unwrap());
                 let mut closed = false;
+                let mut escaped = false;
                 for ch in chars.by_ref() {
                     tok.push(ch);
-                    if ch == '"' {
-                        closed = true;
-                        break;
+                    match ch {
+                        _ if escaped => escaped = false,
+                        '\\' => escaped = true,
+                        '"' => {
+                            closed = true;
+                            break;
+                        }
+                        _ => {}
                     }
                 }
                 if !closed {
@@ -92,10 +104,14 @@ fn tokenize(text: &str) -> Result<Vec<String>, ParseError> {
                     if ch.is_whitespace() || matches!(ch, '{' | '}') {
                         break;
                     }
-                    // A '.' terminates a token only if it is a pattern
-                    // separator (followed by whitespace/end/brace), so that
-                    // IRIs written without angle brackets keep their dots.
+                    // A '.' ends a variable wherever it stands; it ends any
+                    // other token only if it is a pattern separator
+                    // (followed by whitespace/end/brace), so that IRIs
+                    // written without angle brackets keep their dots.
                     if ch == '.' {
+                        if tok.starts_with('?') {
+                            break;
+                        }
                         let mut ahead = chars.clone();
                         ahead.next();
                         match ahead.peek() {
@@ -147,7 +163,9 @@ fn parse_term(token: &str, prefixes: &HashMap<String, String>) -> Result<Pattern
         return Ok(PatternTerm::iri(inner));
     }
     if let Some(inner) = token.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
-        return Ok(PatternTerm::literal(inner));
+        return ntriples::unescape_literal(inner)
+            .map(PatternTerm::literal)
+            .map_err(|message| err(format!("{message} {token}")));
     }
     if let Some((pfx, local)) = token.split_once(':') {
         if let Some(base) = prefixes.get(pfx) {
@@ -371,6 +389,55 @@ mod tests {
             q.patterns()[0].object,
             PatternTerm::Constant(Term::literal("University 3"))
         );
+    }
+
+    #[test]
+    fn a_dot_right_after_a_variable_separates_patterns() {
+        let q = parse_query("SELECT ?x WHERE { ?x <p> ?y.?y <q> ?z }").unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.join_variables(), vec![Variable::new("y")]);
+        let q = parse_query("SELECT ?x WHERE { ?x ub:worksFor ?y.?y ub:name ?n. }").unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.patterns()[1].object,
+            PatternTerm::Variable(Variable::new("n"))
+        );
+    }
+
+    #[test]
+    fn literals_decode_the_ntriples_escapes() {
+        for (written, decoded) in [
+            (r#""say \"hi\"""#, "say \"hi\""),
+            (r#""a\\b""#, "a\\b"),
+            (r#""line\nbreak""#, "line\nbreak"),
+            (r#""tab\tcr\r""#, "tab\tcr\r"),
+            (r#""\u00e9t\u00E9""#, "été"),
+            (r#""ends in \\""#, "ends in \\"),
+        ] {
+            let q = parse_query(&format!("SELECT ?x WHERE {{ ?x ub:name {written} }}"))
+                .unwrap_or_else(|e| panic!("{written}: {e}"));
+            assert_eq!(
+                q.patterns()[0].object,
+                PatternTerm::Constant(Term::literal(decoded)),
+                "{written}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_query_with_escaped_literals_reparses_from_its_text() {
+        let text = r#"SELECT ?x WHERE { ?x ub:name "a\"b" . ?x ub:email "x\\y\nz\u0001" }"#;
+        let q = parse_query(text).unwrap();
+        assert_eq!(parse_query(&q.to_string()).unwrap(), q);
+    }
+
+    #[test]
+    fn an_unknown_literal_escape_is_rejected_by_name() {
+        for escape in [r"\b", r"\f", r"\'", r"\x", r"\u12"] {
+            let query = format!("SELECT ?x WHERE {{ ?x ub:name \"a{escape}\" }}");
+            let error = parse_query(&query).unwrap_err();
+            assert!(error.to_string().contains(escape), "{query}: {error}");
+        }
     }
 
     #[test]

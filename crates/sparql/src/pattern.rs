@@ -1,6 +1,6 @@
 //! Triple patterns: the atoms of Basic Graph Pattern queries.
 
-use cliquesquare_rdf::Term;
+use cliquesquare_rdf::{ntriples, Term};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -89,6 +89,10 @@ impl fmt::Display for PatternTerm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PatternTerm::Variable(v) => write!(f, "{v}"),
+            // Escaped, so the text of a query re-parses to the same literal.
+            PatternTerm::Constant(Term::Literal(text)) => {
+                write!(f, "\"{}\"", ntriples::escape_literal(text))
+            }
             PatternTerm::Constant(t) => write!(f, "{t}"),
         }
     }

@@ -45,8 +45,8 @@ fn sharded_ntriples_load_is_bit_identical_to_sequential() {
             .load_ntriples(&text, &LoadOptions::with_nodes(7))
             .expect("load succeeds");
 
-        // Same dictionary ids: Graph equality covers the dictionary, the
-        // triple list (encoded ids) and all three positional indexes.
+        // Same dictionary ids: Graph equality covers the dictionary and the
+        // triple list (encoded ids), from which the indexes are derived.
         assert_eq!(output.graph, expected_graph, "threads={threads}");
         // Same partition files (same FileKey placement, same file order).
         assert_eq!(output.store, expected_store, "threads={threads}");
@@ -181,7 +181,7 @@ fn loaded_store_supports_property_scans() {
         .expect("worksFor exists");
     let expected = output
         .graph
-        .triples_with(TriplePosition::Property, works_for)
+        .match_pattern(None, Some(works_for), None)
         .count();
     assert!(expected > 0);
     for placement in TriplePosition::ALL {

@@ -42,7 +42,8 @@ use cliquesquare_querygen::lubm_queries::lubm_queries;
 use cliquesquare_querygen::sp2b_queries::sp2b_queries;
 use cliquesquare_querygen::{SyntheticShape, SyntheticWorkload, WorkloadConfig};
 use cliquesquare_rdf::{
-    Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TermId, TriplePosition,
+    ntriples, Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term, TermId,
+    TriplePosition,
 };
 use cliquesquare_server::plancache::DEFAULT_CAPACITY;
 use cliquesquare_server::{HttpServer, QueryService, ServerConfig, TemplateKey};
@@ -700,6 +701,36 @@ fn departments_sharing_a_pair() {
     let raw = Executor::sequential(shared.cluster(4)).execute(&plan);
     assert_eq!(raw.results.len(), answers + 1, "the pair repeats");
     shared.check_service(&q1, false);
+}
+
+/// Literals with escapes, loaded from N-Triples and asked for in SPARQL:
+/// the query's literal decodes to the very term the load stored.
+#[test]
+fn escaped_literals() {
+    let text = "<s1> <label> \"a\\\"b\" .\n<s2> <label> \"x\\\\y\" .\n\
+                <s3> <label> \"l\\nm\" .\n<s1> <knows> <s2> .\n<s2> <knows> <s3> .\n";
+    let graph = ntriples::parse_into_graph(text).expect("parses");
+    for literal in ["a\"b", "x\\y", "l\nm"] {
+        assert!(
+            graph.lookup(&Term::literal(literal)).is_some(),
+            "{literal:?}"
+        );
+    }
+    let literals = Dataset::new("escaped literals", graph);
+    let queries = parse_all(
+        "literal",
+        &[
+            r#"SELECT ?s WHERE { ?s <label> "a\"b" }"#,
+            r#"SELECT ?s ?t WHERE { ?s <knows> ?t.?t <label> "x\\y" }"#,
+            r#"SELECT ?s WHERE { ?s <label> "l\nm" }"#,
+        ],
+    );
+    for query in &queries {
+        let answers = reference_eval(literals.graph(), query).len();
+        assert_eq!(answers, 1, "{}", query.name());
+        literals.check_query(query, false);
+    }
+    literals.check_service(&queries, false);
 }
 
 /// Plan-cache template families over LUBM, one `TemplateKey` each: the
