@@ -6,16 +6,12 @@
 //! the benchmarks can reach. [`BulkLoader`] runs the same pipeline as waves
 //! of per-chunk tasks on the existing [`Runtime`]:
 //!
-//! 1. **fused input + encode wave** — each N-Triples chunk is parsed (or
-//!    each LUBM university batch / SP²Bench unit generated) and immediately
-//!    dictionary-encoded against its own shard dictionary, **in the same
-//!    task**: the decoded `(Term, Term, Term)` buffer of a chunk lives only
-//!    between its parse and its encode, so at most one buffer per worker is
-//!    in flight at a time instead of one per chunk — peak term-buffer bytes
-//!    are bounded by the worker count, not the input size. The buffers
-//!    themselves come from a recycled scratch pool that persists across
-//!    waves *and* across loads ([`LoadReport::scratch_allocations`] counts
-//!    the cold allocations; a warm reload makes zero);
+//! 1. **input + encode wave** — one task per N-Triples chunk (or LUBM
+//!    university batch / SP²Bench unit batch) starts from an empty
+//!    [`shard::EncodedShard`] and parses (or generates) the chunk straight
+//!    into it: the shard is the producer's sink and encodes each term
+//!    against its own shard dictionary as it arrives, so no decoded triple
+//!    list exists at any point of the load;
 //! 2. **merge + remap** — shard dictionaries merge into the global
 //!    dictionary by one sequential walk over the shards in chunk order,
 //!    which assigns final ids in global first-occurrence order — the ids a
@@ -40,11 +36,8 @@
 use crate::partition::PartitionedStore;
 use crate::runtime::{partitions_for, Runtime};
 use cliquesquare_rdf::load as shard;
-use cliquesquare_rdf::ntriples::ParseError;
-use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale, Term};
-use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use cliquesquare_rdf::ntriples::{self, ParseError};
+use cliquesquare_rdf::{Graph, LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale};
 use std::time::Instant;
 
 /// How many chunks each worker thread gets by default: a few per thread so
@@ -99,12 +92,14 @@ pub struct LoadReport {
     pub triples: usize,
     /// Distinct terms in the merged dictionary.
     pub distinct_terms: usize,
-    /// Seconds spent parsing N-Triples text / generating synthetic data
-    /// (the parse/generate share of the fused input+encode wave, attributed
-    /// pro-rata by measured per-task time).
+    /// Seconds of the input + encode wave: parsing N-Triples text or
+    /// generating synthetic data, each triple dictionary-encoded against
+    /// its chunk's shard dictionary as it is produced.
     pub input_seconds: f64,
-    /// Seconds spent dictionary-encoding chunks against shard dictionaries
-    /// (the encode share of the fused wave).
+    /// Always 0: encoding happens inside the input wave, term by term as
+    /// each triple is produced, so it has no stage of its own and its time
+    /// is part of [`input_seconds`](Self::input_seconds). The field keeps
+    /// its name for the readers that sum the stages.
     pub encode_seconds: f64,
     /// Seconds spent merging shard dictionaries and remapping shard triples
     /// to final ids (the sequential merge walk + the parallel remap wave).
@@ -115,20 +110,10 @@ pub struct LoadReport {
     pub index_seconds: f64,
     /// Seconds spent building the replicated partitioned store.
     pub partition_seconds: f64,
-    /// High-water mark of decoded term-buffer bytes held concurrently by
-    /// the fused input+encode wave. Bounded by the worker count × chunk
-    /// size — *not* by the input size — which is what keeps a 10M-triple
-    /// load from materializing every parsed chunk at once.
+    /// Always 0: no decoded term buffer is held by a load, because every
+    /// producer encodes into its shard as it emits. The field keeps its
+    /// name for the readers that report it.
     pub peak_inflight_bytes: u64,
-    /// Total decoded term-buffer bytes produced across all chunks: the
-    /// bytes the historical all-chunks-in-memory pipeline would have held
-    /// simultaneously. `peak_inflight_bytes / parsed_bytes` is the
-    /// streaming win.
-    pub parsed_bytes: u64,
-    /// Scratch term buffers allocated because the recycle pool was empty.
-    /// At most one per concurrent worker on a cold loader; zero on a warm
-    /// reload.
-    pub scratch_allocations: u64,
 }
 
 impl LoadReport {
@@ -164,82 +149,16 @@ pub struct LoadOutput {
     pub report: LoadReport,
 }
 
-/// Live counters of the fused input+encode wave, shared across its tasks.
-#[derive(Debug, Default)]
-struct StreamGauges {
-    /// Nanoseconds spent parsing / generating, summed over tasks.
-    input_nanos: AtomicU64,
-    /// Nanoseconds spent dictionary-encoding, summed over tasks.
-    encode_nanos: AtomicU64,
-    /// Decoded term-buffer bytes currently in flight (parsed, not yet
-    /// encoded).
-    inflight_bytes: AtomicU64,
-    /// High-water mark of `inflight_bytes`.
-    peak_inflight_bytes: AtomicU64,
-    /// Total decoded bytes across all chunks.
-    parsed_bytes: AtomicU64,
-    /// Scratch buffers allocated because the pool was empty.
-    scratch_allocations: AtomicU64,
-}
-
-impl StreamGauges {
-    /// Marks `bytes` of decoded terms as in flight and bumps the peak.
-    fn note_parsed(&self, bytes: u64) {
-        let held = self.inflight_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_inflight_bytes.fetch_max(held, Ordering::Relaxed);
-        self.parsed_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Marks `bytes` of decoded terms as consumed by the encode step.
-    fn note_encoded(&self, bytes: u64) {
-        self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Splits the fused wave's wall-clock seconds into (input, encode)
-    /// pro-rata by the measured per-task time of each half.
-    fn split_wall(&self, wall: f64) -> (f64, f64) {
-        let input = self.input_nanos.load(Ordering::Relaxed) as f64;
-        let encode = self.encode_nanos.load(Ordering::Relaxed) as f64;
-        if input + encode <= 0.0 {
-            return (wall, 0.0);
-        }
-        let input_share = wall * input / (input + encode);
-        (input_share, wall - input_share)
-    }
-}
-
-/// A decoded-triple scratch buffer of the fused input+encode wave.
-type TripleBuffer = Vec<(Term, Term, Term)>;
-
-/// Estimated heap bytes of a decoded term buffer: the tuple slots plus the
-/// term text (the dominant cost at RDF's IRI lengths).
-fn buffer_bytes(terms: &[(Term, Term, Term)]) -> u64 {
-    let slots = std::mem::size_of_val(terms);
-    let text: usize = terms
-        .iter()
-        .map(|(s, p, o)| s.value().len() + p.value().len() + o.value().len())
-        .sum();
-    (slots + text) as u64
-}
-
 /// The parallel bulk loader (see the module docs for the pipeline).
 #[derive(Debug, Clone, Default)]
 pub struct BulkLoader {
     runtime: Runtime,
-    /// Recycled decoded-term buffers for the fused input+encode wave. The
-    /// pool is shared by clones and survives across loads, so a warm loader
-    /// parses arbitrarily many chunks without a single fresh triple-buffer
-    /// allocation (`tests/load_allocations.rs` pins this down).
-    scratch: Arc<Mutex<Vec<TripleBuffer>>>,
 }
 
 impl BulkLoader {
     /// A loader running its waves on `runtime`.
     pub fn new(runtime: Runtime) -> Self {
-        Self {
-            runtime,
-            scratch: Arc::default(),
-        }
+        Self { runtime }
     }
 
     /// A loader on the sequential runtime: every stage runs inline, which
@@ -251,62 +170,6 @@ impl BulkLoader {
     /// The loader's runtime.
     pub fn runtime(&self) -> Runtime {
         self.runtime.clone()
-    }
-
-    /// The number of recycled scratch buffers currently pooled.
-    pub fn pooled_scratch_buffers(&self) -> usize {
-        self.scratch.lock().expect("scratch pool poisoned").len()
-    }
-
-    /// Pops a pooled scratch buffer, allocating (and counting) a fresh one
-    /// only when every pooled buffer is already in flight.
-    fn take_scratch(&self, gauges: &StreamGauges) -> TripleBuffer {
-        let pooled = self.scratch.lock().expect("scratch pool poisoned").pop();
-        pooled.unwrap_or_else(|| {
-            gauges.scratch_allocations.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        })
-    }
-
-    /// Returns a drained scratch buffer to the pool, keeping its capacity.
-    fn recycle_scratch(&self, mut buffer: TripleBuffer) {
-        buffer.clear();
-        self.scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(buffer);
-    }
-
-    /// One task of the fused input+encode wave: `fill` parses or generates
-    /// a chunk into a recycled scratch buffer (timed as input), which is
-    /// then encoded against the chunk's own shard dictionary (timed as
-    /// encode); its decoded bytes count as in flight in between. The
-    /// buffer goes back to the pool whether `fill` fails or not.
-    fn fused_chunk<E>(
-        &self,
-        gauges: &StreamGauges,
-        fill: impl FnOnce(&mut TripleBuffer) -> Result<(), E>,
-    ) -> Result<shard::EncodedShard, E> {
-        let mut buffer = self.take_scratch(gauges);
-        let input_started = Instant::now();
-        let filled = fill(&mut buffer);
-        let input_nanos = input_started.elapsed().as_nanos() as u64;
-        gauges.input_nanos.fetch_add(input_nanos, Ordering::Relaxed);
-        if let Err(error) = filled {
-            self.recycle_scratch(buffer);
-            return Err(error);
-        }
-        let bytes = buffer_bytes(&buffer);
-        gauges.note_parsed(bytes);
-        let encode_started = Instant::now();
-        let encoded = shard::encode_shard_from(&mut buffer);
-        let encode_nanos = encode_started.elapsed().as_nanos() as u64;
-        gauges
-            .encode_nanos
-            .fetch_add(encode_nanos, Ordering::Relaxed);
-        gauges.note_encoded(bytes);
-        self.recycle_scratch(buffer);
-        Ok(encoded)
     }
 
     /// The number of input chunks a load will use.
@@ -336,87 +199,79 @@ impl BulkLoader {
     ) -> Result<LoadOutput, ParseError> {
         let started = Instant::now();
         let chunks = shard::split_ntriples(text, self.chunk_count(options));
-        let gauges = StreamGauges::default();
-        let gauges = &gauges;
-        // Fused parse+encode: a chunk's decoded terms live only inside its
-        // own task, so in-flight bytes stay bounded by the worker count.
         let encoded = self.runtime.run_wave(
             chunks
                 .into_iter()
                 .map(|chunk| {
                     move || {
-                        self.fused_chunk(gauges, |buffer| shard::parse_chunk_into(chunk, buffer))
+                        let mut shard = shard::EncodedShard::default();
+                        ntriples::parse_from_into(chunk.text, chunk.first_line, &mut shard)
+                            .map(|()| shard)
                     }
                 })
                 .collect(),
         );
         // Chunks are in document order, so the first error is the earliest.
         let shards = encoded.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let (input_seconds, encode_seconds) = gauges.split_wall(started.elapsed().as_secs_f64());
-        Ok(self.assemble(shards, options, input_seconds, encode_seconds, gauges))
+        Ok(self.assemble(shards, options, started.elapsed().as_secs_f64()))
     }
 
     /// Generates and loads the LUBM-like dataset at `scale`. The unit of
     /// generation is the university (universities draw from independent RNG
-    /// streams, see [`LubmGenerator::university_triples`]); universities are
-    /// grouped into [`LoadOptions::chunks`] contiguous batches — capped at
-    /// one university per batch — each generated and encoded as one shard.
+    /// streams, see [`LubmGenerator::university_triples_into`]);
+    /// universities are grouped into [`LoadOptions::chunks`] contiguous
+    /// batches — capped at one university per batch — each generated into
+    /// one shard.
     pub fn load_lubm(&self, scale: LubmScale, options: &LoadOptions) -> LoadOutput {
         let generator = LubmGenerator::new(scale);
         let generator = &generator;
         let batches = self.chunk_count(options).min(scale.universities.max(1));
         let per_batch = scale.universities.div_ceil(batches.max(1)).max(1);
-        self.load_generated(scale.universities, per_batch, options, &|u, buffer| {
-            generator.university_triples_into(u, buffer)
+        self.load_generated(scale.universities, per_batch, options, &|u, shard| {
+            generator.university_triples_into(u, shard)
         })
     }
 
     /// Generates and loads the SP²Bench/DBLP-like dataset at `scale`. The
     /// unit of generation is the [`Sp2bGenerator`] unit (author or article
     /// batch); units are grouped into [`LoadOptions::chunks`] contiguous
-    /// batches, each generated and encoded as one shard.
+    /// batches, each generated into one shard.
     pub fn load_sp2b(&self, scale: Sp2bScale, options: &LoadOptions) -> LoadOutput {
         let generator = Sp2bGenerator::new(scale);
         let units = generator.units();
         let generator = &generator;
         let batches = self.chunk_count(options).min(units.max(1));
         let per_batch = units.div_ceil(batches.max(1)).max(1);
-        self.load_generated(units, per_batch, options, &|unit, buffer| {
-            generator.unit_triples_into(unit, buffer)
+        self.load_generated(units, per_batch, options, &|unit, shard| {
+            generator.unit_triples_into(unit, shard)
         })
     }
 
-    /// The fused generate+encode wave shared by the synthetic loaders:
-    /// `units` generation units grouped `per_batch` to a shard, each batch
-    /// generated into a recycled scratch buffer and encoded in the same
-    /// task.
+    /// The generate + encode wave shared by the synthetic loaders: `units`
+    /// generation units grouped `per_batch` to a shard, each batch
+    /// generated straight into its shard.
     fn load_generated(
         &self,
         units: usize,
         per_batch: usize,
         options: &LoadOptions,
-        generate: &(dyn Fn(usize, &mut TripleBuffer) + Sync),
+        generate: &(dyn Fn(usize, &mut shard::EncodedShard) + Sync),
     ) -> LoadOutput {
         let started = Instant::now();
-        let gauges = StreamGauges::default();
-        let gauges = &gauges;
         let shards = self.runtime.run_wave(
             (0..units)
                 .step_by(per_batch.max(1))
                 .map(|first| {
                     let last = (first + per_batch).min(units);
                     move || {
-                        let Ok(encoded) = self.fused_chunk::<Infallible>(gauges, |buffer| {
-                            (first..last).for_each(|unit| generate(unit, buffer));
-                            Ok(())
-                        });
-                        encoded
+                        let mut shard = shard::EncodedShard::default();
+                        (first..last).for_each(|unit| generate(unit, &mut shard));
+                        shard
                     }
                 })
                 .collect(),
         );
-        let (input_seconds, encode_seconds) = gauges.split_wall(started.elapsed().as_secs_f64());
-        self.assemble(shards, options, input_seconds, encode_seconds, gauges)
+        self.assemble(shards, options, started.elapsed().as_secs_f64())
     }
 
     /// Stages 2–4: merge + remap, graph assembly, partition.
@@ -425,8 +280,6 @@ impl BulkLoader {
         shards: Vec<shard::EncodedShard>,
         options: &LoadOptions,
         input_seconds: f64,
-        encode_seconds: f64,
-        gauges: &StreamGauges,
     ) -> LoadOutput {
         let chunks = shards.len().max(1);
 
@@ -463,13 +316,11 @@ impl BulkLoader {
             triples: graph.len(),
             distinct_terms: graph.dictionary().len(),
             input_seconds,
-            encode_seconds,
+            encode_seconds: 0.0,
             merge_seconds,
             index_seconds,
             partition_seconds,
-            peak_inflight_bytes: gauges.peak_inflight_bytes.load(Ordering::Relaxed),
-            parsed_bytes: gauges.parsed_bytes.load(Ordering::Relaxed),
-            scratch_allocations: gauges.scratch_allocations.load(Ordering::Relaxed),
+            peak_inflight_bytes: 0,
         };
         LoadOutput {
             graph,
@@ -588,9 +439,9 @@ mod tests {
         }
         assert!(r.total_seconds() > 0.0);
         assert!(r.triples_per_second() > 0.0);
-        assert!(r.parsed_bytes > 0);
-        assert!(r.peak_inflight_bytes > 0);
-        assert!(r.peak_inflight_bytes <= r.parsed_bytes);
+        // Encoding runs inside the input wave and holds no decoded buffer.
+        assert_eq!(r.encode_seconds, 0.0);
+        assert_eq!(r.peak_inflight_bytes, 0);
     }
 
     #[test]
@@ -623,75 +474,6 @@ mod tests {
         assert_eq!(parallel.report.chunks, 3);
         assert_eq!(parallel.graph, sequential.graph);
         assert_eq!(parallel.store, sequential.store);
-    }
-
-    /// The fused parse+encode wave holds at most a worker's worth of
-    /// decoded chunks at a time: with 16 chunks on 2 workers, peak in-flight
-    /// bytes stay well under the all-chunks-at-once total.
-    #[test]
-    fn streaming_keeps_inflight_bytes_bounded() {
-        let text = ntriples::serialize(&LubmGenerator::new(LubmScale::default()).generate());
-        let loader = BulkLoader::new(Runtime::with_threads(2));
-        let output = loader
-            .load_ntriples(
-                &text,
-                &LoadOptions {
-                    nodes: 4,
-                    chunks: Some(16),
-                },
-            )
-            .expect("load succeeds");
-        let r = output.report;
-        assert!(r.parsed_bytes > 0);
-        assert!(r.peak_inflight_bytes > 0);
-        assert!(
-            r.peak_inflight_bytes * 4 <= r.parsed_bytes,
-            "streaming window did not bound memory: peak {} of {} total bytes",
-            r.peak_inflight_bytes,
-            r.parsed_bytes
-        );
-    }
-
-    /// Scratch buffers are pooled. What the pool guarantees on two workers
-    /// is a bound, not a schedule: a buffer is allocated only when a chunk
-    /// task finds the pool empty, so whichever load's threads first overlap
-    /// inside a chunk task allocates the second buffer — but all loads
-    /// together allocate at most one per worker, and every buffer returns
-    /// to the pool. On one thread there is no overlap to wait for: the cold
-    /// load allocates one buffer and the warm reload exactly none.
-    #[test]
-    fn scratch_pool_recycles_across_loads() {
-        let text = ntriples::serialize(&LubmGenerator::new(LubmScale::tiny()).generate());
-        let options = LoadOptions {
-            nodes: 3,
-            chunks: Some(8),
-        };
-        let workers = 2;
-        let loader = BulkLoader::new(Runtime::with_threads(workers));
-        let cold = loader.load_ntriples(&text, &options).expect("cold load");
-        let mut allocated = cold.report.scratch_allocations;
-        assert!(allocated >= 1);
-        for _ in 0..2 {
-            let warm = loader.load_ntriples(&text, &options).expect("warm load");
-            allocated += warm.report.scratch_allocations;
-            assert_eq!(warm.graph, cold.graph);
-        }
-        assert!(
-            allocated <= workers as u64,
-            "more scratch buffers than workers: {allocated}"
-        );
-        assert_eq!(
-            loader.pooled_scratch_buffers() as u64,
-            allocated,
-            "every buffer returns to the pool"
-        );
-
-        let loader = BulkLoader::new(Runtime::sequential());
-        let cold = loader.load_ntriples(&text, &options).expect("cold load");
-        assert_eq!(cold.report.scratch_allocations, 1);
-        let warm = loader.load_ntriples(&text, &options).expect("warm load");
-        assert_eq!(warm.report.scratch_allocations, 0);
-        assert_eq!(loader.pooled_scratch_buffers(), 1);
     }
 
     #[test]

@@ -39,6 +39,16 @@ impl PartialEq for Graph {
 
 impl Eq for Graph {}
 
+/// A graph is a sink for term triples: each is encoded and inserted
+/// through [`Graph::insert_terms`], in arrival order.
+impl Extend<(Term, Term, Term)> for Graph {
+    fn extend<I: IntoIterator<Item = (Term, Term, Term)>>(&mut self, triples: I) {
+        for (subject, property, object) in triples {
+            self.insert_terms(subject, property, object);
+        }
+    }
+}
+
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {

@@ -4,17 +4,20 @@
 //! Loading a graph sequentially funnels every triple through one
 //! [`Dictionary`], which serializes the whole ingest path. The bulk loader
 //! (see `cliquesquare_mapreduce::load`) instead splits the input into
-//! chunks, encodes each chunk against its own *shard* dictionary on a
-//! worker thread, and then merges the shards. The merge assigns final dense
-//! [`TermId`]s in **global first-occurrence order** — the exact order the
-//! sequential path would have produced — so a parallel load is bit-identical
-//! to a sequential one at any thread or chunk count:
+//! chunks and hands each worker an empty [`EncodedShard`]: the chunk's
+//! parser or generator writes its triples straight into the shard (it is an
+//! [`Extend`] sink), which encodes every term against its own *shard*
+//! dictionary as it arrives, so no decoded triple list is ever held. The
+//! shards are then merged. The merge assigns final dense [`TermId`]s in
+//! **global first-occurrence order** — the exact order the sequential path
+//! would have produced — so a parallel load is bit-identical to a
+//! sequential one at any thread or chunk count:
 //!
 //! * sequentially, a term's id reflects its first occurrence in the
 //!   concatenated input stream;
 //! * a term's first occurrence lies in the first chunk containing it, and a
 //!   shard dictionary's local id order *is* first-occurrence order within
-//!   its chunk;
+//!   its chunk, because a shard encodes in arrival order;
 //! * therefore walking the shards in chunk order, and each shard's terms in
 //!   local id order, visits all terms in global first-occurrence order.
 //!
@@ -30,7 +33,6 @@
 //! `cliquesquare_mapreduce::load`.
 
 use crate::dictionary::Dictionary;
-use crate::ntriples::{self, ParseError};
 use crate::term::{Term, TermId};
 use crate::triple::Triple;
 
@@ -88,19 +90,6 @@ pub fn split_ntriples(text: &str, chunks: usize) -> Vec<NtriplesChunk<'_>> {
     out
 }
 
-/// Parses one chunk produced by [`split_ntriples`] into term triples,
-/// appending to a caller-supplied buffer and reporting errors with
-/// document-global line numbers. The streaming bulk loader keeps one
-/// recycled buffer per in-flight chunk, so parsing a document of `c` chunks
-/// allocates `O(workers)` triple buffers instead of `c`. On error the
-/// buffer may hold a partial prefix; the caller clears it before recycling.
-pub fn parse_chunk_into(
-    chunk: NtriplesChunk<'_>,
-    out: &mut Vec<(Term, Term, Term)>,
-) -> Result<(), ParseError> {
-    ntriples::parse_from_into(chunk.text, chunk.first_line, out)
-}
-
 /// One chunk's triples, encoded against a shard-local dictionary.
 ///
 /// The triple ids are *shard-local*: meaningful only relative to
@@ -114,25 +103,19 @@ pub struct EncodedShard {
     pub triples: Vec<Triple>,
 }
 
-/// Encodes one chunk of term triples against a fresh shard dictionary —
-/// the per-worker step of the parallel encode wave. Drains the
-/// caller-supplied buffer so its capacity survives for the next chunk;
-/// pairs with [`parse_chunk_into`] in the streaming loader's fused
-/// parse→encode task.
-pub fn encode_shard_from(terms: &mut Vec<(Term, Term, Term)>) -> EncodedShard {
-    let mut dictionary = Dictionary::new();
-    let mut triples = Vec::with_capacity(terms.len());
-    for (s, p, o) in terms.drain(..) {
-        let triple = Triple::new(
-            dictionary.encode(s),
-            dictionary.encode(p),
-            dictionary.encode(o),
-        );
-        triples.push(triple);
-    }
-    EncodedShard {
-        dictionary,
-        triples,
+/// A shard is a sink for term triples: each term is encoded against the
+/// shard dictionary as it arrives and the triple is appended, so local ids
+/// follow first occurrence in arrival order.
+impl Extend<(Term, Term, Term)> for EncodedShard {
+    fn extend<I: IntoIterator<Item = (Term, Term, Term)>>(&mut self, triples: I) {
+        for (s, p, o) in triples {
+            let triple = Triple::new(
+                self.dictionary.encode(s),
+                self.dictionary.encode(p),
+                self.dictionary.encode(o),
+            );
+            self.triples.push(triple);
+        }
     }
 }
 
@@ -177,6 +160,7 @@ pub fn remap_triples(triples: &[Triple], remap: &[TermId]) -> Vec<Triple> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ntriples;
 
     fn iri(text: impl Into<String>) -> Term {
         Term::iri(text)
@@ -217,7 +201,7 @@ mod tests {
         let split = split_ntriples(text, 4);
         let error = split
             .iter()
-            .filter_map(|&c| parse_chunk_into(c, &mut Vec::new()).err())
+            .filter_map(|c| ntriples::parse_from_into(c.text, c.first_line, &mut Vec::new()).err())
             .next()
             .expect("one chunk fails");
         assert_eq!(error.line, 3);
@@ -263,7 +247,8 @@ mod tests {
             (iri("s2"), iri("p"), Term::literal("x")),
             (iri("s1"), iri("q"), iri("s2")),
         ];
-        let shard = encode_shard_from(&mut terms.clone());
+        let mut shard = EncodedShard::default();
+        shard.extend(terms.clone());
         assert_eq!(shard.triples.len(), 3);
         assert_eq!(shard.dictionary.len(), 6);
         let (global, remaps) = merge_dictionaries(vec![shard.dictionary.clone()]);
@@ -287,15 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_shard_from_recycles_the_buffer() {
-        let mut buffer = vec![
-            (iri("s"), iri("p"), iri("o")),
-            (iri("s"), iri("p"), Term::literal("l")),
-        ];
-        let capacity = buffer.capacity();
-        let shard = encode_shard_from(&mut buffer);
-        assert!(buffer.is_empty());
-        assert_eq!(buffer.capacity(), capacity);
+    fn a_shard_encodes_in_arrival_order() {
+        let mut shard = EncodedShard::default();
+        shard.extend([(iri("s"), iri("p"), iri("o"))]);
+        shard.extend([(iri("s"), iri("p"), Term::literal("l"))]);
         assert_eq!(
             shard.triples,
             [

@@ -13,9 +13,9 @@
 //! The generator is fully deterministic given its [`LubmScale`] and seed.
 //! Each university is generated from its **own RNG stream** (seeded from the
 //! scale seed and the university number), which makes a university the unit
-//! of parallel generation: [`LubmGenerator::university_triples`] can run for
-//! different universities on different worker threads, and concatenating the
-//! per-university outputs in university order reproduces
+//! of parallel generation: [`LubmGenerator::university_triples_into`] can
+//! run for different universities on different worker threads, and
+//! concatenating the per-university outputs in university order reproduces
 //! [`LubmGenerator::generate`] bit for bit (see
 //! `cliquesquare_mapreduce::load::BulkLoader::load_lubm`).
 
@@ -154,12 +154,11 @@ impl LubmGenerator {
         graph
     }
 
-    /// Generates the dataset into an existing graph.
+    /// Generates the dataset into an existing graph, streaming each
+    /// university's triples straight into it.
     pub fn generate_into(&self, graph: &mut Graph) {
         for u in 0..self.scale.universities {
-            for (s, p, o) in self.university_triples(u) {
-                graph.insert_terms(s, p, o);
-            }
+            self.university_triples_into(u, graph);
         }
     }
 
@@ -176,26 +175,19 @@ impl LubmGenerator {
         z ^ (z >> 31)
     }
 
-    /// Generates all triples of university `u` (types, departments, faculty,
-    /// students, courses), in deterministic emission order.
+    /// Writes all triples of university `u` (types, departments, faculty,
+    /// students, courses) into `out`, in deterministic emission order. `out`
+    /// is any sink of term triples: a `Vec`, a [`Graph`], or the bulk
+    /// loader's encoding shard, which encodes each triple as it arrives.
     ///
     /// This is the unit of parallel generation: universities draw from
     /// independent RNG streams, so any subset can be generated on any worker
     /// and the concatenation over `u = 0..universities` equals
     /// [`generate`](Self::generate).
-    pub fn university_triples(&self, u: usize) -> Vec<(Term, Term, Term)> {
-        let mut out = Vec::new();
-        self.university_triples_into(u, &mut out);
-        out
-    }
-
-    /// Like [`university_triples`](Self::university_triples), but appends
-    /// into a caller-supplied buffer so the streaming bulk loader can
-    /// recycle one generation buffer per worker across university waves.
-    pub fn university_triples_into(&self, u: usize, out: &mut Vec<(Term, Term, Term)>) {
+    pub fn university_triples_into(&self, u: usize, out: &mut impl Extend<(Term, Term, Term)>) {
         let mut rng = StdRng::seed_from_u64(self.university_seed(u));
         let s = &self.scale;
-        let mut emit = |s: Term, p: Term, o: Term| out.push((s, p, o));
+        let mut emit = |s: Term, p: Term, o: Term| out.extend([(s, p, o)]);
 
         let rdf_type = Term::iri(vocab::RDF_TYPE);
         let p_works_for = Term::iri(vocab::ub("worksFor"));
@@ -413,7 +405,9 @@ mod tests {
         let generator = LubmGenerator::new(LubmScale::default());
         let mut chunked = Graph::new();
         for u in 0..generator.scale().universities {
-            for (s, p, o) in generator.university_triples(u) {
+            let mut triples = Vec::new();
+            generator.university_triples_into(u, &mut triples);
+            for (s, p, o) in triples {
                 chunked.insert_terms(s, p, o);
             }
         }
@@ -423,8 +417,9 @@ mod tests {
     #[test]
     fn universities_draw_from_distinct_streams() {
         let generator = LubmGenerator::new(LubmScale::with_universities(2));
-        let a = generator.university_triples(0);
-        let b = generator.university_triples(1);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        generator.university_triples_into(0, &mut a);
+        generator.university_triples_into(1, &mut b);
         assert_eq!(a.len(), b.len());
         assert_ne!(a, b);
     }

@@ -2,10 +2,17 @@
 //!
 //! The format supported is a pragmatic subset of N-Triples sufficient for the
 //! benchmark workloads: one triple per line, `<iri>` for IRIs, `"text"` for
-//! literals, terminated by an optional ` .`, `#`-prefixed comment lines and
-//! blank lines are ignored. Literals support the N-Triples string escapes
+//! literals, terminated by an optional ` .`. Blank lines are ignored, and a
+//! `#` outside an IRI or a literal starts a comment that runs to the end of
+//! the line — a whole comment line, or one after the triple's `.`
+//! (`<a> <p> <b> . # note`). Literals support the N-Triples string escapes
 //! `\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX`, and the writer emits them, so
 //! any graph round-trips through [`serialize`] / [`parse`] losslessly.
+//!
+//! [`parse_from_into`] is the one reader: it writes every triple into a
+//! sink (any [`Extend`] of term triples — a `Vec`, a [`Graph`], or the bulk
+//! loader's encoding shard), so no caller needs a decoded list it does not
+//! keep.
 
 use crate::graph::Graph;
 use crate::term::Term;
@@ -144,92 +151,81 @@ fn literal_token_len(rest: &str) -> Option<usize> {
     None
 }
 
-/// Splits an N-Triples line into its three term tokens.
-fn tokenize(line: &str, line_no: usize) -> Result<Option<[String; 3]>, ParseError> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let trimmed = trimmed.strip_suffix('.').unwrap_or(trimmed).trim_end();
-
-    let mut tokens = Vec::with_capacity(3);
-    let mut rest = trimmed;
-    while !rest.is_empty() {
-        rest = rest.trim_start();
-        if rest.is_empty() {
-            break;
-        }
-        let (token, remaining) = if rest.starts_with('<') {
+/// Splits an N-Triples line into its three term tokens, `None` for a
+/// blank or comment-only line. A `#` outside an IRI or a literal ends the
+/// line's content, and a final `.` token ends the triple.
+fn tokenize(line: &str, line_no: usize) -> Result<Option<[&str; 3]>, ParseError> {
+    let mut tokens = Vec::with_capacity(4);
+    let mut rest = line.trim_start();
+    while !rest.is_empty() && !rest.starts_with('#') {
+        let len = if rest.starts_with('<') {
             match rest.find('>') {
-                Some(pos) => (&rest[..=pos], &rest[pos + 1..]),
+                Some(pos) => pos + 1,
                 None => return Err(ParseError::new(line_no, "unterminated IRI")),
             }
         } else if rest.starts_with('"') {
             match literal_token_len(rest) {
-                Some(len) => (&rest[..len], &rest[len..]),
+                Some(len) => len,
                 None => return Err(ParseError::new(line_no, "unterminated literal")),
             }
         } else {
-            let pos = rest.find(char::is_whitespace).unwrap_or(rest.len());
-            (&rest[..pos], &rest[pos..])
+            rest.find(|c: char| c.is_whitespace() || c == '#')
+                .unwrap_or(rest.len())
         };
-        tokens.push(token.to_string());
-        rest = remaining;
+        tokens.push(&rest[..len]);
+        rest = rest[len..].trim_start();
     }
-
-    if tokens.len() != 3 {
-        return Err(ParseError::new(
+    if tokens.is_empty() {
+        return Ok(None);
+    }
+    if tokens.last() == Some(&".") {
+        tokens.pop();
+    }
+    match tokens[..] {
+        [s, p, o] => Ok(Some([s, p, o])),
+        _ => Err(ParseError::new(
             line_no,
             format!("expected 3 terms, found {}", tokens.len()),
-        ));
+        )),
     }
-    Ok(Some([tokens.remove(0), tokens.remove(0), tokens.remove(0)]))
 }
 
 /// Parses N-Triples text into a list of term triples.
 pub fn parse(text: &str) -> Result<Vec<(Term, Term, Term)>, ParseError> {
-    parse_from(text, 1)
+    let mut out = Vec::new();
+    parse_from_into(text, 1, &mut out).map(|()| out)
 }
 
 /// Parses N-Triples text whose first line is line `first_line` of a larger
-/// document. This is the chunked-load entry point: the bulk loader splits a
-/// document at line boundaries (see [`crate::load::split_ntriples`]) and
-/// parses each chunk on its own worker, and errors still report the global
-/// line number of the offending line.
-pub fn parse_from(text: &str, first_line: usize) -> Result<Vec<(Term, Term, Term)>, ParseError> {
-    let mut out = Vec::new();
-    parse_from_into(text, first_line, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`parse_from`], but appends into a caller-supplied buffer so the
-/// streaming bulk loader can recycle one triple buffer per worker across
-/// chunk waves instead of allocating a fresh `Vec` per chunk. On error the
-/// buffer holds the triples parsed before the failing line.
+/// document, writing each triple into `out` in document order. This is
+/// also the chunked-load entry point: the bulk loader splits a document at
+/// line boundaries (see [`crate::load::split_ntriples`]) and parses each
+/// chunk on its own worker straight into that chunk's encoding shard, and
+/// errors still report the global line number of the offending line. On
+/// error `out` holds the triples of the lines before the failing one.
 pub fn parse_from_into(
     text: &str,
     first_line: usize,
-    out: &mut Vec<(Term, Term, Term)>,
+    out: &mut impl Extend<(Term, Term, Term)>,
 ) -> Result<(), ParseError> {
     for (i, line) in text.lines().enumerate() {
         let line_no = first_line + i;
         if let Some([s, p, o]) = tokenize(line, line_no)? {
-            out.push((
-                parse_term(&s, line_no)?,
-                parse_term(&p, line_no)?,
-                parse_term(&o, line_no)?,
-            ));
+            out.extend([(
+                parse_term(s, line_no)?,
+                parse_term(p, line_no)?,
+                parse_term(o, line_no)?,
+            )]);
         }
     }
     Ok(())
 }
 
-/// Parses N-Triples text directly into a [`Graph`].
+/// Parses N-Triples text directly into a [`Graph`], encoding each triple
+/// as it is read.
 pub fn parse_into_graph(text: &str) -> Result<Graph, ParseError> {
     let mut graph = Graph::new();
-    for (s, p, o) in parse(text)? {
-        graph.insert_terms(s, p, o);
-    }
+    parse_from_into(text, 1, &mut graph)?;
     Ok(graph)
 }
 
@@ -367,8 +363,37 @@ mod tests {
 
     #[test]
     fn parse_from_offsets_line_numbers() {
-        let err = parse_from("<a> <p> <b> .\n<a> <p>", 100).unwrap_err();
+        let mut out = Vec::new();
+        let err = parse_from_into("<a> <p> <b> .\n<a> <p>", 100, &mut out).unwrap_err();
         assert_eq!(err.line, 101);
-        assert_eq!(parse_from("<a> <p> <b> .", 50).unwrap().len(), 1);
+        assert_eq!(out.len(), 1, "the lines before the error are kept");
+        out.clear();
+        parse_from_into("<a> <p> <b> .", 50, &mut out).unwrap();
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn a_comment_may_follow_the_triple() {
+        let expected = parse("<a> <p> <b> .").unwrap();
+        for line in [
+            "<a> <p> <b> . # note",
+            "<a> <p> <b> .#note",
+            "<a> <p> <b> # no dot",
+            "<a> <p> <b>.# glued",
+            "  <a> <p> <b> .\t# tab first",
+        ] {
+            assert_eq!(parse(line).unwrap(), expected, "{line:?}");
+        }
+        let err = parse("<a> <p> # <b> .").unwrap_err();
+        assert!(err.message.contains("found 2"), "{}", err.message);
+        let err = parse(". # a lone dot").unwrap_err();
+        assert!(err.message.contains("found 0"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_hash_inside_an_iri_or_a_literal_is_text() {
+        let triples = parse("<a#x> <p> \"C# and F#\" . # note").unwrap();
+        assert_eq!(triples[0].0, Term::iri("a#x"));
+        assert_eq!(triples[0].2, Term::literal("C# and F#"));
     }
 }

@@ -141,20 +141,12 @@ impl Sp2bGenerator {
         graph
     }
 
-    /// Generates the dataset into an existing graph.
+    /// Generates the dataset into an existing graph, streaming each unit's
+    /// triples straight into it.
     pub fn generate_into(&self, graph: &mut Graph) {
         for unit in 0..self.units() {
-            for (s, p, o) in self.unit_triples(unit) {
-                graph.insert_terms(s, p, o);
-            }
+            self.unit_triples_into(unit, graph);
         }
-    }
-
-    /// Generates all triples of one unit, in deterministic emission order.
-    pub fn unit_triples(&self, unit: usize) -> Vec<(Term, Term, Term)> {
-        let mut out = Vec::new();
-        self.unit_triples_into(unit, &mut out);
-        out
     }
 
     /// The RNG seed of unit `u`: a splitmix64-style mix of the scale seed
@@ -170,10 +162,11 @@ impl Sp2bGenerator {
         z ^ (z >> 31)
     }
 
-    /// Like [`unit_triples`](Self::unit_triples), but appends into a
-    /// caller-supplied buffer (the streaming loader's recycled-buffer
-    /// entry point).
-    pub fn unit_triples_into(&self, unit: usize, out: &mut Vec<(Term, Term, Term)>) {
+    /// Writes all triples of one unit into `out`, in deterministic emission
+    /// order. `out` is any sink of term triples: a `Vec`, a [`Graph`], or
+    /// the bulk loader's encoding shard, which encodes each triple as it
+    /// arrives.
+    pub fn unit_triples_into(&self, unit: usize, out: &mut impl Extend<(Term, Term, Term)>) {
         let s = &self.scale;
         let unit_size = s.unit_size.max(1);
         let author_units = self.author_units();
@@ -182,16 +175,16 @@ impl Sp2bGenerator {
             let end = ((unit + 1) * unit_size).min(s.authors);
             for a in start..end {
                 let person = author_iri(a);
-                out.push((
+                out.extend([(
                     person.clone(),
                     Term::iri(core_vocab::RDF_TYPE),
                     Term::iri(format!("{}Person", vocab::FOAF)),
-                ));
-                out.push((
+                )]);
+                out.extend([(
                     person,
                     Term::iri(format!("{}name", vocab::FOAF)),
                     Term::literal(format!("Author {a}")),
-                ));
+                )]);
             }
             return;
         }
@@ -212,39 +205,39 @@ impl Sp2bGenerator {
 
         for i in start..end {
             let article = article_iri(i);
-            out.push((article.clone(), rdf_type.clone(), c_article.clone()));
-            out.push((
+            out.extend([(article.clone(), rdf_type.clone(), c_article.clone())]);
+            out.extend([(
                 article.clone(),
                 p_title.clone(),
                 Term::literal(format!("Article {i}")),
-            ));
+            )]);
             // Publication years drift forward with the article index, so a
             // citation to a nearby earlier article is a citation to a
             // recent year — the DBLP recency pattern.
             let year = 1950 + i * 60 / s.articles.max(1);
-            out.push((
+            out.extend([(
                 article.clone(),
                 p_issued.clone(),
                 Term::literal(format!("{year}")),
-            ));
-            out.push((
+            )]);
+            out.extend([(
                 article.clone(),
                 p_journal.clone(),
                 journal_iri(power_law(&mut rng, s.journals)),
-            ));
-            out.push((
+            )]);
+            out.extend([(
                 article.clone(),
                 p_pages.clone(),
                 Term::literal(format!("{}", 1 + rng.gen_range(0..40))),
-            ));
+            )]);
             // One or two creators from the skewed author pool; the second
             // is offset from the first so it is always distinct.
             let first = power_law(&mut rng, s.authors);
-            out.push((article.clone(), p_creator.clone(), author_iri(first)));
+            out.extend([(article.clone(), p_creator.clone(), author_iri(first))]);
             if s.authors > 1 && rng.gen_bool(0.5) {
                 let offset = 1 + power_law(&mut rng, s.authors - 1);
                 let second = (first + offset) % s.authors;
-                out.push((article.clone(), p_creator.clone(), author_iri(second)));
+                out.extend([(article.clone(), p_creator.clone(), author_iri(second))]);
             }
             // Recency-biased citations: most references reach only a few
             // articles back, chaining consecutive articles together.
@@ -258,7 +251,7 @@ impl Sp2bGenerator {
                 let target = i - gap;
                 if !cited.contains(&target) {
                     cited.push(target);
-                    out.push((article.clone(), p_references.clone(), article_iri(target)));
+                    out.extend([(article.clone(), p_references.clone(), article_iri(target))]);
                 }
             }
         }
@@ -307,10 +300,10 @@ mod tests {
     fn unit_chunks_concatenate_to_generate() {
         let generator = Sp2bGenerator::new(Sp2bScale::tiny());
         let mut chunked = Graph::new();
-        let mut buffer = Vec::new();
         for unit in 0..generator.units() {
-            generator.unit_triples_into(unit, &mut buffer);
-            for (s, p, o) in buffer.drain(..) {
+            let mut triples = Vec::new();
+            generator.unit_triples_into(unit, &mut triples);
+            for (s, p, o) in triples {
                 chunked.insert_terms(s, p, o);
             }
         }

@@ -3,7 +3,7 @@
 //! untrusted text, sharded bulk-load encoding, graph index consistency and
 //! the statistics catalog against a brute-force count.
 
-use cliquesquare_rdf::load::{encode_shard_from, merge_dictionaries, remap_triples};
+use cliquesquare_rdf::load::{merge_dictionaries, remap_triples, EncodedShard};
 use cliquesquare_rdf::term::vocab;
 use cliquesquare_rdf::{
     ntriples, Dictionary, Graph, GraphStatistics, PredicateStats, Term, TermId, TriplePosition,
@@ -140,9 +140,10 @@ proptest! {
         prop_assert_eq!(&reparsed, &graph);
     }
 
-    /// Sharded encoding (split → per-shard dictionaries → ordered merge →
-    /// remap) assigns exactly the ids the sequential single-dictionary
-    /// encode assigns, for every split of the input.
+    /// Every sink encodes what a sequential `insert_terms` loop encodes:
+    /// streaming the triples into a graph gives that graph, and streaming
+    /// each chunk of any split into its own shard (per-shard dictionaries →
+    /// ordered merge → remap) gives exactly its ids and triples.
     #[test]
     fn sharded_encode_matches_sequential(
         triples in proptest::collection::vec(
@@ -151,18 +152,14 @@ proptest! {
         ),
         splits in proptest::collection::vec(1usize..40, 0..4),
     ) {
-        // Sequential baseline: one dictionary over the whole stream.
-        let mut sequential = Dictionary::new();
-        let sequential_triples: Vec<_> = triples
-            .iter()
-            .map(|(s, p, o)| {
-                (
-                    sequential.encode(s.clone()),
-                    sequential.encode(p.clone()),
-                    sequential.encode(o.clone()),
-                )
-            })
-            .collect();
+        // Sequential baseline: one insert per triple into one graph.
+        let mut sequential = Graph::new();
+        for (s, p, o) in triples.iter().cloned() {
+            sequential.insert_terms(s, p, o);
+        }
+        let mut streamed = Graph::new();
+        streamed.extend(triples.iter().cloned());
+        prop_assert_eq!(&streamed, &sequential);
 
         // Sharded: split at the (sorted, deduped, clamped) positions.
         let mut cuts: Vec<usize> = splits.iter().map(|&c| c % triples.len()).collect();
@@ -183,19 +180,21 @@ proptest! {
             chunks.push(rest.to_vec());
         }
 
-        let shards: Vec<_> = chunks.iter_mut().map(encode_shard_from).collect();
-        let (dictionaries, locals): (Vec<_>, Vec<_>) =
-            shards.into_iter().map(|s| (s.dictionary, s.triples)).unzip();
+        let (dictionaries, locals): (Vec<_>, Vec<_>) = chunks
+            .into_iter()
+            .map(|chunk| {
+                let mut shard = EncodedShard::default();
+                shard.extend(chunk);
+                (shard.dictionary, shard.triples)
+            })
+            .unzip();
         let (merged, remaps) = merge_dictionaries(dictionaries);
-        prop_assert_eq!(&merged, &sequential);
-
         let remapped: Vec<_> = locals
             .iter()
             .zip(&remaps)
             .flat_map(|(t, r)| remap_triples(t, r))
-            .map(|t| (t.subject, t.property, t.object))
             .collect();
-        prop_assert_eq!(remapped, sequential_triples);
+        prop_assert_eq!(Graph::from_parts(merged, remapped), sequential);
     }
 
     /// Every positional index returns exactly the triples carrying the value

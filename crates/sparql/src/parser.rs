@@ -21,7 +21,11 @@
 //!   so a query names the term a load stored, and any other escape is an
 //!   error naming it,
 //! * triple patterns separated by `.`, which also ends a variable written
-//!   right before it (`?x <p> ?y.?y <q> ?z`).
+//!   right before it (`?x <p> ?y.?y <q> ?z`),
+//! * `SELECT DISTINCT` and `SELECT REDUCED`, which ask for what every answer
+//!   already is: its distinct rows,
+//! * `#` comments: outside an IRI or a literal, a `#` starts a comment that
+//!   runs to the end of the line.
 //!
 //! Nothing may follow the closing `}`: solution modifiers (`LIMIT`,
 //! `ORDER BY`, …) are not supported, and a query that carries one is
@@ -50,7 +54,8 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// Splits query text into tokens, keeping `<…>` and `"…"` intact.
+/// Splits query text into tokens, keeping `<…>` and `"…"` intact and
+/// dropping `#` comments outside them.
 fn tokenize(text: &str) -> Result<Vec<String>, ParseError> {
     let mut tokens = Vec::new();
     let mut chars = text.chars().peekable();
@@ -58,6 +63,10 @@ fn tokenize(text: &str) -> Result<Vec<String>, ParseError> {
         match c {
             c if c.is_whitespace() => {
                 chars.next();
+            }
+            // A comment runs to the end of the line.
+            '#' => {
+                chars.by_ref().find(|&ch| ch == '\n');
             }
             '{' | '}' | '.' => {
                 tokens.push(c.to_string());
@@ -101,7 +110,7 @@ fn tokenize(text: &str) -> Result<Vec<String>, ParseError> {
             _ => {
                 let mut tok = String::new();
                 while let Some(&ch) = chars.peek() {
-                    if ch.is_whitespace() || matches!(ch, '{' | '}') {
+                    if ch.is_whitespace() || matches!(ch, '{' | '}' | '#') {
                         break;
                     }
                     // A '.' ends a variable wherever it stands; it ends any
@@ -204,6 +213,14 @@ pub fn parse_query(text: &str) -> Result<BgpQuery, ParseError> {
         return Err(err("expected SELECT"));
     }
     pos += 1;
+    // Every answer is already distinct, which is what DISTINCT asks for and
+    // what REDUCED permits.
+    if tokens
+        .get(pos)
+        .is_some_and(|t| t.eq_ignore_ascii_case("distinct") || t.eq_ignore_ascii_case("reduced"))
+    {
+        pos += 1;
+    }
 
     let mut distinguished = Vec::new();
     while pos < tokens.len() && !tokens[pos].eq_ignore_ascii_case("where") {
@@ -458,6 +475,44 @@ mod tests {
         assert!(parse_query("SELECT ?x WHERE { }").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x unknown:p ?y }").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x ub:p \"unterminated }").is_err());
+    }
+
+    #[test]
+    fn distinct_and_reduced_parse_to_the_plain_query() {
+        let plain = parse_query("SELECT ?x WHERE { ?x ub:worksFor ?y }").unwrap();
+        for modifier in ["DISTINCT", "distinct", "Reduced"] {
+            let text = format!("SELECT {modifier} ?x WHERE {{ ?x ub:worksFor ?y }}");
+            assert_eq!(parse_query(&text).unwrap(), plain, "{modifier}");
+        }
+        let star = parse_query("SELECT DISTINCT * WHERE { ?x ub:worksFor ?y }").unwrap();
+        assert_eq!(star.distinguished().len(), 2);
+        // Only right after SELECT: anywhere else it is not a variable.
+        assert!(parse_query("SELECT ?x DISTINCT WHERE { ?x ub:worksFor ?y }").is_err());
+    }
+
+    #[test]
+    fn comments_are_skipped_outside_iris_and_literals() {
+        let plain = parse_query("SELECT ?x WHERE { ?x ub:worksFor ?y }").unwrap();
+        for text in [
+            "# lecturers\nSELECT ?x WHERE { ?x ub:worksFor ?y }",
+            "SELECT ?x WHERE { ?x ub:worksFor ?y } # trailing",
+            "SELECT ?x WHERE { ?x ub:worksFor ?y }# trailing\n",
+            "SELECT ?x # the worker\nWHERE {\n  ?x ub:worksFor ?y . # a pattern\n}",
+            "SELECT ?x WHERE { ?x ub:worksFor ?y#glued\n}",
+        ] {
+            assert_eq!(parse_query(text).unwrap(), plain, "{text:?}");
+        }
+        let q = parse_query("SELECT ?x WHERE { ?x <http://e.org/p#q> \"C# #1\" } # c").unwrap();
+        assert_eq!(
+            q.patterns()[0].property,
+            PatternTerm::Constant(Term::iri("http://e.org/p#q"))
+        );
+        assert_eq!(
+            q.patterns()[0].object,
+            PatternTerm::Constant(Term::literal("C# #1"))
+        );
+        // A comment hides the rest of its line, closing brace included.
+        assert!(parse_query("SELECT ?x WHERE { ?x ub:worksFor ?y # }").is_err());
     }
 
     #[test]

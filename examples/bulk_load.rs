@@ -5,11 +5,12 @@
 //! ```
 //!
 //! The example generates a LUBM-like dataset through the parallel bulk
-//! loader (sharded dictionary encoding + parallel index and partition
-//! builds), verifies the result is bit-identical to the sequential ingest
-//! path, prints the per-stage timing report, and runs a query on the loaded
+//! loader (each generator writes straight into its shard's dictionary
+//! encoder, then the shards merge and the partitions build as task waves),
+//! verifies the result is bit-identical to the sequential ingest path,
+//! prints the per-stage timing report, and runs a query on the loaded
 //! cluster. It then round-trips the dataset through N-Triples text —
-//! including escaped literals — and loads that too.
+//! including escaped literals and `#` comments — and loads that too.
 
 use cliquesquare_engine::csq::{Csq, CsqConfig};
 use cliquesquare_mapreduce::load::{BulkLoader, LoadOptions};
@@ -25,9 +26,9 @@ fn main() {
 /// call this with [`LubmScale::tiny`]).
 pub fn run(scale: LubmScale) {
     // 1. Bulk-load the LUBM dataset: universities generate in parallel,
-    //    chunks encode against per-thread shard dictionaries, the merge
-    //    assigns final ids in first-occurrence order, and the indexes and
-    //    the replicated partitions build as task waves.
+    //    each batch straight into its own shard dictionary, the merge
+    //    assigns final ids in first-occurrence order, and the replicated
+    //    partitions build as task waves.
     let loader = BulkLoader::new(Runtime::with_threads(4));
     let options = LoadOptions::with_nodes(4);
     let output = loader.load_lubm(scale, &options);
@@ -42,30 +43,32 @@ pub fn run(scale: LubmScale) {
         report.triples_per_second()
     );
     println!(
-        "  stages: input {:.2} ms, encode {:.2} ms, merge {:.2} ms, \
-         index {:.2} ms, partition {:.2} ms",
+        "  stages: input + encode {:.2} ms, merge {:.2} ms, \
+         assembly {:.2} ms, partition {:.2} ms",
         report.input_seconds * 1e3,
-        report.encode_seconds * 1e3,
         report.merge_seconds * 1e3,
         report.index_seconds * 1e3,
         report.partition_seconds * 1e3
     );
 
     // 2. The determinism contract: the parallel load equals the sequential
-    //    path bit for bit (same ids, same indexes, same partition files).
+    //    path bit for bit (same ids, same triples, same partition files).
     let sequential = LubmGenerator::new(scale).generate();
     assert_eq!(output.graph, sequential);
     println!("  bit-identical to the sequential ingest path ✓");
 
     // 3. Round-trip through N-Triples text, with a literal that needs
-    //    escaping, and bulk-load the text form too.
+    //    escaping and comments (a line of its own, and one after a
+    //    triple's `.`), and bulk-load the text form too.
     let mut graph_with_spikes = sequential.clone();
     graph_with_spikes.insert_terms(
         Term::iri("http://example.org/report"),
         Term::iri("http://example.org/title"),
         Term::literal("A \"quoted\"\ntwo-line title"),
     );
-    let text = ntriples::serialize(&graph_with_spikes);
+    let mut text = String::from("# a LUBM dump\n");
+    text.push_str(&ntriples::serialize(&graph_with_spikes).replacen(" .\n", " . # first\n", 1));
+    text.push_str("# end of dump\n");
     let reloaded = loader
         .load_ntriples(&text, &options)
         .expect("serialized dataset parses");

@@ -168,6 +168,45 @@ fn chunked_parse_errors_report_global_line_numbers() {
     assert!(err.message.contains("unterminated literal"));
 }
 
+/// N-Triples with `#` comments — whole lines, and after a triple's `.` —
+/// loads at every thread and chunk count to the graph a sequential parse
+/// builds, and a broken line after them still reports its global number.
+#[test]
+fn commented_ntriples_load_like_a_sequential_parse() {
+    let mut text = String::from("# a commented dump\n");
+    for (i, line) in spiky_ntriples().lines().enumerate() {
+        text.push_str(line);
+        text.push_str(match i % 3 {
+            0 => " # note\n",
+            1 => "#glued\n",
+            _ => "\n# between\n",
+        });
+    }
+    let expected_graph = ntriples::parse_into_graph(&text).expect("comments parse");
+    assert_eq!(
+        expected_graph,
+        ntriples::parse_into_graph(&spiky_ntriples()).unwrap()
+    );
+    let lines = text.lines().count();
+    let mut broken = text.clone();
+    broken.push_str("<a> <p> # <b> .\n<a> <p> <b> . # fine\n");
+    for threads in [1, 2, 8] {
+        let loader = BulkLoader::new(Runtime::with_threads(threads));
+        for chunks in [1, 3, 16] {
+            let options = LoadOptions {
+                nodes: 4,
+                chunks: Some(chunks),
+            };
+            let at = format!("threads={threads} chunks={chunks}");
+            let output = loader.load_ntriples(&text, &options).expect(&at);
+            assert_eq!(output.graph, expected_graph, "{at}");
+            let err = loader.load_ntriples(&broken, &options).unwrap_err();
+            assert_eq!(err.line, lines + 1, "{at}");
+            assert!(err.message.contains("found 2"), "{at}: {err}");
+        }
+    }
+}
+
 /// The loaded store supports the partitioner's access paths (sanity check
 /// that the parallel build wires placement and file grouping correctly).
 #[test]

@@ -412,6 +412,12 @@ fn over_http(
             text.len()
         ),
     };
+    answer_of(addr, &request)
+}
+
+/// The [`answer_lines`] of the 200 that `addr` answers `request` with, and
+/// whether the body carries a profile.
+fn answer_of(addr: SocketAddr, request: &str) -> (Vec<String>, bool) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(request.as_bytes()).expect("write");
     let mut response = String::new();
@@ -731,6 +737,59 @@ fn escaped_literals() {
         literals.check_query(query, false);
     }
     literals.check_service(&queries, false);
+}
+
+/// Text forms of one query: `SELECT DISTINCT` and `SELECT REDUCED` ask for
+/// the distinct rows every answer already is, and a `#` comment before or
+/// after the query is skipped. Each form parses to the plain query (same
+/// template), and each POSTed form is answered with the plain query's
+/// variables, count and rows.
+#[test]
+fn select_modifiers_and_comments() {
+    let lubm = Dataset::new(
+        "text forms",
+        LubmGenerator::new(LubmScale::tiny()).generate(),
+    );
+    let texts = [
+        "SELECT ?x ?y WHERE { ?x ub:worksFor ?y }",
+        "SELECT DISTINCT ?x ?y WHERE { ?x ub:worksFor ?y }",
+        "select reduced ?x ?y WHERE { ?x ub:worksFor ?y }",
+        "# lecturers\nSELECT ?x ?y WHERE { ?x ub:worksFor ?y }",
+        "SELECT ?x ?y WHERE { ?x ub:worksFor ?y } # trailing",
+        "SELECT DISTINCT ?x ?y # who\nWHERE { ?x ub:worksFor ?y . # works where\n}\n",
+    ];
+    let queries = parse_all("text form", &texts);
+    for (text, query) in texts.iter().zip(&queries) {
+        assert_eq!(
+            query.distinguished(),
+            queries[0].distinguished(),
+            "{text:?}"
+        );
+        assert_eq!(query.patterns(), queries[0].patterns(), "{text:?}");
+        assert_eq!(TemplateKey::of(query), TemplateKey::of(&queries[0]));
+    }
+    let service = QueryService::new(lubm.cluster(4).clone(), Runtime::serving(2));
+    let config = ServerConfig::default();
+    let server = HttpServer::bind(Arc::new(service), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let stopped = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let _stop = Stop(&stopped, Some(&server));
+        scope.spawn(|| server.serve().expect("serve"));
+        let post = |text: &str| {
+            let request = format!(
+                "POST /sparql HTTP/1.1\r\nContent-Length: {}\r\n\r\n{text}",
+                text.len()
+            );
+            answer_of(addr, &request).0
+        };
+        let plain = post(texts[0]);
+        assert!(plain.len() > 3, "{plain:?}");
+        for text in &texts[1..] {
+            assert_eq!(post(text), plain, "{text:?}");
+        }
+    });
+    lubm.check_service(&queries[..1], false);
 }
 
 /// Plan-cache template families over LUBM, one `TemplateKey` each: the

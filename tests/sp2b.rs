@@ -60,21 +60,3 @@ fn sp2b_queries_match_the_reference_evaluator() {
         assert!(expected > 0, "{} has an empty answer", query.name());
     }
 }
-
-/// The streaming loader's in-flight gauge stays well below the parsed-bytes
-/// total on generator input too (bounded-memory contract for the
-/// generated-data path, not just N-Triples text).
-#[test]
-fn sp2b_streaming_load_bounds_inflight_bytes() {
-    let scale = Sp2bScale::default();
-    let loader = BulkLoader::new(Runtime::with_threads(2));
-    let output = loader.load_sp2b(scale, &LoadOptions::with_nodes(4));
-    let report = &output.report;
-    assert!(report.parsed_bytes > 0);
-    assert!(
-        report.peak_inflight_bytes * 2 <= report.parsed_bytes,
-        "peak in-flight {} vs parsed {}: the generated-data load is not streaming",
-        report.peak_inflight_bytes,
-        report.parsed_bytes
-    );
-}
