@@ -9,7 +9,7 @@ use cliquesquare_bench::{bench_scale, lubm_graph};
 use cliquesquare_core::{Optimizer, Variant};
 use cliquesquare_engine::physical::{PhysicalOp, PhysicalPlan};
 use cliquesquare_engine::{translate, Executor};
-use cliquesquare_mapreduce::{Cluster, ClusterConfig, PartitionedStore};
+use cliquesquare_mapreduce::{Cluster, ClusterConfig, PartitionedStore, Runtime};
 use cliquesquare_rdf::TriplePosition;
 use cliquesquare_sparql::parser::parse_query;
 
@@ -21,6 +21,11 @@ fn bench_partition_build(c: &mut Criterion) {
             b.iter(|| black_box(PartitionedStore::build(black_box(&graph), nodes)).stats())
         });
     }
+    // The build's placement tasks on two threads (the benchmark box's cores).
+    let runtime = Runtime::with_threads(2);
+    group.bench_function("4_nodes_2_threads", |b| {
+        b.iter(|| black_box(PartitionedStore::build_with(black_box(&graph), 4, &runtime)).stats())
+    });
     group.finish();
 }
 

@@ -21,8 +21,9 @@
 //!    order into the [`Graph`]. The graph's positional indexes are not
 //!    built here: the graph builds each on its first read, and neither the
 //!    store nor the catalog reads them;
-//! 4. **partition wave** — the Section 5.1 replicated store is built as a
-//!    map wave (route chunks) plus a reduce wave (merge per node), see
+//! 4. **partition wave** — the Section 5.1 replicated store is built by
+//!    one wave of one task per placement, each scattering the triples into
+//!    files allocated at their exact size and sorting them in place, see
 //!    [`PartitionedStore::build_with`].
 //!
 //! **Determinism contract** (mirroring the execution runtime's): the loaded
@@ -304,7 +305,7 @@ impl BulkLoader {
         let graph = Graph::from_parts(dictionary, remapped.concat());
         let index_seconds = started.elapsed().as_secs_f64();
 
-        // Partition wave(s): the Section 5.1 replicated store.
+        // Partition wave: the Section 5.1 replicated store.
         let started = Instant::now();
         let store = PartitionedStore::build_with(&graph, options.nodes, &self.runtime);
         let partition_seconds = started.elapsed().as_secs_f64();

@@ -8,7 +8,8 @@
 //! (according to the attribute that placed them), and each partition is
 //! further split into one file per property value. Because most RDF datasets
 //! have a very large `rdf:type` property, its file is additionally split by
-//! object value.
+//! object value. Each replica is built by one exact-size scatter
+//! ([`PartitionedStore::build_with`]).
 //!
 //! The net effect is that every first-level join of a plan (s-s, s-o, p-o, …)
 //! can be evaluated locally on each node (PWOC / co-located joins), and a
@@ -41,21 +42,13 @@ pub struct FileKey {
 }
 
 impl FileKey {
-    /// A file for a regular property.
-    pub fn property(placement: TriplePosition, property: TermId) -> Self {
+    /// The file of `property` in the `placement` replica, narrowed to one
+    /// class when `type_object` is set (the `rdf:type` files).
+    pub fn new(placement: TriplePosition, property: TermId, type_object: Option<TermId>) -> Self {
         Self {
             placement,
             property,
-            type_object: None,
-        }
-    }
-
-    /// A file for an `rdf:type` property split by class.
-    pub fn typed(placement: TriplePosition, property: TermId, class: TermId) -> Self {
-        Self {
-            placement,
-            property,
-            type_object: Some(class),
+            type_object,
         }
     }
 }
@@ -106,7 +99,8 @@ type NodeFiles = HashMap<FileKey, Vec<Triple>>;
 
 /// The node a value places its triple on: a deterministic hash (Fibonacci
 /// hashing on the term id), so that simulation results are reproducible
-/// across runs and platforms.
+/// across runs and platforms. Node ids stay `usize`: the partition count
+/// ([`partitions_for`](crate::partitions_for)) passes 255 at 128 threads.
 fn node_of(id: TermId, nodes: usize) -> usize {
     ((u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % nodes as u64) as usize
 }
@@ -235,24 +229,35 @@ impl<'a> ScanFiles<'a> {
     }
 }
 
-/// Routes one slice of triples into per-node file maps (the map-side task of
-/// the parallel partition build). Appending the resulting maps in chunk
-/// order gives every file the same triples at any chunking; the per-node
-/// sort that follows makes their order independent of it too.
-fn partition_chunk(triples: &[Triple], nodes: usize, rdf_type: Option<TermId>) -> Vec<NodeFiles> {
-    let mut files: Vec<NodeFiles> = vec![HashMap::new(); nodes];
-    for &triple in triples {
-        for placement in TriplePosition::ALL {
-            let placed_on = node_of(triple.get(placement), nodes);
-            let key = if Some(triple.property) == rdf_type {
-                FileKey::typed(placement, triple.property, triple.object)
-            } else {
-                FileKey::property(placement, triple.property)
-            };
-            files[placed_on].entry(key).or_default().push(triple);
+/// One task of the partition build: the `placement` replica, as each
+/// node's files. Every `(node, file id)` slot is counted, allocated at its
+/// exact size, filled in graph order and sorted in place.
+fn scatter(
+    triples: &[Triple],
+    file_ids: &[u32],
+    keys: &[(TermId, Option<TermId>)],
+    placement: TriplePosition,
+    nodes: usize,
+) -> Vec<NodeFiles> {
+    let slot = |(triple, &file): (&Triple, &u32)| {
+        node_of(triple.get(placement), nodes) * keys.len() + file as usize
+    };
+    let mut counts = vec![0; nodes * keys.len()];
+    for at in triples.iter().zip(file_ids) {
+        counts[slot(at)] += 1;
+    }
+    let mut slots: Vec<Vec<Triple>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for at in triples.iter().zip(file_ids) {
+        slots[slot(at)].push(*at.0);
+    }
+    let mut files = vec![NodeFiles::new(); nodes];
+    for (at, triples) in slots.into_iter().enumerate() {
+        let (property, class) = keys[at % keys.len()];
+        if !triples.is_empty() {
+            files[at / keys.len()].insert(FileKey::new(placement, property, class), triples);
         }
     }
-    files
+    files.into_iter().map(sort_files).collect()
 }
 
 impl PartitionedStore {
@@ -264,55 +269,47 @@ impl PartitionedStore {
     /// Partitions `graph` across `nodes` compute nodes, building the store
     /// on `runtime`'s task waves.
     ///
-    /// The build runs as a miniature MapReduce job: a *map wave* routes
-    /// triple chunks (one per thread) into per-node file maps, and a
-    /// *reduce wave* (one task per node) appends each node's later chunk
-    /// maps to its first and sorts every file into the [`scan_order`] of its
-    /// replica. A file's triples do not depend on the chunking and the sort
-    /// key is a total order, so the result is bit-identical at any thread
-    /// count; on the sequential runtime both waves run inline.
+    /// One wave, one task per placement. A pass over the graph first
+    /// numbers every triple's file — its property, and its class if the
+    /// property is `rdf:type` — in first-occurrence order, once for all
+    /// three replicas. Each task then scatters the triples into files
+    /// allocated at their exact size and sorts each into the [`scan_order`]
+    /// of its replica; a node's map is the union of the three replicas'.
+    /// Neither a file's triples nor the sort key depend on the thread
+    /// count, so the store is bit-identical at any.
     pub fn build_with(graph: &Graph, nodes: usize, runtime: &Runtime) -> Self {
         let nodes = nodes.max(1);
         let rdf_type = graph.lookup(&Term::iri(cliquesquare_rdf::term::vocab::RDF_TYPE));
         let triples = graph.triples();
-        // Map wave: one routing task per chunk (none for an empty graph).
-        let chunk_size = triples.len().div_ceil(runtime.threads()).max(1);
-        let chunk_maps = runtime.run_wave(
-            triples
-                .chunks(chunk_size)
-                .map(|chunk| move || partition_chunk(chunk, nodes, rdf_type))
-                .collect(),
-        );
-        // Transpose chunk-major → node-major (cheap map moves).
-        let mut per_node: Vec<Vec<NodeFiles>> = (0..nodes)
-            .map(|_| Vec::with_capacity(chunk_maps.len()))
+        // `seen[2 × p]` is one more than the file id of property `p`, and
+        // `seen[2 × c + 1]` of rdf:type class `c`; 0 until first met. Every
+        // id of a graph's triples is one of its dictionary's.
+        let mut seen = vec![0; 2 * graph.dictionary().len()];
+        let mut keys = Vec::new();
+        let file_ids: Vec<u32> = triples
+            .iter()
+            .map(|triple| {
+                let class = (Some(triple.property) == rdf_type).then_some(triple.object);
+                let at = class.map_or(2 * triple.property.0 as usize, |c| 2 * c.0 as usize + 1);
+                if seen[at] == 0 {
+                    keys.push((triple.property, class));
+                    seen[at] = keys.len() as u32;
+                }
+                seen[at] - 1
+            })
             .collect();
-        for chunk in chunk_maps {
-            for (node, map) in chunk.into_iter().enumerate() {
-                per_node[node].push(map);
+        let (file_ids, keys) = (&file_ids, &keys);
+        let replicas = runtime.run_wave(
+            TriplePosition::ALL
+                .map(|placement| move || scatter(triples, file_ids, keys, placement, nodes))
+                .into(),
+        );
+        let mut files = vec![NodeFiles::new(); nodes];
+        for replica in replicas {
+            for (node, placed) in files.iter_mut().zip(replica) {
+                node.extend(placed);
             }
         }
-        // Reduce wave: one merge-and-sort task per node.
-        let files = runtime.run_wave(
-            per_node
-                .into_iter()
-                .map(|maps| {
-                    move || {
-                        let mut maps = maps.into_iter();
-                        let mut merged = maps.next().unwrap_or_default();
-                        for map in maps {
-                            for (key, mut triples) in map {
-                                // Exact: the store keeps these files.
-                                let file = merged.entry(key).or_default();
-                                file.reserve_exact(triples.len());
-                                file.append(&mut triples);
-                            }
-                        }
-                        sort_files(merged)
-                    }
-                })
-                .collect(),
-        );
         Self {
             nodes,
             rdf_type,
@@ -661,9 +658,9 @@ mod tests {
         }
     }
 
-    /// The parallel build (several chunks routed, then merged per node) is
-    /// bit-identical to the sequential one-chunk build: same file keys, same
-    /// triples per file, in the same stored order.
+    /// The parallel build (the placement tasks on several threads) is
+    /// bit-identical to the sequential one: same file keys, same triples
+    /// per file, in the same stored order.
     #[test]
     fn parallel_build_is_bit_identical() {
         let graph = LubmGenerator::new(LubmScale::tiny()).generate();
@@ -685,5 +682,31 @@ mod tests {
         let store = PartitionedStore::build_with(&empty, 3, &Runtime::with_threads(4));
         assert_eq!(store.stats().stored_triples, 0);
         assert_eq!(store, PartitionedStore::build(&empty, 3));
+    }
+
+    /// Partition ids are not narrowed: at 300 partitions, more than
+    /// `u8::MAX`, every replica places each triple on the node its value
+    /// hashes to, nodes past 255 included. Two threads run the build's
+    /// three tasks.
+    #[test]
+    fn partitions_past_255_are_placed() {
+        let mut graph = Graph::new();
+        for i in 0..2_000 {
+            let subject = Term::iri(format!("s{i}"));
+            graph.insert_terms(subject, Term::iri("p"), Term::iri(format!("o{}", i % 7)));
+        }
+        let store = PartitionedStore::build_with(&graph, 300, &Runtime::with_threads(2));
+        assert_eq!(store, PartitionedStore::build(&graph, 300));
+        assert_eq!(store.stats().stored_triples, 3 * graph.len());
+        let mut past_255 = 0;
+        for (node, files) in store.files.iter().enumerate() {
+            for (key, triples) in files {
+                for triple in triples {
+                    assert_eq!(store.node_of(triple.get(key.placement)), node);
+                }
+                past_255 += if node > 255 { triples.len() } else { 0 };
+            }
+        }
+        assert!(past_255 > 0);
     }
 }

@@ -1,10 +1,13 @@
 //! Property-based tests for the simulated cluster's cost accounting and the
-//! partitioned store's index access paths.
+//! partitioned store's build and index access paths.
 
-use cliquesquare_mapreduce::{CostParameters, ExecutionMetrics, PartitionedStore};
+use cliquesquare_mapreduce::{
+    CostParameters, ExecutionMetrics, FileKey, PartitionedStore, Runtime,
+};
 use cliquesquare_rdf::term::vocab;
-use cliquesquare_rdf::{Graph, Term, TermId, TriplePosition};
+use cliquesquare_rdf::{Graph, Term, TermId, Triple, TriplePosition};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn metrics_strategy() -> impl Strategy<Value = ExecutionMetrics> {
     (
@@ -174,6 +177,77 @@ proptest! {
                     prop_assert_eq!(files.rows(), triples.len());
                     prop_assert_eq!(files.read_keys(&keys), filtered);
                 }
+            }
+        }
+    }
+
+    /// The build against an oracle that shares none of its code: on every
+    /// node, the file of every key is the graph's triples with that key's
+    /// property (and class, for `rdf:type`) placed on that node, sorted by
+    /// placement value and then by triple; no other file exists. Subjects,
+    /// objects and classes are drawn from small domains, so triples repeat,
+    /// and classes are named like properties, so a class id can equal a
+    /// property id. Every partition count 1–9 at threads 1, 2 and 8.
+    #[test]
+    fn every_file_is_its_key_and_partition_filtered_sorted(
+        raw in proptest::collection::vec((0u32..10, 0u32..4, 0u32..10), 0..60),
+        typed in proptest::collection::vec((0u32..10, 0u32..5), 0..30),
+        with_type in any::<bool>(),
+        repeats in proptest::collection::vec(0usize..90, 0..10),
+    ) {
+        let mut terms = Vec::new();
+        for (s, p, o) in raw {
+            terms.push((format!("n{s}"), format!("p{p}"), format!("n{o}")));
+        }
+        if with_type {
+            for (s, class) in typed {
+                terms.push((format!("n{s}"), vocab::RDF_TYPE.to_string(), format!("p{class}")));
+            }
+        }
+        for at in repeats {
+            if let Some(triple) = terms.get(at).cloned() {
+                terms.push(triple);
+            }
+        }
+        let mut graph = Graph::new();
+        for (s, p, o) in terms {
+            graph.insert_terms(Term::iri(s), Term::iri(p), Term::iri(o));
+        }
+        let rdf_type = graph.lookup(&Term::iri(vocab::RDF_TYPE));
+        let mut keys = BTreeSet::new();
+        for triple in graph.triples() {
+            let class = (Some(triple.property) == rdf_type).then_some(triple.object);
+            keys.insert((triple.property, class));
+        }
+        for partitions in 1..=9 {
+            for threads in [1, 2, 8] {
+                let runtime = Runtime::with_threads(threads);
+                let store = PartitionedStore::build_with(&graph, partitions, &runtime);
+                let mut files = 0;
+                for placement in TriplePosition::ALL {
+                    for node in 0..partitions {
+                        for &(property, class) in &keys {
+                            let mut expected: Vec<Triple> = graph
+                                .triples()
+                                .iter()
+                                .filter(|t| t.property == property)
+                                .filter(|t| class.is_none_or(|class| t.object == class))
+                                .filter(|t| store.node_of(t.get(placement)) == node)
+                                .copied()
+                                .collect();
+                            expected.sort_by_key(|t| (t.get(placement), *t));
+                            files += usize::from(!expected.is_empty());
+                            let key = FileKey::new(placement, property, class);
+                            prop_assert_eq!(
+                                store.file(node, &key), expected.as_slice(),
+                                "{} partitions, {} threads, node {}, {:?}",
+                                partitions, threads, node, key
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(store.stats().files, files);
+                prop_assert_eq!(store.stats().stored_triples, 3 * graph.len());
             }
         }
     }

@@ -57,8 +57,9 @@ impl Graph {
 
     /// Builds a graph from an already-encoded triple list and the dictionary
     /// that encoded it: the bulk-load constructor. Inserting the same
-    /// triples one by one through [`insert`](Self::insert) yields an equal
-    /// graph. Panics if a triple references an id outside the dictionary.
+    /// terms one by one through [`insert_terms`](Self::insert_terms) yields
+    /// an equal graph. Panics if a triple references an id outside the
+    /// dictionary.
     pub fn from_parts(dictionary: Dictionary, triples: Vec<Triple>) -> Self {
         let terms = dictionary.len() as u32;
         assert!(
@@ -109,20 +110,17 @@ impl Graph {
         self.dictionary.decode(id)
     }
 
-    /// Inserts an already-encoded triple.
-    pub fn insert(&mut self, triple: Triple) {
-        self.triples.push(triple);
-        self.indexes = Default::default();
-    }
-
-    /// Encodes the three terms and inserts the resulting triple.
+    /// Encodes the three terms and inserts the resulting triple. With
+    /// [`from_parts`](Self::from_parts) the only way in, so every id of a
+    /// graph's triples is one of its dictionary's.
     pub fn insert_terms(&mut self, subject: Term, property: Term, object: Term) -> Triple {
         let triple = Triple::new(
             self.dictionary.encode(subject),
             self.dictionary.encode(property),
             self.dictionary.encode(object),
         );
-        self.insert(triple);
+        self.triples.push(triple);
+        self.indexes = Default::default();
         triple
     }
 

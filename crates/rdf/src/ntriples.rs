@@ -5,9 +5,11 @@
 //! literals, terminated by an optional ` .`. Blank lines are ignored, and a
 //! `#` outside an IRI or a literal starts a comment that runs to the end of
 //! the line — a whole comment line, or one after the triple's `.`
-//! (`<a> <p> <b> . # note`). Literals support the N-Triples string escapes
-//! `\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX`, and the writer emits them, so
-//! any graph round-trips through [`serialize`] / [`parse`] losslessly.
+//! (`<a> <p> <b> . # note`). A subject and a property must be IRIs. Literals
+//! decode every N-Triples string escape (`\t`, `\b`, `\n`, `\r`, `\f`, `\"`,
+//! `\'`, `\\`, `\uXXXX`, `\UXXXXXXXX`), and the writer escapes what must be,
+//! so any graph whose subjects and properties are IRIs round-trips through
+//! [`serialize`] / [`parse`] losslessly.
 //!
 //! [`parse_from_into`] is the one reader: it writes every triple into a
 //! sink (any [`Extend`] of term triples — a `Vec`, a [`Graph`], or the bulk
@@ -44,11 +46,12 @@ impl ParseError {
     }
 }
 
-/// Decodes the N-Triples string escapes (`\"`, `\\`, `\n`, `\r`, `\t`,
-/// `\uXXXX`) inside a literal's raw text (the content between the quotes,
-/// escapes still encoded). The SPARQL parser decodes its literals here too,
-/// so a query names exactly the term a load stored. An unknown, truncated or
-/// invalid escape is an error whose message names it.
+/// Decodes the N-Triples string escapes — ECHAR (`\t`, `\b`, `\n`, `\r`,
+/// `\f`, `\"`, `\'`, `\\`) and UCHAR (`\uXXXX`, `\UXXXXXXXX`) — inside a
+/// literal's raw text (the content between the quotes, escapes still
+/// encoded). The SPARQL parser decodes its literals here too, so a query
+/// names exactly the term a load stored. An unknown, truncated or invalid
+/// escape is an error whose message names it.
 pub fn unescape_literal(raw: &str) -> Result<String, String> {
     if !raw.contains('\\') {
         return Ok(raw.to_string());
@@ -66,18 +69,24 @@ pub fn unescape_literal(raw: &str) -> Result<String, String> {
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
             Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return Err(format!("truncated \\u escape \\u{hex}"));
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('\'') => out.push('\''),
+            Some(form @ ('u' | 'U')) => {
+                let digits = if form == 'u' { 4 } else { 8 };
+                let hex: String = chars.by_ref().take(digits).collect();
+                if hex.chars().count() != digits {
+                    return Err(format!("truncated \\{form} escape \\{form}{hex}"));
                 }
                 if !hex.chars().all(|h| h.is_ascii_hexdigit()) {
-                    return Err(format!("invalid hex digit in \\u escape \\u{hex}"));
+                    return Err(format!(
+                        "invalid hex digit in \\{form} escape \\{form}{hex}"
+                    ));
                 }
                 let code = u32::from_str_radix(&hex, 16).expect("validated hex");
                 match char::from_u32(code) {
                     Some(decoded) => out.push(decoded),
-                    None => return Err(format!("\\u{hex} is not a Unicode scalar value")),
+                    None => return Err(format!("\\{form}{hex} is not a Unicode scalar value")),
                 }
             }
             Some(other) => return Err(format!("unknown escape sequence \\{other} in literal")),
@@ -88,7 +97,7 @@ pub fn unescape_literal(raw: &str) -> Result<String, String> {
 }
 
 /// Encodes a literal's text with the N-Triples string escapes, so the
-/// output of [`serialize`] always re-parses (`"` and `\` are escaped, and
+/// literals [`serialize`] writes always re-parse (`"` and `\` are escaped, and
 /// control characters cannot terminate or break a line). A query's text
 /// form writes its literals with it too, so that text re-parses.
 pub fn escape_literal(text: &str) -> String {
@@ -211,11 +220,14 @@ pub fn parse_from_into(
     for (i, line) in text.lines().enumerate() {
         let line_no = first_line + i;
         if let Some([s, p, o]) = tokenize(line, line_no)? {
-            out.extend([(
-                parse_term(s, line_no)?,
-                parse_term(p, line_no)?,
-                parse_term(o, line_no)?,
-            )]);
+            let (s, p) = (parse_term(s, line_no)?, parse_term(p, line_no)?);
+            for (position, term) in [("subject", &s), ("property", &p)] {
+                if let Term::Literal(text) = term {
+                    let message = format!("the {position} must be an IRI, found literal {text:?}");
+                    return Err(ParseError::new(line_no, message));
+                }
+            }
+            out.extend([(s, p, parse_term(o, line_no)?)]);
         }
     }
     Ok(())
@@ -230,7 +242,8 @@ pub fn parse_into_graph(text: &str) -> Result<Graph, ParseError> {
 }
 
 /// Serializes a graph back to N-Triples text (one line per triple, literal
-/// text escaped so the output always re-parses).
+/// text escaped), which re-parses any graph whose subjects and properties
+/// are IRIs.
 pub fn serialize(graph: &Graph) -> String {
     let mut out = String::new();
     for triple in graph.triples() {
@@ -304,6 +317,54 @@ mod tests {
     fn unicode_escapes_decode() {
         let triples = parse(r#"<a> <p> "caf\u00E9 \u0041" ."#).unwrap();
         assert_eq!(triples[0].2, Term::literal("café A"));
+    }
+
+    /// Every ECHAR and both UCHAR forms of the N-Triples grammar decode,
+    /// `\b`, `\f`, `\'` and the 8-digit `\U` included.
+    #[test]
+    fn every_spec_escape_decodes() {
+        for (written, decoded) in [
+            (r#""it\'s""#, "it's"),
+            (r#""bell\b""#, "bell\u{8}"),
+            (r#""feed\f""#, "feed\u{c}"),
+            (r#""smile\U0001F600""#, "smile\u{1F600}"),
+            (r#""\U000000e9t\u00E9""#, "été"),
+        ] {
+            let triples = parse(&format!("<a> <p> {written} .")).unwrap();
+            assert_eq!(triples[0].2, Term::literal(decoded), "{written}");
+        }
+    }
+
+    /// The 8-digit form is checked like the 4-digit one: it must have all
+    /// its hex digits and name a Unicode scalar value.
+    #[test]
+    fn invalid_long_unicode_escapes_are_rejected_by_name() {
+        for (written, problem) in [
+            (r"\U0001F6", "truncated"),
+            (r"\U0001F60G", "invalid hex digit"),
+            (r"\U00110000", "scalar"),
+            (r"\U0000D800", "scalar"),
+        ] {
+            let err = parse(&format!("<a> <p> \"x{written}\" .")).unwrap_err();
+            assert!(err.message.contains(written), "{written}: {}", err.message);
+            assert!(err.message.contains(problem), "{written}: {}", err.message);
+        }
+    }
+
+    /// A subject and a property are IRIs: a literal in either position is
+    /// an error that names the position and the line.
+    #[test]
+    fn a_literal_subject_or_property_is_rejected() {
+        for (text, position) in [
+            ("<a> <p> <b> .\n\"lit\" <p> <o> .", "subject"),
+            ("<a> <p> <b> .\n<s> \"lit\" <o> .", "property"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.line, 2, "{text}");
+            assert!(err.message.contains(position), "{text}: {}", err.message);
+            assert!(err.message.contains("\"lit\""), "{text}: {}", err.message);
+        }
+        assert!(parse("<s> <p> \"lit\" .").is_ok());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   pre-declared),
 //! * `a` as a shorthand for `rdf:type`,
 //! * `<full-iri>`, `pfx:local`, `"literal"` and `?variable` terms; a
-//!   literal's escapes are the N-Triples ones (`\"`, `\\`, `\n`, `\r`, `\t`,
-//!   `\uXXXX`), decoded by [`cliquesquare_rdf::ntriples::unescape_literal`]
+//!   literal's escapes are the N-Triples ones (`\t`, `\b`, `\n`, `\r`, `\f`,
+//!   `\"`, `\'`, `\\`, `\uXXXX`, `\UXXXXXXXX`), decoded by
+//!   [`cliquesquare_rdf::ntriples::unescape_literal`]
 //!   so a query names the term a load stored, and any other escape is an
 //!   error naming it,
 //! * triple patterns separated by `.`, which also ends a variable written
@@ -441,6 +442,25 @@ mod tests {
         }
     }
 
+    /// The escapes SPARQL shares with N-Triples beyond the common five
+    /// decode too — `\'`, `\b`, `\f` and the 8-digit `\U` — and the
+    /// query's text form, which writes them otherwise, names the same
+    /// literal.
+    #[test]
+    fn every_spec_escape_decodes() {
+        for (written, decoded) in [
+            (r#""it\'s""#, "it's"),
+            (r#""bell\b feed\f""#, "bell\u{8} feed\u{c}"),
+            (r#""smile\U0001F600""#, "smile\u{1F600}"),
+        ] {
+            let q = parse_query(&format!("SELECT ?x WHERE {{ ?x ub:name {written} }}"))
+                .unwrap_or_else(|e| panic!("{written}: {e}"));
+            let literal = PatternTerm::Constant(Term::literal(decoded));
+            assert_eq!(q.patterns()[0].object, literal, "{written}");
+            assert_eq!(parse_query(&q.to_string()).unwrap(), q, "{written}");
+        }
+    }
+
     #[test]
     fn a_query_with_escaped_literals_reparses_from_its_text() {
         let text = r#"SELECT ?x WHERE { ?x ub:name "a\"b" . ?x ub:email "x\\y\nz\u0001" }"#;
@@ -450,7 +470,7 @@ mod tests {
 
     #[test]
     fn an_unknown_literal_escape_is_rejected_by_name() {
-        for escape in [r"\b", r"\f", r"\'", r"\x", r"\u12"] {
+        for escape in [r"\x", r"\u12", r"\U0001F6", r"\U00110000"] {
             let query = format!("SELECT ?x WHERE {{ ?x ub:name \"a{escape}\" }}");
             let error = parse_query(&query).unwrap_err();
             assert!(error.to_string().contains(escape), "{query}: {error}");

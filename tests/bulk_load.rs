@@ -168,6 +168,33 @@ fn chunked_parse_errors_report_global_line_numbers() {
     assert!(err.message.contains("unterminated literal"));
 }
 
+/// A literal subject or property is an error, and a chunked load reports
+/// it at the document-global line number, whichever chunk holds it.
+#[test]
+fn chunked_loads_reject_literal_subjects_and_properties_by_global_line() {
+    for (bad, position) in [
+        ("\"lit\" <p> <o> .\n", "subject"),
+        ("<s> \"lit\" <o> .\n", "property"),
+    ] {
+        let mut text = "<a> <p> \"fine\" .\n".repeat(150);
+        text.push_str(bad);
+        text.push_str(&"<a> <p> <b> .\n".repeat(50));
+        for threads in [1, 2, 8] {
+            let loader = BulkLoader::new(Runtime::with_threads(threads));
+            for chunks in [1, 3, 16] {
+                let options = LoadOptions {
+                    nodes: 4,
+                    chunks: Some(chunks),
+                };
+                let at = format!("{position}: threads={threads} chunks={chunks}");
+                let err = loader.load_ntriples(&text, &options).unwrap_err();
+                assert_eq!(err.line, 151, "{at}");
+                assert!(err.message.contains(position), "{at}: {err}");
+            }
+        }
+    }
+}
+
 /// N-Triples with `#` comments — whole lines, and after a triple's `.` —
 /// loads at every thread and chunk count to the graph a sequential parse
 /// builds, and a broken line after them still reports its global number.

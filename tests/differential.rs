@@ -714,9 +714,10 @@ fn departments_sharing_a_pair() {
 #[test]
 fn escaped_literals() {
     let text = "<s1> <label> \"a\\\"b\" .\n<s2> <label> \"x\\\\y\" .\n\
-                <s3> <label> \"l\\nm\" .\n<s1> <knows> <s2> .\n<s2> <knows> <s3> .\n";
+                <s3> <label> \"l\\nm\" .\n<s1> <knows> <s2> .\n<s2> <knows> <s3> .\n\
+                <s3> <label> \"it\\'s \\U0001F600\" .\n";
     let graph = ntriples::parse_into_graph(text).expect("parses");
-    for literal in ["a\"b", "x\\y", "l\nm"] {
+    for literal in ["a\"b", "x\\y", "l\nm", "it's \u{1F600}"] {
         assert!(
             graph.lookup(&Term::literal(literal)).is_some(),
             "{literal:?}"
@@ -729,6 +730,7 @@ fn escaped_literals() {
             r#"SELECT ?s WHERE { ?s <label> "a\"b" }"#,
             r#"SELECT ?s ?t WHERE { ?s <knows> ?t.?t <label> "x\\y" }"#,
             r#"SELECT ?s WHERE { ?s <label> "l\nm" }"#,
+            r#"SELECT ?s WHERE { ?s <label> "it\'s \U0001F600" }"#,
         ],
     );
     for query in &queries {
