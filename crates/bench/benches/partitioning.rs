@@ -1,4 +1,5 @@
-//! Criterion benchmarks for the partitioner (Section 5.1) and an ablation of
+//! Criterion benchmarks for the load path of Section 5.1 — dictionary
+//! encoding and the shard merge, and the partitioner — and an ablation of
 //! the co-located (PWOC) first-level joins it enables: the same first-level
 //! star join executed as a co-located MapJoin versus forced through a
 //! shuffling ReduceJoin.
@@ -10,8 +11,54 @@ use cliquesquare_core::{Optimizer, Variant};
 use cliquesquare_engine::physical::{PhysicalOp, PhysicalPlan};
 use cliquesquare_engine::{translate, Executor};
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, PartitionedStore, Runtime};
-use cliquesquare_rdf::TriplePosition;
+use cliquesquare_rdf::load::{merge_dictionaries, EncodedShard};
+use cliquesquare_rdf::{Dictionary, LubmGenerator, LubmScale, Term, TriplePosition};
 use cliquesquare_sparql::parser::parse_query;
+
+/// The dictionary's two load-time jobs on LUBM-shaped terms (8
+/// universities, ≈ 14 k triples with their natural repeats): encoding every
+/// term of every triple into one dictionary (the input wave's work, term
+/// clones included), and merging 8 shard dictionaries (one per university)
+/// the way the bulk loader does. The merge consumes its shards, so its
+/// iteration clones them first; `clone_8_shards` times that clone alone.
+fn bench_dictionary_encode(c: &mut Criterion) {
+    let generator = LubmGenerator::new(LubmScale::with_universities(8));
+    let universities: Vec<Vec<(Term, Term, Term)>> = (0..8)
+        .map(|u| {
+            let mut triples = Vec::new();
+            generator.university_triples_into(u, &mut triples);
+            triples
+        })
+        .collect();
+    let shards: Vec<Dictionary> = universities
+        .iter()
+        .map(|triples| {
+            let mut shard = EncodedShard::default();
+            shard.extend(triples.iter().cloned());
+            shard.dictionary
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("dictionary_encode");
+    group.bench_function("encode_lubm_8", |b| {
+        b.iter(|| {
+            let mut dictionary = Dictionary::new();
+            for (s, p, o) in universities.iter().flatten() {
+                dictionary.encode(s.clone());
+                dictionary.encode(p.clone());
+                dictionary.encode(o.clone());
+            }
+            black_box(dictionary).len()
+        })
+    });
+    group.bench_function("clone_8_shards", |b| {
+        b.iter(|| black_box(shards.clone()).len())
+    });
+    group.bench_function("merge_8_shards", |b| {
+        b.iter(|| black_box(merge_dictionaries(shards.clone())).0.len())
+    });
+    group.finish();
+}
 
 fn bench_partition_build(c: &mut Criterion) {
     let graph = lubm_graph(bench_scale());
@@ -110,6 +157,7 @@ fn bench_colocated_vs_shuffled(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_dictionary_encode,
     bench_partition_build,
     bench_scans,
     bench_colocated_vs_shuffled

@@ -24,10 +24,12 @@
 //! [`merge_dictionaries`] implements exactly that walk, on one thread, and
 //! hands back one remap table per shard; [`remap_triples`] rewrites a
 //! shard's local-id triples to final ids (independently per shard, so the
-//! loader runs it as a parallel wave). The walk is the loader's only merge:
-//! it is a few percent of a load (≈ 0.2 s of a 2.1 M-triple LUBM load on
-//! two cores), and a hash-partitioned parallel merge that won this stage
-//! never moved the whole load's time, so it was removed.
+//! loader runs it as a parallel wave). The walk is the loader's only merge,
+//! and it hashes no term: each shard hands over the hashes its dictionary
+//! kept. Merge and remap together are a few percent of a load (traced
+//! `load_merge_s` ≈ 0.07 s of a 2.1 M-triple LUBM load on two cores), and a
+//! hash-partitioned parallel merge that won this stage never moved the
+//! whole load's time, so it was removed.
 //! These functions are deliberately free of any threading so this crate
 //! stays dependency-light; the task-wave orchestration lives in
 //! `cliquesquare_mapreduce::load`.
@@ -124,18 +126,22 @@ impl Extend<(Term, Term, Term)> for EncodedShard {
 /// the module docs), and returns one remap table per shard:
 /// `remaps[shard][local_id.index()]` is the final [`TermId`].
 ///
-/// The global index is sized once up front (the summed shard sizes bound
-/// the distinct-term count), so the merge never rehashes mid-way.
+/// Each shard hands over its terms together with the hashes its dictionary
+/// kept ([`Dictionary::into_terms`]), so the merge reads a term's text only
+/// to compare it with a global term of the same hash, and hashes none. The
+/// global index is sized once up front (the summed shard sizes bound the
+/// distinct-term count), so the merge never grows it mid-way.
 pub fn merge_dictionaries(shards: Vec<Dictionary>) -> (Dictionary, Vec<Vec<TermId>>) {
     let upper_bound: usize = shards.iter().map(Dictionary::len).sum();
     let mut global = Dictionary::with_capacity(upper_bound);
     let remaps = shards
         .into_iter()
         .map(|shard| {
-            shard
-                .into_terms()
+            let (terms, hashes) = shard.into_terms();
+            terms
                 .into_iter()
-                .map(|term| global.encode(term))
+                .zip(hashes)
+                .map(|(term, hash)| global.encode_hashed(term, hash))
                 .collect()
         })
         .collect();

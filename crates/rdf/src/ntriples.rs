@@ -5,11 +5,15 @@
 //! literals, terminated by an optional ` .`. Blank lines are ignored, and a
 //! `#` outside an IRI or a literal starts a comment that runs to the end of
 //! the line — a whole comment line, or one after the triple's `.`
-//! (`<a> <p> <b> . # note`). A subject and a property must be IRIs. Literals
-//! decode every N-Triples string escape (`\t`, `\b`, `\n`, `\r`, `\f`, `\"`,
-//! `\'`, `\\`, `\uXXXX`, `\UXXXXXXXX`), and the writer escapes what must be,
-//! so any graph whose subjects and properties are IRIs round-trips through
-//! [`serialize`] / [`parse`] losslessly.
+//! (`<a> <p> <b> . # note`). A blank node `_:label` may be a subject or an
+//! object; it is read as the IRI `_:label` (see [`Term`]). A property must be
+//! an IRI, and a subject an IRI or a blank node. Literals decode every
+//! N-Triples string escape (`\t`, `\b`, `\n`, `\r`, `\f`, `\"`, `\'`, `\\`,
+//! `\uXXXX`, `\UXXXXXXXX`), and the writer escapes what must be, so any graph
+//! whose subjects and properties are IRIs round-trips through [`serialize`] /
+//! [`parse`] losslessly. A literal with a language tag (`"chat"@en`) or a
+//! datatype (`"5"^^<…#int>`) has no [`Term`] form: it is rejected with an
+//! error naming the tag or the datatype.
 //!
 //! [`parse_from_into`] is the one reader: it writes every triple into a
 //! sink (any [`Extend`] of term triples — a `Vec`, a [`Graph`], or the bulk
@@ -125,10 +129,20 @@ fn format_term(term: &Term) -> String {
     }
 }
 
-/// Parses a single term token (`<iri>` or `"literal"`).
+/// Parses a single term token (`<iri>`, `_:label` or `"literal"`); a blank
+/// node is the IRI `_:label`.
 fn parse_term(token: &str, line: usize) -> Result<Term, ParseError> {
     if let Some(inner) = token.strip_prefix('<').and_then(|t| t.strip_suffix('>')) {
         Ok(Term::iri(inner))
+    } else if let Some(label) = token.strip_prefix("_:") {
+        let valid = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
+        if label.is_empty() || !label.chars().all(valid) {
+            return Err(ParseError::new(
+                line,
+                format!("invalid blank node label {token:?}"),
+            ));
+        }
+        Ok(Term::iri(token))
     } else if let Some(inner) = token.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
         let text = unescape_literal(inner).map_err(|message| ParseError::new(line, message))?;
         Ok(Term::literal(text))
@@ -160,6 +174,31 @@ fn literal_token_len(rest: &str) -> Option<usize> {
     None
 }
 
+/// Rejects a language tag or a datatype glued to the literal token
+/// `literal` (`rest` is the text after its closing quote): neither has a
+/// [`Term`] form, so the error names the tag or the datatype.
+fn reject_annotation(literal: &str, rest: &str, line_no: usize) -> Result<(), ParseError> {
+    let (kind, annotation) = if let Some(tag) = rest.strip_prefix('@') {
+        let len = tag
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(tag.len());
+        ("language tag", &rest[..1 + len])
+    } else if let Some(datatype) = rest.strip_prefix("^^") {
+        let len = if datatype.starts_with('<') {
+            datatype.find('>').map_or(datatype.len(), |end| end + 1)
+        } else {
+            datatype.find(char::is_whitespace).unwrap_or(datatype.len())
+        };
+        ("datatype", &datatype[..len])
+    } else {
+        return Ok(());
+    };
+    Err(ParseError::new(
+        line_no,
+        format!("unsupported {kind} {annotation} on literal {literal}: only plain literals are supported"),
+    ))
+}
+
 /// Splits an N-Triples line into its three term tokens, `None` for a
 /// blank or comment-only line. A `#` outside an IRI or a literal ends the
 /// line's content, and a final `.` token ends the triple.
@@ -174,12 +213,22 @@ fn tokenize(line: &str, line_no: usize) -> Result<Option<[&str; 3]>, ParseError>
             }
         } else if rest.starts_with('"') {
             match literal_token_len(rest) {
-                Some(len) => len,
+                Some(len) => {
+                    reject_annotation(&rest[..len], &rest[len..], line_no)?;
+                    len
+                }
                 None => return Err(ParseError::new(line_no, "unterminated literal")),
             }
         } else {
-            rest.find(|c: char| c.is_whitespace() || c == '#')
-                .unwrap_or(rest.len())
+            let len = rest
+                .find(|c: char| c.is_whitespace() || c == '#')
+                .unwrap_or(rest.len());
+            // A blank node label never ends in `.`: a glued `.` ends the
+            // triple (`<a> <p> _:b0.`).
+            match rest[..len].strip_prefix("_:") {
+                Some(label) => 2 + label.trim_end_matches('.').len(),
+                None => len,
+            }
         };
         tokens.push(&rest[..len]);
         rest = rest[len..].trim_start();
@@ -220,6 +269,10 @@ pub fn parse_from_into(
     for (i, line) in text.lines().enumerate() {
         let line_no = first_line + i;
         if let Some([s, p, o]) = tokenize(line, line_no)? {
+            if p.starts_with("_:") {
+                let message = format!("the property must be an IRI, found blank node {p}");
+                return Err(ParseError::new(line_no, message));
+            }
             let (s, p) = (parse_term(s, line_no)?, parse_term(p, line_no)?);
             for (position, term) in [("subject", &s), ("property", &p)] {
                 if let Term::Literal(text) = term {
@@ -456,5 +509,55 @@ mod tests {
         let triples = parse("<a#x> <p> \"C# and F#\" . # note").unwrap();
         assert_eq!(triples[0].0, Term::iri("a#x"));
         assert_eq!(triples[0].2, Term::literal("C# and F#"));
+    }
+
+    /// A blank node is a subject or an object, read as the IRI `_:label`
+    /// (also with the triple's `.` glued to it); as a property it is an
+    /// error naming the position and the line.
+    #[test]
+    fn blank_nodes_are_iris_with_a_prefix() {
+        let triples = parse("_:b0 <p> <o> .\n<s> <p> _:b1 .\n_:b0 <q> _:b1.").unwrap();
+        assert_eq!(
+            triples,
+            vec![
+                (Term::iri("_:b0"), Term::iri("p"), Term::iri("o")),
+                (Term::iri("s"), Term::iri("p"), Term::iri("_:b1")),
+                (Term::iri("_:b0"), Term::iri("q"), Term::iri("_:b1")),
+            ]
+        );
+        let err = parse("<a> <p> <b> .\n<s> _:p <o> .").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("property"), "{}", err.message);
+        assert!(err.message.contains("_:p"), "{}", err.message);
+        let err = parse("_: <p> <o> .").unwrap_err();
+        assert!(err.message.contains("blank node"), "{}", err.message);
+    }
+
+    /// A language-tagged literal is rejected by its tag, not counted as a
+    /// fourth term.
+    #[test]
+    fn a_language_tagged_literal_is_rejected_by_name() {
+        let err = parse("<a> <p> <b> .\n<s> <p> \"chat\"@en .").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("language tag @en"), "{}", err.message);
+        assert!(err.message.contains("\"chat\""), "{}", err.message);
+        assert!(!err.message.contains("expected 3 terms"), "{}", err.message);
+        let err = parse("<s> <p> \"colour\"@en-GB.").unwrap_err();
+        assert!(err.message.contains("@en-GB "), "{}", err.message);
+    }
+
+    /// A typed literal is rejected by its whole datatype IRI, `#` included.
+    #[test]
+    fn a_typed_literal_is_rejected_by_name() {
+        let text = "<s> <p> \"5\"^^<http://www.w3.org/2001/XMLSchema#int> . # n";
+        let err = parse(text).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message
+                .contains("datatype <http://www.w3.org/2001/XMLSchema#int>"),
+            "{}",
+            err.message
+        );
+        assert!(!err.message.contains("expected 3 terms"), "{}", err.message);
     }
 }

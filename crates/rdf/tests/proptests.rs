@@ -25,6 +25,17 @@ fn spiky_literal_strategy() -> impl Strategy<Value = Term> {
     "[a-zA-Z\"\\\\\n\r\t\u{1}\u{7f}éλ ]{0,16}".prop_map(Term::literal)
 }
 
+/// Term texts for the dictionary's index: random texts with non-ASCII
+/// characters, plus a fixed stem at every length 0–24, so every tail length
+/// of the hash's 8-byte words runs in every case.
+fn dictionary_texts() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec("[a-c0-9/éλ€]{0,24}", 1..24).prop_map(|mut texts| {
+        let stem = "http://ex.org/abcdefghijk";
+        texts.extend((0..=24).map(|len| stem[..len].to_string()));
+        texts
+    })
+}
+
 /// What N-Triples lines are made of (`|`-separated), including `\u` / `\U`
 /// escapes cut short and surrogate code points.
 const NTRIPLES_TOKENS: &str =
@@ -67,6 +78,89 @@ proptest! {
             }
         }
         prop_assert!(dictionary.len() <= terms.len());
+    }
+
+    /// Over term lists with repeats, IRI/literal twins of one text,
+    /// non-ASCII text and every text length 0–24: ids are first-occurrence
+    /// ranks whether the index grows from empty, from `with_capacity(0)` or
+    /// is pre-sized; `lookup` agrees with `encode` and finds no unseen term;
+    /// and merging the dictionaries of any split into shards gives the
+    /// sequential dictionary and ids.
+    #[test]
+    fn dictionary_ids_are_first_occurrence_ranks(
+        texts in dictionary_texts(),
+        picks in proptest::collection::vec(any::<usize>(), 1..200),
+        cuts in proptest::collection::vec(any::<usize>(), 0..4),
+    ) {
+        // A pick names a text and a kind, so both kinds of one text occur.
+        let terms: Vec<Term> = picks
+            .iter()
+            .map(|pick| {
+                let text = texts[(pick / 2) % texts.len()].clone();
+                if pick % 2 == 0 { Term::iri(text) } else { Term::literal(text) }
+            })
+            .collect();
+        let mut ranks: BTreeMap<&Term, TermId> = BTreeMap::new();
+        let expected: Vec<TermId> = terms
+            .iter()
+            .map(|term| {
+                let next = TermId(ranks.len() as u32);
+                *ranks.entry(term).or_insert(next)
+            })
+            .collect();
+        let unseen: Vec<Term> = texts
+            .iter()
+            .flat_map(|text| {
+                [
+                    Term::iri(text.clone()),
+                    Term::literal(text.clone()),
+                    Term::iri(format!("{text}\0")),
+                ]
+            })
+            .filter(|term| !ranks.contains_key(term))
+            .collect();
+
+        let mut sequential = Dictionary::new();
+        for mut dictionary in [
+            Dictionary::new(),
+            Dictionary::with_capacity(0),
+            Dictionary::with_capacity(terms.len()),
+        ] {
+            let ids: Vec<TermId> = terms.iter().map(|t| dictionary.encode(t.clone())).collect();
+            prop_assert_eq!(&ids, &expected);
+            for (term, id) in terms.iter().zip(&ids) {
+                prop_assert_eq!(dictionary.lookup(term), Some(*id));
+            }
+            for term in &unseen {
+                prop_assert_eq!(dictionary.lookup(term), None);
+            }
+            prop_assert_eq!(dictionary.len(), ranks.len());
+            sequential = dictionary;
+        }
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % terms.len()).collect();
+        cuts.push(terms.len());
+        cuts.sort_unstable();
+        let mut start = 0;
+        let mut shards = Vec::new();
+        let mut local_ids = Vec::new();
+        for cut in cuts {
+            let mut shard = Dictionary::new();
+            local_ids.push(terms[start..cut].iter().map(|t| shard.encode(t.clone())).collect::<Vec<_>>());
+            shards.push(shard);
+            start = cut;
+        }
+        let (merged, remaps) = merge_dictionaries(shards);
+        prop_assert_eq!(&merged, &sequential);
+        let merged_ids: Vec<TermId> = local_ids
+            .iter()
+            .zip(&remaps)
+            .flat_map(|(ids, remap)| ids.iter().map(|id| remap[id.index()]))
+            .collect();
+        prop_assert_eq!(merged_ids, expected);
+        for term in &unseen {
+            prop_assert_eq!(merged.lookup(term), None);
+        }
     }
 
     /// Serializing a graph to N-Triples and parsing it back preserves every

@@ -234,6 +234,41 @@ fn commented_ntriples_load_like_a_sequential_parse() {
     }
 }
 
+/// Blank nodes (`_:label` subjects and objects, the IRI `_:label` once
+/// parsed) load at every thread and chunk count to the graph a sequential
+/// parse builds, and equal labels in different chunks are one term.
+#[test]
+fn blank_node_ntriples_load_like_a_sequential_parse() {
+    let mut text = spiky_ntriples();
+    for i in 0..300 {
+        text.push_str(&format!(
+            "_:b{} <http://example.org/knows> _:b{} .\n<http://example.org/doc> <http://example.org/cites> _:b{}.\n",
+            i % 40,
+            (i * 7) % 40,
+            i % 13
+        ));
+    }
+    let expected_graph = ntriples::parse_into_graph(&text).expect("blank nodes parse");
+    assert!(expected_graph.lookup(&Term::iri("_:b39")).is_some());
+    for threads in [1, 2, 8] {
+        let loader = BulkLoader::new(Runtime::with_threads(threads));
+        for chunks in [1, 3, 16] {
+            let options = LoadOptions {
+                nodes: 4,
+                chunks: Some(chunks),
+            };
+            let at = format!("threads={threads} chunks={chunks}");
+            let output = loader.load_ntriples(&text, &options).expect(&at);
+            assert_eq!(output.graph, expected_graph, "{at}");
+            assert_eq!(
+                output.store,
+                PartitionedStore::build(&expected_graph, 4),
+                "{at}"
+            );
+        }
+    }
+}
+
 /// The loaded store supports the partitioner's access paths (sanity check
 /// that the parallel build wires placement and file grouping correctly).
 #[test]
