@@ -41,15 +41,32 @@
 //! part on the join attributes, the routed buckets change hands by move,
 //! and node `n` merges the buckets it received in source order, as a
 //! reducer sort-merges its own partition; the output parts then hold
-//! hash-disjoint keys. Only rows that can meet a partner are read or
-//! shuffled. The scan inputs of a join are evaluated after its other
-//! inputs, smallest first, each reading only the placement keys the
-//! smallest input evaluated so far holds, when those are few against its
-//! files (see `ExecState::eval_scan`). And every shuffled input at least
-//! `FILTER_RATIO` times larger than the smallest drops, in its route tasks,
-//! the rows whose first join attribute the smallest input lacks (a
-//! semi-join; the key set is built by one task). Neither changes any join
-//! output — or any answer; `tuples_shuffled` counts the rows that crossed.
+//! hash-disjoint keys.
+//!
+//! **Keys cross job levels: only rows that can meet a partner are read or
+//! shuffled.** The operators run in a post-order walk from the root
+//! (`ExecState::visit`), under one invariant: *an operator is evaluated
+//! after its inputs, once, and a restriction reaches it only through its
+//! one consumer*. A join evaluates its inputs in an order fixed before any
+//! runs — first those whose subtree can be sought (a residual constant, or
+//! a scan a key set in scope restricts), then by the catalog's stored rows
+//! of the subtree's scans, ties by id — and the scans it drives last.
+//! Once some inputs are evaluated, the smallest of them supplies, for each
+//! join attribute, its distinct values as a key set that stays in scope
+//! through the remaining input subtrees, shufflers and nested joins
+//! included, as far as each operator outputs the variable. A scan binding a
+//! variable whose key set is in scope, with few keys against its stored
+//! rows, reads only those keys: at its placement position in its own files,
+//! elsewhere by one seek of all of them in another replica. A scan the
+//! join drives and no key set restricts reads only the placement keys its
+//! smallest evaluated sibling holds, when those are few against its files
+//! (see `ExecState::eval_scan`). An operator with more than one consumer is
+//! evaluated unrestricted, for all of them. And every shuffled input at
+//! least `FILTER_RATIO` times larger than the smallest drops, in its route
+//! tasks, the rows whose first join attribute the smallest input lacks (a
+//! semi-join; the key set is built by one task). A restriction drops only
+//! rows no join above could keep, so no answer changes; the counters
+//! (`tuples_read`, `tuples_shuffled`, join rows) record what ran.
 //!
 //! Operators do **not** canonicalize their outputs. Leaf scans are tagged
 //! with the index order the partitioned store already delivers, joins emit
@@ -414,7 +431,7 @@ fn observe_q_error(estimated: u64, actual: u64) {
 struct ProfCtx {
     /// The execution's start — span offsets are seconds since this.
     epoch: Instant,
-    /// `(job, node)` per evaluated operator, in arena order.
+    /// `(job, node)` per evaluated operator, in evaluation order.
     nodes: Vec<(usize, SpanNode)>,
     /// Per-task spans of the current operator's waves.
     tasks: Vec<TaskSpan>,
@@ -433,6 +450,9 @@ struct ProfCtx {
     /// deliberately narrowed read carries `keys_in` instead of an `est_rows`
     /// to be compared against.
     keys_in: Option<u64>,
+    /// The ancestor join whose key set the current scan was sought by
+    /// (`keys_from`, beside `keys_in`).
+    keys_from: Option<u64>,
     /// Whether a wave of the current operator ran on the submitting thread
     /// because its volume was small ([`INLINE_ROWS`]).
     inline: bool,
@@ -455,6 +475,7 @@ impl ProfCtx {
             rows_in: None,
             rows_out: None,
             keys_in: None,
+            keys_from: None,
             inline: false,
             gather: None,
         }
@@ -513,29 +534,78 @@ fn evaluated_ops(plan: &PhysicalPlan) -> Vec<bool> {
     needed
 }
 
+/// How many evaluated operators consume each operator.
+fn consumer_counts(plan: &PhysicalPlan, needed: &[bool]) -> Vec<usize> {
+    let mut consumers = vec![0usize; plan.len()];
+    for index in (0..plan.len()).filter(|&index| needed[index]) {
+        for input in plan.op(PhysId(index)).inputs() {
+            consumers[input.index()] += 1;
+        }
+    }
+    consumers
+}
+
 /// Marks the scans whose only consumer is a join, map or reduce: the join
 /// evaluates those itself ([`ExecState::drive_scans`]). A scan shared
 /// between consumers is evaluated on its own, in full, like any other
 /// operator.
 fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
-    let mut consumers = vec![0usize; plan.len()];
+    let consumers = consumer_counts(plan, needed);
     let mut driven = vec![false; plan.len()];
     for index in (0..plan.len()).filter(|&index| needed[index]) {
         let op = plan.op(PhysId(index));
+        let join = matches!(
+            op,
+            PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. }
+        );
         for input in op.inputs() {
-            consumers[input.index()] += 1;
-            let join = matches!(
-                op,
-                PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. }
-            );
             let scan = matches!(plan.op(input), PhysicalOp::MapScan { .. });
-            driven[input.index()] = join && scan;
+            driven[input.index()] = join && scan && consumers[input.index()] == 1;
         }
     }
-    for (driven, consumers) in driven.iter_mut().zip(consumers) {
-        *driven &= consumers == 1;
-    }
     driven
+}
+
+/// What the evaluation walk ([`ExecState::visit`]) knows of the plan's
+/// shape before anything runs.
+struct Walk {
+    /// The scans a join drives ([`join_driven_scans`]).
+    driven: Vec<bool>,
+    /// The operators with more than one consumer: each is evaluated once,
+    /// unrestricted, for all of them.
+    shared: Vec<bool>,
+}
+
+/// A key set in scope while the remaining inputs of `join` are evaluated:
+/// the distinct values of `variable`, an attribute of `join`, in `source`,
+/// the smallest input of `join` evaluated so far, which holds `rows` rows.
+/// A row below `join` whose `variable` is not among them has no partner
+/// there ([`ExecState::visit_inputs`]).
+#[derive(Debug, Clone)]
+struct ScopedKeys {
+    variable: Variable,
+    source: PhysId,
+    rows: u64,
+    join: PhysId,
+}
+
+/// Where a scan takes the keys it restricts its read to.
+enum KeySource {
+    /// The smallest input evaluated so far of the join driving the scan,
+    /// and whether that join is co-located ([`ExecState::scan_keys`]).
+    Sibling(PhysId, bool),
+    /// A key set of an ancestor join in scope
+    /// ([`ExecState::scoped_source`]).
+    Scoped(ScopedKeys),
+}
+
+/// `scope` narrowed to what can restrict `input`: the key sets of the
+/// variables its output carries. A variable `input` does not output is
+/// not joined on above it through `input`, so it cannot filter its rows.
+fn narrowed(plan: &PhysicalPlan, scope: &[ScopedKeys], input: PhysId) -> Vec<ScopedKeys> {
+    let output = plan.op(input).output();
+    let kept = scope.iter().filter(|keys| output.contains(&keys.variable));
+    kept.cloned().collect()
 }
 
 /// A scan input restricts its read to another join input's placement keys
@@ -588,6 +658,11 @@ struct ScanKeys {
     /// otherwise they are the values of every part that the store places
     /// on node `n`.
     co_located: bool,
+    /// Whether a node holding more keys than its files restrict to
+    /// ([`RESTRICT_ROWS_PER_KEY`] rows per key) reads them in full. An
+    /// ancestor's key set was held to that cut as a whole, before anything
+    /// was read, so every node seeks it.
+    node_cut: bool,
 }
 
 /// The distinct values of `column`, which `relation` is sorted by — or
@@ -623,7 +698,7 @@ fn establish_key_order(bucket: &mut Relation, attributes: &[Variable]) {
     }
 }
 
-/// Mutable execution state threaded through the arena-order evaluation.
+/// Mutable execution state threaded through the post-order evaluation walk.
 struct ExecState<'a> {
     plan: &'a PhysicalPlan,
     cluster: &'a Cluster,
@@ -773,6 +848,9 @@ impl<'a> ExecState<'a> {
         node.rows_out = prof.rows_out.take().unwrap_or(result.cardinality());
         if let Some(keys) = prof.keys_in.take() {
             node.add_attr("keys_in", keys);
+            if let Some(join) = prof.keys_from.take() {
+                node.add_attr("keys_from", join);
+            }
         } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
             node.add_attr("est_rows", estimated);
             observe_q_error(estimated, node.rows_out);
@@ -830,35 +908,161 @@ impl<'a> ExecState<'a> {
         (results, total)
     }
 
-    /// Evaluates the plan into the memo. Operators are stored bottom-up
-    /// (inputs have smaller ids than their consumers), so one in-order pass
-    /// over the arena evaluates every operator after its inputs — no
-    /// recursion, no re-evaluation. The scans a join drives wait for it:
-    /// the join runs them itself, after its other inputs and smallest
-    /// first, so each can read only the keys the others left.
+    /// Evaluates the plan into the memo: a post-order walk from the root
+    /// ([`ExecState::visit`]), so every operator runs after its inputs and
+    /// once. Nothing is restricted at the root; each join opens the scope
+    /// its later inputs are evaluated under.
     fn run(&mut self) {
         let plan = self.plan;
         let needed = evaluated_ops(plan);
-        let driven = join_driven_scans(plan, &needed);
-        for index in (0..plan.len()).filter(|&index| needed[index] && !driven[index]) {
-            let id = PhysId(index);
-            if let PhysicalOp::MapJoin { inputs, .. } | PhysicalOp::ReduceJoin { inputs, .. } =
-                plan.op(id)
-            {
-                self.drive_scans(inputs, plan.co_located(id));
-            }
-            self.run_op(id, None);
+        let consumers = consumer_counts(plan, &needed);
+        let walk = Walk {
+            driven: join_driven_scans(plan, &needed),
+            shared: consumers.iter().map(|&consumers| consumers > 1).collect(),
+        };
+        self.visit(&walk, plan.root(), Vec::new());
+    }
+
+    /// Evaluates `id` after its inputs, under the key sets `scope` holds
+    /// for it. A shared operator serves consumers with different scopes, so
+    /// it (and all below it) is evaluated unrestricted. A join's inputs are
+    /// evaluated by [`ExecState::visit_inputs`]; a shuffler or projection
+    /// passes the scope on to its input.
+    fn visit(&mut self, walk: &Walk, id: PhysId, scope: Vec<ScopedKeys>) {
+        if self.memo[id.index()].is_some() {
+            return;
         }
+        let scope = if walk.shared[id.index()] {
+            Vec::new()
+        } else {
+            scope
+        };
+        match self.plan.op(id) {
+            PhysicalOp::MapJoin {
+                attributes, inputs, ..
+            }
+            | PhysicalOp::ReduceJoin {
+                attributes, inputs, ..
+            } => self.visit_inputs(walk, id, attributes, inputs, &scope),
+            PhysicalOp::MapShuffler { input, .. } | PhysicalOp::Project { input, .. } => {
+                self.visit(walk, *input, narrowed(self.plan, &scope, *input))
+            }
+            PhysicalOp::MapScan { .. } => {}
+        }
+        self.run_op(id, None);
+    }
+
+    /// Evaluates the inputs of join `id`, in an order fixed before any of
+    /// them runs: first the inputs whose subtree can be sought (it holds a
+    /// residual constant, or a scan that a key set in `scope` restricts),
+    /// then by the catalog's stored rows summed over the subtree's scans,
+    /// ties by id. Once an input is evaluated, the smallest evaluated so far
+    /// supplies a key set for every attribute of the join, and each later
+    /// input subtree is evaluated under those and the ancestors' `scope`.
+    /// The scans the join drives come last ([`ExecState::drive_scans`]).
+    fn visit_inputs(
+        &mut self,
+        walk: &Walk,
+        id: PhysId,
+        attributes: &BTreeSet<Variable>,
+        inputs: &[PhysId],
+        scope: &[ScopedKeys],
+    ) {
+        let plan = self.plan;
+        let mut order: Vec<(bool, u64, PhysId)> = (inputs.iter())
+            .filter(|input| !walk.driven[input.index()])
+            .map(|&input| {
+                let seekable = self.seekable(walk, input, &narrowed(plan, scope, input));
+                (!seekable, self.subtree_rows(input), input)
+            })
+            .collect();
+        order.sort_unstable();
+        for (_, _, input) in order {
+            let mut inner = narrowed(plan, scope, input);
+            inner.extend(self.join_keys(id, attributes, inputs));
+            self.visit(walk, input, inner);
+        }
+        self.drive_scans(inputs, plan.co_located(id), scope);
+    }
+
+    /// The key sets join `id` supplies once some of its inputs are
+    /// evaluated: one per attribute, from the smallest evaluated input.
+    fn join_keys(
+        &self,
+        id: PhysId,
+        attributes: &BTreeSet<Variable>,
+        inputs: &[PhysId],
+    ) -> Vec<ScopedKeys> {
+        let evaluated = inputs.iter().filter_map(|&input| {
+            let value = self.memo[input.index()].as_ref()?;
+            Some((value.cardinality(), input))
+        });
+        let Some((rows, source)) = evaluated.min() else {
+            return Vec::new();
+        };
+        (attributes.iter())
+            .map(|variable| ScopedKeys {
+                variable: variable.clone(),
+                source,
+                rows,
+                join: id,
+            })
+            .collect()
+    }
+
+    /// Whether the subtree of `id` can be sought under `scope`: it holds a
+    /// residual constant, or a scan that a key set in scope restricts. A
+    /// shared operator is evaluated unrestricted, so only its constants
+    /// count.
+    fn seekable(&self, walk: &Walk, id: PhysId, scope: &[ScopedKeys]) -> bool {
+        let scope = if walk.shared[id.index()] { &[] } else { scope };
+        match self.plan.op(id) {
+            PhysicalOp::MapScan { spec, output } => {
+                !spec.residual.is_empty() || self.scoped_source(spec, output, scope).is_some()
+            }
+            op => (op.inputs().into_iter())
+                .any(|input| self.seekable(walk, input, &narrowed(self.plan, scope, input))),
+        }
+    }
+
+    /// The catalog's stored rows summed over the scans of `id`'s subtree.
+    fn subtree_rows(&self, id: PhysId) -> u64 {
+        match self.plan.op(id) {
+            PhysicalOp::MapScan { spec, .. } => self.stored_rows(spec),
+            op => op
+                .inputs()
+                .into_iter()
+                .map(|input| self.subtree_rows(input))
+                .sum(),
+        }
+    }
+
+    /// The key set in `scope` a scan of `spec` seeks, if any: one of a
+    /// variable the scan outputs, whose source has few rows against the
+    /// scan's stored rows ([`RESTRICT_ROWS_PER_KEY`]) — decided from
+    /// cardinalities before anything is read. The one with the fewest
+    /// rows wins, one on the placement variable on a tie.
+    fn scoped_source<'s>(
+        &self,
+        spec: &ScanSpec,
+        output: &BTreeSet<Variable>,
+        scope: &'s [ScopedKeys],
+    ) -> Option<&'s ScopedKeys> {
+        let stored = self.stored_rows(spec);
+        let placement = placement_variable(spec);
+        (scope.iter())
+            .filter(|keys| output.contains(&keys.variable))
+            .filter(|keys| keys.rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) <= stored)
+            .min_by_key(|keys| (keys.rows, placement != Some(&keys.variable)))
     }
 
     /// Evaluates one operator into the memo. With profiling on, the
     /// operator is bracketed with a driver-side clock; the wave wrapper in
-    /// `run_wave` adds what its tasks observed. `keys_from` is, for a scan a
-    /// join drives, the smallest input of that join evaluated so far and
-    /// whether the join is co-located.
-    fn run_op(&mut self, id: PhysId, keys_from: Option<(PhysId, bool)>) {
+    /// `run_wave` adds what its tasks observed. `key_source` is, for a scan,
+    /// where it may take the keys it restricts its read to.
+    fn run_op(&mut self, id: PhysId, key_source: Option<KeySource>) {
         let span = self.open_span();
-        let result = self.eval_op(id, keys_from);
+        let result = self.eval_op(id, key_source);
         if let Some(span) = span {
             let name = format!("{}#{}", self.plan.op(id).name(), id.index());
             let node = self.close_span(name, span);
@@ -868,46 +1072,55 @@ impl<'a> ExecState<'a> {
     }
 
     /// Evaluates the scans a join drives, each as its own operator (own
-    /// wave, own span): constant seeks first, then by stored rows ascending
-    /// — both known before anything is read. Each scan is handed the
-    /// smallest input evaluated so far and the join's co-location, and may
-    /// restrict its read to that input's placement keys; a restricted read
-    /// returns only rows that can still find a partner, so it tends to be
-    /// the next scan's key source in turn.
-    fn drive_scans(&mut self, inputs: &[PhysId], co_located: bool) {
+    /// wave, own span): the sought ones first — a residual constant, or a
+    /// key set of an ancestor join in `scope` ([`ExecState::scoped_source`])
+    /// — then the rest, each by stored rows ascending; all known before
+    /// anything is read. A scan not sought is handed the smallest input
+    /// evaluated so far and the join's co-location, and may restrict its
+    /// read to that input's placement keys; a restricted read returns only
+    /// rows that can still find a partner, so it tends to be the next
+    /// scan's key source in turn.
+    fn drive_scans(&mut self, inputs: &[PhysId], co_located: bool, scope: &[ScopedKeys]) {
         let plan = self.plan;
         let rows_of = |state: &Self, id: PhysId| {
             let value = state.memo[id.index()].as_ref()?;
             Some((value.cardinality(), id))
         };
         let mut smallest = inputs.iter().filter_map(|&id| rows_of(self, id)).min();
-        let mut pending: Vec<(bool, u64, PhysId)> = inputs
+        let mut pending: Vec<(bool, u64, PhysId, Option<ScopedKeys>)> = inputs
             .iter()
             .filter(|id| self.memo[id.index()].is_none())
             .filter_map(|&id| {
-                let PhysicalOp::MapScan { spec, .. } = plan.op(id) else {
+                let PhysicalOp::MapScan { spec, output } = plan.op(id) else {
                     return None;
                 };
-                Some((spec.residual.is_empty(), self.stored_rows(spec), id))
+                let scoped = self.scoped_source(spec, output, scope).cloned();
+                let sought = !spec.residual.is_empty() || scoped.is_some();
+                Some((!sought, self.stored_rows(spec), id, scoped))
             })
             .collect();
-        pending.sort_unstable();
-        for (_, _, id) in pending {
-            self.run_op(id, smallest.map(|(_, source)| (source, co_located)));
+        pending.sort_unstable_by_key(|&(unsought, rows, id, _)| (unsought, rows, id));
+        for (_, _, id, scoped) in pending {
+            let keys = match scoped {
+                Some(scoped) => Some(KeySource::Scoped(scoped)),
+                None => smallest.map(|(_, source)| KeySource::Sibling(source, co_located)),
+            };
+            self.run_op(id, keys);
             smallest = smallest.into_iter().chain(rows_of(self, id)).min();
         }
     }
 
-    /// An already-evaluated input (arena order guarantees inputs come first).
+    /// An already-evaluated input.
     fn input(&self, id: PhysId) -> Arc<Intermediate> {
-        self.memo[id.index()]
-            .clone()
-            .expect("arena order: inputs have smaller ids (`PhysicalPlan::new` asserts it)")
+        self.memo[id.index()].clone().expect(
+            "post-order: `ExecState::visit` evaluates an operator's inputs before it, and \
+             `PhysicalPlan::new` asserts the plan is acyclic (inputs have smaller ids)",
+        )
     }
 
-    fn eval_op(&mut self, id: PhysId, keys_from: Option<(PhysId, bool)>) -> Arc<Intermediate> {
+    fn eval_op(&mut self, id: PhysId, key_source: Option<KeySource>) -> Arc<Intermediate> {
         match self.plan.op(id) {
-            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, keys_from),
+            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, key_source),
             PhysicalOp::MapJoin {
                 attributes, inputs, ..
             }
@@ -926,11 +1139,15 @@ impl<'a> ExecState<'a> {
     ///
     /// * a residual constant is **sought**: the replica placed by the
     ///   constant's position holds every matching triple as one equal range
-    ///   per file, so the scan's own files are never read;
-    /// * otherwise, when `keys_from` names an input of the driving join
+    ///   per file, so the scan's own files are never read; so is a key set
+    ///   of an ancestor join (`key_source` is [`KeySource::Scoped`]) on a
+    ///   variable off the placement position — one more task first collects
+    ///   its distinct values and seeks them all ([`ExecState::seek_keys`]);
+    /// * otherwise, when `key_source` names an input of the driving join
     ///   whose distinct placement keys on this node are few against this
-    ///   node's stored rows ([`RESTRICT_ROWS_PER_KEY`]), the task reads only
-    ///   those keys ([`ExecState::scan_keys`]);
+    ///   node's stored rows ([`RESTRICT_ROWS_PER_KEY`]), or an ancestor's key
+    ///   set on the placement variable, the task reads only those keys
+    ///   ([`ExecState::scan_keys`]);
     /// * otherwise the files are read in full, as they are stored.
     ///
     /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
@@ -949,7 +1166,7 @@ impl<'a> ExecState<'a> {
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        keys_from: Option<(PhysId, bool)>,
+        key_source: Option<KeySource>,
     ) -> Arc<Intermediate> {
         let plan = self.plan;
         let nodes = self.cluster.nodes();
@@ -965,23 +1182,34 @@ impl<'a> ExecState<'a> {
             .map_while(|v| schema.iter().position(|s| s == v))
             .collect();
         let store = self.cluster.store_arc();
-        let (sought, residual) = match spec.residual.split_first() {
-            Some((seek, residual)) => (
-                Some(store.seek(
-                    spec.placement,
-                    spec.property,
-                    spec.type_object,
-                    seek.position,
-                    seek.constant,
-                )),
-                residual,
-            ),
-            None => (None, &spec.residual[..]),
-        };
-        let keys = match (&sought, keys_from) {
-            (None, Some((source, co_located))) => self.scan_keys(spec, source, co_located),
-            _ => None,
-        };
+        let (mut sought, mut keys, mut sought_keys, mut keys_from) = (None, None, None, None);
+        let mut residual = &spec.residual[..];
+        if let Some((seek, rest)) = spec.residual.split_first() {
+            let (property, class) = (spec.property, spec.type_object);
+            let constant = [seek.constant];
+            sought = Some(store.seek(spec.placement, property, class, seek.position, &constant));
+            residual = rest;
+        } else {
+            match key_source {
+                Some(KeySource::Sibling(source, co_located)) => {
+                    keys = self.scan_keys(spec, source, co_located);
+                }
+                Some(KeySource::Scoped(scoped)) => {
+                    keys_from = Some(scoped.join.index() as u64);
+                    if placement_variable(spec) == Some(&scoped.variable) {
+                        let scoped = self.scan_keys(spec, scoped.source, false);
+                        keys = scoped.map(|keys| ScanKeys {
+                            node_cut: false,
+                            ..keys
+                        });
+                    } else {
+                        let (triples, count) = self.seek_keys(spec, &scoped);
+                        (sought, sought_keys) = (Some(triples), Some(count));
+                    }
+                }
+                None => {}
+            }
+        }
         let volume = self.scan_volume(spec, sought.as_deref(), keys.as_ref());
         // One `'static` snapshot shared by the wave's tasks: the store stays
         // behind its `Arc`, everything else is this scan's own small state.
@@ -1023,16 +1251,19 @@ impl<'a> ExecState<'a> {
             // The scan's true input is the raw triples it read, which no
             // memoized intermediate reports.
             prof.rows_in = Some(scanned_total);
-            prof.keys_in = keys_total;
+            prof.keys_in = sought_keys.or(keys_total);
+            prof.keys_from = keys_from.filter(|_| prof.keys_in.is_some());
         }
         Arc::new(Intermediate::Local(parts))
     }
 
-    /// The evaluated input `source` of the join driving a scan of `spec`,
-    /// as the keys that scan may restrict its read to: the column of
-    /// `source` holding the scan's placement variable. (Inputs of one join
-    /// share every variable they both bind, so restricting by a shared
-    /// variable can only drop rows with no partner.)
+    /// The evaluated input `source` of the join driving a scan of `spec` —
+    /// or of an ancestor join whose key set on the placement variable the
+    /// scan seeks, which is never co-located with it — as the keys that
+    /// scan may restrict its read to: the column of `source` holding the
+    /// scan's placement variable. (Inputs of one join share every variable
+    /// they both bind, so restricting by a shared variable can only drop
+    /// rows with no partner.)
     ///
     /// * **Co-located** (`co_located`): `source` is a scan of the same join,
     ///   placed by the same variable, so node `n`'s part holds every key
@@ -1061,6 +1292,7 @@ impl<'a> ExecState<'a> {
             source: value,
             column,
             co_located,
+            node_cut: true,
         })
     }
 
@@ -1090,21 +1322,60 @@ impl<'a> ExecState<'a> {
             return stored;
         };
         let keys = keys.source.cardinality();
+        if keys.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
+            return stored;
+        }
+        self.keyed_rows(spec, spec.placement, keys)
+    }
+
+    /// The triples of `spec`'s files holding one of `keys` values at
+    /// `position`, from the catalog: `keys` times the rows per distinct
+    /// value there (one for a class file, whose one variable is its
+    /// subject), at most the stored rows.
+    fn keyed_rows(&self, spec: &ScanSpec, position: TriplePosition, keys: u64) -> u64 {
+        let stored = self.stored_rows(spec);
         let rows_per_key = match (spec.type_object, spec.property) {
             (Some(_), _) => 1,
             (None, Some(property)) => {
-                let distinct = self
-                    .cluster
-                    .statistics()
-                    .distinct_at(property, spec.placement);
+                let distinct = self.cluster.statistics().distinct_at(property, position);
                 stored.div_ceil(distinct.max(1) as u64)
             }
             (None, None) => return stored,
         };
-        if keys.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
-            return stored;
-        }
-        stored.min(keys * rows_per_key)
+        stored.min(keys.saturating_mul(rows_per_key))
+    }
+
+    /// The seek of a scan of `spec` by an ancestor's key set on a variable
+    /// off its placement position, as a one-task wave: the task collects
+    /// the distinct values of the key column of `scoped.source` and seeks
+    /// them, in one call, in the replica placed by the variable's position
+    /// ([`PartitionedStore::seek`](cliquesquare_mapreduce::PartitionedStore::seek)).
+    /// Returns the triples per node, in scan order, and the number of keys.
+    fn seek_keys(&mut self, spec: &ScanSpec, scoped: &ScopedKeys) -> (Vec<Vec<Triple>>, u64) {
+        let variable = &scoped.variable;
+        let position = (TriplePosition::ALL.into_iter())
+            .zip(spec.pattern.terms())
+            .find_map(|(position, term)| (term.as_variable() == Some(variable)).then_some(position))
+            .expect("a scan outputs only variables of its pattern");
+        let source = self.input(scoped.source);
+        let column = (source.relations().first())
+            .and_then(|part| part.column(variable))
+            .expect("every input of a join binds its attributes");
+        let store = self.cluster.store_arc();
+        let (placement, property, class) = (spec.placement, spec.property, spec.type_object);
+        let volume = self.keyed_rows(spec, position, scoped.rows);
+        let found = self.run_wave(
+            volume,
+            vec![move || {
+                let values = source.relations().iter().flat_map(Relation::rows);
+                let mut keys: Vec<TermId> = values.map(|row| row[column]).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let sought = store.seek(placement, property, class, position, &keys);
+                (sought, keys.len() as u64)
+            }],
+        );
+        found.into_iter().next().expect("one task, one result")
     }
 
     fn eval_shuffler(&mut self, id: PhysId, input: PhysId) -> Arc<Intermediate> {
@@ -1480,8 +1751,11 @@ impl ScanWave {
             .scan_files(node, spec.placement, spec.property, spec.type_object);
         // This node's keys, ascending and distinct, unless there are more
         // than its files restrict to.
-        let limit = files.rows() / RESTRICT_ROWS_PER_KEY;
         let keys = self.keys.as_ref().and_then(|keys| {
+            let limit = match keys.node_cut {
+                true => files.rows() / RESTRICT_ROWS_PER_KEY,
+                false => usize::MAX,
+            };
             let (parts, column) = (keys.source.relations(), keys.column);
             if keys.co_located {
                 return distinct_keys(&parts[node], column, limit);
@@ -2159,6 +2433,88 @@ mod tests {
         }
         assert!(restricted_scans > 0, "a reduce join drives a scan by key");
         assert!(filtered > 0, "a reduce join filters its route tasks");
+    }
+
+    /// A scan sought by an ancestor's key set reads exactly the rows that
+    /// can still meet it: on every node, the parts of every unconstrained
+    /// scan of every selective template sought by the values of each
+    /// variable it shares with another scan of the plan (the key source,
+    /// read in full) equal the parts a full read binds filtered by those
+    /// values — at threads {1, 2, 8}, with the key variable at the scan's
+    /// placement position (a keyed read of its own files) and off it (a
+    /// seek in another replica), and with key sources of no rows. Each such
+    /// scan's span names the join the keys came from (`keys_from`).
+    #[test]
+    fn key_sought_scans_equal_full_ones_filtered_by_the_keys() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let (mut at_placement, mut off_placement, mut empty_sources) = (0, 0, 0);
+        for text in SELECTIVE_TEMPLATES {
+            let query = parse_query(text).unwrap();
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            let plan = translate(result.flattest_plans()[0], cluster.graph());
+            let sched = schedule(&plan);
+            let sequential = Runtime::sequential();
+            let scans = plan.ops_where(|op| matches!(op, PhysicalOp::MapScan { .. }));
+            let full_read = |id: PhysId| {
+                let mut state = exec_state(&cluster, &plan, &sched, &sequential);
+                state.run_op(id, None);
+                state.input(id).relations().to_vec()
+            };
+            for (&scan, &source) in scans.iter().flat_map(|s| scans.iter().map(move |t| (s, t))) {
+                let PhysicalOp::MapScan { spec, output } = plan.op(scan) else {
+                    unreachable!("a scan");
+                };
+                let shared = output
+                    .intersection(&plan.op(source).output())
+                    .next()
+                    .cloned();
+                let (Some(variable), true) = (shared, scan != source && spec.residual.is_empty())
+                else {
+                    continue;
+                };
+                let source_parts = full_read(source);
+                let column = source_parts[0].column(&variable).unwrap();
+                let keys: BTreeSet<TermId> = source_parts
+                    .iter()
+                    .flat_map(|p| p.rows().map(|row| row[column]))
+                    .collect();
+                let rows = source_parts.iter().map(Relation::len).sum::<usize>() as u64;
+                let state = exec_state(&cluster, &plan, &sched, &sequential);
+                if rows * RESTRICT_ROWS_PER_KEY as u64 > state.stored_rows(spec) {
+                    continue;
+                }
+                let column = output.iter().position(|v| *v == variable).unwrap();
+                let expected: Vec<Relation> = (full_read(scan).iter())
+                    .map(|part| rows_where(part, |row| keys.contains(&row[column])))
+                    .collect();
+                let join = plan.root();
+                for threads in [1, 2, 8] {
+                    let runtime = Runtime::with_threads(threads);
+                    let mut state = exec_state(&cluster, &plan, &sched, &runtime);
+                    state.run_op(source, None);
+                    let scoped = ScopedKeys {
+                        variable: variable.clone(),
+                        source,
+                        rows,
+                        join,
+                    };
+                    state.run_op(scan, Some(KeySource::Scoped(scoped)));
+                    let at = format!("threads={threads}, {variable} of {source:?}: {text}");
+                    assert_eq!(state.input(scan).relations(), &expected[..], "{at}");
+                    let (_, span) = state.prof.as_ref().unwrap().nodes.last().unwrap();
+                    let attr = |name| span.attrs.iter().find(|(n, _)| n == name).map(|a| a.1);
+                    assert_eq!(attr("keys_from"), Some(join.index() as u64), "{at}");
+                    assert!(attr("keys_in").is_some(), "{at}");
+                }
+                match placement_variable(spec) == Some(&variable) {
+                    true => at_placement += 1,
+                    false => off_placement += 1,
+                }
+                empty_sources += usize::from(rows == 0);
+            }
+        }
+        assert!(at_placement > 0 && off_placement > 0 && empty_sources > 0);
     }
 
     /// The rows of `relation` that `keep` accepts, in order.

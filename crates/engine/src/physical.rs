@@ -253,8 +253,8 @@ impl PhysicalPlan {
     ///
     /// Panics if any referenced operator id is out of bounds, or if the
     /// arena is not bottom-up (every input must have a smaller id than its
-    /// consumer — the order the executor and the interesting-orders pass
-    /// rely on).
+    /// consumer — the order the interesting-orders pass relies on, and what
+    /// keeps the plan acyclic for the executor's post-order walk).
     pub fn new(ops: Vec<PhysicalOp>, root: PhysId) -> Self {
         assert!(root.index() < ops.len(), "root out of bounds");
         for (index, op) in ops.iter().enumerate() {

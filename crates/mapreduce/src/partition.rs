@@ -18,10 +18,11 @@
 //!
 //! Every file is stored sorted in the [`scan_order`] of its replica, so the
 //! three replicas double as three indexes: a scan hands a file out as it is
-//! stored, a constant at any position is an equal range found by binary
-//! search in the replica placed by that position ([`PartitionedStore::seek`]),
-//! and a sorted set of placement values is looked up by galloping
-//! ([`ScanFiles::read_keys`]) instead of reading the file.
+//! stored, a sorted set of values at any position is one equal range per
+//! value, found by galloping in the replica placed by that position
+//! ([`PartitionedStore::seek`]; a constant is the one-value set), and a
+//! sorted set of placement values is looked up the same way in the scan's
+//! own files ([`ScanFiles::read_keys`]) instead of reading them.
 
 use crate::runtime::Runtime;
 use cliquesquare_rdf::{Graph, Term, TermId, Triple, TriplePosition};
@@ -178,6 +179,28 @@ fn gallop(sorted: &[Triple], before: impl Fn(&Triple) -> bool) -> usize {
     from + sorted[from..bound.min(sorted.len())].partition_point(before)
 }
 
+/// Hands `found` each equal range of `file` — stored in
+/// `scan_order(position)` — whose value at `position` is one of `keys`
+/// (ascending), in key order, galloping over the file from the previous
+/// key's hit.
+fn equal_ranges<'a>(
+    file: &'a [Triple],
+    position: TriplePosition,
+    keys: &[TermId],
+    mut found: impl FnMut(&'a [Triple]),
+) {
+    let mut rest = file;
+    for &key in keys {
+        rest = &rest[gallop(rest, |triple| triple.get(position) < key)..];
+        let equal = gallop(rest, |triple| triple.get(position) == key);
+        found(&rest[..equal]);
+        rest = &rest[equal..];
+        if rest.is_empty() {
+            break;
+        }
+    }
+}
+
 /// The files one scan reads on one node, each in `scan_order(placement)`.
 #[derive(Debug)]
 pub struct ScanFiles<'a> {
@@ -208,16 +231,9 @@ impl<'a> ScanFiles<'a> {
         let placement = self.placement;
         let found_in = |file: &&[Triple]| {
             let mut found = Vec::new();
-            let mut rest = *file;
-            for &key in keys {
-                rest = &rest[gallop(rest, |triple| triple.get(placement) < key)..];
-                let equal = gallop(rest, |triple| triple.get(placement) == key);
-                found.extend_from_slice(&rest[..equal]);
-                rest = &rest[equal..];
-                if rest.is_empty() {
-                    break;
-                }
-            }
+            equal_ranges(file, placement, keys, |range| {
+                found.extend_from_slice(range)
+            });
             found
         };
         let mut runs: Vec<Vec<Triple>> = self.files.iter().map(found_in).collect();
@@ -381,31 +397,42 @@ impl PartitionedStore {
         }
     }
 
-    /// The triples of a scan that carry `constant` at `position`, per
-    /// compute node: node for node the rows, in the order, that filtering
-    /// the node's [`ScanFiles::read`] by the constant gives — without
-    /// reading the scan's files. Every such triple sits in the replica
-    /// placed by `position`, on the node owning `constant`, as one equal
-    /// range per matching file; the few matches are routed to the nodes the
-    /// `placement` replica keeps them on and sorted into its scan order.
+    /// The triples of a scan that carry one of `keys` (ascending) at
+    /// `position`, per compute node: node for node the rows, in the order,
+    /// that filtering the node's [`ScanFiles::read`] by the key set gives —
+    /// without reading the scan's files. Every such triple sits in the
+    /// replica placed by `position`, on the node owning its key, as one
+    /// equal range per key and matching file; the matches are routed to the
+    /// nodes the `placement` replica keeps them on and sorted into its scan
+    /// order. A residual constant is the one-key seek.
     pub fn seek(
         &self,
         placement: TriplePosition,
         property: Option<TermId>,
         type_object: Option<TermId>,
         position: TriplePosition,
-        constant: TermId,
+        keys: &[TermId],
     ) -> Vec<Vec<Triple>> {
-        let owner = node_of(constant, self.nodes);
+        debug_assert!(keys.is_sorted(), "seek keys ascend");
+        let mut owned: Vec<Vec<TermId>> = vec![Vec::new(); self.nodes];
+        for &key in keys {
+            owned[node_of(key, self.nodes)].push(key);
+        }
         let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.nodes];
-        for file in self
-            .scan_files(owner, position, property, type_object)
-            .files
+        for (owner, keys) in owned
+            .iter()
+            .enumerate()
+            .filter(|(_, keys)| !keys.is_empty())
         {
-            let from = file.partition_point(|triple| triple.get(position) < constant);
-            let equal = file[from..].partition_point(|triple| triple.get(position) == constant);
-            for triple in &file[from..from + equal] {
-                routed[node_of(triple.get(placement), self.nodes)].push(*triple);
+            for file in self
+                .scan_files(owner, position, property, type_object)
+                .files
+            {
+                equal_ranges(file, position, keys, |range| {
+                    for triple in range {
+                        routed[node_of(triple.get(placement), self.nodes)].push(*triple);
+                    }
+                });
             }
         }
         for triples in &mut routed {

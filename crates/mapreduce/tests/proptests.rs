@@ -152,7 +152,7 @@ proptest! {
                     .collect();
                 for position in TriplePosition::ALL {
                     for &constant in &constants {
-                        let sought = store.seek(placement, property, class, position, constant);
+                        let sought = store.seek(placement, property, class, position, &[constant]);
                         for (node, triples) in full.iter().enumerate() {
                             let filtered: Vec<_> = triples
                                 .iter()
@@ -176,6 +176,75 @@ proptest! {
                     let files = store.scan_files(node, placement, property, class);
                     prop_assert_eq!(files.rows(), triples.len());
                     prop_assert_eq!(files.read_keys(&keys), filtered);
+                }
+            }
+        }
+    }
+
+    /// One seek of `k` keys is `k` seeks of one: for every placement, file
+    /// selector and key position, node for node, a seek of a sorted key set
+    /// returns the union of the single-key seeks of its keys, in scan order
+    /// — the placement value, then the triple. The keys are any subset of
+    /// the graph's terms, plus values absent from it.
+    #[test]
+    fn a_k_key_seek_is_the_union_of_its_single_key_seeks(
+        raw in proptest::collection::vec((0u32..12, 0u32..4, 0u32..12), 1..100),
+        typed in proptest::collection::vec((0u32..12, 0u32..3), 0..30),
+        nodes in 1usize..6,
+        key_mask in 0u64..(1 << 20),
+    ) {
+        let mut graph = Graph::new();
+        for (s, p, o) in &raw {
+            graph.insert_terms(
+                Term::iri(format!("n{s}")),
+                Term::iri(format!("p{p}")),
+                Term::iri(format!("n{o}")),
+            );
+        }
+        for (s, class) in &typed {
+            graph.insert_terms(
+                Term::iri(format!("n{s}")),
+                Term::iri(vocab::RDF_TYPE),
+                Term::iri(format!("c{class}")),
+            );
+        }
+        let store = PartitionedStore::build(&graph, nodes);
+        let id = |name: &str| graph.lookup(&Term::iri(name));
+        let mut selectors = vec![(None, None), (id("p0"), None), (id("p3"), None)];
+        if let Some(rdf_type) = store.rdf_type() {
+            selectors.push((Some(rdf_type), None));
+            selectors.push((Some(rdf_type), id("c0")));
+        }
+        let mut candidates: Vec<TermId> = (0..graph.dictionary().len() as u32 + 2)
+            .map(TermId)
+            .collect();
+        candidates.push(TermId(u32::MAX));
+        let keys: Vec<TermId> = candidates
+            .into_iter()
+            .enumerate()
+            .filter(|(index, _)| key_mask >> (index % 20) & 1 == 1)
+            .map(|(_, key)| key)
+            .collect();
+        for placement in TriplePosition::ALL {
+            for &(property, class) in &selectors {
+                for position in TriplePosition::ALL {
+                    let sought = store.seek(placement, property, class, position, &keys);
+                    prop_assert_eq!(sought.len(), store.nodes());
+                    let mut union: Vec<Vec<Triple>> = vec![Vec::new(); store.nodes()];
+                    for key in &keys {
+                        let one = store.seek(placement, property, class, position, &[*key]);
+                        for (node, triples) in one.into_iter().enumerate() {
+                            union[node].extend(triples);
+                        }
+                    }
+                    for (node, triples) in union.iter_mut().enumerate() {
+                        triples.sort_by_key(|t| (t.get(placement), *t));
+                        prop_assert_eq!(
+                            &sought[node], &*triples,
+                            "{} replica, {:?}/{:?}, {} in {:?}, node {}",
+                            placement, property, class, position, keys, node
+                        );
+                    }
                 }
             }
         }

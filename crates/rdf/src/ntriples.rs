@@ -121,12 +121,25 @@ pub fn escape_literal(text: &str) -> String {
 }
 
 /// Formats one term as an N-Triples token (the writer-side counterpart of
-/// [`parse`], escaping literal text).
-fn format_term(term: &Term) -> String {
+/// [`parse`], escaping literal text). A blank node — an IRI `_:label` whose
+/// label the reader accepts and does not end in `.` (a glued `.` ends the
+/// triple) — is written `_:label`, so a strict reader sees a blank node;
+/// a property is always written `<iri>`, since the reader rejects blank
+/// node properties.
+fn format_term(term: &Term, property: bool) -> String {
     match term {
-        Term::Iri(v) => format!("<{v}>"),
+        Term::Iri(v) => match v.strip_prefix("_:") {
+            Some(label) if !property && is_blank_label(label) && !label.ends_with('.') => v.clone(),
+            _ => format!("<{v}>"),
+        },
         Term::Literal(v) => format!("\"{}\"", escape_literal(v)),
     }
+}
+
+/// Whether `label` is a blank node label the reader accepts after `_:`.
+fn is_blank_label(label: &str) -> bool {
+    let valid = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
+    !label.is_empty() && label.chars().all(valid)
 }
 
 /// Parses a single term token (`<iri>`, `_:label` or `"literal"`); a blank
@@ -135,8 +148,7 @@ fn parse_term(token: &str, line: usize) -> Result<Term, ParseError> {
     if let Some(inner) = token.strip_prefix('<').and_then(|t| t.strip_suffix('>')) {
         Ok(Term::iri(inner))
     } else if let Some(label) = token.strip_prefix("_:") {
-        let valid = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
-        if label.is_empty() || !label.chars().all(valid) {
+        if !is_blank_label(label) {
             return Err(ParseError::new(
                 line,
                 format!("invalid blank node label {token:?}"),
@@ -305,9 +317,9 @@ pub fn serialize(graph: &Graph) -> String {
         let o = graph.decode(triple.object).expect("dangling object id");
         out.push_str(&format!(
             "{} {} {} .\n",
-            format_term(s),
-            format_term(p),
-            format_term(o)
+            format_term(s, false),
+            format_term(p, true),
+            format_term(o, false)
         ));
     }
     out
@@ -531,6 +543,30 @@ mod tests {
         assert!(err.message.contains("_:p"), "{}", err.message);
         let err = parse("_: <p> <o> .").unwrap_err();
         assert!(err.message.contains("blank node"), "{}", err.message);
+    }
+
+    /// A blank node is written as one: a graph read from `_:b0` lines
+    /// serializes to lines that start `_:b0 `, not `<_:b0> `.
+    #[test]
+    fn blank_nodes_serialize_as_blank_nodes() {
+        let graph = parse_into_graph("_:b0 <p> <o> .\n<s> <p> _:b1 .").unwrap();
+        let written = serialize(&graph);
+        let lines: Vec<&str> = written.lines().collect();
+        assert!(lines[0].starts_with("_:b0 "), "{written}");
+        assert_eq!(lines[1], "<s> <p> _:b1 .");
+    }
+
+    /// `serialize` → `parse` returns an equal graph with blank nodes, and
+    /// with IRIs starting `_:` that cannot be written as blank nodes (an
+    /// empty label, a trailing `.`, a property), which keep their `<…>`.
+    #[test]
+    fn serialized_blank_nodes_parse_back_to_an_equal_graph() {
+        let graph = parse_into_graph("_:b0 <p> <o> .\n<s> <p> _:b1 .\n_:b0 <q> _:b1.").unwrap();
+        assert_eq!(parse_into_graph(&serialize(&graph)).unwrap(), graph);
+        let awkward = "<_:> <p> <_:a.> .\n<s> <_:p> <o> .\n";
+        let graph = parse_into_graph(awkward).unwrap();
+        assert_eq!(serialize(&graph), awkward);
+        assert_eq!(parse_into_graph(&serialize(&graph)).unwrap(), graph);
     }
 
     /// A language-tagged literal is rejected by its tag, not counted as a

@@ -13,6 +13,10 @@ execute - plan (decode, render, HTTP). `route` is how the root was answered:
 rows), `fallback` (expanded, gathered, de-duplicated, cut) — read from the
 root Project span's `bounded` / `runs_emitted` attributes; `-` on a server
 that predates the bounded root. `expanded` is that span's `rows_expanded`.
+`keys from` names each scan sought by an ancestor join's key set, as
+`scan<join` operator ids (`2<14`: `MapScan#2` read only keys that
+`ReduceJoin#14`'s other input holds) — the scan spans' `keys_from`
+attribute; `-` when no keys crossed a level.
 Only localhost is ever contacted.
 """
 import json
@@ -40,6 +44,11 @@ def ask(base, name):
         by_name.setdefault(span["name"].split("#")[0], []).append(span)
     ms = lambda name: sum(s["wall_s"] for s in by_name.get(name, [])) * 1e3
     project = by_name["Project"][-1]["attrs"] if "Project" in by_name else {}
+    keyed = [
+        f"{span['name'].split('#')[1]}<{span['attrs']['keys_from']}"
+        for span in by_name.get("MapScan", [])
+        if "keys_from" in span["attrs"]
+    ]
     if "bounded" not in project:
         route = "-"
     elif not project["bounded"]:
@@ -50,6 +59,7 @@ def ask(base, name):
         "total_rows": answer["total_rows"],
         "route": route,
         "expanded": project.get("rows_expanded", 0),
+        "keys_from": ",".join(keyed) or "-",
         "request": wall_ms,
         "execute": ms("execute"),
         "plan": ms("plan"),
@@ -66,7 +76,11 @@ def main():
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 7
     queries = sys.argv[3:] or DEFAULT_QUERIES
     timed = ["request", "execute", "Project", "Gather", "finalize"]
-    print(f"{'query':<6}{'total_rows':>11}{'route':>10}{'expanded':>10}" + "".join(f"{c:>10}" for c in timed))
+    print(
+        f"{'query':<6}{'total_rows':>11}{'route':>10}{'expanded':>10}"
+        + "".join(f"{c:>10}" for c in timed)
+        + "  keys from"
+    )
     totals = dict.fromkeys(timed, 0.0)
     for name in queries:
         runs = [ask(base, name) for _ in range(repeats)]
@@ -77,6 +91,7 @@ def main():
         print(
             f"{name:<6}{last['total_rows']:>11}{last['route']:>10}{last['expanded']:>10}"
             + "".join(f"{floor[c]:>10.2f}" for c in timed)
+            + f"  {last['keys_from']}"
         )
     print(f"{'sum':<6}{'':>11}{'':>10}{'':>10}" + "".join(f"{totals[c]:>10.2f}" for c in timed))
 

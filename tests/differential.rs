@@ -33,7 +33,7 @@ use cliquesquare_core::LogicalPlan;
 use cliquesquare_engine::reference::reference_eval;
 use cliquesquare_engine::{
     rebind_constants, translate, Csq, CsqConfig, Executor, MapReduceCostModel, PhysId, PhysicalOp,
-    PhysicalPlan, Relation,
+    PhysicalPlan, Relation, ScanSpec,
 };
 use cliquesquare_mapreduce::{Cluster, ClusterConfig, CostParameters, Runtime};
 use cliquesquare_obs::json::push_strings;
@@ -125,6 +125,9 @@ struct Observed {
     /// Of those, the scans a ReduceJoin drove: keys gathered from an input
     /// that is not co-located.
     reduce_restricted_scans: usize,
+    /// Of those, the scans sought by the key set of an ancestor join
+    /// (`keys_from`), keys that crossed a level of the plan.
+    ancestor_keyed_scans: usize,
     /// Rows the ReduceJoins' route tasks dropped as partnerless
     /// (`filtered_rows`).
     filtered_rows: u64,
@@ -280,6 +283,8 @@ impl Dataset {
                             let by_reduce = reduce_join_over(plan, &op.name);
                             observed.reduce_restricted_scans +=
                                 usize::from(restricted && by_reduce);
+                            observed.ancestor_keyed_scans +=
+                                usize::from(attr(op, "keys_from").is_some());
                             observed.inline_waves += usize::from(attr(op, "inline").is_some());
                         }
                         observed.filtered_rows += attr_sum(execute, "filtered_rows");
@@ -510,10 +515,18 @@ fn lubm() {
     assert_eq!(observed[0].route, Some(Route::Runs), "Q1");
     let eager = observed.iter().any(|o| o.route == Some(Route::Eager));
     assert!(eager, "{observed:?}");
-    // Q11's second reduce join semi-joins its large input to the 4-row
-    // side; Q1 is map-only. Tiny waves all run on the submitting thread, so
-    // the pools' schedulers see none.
-    assert!(observed[10].filtered_rows > 0, "Q11: {:?}", observed[10]);
+    // Q11's first job reads only what can meet the constant-fed side of
+    // its second: its scans seek that side's keys across the job boundary
+    // (`keys_from`), which leaves its second reduce join's semi-join
+    // nothing to drop. Q14's route tasks still drop partnerless rows; Q1 is
+    // map-only. Tiny waves all run on the submitting thread, so the pools'
+    // schedulers see none.
+    assert!(
+        observed[10].ancestor_keyed_scans > 0,
+        "Q11: {:?}",
+        observed[10]
+    );
+    assert!(observed[13].filtered_rows > 0, "Q14: {:?}", observed[13]);
     assert_eq!(observed[0].filtered_rows, 0, "Q1: {:?}", observed[0]);
     for (query, observed) in queries.iter().zip(&observed) {
         let at = format!("{}: {observed:?}", query.name());
@@ -563,6 +576,235 @@ fn sp2b() {
     // across runs, so the gather has to count.
     assert_eq!(observed[2].route, Some(Route::Fallback), "S3");
     sp2b.check_service(&queries, false);
+}
+
+/// An IRI of the key-passing graph's vocabulary.
+fn keyed(name: impl std::fmt::Display) -> String {
+    format!("http://keys.example/{name}")
+}
+
+/// Ten departments, two of them part of the hub named "H" and eight of the
+/// one named "G"; `members` members and `workers` workers spread over them
+/// round-robin, each member taking one of seven courses.
+fn key_passing_graph(members: usize, workers: usize) -> Graph {
+    let iri = |name: String| Term::iri(keyed(name));
+    let mut graph = Graph::new();
+    for hub in ["H", "G"] {
+        graph.insert_terms(
+            iri(format!("hub{hub}")),
+            iri("name".into()),
+            Term::literal(hub),
+        );
+    }
+    for d in 0..10 {
+        let hub = if d < 2 { "hubH" } else { "hubG" };
+        graph.insert_terms(iri(format!("d{d}")), iri("partOf".into()), iri(hub.into()));
+    }
+    for m in 0..members {
+        let (member, department) = (iri(format!("s{m}")), iri(format!("d{}", m % 10)));
+        graph.insert_terms(member.clone(), iri("memberOf".into()), department);
+        graph.insert_terms(member, iri("takes".into()), iri(format!("c{}", m % 7)));
+    }
+    for w in 0..workers {
+        let department = iri(format!("d{}", w % 10));
+        graph.insert_terms(iri(format!("w{w}")), iri("worksFor".into()), department);
+    }
+    graph
+}
+
+/// The members of hub `hub`'s departments and their courses.
+const MEMBERS_OF_HUB: &str = "SELECT ?S ?C WHERE { ?S :memberOf ?D . ?S :takes ?C . \
+                              ?D :partOf ?H . ?H :name \"{hub}\" }";
+
+/// `text` with `{hub}` replaced by `hub` and every `:name` written as the
+/// key-passing graph's IRI, named `label`.
+fn keyed_query(label: &str, text: &str, hub: &str) -> BgpQuery {
+    let text = text.replace("{hub}", hub);
+    let mut pieces = text.split(':');
+    let mut expanded = pieces.next().unwrap_or_default().to_string();
+    for piece in pieces {
+        let end = piece.find([' ', '.', '}']).unwrap_or(piece.len());
+        expanded.push_str(&format!("<{}>{}", keyed(&piece[..end]), &piece[end..]));
+    }
+    let mut query = parse_query(&expanded).expect("parses");
+    query.set_name(label.to_string());
+    query
+}
+
+/// Of the scans a plan's profile says were sought by an ancestor join's
+/// keys, those that share exactly one variable with that join's
+/// attributes — the key variable — as `(at the scan's placement position,
+/// off it)`.
+fn keyed_positions(plan: &PhysicalPlan, execute: &SpanNode) -> (usize, usize) {
+    let (mut at, mut off) = (0, 0);
+    let operators = execute.children.iter().flat_map(|job| &job.children);
+    for op in operators {
+        let (Some(join), Some((_, id))) = (attr(op, "keys_from"), op.name.split_once('#')) else {
+            continue;
+        };
+        let PhysicalOp::MapScan { spec, output } = plan.op(PhysId(id.parse().unwrap())) else {
+            panic!("{} carries keys_from", op.name);
+        };
+        let Some(
+            PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. },
+        ) = plan.ops().get(join as usize)
+        else {
+            panic!("{} names no join", op.name);
+        };
+        let shared: Vec<&Variable> = output.intersection(attributes).collect();
+        let placement = TriplePosition::ALL
+            .iter()
+            .position(|&p| p == spec.placement);
+        let placed = spec.pattern.terms()[placement.unwrap()].as_variable();
+        if let [variable] = shared[..] {
+            match placed == Some(variable) {
+                true => at += 1,
+                false => off += 1,
+            }
+        }
+    }
+    (at, off)
+}
+
+/// The plan of `query`'s profiled sequential `execute` at 4 partitions in
+/// `dataset`, and where its keyed scans read ([`keyed_positions`]).
+fn keyed_at(dataset: &Dataset, plan: &PhysicalPlan) -> (usize, usize) {
+    let output = Executor::sequential(dataset.cluster(4)).execute_profiled(plan);
+    keyed_positions(plan, &output.profile.expect("profiled"))
+}
+
+/// Keys crossing a level of the plan where they can go wrong, each query at
+/// every cell of the matrix: a key source of no rows (a hub name absent
+/// from the data); the key variable off the restricted scan's placement
+/// position (members placed by ?S, keyed by ?D) and at it (placed by ?D);
+/// an operator shared by two consumers under the join supplying the keys,
+/// evaluated unrestricted while its sibling scan is sought; and a key set
+/// one row over the `RESTRICT_ROWS_PER_KEY` (64) cut, which is not passed,
+/// where one at the cut is.
+#[test]
+fn key_passing() {
+    // The hub's two departments against 128 memberships: at the cut.
+    let at_cut = Dataset::new("keys, at the cut", key_passing_graph(128, 2_000));
+    let off_placement = keyed_query("off placement", MEMBERS_OF_HUB, "H");
+    let observed = at_cut.check_query(&off_placement, false);
+    assert!(observed.ancestor_keyed_scans > 0, "{observed:?}");
+    let plan = translate(&at_cut.csq_plan(&off_placement), at_cut.graph());
+    assert!(matches!(keyed_at(&at_cut, &plan), (0, off) if off > 0));
+
+    let absent = keyed_query("absent hub", MEMBERS_OF_HUB, "X");
+    assert!(reference_eval(at_cut.graph(), &absent).is_empty());
+    let observed = at_cut.check_query(&absent, false);
+    assert!(observed.ancestor_keyed_scans > 0, "{observed:?}");
+
+    let at_placement = keyed_query(
+        "at placement",
+        "SELECT ?S ?W WHERE { ?S :memberOf ?D . ?W :worksFor ?D . ?D :partOf ?H . ?H :name \"H\" }",
+        "H",
+    );
+    at_cut.check_query(&at_placement, false);
+    let plan = translate(&at_cut.csq_plan(&at_placement), at_cut.graph());
+    assert!(matches!(keyed_at(&at_cut, &plan), (at, _) if at > 0));
+
+    // One row over: 2 × 64 keyed rows against 127 stored memberships.
+    let over_cut = Dataset::new("keys, over the cut", key_passing_graph(127, 0));
+    let observed = over_cut.check_query(&keyed_query("over the cut", MEMBERS_OF_HUB, "H"), false);
+    assert_eq!(observed.ancestor_keyed_scans, 0, "{observed:?}");
+
+    // The members' star is shared: the hub's side joins it first, then the
+    // root's other input joins it to the workers, whose scan is sought by
+    // the root's keys while the star stays whole.
+    let shared = keyed_query(
+        "shared",
+        "SELECT ?S ?W WHERE { ?S :memberOf ?D . ?S :takes ?C . ?D :partOf ?H . \
+         ?H :name \"H\" . ?W :worksFor ?D }",
+        "H",
+    );
+    let plan = shared_star_plan(at_cut.graph());
+    let observed = at_cut.check_plan(&shared, "shared star", &plan);
+    assert!(observed.ancestor_keyed_scans > 0, "{observed:?}");
+    let star = PhysId(2);
+    let output = Executor::sequential(at_cut.cluster(4)).execute_profiled(&plan);
+    let operators = output.profile.iter().flat_map(|execute| &execute.children);
+    let star_span = operators
+        .flat_map(|job| &job.children)
+        .find(|op| op.name == "MapJoin#2");
+    let star_rows = star_span.expect("the star ran").rows_out;
+    let whole = reference_eval(
+        at_cut.graph(),
+        &keyed_query(
+            "star",
+            "SELECT ?S ?C ?D WHERE { ?S :memberOf ?D . ?S :takes ?C }",
+            "",
+        ),
+    );
+    assert_eq!(
+        (plan.op(star).name(), star_rows),
+        ("MapJoin", whole.len() as u64)
+    );
+
+    at_cut.check_service(&[off_placement, absent, at_placement], false);
+}
+
+/// The plan of the `shared` query of [`key_passing`] whose members' star
+/// (`MapJoin#2`) has two consumers under the root: the join with the hub's
+/// side, and the join with the workers.
+fn shared_star_plan(graph: &Graph) -> PhysicalPlan {
+    let var = PatternTerm::variable;
+    let scan = |index, (s, p, o), placement| {
+        let pattern = TriplePattern::new(s, PatternTerm::iri(keyed(p)), o);
+        let output = pattern.variables().into_iter().collect();
+        let spec = ScanSpec::new(index, pattern, placement, graph);
+        PhysicalOp::MapScan { spec, output }
+    };
+    let vars = |names: &[&str]| names.iter().map(|&name| Variable::new(name)).collect();
+    let (subject, object) = (TriplePosition::Subject, TriplePosition::Object);
+    let ops = vec![
+        scan(0, (var("S"), "memberOf", var("D")), subject),
+        scan(1, (var("S"), "takes", var("C")), subject),
+        PhysicalOp::MapJoin {
+            attributes: vars(&["S"]),
+            inputs: vec![PhysId(0), PhysId(1)],
+            output: vars(&["C", "D", "S"]),
+        },
+        scan(2, (var("D"), "partOf", var("H")), object),
+        scan(3, (var("H"), "name", PatternTerm::literal("H")), subject),
+        PhysicalOp::MapJoin {
+            attributes: vars(&["H"]),
+            inputs: vec![PhysId(3), PhysId(4)],
+            output: vars(&["D", "H"]),
+        },
+        PhysicalOp::ReduceJoin {
+            attributes: vars(&["D"]),
+            inputs: vec![PhysId(2), PhysId(5)],
+            output: vars(&["C", "D", "H", "S"]),
+        },
+        scan(4, (var("W"), "worksFor", var("D")), object),
+        PhysicalOp::ReduceJoin {
+            attributes: vars(&["D"]),
+            inputs: vec![PhysId(2), PhysId(7)],
+            output: vars(&["C", "D", "S", "W"]),
+        },
+        PhysicalOp::MapShuffler {
+            attributes: vars(&["C", "D", "S"]),
+            input: PhysId(6),
+            output: vars(&["C", "D", "H", "S"]),
+        },
+        PhysicalOp::MapShuffler {
+            attributes: vars(&["C", "D", "S"]),
+            input: PhysId(8),
+            output: vars(&["C", "D", "S", "W"]),
+        },
+        PhysicalOp::ReduceJoin {
+            attributes: vars(&["C", "D", "S"]),
+            inputs: vec![PhysId(9), PhysId(10)],
+            output: vars(&["C", "D", "H", "S", "W"]),
+        },
+        PhysicalOp::Project {
+            variables: vec![Variable::new("S"), Variable::new("W")],
+            input: PhysId(11),
+        },
+    ];
+    PhysicalPlan::new(ops, PhysId(12))
 }
 
 fn synthetic_node(index: usize) -> Term {
@@ -692,7 +934,7 @@ fn departments_sharing_a_pair() {
         let (graph, object) = (cluster.graph(), TriplePosition::Object);
         let (property, id) = (graph.lookup(&works_for), graph.lookup(department));
         let store = cluster.store();
-        let sought = store.seek(object, property, None, object, id.expect("loaded"));
+        let sought = store.seek(object, property, None, object, &[id.expect("loaded")]);
         sought.iter().position(|triples| !triples.is_empty())
     };
     let apart = |cluster: &Cluster| node_of(cluster, &terms[0]) != node_of(cluster, &terms[1]);

@@ -207,7 +207,10 @@ fn job_and_gather_spans_cover_the_execution() {
 fn profiled_counters_are_the_sum_of_task_deltas() {
     let cluster = cluster();
     let csq = Csq::new(cluster.clone(), CsqConfig::default());
-    for name in ["Q2", "Q5", "Q11"] {
+    // A map-only star, a shuffled chain, and a two-job plan whose joins
+    // pass keys across the job boundary. (Not Q11: the tiny data lacks its
+    // University3, so its key source is empty and nothing below it runs.)
+    for name in ["Q2", "Q5", "Q14"] {
         let (_, chosen, _) = csq.plan(&lubm_query(name).expect("a LUBM query"));
         let physical = translate(&chosen, cluster.graph());
         relation_stats::reset();
