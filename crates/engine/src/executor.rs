@@ -48,19 +48,18 @@
 //! (`ExecState::visit`), under one invariant: *an operator is evaluated
 //! after its inputs, once, and a restriction reaches it only through its
 //! one consumer*. A join evaluates its inputs in an order fixed before any
-//! runs — first those whose subtree can be sought (a residual constant, or
-//! a scan a key set in scope restricts), then by the catalog's stored rows
-//! of the subtree's scans, ties by id — and the scans it drives last.
-//! Once some inputs are evaluated, the smallest of them supplies, for each
-//! join attribute, its distinct values as a key set that stays in scope
-//! through the remaining input subtrees, shufflers and nested joins
-//! included, as far as each operator outputs the variable. A scan binding a
-//! variable whose key set is in scope, with few keys against its stored
-//! rows, reads only those keys: at its placement position in its own files,
-//! elsewhere by one seek of all of them in another replica. A scan the
-//! join drives and no key set restricts reads only the placement keys its
-//! smallest evaluated sibling holds, when those are few against its files
-//! (see `ExecState::eval_scan`). An operator with more than one consumer is
+//! runs: its unshared scans after its other inputs, and within each group
+//! first those whose subtree can be sought (a residual constant, or a scan
+//! a key set in scope restricts), then by the catalog's stored rows of the
+//! subtree's scans, ties by id. Once some inputs are evaluated, the
+//! smallest of them supplies, for each join attribute, its distinct values
+//! as a key set that stays in scope through the remaining input subtrees,
+//! shufflers and nested joins included, as far as each operator outputs the
+//! variable. The scope is a scan's one key source: a scan binding a
+//! variable whose key set is in scope — its own join's or an ancestor's —
+//! with few rows against its stored rows reads only those keys, by one seek
+//! of all of them in the replica placed by the variable's position (see
+//! `ExecState::eval_scan`). An operator with more than one consumer is
 //! evaluated unrestricted, for all of them. And every shuffled input at
 //! least `FILTER_RATIO` times larger than the smallest drops, in its route
 //! tasks, the rows whose first join attribute the smallest input lacks (a
@@ -445,14 +444,11 @@ struct ProfCtx {
     /// Override for the current operator's output row count (a bounded root
     /// holds heads; its output is what it counted).
     rows_out: Option<u64>,
-    /// Placement keys another join input handed the current scan, when it
-    /// read only those: the estimator priced the whole file, so a
-    /// deliberately narrowed read carries `keys_in` instead of an `est_rows`
-    /// to be compared against.
-    keys_in: Option<u64>,
-    /// The ancestor join whose key set the current scan was sought by
-    /// (`keys_from`, beside `keys_in`).
-    keys_from: Option<u64>,
+    /// When the current scan was sought by a key set in scope: the keys it
+    /// sought (`keys_in`) and the join they came from (`keys_from`). The
+    /// estimator priced the whole file, so a deliberately narrowed read
+    /// carries these instead of an `est_rows` to be compared against.
+    keyed: Option<(u64, u64)>,
     /// Whether a wave of the current operator ran on the submitting thread
     /// because its volume was small ([`INLINE_ROWS`]).
     inline: bool,
@@ -474,8 +470,7 @@ impl ProfCtx {
             attrs: Vec::new(),
             rows_in: None,
             rows_out: None,
-            keys_in: None,
-            keys_from: None,
+            keyed: None,
             inline: false,
             gather: None,
         }
@@ -545,37 +540,6 @@ fn consumer_counts(plan: &PhysicalPlan, needed: &[bool]) -> Vec<usize> {
     consumers
 }
 
-/// Marks the scans whose only consumer is a join, map or reduce: the join
-/// evaluates those itself ([`ExecState::drive_scans`]). A scan shared
-/// between consumers is evaluated on its own, in full, like any other
-/// operator.
-fn join_driven_scans(plan: &PhysicalPlan, needed: &[bool]) -> Vec<bool> {
-    let consumers = consumer_counts(plan, needed);
-    let mut driven = vec![false; plan.len()];
-    for index in (0..plan.len()).filter(|&index| needed[index]) {
-        let op = plan.op(PhysId(index));
-        let join = matches!(
-            op,
-            PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. }
-        );
-        for input in op.inputs() {
-            let scan = matches!(plan.op(input), PhysicalOp::MapScan { .. });
-            driven[input.index()] = join && scan && consumers[input.index()] == 1;
-        }
-    }
-    driven
-}
-
-/// What the evaluation walk ([`ExecState::visit`]) knows of the plan's
-/// shape before anything runs.
-struct Walk {
-    /// The scans a join drives ([`join_driven_scans`]).
-    driven: Vec<bool>,
-    /// The operators with more than one consumer: each is evaluated once,
-    /// unrestricted, for all of them.
-    shared: Vec<bool>,
-}
-
 /// A key set in scope while the remaining inputs of `join` are evaluated:
 /// the distinct values of `variable`, an attribute of `join`, in `source`,
 /// the smallest input of `join` evaluated so far, which holds `rows` rows.
@@ -589,16 +553,6 @@ struct ScopedKeys {
     join: PhysId,
 }
 
-/// Where a scan takes the keys it restricts its read to.
-enum KeySource {
-    /// The smallest input evaluated so far of the join driving the scan,
-    /// and whether that join is co-located ([`ExecState::scan_keys`]).
-    Sibling(PhysId, bool),
-    /// A key set of an ancestor join in scope
-    /// ([`ExecState::scoped_source`]).
-    Scoped(ScopedKeys),
-}
-
 /// `scope` narrowed to what can restrict `input`: the key sets of the
 /// variables its output carries. A variable `input` does not output is
 /// not joined on above it through `input`, so it cannot filter its rows.
@@ -608,12 +562,13 @@ fn narrowed(plan: &PhysicalPlan, scope: &[ScopedKeys], input: PhysId) -> Vec<Sco
     kept.cloned().collect()
 }
 
-/// A scan input restricts its read to another join input's placement keys
-/// when its files hold at least this many rows per key. Looking one key up
-/// costs about `2·log2(rows per key) + 2` probes, so from 64 rows per key a
-/// restricted read touches under a quarter of what a full read binds even
-/// when every row turns out to match; below it the keys are dense enough
-/// that reading the file and letting the merge join skip is as cheap.
+/// A scan seeks a key set in scope when its stored rows are at least this
+/// many times the rows of the key set's source (a bound on its distinct
+/// keys). Looking one key up costs about `2·log2(rows per key) + 2`
+/// probes, so from 64 rows per key a sought read touches under a quarter
+/// of what a full read binds even when every row turns out to match; below
+/// it the keys are dense enough that reading the file and letting the
+/// merge join skip is as cheap.
 const RESTRICT_ROWS_PER_KEY: usize = 64;
 
 /// A wave runs on the submitting thread, in task-index order, when its
@@ -644,41 +599,6 @@ const INLINE_ROWS: u64 = 4_096;
 /// filter's worst case is ≈ 2 ns a row (a fifth of routing it), repaid once
 /// it drops a tenth of the rows.
 const FILTER_RATIO: u64 = 8;
-
-/// Where a scan driven by a join may take the placement keys it restricts
-/// its read to: `column` of `source`, the smallest input of that join
-/// evaluated so far. Each scan task computes its own node's keys from it
-/// ([`ScanWave::read`]).
-struct ScanKeys {
-    source: Arc<Intermediate>,
-    /// The column of `source` holding the scan's placement variable.
-    column: usize,
-    /// Whether the driving join is co-located: node `n`'s keys are then the
-    /// distinct values of `source`'s part `n`, which is sorted by `column`;
-    /// otherwise they are the values of every part that the store places
-    /// on node `n`.
-    co_located: bool,
-    /// Whether a node holding more keys than its files restrict to
-    /// ([`RESTRICT_ROWS_PER_KEY`] rows per key) reads them in full. An
-    /// ancestor's key set was held to that cut as a whole, before anything
-    /// was read, so every node seeks it.
-    node_cut: bool,
-}
-
-/// The distinct values of `column`, which `relation` is sorted by — or
-/// `None` as soon as there are more than `limit` of them.
-fn distinct_keys(relation: &Relation, column: usize, limit: usize) -> Option<Vec<TermId>> {
-    let mut keys: Vec<TermId> = Vec::new();
-    for row in relation.rows() {
-        if keys.last() != Some(&row[column]) {
-            if keys.len() == limit {
-                return None;
-            }
-            keys.push(row[column]);
-        }
-    }
-    Some(keys)
-}
 
 /// Sorts a shuffle bucket into join-key order when its tracked order does
 /// not already deliver it. No-op (and no counter traffic) on the planned
@@ -846,11 +766,9 @@ impl<'a> ExecState<'a> {
         let prof = self.prof.as_mut().expect("record_node requires profiling");
         node.rows_in = prof.rows_in.take().unwrap_or(rows_in_from_inputs);
         node.rows_out = prof.rows_out.take().unwrap_or(result.cardinality());
-        if let Some(keys) = prof.keys_in.take() {
+        if let Some((keys, join)) = prof.keyed.take() {
             node.add_attr("keys_in", keys);
-            if let Some(join) = prof.keys_from.take() {
-                node.add_attr("keys_from", join);
-            }
+            node.add_attr("keys_from", join);
         } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
             node.add_attr("est_rows", estimated);
             observe_q_error(estimated, node.rows_out);
@@ -916,23 +834,21 @@ impl<'a> ExecState<'a> {
         let plan = self.plan;
         let needed = evaluated_ops(plan);
         let consumers = consumer_counts(plan, &needed);
-        let walk = Walk {
-            driven: join_driven_scans(plan, &needed),
-            shared: consumers.iter().map(|&consumers| consumers > 1).collect(),
-        };
-        self.visit(&walk, plan.root(), Vec::new());
+        let shared: Vec<bool> = consumers.iter().map(|&consumers| consumers > 1).collect();
+        self.visit(&shared, plan.root(), Vec::new());
     }
 
     /// Evaluates `id` after its inputs, under the key sets `scope` holds
-    /// for it. A shared operator serves consumers with different scopes, so
-    /// it (and all below it) is evaluated unrestricted. A join's inputs are
-    /// evaluated by [`ExecState::visit_inputs`]; a shuffler or projection
-    /// passes the scope on to its input.
-    fn visit(&mut self, walk: &Walk, id: PhysId, scope: Vec<ScopedKeys>) {
+    /// for it. A `shared` operator serves consumers with different scopes,
+    /// so it (and all below it) is evaluated unrestricted. A join's inputs
+    /// are evaluated by [`ExecState::visit_inputs`]; a shuffler or
+    /// projection passes the scope on to its input, and a scan may seek a
+    /// key set of it ([`ExecState::eval_scan`]).
+    fn visit(&mut self, shared: &[bool], id: PhysId, scope: Vec<ScopedKeys>) {
         if self.memo[id.index()].is_some() {
             return;
         }
-        let scope = if walk.shared[id.index()] {
+        let scope = if shared[id.index()] {
             Vec::new()
         } else {
             scope
@@ -943,46 +859,48 @@ impl<'a> ExecState<'a> {
             }
             | PhysicalOp::ReduceJoin {
                 attributes, inputs, ..
-            } => self.visit_inputs(walk, id, attributes, inputs, &scope),
+            } => self.visit_inputs(shared, id, attributes, inputs, &scope),
             PhysicalOp::MapShuffler { input, .. } | PhysicalOp::Project { input, .. } => {
-                self.visit(walk, *input, narrowed(self.plan, &scope, *input))
+                self.visit(shared, *input, narrowed(self.plan, &scope, *input))
             }
             PhysicalOp::MapScan { .. } => {}
         }
-        self.run_op(id, None);
+        self.run_op(id, &scope);
     }
 
     /// Evaluates the inputs of join `id`, in an order fixed before any of
-    /// them runs: first the inputs whose subtree can be sought (it holds a
+    /// them runs: its unshared scans after its other inputs; within each
+    /// group first the inputs whose subtree can be sought (it holds a
     /// residual constant, or a scan that a key set in `scope` restricts),
     /// then by the catalog's stored rows summed over the subtree's scans,
     /// ties by id. Once an input is evaluated, the smallest evaluated so far
     /// supplies a key set for every attribute of the join, and each later
-    /// input subtree is evaluated under those and the ancestors' `scope`.
-    /// The scans the join drives come last ([`ExecState::drive_scans`]).
+    /// input is evaluated under those and the ancestors' `scope` — a scan
+    /// sought by its own join's keys reads only rows that can meet a
+    /// partner, so it tends to supply the next input's keys in turn.
     fn visit_inputs(
         &mut self,
-        walk: &Walk,
+        shared: &[bool],
         id: PhysId,
         attributes: &BTreeSet<Variable>,
         inputs: &[PhysId],
         scope: &[ScopedKeys],
     ) {
         let plan = self.plan;
-        let mut order: Vec<(bool, u64, PhysId)> = (inputs.iter())
-            .filter(|input| !walk.driven[input.index()])
+        let mut order: Vec<(bool, bool, u64, PhysId)> = (inputs.iter())
             .map(|&input| {
-                let seekable = self.seekable(walk, input, &narrowed(plan, scope, input));
-                (!seekable, self.subtree_rows(input), input)
+                let scan = matches!(plan.op(input), PhysicalOp::MapScan { .. });
+                let seekable = self.seekable(shared, input, &narrowed(plan, scope, input));
+                let rows = self.subtree_rows(input);
+                (scan && !shared[input.index()], !seekable, rows, input)
             })
             .collect();
         order.sort_unstable();
-        for (_, _, input) in order {
+        for (.., input) in order {
             let mut inner = narrowed(plan, scope, input);
             inner.extend(self.join_keys(id, attributes, inputs));
-            self.visit(walk, input, inner);
+            self.visit(shared, input, inner);
         }
-        self.drive_scans(inputs, plan.co_located(id), scope);
     }
 
     /// The key sets join `id` supplies once some of its inputs are
@@ -1014,14 +932,14 @@ impl<'a> ExecState<'a> {
     /// residual constant, or a scan that a key set in scope restricts. A
     /// shared operator is evaluated unrestricted, so only its constants
     /// count.
-    fn seekable(&self, walk: &Walk, id: PhysId, scope: &[ScopedKeys]) -> bool {
-        let scope = if walk.shared[id.index()] { &[] } else { scope };
+    fn seekable(&self, shared: &[bool], id: PhysId, scope: &[ScopedKeys]) -> bool {
+        let scope = if shared[id.index()] { &[] } else { scope };
         match self.plan.op(id) {
             PhysicalOp::MapScan { spec, output } => {
                 !spec.residual.is_empty() || self.scoped_source(spec, output, scope).is_some()
             }
             op => (op.inputs().into_iter())
-                .any(|input| self.seekable(walk, input, &narrowed(self.plan, scope, input))),
+                .any(|input| self.seekable(shared, input, &narrowed(self.plan, scope, input))),
         }
     }
 
@@ -1056,58 +974,19 @@ impl<'a> ExecState<'a> {
             .min_by_key(|keys| (keys.rows, placement != Some(&keys.variable)))
     }
 
-    /// Evaluates one operator into the memo. With profiling on, the
+    /// Evaluates one operator into the memo, under the key sets `scope`
+    /// holds for it (read by a scan alone). With profiling on, the
     /// operator is bracketed with a driver-side clock; the wave wrapper in
-    /// `run_wave` adds what its tasks observed. `key_source` is, for a scan,
-    /// where it may take the keys it restricts its read to.
-    fn run_op(&mut self, id: PhysId, key_source: Option<KeySource>) {
+    /// `run_wave` adds what its tasks observed.
+    fn run_op(&mut self, id: PhysId, scope: &[ScopedKeys]) {
         let span = self.open_span();
-        let result = self.eval_op(id, key_source);
+        let result = self.eval_op(id, scope);
         if let Some(span) = span {
             let name = format!("{}#{}", self.plan.op(id).name(), id.index());
             let node = self.close_span(name, span);
             self.record_node(id, &result, node);
         }
         self.memo[id.index()] = Some(result);
-    }
-
-    /// Evaluates the scans a join drives, each as its own operator (own
-    /// wave, own span): the sought ones first — a residual constant, or a
-    /// key set of an ancestor join in `scope` ([`ExecState::scoped_source`])
-    /// — then the rest, each by stored rows ascending; all known before
-    /// anything is read. A scan not sought is handed the smallest input
-    /// evaluated so far and the join's co-location, and may restrict its
-    /// read to that input's placement keys; a restricted read returns only
-    /// rows that can still find a partner, so it tends to be the next
-    /// scan's key source in turn.
-    fn drive_scans(&mut self, inputs: &[PhysId], co_located: bool, scope: &[ScopedKeys]) {
-        let plan = self.plan;
-        let rows_of = |state: &Self, id: PhysId| {
-            let value = state.memo[id.index()].as_ref()?;
-            Some((value.cardinality(), id))
-        };
-        let mut smallest = inputs.iter().filter_map(|&id| rows_of(self, id)).min();
-        let mut pending: Vec<(bool, u64, PhysId, Option<ScopedKeys>)> = inputs
-            .iter()
-            .filter(|id| self.memo[id.index()].is_none())
-            .filter_map(|&id| {
-                let PhysicalOp::MapScan { spec, output } = plan.op(id) else {
-                    return None;
-                };
-                let scoped = self.scoped_source(spec, output, scope).cloned();
-                let sought = !spec.residual.is_empty() || scoped.is_some();
-                Some((!sought, self.stored_rows(spec), id, scoped))
-            })
-            .collect();
-        pending.sort_unstable_by_key(|&(unsought, rows, id, _)| (unsought, rows, id));
-        for (_, _, id, scoped) in pending {
-            let keys = match scoped {
-                Some(scoped) => Some(KeySource::Scoped(scoped)),
-                None => smallest.map(|(_, source)| KeySource::Sibling(source, co_located)),
-            };
-            self.run_op(id, keys);
-            smallest = smallest.into_iter().chain(rows_of(self, id)).min();
-        }
     }
 
     /// An already-evaluated input.
@@ -1118,9 +997,9 @@ impl<'a> ExecState<'a> {
         )
     }
 
-    fn eval_op(&mut self, id: PhysId, key_source: Option<KeySource>) -> Arc<Intermediate> {
+    fn eval_op(&mut self, id: PhysId, scope: &[ScopedKeys]) -> Arc<Intermediate> {
         match self.plan.op(id) {
-            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, key_source),
+            PhysicalOp::MapScan { spec, output } => self.eval_scan(id, spec, output, scope),
             PhysicalOp::MapJoin {
                 attributes, inputs, ..
             }
@@ -1134,20 +1013,15 @@ impl<'a> ExecState<'a> {
 
     /// Reads the triples `spec` selects and converts them to binding rows,
     /// applying the spec's residual constants and the pattern's own
-    /// repeated-variable equalities. One map task per node, and three ways
+    /// repeated-variable equalities. One map task per node, and two ways
     /// to read:
     ///
-    /// * a residual constant is **sought**: the replica placed by the
-    ///   constant's position holds every matching triple as one equal range
-    ///   per file, so the scan's own files are never read; so is a key set
-    ///   of an ancestor join (`key_source` is [`KeySource::Scoped`]) on a
-    ///   variable off the placement position — one more task first collects
-    ///   its distinct values and seeks them all ([`ExecState::seek_keys`]);
-    /// * otherwise, when `key_source` names an input of the driving join
-    ///   whose distinct placement keys on this node are few against this
-    ///   node's stored rows ([`RESTRICT_ROWS_PER_KEY`]), or an ancestor's key
-    ///   set on the placement variable, the task reads only those keys
-    ///   ([`ExecState::scan_keys`]);
+    /// * **sought**: a residual constant, or else the key set in `scope`
+    ///   the scan seeks ([`ExecState::scoped_source`]), is looked up in the
+    ///   replica placed by its position — the scan's own replica when that
+    ///   is its placement position — as one equal range per key and file
+    ///   ([`PartitionedStore::seek`](cliquesquare_mapreduce::PartitionedStore::seek),
+    ///   [`ExecState::seek_keys`]); the scan's files are not read;
     /// * otherwise the files are read in full, as they are stored.
     ///
     /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
@@ -1156,7 +1030,7 @@ impl<'a> ExecState<'a> {
     /// when neither a residual constant nor a repeated variable can reject
     /// a triple.
     ///
-    /// All three reads deliver the store's placement-major order, so each
+    /// Both reads deliver the store's placement-major order, so each
     /// node's relation starts pre-ordered: it is tagged with the index order
     /// the interesting-orders pass derived for this operator (verified in
     /// debug builds), and a scan feeding a join on the placement variable
@@ -1166,7 +1040,7 @@ impl<'a> ExecState<'a> {
         id: PhysId,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
-        key_source: Option<KeySource>,
+        scope: &[ScopedKeys],
     ) -> Arc<Intermediate> {
         let plan = self.plan;
         let nodes = self.cluster.nodes();
@@ -1182,35 +1056,26 @@ impl<'a> ExecState<'a> {
             .map_while(|v| schema.iter().position(|s| s == v))
             .collect();
         let store = self.cluster.store_arc();
-        let (mut sought, mut keys, mut sought_keys, mut keys_from) = (None, None, None, None);
-        let mut residual = &spec.residual[..];
-        if let Some((seek, rest)) = spec.residual.split_first() {
-            let (property, class) = (spec.property, spec.type_object);
-            let constant = [seek.constant];
-            sought = Some(store.seek(spec.placement, property, class, seek.position, &constant));
-            residual = rest;
-        } else {
-            match key_source {
-                Some(KeySource::Sibling(source, co_located)) => {
-                    keys = self.scan_keys(spec, source, co_located);
-                }
-                Some(KeySource::Scoped(scoped)) => {
-                    keys_from = Some(scoped.join.index() as u64);
-                    if placement_variable(spec) == Some(&scoped.variable) {
-                        let scoped = self.scan_keys(spec, scoped.source, false);
-                        keys = scoped.map(|keys| ScanKeys {
-                            node_cut: false,
-                            ..keys
-                        });
-                    } else {
-                        let (triples, count) = self.seek_keys(spec, &scoped);
-                        (sought, sought_keys) = (Some(triples), Some(count));
-                    }
-                }
-                None => {}
+        let (placement, property, class) = (spec.placement, spec.property, spec.type_object);
+        let (sought, keyed) = match (
+            spec.residual.first(),
+            self.scoped_source(spec, output, scope),
+        ) {
+            (Some(seek), _) => {
+                let constant = [seek.constant];
+                let sought = store.seek(placement, property, class, seek.position, &constant);
+                (Some(sought), None)
             }
-        }
-        let volume = self.scan_volume(spec, sought.as_deref(), keys.as_ref());
+            (None, Some(scoped)) => {
+                let (sought, keys) = self.seek_keys(spec, scoped);
+                (Some(sought), Some((keys, scoped.join.index() as u64)))
+            }
+            (None, None) => (None, None),
+        };
+        let volume = match &sought {
+            Some(sought) => sought.iter().map(|triples| triples.len() as u64).sum(),
+            None => self.stored_rows(spec),
+        };
         // One `'static` snapshot shared by the wave's tasks: the store stays
         // behind its `Arc`, everything else is this scan's own small state.
         let ctx = Arc::new(ScanWave {
@@ -1218,9 +1083,8 @@ impl<'a> ExecState<'a> {
             spec: spec.clone(),
             binder: TripleBinder::new(&spec.pattern, schema),
             order_cols,
-            residual: residual.to_vec(),
+            residual: spec.residual.iter().skip(1).cloned().collect(),
             sought,
-            keys,
         });
         let tasks: Vec<_> = (0..nodes)
             .map(|node| {
@@ -1231,69 +1095,20 @@ impl<'a> ExecState<'a> {
         let results = self.run_wave(volume, tasks);
 
         let checks = (spec.residual.len() as u64).max(1);
-        let mut scanned_total: u64 = 0;
-        let mut produced: u64 = 0;
-        let mut keys_total: Option<u64> = None;
-        let mut parts = Vec::with_capacity(results.len());
-        for (relation, scanned, keys_in) in results {
-            scanned_total += scanned;
-            produced += relation.len() as u64;
-            if let Some(keys_in) = keys_in {
-                *keys_total.get_or_insert(0) += keys_in;
-            }
-            parts.push(relation);
-        }
+        let scanned: u64 = results.iter().map(|(_, scanned)| scanned).sum();
+        let parts: Vec<Relation> = results.into_iter().map(|(relation, _)| relation).collect();
+        let produced = parts.iter().map(|part| part.len() as u64).sum::<u64>();
         let job = self.job_mut(id);
-        job.tuples_read += scanned_total;
-        job.comparisons += scanned_total * checks;
+        job.tuples_read += scanned;
+        job.comparisons += scanned * checks;
         job.tuples_written += produced;
         if let Some(prof) = &mut self.prof {
             // The scan's true input is the raw triples it read, which no
             // memoized intermediate reports.
-            prof.rows_in = Some(scanned_total);
-            prof.keys_in = sought_keys.or(keys_total);
-            prof.keys_from = keys_from.filter(|_| prof.keys_in.is_some());
+            prof.rows_in = Some(scanned);
+            prof.keyed = keyed;
         }
         Arc::new(Intermediate::Local(parts))
-    }
-
-    /// The evaluated input `source` of the join driving a scan of `spec` —
-    /// or of an ancestor join whose key set on the placement variable the
-    /// scan seeks, which is never co-located with it — as the keys that
-    /// scan may restrict its read to: the column of `source` holding the
-    /// scan's placement variable. (Inputs of one join share every variable
-    /// they both bind, so restricting by a shared variable can only drop
-    /// rows with no partner.)
-    ///
-    /// * **Co-located** (`co_located`): `source` is a scan of the same join,
-    ///   placed by the same variable, so node `n`'s part holds every key
-    ///   node `n`'s files can match. Usable when every part is sorted by
-    ///   that column first, so a part's distinct keys come out ascending,
-    ///   the order the files hold them in.
-    /// * **Otherwise** `source`'s parts are partitioned by something else
-    ///   (a reduce output by its own join key), so each node seeks the keys
-    ///   of every part that the store places on it. Usable when `source` has
-    ///   few rows against the scan's stored rows ([`RESTRICT_ROWS_PER_KEY`]):
-    ///   every node then reads all of `source`.
-    fn scan_keys(&self, spec: &ScanSpec, source: PhysId, co_located: bool) -> Option<ScanKeys> {
-        let value = self.input(source);
-        let parts = value.relations();
-        let column = parts.first()?.column(placement_variable(spec)?)?;
-        let usable = if co_located {
-            parts.len() == self.cluster.nodes()
-                && parts
-                    .iter()
-                    .all(|part| part.order().columns().first() == Some(&column))
-        } else {
-            let rows = value.cardinality();
-            rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) <= self.stored_rows(spec)
-        };
-        usable.then_some(ScanKeys {
-            source: value,
-            column,
-            co_located,
-            node_cut: true,
-        })
     }
 
     /// The triples a full read of `spec`'s files binds, from the catalog:
@@ -1303,54 +1118,16 @@ impl<'a> ExecState<'a> {
         stats.scan_cardinality(spec.property, spec.type_object) as u64
     }
 
-    /// The triples a scan of `spec` is expected to read — the volume its
-    /// wave is dispatched by: the triples a constant `sought`, or, reading
-    /// by key, the key source's rows (a bound on its distinct keys) times
-    /// the catalog's rows per distinct placement value (one for a class
-    /// file), or else its stored rows.
-    fn scan_volume(
-        &self,
-        spec: &ScanSpec,
-        sought: Option<&[Vec<Triple>]>,
-        keys: Option<&ScanKeys>,
-    ) -> u64 {
-        if let Some(sought) = sought {
-            return sought.iter().map(|triples| triples.len() as u64).sum();
-        }
-        let stored = self.stored_rows(spec);
-        let Some(keys) = keys else {
-            return stored;
-        };
-        let keys = keys.source.cardinality();
-        if keys.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) > stored {
-            return stored;
-        }
-        self.keyed_rows(spec, spec.placement, keys)
-    }
-
-    /// The triples of `spec`'s files holding one of `keys` values at
-    /// `position`, from the catalog: `keys` times the rows per distinct
-    /// value there (one for a class file, whose one variable is its
-    /// subject), at most the stored rows.
-    fn keyed_rows(&self, spec: &ScanSpec, position: TriplePosition, keys: u64) -> u64 {
-        let stored = self.stored_rows(spec);
-        let rows_per_key = match (spec.type_object, spec.property) {
-            (Some(_), _) => 1,
-            (None, Some(property)) => {
-                let distinct = self.cluster.statistics().distinct_at(property, position);
-                stored.div_ceil(distinct.max(1) as u64)
-            }
-            (None, None) => return stored,
-        };
-        stored.min(keys.saturating_mul(rows_per_key))
-    }
-
-    /// The seek of a scan of `spec` by an ancestor's key set on a variable
-    /// off its placement position, as a one-task wave: the task collects
-    /// the distinct values of the key column of `scoped.source` and seeks
-    /// them, in one call, in the replica placed by the variable's position
+    /// The seek of a scan of `spec` by the key set `scoped`, as a one-task
+    /// wave: the task collects the distinct values of the key column of
+    /// `scoped.source` and seeks them, in one call, in the replica placed
+    /// by the variable's position
     /// ([`PartitionedStore::seek`](cliquesquare_mapreduce::PartitionedStore::seek)).
-    /// Returns the triples per node, in scan order, and the number of keys.
+    /// The wave's volume is the catalog's estimate of what the seek finds:
+    /// the source's rows (a bound on its distinct keys) times the rows per
+    /// distinct value at that position (one for a class file), at most the
+    /// stored rows. Returns the triples per node, in scan order, and the
+    /// number of keys.
     fn seek_keys(&mut self, spec: &ScanSpec, scoped: &ScopedKeys) -> (Vec<Vec<Triple>>, u64) {
         let variable = &scoped.variable;
         let position = (TriplePosition::ALL.into_iter())
@@ -1361,9 +1138,18 @@ impl<'a> ExecState<'a> {
         let column = (source.relations().first())
             .and_then(|part| part.column(variable))
             .expect("every input of a join binds its attributes");
+        let stored = self.stored_rows(spec);
+        let rows_per_key = match (spec.type_object, spec.property) {
+            (Some(_), _) => 1,
+            (None, Some(property)) => {
+                let distinct = self.cluster.statistics().distinct_at(property, position);
+                stored.div_ceil(distinct.max(1) as u64)
+            }
+            (None, None) => stored,
+        };
+        let volume = stored.min(scoped.rows.saturating_mul(rows_per_key));
         let store = self.cluster.store_arc();
         let (placement, property, class) = (spec.placement, spec.property, spec.type_object);
-        let volume = self.keyed_rows(spec, position, scoped.rows);
         let found = self.run_wave(
             volume,
             vec![move || {
@@ -1614,11 +1400,12 @@ impl<'a> ExecState<'a> {
     /// the heads cover the answer's head only if no row occurs in two
     /// parts. That holds when the projection keeps every attribute of the
     /// join that produced `input` — its output is partitioned on them — and,
-    /// for runs that drop one, when every part vouches with the same kept
-    /// column and those columns' values, merged in one more task, never
-    /// repeat. On success `counted` is set and the heads are returned;
-    /// `None` (nothing else changed) sends the caller down the unbounded
-    /// path, and the gather counts.
+    /// for runs that drop one, when some kept column vouches in every part
+    /// with runs and its values never repeat across parts
+    /// ([`ExecState::vouched`]) — which holds at one partition exactly when
+    /// it holds at any. On success `counted` is set and the heads are
+    /// returned; `None` (nothing else changed) sends the caller down the
+    /// unbounded path, and the gather counts.
     fn project_bounded(
         &mut self,
         value: &Arc<Intermediate>,
@@ -1657,27 +1444,14 @@ impl<'a> ExecState<'a> {
             .collect::<Option<_>>()?;
         let (mut heads, mut witnesses) = (Vec::new(), Vec::new());
         let (mut count, mut runs_expanded) = (0, 0);
-        for part in parts {
+        for (index, part) in parts.into_iter().enumerate() {
             count += part.count;
             runs_expanded += part.runs_expanded;
             heads.push(part.head);
-            witnesses.extend(part.witness);
+            witnesses.extend(part.witness.map(|(column, values)| (index, column, values)));
         }
-        if let Some((vouching, _)) = witnesses.first() {
-            if witnesses.iter().any(|(column, _)| column != vouching) {
-                return None;
-            }
-            let values: Vec<Relation> = witnesses.into_iter().map(|(_, values)| values).collect();
-            let disjoint = self.run_wave(
-                volume,
-                vec![move || {
-                    let merged = Relation::merge_ordered(values);
-                    merged.distinct_len() == merged.len()
-                }],
-            );
-            if disjoint != [true] {
-                return None;
-            }
+        if !witnesses.is_empty() && !self.vouched(value, vars, witnesses, volume) {
+            return None;
         }
         self.counted = Some(count);
         if let Some(prof) = &mut self.prof {
@@ -1688,6 +1462,63 @@ impl<'a> ExecState<'a> {
             }
         }
         Some(heads)
+    }
+
+    /// Whether one column vouches for the runs of every part together: the
+    /// first projected column, in column order, that vouches in each part
+    /// with runs and whose values no two parts share — the column one part
+    /// holding every run would vouch with, so the answer is the same at
+    /// every partition count. `witnesses` holds each such part's first
+    /// column, as `(part, column, values)`. When they differ, the parts
+    /// behind are asked again from the furthest, and when they agree on a
+    /// column whose values two parts share, every part is asked from the
+    /// next: each a wave of its own, rarely run.
+    fn vouched(
+        &mut self,
+        value: &Arc<Intermediate>,
+        vars: &Arc<[Variable]>,
+        mut witnesses: Vec<(usize, usize, Relation)>,
+        volume: u64,
+    ) -> bool {
+        loop {
+            let column = (witnesses.iter().map(|&(_, column, _)| column).max())
+                .expect("a part with runs names a column");
+            let (from, behind): (usize, Vec<usize>) =
+                if witnesses.iter().all(|&(_, named, _)| named == column) {
+                    let parts = witnesses.iter().map(|&(part, ..)| part).collect();
+                    let values: Vec<Relation> = witnesses.drain(..).map(|(.., v)| v).collect();
+                    let disjoint = self.run_wave(
+                        volume,
+                        vec![move || {
+                            let merged = Relation::merge_ordered(values);
+                            merged.distinct_len() == merged.len()
+                        }],
+                    );
+                    if disjoint == [true] {
+                        return true;
+                    }
+                    (column + 1, parts)
+                } else {
+                    let (behind, ahead) = witnesses.drain(..).partition(|w| w.1 < column);
+                    witnesses = ahead;
+                    (column, behind.into_iter().map(|(part, ..)| part).collect())
+                };
+            let tasks: Vec<_> = (behind.iter())
+                .map(|&part| {
+                    let (value, vars) = (Arc::clone(value), Arc::clone(vars));
+                    move || match &*value {
+                        Intermediate::LocalRuns(parts) => parts[part].witness_from(&vars, from),
+                        Intermediate::Local(_) => unreachable!("eager parts keep every key"),
+                    }
+                })
+                .collect();
+            for (part, found) in behind.into_iter().zip(self.run_wave(volume, tasks)) {
+                let Some((column, values)) = found else {
+                    return false;
+                };
+                witnesses.push((part, column, values));
+            }
+        }
     }
 }
 
@@ -1729,59 +1560,32 @@ struct ScanWave {
     order_cols: Vec<usize>,
     /// Constants still checked triple by triple (all but the sought one).
     residual: Vec<FilterCondition>,
-    /// Per-node triples a constant seek found; `None` reads the files.
+    /// Per-node triples a seek found; `None` reads the files.
     sought: Option<Vec<Vec<Triple>>>,
-    /// Where a node's placement keys come from, when the read may be
-    /// restricted to them; `None` reads the files in full.
-    keys: Option<ScanKeys>,
 }
 
 impl ScanWave {
-    /// One node's triples in scan order, and the number of keys the read
-    /// was restricted to (`None`: sought, or read in full). The one place
-    /// a node's keys are computed and held to the node's limit
-    /// ([`RESTRICT_ROWS_PER_KEY`] rows per key of its files).
-    fn read(&self, node: usize) -> (Cow<'_, [Triple]>, Option<u64>) {
+    /// One node's triples in scan order: what the seek found for it, or
+    /// its files read in full.
+    fn read(&self, node: usize) -> Cow<'_, [Triple]> {
         if let Some(sought) = &self.sought {
-            return (Cow::Borrowed(&sought[node]), None);
+            return Cow::Borrowed(&sought[node]);
         }
         let spec = &self.spec;
         let files = self
             .store
             .scan_files(node, spec.placement, spec.property, spec.type_object);
-        // This node's keys, ascending and distinct, unless there are more
-        // than its files restrict to.
-        let keys = self.keys.as_ref().and_then(|keys| {
-            let limit = match keys.node_cut {
-                true => files.rows() / RESTRICT_ROWS_PER_KEY,
-                false => usize::MAX,
-            };
-            let (parts, column) = (keys.source.relations(), keys.column);
-            if keys.co_located {
-                return distinct_keys(&parts[node], column, limit);
-            }
-            let mut placed: Vec<TermId> = (parts.iter().flat_map(Relation::rows))
-                .map(|row| row[column])
-                .filter(|&key| self.store.node_of(key) == node)
-                .collect();
-            placed.sort_unstable();
-            placed.dedup();
-            (placed.len() <= limit).then_some(placed)
-        });
-        match keys {
-            Some(keys) => (Cow::Owned(files.read_keys(&keys)), Some(keys.len() as u64)),
-            None => (files.read(), None),
-        }
+        files.read()
     }
 
     /// One node's scan task: reads the node's triples and binds them in
-    /// bulk, tagging the rows with the index order. Returns the relation,
-    /// the triples read and the keys the read was restricted to.
-    fn task(&self, node: usize) -> (Relation, u64, Option<u64>) {
-        let (triples, keys_in) = self.read(node);
+    /// bulk, tagging the rows with the index order. Returns the relation
+    /// and the triples read.
+    fn task(&self, node: usize) -> (Relation, u64) {
+        let triples = self.read(node);
         let order = SortOrder::by(self.order_cols.iter().copied());
         let relation = self.binder.bind_all(&triples, &self.residual, order);
-        (relation, triples.len() as u64, keys_in)
+        (relation, triples.len() as u64)
     }
 }
 
@@ -2183,16 +1987,14 @@ mod tests {
                 order_cols: Vec::new(),
                 residual: residual.clone(),
                 sought: Some(vec![triples.clone()]),
-                keys: None,
             };
-            let (relation, read, keys_in) = wave.task(0);
+            let (relation, read) = wave.task(0);
             let expected = per_triple_scan(&pattern, &schema, &residual, &triples);
             proptest::prop_assert_eq!(relation.schema(), &schema[..]);
             proptest::prop_assert_eq!(relation.len(), expected.len());
             let rows: Vec<Vec<TermId>> = relation.rows().map(<[TermId]>::to_vec).collect();
             proptest::prop_assert_eq!(rows, expected);
             proptest::prop_assert_eq!(read, triples.len() as u64);
-            proptest::prop_assert_eq!(keys_in, None);
         }
     }
 
@@ -2321,10 +2123,12 @@ mod tests {
     }
 
     /// Evaluates `plan` and returns the per-node parts of every join `kind`
-    /// selects, plus how many scans read only another join input's keys.
-    /// With `restrict` off, the scans the joins would drive are evaluated
-    /// first, in full; the joins then find every input memoized and drive
-    /// nothing.
+    /// selects, plus how many scans read only keys in scope. With
+    /// `restrict` off, every scan is evaluated first, in full (a residual
+    /// constant is still sought); the walk then finds them memoized and
+    /// restricts none. With it on, each selected join is walked first,
+    /// inputs first, under no ancestor's key set: its scans are restricted
+    /// by its own keys alone, which only drop rows with no partner in it.
     fn join_parts(
         cluster: &Cluster,
         plan: &PhysicalPlan,
@@ -2334,10 +2138,15 @@ mod tests {
     ) -> (Vec<Vec<Relation>>, usize) {
         let sched = schedule(plan);
         let mut state = exec_state(cluster, plan, &sched, runtime);
-        if !restrict {
-            let driven = join_driven_scans(plan, &evaluated_ops(plan));
-            for index in (0..plan.len()).filter(|&index| driven[index]) {
-                state.run_op(PhysId(index), None);
+        if restrict {
+            let consumers = consumer_counts(plan, &evaluated_ops(plan));
+            let shared: Vec<bool> = consumers.iter().map(|&consumers| consumers > 1).collect();
+            for id in plan.ops_where(kind) {
+                state.visit(&shared, id, Vec::new());
+            }
+        } else {
+            for id in plan.ops_where(|op| matches!(op, PhysicalOp::MapScan { .. })) {
+                state.run_op(id, &[]);
             }
         }
         state.run();
@@ -2356,10 +2165,10 @@ mod tests {
         (parts, restricted)
     }
 
-    /// Passing keys sideways only drops rows that have no partner: on every
-    /// node, every MapJoin of every selective template outputs the rows, in
-    /// the order, it outputs over scans read in full — at threads {1, 2, 8}
-    /// — and the templates do restrict.
+    /// Seeking the keys in scope only drops rows that have no partner: on
+    /// every node, every MapJoin of every selective template outputs the
+    /// rows, in the order, it outputs over scans read in full — at threads
+    /// {1, 2, 8} — and the templates do restrict.
     #[test]
     fn restricted_map_joins_equal_unrestricted_ones_node_for_node() {
         let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
@@ -2386,21 +2195,28 @@ mod tests {
         assert!(restricted_scans > 0, "the templates exercise key passing");
     }
 
+    /// LUBM Q14: its second-level reduce join meets the X-star, whose scans
+    /// hold no key set small enough to seek, with a side many times
+    /// smaller — a semi-join that drops rows in its route tasks.
+    const SEMI_JOINED_TEMPLATE: &str = "SELECT ?X ?Y ?Z WHERE { ?X rdf:type ub:FullProfessor . \
+         ?X ub:teacherOf ?Y . ?Y rdf:type ub:GraduateCourse . ?X ub:worksFor ?Z . \
+         ?W ub:advisor ?X . ?W rdf:type ub:GraduateStudent . ?W ub:emailAddress ?E . \
+         ?Z rdf:type ub:Department . ?Z ub:subOrganizationOf ?U . ?U ub:name \"University3\" }";
+
     /// The semi-join of a reduce join only drops rows that have no partner:
     /// on every node, every ReduceJoin of the first eight MSC plans of every
-    /// selective template outputs the rows, in the order, it outputs over
-    /// driven scans read in full — at threads {1, 2, 8} — and the plans
-    /// read by key for a reduce join and filter its route tasks. (At 24
-    /// universities the advisees' side is small enough against the class
-    /// file for a keyed read.)
+    /// selective template and of [`SEMI_JOINED_TEMPLATE`] outputs the rows,
+    /// in the order, it outputs over scans read in full — at threads
+    /// {1, 2, 8} — and the plans read by key for a reduce join and filter
+    /// its route tasks. (At 24 universities the advisees' side is small
+    /// enough against the class file for a keyed read.)
     #[test]
     fn semi_joined_reduce_joins_equal_full_ones_node_for_node() {
         let graph = LubmGenerator::new(LubmScale::with_universities(24)).generate();
         let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
         let reduce_joins = |op: &PhysicalOp| matches!(op, PhysicalOp::ReduceJoin { .. });
         let (mut restricted_scans, mut filtered) = (0, 0);
-        let queries = SELECTIVE_TEMPLATES
-            .iter()
+        let queries = (SELECTIVE_TEMPLATES.iter().chain([&SEMI_JOINED_TEMPLATE]))
             .map(|text| parse_query(text).unwrap());
         for query in queries {
             let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
@@ -2435,15 +2251,15 @@ mod tests {
         assert!(filtered > 0, "a reduce join filters its route tasks");
     }
 
-    /// A scan sought by an ancestor's key set reads exactly the rows that
-    /// can still meet it: on every node, the parts of every unconstrained
-    /// scan of every selective template sought by the values of each
-    /// variable it shares with another scan of the plan (the key source,
-    /// read in full) equal the parts a full read binds filtered by those
-    /// values — at threads {1, 2, 8}, with the key variable at the scan's
-    /// placement position (a keyed read of its own files) and off it (a
-    /// seek in another replica), and with key sources of no rows. Each such
-    /// scan's span names the join the keys came from (`keys_from`).
+    /// A scan sought by a key set in scope reads exactly the rows that can
+    /// still meet it: on every node, the parts of every unconstrained scan
+    /// of every selective template sought by the values of each variable it
+    /// shares with another scan of the plan (the key source, read in full)
+    /// equal the parts a full read binds filtered by those values — at
+    /// threads {1, 2, 8}, with the key variable at the scan's placement
+    /// position (a seek in its own replica) and off it (a seek in another),
+    /// and with key sources of no rows. Each such scan's span names the
+    /// join the keys came from (`keys_from`).
     #[test]
     fn key_sought_scans_equal_full_ones_filtered_by_the_keys() {
         let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
@@ -2458,7 +2274,7 @@ mod tests {
             let scans = plan.ops_where(|op| matches!(op, PhysicalOp::MapScan { .. }));
             let full_read = |id: PhysId| {
                 let mut state = exec_state(&cluster, &plan, &sched, &sequential);
-                state.run_op(id, None);
+                state.run_op(id, &[]);
                 state.input(id).relations().to_vec()
             };
             for (&scan, &source) in scans.iter().flat_map(|s| scans.iter().map(move |t| (s, t))) {
@@ -2492,14 +2308,14 @@ mod tests {
                 for threads in [1, 2, 8] {
                     let runtime = Runtime::with_threads(threads);
                     let mut state = exec_state(&cluster, &plan, &sched, &runtime);
-                    state.run_op(source, None);
+                    state.run_op(source, &[]);
                     let scoped = ScopedKeys {
                         variable: variable.clone(),
                         source,
                         rows,
                         join,
                     };
-                    state.run_op(scan, Some(KeySource::Scoped(scoped)));
+                    state.run_op(scan, &[scoped]);
                     let at = format!("threads={threads}, {variable} of {source:?}: {text}");
                     assert_eq!(state.input(scan).relations(), &expected[..], "{at}");
                     let (_, span) = state.prof.as_ref().unwrap().nodes.last().unwrap();
@@ -2515,6 +2331,65 @@ mod tests {
             }
         }
         assert!(at_placement > 0 && off_placement > 0 && empty_sources > 0);
+    }
+
+    /// The parts' runs vouch together exactly when one part holding them all
+    /// would: over `(?k, ?p)` ⋈ `(?k, ?s)` projected onto `?p ?s`, parts
+    /// whose first vouching columns differ (asked again from the furthest),
+    /// parts agreeing on a column whose values they share (asked again from
+    /// the next), and parts no column vouches for together.
+    #[test]
+    fn parts_vouch_together_as_one_part_would() {
+        let cluster = cluster();
+        let plan = translate(
+            Optimizer::with_variant(Variant::Msc)
+                .optimize(&parse_query("SELECT ?x WHERE { ?x ub:advisor ?y }").unwrap())
+                .flattest_plans()[0],
+            cluster.graph(),
+        );
+        let (sched, runtime) = (schedule(&plan), Runtime::sequential());
+        let vars: Arc<[Variable]> = [Variable::new("p"), Variable::new("s")].into();
+        let runs = |rows: &[(u32, u32, u32)]| {
+            let side = |pick: fn(&(u32, u32, u32)) -> u32, name| {
+                let rows = rows
+                    .iter()
+                    .map(|row| vec![TermId(row.0), TermId(pick(row))]);
+                Relation::new(
+                    vec![Variable::new("k"), Variable::new(name)],
+                    rows.collect(),
+                )
+            };
+            let (left, right) = (side(|row| row.1, "p"), side(|row| row.2, "s"));
+            factorized::join_runs(&[&left, &right], &[Variable::new("k")], &[])
+        };
+        // Per part, `(k, p, s)` rows; whether the parts vouch together.
+        type Parts<'a> = &'a [&'a [(u32, u32, u32)]];
+        let cases: [(Parts, bool); 3] = [
+            (&[&[(1, 10, 20), (2, 10, 21)], &[(3, 11, 22)]], true),
+            (&[&[(1, 10, 20)], &[(2, 10, 21)]], true),
+            (&[&[(1, 10, 20)], &[(2, 10, 20)]], false),
+        ];
+        for (parts, expected) in cases {
+            let whole: Vec<(u32, u32, u32)> = parts.concat();
+            let one = runs(&whole).project_bounded(&vars, usize::MAX);
+            assert_eq!(one.is_some(), expected, "{parts:?} as one part");
+            let parts: Vec<RunsRelation> = parts.iter().map(|rows| runs(rows)).collect();
+            let witnesses: Vec<(usize, usize, Relation)> = (parts.iter().enumerate())
+                .filter_map(|(index, part)| {
+                    let (column, values) = part.project_bounded(&vars, usize::MAX)?.witness?;
+                    Some((index, column, values))
+                })
+                .collect();
+            assert_eq!(
+                witnesses.len(),
+                parts.len(),
+                "{parts:?}: every part vouches"
+            );
+            let value = Arc::new(Intermediate::LocalRuns(parts));
+            let mut state = exec_state(&cluster, &plan, &sched, &runtime);
+            let vouched = state.vouched(&value, &vars, witnesses, 0);
+            assert_eq!(vouched, expected, "{value:?}");
+        }
     }
 
     /// The rows of `relation` that `keep` accepts, in order.
@@ -2534,8 +2409,8 @@ mod tests {
         node: usize,
         nodes: usize,
     ) -> Relation {
-        let hashed = |row: &[TermId]| relation::shuffle_hash(row, key_cols) % nodes as u64;
-        rows_where(relation, |row| hashed(row) == node as u64).sorted()
+        let hashed = |row: &[TermId]| relation::shuffle_node(row, key_cols, nodes);
+        rows_where(relation, |row| hashed(row) == node).sorted()
     }
 
     /// The shuffle moves rows, it neither copies nor misroutes them, and
@@ -2613,8 +2488,7 @@ mod tests {
                                 by_key.sort_by_columns(&key_cols);
                                 assert_eq!(by_key.data(), merged.data(), "the order holds");
                                 let routed = rows_where(kept, |row| {
-                                    relation::shuffle_hash(row, &key_cols) % nodes as u64
-                                        == node as u64
+                                    relation::shuffle_node(row, &key_cols, nodes) == node
                                 });
                                 assert_eq!(merged.sorted(), routed.sorted(), "{at}");
                             }

@@ -190,12 +190,13 @@ pub struct BoundedProjection {
     pub count: usize,
     /// Runs the head was expanded from.
     pub runs_expanded: usize,
-    /// Set when the projection drops a join attribute: the projected column
-    /// none of whose values occurs in two of this part's runs (which is what
-    /// makes the runs' rows disjoint), and its distinct values in ascending
-    /// order. Rows of *different parts* are disjoint when every part names
-    /// the same column and no value occurs in two parts either — the
-    /// caller's check.
+    /// Set when the projection drops a join attribute: the first projected
+    /// column, in column order, none of whose values occurs in two of this
+    /// part's runs (which is what makes the runs' rows disjoint), and its
+    /// distinct values in ascending order. Rows of *different parts* are
+    /// disjoint when every part names the same column and no value occurs
+    /// in two parts either — the caller's check, which asks a part for a
+    /// later column with [`RunsRelation::witness_from`].
     pub witness: Option<(usize, Relation)>,
 }
 
@@ -466,7 +467,7 @@ impl RunsRelation {
         let witness = if keys_kept || self.runs == 0 {
             None
         } else {
-            Some(self.witness(&projection)?)
+            Some(self.witness(&projection, 0)?)
         };
         let inputs = (self.inputs.iter().zip(&projection.writes))
             .map(|(input, writes)| input.project_distinct(writes, self.runs))
@@ -513,15 +514,23 @@ impl RunsRelation {
         }
     }
 
-    /// The first kept payload column — columns of the input with the fewest
-    /// rows first — none of whose values occurs in two runs, as `(projected
-    /// column, its distinct values in ascending order)`. Rows of different
-    /// runs then differ in that column.
-    fn witness(&self, projection: &Projection) -> Option<(usize, Relation)> {
+    /// The first projected column onto `variables` from column `from` on
+    /// that vouches for these runs, as [`BoundedProjection::witness`]
+    /// names one; `None` when no such column does.
+    pub fn witness_from(&self, variables: &[Variable], from: usize) -> Option<(usize, Relation)> {
+        self.witness(&self.projection(variables), from)
+    }
+
+    /// The first kept payload column from projected column `from` on, in
+    /// column order — the same order in every part — none of whose values
+    /// occurs in two runs, as `(projected column, its distinct values in
+    /// ascending order)`. Rows of different runs then differ in that column.
+    fn witness(&self, projection: &Projection, from: usize) -> Option<(usize, Relation)> {
         let mut candidates: Vec<(usize, usize, usize)> = (projection.writes.iter().enumerate())
             .flat_map(|(i, writes)| writes.iter().map(move |&(src, dst)| (i, src, dst)))
+            .filter(|&(.., dst)| dst >= from)
             .collect();
-        candidates.sort_by_key(|&(i, ..)| self.inputs[i].payload.len());
+        candidates.sort_unstable_by_key(|&(.., dst)| dst);
         candidates.into_iter().find_map(|(i, src, dst)| {
             let values = self.inputs[i].column_unless_repeated(src, self.runs)?;
             let rows = values.len();

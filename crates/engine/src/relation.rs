@@ -25,6 +25,7 @@
 //! other input pays one column-permuted index sort — never a hash table,
 //! never a key `Vec` per row.
 
+use cliquesquare_mapreduce::node_of_hash;
 use cliquesquare_rdf::TermId;
 use cliquesquare_sparql::Variable;
 use std::cmp::Ordering;
@@ -1438,8 +1439,8 @@ fn step(at: &mut [usize], ends: &[usize], mut depth: usize) -> Option<usize> {
 /// observed fill — so a skewed key distribution (wide fan-out) never
 /// over-reserves, and empty buckets reserve nothing.
 ///
-/// The hash is deterministic (FNV-1a over the key columns), so rows are
-/// routed identically on every run and at every thread count. Rows are
+/// The route is deterministic ([`shuffle_node`]), so rows are routed
+/// identically on every run and at every thread count. Rows are
 /// appended to their bucket in input order, which preserves the relative
 /// order of the input — every bucket inherits the input's tracked
 /// [`SortOrder`].
@@ -1506,7 +1507,7 @@ fn partition_where(
             routes.push(DROPPED);
             continue;
         }
-        let node = (shuffle_hash(row, &columns) % nodes as u64) as usize;
+        let node = shuffle_node(row, &columns, nodes);
         routes.push(node as u32);
         counts[node] += 1;
     }
@@ -1576,16 +1577,17 @@ impl FromIterator<TermId> for KeySet {
     }
 }
 
-/// Deterministic shuffle hash (FNV-1a over the key columns), so that the
-/// hash-partitioned shuffle routes rows identically on every run and at
-/// every thread count.
-pub fn shuffle_hash(row: &[TermId], columns: &[usize]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &column in columns {
-        hash ^= u64::from(row[column].0);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+/// The node of `nodes` the hash-partitioned shuffle routes `row` to: its
+/// key columns folded into one word (multiply by the FNV prime, xor the
+/// next id) and placed by the store's [`node_of_hash`], so rows are routed
+/// identically on every run and at every thread count. A one-column key is
+/// its id, routed where the store places that value: a part placed by the
+/// join key stays on its node.
+pub fn shuffle_node(row: &[TermId], columns: &[usize], nodes: usize) -> usize {
+    let hash = (columns.iter()).fold(0u64, |hash, &column| {
+        hash.wrapping_mul(0x0000_0100_0000_01B3) ^ u64::from(row[column].0)
+    });
+    node_of_hash(hash, nodes)
 }
 
 #[cfg(test)]
@@ -2005,7 +2007,7 @@ mod tests {
         // Same key → same bucket.
         for bucket in &buckets {
             for row in bucket.rows() {
-                let node = (shuffle_hash(row, &[0]) % 3) as usize;
+                let node = shuffle_node(row, &[0], 3);
                 assert_eq!(bucket.schema(), r.schema());
                 assert!(
                     std::ptr::eq(&buckets[node], bucket) || buckets[node].is_empty() || {
@@ -2014,6 +2016,26 @@ mod tests {
                     }
                 );
             }
+        }
+    }
+
+    /// A one-column key routes each row where the store places its value,
+    /// so a part already placed by the key is not moved.
+    #[test]
+    fn a_one_column_shuffle_follows_placement() {
+        let rows: Vec<Vec<TermId>> = (0..64).map(|x| vec![t(x * 4), t(x)]).collect();
+        let r = Relation::new(vec![v("x"), v("a")], rows);
+        for nodes in [1, 2, 4, 7] {
+            let buckets = hash_partition(&r, &[v("x")], nodes);
+            for (node, bucket) in buckets.iter().enumerate() {
+                for row in bucket.rows() {
+                    assert_eq!(node_of_hash(u64::from(row[0].0), nodes), node);
+                }
+            }
+            assert!(
+                buckets.iter().all(|bucket| !bucket.is_empty()),
+                "{nodes} nodes"
+            );
         }
     }
 

@@ -50,6 +50,8 @@ pub use cluster::{compute_statistics, Cluster, ClusterConfig};
 pub use job::JobKind;
 pub use load::{BulkLoader, LoadOptions, LoadOutput, LoadReport};
 pub use metrics::{CostParameters, ExecutionMetrics};
-pub use partition::{scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles};
+pub use partition::{
+    node_of_hash, scan_order, FileKey, PartitionedStore, PlacementStats, ScanFiles,
+};
 pub use runtime::{partitions_for, Runtime};
 pub use scheduler::{JobId, Scheduler, SchedulerStats};

@@ -18,11 +18,10 @@
 //!
 //! Every file is stored sorted in the [`scan_order`] of its replica, so the
 //! three replicas double as three indexes: a scan hands a file out as it is
-//! stored, a sorted set of values at any position is one equal range per
+//! stored, and a sorted set of values at any position is one equal range per
 //! value, found by galloping in the replica placed by that position
-//! ([`PartitionedStore::seek`]; a constant is the one-value set), and a
-//! sorted set of placement values is looked up the same way in the scan's
-//! own files ([`ScanFiles::read_keys`]) instead of reading them.
+//! ([`PartitionedStore::seek`]; a constant is the one-value set, and a set
+//! of placement values is looked up in the scan's own replica).
 
 use crate::runtime::Runtime;
 use cliquesquare_rdf::{Graph, Term, TermId, Triple, TriplePosition};
@@ -98,12 +97,23 @@ pub struct PartitionedStore {
 
 type NodeFiles = HashMap<FileKey, Vec<Triple>>;
 
-/// The node a value places its triple on: a deterministic hash (Fibonacci
-/// hashing on the term id), so that simulation results are reproducible
-/// across runs and platforms. Node ids stay `usize`: the partition count
+/// The node of `nodes` a value places its triple on: [`node_of_hash`] of
+/// its term id. Node ids stay `usize`: the partition count
 /// ([`partitions_for`](crate::partitions_for)) passes 255 at 128 threads.
 fn node_of(id: TermId, nodes: usize) -> usize {
-    ((u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % nodes as u64) as usize
+    node_of_hash(u64::from(id.0), nodes)
+}
+
+/// The node of `nodes` that `hash` falls on, deterministically, so that
+/// placement and the shuffle are reproducible across runs and platforms:
+/// Fibonacci hashing — multiply by 2⁶⁴/φ, keep the high 32 bits — then
+/// multiply-shift onto `0..nodes`. Every bit of `hash` moves the node, so
+/// strided ids spread evenly. (Reducing the product modulo `nodes` reads
+/// only its low bits, and the multiplier is odd: at 4 nodes that is
+/// `id mod 4`.)
+pub fn node_of_hash(hash: u64, nodes: usize) -> usize {
+    let high = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    ((high * nodes as u64) >> 32) as usize
 }
 
 /// The index order [`ScanFiles::read`] delivers triples in for a replica of
@@ -222,26 +232,6 @@ impl<'a> ScanFiles<'a> {
             [file] => Cow::Borrowed(file),
             files => Cow::Owned(merge_files(files, self.placement)),
         }
-    }
-
-    /// The triples whose placement value is one of `keys` (ascending), in
-    /// [`scan_order`] — [`read`](Self::read) filtered by the key set, found
-    /// by galloping over each file from the previous key's hit.
-    pub fn read_keys(&self, keys: &[TermId]) -> Vec<Triple> {
-        let placement = self.placement;
-        let found_in = |file: &&[Triple]| {
-            let mut found = Vec::new();
-            equal_ranges(file, placement, keys, |range| {
-                found.extend_from_slice(range)
-            });
-            found
-        };
-        let mut runs: Vec<Vec<Triple>> = self.files.iter().map(found_in).collect();
-        if runs.len() == 1 {
-            return runs.swap_remove(0);
-        }
-        let runs: Vec<&[Triple]> = runs.iter().map(Vec::as_slice).collect();
-        merge_files(&runs, placement)
     }
 }
 
@@ -488,33 +478,58 @@ mod tests {
         (graph, store)
     }
 
-    /// A key read finds triples only on the node the key is placed on:
-    /// handed keys placed elsewhere, a node's files return nothing extra.
+    /// A seek of placement values finds each triple on the node its key is
+    /// placed on: the keys one node owns are that node's whole read and
+    /// nothing on any other, and every key at once is every node's read.
     #[test]
-    fn read_keys_finds_nothing_for_keys_placed_on_other_nodes() {
+    fn placement_seeks_find_each_key_on_its_own_node() {
         let (graph, store) = store(4);
         let takes = graph.lookup(&Term::iri(vocab::ub("takesCourse")));
         let subject = TriplePosition::Subject;
-        let mut subjects: Vec<TermId> = (0..store.nodes())
-            .flat_map(|node| {
-                store
-                    .scan_files(node, subject, takes, None)
-                    .read()
-                    .into_owned()
-            })
-            .map(|triple| triple.subject)
-            .collect();
+        let read = |node| {
+            store
+                .scan_files(node, subject, takes, None)
+                .read()
+                .into_owned()
+        };
+        let full: Vec<Vec<Triple>> = (0..store.nodes()).map(read).collect();
+        let mut subjects: Vec<TermId> = full.iter().flatten().map(|t| t.subject).collect();
         subjects.sort_unstable();
         subjects.dedup();
-        for node in 0..store.nodes() {
-            let files = store.scan_files(node, subject, takes, None);
-            let (own, foreign): (Vec<TermId>, Vec<TermId>) = subjects
-                .iter()
-                .partition(|&&key| store.node_of(key) == node);
-            assert!(!own.is_empty() && !foreign.is_empty(), "node {node}");
-            assert!(files.read_keys(&foreign).is_empty(), "node {node}");
-            assert_eq!(files.read_keys(&subjects), files.read().into_owned());
-            assert_eq!(files.read_keys(&own), files.read().into_owned());
+        assert_eq!(store.seek(subject, takes, None, subject, &subjects), full);
+        for (node, read) in full.iter().enumerate() {
+            let own: Vec<TermId> = (subjects.iter().copied())
+                .filter(|&key| store.node_of(key) == node)
+                .collect();
+            assert!(!own.is_empty() && own.len() < subjects.len(), "node {node}");
+            let sought = store.seek(subject, takes, None, subject, &own);
+            for (at, triples) in sought.iter().enumerate() {
+                let expected = if at == node { &read[..] } else { &[] };
+                assert_eq!(triples, expected, "keys of node {node}, node {at}");
+            }
+        }
+    }
+
+    /// Placement spreads strided ids evenly: ids `k · stride` for strides
+    /// 1, 2, 4 and 8, over 2, 4, 7 and 8 nodes, put at most 1.1 times its
+    /// share on any node. (The hash read modulo the node count put every
+    /// id of stride 4 on one node at 4 nodes.)
+    #[test]
+    fn strided_ids_spread_evenly_over_the_nodes() {
+        const IDS: u64 = 10_000;
+        for stride in [1, 2, 4, 8] {
+            for nodes in [2usize, 4, 7, 8] {
+                let mut load = vec![0u64; nodes];
+                for k in 0..IDS {
+                    load[node_of(TermId((k * stride) as u32), nodes)] += 1;
+                }
+                let share = IDS as f64 / nodes as f64;
+                let most = *load.iter().max().unwrap() as f64;
+                assert!(
+                    most <= 1.1 * share,
+                    "stride {stride}, {nodes} nodes: {load:?}"
+                );
+            }
         }
     }
 

@@ -91,7 +91,9 @@ proptest! {
     /// class, all of `rdf:type`, no restriction at all) and every constant
     /// position — the placement position included — a seek returns, node
     /// for node, the rows and the order that filtering the full scan by the
-    /// constant gives; and a keyed read returns the full scan filtered by
+    /// constant gives; and a keyed read — a seek of a key set at the
+    /// placement position, the scan's own replica, over several files for
+    /// no property or all of `rdf:type` — returns the full scan filtered by
     /// the key set. Constants cover values present in the selected files,
     /// present only under other properties, and absent from the dictionary.
     #[test]
@@ -167,6 +169,7 @@ proptest! {
                         }
                     }
                 }
+                let keyed = store.seek(placement, property, class, placement, &keys);
                 for (node, triples) in full.iter().enumerate() {
                     let filtered: Vec<_> = triples
                         .iter()
@@ -175,7 +178,7 @@ proptest! {
                         .collect();
                     let files = store.scan_files(node, placement, property, class);
                     prop_assert_eq!(files.rows(), triples.len());
-                    prop_assert_eq!(files.read_keys(&keys), filtered);
+                    prop_assert_eq!(&keyed[node], &filtered);
                 }
             }
         }

@@ -13,10 +13,11 @@ execute - plan (decode, render, HTTP). `route` is how the root was answered:
 rows), `fallback` (expanded, gathered, de-duplicated, cut) — read from the
 root Project span's `bounded` / `runs_emitted` attributes; `-` on a server
 that predates the bounded root. `expanded` is that span's `rows_expanded`.
-`keys from` names each scan sought by an ancestor join's key set, as
-`scan<join` operator ids (`2<14`: `MapScan#2` read only keys that
-`ReduceJoin#14`'s other input holds) — the scan spans' `keys_from`
-attribute; `-` when no keys crossed a level.
+`keys from` names every keyed scan — one sought by a key set in scope — as
+`scan<join` operator ids, read from the scan spans' `keys_from` attribute:
+`2<14` says `MapScan#2` read only the keys that the smallest evaluated input
+of `ReduceJoin#14` holds. The join is the scan's own consumer, or an ancestor
+when the keys crossed a level of the plan; `-` when no scan read by key.
 Only localhost is ever contacted.
 """
 import json
@@ -47,7 +48,7 @@ def ask(base, name):
     keyed = [
         f"{span['name'].split('#')[1]}<{span['attrs']['keys_from']}"
         for span in by_name.get("MapScan", [])
-        if "keys_from" in span["attrs"]
+        if "keys_in" in span["attrs"]
     ]
     if "bounded" not in project:
         route = "-"
