@@ -2,22 +2,20 @@
 //! column-major sort and merge-compare paths of `Relation`, the run-length
 //! factorized join (run emission and projection-boundary expansion), the
 //! fill-proportional shuffle partitioner, the galloping k-way ordered
-//! merge of the reduce tasks and the root gather, and the scan's bulk bind.
+//! merge of the reduce tasks and the root gather, and the scan's bulk bind,
+//! with and without the key set it filters by.
 //! These isolate the kernels the `report_execution` wall-clock columns are
 //! built from. `answer_render` times the server's answer body, rendered from
-//! ids. `wave_dispatch` and `route_filter` size the executor's two
-//! run-time decisions: which waves run on the submitting thread, and which
-//! shuffle inputs are semi-joined in their route tasks.
+//! ids. `wave_dispatch` sizes the executor's run-time decision of which
+//! waves run on the submitting thread.
 //! `cargo bench --bench kernels -- kernels_merge_join` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cliquesquare_engine::{
-    hash_partition, hash_partition_filtered, join_runs, KeySet, Relation, SortOrder, TripleBinder,
-};
+use cliquesquare_engine::{hash_partition, join_runs, KeySet, Relation, SortOrder, TripleBinder};
 use cliquesquare_mapreduce::Runtime;
 use cliquesquare_rdf::term::vocab;
-use cliquesquare_rdf::{LubmGenerator, LubmScale, Term, TermId, Triple};
+use cliquesquare_rdf::{LubmGenerator, LubmScale, Term, TermId, Triple, TriplePosition};
 use cliquesquare_server::http::render_answer;
 use cliquesquare_server::{AnswerRows, QueryAnswer};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
@@ -180,7 +178,12 @@ fn bench_merge_join(c: &mut Criterion) {
 /// The scan's bulk bind over one partition's file of a 125 k-triple
 /// property (LUBM `takesCourse` at 1 200 universities on four partitions),
 /// subject-ordered: one and two columns with nothing to reject, and a
-/// repeated variable that rejects all but every eighth triple.
+/// repeated variable that rejects all but every eighth triple. Then the
+/// bind filter: 100 k triples of 12 500 subjects spread over 800 k term
+/// ids (a dictionary's range at a few million triples, so the key set is
+/// as large as a served query's, 100 kB), bound with no key set and under
+/// sets that keep all, half and 1 % of them, and the build of the set of
+/// all 12 500 keys.
 fn bench_scan(c: &mut Criterion) {
     const TRIPLES: u32 = 125_000;
     let triples: Vec<Triple> = (0..TRIPLES)
@@ -206,10 +209,35 @@ fn bench_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels_scan");
     for (name, pattern, schema) in shapes {
         let binder = TripleBinder::new(&pattern, schema);
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(binder.bind_all(&triples, &[], SortOrder::by([0])).len()))
+        let bind = || binder.bind_all(&triples, &[], None, SortOrder::by([0]));
+        group.bench_function(name, |b| b.iter(|| black_box(bind().len())));
+    }
+    const FILTERED: u32 = 100_000;
+    const SPREAD: u32 = 64;
+    let subjects = FILTERED / 8;
+    let file: Vec<Triple> = (0..FILTERED)
+        .map(|i| Triple::new(TermId(i / 8 * SPREAD), TermId(7), TermId(FILTERED + i)))
+        .collect();
+    let kept = |share: u32| -> KeySet {
+        let kept = (0..subjects).filter(|k| k % 100 < share);
+        kept.map(|k| TermId(k * SPREAD)).collect()
+    };
+    let binder = TripleBinder::new(&pattern("y"), vec![v("x"), v("y")]);
+    let bind = |keys: Option<&KeySet>| {
+        let keys = keys.map(|keys| (TriplePosition::Subject, keys));
+        binder.bind_all(&file, &[], keys, SortOrder::by([0])).len()
+    };
+    group.bench_function("bind_100k", |b| b.iter(|| black_box(bind(None))));
+    for share in [100, 50, 1] {
+        let keys = kept(share);
+        group.bench_function(format!("bind_100k_keep{share}"), |b| {
+            b.iter(|| black_box(bind(Some(&keys))))
         });
     }
+    let keys = file.iter().step_by(8).map(|t| t.subject);
+    group.bench_function("key_set_12_5k", |b| {
+        b.iter(|| black_box(keys.clone().collect::<KeySet>()))
+    });
     group.finish();
 }
 
@@ -359,47 +387,6 @@ fn bench_wave_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The route task of a shuffle over 100 k `(x, a, b)` rows into 4 buckets:
-/// plain, and semi-joined to a key set that keeps all, half or 1 % of the
-/// rows; plus building the key set of a 15 k-row smallest input (SP²B S4's
-/// shape: 90 011 rows against 15 000, none dropped). Keys are spread over
-/// 800 k term ids, a dictionary's range at a few million triples, so the
-/// key set is as large as a served query's (100 kB).
-fn bench_route_filter(c: &mut Criterion) {
-    const ROWS: u32 = 100_000;
-    const SPREAD: u32 = 64;
-    let keys = ROWS / 8;
-    let rows = |count: u32| {
-        let mut relation = Relation::empty(vec![v("x"), v("a"), v("b")]);
-        for i in 0..count {
-            let x = i.wrapping_mul(2_654_435_761) % keys * SPREAD;
-            relation.push_row(&[TermId(x), TermId(i), TermId(i ^ 0x5a5a)]);
-        }
-        relation
-    };
-    let relation = rows(ROWS);
-    let key = [v("x")];
-    let kept = |share: u32| -> KeySet {
-        let kept = (0..keys).filter(|k| k % 100 < share);
-        kept.map(|k| TermId(k * SPREAD)).collect()
-    };
-    let mut group = c.benchmark_group("route_filter");
-    group.bench_function("hash_partition_100k_4n", |b| {
-        b.iter(|| black_box(hash_partition(&relation, &key, 4).len()))
-    });
-    for (label, share) in [("drop0", 100), ("drop50", 50), ("drop99", 1)] {
-        let keys = kept(share);
-        group.bench_function(format!("filtered_100k_4n_{label}"), |b| {
-            b.iter(|| black_box(hash_partition_filtered(&relation, &key, 4, &keys).len()))
-        });
-    }
-    let smallest = rows(15_000);
-    group.bench_function("key_set_15k", |b| {
-        b.iter(|| black_box(smallest.rows().map(|row| row[0]).collect::<KeySet>()))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sort,
@@ -409,7 +396,6 @@ criterion_group!(
     bench_merge_ordered,
     bench_scan,
     bench_answer_render,
-    bench_wave_dispatch,
-    bench_route_filter
+    bench_wave_dispatch
 );
 criterion_main!(benches);

@@ -180,9 +180,10 @@ pub struct SnapshotQuery {
     pub simulated_seconds: f64,
     /// Number of distinct answers.
     pub results: usize,
-    /// Triples the scans read (a keyed or sought read counts what it found).
+    /// Triples the scans read (a sought read counts what it found, a
+    /// filtered one every triple of its files).
     pub tuples_read: u64,
-    /// Rows the shuffles routed (a semi-joined route counts what it kept).
+    /// Rows the shuffles routed.
     pub tuples_shuffled: u64,
     /// Index sorts the sequential execution actually performed.
     pub sorts_performed: u64,

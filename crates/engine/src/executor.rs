@@ -50,22 +50,22 @@
 //! one consumer*. A join evaluates its inputs in an order fixed before any
 //! runs: its unshared scans after its other inputs, and within each group
 //! first those whose subtree can be sought (a residual constant, or a scan
-//! a key set in scope restricts), then by the catalog's stored rows of the
+//! that seeks a key set in scope), then by the catalog's stored rows of the
 //! subtree's scans, ties by id. Once some inputs are evaluated, the
 //! smallest of them supplies, for each join attribute, its distinct values
 //! as a key set that stays in scope through the remaining input subtrees,
 //! shufflers and nested joins included, as far as each operator outputs the
-//! variable. The scope is a scan's one key source: a scan binding a
-//! variable whose key set is in scope — its own join's or an ancestor's —
-//! with few rows against its stored rows reads only those keys, by one seek
-//! of all of them in the replica placed by the variable's position (see
-//! `ExecState::eval_scan`). An operator with more than one consumer is
-//! evaluated unrestricted, for all of them. And every shuffled input at
-//! least `FILTER_RATIO` times larger than the smallest drops, in its route
-//! tasks, the rows whose first join attribute the smallest input lacks (a
-//! semi-join; the key set is built by one task). A restriction drops only
-//! rows no join above could keep, so no answer changes; the counters
-//! (`tuples_read`, `tuples_shuffled`, join rows) record what ran.
+//! variable. The scope is the one key source, and a scan is the one place
+//! it restricts: a scan binding a variable whose key set is in scope — its
+//! own join's or an ancestor's — reads only those keys, by one seek of all
+//! of them in the replica placed by the variable's position, when the set
+//! has few rows against its stored rows (`RESTRICT_ROWS_PER_KEY`); any
+//! other such scan reads its files in full and drops, as it binds them,
+//! the triples whose key is not in the set (see `ExecState::eval_scan`).
+//! An operator with more than one consumer is evaluated unrestricted, for
+//! all of them. A restriction drops only rows no join above could keep, so
+//! no answer changes; the counters (`tuples_read`, `tuples_shuffled`, join
+//! rows) record what ran.
 //!
 //! Operators do **not** canonicalize their outputs. Leaf scans are tagged
 //! with the index order the partitioned store already delivers, joins emit
@@ -210,21 +210,9 @@ impl Intermediate {
     /// — the key order is established here, on each routed bucket: a
     /// planned local sort on the smallest pieces, not a join-input re-sort
     /// on the assembled bucket.
-    ///
-    /// With `keys`, rows whose first join attribute is not among them are
-    /// dropped on the way ([`relation::hash_partition_filtered`]).
-    fn route(
-        &self,
-        part: usize,
-        attributes: &[Variable],
-        nodes: usize,
-        keys: Option<&KeySet>,
-    ) -> Vec<Relation> {
+    fn route(&self, part: usize, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
         let part = &self.relations()[part];
-        let mut buckets = match keys {
-            Some(keys) => relation::hash_partition_filtered(part, attributes, nodes, keys),
-            None => relation::hash_partition(part, attributes, nodes),
-        };
+        let mut buckets = relation::hash_partition(part, attributes, nodes);
         for bucket in &mut buckets {
             establish_key_order(bucket, attributes);
         }
@@ -444,11 +432,15 @@ struct ProfCtx {
     /// Override for the current operator's output row count (a bounded root
     /// holds heads; its output is what it counted).
     rows_out: Option<u64>,
-    /// When the current scan was sought by a key set in scope: the keys it
-    /// sought (`keys_in`) and the join they came from (`keys_from`). The
-    /// estimator priced the whole file, so a deliberately narrowed read
-    /// carries these instead of an `est_rows` to be compared against.
-    keyed: Option<(u64, u64)>,
+    /// When the current scan was restricted by a key set in scope: the keys
+    /// it sought (`keys_in`) or the triples its filter dropped
+    /// (`keys_filtered`: the triples read and not bound — a filtered scan
+    /// has no residual constant, so only the key set, or a variable the
+    /// pattern repeats, drops one), as that attribute's name and value, and
+    /// the join the keys came from (`keys_from`). The estimator priced the whole
+    /// file, so a deliberately narrowed scan carries these instead of an
+    /// `est_rows` to be compared against.
+    keyed: Option<(&'static str, u64, u64)>,
     /// Whether a wave of the current operator ran on the submitting thread
     /// because its volume was small ([`INLINE_ROWS`]).
     inline: bool,
@@ -567,8 +559,8 @@ fn narrowed(plan: &PhysicalPlan, scope: &[ScopedKeys], input: PhysId) -> Vec<Sco
 /// keys). Looking one key up costs about `2·log2(rows per key) + 2`
 /// probes, so from 64 rows per key a sought read touches under a quarter
 /// of what a full read binds even when every row turns out to match; below
-/// it the keys are dense enough that reading the file and letting the
-/// merge join skip is as cheap.
+/// it the keys are dense enough that reading the file in full and checking
+/// each triple's key as it is bound is as cheap.
 const RESTRICT_ROWS_PER_KEY: usize = 64;
 
 /// A wave runs on the submitting thread, in task-index order, when its
@@ -585,20 +577,6 @@ const RESTRICT_ROWS_PER_KEY: usize = 64;
 /// favour the smaller cut (EXPERIMENTS.md, "Semi-joined shuffles and inline
 /// waves").
 const INLINE_ROWS: u64 = 4_096;
-
-/// A shuffled join's input at least this many times larger than the join's
-/// smallest input is key-filtered in its route tasks. Criterion
-/// `route_filter` (2 cores, means of 1 s windows): routing 100 k rows into
-/// 4 buckets takes 9.9 ns a row; with the key set it takes 11.0 (none
-/// dropped), 7.9 (half) and 4.7 (99 %), and the set itself costs 6.3 ns per
-/// row of the smallest input. A dropped row also skips the reduce-side
-/// merge (≈ 11 ns). With nothing dropped the filter is pure cost — about
-/// `1.1 + 6.3 / ratio` ns per row of the large input — so the ratio must
-/// stay above the lopsided joins that drop nothing: SP²B S4's join is
-/// 90 397 rows against 15 000 (6.0 ×), none of them partnerless. At 8 × the
-/// filter's worst case is ≈ 2 ns a row (a fifth of routing it), repaid once
-/// it drops a tenth of the rows.
-const FILTER_RATIO: u64 = 8;
 
 /// Sorts a shuffle bucket into join-key order when its tracked order does
 /// not already deliver it. No-op (and no counter traffic) on the planned
@@ -652,9 +630,11 @@ impl<'a> ExecState<'a> {
     /// Runs one wave of this job's tasks for an operator whose inputs hold
     /// `volume` rows: on the submitting thread, in task-index order, when
     /// that is below [`INLINE_ROWS`], and on the runtime otherwise. The
-    /// volume is a scan's expected triples (`ExecState::scan_volume`), a
-    /// join wave's the rows its tasks join (for a shuffled join, what the
-    /// shuffle delivered), and any other wave's operator input rows. With profiling on, every task is
+    /// volume is a scan's triples (what its seek found, or its stored rows),
+    /// a key task's estimate (`ExecState::seek_keys`) or key source rows
+    /// (`ExecState::key_filter`), a join wave's the rows its tasks join (for
+    /// a shuffled join, what the shuffle delivered), and any other wave's
+    /// operator input rows. With profiling on, every task is
     /// additionally bracketed — on the thread that runs it — with its start
     /// offset, its wall clock and its relation-stats delta: pure
     /// observations that cannot change task results. The deltas sum into
@@ -766,8 +746,8 @@ impl<'a> ExecState<'a> {
         let prof = self.prof.as_mut().expect("record_node requires profiling");
         node.rows_in = prof.rows_in.take().unwrap_or(rows_in_from_inputs);
         node.rows_out = prof.rows_out.take().unwrap_or(result.cardinality());
-        if let Some((keys, join)) = prof.keyed.take() {
-            node.add_attr("keys_in", keys);
+        if let Some((name, value, join)) = prof.keyed.take() {
+            node.add_attr(name, value);
             node.add_attr("keys_from", join);
         } else if let Some(&estimated) = self.estimates.and_then(|cards| cards.get(id.index())) {
             node.add_attr("est_rows", estimated);
@@ -871,7 +851,7 @@ impl<'a> ExecState<'a> {
     /// Evaluates the inputs of join `id`, in an order fixed before any of
     /// them runs: its unshared scans after its other inputs; within each
     /// group first the inputs whose subtree can be sought (it holds a
-    /// residual constant, or a scan that a key set in `scope` restricts),
+    /// residual constant, or a scan that seeks a key set in `scope`),
     /// then by the catalog's stored rows summed over the subtree's scans,
     /// ties by id. Once an input is evaluated, the smallest evaluated so far
     /// supplies a key set for every attribute of the join, and each later
@@ -929,14 +909,15 @@ impl<'a> ExecState<'a> {
     }
 
     /// Whether the subtree of `id` can be sought under `scope`: it holds a
-    /// residual constant, or a scan that a key set in scope restricts. A
+    /// residual constant, or a scan that seeks a key set in scope. A
     /// shared operator is evaluated unrestricted, so only its constants
     /// count.
     fn seekable(&self, shared: &[bool], id: PhysId, scope: &[ScopedKeys]) -> bool {
         let scope = if shared[id.index()] { &[] } else { scope };
         match self.plan.op(id) {
             PhysicalOp::MapScan { spec, output } => {
-                !spec.residual.is_empty() || self.scoped_source(spec, output, scope).is_some()
+                let scoped = self.scoped_source(spec, output, scope);
+                !spec.residual.is_empty() || scoped.is_some_and(|keys| self.seeks(spec, keys))
             }
             op => (op.inputs().into_iter())
                 .any(|input| self.seekable(shared, input, &narrowed(self.plan, scope, input))),
@@ -955,23 +936,27 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// The key set in `scope` a scan of `spec` seeks, if any: one of a
-    /// variable the scan outputs, whose source has few rows against the
-    /// scan's stored rows ([`RESTRICT_ROWS_PER_KEY`]) — decided from
-    /// cardinalities before anything is read. The one with the fewest
-    /// rows wins, one on the placement variable on a tie.
+    /// The key set in `scope` that restricts a scan of `spec`, if any: one
+    /// of a variable the scan outputs, the one with the fewest rows, one on
+    /// the placement variable on a tie.
     fn scoped_source<'s>(
         &self,
         spec: &ScanSpec,
         output: &BTreeSet<Variable>,
         scope: &'s [ScopedKeys],
     ) -> Option<&'s ScopedKeys> {
-        let stored = self.stored_rows(spec);
         let placement = placement_variable(spec);
         (scope.iter())
             .filter(|keys| output.contains(&keys.variable))
-            .filter(|keys| keys.rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) <= stored)
             .min_by_key(|keys| (keys.rows, placement != Some(&keys.variable)))
+    }
+
+    /// Whether a scan of `spec` seeks the key set `keys` (rather than
+    /// filtering its full read by it): the set's source has few rows against
+    /// the scan's stored rows ([`RESTRICT_ROWS_PER_KEY`]) — decided from
+    /// cardinalities before anything is read.
+    fn seeks(&self, spec: &ScanSpec, keys: &ScopedKeys) -> bool {
+        keys.rows.saturating_mul(RESTRICT_ROWS_PER_KEY as u64) <= self.stored_rows(spec)
     }
 
     /// Evaluates one operator into the memo, under the key sets `scope`
@@ -1017,18 +1002,21 @@ impl<'a> ExecState<'a> {
     /// to read:
     ///
     /// * **sought**: a residual constant, or else the key set in `scope`
-    ///   the scan seeks ([`ExecState::scoped_source`]), is looked up in the
-    ///   replica placed by its position — the scan's own replica when that
-    ///   is its placement position — as one equal range per key and file
+    ///   ([`ExecState::scoped_source`]) when it passes the seek cut
+    ///   ([`ExecState::seeks`]), is looked up in the replica placed by its
+    ///   position — the scan's own replica when that is its placement
+    ///   position — as one equal range per key and file
     ///   ([`PartitionedStore::seek`](cliquesquare_mapreduce::PartitionedStore::seek),
     ///   [`ExecState::seek_keys`]); the scan's files are not read;
-    /// * otherwise the files are read in full, as they are stored.
+    /// * otherwise the files are read in full, as they are stored — and
+    ///   under a key set that fails the cut, a triple whose key is not in
+    ///   it ([`ExecState::key_filter`]) is dropped as it is bound.
     ///
     /// What was read is bound in bulk ([`TripleBinder::bind_all`]): one loop
     /// over the triples appends each schema column's source position
     /// straight into the relation's buffer — reserved at its exact size
-    /// when neither a residual constant nor a repeated variable can reject
-    /// a triple.
+    /// when neither a residual constant, a key set nor a repeated variable
+    /// can reject a triple.
     ///
     /// Both reads deliver the store's placement-major order, so each
     /// node's relation starts pre-ordered: it is tagged with the index order
@@ -1057,20 +1045,21 @@ impl<'a> ExecState<'a> {
             .collect();
         let store = self.cluster.store_arc();
         let (placement, property, class) = (spec.placement, spec.property, spec.type_object);
-        let (sought, keyed) = match (
-            spec.residual.first(),
-            self.scoped_source(spec, output, scope),
-        ) {
+        let scoped = (spec.residual.is_empty())
+            .then(|| self.scoped_source(spec, output, scope))
+            .flatten();
+        let (sought, keys, keys_in) = match (spec.residual.first(), scoped) {
             (Some(seek), _) => {
                 let constant = [seek.constant];
                 let sought = store.seek(placement, property, class, seek.position, &constant);
-                (Some(sought), None)
+                (Some(sought), None, None)
             }
-            (None, Some(scoped)) => {
+            (None, Some(scoped)) if self.seeks(spec, scoped) => {
                 let (sought, keys) = self.seek_keys(spec, scoped);
-                (Some(sought), Some((keys, scoped.join.index() as u64)))
+                (Some(sought), None, Some(keys))
             }
-            (None, None) => (None, None),
+            (None, Some(scoped)) => (None, Some(self.key_filter(spec, scoped)), None),
+            (None, None) => (None, None, None),
         };
         let volume = match &sought {
             Some(sought) => sought.iter().map(|triples| triples.len() as u64).sum(),
@@ -1085,6 +1074,7 @@ impl<'a> ExecState<'a> {
             order_cols,
             residual: spec.residual.iter().skip(1).cloned().collect(),
             sought,
+            keys,
         });
         let tasks: Vec<_> = (0..nodes)
             .map(|node| {
@@ -1106,7 +1096,11 @@ impl<'a> ExecState<'a> {
             // The scan's true input is the raw triples it read, which no
             // memoized intermediate reports.
             prof.rows_in = Some(scanned);
-            prof.keyed = keyed;
+            let join = scoped.map(|scoped| scoped.join.index() as u64);
+            prof.keyed = join.map(|join| match keys_in {
+                Some(keys) => ("keys_in", keys, join),
+                None => ("keys_filtered", scanned - produced, join),
+            });
         }
         Arc::new(Intermediate::Local(parts))
     }
@@ -1116,6 +1110,24 @@ impl<'a> ExecState<'a> {
     fn stored_rows(&self, spec: &ScanSpec) -> u64 {
         let stats = self.cluster.statistics();
         stats.scan_cardinality(spec.property, spec.type_object) as u64
+    }
+
+    /// The values a scan of `spec` is restricted to by the key set
+    /// `scoped`: the position of the key variable in `spec`'s pattern, and
+    /// that variable's values in `scoped.source`, to be gathered by the one
+    /// task that seeks them ([`ExecState::seek_keys`]) or builds the set
+    /// that filters the full read ([`ExecState::key_filter`]).
+    fn key_values(&self, spec: &ScanSpec, scoped: &ScopedKeys) -> (TriplePosition, KeyValues) {
+        let variable = &scoped.variable;
+        let position = (TriplePosition::ALL.into_iter())
+            .zip(spec.pattern.terms())
+            .find_map(|(position, term)| (term.as_variable() == Some(variable)).then_some(position))
+            .expect("a scan outputs only variables of its pattern");
+        let source = self.input(scoped.source);
+        let column = (source.relations().first())
+            .and_then(|part| part.column(variable))
+            .expect("every input of a join binds its attributes");
+        (position, KeyValues { source, column })
     }
 
     /// The seek of a scan of `spec` by the key set `scoped`, as a one-task
@@ -1129,15 +1141,7 @@ impl<'a> ExecState<'a> {
     /// stored rows. Returns the triples per node, in scan order, and the
     /// number of keys.
     fn seek_keys(&mut self, spec: &ScanSpec, scoped: &ScopedKeys) -> (Vec<Vec<Triple>>, u64) {
-        let variable = &scoped.variable;
-        let position = (TriplePosition::ALL.into_iter())
-            .zip(spec.pattern.terms())
-            .find_map(|(position, term)| (term.as_variable() == Some(variable)).then_some(position))
-            .expect("a scan outputs only variables of its pattern");
-        let source = self.input(scoped.source);
-        let column = (source.relations().first())
-            .and_then(|part| part.column(variable))
-            .expect("every input of a join binds its attributes");
+        let (position, values) = self.key_values(spec, scoped);
         let stored = self.stored_rows(spec);
         let rows_per_key = match (spec.type_object, spec.property) {
             (Some(_), _) => 1,
@@ -1153,8 +1157,7 @@ impl<'a> ExecState<'a> {
         let found = self.run_wave(
             volume,
             vec![move || {
-                let values = source.relations().iter().flat_map(Relation::rows);
-                let mut keys: Vec<TermId> = values.map(|row| row[column]).collect();
+                let mut keys: Vec<TermId> = values.iter().collect();
                 keys.sort_unstable();
                 keys.dedup();
                 let sought = store.seek(placement, property, class, position, &keys);
@@ -1162,6 +1165,17 @@ impl<'a> ExecState<'a> {
             }],
         );
         found.into_iter().next().expect("one task, one result")
+    }
+
+    /// The filter of a scan of `spec` by the key set `scoped`, which it
+    /// cannot seek: one task builds the set of the key column's values in
+    /// `scoped.source`, and each triple whose value at the returned
+    /// position is not in it is dropped as it is bound.
+    fn key_filter(&mut self, spec: &ScanSpec, scoped: &ScopedKeys) -> (TriplePosition, KeySet) {
+        let (position, values) = self.key_values(spec, scoped);
+        let built = self.run_wave(scoped.rows, vec![move || values.iter().collect()]);
+        let keys = built.into_iter().next().expect("one task, one result");
+        (position, keys)
     }
 
     fn eval_shuffler(&mut self, id: PhysId, input: PhysId) -> Arc<Intermediate> {
@@ -1188,8 +1202,7 @@ impl<'a> ExecState<'a> {
     ///
     /// The one branch is where a node's inputs come from. A co-located
     /// join ([`PhysicalPlan::co_located`]) reads part `n` of every input in
-    /// place. Any other join's inputs are semi-joined
-    /// ([`ExecState::semi_join`]) and shuffled ([`ExecState::shuffle`]):
+    /// place. Any other join's inputs are shuffled ([`ExecState::shuffle`]):
     /// the hash partition gives the nodes disjoint key sets and never
     /// separates joinable rows, so the per-node outputs together are the
     /// cluster-wide join.
@@ -1207,19 +1220,10 @@ impl<'a> ExecState<'a> {
             let nodes = 0..self.cluster.nodes();
             (nodes.map(|node| NodeInputs::Parts(Arc::clone(&evaluated), node))).collect()
         } else {
-            let rows: Vec<u64> = evaluated.iter().map(|v| v.cardinality()).collect();
-            let volume = rows.iter().sum();
-            let filter = self.semi_join(&evaluated, &rows, &attrs, volume);
-            let filtered_inputs = filter.as_ref().map_or(0, |(_, flags)| {
-                flags.iter().filter(|&&flagged| flagged).count() as u64
-            });
-            let (buckets, shuffled) = self.shuffle(&evaluated, &attrs, filter, volume);
+            let volume = evaluated.iter().map(|v| v.cardinality()).sum();
+            let (buckets, shuffled) = self.shuffle(&evaluated, &attrs, volume);
             if let Some(prof) = &mut self.prof {
                 prof.attrs.push(("tuples_shuffled", shuffled));
-                if filtered_inputs > 0 {
-                    prof.attrs.push(("filtered_inputs", filtered_inputs));
-                    prof.attrs.push(("filtered_rows", volume - shuffled));
-                }
             }
             self.job_mut(id).tuples_shuffled += shuffled;
             buckets.into_iter().map(NodeInputs::Buckets).collect()
@@ -1263,70 +1267,25 @@ impl<'a> ExecState<'a> {
         parts
     }
 
-    /// The semi-join of a shuffled join: when an input holds at
-    /// least [`FILTER_RATIO`] times the rows of the smallest input (`rows`
-    /// per input), one task builds the set of the smallest input's values
-    /// of the first join attribute, and the returned flags mark the inputs
-    /// whose route tasks drop the rows outside it. Every input of a join
-    /// binds every join attribute, so a dropped row has no partner. `None`
-    /// when no input is that lopsided, or the join has no attribute.
-    fn semi_join(
-        &mut self,
-        evaluated: &[Arc<Intermediate>],
-        rows: &[u64],
-        attrs: &[Variable],
-        volume: u64,
-    ) -> Option<(Arc<KeySet>, Vec<bool>)> {
-        let first = attrs.first()?.clone();
-        let (smallest, &least) = rows.iter().enumerate().min_by_key(|&(_, rows)| *rows)?;
-        let filtered: Vec<bool> = (rows.iter().enumerate())
-            .map(|(input, &rows)| input != smallest && rows > 0 && rows >= FILTER_RATIO * least)
-            .collect();
-        if !filtered.contains(&true) {
-            return None;
-        }
-        let source = Arc::clone(&evaluated[smallest]);
-        let keys = self.run_wave(
-            volume,
-            vec![move || {
-                let parts = source.relations().iter();
-                (parts.flat_map(|part| {
-                    let column = part
-                        .column(&first)
-                        .expect("`translate` joins inputs on variables they all bind");
-                    part.rows().map(move |row| row[column])
-                }))
-                .collect::<KeySet>()
-            }],
-        );
-        let keys = keys.into_iter().next().expect("one task, one result");
-        Some((Arc::new(keys), filtered))
-    }
-
     /// The shuffle of one join: a wave of one route task per (input, source
     /// part) hash-partitions every part on the join attributes
     /// ([`Intermediate::route`]), so all rows agreeing on the key meet on
     /// one node; the routed buckets are then handed to their destinations
-    /// by move. With a `filter` ([`ExecState::semi_join`]), the route tasks
-    /// of the inputs it flags drop the rows outside its key set. Returns,
-    /// per destination node and per input, the buckets that node received,
-    /// in source-part order, and the number of rows routed.
+    /// by move. Returns, per destination node and per input, the buckets
+    /// that node received, in source-part order, and the number of rows
+    /// routed.
     fn shuffle(
         &mut self,
         evaluated: &[Arc<Intermediate>],
         attrs: &Arc<[Variable]>,
-        filter: Option<(Arc<KeySet>, Vec<bool>)>,
         volume: u64,
     ) -> (Vec<Vec<Vec<Relation>>>, u64) {
         let nodes = self.cluster.nodes();
-        let (keys, filtered) = filter.unzip();
-        let tasks: Vec<_> = (evaluated.iter().enumerate())
-            .flat_map(|(input, value)| (0..value.parts()).map(move |part| (input, value, part)))
-            .map(|(input, value, part)| {
+        let tasks: Vec<_> = (evaluated.iter())
+            .flat_map(|value| (0..value.parts()).map(move |part| (value, part)))
+            .map(|(value, part)| {
                 let (value, attrs) = (Arc::clone(value), Arc::clone(attrs));
-                let flagged = filtered.as_ref().is_some_and(|filtered| filtered[input]);
-                let keys = keys.clone().filter(|_| flagged);
-                move || value.route(part, &attrs, nodes, keys.as_deref())
+                move || value.route(part, &attrs, nodes)
             })
             .collect();
         let route_tasks = tasks.len() as u64;
@@ -1562,6 +1521,8 @@ struct ScanWave {
     residual: Vec<FilterCondition>,
     /// Per-node triples a seek found; `None` reads the files.
     sought: Option<Vec<Vec<Triple>>>,
+    /// The key set a full read is filtered by, and the position it checks.
+    keys: Option<(TriplePosition, KeySet)>,
 }
 
 impl ScanWave {
@@ -1584,8 +1545,22 @@ impl ScanWave {
     fn task(&self, node: usize) -> (Relation, u64) {
         let triples = self.read(node);
         let order = SortOrder::by(self.order_cols.iter().copied());
-        let relation = self.binder.bind_all(&triples, &self.residual, order);
+        let keys = self.keys.as_ref().map(|(position, keys)| (*position, keys));
+        let relation = self.binder.bind_all(&triples, &self.residual, keys, order);
         (relation, triples.len() as u64)
+    }
+}
+
+/// The values of one column over every part of an evaluated key source.
+struct KeyValues {
+    source: Arc<Intermediate>,
+    column: usize,
+}
+
+impl KeyValues {
+    fn iter(&self) -> impl Iterator<Item = TermId> + '_ {
+        let rows = self.source.relations().iter().flat_map(Relation::rows);
+        rows.map(|row| row[self.column])
     }
 }
 
@@ -1680,7 +1655,8 @@ impl TripleBinder {
     }
 
     /// The rows `triples` bind, in the triples' order: every triple that
-    /// holds each `residual` constant and one term wherever a variable
+    /// holds each `residual` constant, whose term at the `keys` position (if
+    /// any) is in the key set, and that holds one term wherever a variable
     /// repeats contributes its source positions in slot order. `order` is
     /// what the caller knows the triples — hence the rows — to be sorted by
     /// (verified in debug builds).
@@ -1692,18 +1668,20 @@ impl TripleBinder {
         &self,
         triples: &[Triple],
         residual: &[FilterCondition],
+        keys: Option<(TriplePosition, &KeySet)>,
         order: SortOrder,
     ) -> Relation {
         let mut data: Vec<TermId> = Vec::new();
         let mut rows = 0usize;
         if !self.unbound_column {
-            if residual.is_empty() && self.repeats.is_empty() {
+            if residual.is_empty() && keys.is_none() && self.repeats.is_empty() {
                 data.reserve_exact(triples.len() * self.sources.len());
             }
             for triple in triples {
                 let terms = triple.as_array();
                 let rejected = (residual.iter())
                     .any(|condition| triple.get(condition.position) != condition.constant)
+                    || keys.is_some_and(|(position, keys)| !keys.contains(triple.get(position)))
                     || self.repeats.iter().any(|&(a, b)| terms[a] != terms[b]);
                 if !rejected {
                     data.extend(self.sources.iter().map(|&source| terms[source]));
@@ -1934,15 +1912,20 @@ mod tests {
         /// Bulk bind ≡ per-triple reference: over random triple files and
         /// patterns with 0–3 variables (a variable may repeat, `?x p ?x`), a
         /// schema that keeps any of them and possibly a column the pattern
-        /// cannot bind, and residual constants that reject none, some or
-        /// all triples, a scan task delivers the reference's rows in the
-        /// reference's order and reports every triple of the file as read.
+        /// cannot bind, residual constants that reject none, some or all
+        /// triples, and a key set at any position or none — its ids reaching
+        /// past the file's and falling short of them — a scan task delivers
+        /// the reference's rows over the triples whose key is in the set, in
+        /// the reference's order, and reports every triple of the file as
+        /// read.
         #[test]
         fn bulk_bind_equals_the_per_triple_reference(
             file in proptest::collection::vec((0u32..4, 0u32..3, 0u32..4), 0..40),
             terms in proptest::collection::vec(0usize..5, 3..4),
             kept in proptest::collection::vec(proptest::prelude::any::<bool>(), 4..5),
             constants in proptest::collection::vec((0usize..3, 0u32..5), 0..3),
+            key_position in 0usize..4,
+            key_ids in proptest::collection::vec(0u32..7, 0..4),
         ) {
             static CLUSTER: std::sync::OnceLock<Cluster> = std::sync::OnceLock::new();
             let names = ["x", "y", "z"];
@@ -1972,6 +1955,14 @@ mod tests {
                 .iter()
                 .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
                 .collect();
+            // Position 3 is no key set.
+            let keys = (TriplePosition::ALL.get(key_position))
+                .map(|&position| (position, key_ids.iter().map(|&id| TermId(id)).collect()));
+            let in_keys = |triple: &&Triple| match &keys {
+                Some((position, keys)) => KeySet::contains(keys, triple.get(*position)),
+                None => true,
+            };
+            let kept_triples: Vec<Triple> = triples.iter().filter(in_keys).copied().collect();
 
             let wave = ScanWave {
                 store: CLUSTER.get_or_init(cluster).store_arc(),
@@ -1987,9 +1978,10 @@ mod tests {
                 order_cols: Vec::new(),
                 residual: residual.clone(),
                 sought: Some(vec![triples.clone()]),
+                keys,
             };
             let (relation, read) = wave.task(0);
-            let expected = per_triple_scan(&pattern, &schema, &residual, &triples);
+            let expected = per_triple_scan(&pattern, &schema, &residual, &kept_triples);
             proptest::prop_assert_eq!(relation.schema(), &schema[..]);
             proptest::prop_assert_eq!(relation.len(), expected.len());
             let rows: Vec<Vec<TermId>> = relation.rows().map(<[TermId]>::to_vec).collect();
@@ -2123,7 +2115,7 @@ mod tests {
     }
 
     /// Evaluates `plan` and returns the per-node parts of every join `kind`
-    /// selects, plus how many scans read only keys in scope. With
+    /// selects, plus how many scans sought keys in scope. With
     /// `restrict` off, every scan is evaluated first, in full (a residual
     /// constant is still sought); the walk then finds them memoized and
     /// restricts none. With it on, each selected join is walked first,
@@ -2165,7 +2157,8 @@ mod tests {
         (parts, restricted)
     }
 
-    /// Seeking the keys in scope only drops rows that have no partner: on
+    /// Restricting scans by the keys in scope — sought or filtered at bind —
+    /// only drops rows that have no partner: on
     /// every node, every MapJoin of every selective template outputs the
     /// rows, in the order, it outputs over scans read in full — at threads
     /// {1, 2, 8} — and the templates do restrict.
@@ -2195,28 +2188,131 @@ mod tests {
         assert!(restricted_scans > 0, "the templates exercise key passing");
     }
 
-    /// LUBM Q14: its second-level reduce join meets the X-star, whose scans
-    /// hold no key set small enough to seek, with a side many times
-    /// smaller — a semi-join that drops rows in its route tasks.
-    const SEMI_JOINED_TEMPLATE: &str = "SELECT ?X ?Y ?Z WHERE { ?X rdf:type ub:FullProfessor . \
+    /// LUBM Q14: its X-star has two consumers and runs unrestricted, and
+    /// its second-level reduce join meets it with a side many times smaller.
+    const SHARED_STAR_TEMPLATE: &str = "SELECT ?X ?Y ?Z WHERE { ?X rdf:type ub:FullProfessor . \
          ?X ub:teacherOf ?Y . ?Y rdf:type ub:GraduateCourse . ?X ub:worksFor ?Z . \
          ?W ub:advisor ?X . ?W rdf:type ub:GraduateStudent . ?W ub:emailAddress ?E . \
          ?Z rdf:type ub:Department . ?Z ub:subOrganizationOf ?U . ?U ub:name \"University3\" }";
 
-    /// The semi-join of a reduce join only drops rows that have no partner:
-    /// on every node, every ReduceJoin of the first eight MSC plans of every
-    /// selective template and of [`SEMI_JOINED_TEMPLATE`] outputs the rows,
-    /// in the order, it outputs over scans read in full — at threads
-    /// {1, 2, 8} — and the plans read by key for a reduce join and filter
-    /// its route tasks. (At 24 universities the advisees' side is small
-    /// enough against the class file for a keyed read.)
+    /// A scan restricted by a key set in scope binds exactly the rows that
+    /// can still meet it, whether it seeks the keys or filters its full
+    /// read by them:
+    ///
+    /// * on every node, the parts of every unconstrained scan of every
+    ///   selective template restricted by the values of each variable it
+    ///   shares with another scan of the plan (the key source, read in
+    ///   full) equal the parts a full read binds filtered by those values —
+    ///   at threads {1, 2, 8}, with the key variable at the scan's placement
+    ///   position (a seek in its own replica) and off it (a seek in
+    ///   another), and with key sources of no rows. A key set that passes
+    ///   the seek cut is sought (`keys_in`); the same keys counted one row
+    ///   over the cut filter the full read (`keys_filtered`, the triples
+    ///   read and not bound). Each such span names the join the keys came
+    ///   from (`keys_from`).
+    #[test]
+    fn key_sought_scans_equal_full_ones_filtered_by_the_keys() {
+        let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
+        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+        let (mut at_placement, mut off_placement, mut empty_sources) = (0, 0, 0);
+        let mut filtered_cases = 0;
+        for text in SELECTIVE_TEMPLATES {
+            let query = parse_query(text).unwrap();
+            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
+            let plan = translate(result.flattest_plans()[0], cluster.graph());
+            let sched = schedule(&plan);
+            let sequential = Runtime::sequential();
+            let scans = plan.ops_where(|op| matches!(op, PhysicalOp::MapScan { .. }));
+            let full_read = |id: PhysId| {
+                let mut state = exec_state(&cluster, &plan, &sched, &sequential);
+                state.run_op(id, &[]);
+                let (_, span) = state.prof.as_ref().unwrap().nodes.last().unwrap();
+                (state.input(id).relations().to_vec(), span.rows_in)
+            };
+            for (&scan, &source) in scans.iter().flat_map(|s| scans.iter().map(move |t| (s, t))) {
+                let PhysicalOp::MapScan { spec, output } = plan.op(scan) else {
+                    unreachable!("a scan");
+                };
+                let shared = output
+                    .intersection(&plan.op(source).output())
+                    .next()
+                    .cloned();
+                let (Some(variable), true) = (shared, scan != source && spec.residual.is_empty())
+                else {
+                    continue;
+                };
+                let (source_parts, _) = full_read(source);
+                let column = source_parts[0].column(&variable).unwrap();
+                let keys: BTreeSet<TermId> = source_parts
+                    .iter()
+                    .flat_map(|p| p.rows().map(|row| row[column]))
+                    .collect();
+                let rows = source_parts.iter().map(Relation::len).sum::<usize>() as u64;
+                let state = exec_state(&cluster, &plan, &sched, &sequential);
+                let over_cut = state.stored_rows(spec) / RESTRICT_ROWS_PER_KEY as u64 + 1;
+                let column = output.iter().position(|v| *v == variable).unwrap();
+                let (full, read) = full_read(scan);
+                let expected: Vec<Relation> = (full.iter())
+                    .map(|part| rows_where(part, |row| keys.contains(&row[column])))
+                    .collect();
+                let kept = expected.iter().map(Relation::len).sum::<usize>() as u64;
+                let join = plan.root();
+                let sought = (rows < over_cut).then_some((rows, "keys_in"));
+                for (rows, restriction) in sought.into_iter().chain([(over_cut, "keys_filtered")]) {
+                    for threads in [1, 2, 8] {
+                        let runtime = Runtime::with_threads(threads);
+                        let mut state = exec_state(&cluster, &plan, &sched, &runtime);
+                        state.run_op(source, &[]);
+                        let scoped = ScopedKeys {
+                            variable: variable.clone(),
+                            source,
+                            rows,
+                            join,
+                        };
+                        state.run_op(scan, &[scoped]);
+                        let at = format!(
+                            "threads={threads}, {restriction}, {variable} of {source:?}: {text}"
+                        );
+                        assert_eq!(state.input(scan).relations(), &expected[..], "{at}");
+                        let (_, span) = state.prof.as_ref().unwrap().nodes.last().unwrap();
+                        let attr = |name| span.attrs.iter().find(|(n, _)| n == name).map(|a| a.1);
+                        assert_eq!(attr("keys_from"), Some(join.index() as u64), "{at}");
+                        match restriction {
+                            "keys_in" => assert!(attr("keys_in").is_some(), "{at}"),
+                            _ => assert_eq!(attr("keys_filtered"), Some(read - kept), "{at}"),
+                        }
+                    }
+                    if restriction == "keys_filtered" {
+                        filtered_cases += 1;
+                        continue;
+                    }
+                    match placement_variable(spec) == Some(&variable) {
+                        true => at_placement += 1,
+                        false => off_placement += 1,
+                    }
+                    empty_sources += usize::from(rows == 0);
+                }
+            }
+        }
+        assert!(at_placement > 0 && off_placement > 0 && empty_sources > 0);
+        assert!(filtered_cases > 0);
+    }
+
+    /// Restricting the inputs of a reduce join by the keys in scope only
+    /// drops rows that have no partner: on every node, every ReduceJoin of
+    /// the first eight MSC plans of every selective template and of
+    /// [`SHARED_STAR_TEMPLATE`] outputs the rows, in the order, it outputs
+    /// over scans read in full — at threads {1, 2, 8} — and the plans both
+    /// seek by key for a reduce join and filter at bind. (At 24
+    /// universities the advisees' side is small enough against the class
+    /// file for a keyed read.)
     #[test]
     fn semi_joined_reduce_joins_equal_full_ones_node_for_node() {
         let graph = LubmGenerator::new(LubmScale::with_universities(24)).generate();
         let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
         let reduce_joins = |op: &PhysicalOp| matches!(op, PhysicalOp::ReduceJoin { .. });
-        let (mut restricted_scans, mut filtered) = (0, 0);
-        let queries = (SELECTIVE_TEMPLATES.iter().chain([&SEMI_JOINED_TEMPLATE]))
+        let (mut sought_for_reduce, mut filtered_scans) = (0, 0);
+        let queries = (SELECTIVE_TEMPLATES.iter().chain([&SHARED_STAR_TEMPLATE]))
             .map(|text| parse_query(text).unwrap());
         for query in queries {
             let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
@@ -2234,7 +2330,7 @@ mod tests {
                 let operators = profile.children.iter().flat_map(|job| &job.children);
                 for op in operators {
                     let attr = |name| op.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-                    filtered += attr("filtered_rows").unwrap_or(0);
+                    filtered_scans += usize::from(attr("keys_filtered").is_some());
                     let id = op
                         .name
                         .split_once('#')
@@ -2242,95 +2338,13 @@ mod tests {
                     let consumer = physical.ops().iter().find(|consumer| {
                         reduce_joins(consumer) && consumer.inputs().contains(&PhysId(id.unwrap()))
                     });
-                    restricted_scans +=
+                    sought_for_reduce +=
                         usize::from(attr("keys_in").is_some() && consumer.is_some());
                 }
             }
         }
-        assert!(restricted_scans > 0, "a reduce join drives a scan by key");
-        assert!(filtered > 0, "a reduce join filters its route tasks");
-    }
-
-    /// A scan sought by a key set in scope reads exactly the rows that can
-    /// still meet it: on every node, the parts of every unconstrained scan
-    /// of every selective template sought by the values of each variable it
-    /// shares with another scan of the plan (the key source, read in full)
-    /// equal the parts a full read binds filtered by those values — at
-    /// threads {1, 2, 8}, with the key variable at the scan's placement
-    /// position (a seek in its own replica) and off it (a seek in another),
-    /// and with key sources of no rows. Each such scan's span names the
-    /// join the keys came from (`keys_from`).
-    #[test]
-    fn key_sought_scans_equal_full_ones_filtered_by_the_keys() {
-        let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
-        let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
-        let (mut at_placement, mut off_placement, mut empty_sources) = (0, 0, 0);
-        for text in SELECTIVE_TEMPLATES {
-            let query = parse_query(text).unwrap();
-            let result = Optimizer::with_variant(Variant::Msc).optimize(&query);
-            let plan = translate(result.flattest_plans()[0], cluster.graph());
-            let sched = schedule(&plan);
-            let sequential = Runtime::sequential();
-            let scans = plan.ops_where(|op| matches!(op, PhysicalOp::MapScan { .. }));
-            let full_read = |id: PhysId| {
-                let mut state = exec_state(&cluster, &plan, &sched, &sequential);
-                state.run_op(id, &[]);
-                state.input(id).relations().to_vec()
-            };
-            for (&scan, &source) in scans.iter().flat_map(|s| scans.iter().map(move |t| (s, t))) {
-                let PhysicalOp::MapScan { spec, output } = plan.op(scan) else {
-                    unreachable!("a scan");
-                };
-                let shared = output
-                    .intersection(&plan.op(source).output())
-                    .next()
-                    .cloned();
-                let (Some(variable), true) = (shared, scan != source && spec.residual.is_empty())
-                else {
-                    continue;
-                };
-                let source_parts = full_read(source);
-                let column = source_parts[0].column(&variable).unwrap();
-                let keys: BTreeSet<TermId> = source_parts
-                    .iter()
-                    .flat_map(|p| p.rows().map(|row| row[column]))
-                    .collect();
-                let rows = source_parts.iter().map(Relation::len).sum::<usize>() as u64;
-                let state = exec_state(&cluster, &plan, &sched, &sequential);
-                if rows * RESTRICT_ROWS_PER_KEY as u64 > state.stored_rows(spec) {
-                    continue;
-                }
-                let column = output.iter().position(|v| *v == variable).unwrap();
-                let expected: Vec<Relation> = (full_read(scan).iter())
-                    .map(|part| rows_where(part, |row| keys.contains(&row[column])))
-                    .collect();
-                let join = plan.root();
-                for threads in [1, 2, 8] {
-                    let runtime = Runtime::with_threads(threads);
-                    let mut state = exec_state(&cluster, &plan, &sched, &runtime);
-                    state.run_op(source, &[]);
-                    let scoped = ScopedKeys {
-                        variable: variable.clone(),
-                        source,
-                        rows,
-                        join,
-                    };
-                    state.run_op(scan, &[scoped]);
-                    let at = format!("threads={threads}, {variable} of {source:?}: {text}");
-                    assert_eq!(state.input(scan).relations(), &expected[..], "{at}");
-                    let (_, span) = state.prof.as_ref().unwrap().nodes.last().unwrap();
-                    let attr = |name| span.attrs.iter().find(|(n, _)| n == name).map(|a| a.1);
-                    assert_eq!(attr("keys_from"), Some(join.index() as u64), "{at}");
-                    assert!(attr("keys_in").is_some(), "{at}");
-                }
-                match placement_variable(spec) == Some(&variable) {
-                    true => at_placement += 1,
-                    false => off_placement += 1,
-                }
-                empty_sources += usize::from(rows == 0);
-            }
-        }
-        assert!(at_placement > 0 && off_placement > 0 && empty_sources > 0);
+        assert!(sought_for_reduce > 0, "a reduce join drives a scan by key");
+        assert!(filtered_scans > 0, "a scan filters at bind");
     }
 
     /// The parts' runs vouch together exactly when one part holding them all
@@ -2413,12 +2427,10 @@ mod tests {
         rows_where(relation, |row| hashed(row) == node).sorted()
     }
 
-    /// The shuffle moves rows, it neither copies nor misroutes them, and
-    /// drops only what its semi-join filter rejects: on every destination
-    /// node the reduce task merges, per input, exactly the input's kept rows
-    /// whose key hashes to that node, in join-key order — unfiltered, and
-    /// with every input but the first filtered by the first's keys — and
-    /// the part it outputs is the cluster-wide join restricted to that
+    /// The shuffle moves rows, it neither copies, drops nor misroutes them:
+    /// on every destination node the reduce task merges, per input, exactly
+    /// the input's rows whose key hashes to that node, in join-key order,
+    /// and the part it outputs is the cluster-wide join restricted to that
     /// node's keys. At threads {1, 2, 8}.
     #[test]
     fn reduce_tasks_join_exactly_the_rows_routed_to_their_node() {
@@ -2454,44 +2466,27 @@ mod tests {
                     let evaluated: Vec<_> = inputs.iter().map(|&i| state.input(i)).collect();
                     let whole: Vec<Relation> =
                         evaluated.iter().map(|v| Arc::clone(v).gather()).collect();
-                    // Unfiltered, and semi-joined to the first input's keys.
-                    let first = whole[0].column(&attrs[0]).unwrap();
-                    let keys: KeySet = whole[0].rows().map(|row| row[first]).collect();
-                    let flags: Vec<bool> = (0..whole.len()).map(|input| input > 0).collect();
-                    let filters = [None, Some((Arc::new(keys), flags))];
-                    for filter in filters {
-                        let kept: Vec<Relation> = (whole.iter().enumerate())
-                            .map(|(input, whole)| match &filter {
-                                Some((keys, flags)) if flags[input] => {
-                                    let first = whole.column(&attrs[0]).unwrap();
-                                    rows_where(whole, |row| keys.contains(row[first]))
-                                }
-                                _ => whole.clone(),
-                            })
-                            .collect();
-                        let routed = state.shuffle(&evaluated, &attrs, filter, u64::MAX);
-                        let (received, shuffled) = routed;
-                        let expected: usize = kept.iter().map(Relation::len).sum();
-                        assert_eq!(shuffled, expected as u64, "{text}");
-                        assert_eq!(received.len(), nodes);
-                        for (node, per_input) in received.into_iter().enumerate() {
-                            let at = format!("threads={threads} node={node}: {text}");
-                            for (buckets, kept) in per_input.into_iter().zip(&kept) {
-                                let merged = Relation::merge_ordered(buckets);
-                                let key_cols: Vec<usize> =
-                                    attrs.iter().map(|a| merged.column(a).unwrap()).collect();
-                                assert!(
-                                    merged.len() <= 1 || merged.order().satisfies(&key_cols),
-                                    "{at}: a merged input lost the key order"
-                                );
-                                let mut by_key = merged.clone();
-                                by_key.sort_by_columns(&key_cols);
-                                assert_eq!(by_key.data(), merged.data(), "the order holds");
-                                let routed = rows_where(kept, |row| {
-                                    relation::shuffle_node(row, &key_cols, nodes) == node
-                                });
-                                assert_eq!(merged.sorted(), routed.sorted(), "{at}");
-                            }
+                    let (received, shuffled) = state.shuffle(&evaluated, &attrs, u64::MAX);
+                    let expected: usize = whole.iter().map(Relation::len).sum();
+                    assert_eq!(shuffled, expected as u64, "{text}");
+                    assert_eq!(received.len(), nodes);
+                    for (node, per_input) in received.into_iter().enumerate() {
+                        let at = format!("threads={threads} node={node}: {text}");
+                        for (buckets, whole) in per_input.into_iter().zip(&whole) {
+                            let merged = Relation::merge_ordered(buckets);
+                            let key_cols: Vec<usize> =
+                                attrs.iter().map(|a| merged.column(a).unwrap()).collect();
+                            assert!(
+                                merged.len() <= 1 || merged.order().satisfies(&key_cols),
+                                "{at}: a merged input lost the key order"
+                            );
+                            let mut by_key = merged.clone();
+                            by_key.sort_by_columns(&key_cols);
+                            assert_eq!(by_key.data(), merged.data(), "the order holds");
+                            let routed = rows_where(whole, |row| {
+                                relation::shuffle_node(row, &key_cols, nodes) == node
+                            });
+                            assert_eq!(merged.sorted(), routed.sorted(), "{at}");
                         }
                     }
                     let parts = match &*state.input(id) {

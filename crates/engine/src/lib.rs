@@ -59,5 +59,5 @@ pub use csq::{Csq, CsqConfig, CsqReport};
 pub use executor::{BoundedOutput, ExecutionOutput, Executor, TripleBinder};
 pub use factorized::{join_runs, BoundedProjection, RunsRelation};
 pub use physical::{OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
-pub use relation::{hash_partition, hash_partition_filtered, KeySet, Relation, SortOrder};
+pub use relation::{hash_partition, KeySet, Relation, SortOrder};
 pub use translate::{interesting_orders, rebind_constants, translate};

@@ -1449,64 +1449,21 @@ fn step(at: &mut [usize], ends: &[usize], mut depth: usize) -> Option<usize> {
 ///
 /// Panics if an attribute is missing from the relation's schema.
 pub fn hash_partition(relation: &Relation, attributes: &[Variable], nodes: usize) -> Vec<Relation> {
-    partition_where(relation, attributes, nodes, |_| true)
-}
-
-/// [`hash_partition`] restricted to the rows whose first attribute's value
-/// is in `keys` — a semi-join folded into the routing pass: a row dropped
-/// here is neither hashed nor copied. Equal to filtering the relation, then
-/// partitioning it; buckets keep the input's order. With no attributes
-/// there is nothing to filter on, and every row is routed.
-///
-/// # Panics
-///
-/// Panics if an attribute is missing from the relation's schema.
-pub fn hash_partition_filtered(
-    relation: &Relation,
-    attributes: &[Variable],
-    nodes: usize,
-    keys: &KeySet,
-) -> Vec<Relation> {
-    let Some(first) = attributes.first() else {
-        return hash_partition(relation, attributes, nodes);
-    };
-    let column = key_column(relation, first);
-    partition_where(relation, attributes, nodes, |row| {
-        keys.contains(row[column])
-    })
-}
-
-/// The column of shuffle attribute `attribute`.
-fn key_column(relation: &Relation, attribute: &Variable) -> usize {
-    (relation.column(attribute))
-        .unwrap_or_else(|| panic!("shuffle attribute {attribute} missing from input"))
-}
-
-/// The routing kernel of [`hash_partition`] and
-/// [`hash_partition_filtered`]: the rows `keep` accepts, hashed to their
-/// buckets.
-fn partition_where(
-    relation: &Relation,
-    attributes: &[Variable],
-    nodes: usize,
-    keep: impl Fn(&[TermId]) -> bool,
-) -> Vec<Relation> {
-    /// The route of a row `keep` rejects: no bucket.
-    const DROPPED: u32 = u32::MAX;
     let nodes = nodes.max(1);
     let arity = relation.arity();
-    let columns: Vec<usize> = attributes.iter().map(|a| key_column(relation, a)).collect();
-    // Pass 1: hash every kept row to its node, remembering the route (one
-    // u32 per row) and the per-bucket row counts. Row counts are tracked
+    let columns: Vec<usize> = (attributes.iter())
+        .map(|attribute| {
+            (relation.column(attribute))
+                .unwrap_or_else(|| panic!("shuffle attribute {attribute} missing from input"))
+        })
+        .collect();
+    // Pass 1: hash every row to its node, remembering the route (one u32
+    // per row) and the per-bucket row counts. Row counts are tracked
     // explicitly so zero-arity rows (empty key, empty payload) are routed
     // like any other row instead of vanishing.
     let mut routes: Vec<u32> = Vec::with_capacity(relation.len());
     let mut counts = vec![0usize; nodes];
     for row in relation.rows() {
-        if !keep(row) {
-            routes.push(DROPPED);
-            continue;
-        }
         let node = shuffle_node(row, &columns, nodes);
         routes.push(node as u32);
         counts[node] += 1;
@@ -1517,9 +1474,7 @@ fn partition_where(
         .map(|&rows| Vec::with_capacity(rows * arity))
         .collect();
     for (row, &node) in relation.rows().zip(&routes) {
-        if let Some(buffer) = buffers.get_mut(node as usize) {
-            buffer.extend_from_slice(row);
-        }
+        buffers[node as usize].extend_from_slice(row);
     }
     buffers
         .into_iter()
@@ -1543,8 +1498,9 @@ fn partition_where(
 /// A set of term ids, one bit per id up to the largest inserted: membership
 /// is a shift and a mask, and the set spans only the dictionary range its
 /// ids reach (ids are dense, so at most a few hundred kB on millions of
-/// triples). The semi-join filter of a shuffle's route tasks
-/// ([`hash_partition_filtered`]) and the repeat check of factorized runs.
+/// triples). The key filter of a scan's bind
+/// ([`TripleBinder::bind_all`](crate::TripleBinder::bind_all)) and the
+/// repeat check of factorized runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeySet {
     words: Vec<u64>,
@@ -2048,51 +2004,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_filtered_partition_routes_zero_arity_rows_as_before() {
-        let keys: KeySet = [t(3)].into_iter().collect();
-        let buckets = hash_partition_filtered(&Relation::unit(), &[], 3, &keys);
-        assert_eq!(buckets, hash_partition(&Relation::unit(), &[], 3));
-        assert_eq!(buckets.iter().map(Relation::len).sum::<usize>(), 1);
-    }
-
     proptest! {
-        /// A key-filtered partition is the partition of the filtered
-        /// relation, bucket for bucket: the kept rows in input order, on
-        /// the buckets the unfiltered partition sends them to, each bucket
-        /// keeping the input's tracked order.
-        #[test]
-        fn partitioning_with_keys_is_filtering_then_partitioning(
-            raw in proptest::collection::vec((0u32..40, 0u32..5, 0u32..5), 0..200),
-            kept in proptest::collection::vec(0u32..40, 0..20),
-            nodes in 1usize..6,
-            sorted in any::<bool>(),
-            two_keys in any::<bool>(),
-        ) {
-            let rows: Vec<&[u32]> = Vec::new();
-            let mut r = rel(&["x", "y", "z"], &rows);
-            for &(x, y, z) in &raw {
-                r.push_row(&[t(x), t(y), t(z)]);
-            }
-            if sorted {
-                r.sort_by_columns(&[0, 1]);
-            }
-            let keys: KeySet = kept.iter().map(|&k| t(k)).collect();
-            let attributes = if two_keys { vec![v("x"), v("y")] } else { vec![v("x")] };
-            let mut filtered = Relation::empty(r.schema().to_vec());
-            for row in r.rows().filter(|row| keys.contains(row[0])) {
-                filtered.push_row(row);
-            }
-            filtered.assume_order(r.order().clone());
-            let expected = hash_partition(&filtered, &attributes, nodes);
-            let buckets = hash_partition_filtered(&r, &attributes, nodes, &keys);
-            prop_assert_eq!(buckets.len(), nodes);
-            for (bucket, expected) in buckets.iter().zip(&expected) {
-                prop_assert_eq!(bucket.data(), expected.data());
-                prop_assert_eq!(bucket.order(), r.order());
-            }
-        }
-
         /// `KeySet` membership is set membership, ids far apart included.
         #[test]
         fn a_key_set_holds_exactly_what_was_inserted(

@@ -13,11 +13,14 @@ execute - plan (decode, render, HTTP). `route` is how the root was answered:
 rows), `fallback` (expanded, gathered, de-duplicated, cut) — read from the
 root Project span's `bounded` / `runs_emitted` attributes; `-` on a server
 that predates the bounded root. `expanded` is that span's `rows_expanded`.
-`keys from` names every keyed scan — one sought by a key set in scope — as
-`scan<join` operator ids, read from the scan spans' `keys_from` attribute:
-`2<14` says `MapScan#2` read only the keys that the smallest evaluated input
-of `ReduceJoin#14` holds. The join is the scan's own consumer, or an ancestor
-when the keys crossed a level of the plan; `-` when no scan read by key.
+`keys from` names every keyed scan — one restricted by a key set in scope —
+by operator ids, read from the scan spans' `keys_from` attribute: a sought
+scan (`keys_in`) as `scan<join`, a filtered one (`keys_filtered`) as
+`scan~join`. `2<14` says `MapScan#2` read only the keys that the smallest
+evaluated input of `ReduceJoin#14` holds; `2~14` that it read its files in
+full and bound only the triples whose key that input holds. The join is the
+scan's own consumer, or an ancestor when the keys crossed a level of the
+plan; `-` when no scan was restricted.
 Only localhost is ever contacted.
 """
 import json
@@ -46,9 +49,11 @@ def ask(base, name):
     ms = lambda name: sum(s["wall_s"] for s in by_name.get(name, [])) * 1e3
     project = by_name["Project"][-1]["attrs"] if "Project" in by_name else {}
     keyed = [
-        f"{span['name'].split('#')[1]}<{span['attrs']['keys_from']}"
+        span["name"].split("#")[1]
+        + ("<" if "keys_in" in span["attrs"] else "~")
+        + str(span["attrs"]["keys_from"])
         for span in by_name.get("MapScan", [])
-        if "keys_in" in span["attrs"]
+        if "keys_from" in span["attrs"]
     ]
     if "bounded" not in project:
         route = "-"

@@ -99,11 +99,25 @@ fn consumer_of<'p>(plan: &'p PhysicalPlan, span: &str) -> Option<(u64, &'p Physi
 }
 
 /// Whether the scan a span names was sought by the key set of a join above
-/// its consumer (`keys_from` names another operator): keys that crossed a
-/// level of the plan.
+/// its consumer (`keys_in`, and `keys_from` names another operator): keys
+/// that crossed a level of the plan.
 fn level_crossing(plan: &PhysicalPlan, span: &SpanNode) -> bool {
     let consumer = consumer_of(plan, &span.name).map(|(id, _)| id);
-    attr(span, "keys_from").is_some_and(|join| Some(join) != consumer)
+    let sought = attr(span, "keys_in").is_some();
+    sought && attr(span, "keys_from").is_some_and(|join| Some(join) != consumer)
+}
+
+/// The property of the scan a span names (`MapScan#3`), if it is a scan of
+/// a constant property.
+fn scan_property(plan: &PhysicalPlan, span: &str) -> Option<Term> {
+    let id = PhysId(span.split_once('#')?.1.parse().ok()?);
+    let PhysicalOp::MapScan { spec, .. } = plan.ops().get(id.index())? else {
+        return None;
+    };
+    match &spec.pattern.property {
+        PatternTerm::Constant(property) => Some(property.clone()),
+        PatternTerm::Variable(_) => None,
+    }
 }
 
 /// The route a profiled bounded execution's span tree reports.
@@ -134,9 +148,11 @@ struct Observed {
     /// Of those, the scans sought by the key set of a join above their
     /// consumer (`keys_from`), keys that crossed a level of the plan.
     ancestor_keyed_scans: usize,
-    /// Rows the ReduceJoins' route tasks dropped as partnerless
-    /// (`filtered_rows`).
-    filtered_rows: u64,
+    /// Scans that read their files in full and dropped, as they bound them,
+    /// the triples whose key is not in a key set in scope (`keys_filtered`).
+    filtered_scans: usize,
+    /// The properties of those scans whose filter dropped triples.
+    filtered_properties: BTreeSet<Term>,
     /// Operators with a wave that ran on the submitting thread (`inline`).
     inline_waves: usize,
     /// Waves the serving pools' schedulers ran, over every cell.
@@ -293,8 +309,14 @@ impl Dataset {
                                 usize::from(restricted && by_reduce);
                             observed.ancestor_keyed_scans += usize::from(level_crossing(plan, op));
                             observed.inline_waves += usize::from(attr(op, "inline").is_some());
+                            if let Some(dropped) = attr(op, "keys_filtered") {
+                                observed.filtered_scans += 1;
+                                let property = scan_property(plan, &op.name);
+                                observed
+                                    .filtered_properties
+                                    .extend(property.filter(|_| dropped > 0));
+                            }
                         }
-                        observed.filtered_rows += attr_sum(execute, "filtered_rows");
                         observed.runs_emitted += attr_sum(execute, "runs_emitted");
                         let expanded = attr_sum(execute, "rows_expanded");
                         let joined = output.metrics.join_output_tuples;
@@ -524,17 +546,19 @@ fn lubm() {
     assert!(eager, "{observed:?}");
     // Q11's first job reads only what can meet the constant-fed side of
     // its second: its scans seek that side's keys across the job boundary
-    // (`keys_from`), which leaves its second reduce join's semi-join
-    // nothing to drop. Q14's route tasks still drop partnerless rows; Q1 is
-    // map-only. Tiny waves all run on the submitting thread, so the pools'
-    // schedulers see none.
+    // (`keys_from`). Q5's and Q10's `takesCourse` scans hold a key set too
+    // large to seek, and drop triples as they bind them. Tiny waves all run on the
+    // submitting thread, so the pools' schedulers see none.
     assert!(
         observed[10].ancestor_keyed_scans > 0,
         "Q11: {:?}",
         observed[10]
     );
-    assert!(observed[13].filtered_rows > 0, "Q14: {:?}", observed[13]);
-    assert_eq!(observed[0].filtered_rows, 0, "Q1: {:?}", observed[0]);
+    let takes_course = Term::iri(format!("{}takesCourse", cliquesquare_rdf::term::vocab::UB));
+    for query in [4, 9] {
+        let filtered = &observed[query].filtered_properties;
+        assert!(filtered.contains(&takes_course), "{:?}", observed[query]);
+    }
     for (query, observed) in queries.iter().zip(&observed) {
         let at = format!("{}: {observed:?}", query.name());
         assert!(
@@ -685,9 +709,11 @@ fn keyed_at(dataset: &Dataset, plan: &PhysicalPlan) -> (usize, usize) {
 /// from the data); the key variable off the restricted scan's placement
 /// position (members placed by ?S, keyed by ?D) and at it (placed by ?D);
 /// an operator shared by two consumers under the join supplying the keys,
-/// evaluated unrestricted while its sibling scan is sought; and a key set
-/// one row over the `RESTRICT_ROWS_PER_KEY` (64) cut, which is not passed,
-/// where one at the cut is.
+/// evaluated unrestricted while its sibling scan is sought — neither
+/// sought nor filtered, whether the key set in scope would seek or filter;
+/// and a key set one row over the `RESTRICT_ROWS_PER_KEY` (64) cut, which
+/// is not passed (the scan filters its full read instead), where one at the
+/// cut is.
 #[test]
 fn key_passing() {
     // The hub's two departments against 128 memberships: at the cut.
@@ -716,6 +742,7 @@ fn key_passing() {
     let over_cut = Dataset::new("keys, over the cut", key_passing_graph(127, 0));
     let observed = over_cut.check_query(&keyed_query("over the cut", MEMBERS_OF_HUB, "H"), false);
     assert_eq!(observed.ancestor_keyed_scans, 0, "{observed:?}");
+    assert!(observed.filtered_scans > 0, "{observed:?}");
 
     // The members' star is shared: the hub's side joins it first, then the
     // root's other input joins it to the workers, whose scan is sought by
@@ -748,6 +775,25 @@ fn key_passing() {
         (plan.op(star).name(), star_rows),
         ("MapJoin", whole.len() as u64)
     );
+    // The hub's two departments are in scope above the star: at the cut
+    // its members' scan would seek them, one row over it filter by them.
+    // Its scans hold only the star's own key set (`MapJoin#2`).
+    let shared_over = Dataset::new("keys, shared over the cut", key_passing_graph(127, 2_000));
+    let plan_over = shared_star_plan(shared_over.graph());
+    shared_over.check_plan(&shared, "shared star", &plan_over);
+    for (dataset, plan) in [(&at_cut, &plan), (&shared_over, &plan_over)] {
+        let output = Executor::sequential(dataset.cluster(4)).execute_profiled(plan);
+        let execute = output.profile.expect("profiled");
+        let operators = execute.children.iter().flat_map(|job| &job.children);
+        for scan in operators.filter(|op| ["MapScan#0", "MapScan#1"].contains(&&op.name[..])) {
+            let keys_from = attr(scan, "keys_from");
+            assert!(
+                keys_from.is_none_or(|join| join == 2),
+                "{}: {scan:?}",
+                dataset.name
+            );
+        }
+    }
 
     at_cut.check_service(&[off_placement, absent, at_placement], false);
 }
@@ -914,8 +960,13 @@ fn rare_and_common(subjects: usize, common: usize) -> Graph {
 /// The cut counts a key set's rows, not its distinct keys: in a co-located
 /// star whose smallest scan holds two rows per key (4 subjects, 8 rows),
 /// the other scan seeks those keys against 8 × 64 stored rows — by its own
-/// join's key set, which crosses no level — and reads in full against one
-/// row fewer.
+/// join's key set, which crosses no level — and against one row fewer
+/// reads in full, filtering by the same keys as it binds. A key set's
+/// bitmap spans the ids up to its largest, and the filter probes it with
+/// ids on either side of that range: over the cut the rare subjects hold
+/// the lowest ids, so common subjects probe past the set's last word; with
+/// two rare subjects added after every common triple, the set's last words
+/// lie past every id the common file probes.
 #[test]
 fn a_co_located_star_at_the_seek_cut() {
     let star = "SELECT ?S ?A ?B WHERE { ?S :rare ?A . ?S :common ?B }";
@@ -926,9 +977,32 @@ fn a_co_located_star_at_the_seek_cut() {
     assert_eq!(observed.ancestor_keyed_scans, 0, "{observed:?}");
     at_cut.check_service(&[query], false);
 
-    let over_cut = Dataset::new("star, over the cut", rare_and_common(4, 8 * 64 - 1));
-    let observed = over_cut.check_query(&keyed_query("star over the cut", star, ""), false);
-    assert_eq!(observed.restricted_scans, 0, "{observed:?}");
+    let iri = |name: String| Term::iri(keyed(name));
+    let over_cut = rare_and_common(4, 8 * 64 - 1);
+    let mut keys_past = over_cut.clone();
+    for s in 0..2 {
+        for value in [s, s + 100] {
+            let (subject, object) = (iri(format!("late{s}")), iri(format!("r{}", 200 + value)));
+            keys_past.insert_terms(subject, iri("rare".into()), object);
+        }
+    }
+    // The last bitmap word each property's subjects reach.
+    let last_word = |graph: &Graph, property: &str| {
+        let property = graph.lookup(&iri(property.into())).expect("present");
+        let triples = graph.triples().iter().filter(|t| t.property == property);
+        triples.map(|t| t.subject.0 / 64).max().expect("triples")
+    };
+    assert!(last_word(&over_cut, "common") > last_word(&over_cut, "rare"));
+    assert!(last_word(&keys_past, "rare") > last_word(&keys_past, "common"));
+    for (name, graph) in [
+        ("star over the cut", over_cut),
+        ("star over the cut, keys past the probes", keys_past),
+    ] {
+        let dataset = Dataset::new(name, graph);
+        let observed = dataset.check_query(&keyed_query(name, star, ""), false);
+        assert_eq!(observed.restricted_scans, 0, "{name}: {observed:?}");
+        assert!(observed.filtered_scans > 0, "{name}: {observed:?}");
+    }
 }
 
 /// `key_passing_graph(128, 2 000)` with every course taught by two of three

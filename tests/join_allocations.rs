@@ -283,7 +283,7 @@ fn scan_bind_allocates_its_row_buffer_once() {
     let binder = TripleBinder::new(&pattern, vec![v("x"), v("y")]);
 
     let before = allocations();
-    let relation = binder.bind_all(&triples, &[], SortOrder::by([0]));
+    let relation = binder.bind_all(&triples, &[], None, SortOrder::by([0]));
     let spent = allocations() - before;
 
     assert_eq!(relation.len(), TRIPLES as usize);

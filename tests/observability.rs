@@ -137,9 +137,10 @@ fn the_plan_span_counts_the_candidates_of_a_miss() {
 /// over ten thousand rows, the job spans and the `Gather` span together
 /// cover the `execute` wall at every thread count — no silent merge after
 /// the last operator. On Q11, with two reduce joins, each ReduceJoin span
-/// carries the tasks of both its waves, after the one task that builds its
-/// semi-join key set when it filters inputs. The profiled answers are the
-/// unprofiled ones.
+/// carries the tasks of both its waves, and a MapScan span restricted by a
+/// key set carries the one task that seeks its keys (`keys_in`) or builds
+/// the set it filters by (`keys_filtered`) before one task per node. The
+/// profiled answers are the unprofiled ones.
 #[test]
 fn job_and_gather_spans_cover_the_execution() {
     let graph = LubmGenerator::new(LubmScale::with_universities(8)).generate();
@@ -156,7 +157,7 @@ fn job_and_gather_spans_cover_the_execution() {
             // A wall-clock share: the best of a few runs, so one preemption
             // between two spans cannot fail the test.
             let mut best_cover: f64 = 0.0;
-            let mut reduce_spans = 0;
+            let (mut reduce_spans, mut filtered_scans) = (0, 0);
             for _ in 0..5 {
                 let profiled = executor.execute_profiled(&physical);
                 assert_eq!(plain.results, profiled.results, "{name} threads={threads}");
@@ -170,11 +171,20 @@ fn job_and_gather_spans_cover_the_execution() {
                     assert_eq!(routed.is_some(), operator.name.starts_with("ReduceJoin#"));
                     if let Some((_, routed)) = routed {
                         reduce_spans += 1;
-                        let filters = operator.attrs.iter().any(|(n, _)| n == "filtered_inputs");
                         assert_eq!(
                             operator.tasks.len(),
-                            usize::from(filters) + *routed as usize + cluster.nodes(),
-                            "the key-set task, route tasks, then one reduce task per node"
+                            *routed as usize + cluster.nodes(),
+                            "route tasks, then one reduce task per node"
+                        );
+                    }
+                    if operator.name.starts_with("MapScan#") {
+                        let keyed = |name| operator.attrs.iter().any(|(n, _)| n == name);
+                        let filters = keyed("keys_filtered");
+                        filtered_scans += usize::from(filters);
+                        assert_eq!(
+                            operator.tasks.len(),
+                            usize::from(filters || keyed("keys_in")) + cluster.nodes(),
+                            "the key task, then one scan task per node"
                         );
                     }
                 }
@@ -189,6 +199,10 @@ fn job_and_gather_spans_cover_the_execution() {
                 best_cover = best_cover.max(covered / execute.wall_seconds);
             }
             assert_eq!(reduce_spans, 5 * physical.reduce_join_count());
+            assert!(
+                filtered_scans > 0,
+                "{name} threads={threads}: a scan filters at bind"
+            );
             assert!(
                 !large_root || best_cover >= 0.95,
                 "{name} threads={threads}: job and gather spans cover only {:.1}% of the \
