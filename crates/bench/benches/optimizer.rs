@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the logical optimizer (Figure 18 companion):
 //! optimization time per variant on representative query shapes, the
 //! complexity-bound computation of Figure 8, and the whole plan-cache miss
-//! (`Csq::plan`: search plus pricing the candidates that can win).
+//! (`Csq::plan` and `Csq::choose`: search plus pricing the candidates that
+//! can win).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -66,18 +67,23 @@ fn bench_lubm_queries(c: &mut Criterion) {
 }
 
 /// What a plan-cache miss costs. Q12 and Q14 (with Q13, which has Q12's
-/// shape) carry over 90 % of the LUBM mix's planning time. Pricing no longer
-/// dominates it: only candidates whose job floor can still win are
-/// translated and estimated (Q14: 389 of 935 distinct, Q12: 8 of 135), so
-/// the search itself is the larger part, and this is the before / after for
-/// a change to the optimizer's recursion, `translate`, `interesting_orders`
-/// or the cost model's walk.
+/// shape) carry over 90 % of the LUBM mix's planning time. `Q12` / `Q14`
+/// time `Csq::plan`, which builds every candidate the search reaches (Q14:
+/// 1 434); `Q12/choose` / `Q14/choose` time `Csq::choose`, the server's
+/// miss, which hands each leaf of the search to the chooser and builds
+/// only the candidates whose job floor can still win (Q14: 674, of which
+/// 389 distinct are translated and estimated). This is the before / after
+/// for a change to the optimizer's recursion, `decompositions`,
+/// `translate`, `interesting_orders` or the cost model's walk.
 fn bench_plan_selection(c: &mut Criterion) {
     let csq = Csq::new(lubm_cluster(bench_scale()), CsqConfig::default());
     let mut group = c.benchmark_group("plan_selection");
     for query in [q12(), q14()] {
         group.bench_function(query.name().to_string(), |b| {
             b.iter(|| black_box(csq.plan(black_box(&query))).0.len())
+        });
+        group.bench_function(format!("{}/choose", query.name()), |b| {
+            b.iter(|| black_box(csq.choose(black_box(&query))).candidates)
         });
     }
     group.finish();

@@ -20,7 +20,7 @@ use crate::clique::{Clique, Decomposition};
 use crate::variable_graph::VariableGraph;
 use cliquesquare_sparql::Variable;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 
 /// One of the eight CliqueSquare decomposition variants.
@@ -141,11 +141,82 @@ impl DecompositionLimits {
     }
 }
 
+/// A set of graph nodes as a bitset of any width: node `i` is bit `i % 64`
+/// of word `i / 64`. Sets of one graph have the same number of words, so
+/// equal sets are equal vectors. Ordered as a `BTreeSet<usize>` of the
+/// same nodes is: by their ascending members, lexicographically.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// The empty set of a graph of `n` nodes.
+    fn empty(n: usize) -> Self {
+        NodeSet(vec![0; n.div_ceil(64)])
+    }
+
+    /// The set of `nodes`, of a graph of `n` nodes.
+    fn of(n: usize, nodes: impl IntoIterator<Item = usize>) -> Self {
+        let mut set = Self::empty(n);
+        for node in nodes {
+            set.0[node / 64] |= 1 << (node % 64);
+        }
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.0.iter().enumerate()).flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    at * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn is_disjoint(&self, other: &NodeSet) -> bool {
+        self.0.iter().zip(&other.0).all(|(a, b)| a & b == 0)
+    }
+
+    /// The lowest node of `0..n` not in the set, if any.
+    fn first_missing(&self, n: usize) -> Option<usize> {
+        let at = self.0.iter().position(|&word| word != u64::MAX)?;
+        let node = at * 64 + self.0[at].trailing_ones() as usize;
+        (node < n).then_some(node)
+    }
+
+    /// Makes the set `a ∪ b`.
+    fn set_union(&mut self, a: &NodeSet, b: &NodeSet) {
+        for ((word, a), b) in self.0.iter_mut().zip(&a.0).zip(&b.0) {
+            *word = a | b;
+        }
+    }
+}
+
+impl Ord for NodeSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for NodeSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// A candidate clique used during cover enumeration.
 #[derive(Debug, Clone)]
 struct Candidate {
     variable: Variable,
-    nodes: BTreeSet<usize>,
+    nodes: NodeSet,
 }
 
 /// Generates the candidate cliques for `graph` under `variant`.
@@ -166,16 +237,17 @@ fn candidate_cliques(
     variant: Variant,
     limits: &DecompositionLimits,
 ) -> Vec<Candidate> {
-    let mut seen: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
+    let n = graph.len();
+    let mut seen: HashSet<NodeSet> = HashSet::new();
     let mut candidates = Vec::new();
     let mut capped = false;
     for (variable, maximal) in graph.maximal_cliques() {
+        let members: Vec<usize> = maximal.into_iter().collect();
         if !variant.maximal_only() && !capped {
             // Partial cliques: all non-empty subsets of the maximal clique,
             // in mask order. A member past the word's bits is in no mask the
             // cap lets through, so its bit reads as zero instead of shifting
             // out of the word.
-            let members: Vec<usize> = maximal.iter().copied().collect();
             let word = usize::BITS as usize;
             let last_mask = if members.len() < word {
                 (1usize << members.len()) - 1
@@ -183,12 +255,12 @@ fn candidate_cliques(
                 usize::MAX
             };
             for mask in 1..=last_mask {
-                let nodes: BTreeSet<usize> = members
-                    .iter()
-                    .enumerate()
-                    .filter(|&(bit, _)| bit < word && (mask >> bit) & 1 != 0)
-                    .map(|(_, &n)| n)
-                    .collect();
+                let nodes = NodeSet::of(
+                    n,
+                    (members.iter().enumerate())
+                        .filter(|&(bit, _)| bit < word && (mask >> bit) & 1 != 0)
+                        .map(|(_, &node)| node),
+                );
                 if seen.insert(nodes.clone()) {
                     candidates.push(Candidate {
                         variable: variable.clone(),
@@ -203,6 +275,7 @@ fn candidate_cliques(
         }
         // The maximal clique itself: already generated as the last mask
         // unless the cap cut its subsets (or this variant takes no others).
+        let maximal = NodeSet::of(n, members);
         if !seen.contains(&maximal) {
             seen.insert(maximal.clone());
             candidates.push(Candidate {
@@ -244,7 +317,7 @@ pub fn decompositions(
     // node -> candidate indices containing it
     let mut containing: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (ci, cand) in candidates.iter().enumerate() {
-        for &node in &cand.nodes {
+        for node in cand.nodes.iter() {
             containing[node].push(ci);
         }
     }
@@ -254,62 +327,45 @@ pub fn decompositions(
     }
 
     let max_cover_size = n - 1; // Definition 3.3: |D| < |N|
-    let mut covers: Vec<Vec<usize>> = Vec::new();
+    let mut search = CoverSearch {
+        candidates: &candidates,
+        containing: &containing,
+        n,
+        exact: variant.exact_cover(),
+        max_size: max_cover_size,
+        max_covers: limits.max_decompositions,
+        chosen: Vec::new(),
+        covered: vec![NodeSet::empty(n); n + 1],
+        covers: Vec::new(),
+    };
     if variant.minimum_only() {
         // Iterative deepening on the cover size: the first size that admits a
         // cover is the minimum, and bounding the depth keeps the search exact
         // even for queries on which unbounded enumeration would be capped.
         for size in 1..=max_cover_size {
-            let mut chosen: Vec<usize> = Vec::new();
-            let mut covered: BTreeSet<usize> = BTreeSet::new();
-            enumerate_covers(
-                &candidates,
-                &containing,
-                n,
-                variant.exact_cover(),
-                size,
-                limits.max_decompositions,
-                &mut chosen,
-                &mut covered,
-                &mut covers,
-            );
-            if !covers.is_empty() {
+            search.max_size = size;
+            search.enumerate(0);
+            if !search.covers.is_empty() {
                 break;
             }
         }
         // Deepening can admit covers smaller than the bound on later levels of
         // the recursion, but by construction the first non-empty level only
         // contains minimum-size covers; keep the filter as a safety net.
-        if let Some(min_size) = covers.iter().map(Vec::len).min() {
-            covers.retain(|c| c.len() == min_size);
+        if let Some(min_size) = search.covers.iter().map(Vec::len).min() {
+            search.covers.retain(|c| c.len() == min_size);
         }
     } else {
-        let mut chosen: Vec<usize> = Vec::new();
-        let mut covered: BTreeSet<usize> = BTreeSet::new();
-        enumerate_covers(
-            &candidates,
-            &containing,
-            n,
-            variant.exact_cover(),
-            max_cover_size,
-            limits.max_decompositions,
-            &mut chosen,
-            &mut covered,
-            &mut covers,
-        );
+        search.enumerate(0);
     }
 
-    covers
-        .into_iter()
+    (search.covers.into_iter())
         .map(|cover| {
             Decomposition::new(
                 cover
                     .into_iter()
                     .map(|ci| {
-                        Clique::new(
-                            candidates[ci].variable.clone(),
-                            candidates[ci].nodes.iter().copied(),
-                        )
+                        Clique::new(candidates[ci].variable.clone(), candidates[ci].nodes.iter())
                     })
                     .collect(),
             )
@@ -317,61 +373,54 @@ pub fn decompositions(
         .collect()
 }
 
-/// Recursive enumeration of irredundant covers: branch on the candidates
-/// containing the lowest uncovered node. Each irredundant cover is produced
-/// exactly once because the order in which its cliques are selected is
-/// uniquely determined by that rule.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_covers(
-    candidates: &[Candidate],
-    containing: &[Vec<usize>],
+/// The enumeration of irredundant covers of one graph by its candidates.
+struct CoverSearch<'c> {
+    candidates: &'c [Candidate],
+    /// Per node, the candidates containing it.
+    containing: &'c [Vec<usize>],
     n: usize,
     exact: bool,
     max_size: usize,
     max_covers: usize,
-    chosen: &mut Vec<usize>,
-    covered: &mut BTreeSet<usize>,
-    covers: &mut Vec<Vec<usize>>,
-) {
-    if covers.len() >= max_covers {
-        return;
-    }
-    if covered.len() == n {
-        if chosen.len() <= max_size {
-            covers.push(chosen.clone());
-        }
-        return;
-    }
-    if chosen.len() >= max_size {
-        return; // cannot add more cliques and still satisfy |D| < |N|
-    }
-    // Lowest uncovered node.
-    let next = (0..n)
-        .find(|i| !covered.contains(i))
-        .expect("some node uncovered");
-    for &ci in &containing[next] {
-        let cand = &candidates[ci];
-        if exact && cand.nodes.iter().any(|node| covered.contains(node)) {
-            continue;
-        }
-        let newly: Vec<usize> = cand
-            .nodes
-            .iter()
-            .copied()
-            .filter(|node| !covered.contains(node))
-            .collect();
-        debug_assert!(!newly.is_empty(), "candidate must cover the branch node");
-        chosen.push(ci);
-        covered.extend(newly.iter().copied());
-        enumerate_covers(
-            candidates, containing, n, exact, max_size, max_covers, chosen, covered, covers,
-        );
-        chosen.pop();
-        for node in newly {
-            covered.remove(&node);
-        }
-        if covers.len() >= max_covers {
+    /// The candidates of the cover being built.
+    chosen: Vec<usize>,
+    /// `covered[d]`: the nodes the first `d` chosen candidates cover.
+    covered: Vec<NodeSet>,
+    covers: Vec<Vec<usize>>,
+}
+
+impl CoverSearch<'_> {
+    /// Recursive enumeration of irredundant covers, `depth` candidates
+    /// chosen: branch on the candidates containing the lowest uncovered
+    /// node. Each irredundant cover is produced exactly once because the
+    /// order in which its cliques are selected is uniquely determined by
+    /// that rule.
+    fn enumerate(&mut self, depth: usize) {
+        if self.covers.len() >= self.max_covers {
             return;
+        }
+        let Some(next) = self.covered[depth].first_missing(self.n) else {
+            if self.chosen.len() <= self.max_size {
+                self.covers.push(self.chosen.clone());
+            }
+            return;
+        };
+        if self.chosen.len() >= self.max_size {
+            return; // cannot add more cliques and still satisfy |D| < |N|
+        }
+        for &ci in &self.containing[next] {
+            let cand = &self.candidates[ci].nodes;
+            if self.exact && !cand.is_disjoint(&self.covered[depth]) {
+                continue;
+            }
+            let (here, below) = self.covered.split_at_mut(depth + 1);
+            below[0].set_union(&here[depth], cand);
+            self.chosen.push(ci);
+            self.enumerate(depth + 1);
+            self.chosen.pop();
+            if self.covers.len() >= self.max_covers {
+                return;
+            }
         }
     }
 }
@@ -563,7 +612,8 @@ mod tests {
             let limits = DecompositionLimits::default();
             let candidates = candidate_cliques(&g, Variant::Msc, &limits);
             assert_eq!(candidates.len(), limits.max_candidate_cliques + 1, "{arms}");
-            assert_eq!(candidates.last().map(|c| &c.nodes), Some(&full), "{arms}");
+            let last = candidates.last().map(|c| c.nodes.iter().collect());
+            assert_eq!(last, Some(full.clone()), "{arms}");
             let decs = decompositions(&g, Variant::Msc, &limits);
             assert_eq!(decs.len(), 1, "{arms}");
             assert_eq!(decs[0].cliques[0].nodes, full, "{arms}");
@@ -586,7 +636,9 @@ mod tests {
         };
         let candidates = candidate_cliques(&q1, Variant::Sc, &limits);
         for maximal in q1.maximal_cliques().values() {
-            assert!(candidates.iter().any(|c| c.nodes == *maximal));
+            assert!(candidates
+                .iter()
+                .any(|c| c.nodes.iter().eq(maximal.iter().copied())));
         }
     }
 
@@ -595,6 +647,92 @@ mod tests {
         let q = cliquesquare_sparql::parser::parse_query("SELECT ?a WHERE { ?a ub:p ?b }").unwrap();
         let g = graph(&q);
         assert!(decompositions(&g, Variant::Msc, &DecompositionLimits::default()).is_empty());
+    }
+
+    /// FNV-1a over the `Debug` text of the decompositions of every distinct
+    /// graph the reductions reach from each query's graph (depth first, in
+    /// decomposition order, at most `max_graphs` graphs per query), under
+    /// `variant` and `limits`.
+    fn decomposition_digest(
+        queries: &[cliquesquare_sparql::BgpQuery],
+        variant: Variant,
+        limits: &DecompositionLimits,
+        max_graphs: usize,
+    ) -> u64 {
+        fn visit(
+            graph: &VariableGraph,
+            variant: Variant,
+            limits: &DecompositionLimits,
+            max_graphs: usize,
+            seen: &mut BTreeSet<Vec<BTreeSet<usize>>>,
+            digest: &mut u64,
+        ) {
+            let decs = decompositions(graph, variant, limits);
+            for byte in format!("{decs:?}").bytes() {
+                *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+            for d in &decs {
+                let child = crate::clique::reduce(graph, d);
+                let key = child.nodes().iter().map(|n| n.patterns.clone()).collect();
+                if child.len() > 1 && seen.len() < max_graphs && seen.insert(key) {
+                    visit(&child, variant, limits, max_graphs, seen, digest);
+                }
+            }
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for query in queries {
+            let mut seen = BTreeSet::new();
+            let graph = VariableGraph::from_query(query);
+            visit(&graph, variant, limits, max_graphs, &mut seen, &mut digest);
+        }
+        digest
+    }
+
+    /// The decompositions of every graph the search reaches from the paper
+    /// examples, LUBM Q1–Q14, SP²B S1–S6 and synthetic shapes of 2–10
+    /// patterns, under all eight variants, are pinned text for text and in
+    /// order: candidate order, the candidate cap and cover order are part
+    /// of what `Optimizer::optimize` returns. The exhaustive variants run
+    /// under small limits, which also pins where the caps cut.
+    #[test]
+    fn decompositions_match_their_pinned_digest() {
+        use cliquesquare_querygen::{lubm_queries, sp2b_queries, WorkloadConfig};
+        let mut queries = paper_examples::all();
+        queries.extend(lubm_queries());
+        queries.extend(sp2b_queries());
+        queries.extend(SyntheticWorkload::generate(WorkloadConfig {
+            queries_per_shape: 9,
+            min_patterns: 2,
+            max_patterns: 10,
+            seed: 7,
+        }));
+        queries.extend([16, 70].map(SyntheticWorkload::fanout_star));
+        let small = DecompositionLimits {
+            max_decompositions: 100,
+            max_candidate_cliques: 300,
+        };
+        let mut digests = Vec::new();
+        for variant in Variant::ALL {
+            let limits = match variant.minimum_only() {
+                true => DecompositionLimits::default(),
+                false => small,
+            };
+            digests.push(decomposition_digest(&queries, variant, &limits, 200));
+        }
+        // Recorded before the enumeration moved to node bitsets, in
+        // `Variant::ALL` order.
+        let pinned = [
+            "176b55ecc8c86494",
+            "d4a1de1a1b6e4149",
+            "11f846b2559be675",
+            "00bebb0a1b7ea66e",
+            "e15edb0b01ecac7e",
+            "a370674041b8a74f",
+            "d37812df308cdecd",
+            "d52bbd865e20e8ae",
+        ];
+        let printed: Vec<String> = digests.iter().map(|d| format!("{d:016x}")).collect();
+        assert_eq!(printed, pinned);
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //!
 //! Algorithm 1 reaches the same variable graph along many decomposition
 //! paths. What a graph expands to — its decompositions and the graphs they
-//! reduce it to — depends on the graph alone, so one `optimize` call
-//! decomposes each distinct graph once and replays that expansion on every
-//! later visit. Graphs are shared (`Rc<VariableGraph>`) between the memo,
-//! the recursion's state stack and [`build_plan`]. The generated plans,
-//! their order and the counters are exactly those of the plain recursion.
+//! reduce it to — depends on the graph alone, so one search decomposes each
+//! distinct graph once and replays that expansion on every later visit.
+//! Graphs are shared (`Rc<VariableGraph>`) between the memo, the
+//! recursion's state stack and [`build_plan`]. The generated plans, their
+//! order and the counters are exactly those of the plain recursion.
+//!
+//! Each complete path of the search — the graphs from the query's down to
+//! a one-node graph — is a [`Leaf`], one candidate plan. [`Optimizer::search`]
+//! hands every leaf to a visitor with its plan's height, read off the path,
+//! so a caller that keeps only the cheapest plan builds a leaf's plan only
+//! when that height lets it win; [`Optimizer::optimize`] builds them all.
 
 use crate::clique::{reduce, Decomposition};
 use crate::decomposition::{decompositions, DecompositionLimits, Variant};
@@ -26,7 +32,8 @@ pub struct OptimizerConfig {
     pub variant: Variant,
     /// Per-graph decomposition enumeration limits.
     pub limits: DecompositionLimits,
-    /// Maximum number of plans to generate before truncating the search.
+    /// Maximum number of leaves (candidate plans) the search reaches before
+    /// it is truncated.
     pub max_plans: usize,
 }
 
@@ -139,20 +146,37 @@ impl Optimizer {
         &self.config
     }
 
-    /// Runs Algorithm 1 on `query` and returns every generated plan.
+    /// Runs Algorithm 1 on `query` and returns every generated plan: the
+    /// [`search`](Self::search) whose visitor builds every leaf.
     ///
     /// The query must be connected (×-free); for a disconnected query no
     /// decomposition can cover the isolated patterns and the result is empty.
     pub fn optimize(&self, query: &BgpQuery) -> OptimizeResult {
+        let mut plans = Vec::new();
+        let summary = self.search(query, |leaf| plans.push(leaf.plan()));
+        OptimizeResult {
+            plans,
+            decompositions_explored: summary.decompositions_explored,
+            truncated: summary.truncated,
+            elapsed: summary.elapsed,
+        }
+    }
+
+    /// Runs Algorithm 1 on `query`, handing each [`Leaf`] to `visit` in the
+    /// order [`optimize`](Self::optimize) lists their plans, and builds no
+    /// plan itself.
+    pub fn search(&self, query: &BgpQuery, visit: impl FnMut(&Leaf<'_>)) -> SearchSummary {
         let start = Instant::now();
         let mut search = Search {
             config: &self.config,
             query,
+            visit,
             states: Vec::new(),
+            heights: Vec::new(),
             memo: HashMap::new(),
             expansions: Vec::new(),
-            result: OptimizeResult {
-                plans: Vec::new(),
+            summary: SearchSummary {
+                leaves: 0,
                 decompositions_explored: 0,
                 truncated: false,
                 elapsed: Duration::ZERO,
@@ -163,9 +187,48 @@ impl Optimizer {
             let expansion = search.expand(&graph);
             search.recurse(Rc::new(graph), expansion);
         }
-        let mut result = search.result;
-        result.elapsed = start.elapsed();
-        result
+        let mut summary = search.summary;
+        summary.elapsed = start.elapsed();
+        summary
+    }
+}
+
+/// What an [`Optimizer::search`] did, without the plans: those went to its
+/// visitor.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchSummary {
+    /// Number of leaves reached: the length of
+    /// [`OptimizeResult::plans`] for the same query and configuration.
+    pub leaves: usize,
+    /// As [`OptimizeResult::decompositions_explored`].
+    pub decompositions_explored: usize,
+    /// As [`OptimizeResult::truncated`].
+    pub truncated: bool,
+    /// Wall-clock search time, the visitor's included.
+    pub elapsed: Duration,
+}
+
+/// One complete path of the search: the variable graphs from the query's
+/// down to a one-node graph. Each leaf is one candidate plan, built only on
+/// request.
+#[derive(Debug)]
+pub struct Leaf<'s> {
+    states: &'s [Rc<VariableGraph>],
+    query: &'s BgpQuery,
+    height: usize,
+}
+
+impl Leaf<'_> {
+    /// The [`LogicalPlan::height`] of the leaf's plan, read off its path: a
+    /// pass-through node keeps its parent's height and a join node is one
+    /// above the highest of its parents.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// Builds the leaf's plan ([`build_plan`]).
+    pub fn plan(&self) -> LogicalPlan {
+        build_plan(self.states, self.query)
     }
 }
 
@@ -188,41 +251,52 @@ struct Expansion {
 /// [`Expansion`]. Graphs are shared (`Rc`): a revisit clones a pointer into
 /// the state stack, not a graph. The counters are still accumulated per
 /// visit, so [`OptimizeResult`] is exactly what the plain recursion gives.
-struct Search<'a> {
+struct Search<'a, V> {
     config: &'a OptimizerConfig,
     query: &'a BgpQuery,
+    visit: V,
     /// The graphs from the query's down to the one being expanded.
     states: Vec<Rc<VariableGraph>>,
+    /// Beside each of `states`, the height of each of its nodes' operators.
+    /// Kept past a pop, so a level's buffer is reused by the next visit.
+    heights: Vec<Vec<usize>>,
     /// Index into `expansions` of every distinct graph met so far, keyed by
     /// [`state_key`].
     memo: HashMap<Vec<usize>, usize>,
     expansions: Vec<Expansion>,
-    result: OptimizeResult,
+    summary: SearchSummary,
 }
 
-impl Search<'_> {
+impl<V: FnMut(&Leaf<'_>)> Search<'_, V> {
     /// One recursive step of Algorithm 1 on `graph`, whose expansion is
     /// `expansion` (`None`: a one-node graph, which completes a plan).
     fn recurse(&mut self, graph: Rc<VariableGraph>, expansion: Option<usize>) {
-        if self.result.plans.len() >= self.config.max_plans {
-            self.result.truncated = true;
+        if self.summary.leaves >= self.config.max_plans {
+            self.summary.truncated = true;
             return;
         }
+        self.push_heights(&graph);
         self.states.push(graph);
         match expansion {
             None => {
-                let plan = build_plan(&self.states, self.query);
-                self.result.plans.push(plan);
+                let height = self.heights[self.states.len() - 1][0];
+                let leaf = Leaf {
+                    states: &self.states,
+                    query: self.query,
+                    height,
+                };
+                (self.visit)(&leaf);
+                self.summary.leaves += 1;
             }
             Some(at) => {
                 let count = self.expansions[at].decompositions.len();
                 if count >= self.config.limits.max_decompositions {
-                    self.result.truncated = true;
+                    self.summary.truncated = true;
                 }
-                self.result.decompositions_explored += count;
+                self.summary.decompositions_explored += count;
                 for index in 0..count {
-                    if self.result.plans.len() >= self.config.max_plans {
-                        self.result.truncated = true;
+                    if self.summary.leaves >= self.config.max_plans {
+                        self.summary.truncated = true;
                         break;
                     }
                     let (child, child_expansion) = self.child(at, index);
@@ -231,6 +305,31 @@ impl Search<'_> {
             }
         }
         self.states.pop();
+    }
+
+    /// Sets the heights of `graph`'s nodes, the level below the top of the
+    /// state stack: 0 on the query's graph, then a pass-through node's
+    /// parent's height and a join node's one above its highest parent's —
+    /// the heights [`build_plan`] gives their operators.
+    fn push_heights(&mut self, graph: &VariableGraph) {
+        let level = self.states.len();
+        if self.heights.len() == level {
+            self.heights.push(Vec::new());
+        }
+        let (below, at) = self.heights.split_at_mut(level);
+        let heights = &mut at[0];
+        heights.clear();
+        let Some(parents) = below.last() else {
+            heights.resize(graph.len(), 0);
+            return;
+        };
+        heights.extend(graph.nodes().iter().map(|node| {
+            let mut from = node.derived_from.iter().map(|&parent| parents[parent]);
+            match node.derived_from.len() {
+                1 => from.next().expect("one parent"),
+                _ => 1 + from.max().unwrap_or(0),
+            }
+        }));
     }
 
     /// The expansion of `graph`: `None` for a one-node graph, the memoized
@@ -483,6 +582,43 @@ mod tests {
             .with_limits(limits);
         assert!(Optimizer::new(config).optimize(&q).truncated);
         assert_memo_changes_nothing(config, &q);
+    }
+
+    #[test]
+    fn a_leaf_knows_its_plans_height_and_the_search_counts_every_leaf() {
+        use cliquesquare_querygen::{lubm_queries, sp2b_queries, SyntheticWorkload};
+        let mut queries = paper_examples::all();
+        queries.extend(lubm_queries());
+        queries.extend(sp2b_queries());
+        queries.extend(SyntheticWorkload::adversarial_workload(8));
+        for query in &queries {
+            for variant in Variant::ALL {
+                for max_plans in [7, 2_000] {
+                    let optimizer =
+                        Optimizer::new(OptimizerConfig::variant(variant).with_max_plans(max_plans));
+                    let mut plans = Vec::new();
+                    let summary = optimizer.search(query, |leaf| {
+                        let plan = leaf.plan();
+                        assert_eq!(
+                            leaf.height(),
+                            plan.height(),
+                            "{variant} on {}",
+                            query.name()
+                        );
+                        plans.push(plan);
+                    });
+                    let result = optimizer.optimize(query);
+                    let context = format!("{variant} on {} under {max_plans}", query.name());
+                    assert_eq!(summary.leaves, result.plans.len(), "{context}");
+                    assert_eq!(plans, result.plans, "{context}");
+                    assert_eq!(summary.truncated, result.truncated, "{context}");
+                    assert_eq!(
+                        summary.decompositions_explored, result.decompositions_explored,
+                        "{context}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

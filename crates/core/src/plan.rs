@@ -72,11 +72,11 @@ impl Hash for LogicalOp {
 
 impl LogicalOp {
     /// The operator's input operator ids (empty for Match).
-    pub fn inputs(&self) -> Vec<OpId> {
+    pub fn inputs(&self) -> &[OpId] {
         match self {
-            LogicalOp::Match { .. } => Vec::new(),
-            LogicalOp::Join { inputs, .. } => inputs.clone(),
-            LogicalOp::Project { input, .. } => vec![*input],
+            LogicalOp::Match { .. } => &[],
+            LogicalOp::Join { inputs, .. } => inputs,
+            LogicalOp::Project { input, .. } => std::slice::from_ref(input),
         }
     }
 

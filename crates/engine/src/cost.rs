@@ -16,10 +16,13 @@
 //! That overhead is also what keeps plan choice cheap. A plan's job count
 //! follows from its height, so its start-up cost — its *job floor*,
 //! [`MapReduceCostModel::job_floor`] — is known before it is translated, and
-//! [`MapReduceCostModel::choose_best`] skips, untranslated, every candidate
-//! whose floor is at least the least cost priced so far: it could at best
-//! tie, and ties go to the earlier plan. Which plan wins is unchanged; only
-//! the pricing of plans that cannot win is saved.
+//! before it is even built: the optimizer reads a candidate's height off its
+//! search path ([`cliquesquare_core::Leaf::height`]). The one choice rule,
+//! `PlanChooser`, is fed candidate by candidate and skips, unbuilt and
+//! unpriced, every one whose floor is at least the least cost priced so
+//! far: it could at best tie, and ties go to the earlier plan. Which plan
+//! wins is unchanged; only the building and pricing of plans that cannot
+//! win is saved.
 //!
 //! Cardinalities come from the catalog statistics the cluster computes at
 //! load time ([`cliquesquare_rdf::GraphStatistics`]):
@@ -58,6 +61,7 @@ use cliquesquare_mapreduce::{Cluster, CostParameters, JobKind};
 use cliquesquare_rdf::{GraphStatistics, TriplePosition};
 use cliquesquare_sparql::Variable;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
 
@@ -301,7 +305,12 @@ impl<'a> MapReduceCostModel<'a> {
     /// so the floor is the estimate's first term bit for bit, and since the
     /// rest of the estimate is non-negative work, no estimate is below it.
     pub fn job_floor(&self, plan: &LogicalPlan) -> f64 {
-        let (kind, jobs) = match plan.height() {
+        self.floor_at(plan.height())
+    }
+
+    /// [`job_floor`](Self::job_floor) of a plan of height `height`.
+    fn floor_at(&self, height: usize) -> f64 {
+        let (kind, jobs) = match height {
             0 | 1 => (JobKind::MapOnly, 1),
             height => (JobKind::MapReduce, height - 1),
         };
@@ -313,20 +322,62 @@ impl<'a> MapReduceCostModel<'a> {
     /// every earlier plan's. A NaN cost never displaces a finite one (and
     /// any other cost displaces a NaN), and an empty slice gives `None`.
     ///
-    /// Only plans that can win are priced. A plan whose
+    /// The slice is fed in order to the one choice rule (`PlanChooser`),
+    /// which is also what `Csq::choose` feeds a search's leaves to. Only
+    /// plans that can win are priced: a plan whose
     /// [`job_floor`](Self::job_floor) is at least the least cost priced so
     /// far could at best tie, and a tie goes to the earlier plan, so it is
     /// skipped untranslated; with job start-up dominating every per-tuple
-    /// term, that leaves the minimum-height candidates (Q14: 389 of 935).
-    /// A plan that is `==` an earlier one is skipped too: it has that plan's
-    /// cost and would lose the tie to it, so the returned reference is
-    /// always a first occurrence.
+    /// term, that leaves the minimum-height candidates. A plan that is `==`
+    /// an earlier priced one is skipped too (Q14: 389 priced of 1 434), so
+    /// the returned reference is always a first occurrence.
     pub fn choose_best<'p>(&self, plans: &'p [LogicalPlan]) -> Option<&'p LogicalPlan> {
-        earliest_minimum(
-            plans,
-            |plan| self.job_floor(plan),
-            |plan| self.estimate_logical(plan).total_seconds,
-        )
+        let mut chooser = self.chooser();
+        for plan in plans {
+            chooser.offer(plan.height(), || plan);
+        }
+        chooser.into_best()
+    }
+
+    /// An empty [`PlanChooser`] pricing with this model.
+    pub(crate) fn chooser<P>(&self) -> PlanChooser<'a, P> {
+        PlanChooser {
+            model: self.clone(),
+            rule: EarliestMinimum::default(),
+        }
+    }
+}
+
+/// The one plan choice rule of [`MapReduceCostModel::choose_best`], fed
+/// candidate by candidate: a slice's plans, or the leaves of a search as it
+/// reaches them (`Csq::choose`).
+///
+/// A candidate is offered with its height, and built only when its
+/// [`job_floor`](MapReduceCostModel::job_floor) is below the least cost
+/// priced so far (Q14: 674 of 1 434 leaves built). A built plan that is
+/// `==` an earlier built one is not priced (Q14: 285 of the 674).
+///
+/// `P` is how the caller holds a plan: `&LogicalPlan` over a slice,
+/// `Rc<LogicalPlan>` for plans built on the way.
+#[derive(Debug)]
+pub(crate) struct PlanChooser<'a, P> {
+    model: MapReduceCostModel<'a>,
+    rule: EarliestMinimum<P>,
+}
+
+impl<P: Borrow<LogicalPlan> + Hash + Eq + Clone> PlanChooser<'_, P> {
+    /// Offers the next candidate, of height `height`; `build` makes it if
+    /// it can still win.
+    pub(crate) fn offer(&mut self, height: usize, build: impl FnOnce() -> P) {
+        let model = &self.model;
+        self.rule.offer(model.floor_at(height), build, |plan| {
+            model.estimate_logical(plan.borrow()).total_seconds
+        });
+    }
+
+    /// The chosen candidate; `None` if none was offered.
+    pub(crate) fn into_best(self) -> Option<P> {
+        self.rule.into_best()
     }
 }
 
@@ -345,30 +396,53 @@ fn job_overhead(params: &CostParameters, kinds: impl ExactSizeIterator<Item = Jo
             .sum::<f64>()
 }
 
-/// The keyed minimum behind [`MapReduceCostModel::choose_best`], over any
-/// items, floor and cost function so its contract can be tested with costs
-/// no cluster produces. `floor(item)` must be a lower bound of
-/// `cost(item)`: an item whose floor is at least the least cost so far is
-/// not priced. A NaN least cost never skips (no comparison with it holds).
-fn earliest_minimum<T: Hash + Eq>(
-    items: &[T],
-    mut floor: impl FnMut(&T) -> f64,
-    mut cost: impl FnMut(&T) -> f64,
-) -> Option<&T> {
-    let mut seen = HashSet::with_capacity(items.len());
-    let mut best: Option<(&T, f64)> = None;
-    for item in items {
-        if best.is_some_and(|(_, least)| floor(item) >= least) || !seen.insert(item) {
-            continue;
-        }
-        let cost = cost(item);
-        let cheaper =
-            best.is_none_or(|(_, least)| cost < least || (least.is_nan() && !cost.is_nan()));
-        if cheaper {
-            best = Some((item, cost));
+/// The keyed minimum behind [`PlanChooser`], over any items, floors and
+/// costs so its contract can be tested with costs no cluster produces.
+/// Each offered floor must be a lower bound of its item's cost: an item
+/// whose floor is at least the least cost so far is not built. A NaN least
+/// cost never skips (no comparison with it holds).
+#[derive(Debug)]
+struct EarliestMinimum<T> {
+    /// Every item built so far.
+    seen: HashSet<T>,
+    /// The earliest cheapest item and its cost.
+    best: Option<(T, f64)>,
+}
+
+impl<T> Default for EarliestMinimum<T> {
+    fn default() -> Self {
+        Self {
+            seen: HashSet::new(),
+            best: None,
         }
     }
-    best.map(|(item, _)| item)
+}
+
+impl<T: Hash + Eq + Clone> EarliestMinimum<T> {
+    /// Offers the next item: skipped unbuilt when `floor` reaches the
+    /// least cost so far, skipped unpriced when `build` makes an item seen
+    /// before, kept when `cost` is below the least cost so far.
+    fn offer(&mut self, floor: f64, build: impl FnOnce() -> T, cost: impl FnOnce(&T) -> f64) {
+        if self.best.as_ref().is_some_and(|&(_, least)| floor >= least) {
+            return;
+        }
+        let item = build();
+        if self.seen.contains(&item) {
+            return;
+        }
+        let cost = cost(&item);
+        let cheaper = (self.best.as_ref())
+            .is_none_or(|&(_, least)| cost < least || (least.is_nan() && !cost.is_nan()));
+        if cheaper {
+            self.best = Some((item.clone(), cost));
+        }
+        self.seen.insert(item);
+    }
+
+    /// The earliest cheapest item; every other item built is dropped.
+    fn into_best(self) -> Option<T> {
+        self.best.map(|(item, _)| item)
+    }
 }
 
 /// Distinct-count selectivity of an equality condition on `position` of a
@@ -531,6 +605,20 @@ mod tests {
         for plan in &plans {
             assert!(model.estimate_logical(plan).total_seconds >= best_cost);
         }
+    }
+
+    /// [`EarliestMinimum`] fed `items` in order; the returned reference is
+    /// into `items`.
+    fn earliest_minimum<T: Hash + Eq>(
+        items: &[T],
+        mut floor: impl FnMut(&T) -> f64,
+        mut cost: impl FnMut(&T) -> f64,
+    ) -> Option<&T> {
+        let mut rule = EarliestMinimum::default();
+        for item in items {
+            rule.offer(floor(item), || item, |item| cost(item));
+        }
+        rule.into_best()
     }
 
     /// `earliest_minimum` over the positions of `costs`, with no floor.

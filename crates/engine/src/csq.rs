@@ -2,13 +2,14 @@
 //! plan with the MapReduce cost model, and execute it on the simulated
 //! cluster.
 
-use crate::cost::MapReduceCostModel;
+use crate::cost::{MapReduceCostModel, PlanChooser};
 use crate::executor::{ExecutionOutput, Executor};
 use crate::translate::translate;
-use cliquesquare_core::{LogicalPlan, Optimizer, OptimizerConfig, Variant};
+use cliquesquare_core::{Leaf, LogicalPlan, Optimizer, OptimizerConfig, Variant};
 use cliquesquare_mapreduce::{Cluster, Runtime};
 use cliquesquare_sparql::BgpQuery;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Configuration of a [`Csq`] instance.
@@ -77,6 +78,18 @@ pub struct CsqReport {
     pub execution: ExecutionOutput,
 }
 
+/// What [`Csq::choose`] returns.
+#[derive(Debug, Clone)]
+pub struct Chosen {
+    /// The plan the cost model chose.
+    pub plan: LogicalPlan,
+    /// Number of leaves the search reached: the candidate plans
+    /// [`Csq::plan`] would list.
+    pub candidates: usize,
+    /// Wall-clock milliseconds of the search and the choice.
+    pub optimize_ms: f64,
+}
+
 /// The CSQ prototype: CliqueSquare optimization + cost-based selection +
 /// MapReduce execution (Section 6's "CSQ system").
 #[derive(Debug, Clone)]
@@ -104,11 +117,31 @@ impl Csq {
     /// Optimizes `query`, returning the candidate plans, the one chosen by
     /// the cost model (without executing it) and the milliseconds both took.
     ///
-    /// This is what a plan-cache miss costs. The candidates are everything
-    /// the optimizer generated, exact duplicates included (the paper's plan
-    /// counts); [`MapReduceCostModel::choose_best`] picks the earliest
-    /// cheapest, pricing only the distinct ones whose job floor can still
-    /// win.
+    /// The candidates are everything the optimizer generated, exact
+    /// duplicates included (the paper's plan counts), and the chosen plan
+    /// is the one [`choose`](Self::choose) returns: one search builds every
+    /// leaf and offers each to the cost model's choice rule.
+    ///
+    /// # Panics
+    ///
+    /// As [`choose`](Self::choose).
+    pub fn plan(&self, query: &BgpQuery) -> (Vec<LogicalPlan>, LogicalPlan, f64) {
+        let mut plans = Vec::new();
+        let chosen = self.search(query, |chooser, leaf| {
+            let plan = Rc::new(leaf.plan());
+            chooser.offer(leaf.height(), || Rc::clone(&plan));
+            plans.push(plan);
+        });
+        let plans = (plans.into_iter())
+            .map(|plan| Rc::try_unwrap(plan).expect("the chooser is dropped"))
+            .collect();
+        (plans, chosen.plan, chosen.optimize_ms)
+    }
+
+    /// What a plan-cache miss costs: optimizes `query` and returns the plan
+    /// the cost model chooses, without collecting the candidates. Each leaf
+    /// of the search goes to the cost model's choice rule as the search
+    /// reaches it, and its plan is built only when its height lets it win.
     ///
     /// # Panics
     ///
@@ -118,45 +151,59 @@ impl Csq {
     /// finds a plan for every connected query, and the server, which
     /// answers an empty query or a cross product with a 400 before
     /// planning, no longer reaches this panic.
-    pub fn plan(&self, query: &BgpQuery) -> (Vec<LogicalPlan>, LogicalPlan, f64) {
+    pub fn choose(&self, query: &BgpQuery) -> Chosen {
+        self.search(query, |chooser, leaf| {
+            chooser.offer(leaf.height(), || Rc::new(leaf.plan()))
+        })
+    }
+
+    /// One search of `query` under this configuration, handing each leaf
+    /// and the chooser to `visit`.
+    fn search(
+        &self,
+        query: &BgpQuery,
+        mut visit: impl FnMut(&mut PlanChooser<'_, Rc<LogicalPlan>>, &Leaf<'_>),
+    ) -> Chosen {
         let started = Instant::now();
         let optimizer_config = OptimizerConfig::variant(self.config.variant)
             .with_max_plans(self.config.max_candidate_plans);
-        let result = Optimizer::new(optimizer_config).optimize(query);
-        assert!(
-            !result.plans.is_empty(),
-            "no plan found for query {:?} (disconnected or empty?)",
-            query.name()
-        );
         let model = MapReduceCostModel::new(&self.cluster);
-        let chosen = model
-            .choose_best(&result.plans)
-            .expect("at least one plan")
-            .clone();
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-        (result.plans, chosen, elapsed_ms)
+        let mut chooser = model.chooser();
+        let summary =
+            Optimizer::new(optimizer_config).search(query, |leaf| visit(&mut chooser, leaf));
+        let chosen = chooser.into_best().unwrap_or_else(|| {
+            panic!(
+                "no plan found for query {:?} (disconnected or empty?)",
+                query.name()
+            )
+        });
+        Chosen {
+            plan: Rc::unwrap_or_clone(chosen),
+            candidates: summary.leaves,
+            optimize_ms: started.elapsed().as_secs_f64() * 1000.0,
+        }
     }
 
     /// Runs `query` end to end and reports what happened. Plan choice is
     /// always made by the deterministic cost model; only the execution of
     /// the chosen plan uses the configured runtime.
     pub fn run(&self, query: &BgpQuery) -> CsqReport {
-        let (candidates, chosen, optimization_ms) = self.plan(query);
-        let physical = translate(&chosen, self.cluster.graph());
+        let chosen = self.choose(query);
+        let physical = translate(&chosen.plan, self.cluster.graph());
         let execution =
             Executor::with_runtime(&self.cluster, self.config.runtime()).execute(&physical);
         CsqReport {
             query: query.name().to_string(),
-            candidate_plans: candidates.len(),
-            optimization_ms,
-            plan_height: chosen.height(),
+            candidate_plans: chosen.candidates,
+            optimization_ms: chosen.optimize_ms,
+            plan_height: chosen.plan.height(),
             job_descriptor: execution.schedule.descriptor(),
             jobs: execution.schedule.job_count,
             result_count: execution.distinct_count(),
             simulated_seconds: execution.simulated_seconds,
             wall_seconds: execution.wall_seconds,
             threads: execution.threads,
-            chosen_plan: chosen,
+            chosen_plan: chosen.plan,
             execution,
         }
     }

@@ -206,7 +206,7 @@ impl Intermediate {
     ///
     /// When the part does **not** arrive in key order — a producer shared
     /// by consumers with incompatible requirements serves one group, and
-    /// this consumer carries the residual (see `translate::resolve_claims`)
+    /// this consumer carries the residual (see `translate::winning_claim`)
     /// — the key order is established here, on each routed bucket: a
     /// planned local sort on the smallest pieces, not a join-input re-sort
     /// on the assembled bucket.
@@ -357,6 +357,7 @@ impl Executor {
             estimates,
             bound,
             counted: None,
+            key_sets: Vec::new(),
         };
 
         state.run();
@@ -619,6 +620,9 @@ struct ExecState<'a> {
     /// them without expanding it; the memoized root then holds each part's
     /// head.
     counted: Option<usize>,
+    /// Every key set built to filter a scan's full read, by its source and
+    /// variable ([`ExecState::key_filter`]): the scans it filters share it.
+    key_sets: Vec<(PhysId, Variable, Arc<KeySet>)>,
 }
 
 impl<'a> ExecState<'a> {
@@ -919,8 +923,8 @@ impl<'a> ExecState<'a> {
                 let scoped = self.scoped_source(spec, output, scope);
                 !spec.residual.is_empty() || scoped.is_some_and(|keys| self.seeks(spec, keys))
             }
-            op => (op.inputs().into_iter())
-                .any(|input| self.seekable(shared, input, &narrowed(self.plan, scope, input))),
+            op => (op.inputs().iter())
+                .any(|&input| self.seekable(shared, input, &narrowed(self.plan, scope, input))),
         }
     }
 
@@ -930,8 +934,8 @@ impl<'a> ExecState<'a> {
             PhysicalOp::MapScan { spec, .. } => self.stored_rows(spec),
             op => op
                 .inputs()
-                .into_iter()
-                .map(|input| self.subtree_rows(input))
+                .iter()
+                .map(|&input| self.subtree_rows(input))
                 .sum(),
         }
     }
@@ -1168,13 +1172,26 @@ impl<'a> ExecState<'a> {
     }
 
     /// The filter of a scan of `spec` by the key set `scoped`, which it
-    /// cannot seek: one task builds the set of the key column's values in
-    /// `scoped.source`, and each triple whose value at the returned
-    /// position is not in it is dropped as it is bound.
-    fn key_filter(&mut self, spec: &ScanSpec, scoped: &ScopedKeys) -> (TriplePosition, KeySet) {
+    /// cannot seek: the set of the key column's values in `scoped.source`,
+    /// and each triple whose value at the returned position is not in it is
+    /// dropped as it is bound. One task builds the set the first time a
+    /// scan of the execution asks for it; later scans filtered by the same
+    /// source and variable share it.
+    fn key_filter(
+        &mut self,
+        spec: &ScanSpec,
+        scoped: &ScopedKeys,
+    ) -> (TriplePosition, Arc<KeySet>) {
         let (position, values) = self.key_values(spec, scoped);
-        let built = self.run_wave(scoped.rows, vec![move || values.iter().collect()]);
-        let keys = built.into_iter().next().expect("one task, one result");
+        let built = (self.key_sets.iter())
+            .find(|(source, variable, _)| *source == scoped.source && *variable == scoped.variable);
+        if let Some((_, _, keys)) = built {
+            return (position, Arc::clone(keys));
+        }
+        let built = self.run_wave(scoped.rows, vec![move || Arc::new(values.iter().collect())]);
+        let keys: Arc<KeySet> = built.into_iter().next().expect("one task, one result");
+        let key = (scoped.source, scoped.variable.clone(), Arc::clone(&keys));
+        self.key_sets.push(key);
         (position, keys)
     }
 
@@ -1522,7 +1539,7 @@ struct ScanWave {
     /// Per-node triples a seek found; `None` reads the files.
     sought: Option<Vec<Vec<Triple>>>,
     /// The key set a full read is filtered by, and the position it checks.
-    keys: Option<(TriplePosition, KeySet)>,
+    keys: Option<(TriplePosition, Arc<KeySet>)>,
 }
 
 impl ScanWave {
@@ -1545,7 +1562,10 @@ impl ScanWave {
     fn task(&self, node: usize) -> (Relation, u64) {
         let triples = self.read(node);
         let order = SortOrder::by(self.order_cols.iter().copied());
-        let keys = self.keys.as_ref().map(|(position, keys)| (*position, keys));
+        let keys = self
+            .keys
+            .as_ref()
+            .map(|(position, keys)| (*position, &**keys));
         let relation = self.binder.bind_all(&triples, &self.residual, keys, order);
         (relation, triples.len() as u64)
     }
@@ -1957,7 +1977,8 @@ mod tests {
                 .collect();
             // Position 3 is no key set.
             let keys = (TriplePosition::ALL.get(key_position))
-                .map(|&position| (position, key_ids.iter().map(|&id| TermId(id)).collect()));
+                .map(|&position| (position, key_ids.iter().map(|&id| TermId(id)).collect()))
+                .map(|(position, keys): (_, KeySet)| (position, Arc::new(keys)));
             let in_keys = |triple: &&Triple| match &keys {
                 Some((position, keys)) => KeySet::contains(keys, triple.get(*position)),
                 None => true,
@@ -2111,6 +2132,7 @@ mod tests {
             estimates: None,
             bound: None,
             counted: None,
+            key_sets: Vec::new(),
         }
     }
 

@@ -59,7 +59,7 @@ pub fn schedule(plan: &PhysicalPlan) -> JobSchedule {
         let op = plan.op(PhysId(index));
         let child_max = op
             .inputs()
-            .into_iter()
+            .iter()
             .map(|c| levels[c.index()])
             .max()
             .unwrap_or(0);
@@ -92,7 +92,7 @@ pub fn schedule(plan: &PhysicalPlan) -> JobSchedule {
             context
         };
         op_jobs[id.index()] = job;
-        for input in op.inputs() {
+        for &input in op.inputs() {
             assign(plan, levels, op_jobs, input, job);
         }
     }

@@ -55,7 +55,7 @@ pub mod relation;
 pub mod translate;
 
 pub use cost::{q_error, CostEstimate, MapReduceCostModel};
-pub use csq::{Csq, CsqConfig, CsqReport};
+pub use csq::{Chosen, Csq, CsqConfig, CsqReport};
 pub use executor::{BoundedOutput, ExecutionOutput, Executor, TripleBinder};
 pub use factorized::{join_runs, BoundedProjection, RunsRelation};
 pub use physical::{OpOrdering, PhysId, PhysicalOp, PhysicalPlan, ScanSpec};

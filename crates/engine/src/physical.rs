@@ -161,15 +161,13 @@ pub enum PhysicalOp {
 
 impl PhysicalOp {
     /// The operator's input ids.
-    pub fn inputs(&self) -> Vec<PhysId> {
+    pub fn inputs(&self) -> &[PhysId] {
         match self {
-            PhysicalOp::MapScan { .. } => Vec::new(),
+            PhysicalOp::MapScan { .. } => &[],
             PhysicalOp::MapShuffler { input, .. } | PhysicalOp::Project { input, .. } => {
-                vec![*input]
+                std::slice::from_ref(input)
             }
-            PhysicalOp::MapJoin { inputs, .. } | PhysicalOp::ReduceJoin { inputs, .. } => {
-                inputs.clone()
-            }
+            PhysicalOp::MapJoin { inputs, .. } | PhysicalOp::ReduceJoin { inputs, .. } => inputs,
         }
     }
 
@@ -384,7 +382,7 @@ impl PhysicalPlan {
                     attrs.join(","),
                     order_note
                 ));
-                for input in other.inputs() {
+                for &input in other.inputs() {
                     self.render_into(input, depth + 1, out);
                 }
             }

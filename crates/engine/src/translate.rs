@@ -22,6 +22,7 @@ use cliquesquare_core::{LogicalOp, LogicalPlan, OpId};
 use cliquesquare_rdf::{Graph, TriplePosition};
 use cliquesquare_sparql::{PatternTerm, TriplePattern, Variable};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Picks the placement replica for a scan feeding a join on `attributes`:
 /// the position (subject / property / object) of the placement variable
@@ -44,52 +45,97 @@ fn placement_for(pattern: &TriplePattern, attributes: &BTreeSet<Variable>) -> Tr
     TriplePosition::Subject
 }
 
-/// The ordering a MapScan's output rows satisfy, as a variable sequence.
-///
-/// A scan's files ([`cliquesquare_mapreduce::PartitionedStore::scan_files`])
-/// deliver triples placement-major (`scan_order`: the placement position's
-/// value first, then subject, property, object), and the executor converts
-/// triples to binding rows in that order. Translated to columns: positions bound to constants
-/// are equal on every scanned row (the property file restriction, the
-/// `rdf:type` object file, and the scan's residual constants) and
-/// contribute nothing; a position repeating an already-listed variable is
-/// equal to it by the binder's repeated-variable check and is skipped; and a
-/// variable the output schema drops ends the claim — later positions only
-/// order rows *within* ties of the dropped value, which the output can no
-/// longer see.
-fn scan_delivered_order(spec: &ScanSpec, output: &BTreeSet<Variable>) -> Vec<Variable> {
-    let mut delivered: Vec<Variable> = Vec::new();
-    for position in cliquesquare_mapreduce::scan_order(spec.placement) {
-        let term = match position {
-            TriplePosition::Subject => &spec.pattern.subject,
-            TriplePosition::Property => &spec.pattern.property,
-            TriplePosition::Object => &spec.pattern.object,
-        };
-        match term {
-            PatternTerm::Constant(_) => continue,
-            PatternTerm::Variable(v) => {
-                if delivered.contains(v) {
-                    continue;
-                }
-                if !output.contains(v) {
-                    break;
-                }
-                delivered.push(v.clone());
+/// The variable sequences of one [`interesting_orders`] run: every
+/// variable is interned once, as its index in `names`, and every order is a
+/// range of ids in `seq`, so both sweeps compare and share small ids and an
+/// order passed on is a range, not a copy.
+#[derive(Default)]
+struct Orders<'o> {
+    names: Vec<&'o Variable>,
+    seq: Vec<usize>,
+}
+
+impl<'o> Orders<'o> {
+    /// The id of `variable`.
+    fn id(&mut self, variable: &'o Variable) -> usize {
+        match self.names.iter().position(|&name| name == variable) {
+            Some(id) => id,
+            None => {
+                self.names.push(variable);
+                self.names.len() - 1
             }
         }
     }
-    delivered
-}
 
-/// Truncates a delivered ordering to the variables an operator's output
-/// keeps: the first dropped variable ends the claim (it broke ties in a way
-/// the narrower output can no longer observe).
-fn truncate_order(order: &[Variable], output: &BTreeSet<Variable>) -> Vec<Variable> {
-    order
-        .iter()
-        .take_while(|v| output.contains(*v))
-        .cloned()
-        .collect()
+    /// Appends `variables` as a new order.
+    fn push(&mut self, variables: impl IntoIterator<Item = &'o Variable>) -> Range<usize> {
+        let start = self.seq.len();
+        for variable in variables {
+            let id = self.id(variable);
+            self.seq.push(id);
+        }
+        start..self.seq.len()
+    }
+
+    /// The ids of `order`.
+    fn get(&self, order: &Range<usize>) -> &[usize] {
+        &self.seq[order.clone()]
+    }
+
+    /// The longest prefix of `order` whose variables all `keep` holds: the
+    /// first dropped variable ends the claim (it broke ties in a way the
+    /// narrower output can no longer observe).
+    fn prefix(&self, order: &Range<usize>, keep: impl Fn(&Variable) -> bool) -> Range<usize> {
+        let kept = (self.get(order).iter())
+            .take_while(|&&id| keep(self.names[id]))
+            .count();
+        order.start..order.start + kept
+    }
+
+    /// `order` as variables.
+    fn named(&self, order: &Range<usize>) -> Vec<Variable> {
+        (self.get(order).iter())
+            .map(|&id| self.names[id].clone())
+            .collect()
+    }
+
+    /// The ordering a MapScan's output rows satisfy, appended as a new
+    /// order.
+    ///
+    /// A scan's files ([`cliquesquare_mapreduce::PartitionedStore::scan_files`])
+    /// deliver triples placement-major (`scan_order`: the placement
+    /// position's value first, then subject, property, object), and the
+    /// executor converts triples to binding rows in that order. Translated
+    /// to columns: positions bound to constants are equal on every scanned
+    /// row (the property file restriction, the `rdf:type` object file, and
+    /// the scan's residual constants) and contribute nothing; a position
+    /// repeating an already-listed variable is equal to it by the binder's
+    /// repeated-variable check and is skipped; and a variable the output
+    /// schema drops ends the claim — later positions only order rows
+    /// *within* ties of the dropped value, which the output can no longer
+    /// see.
+    fn scan(&mut self, spec: &'o ScanSpec, output: &BTreeSet<Variable>) -> Range<usize> {
+        let start = self.seq.len();
+        for position in cliquesquare_mapreduce::scan_order(spec.placement) {
+            let term = match position {
+                TriplePosition::Subject => &spec.pattern.subject,
+                TriplePosition::Property => &spec.pattern.property,
+                TriplePosition::Object => &spec.pattern.object,
+            };
+            let PatternTerm::Variable(variable) = term else {
+                continue;
+            };
+            let id = self.id(variable);
+            if self.seq[start..].contains(&id) {
+                continue;
+            }
+            if !output.contains(variable) {
+                break;
+            }
+            self.seq.push(id);
+        }
+        start..self.seq.len()
+    }
 }
 
 /// The **interesting-orders pass**: assigns every operator of a physical
@@ -106,7 +152,7 @@ fn truncate_order(order: &[Variable], output: &BTreeSet<Variable>) -> Vec<Variab
 ///    canonicalization at the root is free), and a MapShuffler forwards its
 ///    own requirement to its input.
 ///    When an operator feeds several consumers (DAG plans), their claims are
-///    *split* into prefix-compatible groups (`resolve_claims`): each
+///    *split* into prefix-compatible groups (`winning_claim`): each
 ///    consumer's requirement decomposes into the prefix the producer can
 ///    serve for the whole group plus a residual the consumer re-sorts
 ///    locally, and the group satisfying the most consumers wins (ties go to
@@ -115,81 +161,89 @@ fn truncate_order(order: &[Variable], output: &BTreeSet<Variable>) -> Vec<Variab
 ///    the choice because the executor consults the *actual* tracked order of
 ///    every relation.
 /// 2. **Delivered orders, bottom-up** (ascending ids): scans deliver their
-///    index order (`scan_delivered_order`), joins deliver their natural
-///    key order when it satisfies the requirement and otherwise sort their
-///    output into the required order, shufflers forward their input's
-///    order, and projections keep the longest delivered prefix whose
-///    variables survive the projection.
+///    index order, joins deliver their natural key order when it satisfies
+///    the requirement and otherwise sort their output into the required
+///    order, shufflers forward their input's order, and projections keep
+///    the longest delivered prefix whose variables survive the projection.
+///
+/// Both sweeps run over interned variable ids (`Orders`); the variables
+/// are named again only in the returned orderings.
 pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
     let n = ops.len();
+    let mut orders = Orders::default();
 
-    // Sweep 1: requirements flow from consumers (higher ids) to inputs.
-    // Every consumer's claim is recorded; shared producers resolve the set
-    // with `resolve_claims`. An operator's own requirement is final by the
-    // time the sweep reaches it (all consumers have larger ids).
-    let mut claims: Vec<Vec<Vec<Variable>>> = vec![Vec::new(); n];
-    let mut required: Vec<Vec<Variable>> = vec![Vec::new(); n];
+    // Every consumer claims an order of each of its inputs: the claims on
+    // operator `i` are `claims[first[i]..first[i + 1]]`, filled in the
+    // order the sweep makes them (descending consumer id).
+    let mut first = vec![0usize; n + 1];
+    for op in ops {
+        for input in op.inputs() {
+            first[input.index() + 1] += 1;
+        }
+    }
+    for index in 0..n {
+        first[index + 1] += first[index];
+    }
+    let mut filled = first.clone();
+    let mut claims = vec![0..0; first[n]];
+
+    // Sweep 1: requirements flow from consumers (higher ids) to inputs. An
+    // operator's own requirement is final by the time the sweep reaches it
+    // (all consumers have larger ids).
+    let mut required = vec![0..0; n];
+    let mut keys = vec![0..0; n];
+    let mut groups = Vec::new();
     for index in (0..n).rev() {
-        required[index] = resolve_claims(&claims[index]);
-        let own = required[index].clone();
-        match &ops[index] {
-            PhysicalOp::Project { variables, input } => {
-                claims[input.index()].push(variables.clone());
+        let own = &claims[first[index]..first[index + 1]];
+        let winner = winning_claim(&orders.seq, own, &mut groups);
+        required[index] = winner.map_or(0..0, |at| own[at].clone());
+        let claim = match &ops[index] {
+            PhysicalOp::Project { variables, .. } => orders.push(variables),
+            PhysicalOp::MapShuffler { .. } => required[index].clone(),
+            PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
+                keys[index] = orders.push(attributes);
+                keys[index].clone()
             }
-            PhysicalOp::MapShuffler { input, .. } => {
-                claims[input.index()].push(own);
-            }
-            PhysicalOp::MapJoin {
-                attributes, inputs, ..
-            }
-            | PhysicalOp::ReduceJoin {
-                attributes, inputs, ..
-            } => {
-                let attrs: Vec<Variable> = attributes.iter().cloned().collect();
-                for &input in inputs {
-                    claims[input.index()].push(attrs.clone());
-                }
-            }
-            PhysicalOp::MapScan { .. } => {}
+            PhysicalOp::MapScan { .. } => continue,
+        };
+        for input in ops[index].inputs() {
+            claims[filled[input.index()]] = claim.clone();
+            filled[input.index()] += 1;
         }
     }
 
     // Sweep 2: delivered orders flow from inputs to consumers.
-    let mut orders: Vec<OpOrdering> = Vec::with_capacity(n);
-    for index in 0..n {
-        let required_order = required[index].clone();
-        let delivered = match &ops[index] {
-            PhysicalOp::MapScan { spec, output } => scan_delivered_order(spec, output),
+    let mut delivered: Vec<Range<usize>> = Vec::with_capacity(n);
+    for (index, op) in ops.iter().enumerate() {
+        let order = match op {
+            PhysicalOp::MapScan { spec, output } => orders.scan(spec, output),
             PhysicalOp::MapShuffler { input, output, .. } => {
-                truncate_order(&orders[input.index()].delivered, output)
+                orders.prefix(&delivered[input.index()], |v| output.contains(v))
             }
-            PhysicalOp::MapJoin { attributes, .. } | PhysicalOp::ReduceJoin { attributes, .. } => {
-                let natural: Vec<Variable> = attributes.iter().cloned().collect();
-                let satisfied = required_order.len() <= natural.len()
-                    && natural[..required_order.len()] == required_order[..];
-                if required_order.is_empty() || satisfied {
-                    natural
-                } else {
-                    required_order.clone()
+            PhysicalOp::MapJoin { .. } | PhysicalOp::ReduceJoin { .. } => {
+                let wanted = orders.get(&required[index]);
+                match wanted.is_empty() || orders.get(&keys[index]).starts_with(wanted) {
+                    true => keys[index].clone(),
+                    false => required[index].clone(),
                 }
             }
-            PhysicalOp::Project { variables, input } => orders[input.index()]
-                .delivered
-                .iter()
-                .take_while(|v| variables.contains(v))
-                .cloned()
-                .collect(),
+            PhysicalOp::Project { variables, input } => {
+                orders.prefix(&delivered[input.index()], |v| variables.contains(v))
+            }
         };
-        orders.push(OpOrdering {
-            required: required_order,
-            delivered,
-        });
+        delivered.push(order);
     }
-    orders
+    (required.iter().zip(&delivered))
+        .map(|(required, delivered)| OpOrdering {
+            required: orders.named(required),
+            delivered: orders.named(delivered),
+        })
+        .collect()
 }
 
-/// Resolves the order claims of an operator's consumers into the single
-/// ordering the operator should deliver.
+/// Resolves the order claims of an operator's consumers — ranges of `seq`
+/// — into the single ordering the operator should deliver: the index of
+/// the claim that represents it, `None` when no claim is non-empty.
 ///
 /// Claims are greedily grouped by *prefix compatibility* (two orders are
 /// compatible when one is a prefix of the other; the group keeps the longer
@@ -199,34 +253,41 @@ pub fn interesting_orders(ops: &[PhysicalOp]) -> Vec<OpOrdering> {
 /// a single consumer — every tree-shaped plan — resolves exactly as the
 /// historical first-claim-wins rule did. Consumers outside the winning group
 /// re-sort locally, which the executor detects through the tracked order on
-/// the relation itself.
-fn resolve_claims(claims: &[Vec<Variable>]) -> Vec<Variable> {
-    // (representative order, claimant count) per prefix-compatible group.
-    let mut groups: Vec<(Vec<Variable>, usize)> = Vec::new();
-    for claim in claims {
+/// the relation itself. `groups` is scratch space: (representative claim,
+/// claimant count) per group.
+fn winning_claim<T: PartialEq>(
+    seq: &[T],
+    claims: &[Range<usize>],
+    groups: &mut Vec<(usize, usize)>,
+) -> Option<usize> {
+    groups.clear();
+    for (at, claim) in claims.iter().enumerate() {
+        let claim = &seq[claim.clone()];
         if claim.is_empty() {
             continue;
         }
-        match groups.iter_mut().find(|(order, _)| {
+        let compatible = groups.iter_mut().find(|(order, _)| {
+            let order = &seq[claims[*order].clone()];
             let shared = order.len().min(claim.len());
             order[..shared] == claim[..shared]
-        }) {
+        });
+        match compatible {
             Some((order, count)) => {
-                if claim.len() > order.len() {
-                    *order = claim.clone();
+                if claim.len() > claims[*order].len() {
+                    *order = at;
                 }
                 *count += 1;
             }
-            None => groups.push((claim.clone(), 1)),
+            None => groups.push((at, 1)),
         }
     }
-    // Earliest group wins ties, so scan in reverse and let `>=` overwrite.
-    groups
-        .into_iter()
-        .rev()
-        .max_by(|a, b| a.1.cmp(&b.1))
-        .map(|(order, _)| order)
-        .unwrap_or_default()
+    let mut best: Option<(usize, usize)> = None;
+    for &(order, count) in groups.iter() {
+        if best.is_none_or(|(_, most)| count > most) {
+            best = Some((order, count));
+        }
+    }
+    best.map(|(order, _)| order)
 }
 
 /// Marks the joins whose output may stay **run-length factorized** (see
@@ -611,7 +672,7 @@ mod tests {
                 | PhysicalOp::ReduceJoin { attributes, .. } => attributes.iter().cloned().collect(),
                 _ => unreachable!(),
             };
-            for input in physical.op(id).inputs() {
+            for &input in physical.op(id).inputs() {
                 let ordering = physical.ordering(input);
                 assert_eq!(
                     ordering.required, attrs,
@@ -727,7 +788,19 @@ mod tests {
         ));
     }
 
-    /// [`resolve_claims`] groups prefix-compatible orders, keeps the longest
+    /// [`winning_claim`] over `claims`, as variables.
+    fn resolve_claims(claims: &[Vec<Variable>]) -> Vec<Variable> {
+        let seq: Vec<&Variable> = claims.iter().flatten().collect();
+        let mut ranges = Vec::new();
+        for claim in claims {
+            let start = ranges.last().map_or(0, |range: &Range<usize>| range.end);
+            ranges.push(start..start + claim.len());
+        }
+        let winner = winning_claim(&seq, &ranges, &mut Vec::new());
+        winner.map_or_else(Vec::new, |at| claims[at].clone())
+    }
+
+    /// [`winning_claim`] groups prefix-compatible orders, keeps the longest
     /// representative, lets the largest group win, and breaks ties toward
     /// the earliest claimant (the historical first-claim-wins behaviour).
     #[test]

@@ -339,7 +339,7 @@ impl QueryService {
         parse_seconds: Option<f64>,
     ) -> Result<QueryAnswer, ServeError> {
         if !query.is_connected() {
-            // The optimizer only builds ×-free plans (`Csq::plan` asserts it
+            // The optimizer only builds ×-free plans (`Csq::choose` asserts it
             // found one), so a cross product is turned away as the client's
             // error before planning.
             self.failed.fetch_add(1, Ordering::Relaxed);
@@ -408,8 +408,8 @@ impl QueryService {
                 }
             }
         }
-        let (candidates, chosen, optimize_ms) = self.csq.plan(query);
-        let plan = Arc::new(translate(&chosen, graph));
+        let chosen = self.csq.choose(query);
+        let plan = Arc::new(translate(&chosen.plan, graph));
         if let (Some(cache), Some(key)) = (&self.plan_cache, key) {
             cache.insert(
                 key,
@@ -421,8 +421,8 @@ impl QueryService {
         }
         Planned {
             plan,
-            optimize_ms,
-            candidates: candidates.len(),
+            optimize_ms: chosen.optimize_ms,
+            candidates: chosen.candidates,
             rename: None,
         }
     }
@@ -495,7 +495,8 @@ struct Planned {
     plan: Arc<PhysicalPlan>,
     /// Optimizer milliseconds (plan search + pricing); 0 on a cache hit.
     optimize_ms: f64,
-    /// How many candidate plans the search produced; 0 on a cache hit.
+    /// How many leaves (candidate plans) the search reached; 0 on a cache
+    /// hit.
     candidates: usize,
     /// On a cache hit, each of the cached plan's variables beside this
     /// query's name for it (a handful of pairs sharing their names: no

@@ -139,8 +139,10 @@ fn the_plan_span_counts_the_candidates_of_a_miss() {
 /// the last operator. On Q11, with two reduce joins, each ReduceJoin span
 /// carries the tasks of both its waves, and a MapScan span restricted by a
 /// key set carries the one task that seeks its keys (`keys_in`) or builds
-/// the set it filters by (`keys_filtered`) before one task per node. The
-/// profiled answers are the unprofiled ones.
+/// the set it filters by (`keys_filtered`) before one task per node — unless
+/// an earlier scan filtered by the same join's keys built that set, which
+/// it then shares (Q11: one per pass). The profiled answers are the
+/// unprofiled ones.
 #[test]
 fn job_and_gather_spans_cover_the_execution() {
     let graph = LubmGenerator::new(LubmScale::with_universities(8)).generate();
@@ -157,12 +159,13 @@ fn job_and_gather_spans_cover_the_execution() {
             // A wall-clock share: the best of a few runs, so one preemption
             // between two spans cannot fail the test.
             let mut best_cover: f64 = 0.0;
-            let (mut reduce_spans, mut filtered_scans) = (0, 0);
+            let (mut reduce_spans, mut filtered_scans, mut shared_sets) = (0, 0, 0);
             for _ in 0..5 {
                 let profiled = executor.execute_profiled(&physical);
                 assert_eq!(plain.results, profiled.results, "{name} threads={threads}");
                 let execute = profiled.profile.expect("profiled run returns a span tree");
                 let gather = execute.children.last().expect("execute has children");
+                let mut filtered_from = Vec::new();
                 assert_eq!(gather.name, "Gather");
                 assert_eq!(gather.rows_out, plain.results.len() as u64);
                 assert_eq!(gather.tasks.len(), 1, "the gather is one task");
@@ -178,12 +181,21 @@ fn job_and_gather_spans_cover_the_execution() {
                         );
                     }
                     if operator.name.starts_with("MapScan#") {
-                        let keyed = |name| operator.attrs.iter().any(|(n, _)| n == name);
-                        let filters = keyed("keys_filtered");
+                        let attr = |name| operator.attrs.iter().find(|(n, _)| n == name);
+                        let filters = attr("keys_filtered").is_some();
+                        let from = attr("keys_from").map(|&(_, join)| join);
                         filtered_scans += usize::from(filters);
+                        let shares = filters
+                            && operator.tasks.len() == cluster.nodes()
+                            && filtered_from.contains(&from);
+                        shared_sets += usize::from(shares);
+                        if filters {
+                            filtered_from.push(from);
+                        }
+                        let key_task = (filters && !shares) || attr("keys_in").is_some();
                         assert_eq!(
                             operator.tasks.len(),
-                            usize::from(filters || keyed("keys_in")) + cluster.nodes(),
+                            usize::from(key_task) + cluster.nodes(),
                             "the key task, then one scan task per node"
                         );
                     }
@@ -202,6 +214,11 @@ fn job_and_gather_spans_cover_the_execution() {
             assert!(
                 filtered_scans > 0,
                 "{name} threads={threads}: a scan filters at bind"
+            );
+            assert_eq!(
+                shared_sets,
+                if name == "Q11" { 5 } else { 0 },
+                "{name} threads={threads}: key sets shared"
             );
             assert!(
                 !large_root || best_cover >= 0.95,

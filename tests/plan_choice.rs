@@ -6,7 +6,9 @@
 //! choice outside the 14 queries of `BENCH_execution.json`. It also leaves
 //! unpriced every plan whose job floor reaches the least cost so far, which
 //! is sound only while the floor bounds every estimate from below: the last
-//! test pins that.
+//! test pins that. The service's entry, `Csq::choose`, hands each leaf of
+//! the search to the chooser and builds no plan that cannot win: it must
+//! choose what `choose_best` over every built candidate chooses.
 
 use cliquesquare::core::{paper_examples, LogicalPlan, Optimizer, OptimizerConfig, Variant};
 use cliquesquare::engine::csq::{Csq, CsqConfig};
@@ -14,10 +16,13 @@ use cliquesquare::engine::jobs::schedule;
 use cliquesquare::engine::{translate, MapReduceCostModel};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, JobKind};
 use cliquesquare::querygen::{
-    lubm_queries, lubm_query, sp2b_queries, SyntheticWorkload, WorkloadConfig,
+    lubm_queries, lubm_query, sp2b_queries, SyntheticShape, SyntheticWorkload, WorkloadConfig,
 };
 use cliquesquare::rdf::{LubmGenerator, LubmScale, Sp2bGenerator, Sp2bScale};
 use cliquesquare::sparql::BgpQuery;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// Position of the earliest plan no other plan is strictly cheaper than,
@@ -54,6 +59,14 @@ fn assert_choices_match(cluster: &Cluster, queries: &[BgpQuery]) {
         // `Csq::plan` chooses with the statistics model.
         let expected = oracle(&models[0].1, &plans);
         assert!(plans[expected] == chosen, "{}: Csq::plan", query.name());
+        // So does the service's entry, from the leaves of its own search.
+        let choice = csq.choose(query);
+        assert!(
+            plans[expected] == choice.plan,
+            "{}: Csq::choose",
+            query.name()
+        );
+        assert_eq!(choice.candidates, plans.len(), "{}", query.name());
     }
 }
 
@@ -148,4 +161,53 @@ fn the_job_floor_is_a_lower_bound_of_every_candidates_estimate() {
     let graph = Sp2bGenerator::new(Sp2bScale::tiny()).generate();
     let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
     assert_floors_hold(&cluster, &sp2b_queries());
+}
+
+/// A small LUBM cluster for the property below, loaded once.
+fn small_cluster() -> &'static Cluster {
+    static CLUSTER: std::sync::OnceLock<Cluster> = std::sync::OnceLock::new();
+    CLUSTER.get_or_init(|| {
+        let graph = LubmGenerator::new(LubmScale::tiny()).generate();
+        Cluster::load(graph, ClusterConfig::with_nodes(4))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On a synthetic shape of 2–10 patterns, under any variant and a
+    /// search cut at a few leaves or not: `Csq::choose` returns the plan
+    /// `choose_best` picks from every plan `optimize` builds, its leaf
+    /// count is their number, and every leaf's height — read off its path,
+    /// the height the chooser's floor is priced at — is its plan's.
+    #[test]
+    fn the_service_entry_chooses_from_leaves_what_choose_best_chooses_from_plans(
+        shape in 0usize..4,
+        patterns in 2usize..=10,
+        seed in any::<u64>(),
+        variant in 0usize..8,
+        cut in any::<bool>(),
+    ) {
+        let shape = SyntheticShape::ALL[shape];
+        let query = SyntheticWorkload::query(shape, patterns, &mut StdRng::seed_from_u64(seed));
+        let variant = Variant::ALL[variant];
+        let max_candidate_plans = if cut { 3 } else { 500 };
+        let config = CsqConfig { variant, max_candidate_plans, ..CsqConfig::default() };
+        let cluster = small_cluster();
+        let optimizer =
+            Optimizer::new(OptimizerConfig::variant(variant).with_max_plans(max_candidate_plans));
+        let result = optimizer.optimize(&query);
+        prop_assume!(!result.plans.is_empty());
+        let model = MapReduceCostModel::new(cluster);
+        let expected = model.choose_best(&result.plans).expect("a candidate");
+        let choice = Csq::new(cluster.clone(), config).choose(&query);
+        prop_assert!(&choice.plan == expected, "{} under {variant}", query.name());
+        prop_assert_eq!(choice.candidates, result.plans.len());
+        let mut leaves = 0;
+        optimizer.search(&query, |leaf| {
+            assert_eq!(leaf.height(), leaf.plan().height(), "{} under {variant}", query.name());
+            leaves += 1;
+        });
+        prop_assert_eq!(leaves, result.plans.len());
+    }
 }
