@@ -70,11 +70,12 @@ fn bench_lubm_queries(c: &mut Criterion) {
 /// shape) carry over 90 % of the LUBM mix's planning time. `Q12` / `Q14`
 /// time `Csq::plan`, which builds every candidate the search reaches (Q14:
 /// 1 434); `Q12/choose` / `Q14/choose` time `Csq::choose`, the server's
-/// miss, which hands each leaf of the search to the chooser and builds
-/// only the candidates whose job floor can still win (Q14: 674, of which
-/// 389 distinct are translated and estimated). This is the before / after
-/// for a change to the optimizer's recursion, `decompositions`,
-/// `translate`, `interesting_orders` or the cost model's walk.
+/// miss, which hands each leaf of the search to the chooser with its floor
+/// (its estimate less its sort charges, read off the path) and builds,
+/// translates and estimates only the candidates whose floor can still win
+/// (Q14: 17 at LUBM 80 universities). This is the before / after for a
+/// change to the optimizer's recursion, `decompositions`, `translate`,
+/// `interesting_orders`, the floors' memo or the cost model's walk.
 fn bench_plan_selection(c: &mut Criterion) {
     let csq = Csq::new(lubm_cluster(bench_scale()), CsqConfig::default());
     let mut group = c.benchmark_group("plan_selection");

@@ -50,6 +50,6 @@ pub mod variable_graph;
 pub use clique::{Clique, Decomposition};
 pub use decomposition::{DecompositionLimits, Variant};
 pub use optimizer::{Leaf, OptimizeResult, Optimizer, OptimizerConfig, SearchSummary};
-pub use plan::{LogicalOp, LogicalPlan, OpId};
+pub use plan::{LogicalOp, LogicalPlan, OpId, PlanSink};
 pub use planspace::{PlanSpaceReport, VariantReport};
 pub use variable_graph::{GraphNode, VariableGraph};

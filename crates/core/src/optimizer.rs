@@ -11,15 +11,17 @@
 //!
 //! Each complete path of the search — the graphs from the query's down to
 //! a one-node graph — is a [`Leaf`], one candidate plan. [`Optimizer::search`]
-//! hands every leaf to a visitor with its plan's height, read off the path,
-//! so a caller that keeps only the cheapest plan builds a leaf's plan only
-//! when that height lets it win; [`Optimizer::optimize`] builds them all.
+//! hands every leaf to a visitor, which can read the plan's operators off
+//! the path ([`Leaf::walk`], the walk [`build_plan`] builds from) without
+//! building it: a caller that keeps only the cheapest plan prices a leaf's
+//! operators that way and builds its plan only when it can win;
+//! [`Optimizer::optimize`] builds them all.
 
 use crate::clique::{reduce, Decomposition};
 use crate::decomposition::{decompositions, DecompositionLimits, Variant};
-use crate::plan::{LogicalOp, LogicalPlan, OpId};
+use crate::plan::{LogicalOp, LogicalPlan, OpId, PlanSink};
 use crate::variable_graph::VariableGraph;
-use cliquesquare_sparql::BgpQuery;
+use cliquesquare_sparql::{BgpQuery, TriplePattern, Variable};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
@@ -172,7 +174,6 @@ impl Optimizer {
             query,
             visit,
             states: Vec::new(),
-            heights: Vec::new(),
             memo: HashMap::new(),
             expansions: Vec::new(),
             summary: SearchSummary {
@@ -215,20 +216,19 @@ pub struct SearchSummary {
 pub struct Leaf<'s> {
     states: &'s [Rc<VariableGraph>],
     query: &'s BgpQuery,
-    height: usize,
 }
 
 impl Leaf<'_> {
-    /// The [`LogicalPlan::height`] of the leaf's plan, read off its path: a
-    /// pass-through node keeps its parent's height and a join node is one
-    /// above the highest of its parents.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Builds the leaf's plan ([`build_plan`]).
     pub fn plan(&self) -> LogicalPlan {
         build_plan(self.states, self.query)
+    }
+
+    /// Reports the operators of the leaf's plan to `sink` without building
+    /// it, as [`build_plan`] reports them to the sink that builds it, and
+    /// returns the sink's handle on the root.
+    pub fn walk<S: PlanSink>(&self, sink: &mut S) -> S::Op {
+        walk_path(self.states, self.query, sink)
     }
 }
 
@@ -257,9 +257,6 @@ struct Search<'a, V> {
     visit: V,
     /// The graphs from the query's down to the one being expanded.
     states: Vec<Rc<VariableGraph>>,
-    /// Beside each of `states`, the height of each of its nodes' operators.
-    /// Kept past a pop, so a level's buffer is reused by the next visit.
-    heights: Vec<Vec<usize>>,
     /// Index into `expansions` of every distinct graph met so far, keyed by
     /// [`state_key`].
     memo: HashMap<Vec<usize>, usize>,
@@ -275,15 +272,12 @@ impl<V: FnMut(&Leaf<'_>)> Search<'_, V> {
             self.summary.truncated = true;
             return;
         }
-        self.push_heights(&graph);
         self.states.push(graph);
         match expansion {
             None => {
-                let height = self.heights[self.states.len() - 1][0];
                 let leaf = Leaf {
                     states: &self.states,
                     query: self.query,
-                    height,
                 };
                 (self.visit)(&leaf);
                 self.summary.leaves += 1;
@@ -305,31 +299,6 @@ impl<V: FnMut(&Leaf<'_>)> Search<'_, V> {
             }
         }
         self.states.pop();
-    }
-
-    /// Sets the heights of `graph`'s nodes, the level below the top of the
-    /// state stack: 0 on the query's graph, then a pass-through node's
-    /// parent's height and a join node's one above its highest parent's —
-    /// the heights [`build_plan`] gives their operators.
-    fn push_heights(&mut self, graph: &VariableGraph) {
-        let level = self.states.len();
-        if self.heights.len() == level {
-            self.heights.push(Vec::new());
-        }
-        let (below, at) = self.heights.split_at_mut(level);
-        let heights = &mut at[0];
-        heights.clear();
-        let Some(parents) = below.last() else {
-            heights.resize(graph.len(), 0);
-            return;
-        };
-        heights.extend(graph.nodes().iter().map(|node| {
-            let mut from = node.derived_from.iter().map(|&parent| parents[parent]);
-            match node.derived_from.len() {
-                1 => from.next().expect("one parent"),
-                _ => 1 + from.max().unwrap_or(0),
-            }
-        }));
     }
 
     /// The expansion of `graph`: `None` for a one-node graph, the memoized
@@ -380,13 +349,80 @@ fn state_key(graph: &VariableGraph) -> Vec<usize> {
 }
 
 /// Builds a logical plan from a sequence of variable graphs
-/// (`CREATEQUERYPLANS`, Section 4.2).
+/// (`CREATEQUERYPLANS`, Section 4.2): the walk [`Leaf::walk`] runs, into a
+/// [`PlanSink`] that pushes each reported operator.
 ///
 /// The first graph contributes one Match operator per triple pattern; every
 /// later graph contributes one n-ary Join per multi-node clique, while
 /// single-node cliques pass their operator through unchanged. A final Project
 /// restricts the output to the query's distinguished variables.
 pub fn build_plan(states: &[Rc<VariableGraph>], query: &BgpQuery) -> LogicalPlan {
+    let mut builder = PlanBuilder::default();
+    let root = walk_path(states, query, &mut builder);
+    LogicalPlan::new(builder.ops, root)
+}
+
+/// The [`PlanSink`] of [`build_plan`]: each reported operator becomes a
+/// [`LogicalOp`], and its handle is its id.
+#[derive(Default)]
+struct PlanBuilder {
+    ops: Vec<LogicalOp>,
+}
+
+impl PlanBuilder {
+    fn push(&mut self, op: LogicalOp) -> OpId {
+        self.ops.push(op);
+        OpId(self.ops.len() - 1)
+    }
+}
+
+impl PlanSink for PlanBuilder {
+    type Op = OpId;
+
+    fn matched(
+        &mut self,
+        pattern_index: usize,
+        pattern: &TriplePattern,
+        output: &BTreeSet<Variable>,
+    ) -> OpId {
+        self.push(LogicalOp::Match {
+            pattern_index,
+            pattern: pattern.clone(),
+            output: output.clone(),
+        })
+    }
+
+    fn join(
+        &mut self,
+        inputs: &[OpId],
+        attributes: impl FnOnce() -> BTreeSet<Variable>,
+        output: &BTreeSet<Variable>,
+    ) -> OpId {
+        let attributes = attributes();
+        debug_assert!(
+            !attributes.is_empty(),
+            "clique nodes must share at least one variable"
+        );
+        self.push(LogicalOp::Join {
+            attributes,
+            inputs: inputs.to_vec(),
+            output: output.clone(),
+        })
+    }
+
+    fn project(&mut self, input: OpId, variables: &[Variable]) -> OpId {
+        self.push(LogicalOp::Project {
+            variables: variables.to_vec(),
+            input,
+        })
+    }
+}
+
+/// Reports the operators of the plan a sequence of variable graphs makes to
+/// `sink`, in the arena order [`build_plan`] gives them, and returns the
+/// sink's handle on the root Project. A join's inputs are the operators of
+/// its node's parents, each once, in parent order.
+fn walk_path<S: PlanSink>(states: &[Rc<VariableGraph>], query: &BgpQuery, sink: &mut S) -> S::Op {
     assert!(!states.is_empty(), "cannot build a plan from no states");
     assert_eq!(
         states.last().map(|graph| graph.len()),
@@ -394,70 +430,54 @@ pub fn build_plan(states: &[Rc<VariableGraph>], query: &BgpQuery) -> LogicalPlan
         "the final state must have a single node"
     );
 
-    let mut ops: Vec<LogicalOp> = Vec::new();
-    let first = &states[0];
-    let mut prev_ops: Vec<OpId> = first
-        .nodes()
-        .iter()
-        .map(|node| {
-            let pattern_index = *node
-                .patterns
-                .iter()
-                .next()
-                .expect("initial nodes hold one pattern");
-            ops.push(LogicalOp::Match {
-                pattern_index,
-                pattern: query.patterns()[pattern_index].clone(),
-                output: node.variables.clone(),
-            });
-            OpId(ops.len() - 1)
-        })
-        .collect();
-
-    for level in 1..states.len() {
-        let prev_graph = &states[level - 1];
-        let current = &states[level];
-        let mut current_ops = Vec::with_capacity(current.len());
-        for node in current.nodes() {
-            if node.derived_from.len() == 1 {
-                let parent = *node.derived_from.iter().next().expect("one parent");
-                current_ops.push(prev_ops[parent]);
-                continue;
-            }
-            let attributes = prev_graph.common_variables(&node.derived_from);
-            let mut inputs: Vec<OpId> = Vec::with_capacity(node.derived_from.len());
-            for &parent in &node.derived_from {
-                let op = prev_ops[parent];
-                if !inputs.contains(&op) {
-                    inputs.push(op);
-                }
-            }
-            debug_assert!(
-                !attributes.is_empty(),
-                "clique nodes must share at least one variable"
-            );
-            ops.push(LogicalOp::Join {
-                attributes,
-                inputs,
-                output: node.variables.clone(),
-            });
-            current_ops.push(OpId(ops.len() - 1));
-        }
-        prev_ops = current_ops;
+    // The sink's handle on each reported operator, by arena position, and
+    // the position of each node's operator on the previous level.
+    let patterns = states[0].len();
+    let mut handles: Vec<S::Op> = Vec::with_capacity(2 * patterns);
+    let mut prev: Vec<usize> = Vec::with_capacity(patterns);
+    for node in states[0].nodes() {
+        let pattern_index = *node
+            .patterns
+            .iter()
+            .next()
+            .expect("initial nodes hold one pattern");
+        let pattern = &query.patterns()[pattern_index];
+        handles.push(sink.matched(pattern_index, pattern, &node.variables));
+        prev.push(handles.len() - 1);
     }
 
-    let body_root = prev_ops[0];
-    let variables = if query.distinguished().is_empty() {
-        query.variables()
-    } else {
-        query.distinguished().to_vec()
-    };
-    ops.push(LogicalOp::Project {
-        variables,
-        input: body_root,
-    });
-    let root = OpId(ops.len() - 1);
-    LogicalPlan::new(ops, root)
+    let mut current = Vec::with_capacity(patterns);
+    let mut positions = Vec::with_capacity(patterns);
+    let mut inputs = Vec::with_capacity(patterns);
+    for level in 1..states.len() {
+        let prev_graph = &states[level - 1];
+        current.clear();
+        for node in states[level].nodes() {
+            if node.derived_from.len() == 1 {
+                let parent = *node.derived_from.iter().next().expect("one parent");
+                current.push(prev[parent]);
+                continue;
+            }
+            positions.clear();
+            for &parent in &node.derived_from {
+                if !positions.contains(&prev[parent]) {
+                    positions.push(prev[parent]);
+                }
+            }
+            inputs.clear();
+            inputs.extend(positions.iter().map(|&at| handles[at]));
+            let attributes = || prev_graph.common_variables(&node.derived_from);
+            handles.push(sink.join(&inputs, attributes, &node.variables));
+            current.push(handles.len() - 1);
+        }
+        std::mem::swap(&mut prev, &mut current);
+    }
+
+    let body_root = handles[prev[0]];
+    match query.distinguished() {
+        [] => sink.project(body_root, &query.variables()),
+        distinguished => sink.project(body_root, distinguished),
+    }
 }
 
 #[cfg(test)]
@@ -584,8 +604,11 @@ mod tests {
         assert_memo_changes_nothing(config, &q);
     }
 
+    /// A built plan reports its operators as the leaf it was built from
+    /// did: replayed into the sink that builds, it rebuilds itself. The
+    /// search counts every leaf.
     #[test]
-    fn a_leaf_knows_its_plans_height_and_the_search_counts_every_leaf() {
+    fn a_plan_walks_as_its_leaf_and_the_search_counts_every_leaf() {
         use cliquesquare_querygen::{lubm_queries, sp2b_queries, SyntheticWorkload};
         let mut queries = paper_examples::all();
         queries.extend(lubm_queries());
@@ -599,12 +622,10 @@ mod tests {
                     let mut plans = Vec::new();
                     let summary = optimizer.search(query, |leaf| {
                         let plan = leaf.plan();
-                        assert_eq!(
-                            leaf.height(),
-                            plan.height(),
-                            "{variant} on {}",
-                            query.name()
-                        );
+                        let mut builder = PlanBuilder::default();
+                        let root = plan.walk(&mut builder);
+                        let replayed = LogicalPlan::new(builder.ops, root);
+                        assert_eq!(replayed, plan, "{variant} on {}", query.name());
                         plans.push(plan);
                     });
                     let result = optimizer.optimize(query);
@@ -619,6 +640,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a over the `Debug` text of every plan the search builds for
+    /// `queries` under `config`, in order.
+    fn plan_digest(queries: &[BgpQuery], config: OptimizerConfig) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for query in queries {
+            Optimizer::new(config).search(query, |leaf| {
+                for byte in format!("{:?}", leaf.plan()).bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            });
+        }
+        digest
+    }
+
+    /// Every leaf's plan from the paper examples, LUBM Q1–Q14, SP²B S1–S6
+    /// and synthetic shapes of 2–10 patterns, under all eight variants, is
+    /// pinned text for text and in order: operator order, join attributes
+    /// and input order are what translation and pricing read. The
+    /// exhaustive variants run under small limits.
+    #[test]
+    fn built_plans_match_their_pinned_digest() {
+        use cliquesquare_querygen::{
+            lubm_queries, sp2b_queries, SyntheticWorkload, WorkloadConfig,
+        };
+        let mut queries = paper_examples::all();
+        queries.extend(lubm_queries());
+        queries.extend(sp2b_queries());
+        queries.extend(SyntheticWorkload::generate(WorkloadConfig {
+            queries_per_shape: 9,
+            min_patterns: 2,
+            max_patterns: 10,
+            seed: 7,
+        }));
+        let small = DecompositionLimits {
+            max_decompositions: 100,
+            max_candidate_cliques: 300,
+        };
+        let digests: Vec<String> = (Variant::ALL.iter())
+            .map(|&variant| {
+                let limits = match variant.minimum_only() {
+                    true => DecompositionLimits::default(),
+                    false => small,
+                };
+                let config = OptimizerConfig::variant(variant)
+                    .with_limits(limits)
+                    .with_max_plans(300);
+                format!("{:016x}", plan_digest(&queries, config))
+            })
+            .collect();
+        // Recorded before `build_plan` became a sink of the shared walk, in
+        // `Variant::ALL` order.
+        let pinned = [
+            "88ac73a702701113",
+            "49779897c29829e0",
+            "f1666b9586e07065",
+            "6afb7ba2bb40e11d",
+            "5a9a3157d9ab028e",
+            "786a0c13cd8db01e",
+            "5431213d88ed019c",
+            "65ce2a0b4b0a2adc",
+        ];
+        assert_eq!(digests, pinned);
     }
 
     #[test]

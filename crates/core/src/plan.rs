@@ -298,6 +298,71 @@ impl LogicalPlan {
     }
 }
 
+/// Receives a plan's operators bottom-up, in arena order: what
+/// [`Leaf::walk`](crate::Leaf::walk) reports of a path of variable graphs,
+/// and what [`LogicalPlan::walk`] reports of a built plan. Each operator is
+/// reported once, after its inputs, and the sink answers with its own
+/// handle on it. [`build_plan`](crate::optimizer::build_plan) runs the walk
+/// into a sink that pushes [`LogicalOp`]s; the engine's cost model prices a
+/// candidate from the same reports without building it.
+pub trait PlanSink {
+    /// The sink's handle on an operator it was told of.
+    type Op: Copy;
+
+    /// A Match of the query's pattern `pattern_index`, whose variables are
+    /// `output`.
+    fn matched(
+        &mut self,
+        pattern_index: usize,
+        pattern: &TriplePattern,
+        output: &BTreeSet<Variable>,
+    ) -> Self::Op;
+
+    /// A Join of `inputs` (distinct, in order) whose output is `output`;
+    /// `attributes` makes its join attributes, on request.
+    fn join(
+        &mut self,
+        inputs: &[Self::Op],
+        attributes: impl FnOnce() -> BTreeSet<Variable>,
+        output: &BTreeSet<Variable>,
+    ) -> Self::Op;
+
+    /// A Project of `input` onto `variables`.
+    fn project(&mut self, input: Self::Op, variables: &[Variable]) -> Self::Op;
+}
+
+impl LogicalPlan {
+    /// Reports every operator of the arena to `sink`, in order, and returns
+    /// the sink's handle on the root.
+    pub fn walk<S: PlanSink>(&self, sink: &mut S) -> S::Op {
+        let mut handles: Vec<S::Op> = Vec::with_capacity(self.ops.len());
+        let mut inputs = Vec::new();
+        for op in &self.ops {
+            let handle = match op {
+                LogicalOp::Match {
+                    pattern_index,
+                    pattern,
+                    output,
+                } => sink.matched(*pattern_index, pattern, output),
+                LogicalOp::Join {
+                    attributes,
+                    inputs: ids,
+                    output,
+                } => {
+                    inputs.clear();
+                    inputs.extend(ids.iter().map(|id| handles[id.index()]));
+                    sink.join(&inputs, || attributes.clone(), output)
+                }
+                LogicalOp::Project { variables, input } => {
+                    sink.project(handles[input.index()], variables)
+                }
+            };
+            handles.push(handle);
+        }
+        handles[self.root.index()]
+    }
+}
+
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())

@@ -174,14 +174,12 @@ impl VariableGraph {
         let Some(&first) = iter.next() else {
             return BTreeSet::new();
         };
-        let mut common = self.nodes[first].variables.clone();
-        for &i in iter {
-            common = common
-                .intersection(&self.nodes[i].variables)
-                .cloned()
-                .collect();
-        }
-        common
+        (self.nodes[first].variables.iter())
+            .filter(|variable| {
+                (iter.clone()).all(|&other| self.nodes[other].variables.contains(*variable))
+            })
+            .cloned()
+            .collect()
     }
 }
 

@@ -13,16 +13,18 @@
 //!
 //! plus the per-job start-up overhead, which is what makes flat plans win.
 //!
-//! That overhead is also what keeps plan choice cheap. A plan's job count
-//! follows from its height, so its start-up cost — its *job floor*,
-//! [`MapReduceCostModel::job_floor`] — is known before it is translated, and
-//! before it is even built: the optimizer reads a candidate's height off its
-//! search path ([`cliquesquare_core::Leaf::height`]). The one choice rule,
-//! `PlanChooser`, is fed candidate by candidate and skips, unbuilt and
-//! unpriced, every one whose floor is at least the least cost priced so
-//! far: it could at best tie, and ties go to the earlier plan. Which plan
-//! wins is unchanged; only the building and pricing of plans that cannot
-//! win is saved.
+//! Every one of those terms depends on one operator and its inputs alone,
+//! and a plan's job count follows from its height; only the order-aware
+//! sort charge (below) needs the whole translated plan. So a candidate's
+//! estimate less its sort charges — its *floor*, [`PlanFloors`] — is read
+//! off its search path ([`cliquesquare_core::Leaf::walk`]) before it is
+//! built or translated, each operator priced once per search. The one
+//! choice rule, `PlanChooser`, is fed candidate by candidate and skips,
+//! unbuilt and unpriced, every one whose floor is at least the least cost
+//! priced so far: it could at best tie, and ties go to the earlier plan.
+//! Which plan wins is unchanged; only the building, translating and pricing
+//! of plans that cannot win is saved (Q14 at LUBM 80 universities: 17 of
+//! 1 434 candidates built and priced).
 //!
 //! Cardinalities come from the catalog statistics the cluster computes at
 //! load time ([`cliquesquare_rdf::GraphStatistics`]):
@@ -55,15 +57,16 @@
 
 use crate::jobs::schedule;
 use crate::physical::{PhysId, PhysicalOp, PhysicalPlan, ScanSpec};
-use crate::translate::translate;
-use cliquesquare_core::LogicalPlan;
+use crate::translate::{placement_for, translate};
+use cliquesquare_core::{Leaf, LogicalPlan, PlanSink};
 use cliquesquare_mapreduce::{Cluster, CostParameters, JobKind};
 use cliquesquare_rdf::{GraphStatistics, TriplePosition};
-use cliquesquare_sparql::Variable;
+use cliquesquare_sparql::{TriplePattern, Variable};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
+use std::ops::Range;
 
 /// The estimated cost of a physical plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -172,8 +175,66 @@ impl<'a> MapReduceCostModel<'a> {
         distincts
     }
 
+    /// What one operator adds to its plan's estimate, the sort charge
+    /// aside: its estimate, from its inputs' (in input order; `None` when
+    /// it passes its one input's on), and its work terms, in the order
+    /// [`walk`](Self::walk) adds them.
+    fn price(&self, shape: Shape<'_>, inputs: &[&OpEstimate]) -> (Option<OpEstimate>, [f64; 2]) {
+        let params = &self.cluster.config().cost;
+        match shape {
+            Shape::Scan(spec) => {
+                // Priced as the paper's MapScan and the Filter over it: every
+                // row of the files read, then each row checked against the
+                // residual constants, if any (the executor's seek of the
+                // first one is not credited).
+                let rows = self.scan_cardinality(spec);
+                let distincts = self.scan_distincts(spec, rows);
+                if spec.residual.is_empty() {
+                    let estimate = OpEstimate {
+                        card: rows,
+                        distincts,
+                    };
+                    return (Some(estimate), [rows * params.read, 0.0]);
+                }
+                let selectivity = match self.statistics {
+                    Some(stats) => (spec.residual.iter())
+                        .map(|condition| condition_selectivity(stats, spec, condition.position))
+                        .product::<f64>(),
+                    // Without statistics: the old fixed 5% per condition.
+                    None => 0.05f64.powi(spec.residual.len() as i32),
+                };
+                let card = rows * selectivity;
+                let estimate = OpEstimate {
+                    card,
+                    distincts: scale_distincts(&distincts, card),
+                };
+                (Some(estimate), [rows * params.read, rows * params.check])
+            }
+            Shape::Shuffle => (None, [inputs[0].card * (params.read + params.write), 0.0]),
+            Shape::Join { attributes, reduce } => {
+                let estimate = if self.statistics.is_some() {
+                    join_estimate(attributes, inputs)
+                } else {
+                    let input_cards: Vec<f64> = inputs.iter().map(|est| est.card).collect();
+                    OpEstimate {
+                        card: join_cardinality(&input_cards),
+                        distincts: BTreeMap::new(),
+                    }
+                };
+                let shuffle = match reduce {
+                    true => inputs.iter().map(|est| est.card).sum::<f64>() * params.shuffle,
+                    false => 0.0,
+                };
+                let output = estimate.card * (params.join + params.write);
+                (Some(estimate), [shuffle, output])
+            }
+            Shape::Project => (None, [inputs[0].card * params.check, 0.0]),
+        }
+    }
+
     /// Walks the plan bottom-up producing per-operator estimates and the
-    /// total estimated work in simulated seconds (excluding job overhead).
+    /// total estimated work in simulated seconds (excluding job overhead):
+    /// each operator's [`price`](Self::price), then its sort charge.
     fn walk(&self, plan: &PhysicalPlan) -> (Vec<OpEstimate>, f64) {
         let params = &self.cluster.config().cost;
         let mut estimates: Vec<OpEstimate> = Vec::with_capacity(plan.len());
@@ -181,74 +242,14 @@ impl<'a> MapReduceCostModel<'a> {
         for index in 0..plan.len() {
             let id = PhysId(index);
             let op = plan.op(id);
-            let estimate = match op {
-                PhysicalOp::MapScan { spec, .. } => {
-                    // Priced as the paper's MapScan and the Filter over it:
-                    // every row of the files read, then each row checked
-                    // against the residual constants, if any (the
-                    // executor's seek of the first one is not credited).
-                    let rows = self.scan_cardinality(spec);
-                    work += rows * params.read;
-                    let distincts = self.scan_distincts(spec, rows);
-                    if spec.residual.is_empty() {
-                        OpEstimate {
-                            card: rows,
-                            distincts,
-                        }
-                    } else {
-                        work += rows * params.check;
-                        let selectivity = match self.statistics {
-                            Some(stats) => (spec.residual.iter())
-                                .map(|condition| {
-                                    condition_selectivity(stats, spec, condition.position)
-                                })
-                                .product::<f64>(),
-                            // Without statistics: the old fixed 5% per
-                            // condition.
-                            None => 0.05f64.powi(spec.residual.len() as i32),
-                        };
-                        let card = rows * selectivity;
-                        OpEstimate {
-                            card,
-                            distincts: scale_distincts(&distincts, card),
-                        }
-                    }
-                }
-                PhysicalOp::MapShuffler { input, .. } => {
-                    let input_est = estimates[input.index()].clone();
-                    work += input_est.card * (params.read + params.write);
-                    input_est
-                }
-                PhysicalOp::MapJoin {
-                    attributes, inputs, ..
-                }
-                | PhysicalOp::ReduceJoin {
-                    attributes, inputs, ..
-                } => {
-                    let input_ests: Vec<&OpEstimate> =
-                        inputs.iter().map(|i| &estimates[i.index()]).collect();
-                    let estimate = if self.statistics.is_some() {
-                        join_estimate(attributes, &input_ests)
-                    } else {
-                        let input_cards: Vec<f64> = input_ests.iter().map(|est| est.card).collect();
-                        OpEstimate {
-                            card: join_cardinality(&input_cards),
-                            distincts: BTreeMap::new(),
-                        }
-                    };
-                    if matches!(op, PhysicalOp::ReduceJoin { .. }) {
-                        let shuffled: f64 = input_ests.iter().map(|est| est.card).sum();
-                        work += shuffled * params.shuffle;
-                    }
-                    work += estimate.card * (params.join + params.write);
-                    estimate
-                }
-                PhysicalOp::Project { input, .. } => {
-                    let input_est = estimates[input.index()].clone();
-                    work += input_est.card * params.check;
-                    input_est
-                }
-            };
+            let inputs: Vec<&OpEstimate> = (op.inputs().iter())
+                .map(|i| &estimates[i.index()])
+                .collect();
+            let (estimate, terms) = self.price(Shape::of(op), &inputs);
+            let estimate = estimate.unwrap_or_else(|| inputs[0].clone());
+            for term in terms {
+                work += term;
+            }
             // Order-awareness: an unsatisfied ordering requirement means the
             // executor sorts this operator's output — n·log₂ n comparisons.
             // Plans whose join keys chain deliver the required orders for
@@ -296,20 +297,13 @@ impl<'a> MapReduceCostModel<'a> {
         self.estimate(&translate(plan, self.cluster.graph()))
     }
 
-    /// The least cost [`estimate_logical`](Self::estimate_logical) can give
-    /// `plan`, read off its height without translating it: the start-up of
-    /// the jobs its schedule will have. `translate` makes a join of Match
-    /// operators a MapJoin and every other join a ReduceJoin, so a plan of
-    /// height `h` has `max(1, h − 1)` jobs, map-only iff `h ≤ 1`. The
-    /// overhead is computed by the helper [`estimate`](Self::estimate) uses,
-    /// so the floor is the estimate's first term bit for bit, and since the
-    /// rest of the estimate is non-negative work, no estimate is below it.
-    pub fn job_floor(&self, plan: &LogicalPlan) -> f64 {
-        self.floor_at(plan.height())
-    }
-
-    /// [`job_floor`](Self::job_floor) of a plan of height `height`.
-    fn floor_at(&self, height: usize) -> f64 {
+    /// The start-up of the jobs a plan of height `height` has: `translate`
+    /// makes a join of Match operators a MapJoin and every other join a
+    /// ReduceJoin, so the schedule has `max(1, h − 1)` jobs, map-only iff
+    /// `h ≤ 1`. The overhead is computed by the helper
+    /// [`estimate`](Self::estimate) uses, so it is the estimate's first term
+    /// bit for bit.
+    fn overhead_at(&self, height: usize) -> f64 {
         let (kind, jobs) = match height {
             0 | 1 => (JobKind::MapOnly, 1),
             height => (JobKind::MapReduce, height - 1),
@@ -317,32 +311,50 @@ impl<'a> MapReduceCostModel<'a> {
         job_overhead(&self.cluster.config().cost, std::iter::repeat_n(kind, jobs))
     }
 
-    /// Picks the cheapest logical plan of a slice according to the model:
-    /// the *earliest* plan whose estimated `total_seconds` is strictly below
-    /// every earlier plan's. A NaN cost never displaces a finite one (and
-    /// any other cost displaces a NaN), and an empty slice gives `None`.
+    /// An empty memo of plan floors (see [`PlanFloors`]) priced with this
+    /// model.
+    pub fn floors(&self) -> PlanFloors<'a> {
+        PlanFloors {
+            memo: FloorMemo {
+                model: self.clone(),
+                patterns: Vec::new(),
+                joins: Vec::new(),
+                ids: HashMap::new(),
+                terms: Vec::new(),
+                scans: HashMap::new(),
+                key: Vec::new(),
+                work: 0.0,
+            },
+        }
+    }
+
+    /// Picks the cheapest logical plan of a slice — the candidates of one
+    /// query — according to the model: the *earliest* plan whose estimated
+    /// `total_seconds` is strictly below every earlier plan's. A NaN cost
+    /// never displaces a finite one (and any other cost displaces a NaN),
+    /// and an empty slice gives `None`.
     ///
     /// The slice is fed in order to the one choice rule (`PlanChooser`),
-    /// which is also what `Csq::choose` feeds a search's leaves to. Only
-    /// plans that can win are priced: a plan whose
-    /// [`job_floor`](Self::job_floor) is at least the least cost priced so
-    /// far could at best tie, and a tie goes to the earlier plan, so it is
-    /// skipped untranslated; with job start-up dominating every per-tuple
-    /// term, that leaves the minimum-height candidates. A plan that is `==`
-    /// an earlier priced one is skipped too (Q14: 389 priced of 1 434), so
-    /// the returned reference is always a first occurrence.
+    /// which is also what `Csq::choose` feeds a search's leaves to, each
+    /// with its floor ([`PlanFloors::plan`]). Only plans that can win are
+    /// priced: a plan whose floor is at least the least cost priced so far
+    /// could at best tie, and a tie goes to the earlier plan, so it is
+    /// skipped untranslated. A plan that is `==` an earlier priced one is
+    /// skipped too, so the returned reference is always a first occurrence.
+    /// Q14 at LUBM 80 universities: 17 of 1 434 priced.
     pub fn choose_best<'p>(&self, plans: &'p [LogicalPlan]) -> Option<&'p LogicalPlan> {
         let mut chooser = self.chooser();
         for plan in plans {
-            chooser.offer(plan.height(), || plan);
+            let floor = chooser.floors().plan(plan);
+            chooser.offer(floor, || plan);
         }
-        chooser.into_best()
+        chooser.into_best().map(|(plan, _)| plan)
     }
 
     /// An empty [`PlanChooser`] pricing with this model.
     pub(crate) fn chooser<P>(&self) -> PlanChooser<'a, P> {
         PlanChooser {
-            model: self.clone(),
+            floors: self.floors(),
             rule: EarliestMinimum::default(),
         }
     }
@@ -352,40 +364,309 @@ impl<'a> MapReduceCostModel<'a> {
 /// candidate by candidate: a slice's plans, or the leaves of a search as it
 /// reaches them (`Csq::choose`).
 ///
-/// A candidate is offered with its height, and built only when its
-/// [`job_floor`](MapReduceCostModel::job_floor) is below the least cost
-/// priced so far (Q14: 674 of 1 434 leaves built). A built plan that is
-/// `==` an earlier built one is not priced (Q14: 285 of the 674).
+/// A candidate is offered with its floor ([`PlanFloors`]), and built only
+/// when that floor is below the least cost priced so far. A built plan that
+/// is `==` an earlier built one is not priced. Q14 at LUBM 80 universities:
+/// 17 of 1 434 leaves built and priced, none of them a duplicate.
 ///
 /// `P` is how the caller holds a plan: `&LogicalPlan` over a slice,
 /// `Rc<LogicalPlan>` for plans built on the way.
 #[derive(Debug)]
 pub(crate) struct PlanChooser<'a, P> {
-    model: MapReduceCostModel<'a>,
-    rule: EarliestMinimum<P>,
+    floors: PlanFloors<'a>,
+    rule: EarliestMinimum<P, PhysicalPlan>,
 }
 
-impl<P: Borrow<LogicalPlan> + Hash + Eq + Clone> PlanChooser<'_, P> {
-    /// Offers the next candidate, of height `height`; `build` makes it if
-    /// it can still win.
-    pub(crate) fn offer(&mut self, height: usize, build: impl FnOnce() -> P) {
-        let model = &self.model;
-        self.rule.offer(model.floor_at(height), build, |plan| {
-            model.estimate_logical(plan.borrow()).total_seconds
+impl<'a, P: Borrow<LogicalPlan> + Hash + Eq + Clone> PlanChooser<'a, P> {
+    /// The memo candidates' floors are read from.
+    pub(crate) fn floors(&mut self) -> &mut PlanFloors<'a> {
+        &mut self.floors
+    }
+
+    /// Offers the next candidate, whose floor is `floor`; `build` makes it
+    /// if it can still win, and it is then translated and priced.
+    pub(crate) fn offer(&mut self, floor: f64, build: impl FnOnce() -> P) {
+        let model = &self.floors.memo.model;
+        self.rule.offer(floor, build, |plan| {
+            let physical = translate(plan.borrow(), model.cluster.graph());
+            (model.estimate(&physical).total_seconds, physical)
         });
     }
 
-    /// The chosen candidate; `None` if none was offered.
-    pub(crate) fn into_best(self) -> Option<P> {
+    /// How many candidates were built and priced so far.
+    pub(crate) fn priced(&self) -> usize {
+        self.rule.priced()
+    }
+
+    /// The chosen candidate and its translation; `None` if none was
+    /// offered.
+    pub(crate) fn into_best(self) -> Option<(P, PhysicalPlan)> {
         self.rule.into_best()
+    }
+}
+
+/// Floors of candidate plans, read off their operators without building or
+/// translating them: a candidate's floor is its estimate less its sort
+/// charges.
+///
+/// Every term of the estimate but the sort charge depends on one operator
+/// and its inputs alone, so the memo prices each Join once per list of
+/// inputs, with the scans and shufflers `translate` lays out on its input
+/// edges, and a floor adds the memoized terms in `translate`'s physical
+/// order, then the root Project's, then divides by the modelled nodes and
+/// adds the job start-up at the plan's height — [`MapReduceCostModel::estimate`]'s
+/// arithmetic, less the sort charges. Rounded addition is monotone, so a
+/// floor is never above [`MapReduceCostModel::estimate_logical`]'s
+/// `total_seconds`, bit for bit, and equal to it when every ordering is
+/// satisfied.
+///
+/// Operators are keyed by pattern index: one memo serves the candidates of
+/// one query.
+#[derive(Debug)]
+pub struct PlanFloors<'a> {
+    memo: FloorMemo<'a>,
+}
+
+impl PlanFloors<'_> {
+    /// The floor of a search leaf's plan, from its path.
+    pub fn leaf(&mut self, leaf: &Leaf<'_>) -> f64 {
+        self.memo.floor(|memo| leaf.walk(memo))
+    }
+
+    /// The floor of a built plan: the floor of the leaf it was built from.
+    pub fn plan(&mut self, plan: &LogicalPlan) -> f64 {
+        self.memo.floor(|memo| plan.walk(memo))
+    }
+}
+
+/// The [`PlanSink`] behind [`PlanFloors`].
+#[derive(Debug)]
+struct FloorMemo<'a> {
+    model: MapReduceCostModel<'a>,
+    /// The query's patterns, by index, as the walks report them.
+    patterns: Vec<Option<TriplePattern>>,
+    /// Every join priced so far, by memo id.
+    joins: Vec<PricedJoin>,
+    /// Memo id of each priced join, by its inputs ([`FloorMemo::key`]).
+    ids: HashMap<Vec<usize>, usize>,
+    /// The work terms of every priced join, each a range of them.
+    terms: Vec<f64>,
+    /// Each scan priced so far — its estimate and work terms — by pattern
+    /// index and replica.
+    scans: HashMap<(usize, TriplePosition), (OpEstimate, [f64; 2])>,
+    /// Scratch for the key of the join being reported.
+    key: Vec<usize>,
+    /// The work summed so far for the floor being read.
+    work: f64,
+}
+
+/// One Join of a [`FloorMemo`], priced.
+#[derive(Debug)]
+struct PricedJoin {
+    estimate: OpEstimate,
+    /// `translate` makes it a ReduceJoin.
+    reduce: bool,
+    /// Its [`LogicalPlan::height`].
+    height: usize,
+    /// Its range of [`FloorMemo::terms`]: the work terms of the scans and
+    /// shufflers on its input edges, in input order, then its own —
+    /// everything `walk` adds for them but the sort charges.
+    terms: Range<usize>,
+}
+
+/// A [`FloorMemo`]'s handle on a reported operator: a Match, which becomes
+/// a scan on each edge out of it, or a priced join (a Project's handle is
+/// its input's).
+#[derive(Debug, Clone, Copy)]
+enum Floored {
+    Match(usize),
+    Join(usize),
+}
+
+impl FloorMemo<'_> {
+    /// The floor of the plan whose operators `walk` reports.
+    fn floor(&mut self, walk: impl FnOnce(&mut Self) -> Floored) -> f64 {
+        self.work = 0.0;
+        let height = match walk(self) {
+            Floored::Match(_) => 0,
+            Floored::Join(id) => self.joins[id].height,
+        };
+        let nodes = self.model.cluster.config().cost.nodes.max(1) as f64;
+        self.model.overhead_at(height) + self.work / nodes
+    }
+
+    /// Lays out the edge from `input` to a consumer joining on
+    /// `attributes`: returns the work terms of the operator on it, if any,
+    /// and the input's height. A Match is read by a scan of the replica
+    /// `translate` picks for that consumer, and a ReduceJoin goes through a
+    /// shuffler when `shuffle`.
+    fn edge(
+        &mut self,
+        input: Floored,
+        attributes: &BTreeSet<Variable>,
+        shuffle: bool,
+    ) -> (Option<[f64; 2]>, usize) {
+        match input {
+            Floored::Match(pattern_index) => {
+                let pattern = self.patterns[pattern_index].as_ref().expect("reported");
+                let placement = placement_for(pattern, attributes);
+                let model = &self.model;
+                let (_, scan) = (self.scans)
+                    .entry((pattern_index, placement))
+                    .or_insert_with(|| {
+                        let graph = model.cluster.graph();
+                        let spec = ScanSpec::new(pattern_index, pattern.clone(), placement, graph);
+                        let (estimate, terms) = model.price(Shape::Scan(&spec), &[]);
+                        (estimate.expect("a scan estimates its output"), terms)
+                    });
+                (Some(*scan), 0)
+            }
+            Floored::Join(id) => {
+                let join = &self.joins[id];
+                let shuffler = (shuffle && join.reduce)
+                    .then(|| self.model.price(Shape::Shuffle, &[&join.estimate]).1);
+                (shuffler, join.height)
+            }
+        }
+    }
+
+    /// The estimate `input` feeds a consumer joining on `attributes` once
+    /// [`edge`](Self::edge) laid that edge out (a shuffler passes its
+    /// input's estimate on).
+    fn estimate_of(&self, input: Floored, attributes: &BTreeSet<Variable>) -> &OpEstimate {
+        match input {
+            Floored::Match(pattern_index) => {
+                let pattern = self.patterns[pattern_index].as_ref().expect("reported");
+                &self.scans[&(pattern_index, placement_for(pattern, attributes))].0
+            }
+            Floored::Join(id) => &self.joins[id].estimate,
+        }
+    }
+
+    /// Prices the join of `inputs`, new to the memo.
+    fn price_join(&mut self, inputs: &[Floored], attributes: &BTreeSet<Variable>) -> PricedJoin {
+        let reduce = !(inputs.iter()).all(|input| matches!(input, Floored::Match(_)));
+        let start = self.terms.len();
+        let mut below = 0;
+        for &input in inputs {
+            let (edge, height) = self.edge(input, attributes, reduce);
+            self.terms.extend(edge.into_iter().flatten());
+            below = below.max(height);
+        }
+        let estimates: Vec<&OpEstimate> = (inputs.iter())
+            .map(|&input| self.estimate_of(input, attributes))
+            .collect();
+        let shape = Shape::Join { attributes, reduce };
+        let (estimate, own) = self.model.price(shape, &estimates);
+        self.terms.extend(own);
+        PricedJoin {
+            estimate: estimate.expect("a join estimates its output"),
+            reduce,
+            height: below + 1,
+            terms: start..self.terms.len(),
+        }
+    }
+}
+
+impl PlanSink for FloorMemo<'_> {
+    type Op = Floored;
+
+    fn matched(
+        &mut self,
+        pattern_index: usize,
+        pattern: &TriplePattern,
+        _output: &BTreeSet<Variable>,
+    ) -> Floored {
+        if self.patterns.len() <= pattern_index {
+            self.patterns.resize(pattern_index + 1, None);
+        }
+        let known = self.patterns[pattern_index].get_or_insert_with(|| pattern.clone());
+        debug_assert!(
+            known == pattern,
+            "one memo serves the candidates of one query"
+        );
+        Floored::Match(pattern_index)
+    }
+
+    fn join(
+        &mut self,
+        inputs: &[Floored],
+        attributes: impl FnOnce() -> BTreeSet<Variable>,
+        _output: &BTreeSet<Variable>,
+    ) -> Floored {
+        self.key.clear();
+        self.key.extend(inputs.iter().map(|input| match *input {
+            Floored::Match(pattern) => 2 * pattern,
+            Floored::Join(id) => 2 * id + 1,
+        }));
+        let id = match self.ids.get(self.key.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let join = self.price_join(inputs, &attributes());
+                let id = self.joins.len();
+                self.joins.push(join);
+                self.ids.insert(self.key.clone(), id);
+                id
+            }
+        };
+        for &term in &self.terms[self.joins[id].terms.clone()] {
+            self.work += term;
+        }
+        Floored::Join(id)
+    }
+
+    fn project(&mut self, input: Floored, variables: &[Variable]) -> Floored {
+        // Only a one-pattern plan projects a Match, whose scan is placed by
+        // the projected variables.
+        let attributes = match input {
+            Floored::Match(_) => variables.iter().cloned().collect(),
+            Floored::Join(_) => BTreeSet::new(),
+        };
+        let (edge, _) = self.edge(input, &attributes, false);
+        let estimate = self.estimate_of(input, &attributes);
+        let (_, own) = self.model.price(Shape::Project, &[estimate]);
+        for term in edge.into_iter().flatten().chain(own) {
+            self.work += term;
+        }
+        input
+    }
+}
+
+/// An operator as [`MapReduceCostModel::price`] reads it.
+#[derive(Debug, Clone, Copy)]
+enum Shape<'s> {
+    Scan(&'s ScanSpec),
+    Shuffle,
+    Join {
+        attributes: &'s BTreeSet<Variable>,
+        reduce: bool,
+    },
+    Project,
+}
+
+impl<'s> Shape<'s> {
+    fn of(op: &'s PhysicalOp) -> Self {
+        match op {
+            PhysicalOp::MapScan { spec, .. } => Shape::Scan(spec),
+            PhysicalOp::MapShuffler { .. } => Shape::Shuffle,
+            PhysicalOp::MapJoin { attributes, .. } => Shape::Join {
+                attributes,
+                reduce: false,
+            },
+            PhysicalOp::ReduceJoin { attributes, .. } => Shape::Join {
+                attributes,
+                reduce: true,
+            },
+            PhysicalOp::Project { .. } => Shape::Project,
+        }
     }
 }
 
 /// The start-up cost of a schedule whose jobs have the given kinds:
 /// [`CostParameters::job_startup`] per job plus one task wave of
 /// [`CostParameters::task_startup`] per map-only job and two per map-reduce
-/// job. [`MapReduceCostModel::estimate`] and
-/// [`MapReduceCostModel::job_floor`] both price start-up here.
+/// job. [`MapReduceCostModel::estimate`] and the floors of
+/// [`PlanFloors`] both price start-up here.
 fn job_overhead(params: &CostParameters, kinds: impl ExactSizeIterator<Item = JobKind>) -> f64 {
     kinds.len() as f64 * params.job_startup
         + kinds
@@ -400,16 +681,17 @@ fn job_overhead(params: &CostParameters, kinds: impl ExactSizeIterator<Item = Jo
 /// costs so its contract can be tested with costs no cluster produces.
 /// Each offered floor must be a lower bound of its item's cost: an item
 /// whose floor is at least the least cost so far is not built. A NaN least
-/// cost never skips (no comparison with it holds).
+/// cost never skips (no comparison with it holds). Pricing an item may
+/// also make an `E` (a plan's translation), kept beside the cheapest item.
 #[derive(Debug)]
-struct EarliestMinimum<T> {
+struct EarliestMinimum<T, E> {
     /// Every item built so far.
     seen: HashSet<T>,
-    /// The earliest cheapest item and its cost.
-    best: Option<(T, f64)>,
+    /// The earliest cheapest item, what its pricing made, and its cost.
+    best: Option<(T, E, f64)>,
 }
 
-impl<T> Default for EarliestMinimum<T> {
+impl<T, E> Default for EarliestMinimum<T, E> {
     fn default() -> Self {
         Self {
             seen: HashSet::new(),
@@ -418,30 +700,40 @@ impl<T> Default for EarliestMinimum<T> {
     }
 }
 
-impl<T: Hash + Eq + Clone> EarliestMinimum<T> {
+impl<T: Hash + Eq + Clone, E> EarliestMinimum<T, E> {
     /// Offers the next item: skipped unbuilt when `floor` reaches the
     /// least cost so far, skipped unpriced when `build` makes an item seen
     /// before, kept when `cost` is below the least cost so far.
-    fn offer(&mut self, floor: f64, build: impl FnOnce() -> T, cost: impl FnOnce(&T) -> f64) {
-        if self.best.as_ref().is_some_and(|&(_, least)| floor >= least) {
+    fn offer(&mut self, floor: f64, build: impl FnOnce() -> T, cost: impl FnOnce(&T) -> (f64, E)) {
+        if self
+            .best
+            .as_ref()
+            .is_some_and(|&(_, _, least)| floor >= least)
+        {
             return;
         }
         let item = build();
         if self.seen.contains(&item) {
             return;
         }
-        let cost = cost(&item);
+        let (cost, made) = cost(&item);
         let cheaper = (self.best.as_ref())
-            .is_none_or(|&(_, least)| cost < least || (least.is_nan() && !cost.is_nan()));
+            .is_none_or(|&(_, _, least)| cost < least || (least.is_nan() && !cost.is_nan()));
         if cheaper {
-            self.best = Some((item.clone(), cost));
+            self.best = Some((item.clone(), made, cost));
         }
         self.seen.insert(item);
     }
 
-    /// The earliest cheapest item; every other item built is dropped.
-    fn into_best(self) -> Option<T> {
-        self.best.map(|(item, _)| item)
+    /// How many items were priced: the distinct items built.
+    fn priced(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// The earliest cheapest item and what its pricing made; every other
+    /// item built is dropped.
+    fn into_best(self) -> Option<(T, E)> {
+        self.best.map(|(item, made, _)| (item, made))
     }
 }
 
@@ -479,10 +771,7 @@ fn scale_distincts(distincts: &BTreeMap<Variable, f64>, card: f64) -> BTreeMap<V
 /// the closing edge of a cyclic query — is therefore priced as more
 /// selective than any single key, where a single-key approximation
 /// overestimates by the dropped attribute's distinct count.
-fn join_estimate(
-    attributes: &std::collections::BTreeSet<Variable>,
-    inputs: &[&OpEstimate],
-) -> OpEstimate {
+fn join_estimate(attributes: &BTreeSet<Variable>, inputs: &[&OpEstimate]) -> OpEstimate {
     if inputs.is_empty() {
         return OpEstimate::default();
     }
@@ -526,7 +815,9 @@ fn join_estimate(
             *entry = entry.min(value);
         }
     }
-    let distincts = scale_distincts(&distincts, card);
+    for distinct in distincts.values_mut() {
+        *distinct = distinct.min(card);
+    }
     OpEstimate { card, distincts }
 }
 
@@ -616,9 +907,9 @@ mod tests {
     ) -> Option<&T> {
         let mut rule = EarliestMinimum::default();
         for item in items {
-            rule.offer(floor(item), || item, |item| cost(item));
+            rule.offer(floor(item), || item, |item| (cost(item), ()));
         }
-        rule.into_best()
+        rule.into_best().map(|(item, ())| item)
     }
 
     /// `earliest_minimum` over the positions of `costs`, with no floor.

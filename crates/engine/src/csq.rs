@@ -4,7 +4,7 @@
 
 use crate::cost::{MapReduceCostModel, PlanChooser};
 use crate::executor::{ExecutionOutput, Executor};
-use crate::translate::translate;
+use crate::physical::PhysicalPlan;
 use cliquesquare_core::{Leaf, LogicalPlan, Optimizer, OptimizerConfig, Variant};
 use cliquesquare_mapreduce::{Cluster, Runtime};
 use cliquesquare_sparql::BgpQuery;
@@ -83,9 +83,14 @@ pub struct CsqReport {
 pub struct Chosen {
     /// The plan the cost model chose.
     pub plan: LogicalPlan,
+    /// Its translation, made to price it.
+    pub physical: PhysicalPlan,
     /// Number of leaves the search reached: the candidate plans
     /// [`Csq::plan`] would list.
     pub candidates: usize,
+    /// Number of candidates built, translated and priced: those whose
+    /// floor was below the least cost so far, duplicates aside.
+    pub priced: usize,
     /// Wall-clock milliseconds of the search and the choice.
     pub optimize_ms: f64,
 }
@@ -129,7 +134,8 @@ impl Csq {
         let mut plans = Vec::new();
         let chosen = self.search(query, |chooser, leaf| {
             let plan = Rc::new(leaf.plan());
-            chooser.offer(leaf.height(), || Rc::clone(&plan));
+            let floor = chooser.floors().leaf(leaf);
+            chooser.offer(floor, || Rc::clone(&plan));
             plans.push(plan);
         });
         let plans = (plans.into_iter())
@@ -139,9 +145,11 @@ impl Csq {
     }
 
     /// What a plan-cache miss costs: optimizes `query` and returns the plan
-    /// the cost model chooses, without collecting the candidates. Each leaf
-    /// of the search goes to the cost model's choice rule as the search
-    /// reaches it, and its plan is built only when its height lets it win.
+    /// the cost model chooses and its translation, without collecting the
+    /// candidates. Each leaf of the search goes to the cost model's choice
+    /// rule as the search reaches it, with its floor read off its path
+    /// ([`PlanFloors::leaf`](crate::cost::PlanFloors::leaf)), and its plan
+    /// is built only when that floor lets it win.
     ///
     /// # Panics
     ///
@@ -153,7 +161,8 @@ impl Csq {
     /// planning, no longer reaches this panic.
     pub fn choose(&self, query: &BgpQuery) -> Chosen {
         self.search(query, |chooser, leaf| {
-            chooser.offer(leaf.height(), || Rc::new(leaf.plan()))
+            let floor = chooser.floors().leaf(leaf);
+            chooser.offer(floor, || Rc::new(leaf.plan()))
         })
     }
 
@@ -171,15 +180,18 @@ impl Csq {
         let mut chooser = model.chooser();
         let summary =
             Optimizer::new(optimizer_config).search(query, |leaf| visit(&mut chooser, leaf));
-        let chosen = chooser.into_best().unwrap_or_else(|| {
+        let priced = chooser.priced();
+        let (plan, physical) = chooser.into_best().unwrap_or_else(|| {
             panic!(
                 "no plan found for query {:?} (disconnected or empty?)",
                 query.name()
             )
         });
         Chosen {
-            plan: Rc::unwrap_or_clone(chosen),
+            plan: Rc::unwrap_or_clone(plan),
+            physical,
             candidates: summary.leaves,
+            priced,
             optimize_ms: started.elapsed().as_secs_f64() * 1000.0,
         }
     }
@@ -189,9 +201,8 @@ impl Csq {
     /// the chosen plan uses the configured runtime.
     pub fn run(&self, query: &BgpQuery) -> CsqReport {
         let chosen = self.choose(query);
-        let physical = translate(&chosen.plan, self.cluster.graph());
         let execution =
-            Executor::with_runtime(&self.cluster, self.config.runtime()).execute(&physical);
+            Executor::with_runtime(&self.cluster, self.config.runtime()).execute(&chosen.physical);
         CsqReport {
             query: query.name().to_string(),
             candidate_plans: chosen.candidates,

@@ -29,7 +29,10 @@ use std::ops::Range;
 /// inside the pattern. The placement variable is the smallest join attribute,
 /// so every input of the same join picks the same variable and the join is
 /// co-located.
-fn placement_for(pattern: &TriplePattern, attributes: &BTreeSet<Variable>) -> TriplePosition {
+pub(crate) fn placement_for(
+    pattern: &TriplePattern,
+    attributes: &BTreeSet<Variable>,
+) -> TriplePosition {
     let placement_var = attributes.iter().next();
     if let Some(var) = placement_var {
         for (term, position) in [

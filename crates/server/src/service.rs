@@ -3,8 +3,7 @@
 use crate::plancache::{CachedPlan, PlanCache, TemplateKey, DEFAULT_CAPACITY};
 use cliquesquare_engine::relation::Rows;
 use cliquesquare_engine::{
-    rebind_constants, translate, Csq, CsqConfig, Executor, MapReduceCostModel, PhysicalPlan,
-    Relation,
+    rebind_constants, Csq, CsqConfig, Executor, MapReduceCostModel, PhysicalPlan, Relation,
 };
 use cliquesquare_mapreduce::{Cluster, Runtime};
 use cliquesquare_obs::{QueryProfile, SpanNode};
@@ -398,6 +397,7 @@ impl QueryService {
                             plan: Arc::new(rebound),
                             optimize_ms: 0.0,
                             candidates: 0,
+                            priced: 0,
                             rename: Some(rename),
                         };
                     }
@@ -409,7 +409,7 @@ impl QueryService {
             }
         }
         let chosen = self.csq.choose(query);
-        let plan = Arc::new(translate(&chosen.plan, graph));
+        let plan = Arc::new(chosen.physical);
         if let (Some(cache), Some(key)) = (&self.plan_cache, key) {
             cache.insert(
                 key,
@@ -423,6 +423,7 @@ impl QueryService {
             plan,
             optimize_ms: chosen.optimize_ms,
             candidates: chosen.candidates,
+            priced: chosen.priced,
             rename: None,
         }
     }
@@ -450,6 +451,7 @@ impl QueryService {
             plan.add_attr("optimize_us", (planned.optimize_ms * 1_000.0) as u64);
             plan.add_attr("cache_hit", cache_hit as u64);
             plan.add_attr("candidates", planned.candidates as u64);
+            plan.add_attr("priced", planned.priced as u64);
             root.children.push(parse);
             root.children.push(plan);
             if let Some(mut execute) = output.profile.clone() {
@@ -498,6 +500,9 @@ struct Planned {
     /// How many leaves (candidate plans) the search reached; 0 on a cache
     /// hit.
     candidates: usize,
+    /// How many of them were built, translated and priced; 0 on a cache
+    /// hit.
+    priced: usize,
     /// On a cache hit, each of the cached plan's variables beside this
     /// query's name for it (a handful of pairs sharing their names: no
     /// string is copied or hashed); `None` on a miss.

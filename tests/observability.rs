@@ -116,7 +116,8 @@ fn profile_spans_tile_the_measured_wall_clock() {
 }
 
 /// The `plan` span says how big the search was: every candidate the
-/// optimizer produced on a plan-cache miss, none on a hit.
+/// optimizer produced on a plan-cache miss, none on a hit, and how many of
+/// them were built and priced — a few, on a miss.
 #[test]
 fn the_plan_span_counts_the_candidates_of_a_miss() {
     let service = QueryService::new(cluster(), Runtime::serving(2));
@@ -130,6 +131,11 @@ fn the_plan_span_counts_the_candidates_of_a_miss() {
         let attr = |name: &str| plan.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         assert_eq!(attr("cache_hit"), Some(cache_hit));
         assert_eq!(attr("candidates"), Some(candidates));
+        let priced = attr("priced").expect("the plan span counts priced plans");
+        match cache_hit {
+            0 => assert!((1..100).contains(&priced), "{priced} priced"),
+            _ => assert_eq!(priced, 0),
+        }
     }
 }
 

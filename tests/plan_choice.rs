@@ -4,16 +4,19 @@
 //! `Csq::plan` pick, by position in the candidate list. `choose_best` skips
 //! duplicates and prices each distinct plan once; nothing else pins plan
 //! choice outside the 14 queries of `BENCH_execution.json`. It also leaves
-//! unpriced every plan whose job floor reaches the least cost so far, which
-//! is sound only while the floor bounds every estimate from below: the last
-//! test pins that. The service's entry, `Csq::choose`, hands each leaf of
-//! the search to the chooser and builds no plan that cannot win: it must
-//! choose what `choose_best` over every built candidate chooses.
+//! unpriced every plan whose floor — its estimate less its sort charges,
+//! read off its operators — reaches the least cost so far, which is sound
+//! only while the floor bounds every estimate from below: a test below pins
+//! that. The service's entry, `Csq::choose`, hands each leaf of the search
+//! to the chooser with the floor read off its path and builds no plan that
+//! cannot win: it must choose what `choose_best` over every built candidate
+//! chooses.
 
 use cliquesquare::core::{paper_examples, LogicalPlan, Optimizer, OptimizerConfig, Variant};
+use cliquesquare::engine::cost::PlanFloors;
 use cliquesquare::engine::csq::{Csq, CsqConfig};
 use cliquesquare::engine::jobs::schedule;
-use cliquesquare::engine::{translate, MapReduceCostModel};
+use cliquesquare::engine::{translate, MapReduceCostModel, PhysId};
 use cliquesquare::mapreduce::{Cluster, ClusterConfig, JobKind};
 use cliquesquare::querygen::{
     lubm_queries, lubm_query, sp2b_queries, SyntheticShape, SyntheticWorkload, WorkloadConfig,
@@ -59,7 +62,8 @@ fn assert_choices_match(cluster: &Cluster, queries: &[BgpQuery]) {
         // `Csq::plan` chooses with the statistics model.
         let expected = oracle(&models[0].1, &plans);
         assert!(plans[expected] == chosen, "{}: Csq::plan", query.name());
-        // So does the service's entry, from the leaves of its own search.
+        // So does the service's entry, from the leaves of its own search,
+        // and the translation it hands on is the one it priced.
         let choice = csq.choose(query);
         assert!(
             plans[expected] == choice.plan,
@@ -67,6 +71,18 @@ fn assert_choices_match(cluster: &Cluster, queries: &[BgpQuery]) {
             query.name()
         );
         assert_eq!(choice.candidates, plans.len(), "{}", query.name());
+        assert!(
+            (1..=plans.len()).contains(&choice.priced),
+            "{}: {} priced",
+            query.name(),
+            choice.priced
+        );
+        assert_eq!(
+            choice.physical,
+            translate(&choice.plan, cluster.graph()),
+            "{}",
+            query.name()
+        );
     }
 }
 
@@ -83,12 +99,20 @@ fn lubm_and_synthetic_choices_match_the_oracle() {
         &cluster,
         &SyntheticWorkload::generate(WorkloadConfig::small()),
     );
+    // Floors move with the data, and with them which candidates are
+    // priced: the choice must not.
+    let graph = LubmGenerator::new(LubmScale::tiny()).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(2));
+    assert_choices_match(&cluster, &lubm_queries());
 }
 
 #[test]
 fn sp2b_choices_match_the_oracle() {
     let graph = Sp2bGenerator::new(Sp2bScale::tiny()).generate();
     let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
+    assert_choices_match(&cluster, &sp2b_queries());
+    let graph = Sp2bGenerator::new(Sp2bScale::with_articles(1_000)).generate();
+    let cluster = Cluster::load(graph, ClusterConfig::with_nodes(2));
     assert_choices_match(&cluster, &sp2b_queries());
 }
 
@@ -108,21 +132,30 @@ fn q14_keeps_its_duplicate_plans() {
     assert_eq!(result.unique_count(), 935);
 }
 
-/// The bound `choose_best` skips plans by holds on every candidate,
-/// duplicates included: the schedule `translate` gives a plan of height `h`
-/// has `max(1, h − 1)` jobs, all map-only iff `h ≤ 1`, which is what
-/// `job_floor` reads off the height, and no estimate is below the floor.
+/// The bound `choose_best` and `Csq::choose` skip plans by holds on every
+/// candidate, duplicates included. The schedule `translate` gives a plan of
+/// height `h` has `max(1, h − 1)` jobs, all map-only iff `h ≤ 1`, which is
+/// the start-up a floor charges at the leaf's height. Under either model, a
+/// leaf's floor — read off its path, one memo per search — is its built
+/// plan's floor from a memo of its own, is no more than the plan's
+/// estimate, and is the estimate itself when no ordering is unsatisfied
+/// (the sort charges are all the floor leaves out).
 fn assert_floors_hold(cluster: &Cluster, queries: &[BgpQuery]) {
-    let csq = Csq::new(cluster.clone(), CsqConfig::default());
+    let config = CsqConfig::default();
+    let optimizer = Optimizer::new(
+        OptimizerConfig::variant(config.variant).with_max_plans(config.max_candidate_plans),
+    );
     let models = [
         ("statistics", MapReduceCostModel::new(cluster)),
         ("uniform", MapReduceCostModel::uniform(cluster)),
     ];
     for query in queries {
-        let (plans, _, _) = csq.plan(query);
-        for plan in &plans {
+        let mut leaf_floors: Vec<PlanFloors<'_>> = models.iter().map(|(_, m)| m.floors()).collect();
+        optimizer.search(query, |leaf| {
+            let plan = leaf.plan();
             let height = plan.height();
-            let schedule = schedule(&translate(plan, cluster.graph()));
+            let physical = translate(&plan, cluster.graph());
+            let schedule = schedule(&physical);
             let (kind, jobs) = if height <= 1 {
                 (JobKind::MapOnly, 1)
             } else {
@@ -135,21 +168,38 @@ fn assert_floors_hold(cluster: &Cluster, queries: &[BgpQuery]) {
                 query.name()
             );
             assert_eq!(schedule.kinds, vec![kind; jobs], "{}", query.name());
-            for (label, model) in &models {
-                let floor = model.job_floor(plan);
-                let cost = model.estimate_logical(plan).total_seconds;
-                assert!(
-                    cost >= floor,
-                    "{} under {label}: {cost} < {floor}",
+            let sorted =
+                (0..physical.len()).any(|at| !physical.ordering(PhysId(at)).is_satisfied());
+            for ((label, model), floors) in models.iter().zip(&mut leaf_floors) {
+                let floor = floors.leaf(leaf);
+                assert_eq!(
+                    floor.to_bits(),
+                    model.floors().plan(&plan).to_bits(),
+                    "{} under {label}: a leaf's floor is its plan's",
                     query.name()
                 );
+                let cost = model.estimate(&physical).total_seconds;
+                assert_eq!(cost, model.estimate_logical(&plan).total_seconds);
+                match sorted {
+                    true => assert!(
+                        floor <= cost,
+                        "{} under {label}: {cost} < {floor}",
+                        query.name()
+                    ),
+                    false => assert_eq!(
+                        floor.to_bits(),
+                        cost.to_bits(),
+                        "{} under {label}: nothing sorted, {floor} != {cost}",
+                        query.name()
+                    ),
+                }
             }
-        }
+        });
     }
 }
 
 #[test]
-fn the_job_floor_is_a_lower_bound_of_every_candidates_estimate() {
+fn every_leafs_floor_bounds_its_plans_estimate() {
     let graph = LubmGenerator::new(LubmScale::with_universities(4)).generate();
     let cluster = Cluster::load(graph, ClusterConfig::with_nodes(4));
     assert_floors_hold(&cluster, &lubm_queries());
@@ -178,8 +228,8 @@ proptest! {
     /// On a synthetic shape of 2–10 patterns, under any variant and a
     /// search cut at a few leaves or not: `Csq::choose` returns the plan
     /// `choose_best` picks from every plan `optimize` builds, its leaf
-    /// count is their number, and every leaf's height — read off its path,
-    /// the height the chooser's floor is priced at — is its plan's.
+    /// count is their number, and every leaf's floor — read off its path,
+    /// what the chooser skips it by — is its plan's.
     #[test]
     fn the_service_entry_chooses_from_leaves_what_choose_best_chooses_from_plans(
         shape in 0usize..4,
@@ -204,8 +254,11 @@ proptest! {
         prop_assert!(&choice.plan == expected, "{} under {variant}", query.name());
         prop_assert_eq!(choice.candidates, result.plans.len());
         let mut leaves = 0;
+        let mut floors = model.floors();
         optimizer.search(&query, |leaf| {
-            assert_eq!(leaf.height(), leaf.plan().height(), "{} under {variant}", query.name());
+            let floor = floors.leaf(leaf);
+            let plan_floor = model.floors().plan(&leaf.plan());
+            assert_eq!(floor.to_bits(), plan_floor.to_bits(), "{} under {variant}", query.name());
             leaves += 1;
         });
         prop_assert_eq!(leaves, result.plans.len());
